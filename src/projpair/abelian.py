@@ -108,13 +108,6 @@ class FinAbGroup:
         if not self.invariant_factors:
             return
 
-    def element_at(self, index: int) -> "GroupElement":
-        coords = []
-        for d in reversed(self.invariant_factors):
-            coords.append(index % d)
-            index //= d
-        return GroupElement(self, tuple(reversed(coords)))
-
     def index_of(self, x: "GroupElement") -> int:
         if x.group != self:
             raise GroupMismatch("element of a different group")

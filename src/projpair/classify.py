@@ -37,15 +37,6 @@ def component_group_of(ing: SingleOrbitIngredients) -> FinAbGroup:
     return FinAbGroup.from_factors(fs)
 
 
-def dual_component_group_of(ing: SingleOrbitIngredients) -> FinAbGroup:
-    fs = (
-        list(ing.L_group.invariant_factors) * 2
-        + list(ing.J_group.invariant_factors)
-        + list(ing.K_group.invariant_factors)
-    )
-    return FinAbGroup.from_factors(fs)
-
-
 @dataclass(frozen=True)
 class ClassificationRow:
     """One enumerated pair, either a single ingredient tuple or a glued
@@ -55,7 +46,6 @@ class ClassificationRow:
     single: SingleOrbitIngredients | None
     multi: MultiOrbitSpec | None
     gamma: FinAbGroup
-    gamma_hat: FinAbGroup
     ambient_dim: int
     flags: tuple[str, ...] = ()
 
@@ -80,13 +70,11 @@ class ClassificationRow:
 
 
 def single_row(ing: SingleOrbitIngredients, flags=()) -> ClassificationRow:
-    gamma = component_group_of(ing)
     return ClassificationRow(
         kind="single",
         single=ing,
         multi=None,
-        gamma=gamma,
-        gamma_hat=dual_component_group_of(ing),
+        gamma=component_group_of(ing),
         ambient_dim=ing.ambient_dim,
         flags=tuple(flags),
     )
@@ -98,7 +86,6 @@ def multi_row(spec: MultiOrbitSpec, flags=(GLUING_CLASS_FLAG,)) -> Classificatio
         single=None,
         multi=spec,
         gamma=spec.gamma,
-        gamma_hat=spec.gamma,
         ambient_dim=spec.ambient_dim,
         flags=tuple(flags),
     )

@@ -2,8 +2,10 @@
 
 Commands: construct, verify, enumerate, pairing, symplectic.  Files are
 UTF-8 JSON in canonical key order; exit codes are the only success
-channel (0 ok, 1 verification/decomposition failure, 2 bad input,
-3 construction error).
+channel: 0 ok, 1 verification/decomposition failure, 2 bad input, 3 a
+construction error or a resource limit (the conductor cap, a witness
+search that sampling could not decide and whose exhaustive grid is too
+large).  No package error leaves main as a traceback.
 """
 
 from __future__ import annotations
@@ -130,7 +132,6 @@ def _row_cells(row):
             str(ing.J_group),
             str(ing.K_group),
             str(row.gamma),
-            str(row.gamma_hat),
             "1",
         ]
     summary = " + ".join(
@@ -139,12 +140,12 @@ def _row_cells(row):
     )
     return [
         str(row.ambient_dim), summary, "", "", "", "",
-        str(row.gamma), str(row.gamma_hat), str(row.parts),
+        str(row.gamma), str(row.parts),
     ]
 
 
 def _format_table(rows) -> str:
-    header = ["n", "b", "e", "L", "J", "K", "Gamma", "GammaHat", "r"]
+    header = ["n", "b", "e", "L", "J", "K", "Gamma", "r"]
     cells = [header] + [_row_cells(r) for r in rows]
     widths = [max(len(c[i]) for c in cells) for i in range(len(header))]
     lines = [
@@ -174,7 +175,6 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         rows = enumerate_multi_orbit(cfg.n, max_parts)
     else:
         rows = enumerate_single_orbit(cfg.n)
-    out = []
     if cfg.fmt == "json":
         payload = {"n": cfg.n, "rows": [serialize.row_to_json(r) for r in rows]}
     check_results = None
@@ -351,7 +351,11 @@ def main(argv=None) -> int:
         "pairing": cmd_pairing,
         "symplectic": cmd_symplectic,
     }
-    return handlers[cfg.command](cfg)
+    try:
+        return handlers[cfg.command](cfg)
+    except ProjPairError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .abelian import (
     Character,
@@ -35,7 +34,7 @@ from .errors import (
 from .matrep import (
     Monomial,
     TensorShape,
-    commutator_scalar,
+    commutator_exponent,
     heisenberg_monomial,
     character_monomial,
     translation_monomial,
@@ -148,7 +147,7 @@ class GroupSpec:
         self.component_group = component_group
         self.generators = dict(generators)
         self._algebra_basis = tuple(algebra_basis) if algebra_basis is not None else None
-        self._monomials: dict = {}
+        self._operators: dict = {}
         self._span = None
         n = self.ambient.dim
         ident = self.component_group.identity().coords
@@ -194,11 +193,21 @@ class GroupSpec:
     def generator(self, coords) -> CycMatrix:
         return self.generators[tuple(coords)]
 
-    def monomial_generator(self, coords):
+    def operator(self, coords):
+        """The generator of a coset as a Monomial when it is one, else the
+        dense CycMatrix itself.
+
+        This is the one place that decides a generator's form.  It is
+        detected on first use and cached, because most callers (the
+        enumeration among them) never ask for most cosets.
+        """
         coords = tuple(coords)
-        if coords not in self._monomials:
-            self._monomials[coords] = Monomial.from_matrix(self.generators[coords])
-        return self._monomials[coords]
+        op = self._operators.get(coords)
+        if op is None:
+            mat = self.generators[coords]
+            op = Monomial.from_matrix(mat) or mat
+            self._operators[coords] = op
+        return op
 
     def generating_cosets(self) -> list[tuple[int, ...]]:
         return [g.coords for g in self.component_group.generators()]
@@ -209,8 +218,10 @@ class GroupSpec:
     def validate(self, deep: bool = False) -> None:
         """Check the structural invariants; deep also checks normalization
         of the identity component and the extension closure of generators."""
-        for coords, mat in self.generators.items():
-            if not mat.is_invertible():
+        for coords in self.generators:
+            # a Monomial is invertible by construction
+            op = self.operator(coords)
+            if isinstance(op, CycMatrix) and not op.is_invertible():
                 raise ValueError(f"generator at {coords} is singular")
         if not deep:
             return
@@ -451,6 +462,13 @@ def _product_generators(parts, builders, n: int):
     return product, gens
 
 
+def _kron_operator(base, op: Monomial) -> CycMatrix:
+    """The dense generator base (x) op, for a spec operator base."""
+    if isinstance(base, Monomial):
+        return base.kron(op).to_matrix()
+    return base.kron(op.to_matrix())
+
+
 def general_xx_hat_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
                         check: bool = True) -> tuple[GroupSpec, GroupSpec]:
     """Tensor a verified pair with the self-dual translation-character pair.
@@ -473,11 +491,7 @@ def general_xx_hat_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
         def builder(parts):
             gamma1, lam, xi = parts
             op = heisenberg_monomial(x_group, lam, Character(x_group, xi.coords))
-            base = side.generator(gamma1.coords)
-            mono = Monomial.from_matrix(base)
-            if mono is not None:
-                return mono.kron(op).to_matrix()
-            return base.kron(op.to_matrix())
+            return _kron_operator(side.operator(gamma1.coords), op)
 
         comp, gens = _product_generators(
             [side.component_group, x_group, x_group], builder, n
@@ -529,11 +543,7 @@ def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
         def build_g(parts):
             gamma1, xx = parts
             op = translation_monomial(x_group, xx)
-            base = h1.generator(gamma1.coords)
-            mono = Monomial.from_matrix(base)
-            if mono is not None:
-                return mono.kron(op).to_matrix()
-            return base.kron(op.to_matrix())
+            return _kron_operator(h1.operator(gamma1.coords), op)
 
         comp_g, gens_g = _product_generators([h1.component_group, x_group], build_g, n)
         g_spec = GroupSpec(ambient, torus, comp_g, gens_g)
@@ -541,11 +551,7 @@ def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
         def build_h(parts):
             gamma2, xi = parts
             op = character_monomial(x_group, Character(x_group, xi.coords))
-            base = h2.generator(gamma2.coords)
-            mono = Monomial.from_matrix(base)
-            if mono is not None:
-                return mono.kron(op).to_matrix()
-            return base.kron(op.to_matrix())
+            return _kron_operator(h2.operator(gamma2.coords), op)
 
         comp_h, gens_h = _product_generators([h2.component_group, x_group], build_h, n)
         h_blocks = tuple(b.tensor_extend(n_x) for b in h2.blocks)
@@ -576,18 +582,6 @@ def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
 # ---------------------------------------------------------------------------
 
 
-def _component_pairing_exponent(g_spec: GroupSpec, h_spec: GroupSpec, g_coords,
-                                h_coords) -> Fraction:
-    c = commutator_scalar(
-        g_spec.monomial_generator(g_coords) or g_spec.generator(g_coords),
-        h_spec.monomial_generator(h_coords) or h_spec.generator(h_coords),
-    )
-    root = c.as_root_of_unity()
-    if root is None:
-        raise IncompatibleGluing("commutator scalar is not a root of unity")
-    return Fraction(root[1], root[0])
-
-
 def _character_of_component(g_spec: GroupSpec, h_spec: GroupSpec, h_coords):
     """The character of the first side's component group cut out by pairing
     against one component of the second side."""
@@ -595,7 +589,7 @@ def _character_of_component(g_spec: GroupSpec, h_spec: GroupSpec, h_coords):
     coords = []
     for a, d in enumerate(gamma.invariant_factors):
         e_a = tuple(1 if t == a else 0 for t in range(gamma.rank))
-        f = _component_pairing_exponent(g_spec, h_spec, e_a, h_coords)
+        f = commutator_exponent(g_spec.operator(e_a), h_spec.operator(h_coords))
         val = f * d
         if val.denominator != 1:
             raise IncompatibleGluing("pairing value incompatible with the coset order")
@@ -655,7 +649,7 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
                 if hi_coords is None:
                     raise IncompatibleGluing("transported character misses every coset")
                 values.append(
-                    _component_pairing_exponent(g_i, h_i, gi_coords, hi_coords)
+                    commutator_exponent(g_i.operator(gi_coords), h_i.operator(hi_coords))
                 )
             if any(v != values[0] for v in values[1:]):
                 raise IncompatibleGluing(
@@ -678,7 +672,7 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
         for g_i, h_i, q, u, char_of in sides:
             gi_coords = apply_matrix(list(map(list, q)), gamma_el.coords,
                                      g_i.component_group).coords
-            parts.append(g_i.monomial_generator(gi_coords))
+            parts.append(g_i.operator(gi_coords))
         g_gens[gamma_el.coords] = monomial_direct_sum(parts).to_matrix()
 
     h_gens = {}
@@ -690,7 +684,7 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
                 % g_i.component_group.invariant_factors[r]
                 for r in range(g_i.component_group.rank)
             )
-            parts.append(h_i.monomial_generator(char_of[u_delta]))
+            parts.append(h_i.operator(char_of[u_delta]))
         h_gens[delta.coords] = monomial_direct_sum(parts).to_matrix()
 
     g = GroupSpec(ambient, tuple(g_blocks), gamma, g_gens)

@@ -409,10 +409,6 @@ class CycNum:
                     return (order, j)
         return None
 
-    def multiplicative_order(self):
-        r = self.as_root_of_unity()
-        return None if r is None else r[0]
-
 
 def _poly_modular_inverse(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
     """Inverse of a modulo an irreducible rational polynomial."""

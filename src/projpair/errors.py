@@ -63,3 +63,8 @@ class ShapeMismatch(ProjPairError):
 
 class IdentityComponentNotSemisimpleBlocks(ProjPairError):
     """An untwisted commutant is not a direct sum of full matrix algebras."""
+
+
+class WitnessSearchUndecided(ProjPairError):
+    """Sampling found no invertible element of a span, and the exhaustive
+    grid that would decide the question is too large to run."""

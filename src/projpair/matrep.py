@@ -6,12 +6,15 @@ elements with the identity first, so every matrix here is pinned down
 exactly.  Translation and character operators are monomial (one nonzero
 entry per column); the Monomial class keeps that structure explicit so
 that products, inverses and commutator scalars cost O(n) instead of
-O(n^3).  Conversion to and from dense CycMatrix is lossless.
+O(n^3).  Conversion to and from dense CycMatrix is lossless; which form a
+stored generator takes is decided by GroupSpec.operator, and the helpers
+here accept either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .abelian import Character, FinAbGroup, GroupElement, char_eval
 from .cyclo import ONE, ZERO, CycMatrix, CycNum, as_cyc
@@ -298,37 +301,47 @@ def commutator_scalar_monomial(g: Monomial, h: Monomial) -> CycNum:
     return c
 
 
+def as_dense(op) -> CycMatrix:
+    """The dense matrix of an operator given as a Monomial or a CycMatrix."""
+    return op.to_matrix() if isinstance(op, Monomial) else op
+
+
 def commutator_scalar(g, h) -> CycNum:
     """Exact scalar c with g h g^-1 h^-1 = c I, else NotProjectivelyCommuting.
 
-    The result always satisfies c^n = 1 (take determinants of g h = c h g).
+    Two Monomials take the O(n) path; any other pair is multiplied out
+    densely.  The result always satisfies c^n = 1 (take determinants of
+    g h = c h g).
     """
     if isinstance(g, Monomial) and isinstance(h, Monomial):
         c = commutator_scalar_monomial(g, h)
         n = g.n
     else:
-        gm = g if isinstance(g, CycMatrix) else g.to_matrix()
-        hm = h if isinstance(h, CycMatrix) else h.to_matrix()
+        gm, hm = as_dense(g), as_dense(h)
         if gm.shape != hm.shape or not gm.is_square():
             raise DimensionMismatch("need square matrices of equal size")
-        mg = Monomial.from_matrix(gm)
-        mh = Monomial.from_matrix(hm)
-        if mg is not None and mh is not None:
-            c = commutator_scalar_monomial(mg, mh)
-            n = gm.rows
-        else:
-            gh = gm @ hm
-            hg = hm @ gm
-            pos = _first_nonzero(hg)
-            if pos is None:
-                raise NotProjectivelyCommuting("singular product")
-            c = gh.entry(*pos) / hg.entry(*pos)
-            if gh != hg.scale(c):
-                raise NotProjectivelyCommuting("commutator is not scalar")
-            n = gm.rows
+        gh = gm @ hm
+        hg = hm @ gm
+        pos = _first_nonzero(hg)
+        if pos is None:
+            raise NotProjectivelyCommuting("singular product")
+        c = gh.entry(*pos) / hg.entry(*pos)
+        if gh != hg.scale(c):
+            raise NotProjectivelyCommuting("commutator is not scalar")
+        n = gm.rows
     if (c ** n) != ONE:
         raise NotProjectivelyCommuting("scalar is not an n-th root of unity")
     return c
+
+
+def commutator_exponent(g, h) -> Fraction:
+    """The commutator scalar of g and h as k/N in [0, 1), meaning zeta_N^k
+    in lowest terms (so the pair (N, k) is the reduced root of unity)."""
+    root = commutator_scalar(g, h).as_root_of_unity()
+    if root is None:
+        raise NotProjectivelyCommuting("commutator scalar is not a root of unity")
+    order, expo = root
+    return Fraction(expo, order)
 
 
 def projective_equal(g: CycMatrix, h: CycMatrix) -> bool:

@@ -8,6 +8,7 @@ and round-trips losslessly.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .abelian import FinAbGroup, SymplecticPairing
@@ -41,16 +42,8 @@ def cyc_num_to_json(c: CycNum) -> dict:
 def cyc_num_from_json(data: dict) -> CycNum:
     m = int(data["conductor"])
     coeffs = [Fraction(int(n), int(d)) for n, d in data["coeffs"]]
-    den = 1
-    for f in coeffs:
-        den = den * f.denominator // _gcd(den, f.denominator)
+    den = math.lcm(*(f.denominator for f in coeffs))
     return CycNum(m, [int(f * den) for f in coeffs], den)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cyc_matrix_to_json(mat: CycMatrix) -> dict:
@@ -160,7 +153,12 @@ def pair_to_json(g: GroupSpec, h: GroupSpec, meta=None) -> dict:
 
 
 def pair_from_json(data: dict):
-    return spec_from_json(data["g"]), spec_from_json(data["h"])
+    """Decode a pair file; a structurally invalid side (a singular
+    generator among them) raises ValueError."""
+    g, h = spec_from_json(data["g"]), spec_from_json(data["h"])
+    g.validate()
+    h.validate()
+    return g, h
 
 
 # -- ingredients ------------------------------------------------------------
@@ -214,7 +212,6 @@ def row_to_json(row) -> dict:
         "n": row.ambient_dim,
         "parts": row.parts,
         "gamma": group_to_json(row.gamma),
-        "gamma_hat": group_to_json(row.gamma_hat),
         "flags": list(row.flags),
     }
     if row.kind == "single":

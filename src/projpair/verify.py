@@ -8,12 +8,15 @@ scalar tuple the twisted commutant is an exact linear solve; a tuple
 contributes one component of the centralizer iff its solution space
 contains an invertible element.
 
-Generators produced by the constructions are monomial matrices and the
-identity components are coordinate-aligned block algebras, so the default
-solver chases position orbits with a ratio union-find in O(n^2) per
-generator.  A dense path over a stacked linear system handles arbitrary
-inputs (and re-centralizing computed centralizers); the two agree exactly
-and the tests cross-check them.
+The form of each generator, a Monomial or a dense matrix, is decided
+once, by GroupSpec.operator; everything here takes those operators and
+chooses no form itself.  Generators produced by the constructions are
+monomial and their identity components are coordinate-aligned block
+algebras, so the solver chases position orbits with a ratio union-find in
+O(n^2) per generator.  The dense path, a kernel of a stacked linear
+system, serves computed centralizers, which carry a spanning set instead
+of blocks, and any non-monomial generator.  The two agree exactly and the
+tests cross-check them.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from .errors import (
     IdentityComponentNotSemisimpleBlocks,
     NotProjectivelyCommuting,
     ShapeMismatch,
+    WitnessSearchUndecided,
 )
-from .matrep import Monomial, commutator_scalar
+from .matrep import Monomial, as_dense, commutator_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +116,16 @@ class _RatioUnionFind:
 class CommutantEngine:
     """Solves {X : X b = b X for the identity-component algebra,
     X h_i = c_i h_i X for the component generators} for many scalar tuples
-    against one fixed target."""
+    against one fixed target.
 
-    def __init__(self, n: int, blocks=None, algebra_basis=None, gens=(), gen_monos=None):
+    gens are operators, each a Monomial or a CycMatrix.  The union-find
+    path runs when the blocks partition the basis and every generator is a
+    Monomial; otherwise the generators are expanded once for the dense path.
+    """
+
+    def __init__(self, n: int, blocks=None, algebra_basis=None, gens=()):
         self.n = n
         self.gens = list(gens)
-        self.gen_monos = list(gen_monos) if gen_monos is not None else [
-            Monomial.from_matrix(g) for g in self.gens
-        ]
         self.grid_model = False
         if blocks is not None and self._blocks_partition(blocks, n):
             self.grid_model = True
@@ -140,6 +146,9 @@ class CommutantEngine:
             if algebra_basis is None:
                 raise ValueError("need blocks or an algebra basis")
             self.base_basis = _untwisted_base(n, algebra_basis)
+        self.monomial = self.grid_model and all(isinstance(h, Monomial) for h in self.gens)
+        if not self.monomial:
+            self.gens = [as_dense(h) for h in self.gens]
 
     @staticmethod
     def _blocks_partition(blocks, n: int) -> bool:
@@ -155,11 +164,9 @@ class CommutantEngine:
     def from_spec(target: GroupSpec, gen_cosets=None):
         n = target.ambient.dim
         cosets = gen_cosets if gen_cosets is not None else target.generating_cosets()
-        gens = [target.generator(c) for c in cosets]
-        monos = [target.monomial_generator(c) for c in cosets]
         return CommutantEngine(n, blocks=target.blocks,
                                algebra_basis=target.algebra_basis(),
-                               gens=gens, gen_monos=monos)
+                               gens=[target.operator(c) for c in cosets])
 
     # -- solving -----------------------------------------------------------
 
@@ -168,7 +175,7 @@ class CommutantEngine:
         scalars = [s for s in scalars]
         if len(scalars) != len(self.gens):
             raise ValueError("need one scalar per generator")
-        if self.grid_model and all(m is not None for m in self.gen_monos):
+        if self.monomial:
             return self._solve_monomial(scalars)
         basis = self._pattern_basis() if self.grid_model else list(self.base_basis)
         for h, c in zip(self.gens, scalars):
@@ -187,7 +194,7 @@ class CommutantEngine:
 
     def _solve_monomial(self, scalars) -> list[CycMatrix]:
         uf = _RatioUnionFind(len(self.unknown_positions))
-        for mono, c in zip(self.gen_monos, scalars):
+        for mono, c in zip(self.gens, scalars):
             for a in range(self.n):
                 sa = mono.scales[a]
                 pa = mono.perm[a]
@@ -225,12 +232,7 @@ class CommutantEngine:
                                    fallback=lambda: self._conjugate_basis(scalars))
 
     def _conjugate_basis(self, scalars):
-        inv = [as_scalar_inverse(c) for c in scalars]
-        return self.solve(inv)
-
-
-def as_scalar_inverse(c: CycNum) -> CycNum:
-    return c.inverse()
+        return self.solve([c.inverse() for c in scalars])
 
 
 def _scalar_is_one(c) -> bool:
@@ -360,7 +362,7 @@ def _invertible_in_span(basis, n: int, fallback=None) -> CycMatrix | None:
                 # an invertible w in the span would put I = w w^{-1} here
                 return None
     if (n + 1) ** dim > 2_000_000:
-        raise RuntimeError(
+        raise WitnessSearchUndecided(
             "invertibility undecided by sampling and the grid bound is "
             f"impractical (dim {dim}, ambient {n})"
         )
@@ -416,14 +418,17 @@ class TwistedCommutantProblem:
         return self.block_span[0].rows
 
 
-def projective_order(h: CycMatrix, span: VectorSpan, bound: int) -> int:
-    """Least m >= 1 with h^m inside the spanned algebra (up to scalar)."""
-    power = h
+def projective_order(op, span: VectorSpan, bound: int) -> int:
+    """Least m in 1..bound with op^m inside the spanned algebra (up to
+    scalar), for an operator given as a Monomial or a CycMatrix."""
+    power = op
     for m in range(1, bound + 1):
-        if span.contains(power.flatten()):
+        if span.contains(as_dense(power).flatten()):
             return m
-        power = power @ h
-    raise ValueError("generator power never enters the identity component")
+        power = power @ op
+    raise ValueError(
+        f"generator power does not enter the identity component within {bound} steps"
+    )
 
 
 def twisted_commutant(problem: TwistedCommutantProblem):
@@ -479,22 +484,18 @@ class CentralizerData:
     algebra_span: VectorSpan
 
 
-def _scalar_tuple(x, ref_monos, ref_mats, moduli):
-    """Commutator scalars of x against the reference generators, as
-    exponents in the tuple moduli.  Raises NotProjectivelyCommuting."""
+def _scalar_tuple(x, ref_ops, moduli):
+    """Commutator scalars of the operator x against the reference
+    operators, as exponents in the tuple moduli.  Raises
+    NotProjectivelyCommuting."""
     out = []
-    x_mono = Monomial.from_matrix(x) if isinstance(x, CycMatrix) else x
-    for mono, mat, g in zip(ref_monos, ref_mats, moduli):
-        left = x_mono if x_mono is not None else x
-        right = mono if (mono is not None and x_mono is not None) else mat
-        c = commutator_scalar(left, right)
-        root = c.as_root_of_unity()
-        if root is None or g % root[0]:
+    for ref, g in zip(ref_ops, moduli):
+        f = commutator_exponent(x, ref)
+        if g % f.denominator:
             raise NotProjectivelyCommuting(
-                f"scalar {c!r} has order {root} outside modulus {g}"
+                f"commutator exponent {f} lies outside modulus {g}"
             )
-        order, expo = root
-        out.append((expo * (g // order)) % g)
+        out.append(f.numerator * (g // f.denominator) % g)
     return tuple(out)
 
 
@@ -528,9 +529,7 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
     span = target.algebra_span()
     moduli = []
     for coords, d in zip(ref_cosets, target.component_group.invariant_factors):
-        mono = target.monomial_generator(coords)
-        mat = target.generator(coords)
-        m = _projective_order_bounded(mat, mono, span, d)
+        m = projective_order(target.operator(coords), span, d)
         moduli.append(math.gcd(m, n))
     all_tuples = list(itertools.product(*(range(g) for g in moduli)))
     if workers > 1 and len(all_tuples) > 1:
@@ -580,25 +579,6 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
 
 def projective_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     return compute_centralizer(target, workers=workers).spec
-
-
-def _projective_order_bounded(mat, mono, span: VectorSpan, coset_order: int) -> int:
-    if mono is not None:
-        power = mono
-        for m in range(1, coset_order + 1):
-            if span.contains(power.to_matrix().flatten()):
-                return m
-            power = power @ mono
-    else:
-        power = mat
-        for m in range(1, coset_order + 1):
-            if span.contains(power.flatten()):
-                return m
-            power = power @ mat
-    raise ValueError(
-        "generator's projective order does not divide its coset order; "
-        "the spec violates its extension invariant"
-    )
 
 
 def _check_semisimple(basis) -> None:
@@ -698,23 +678,15 @@ def pairing_table(g: GroupSpec, h: GroupSpec) -> PairingTable:
     n = g.ambient.dim
     rows = []
     for ge in g.component_group.elements():
-        gm = g.monomial_generator(ge.coords)
-        gmat = g.generator(ge.coords)
+        g_op = g.operator(ge.coords)
         row = []
         for he in h.component_group.elements():
-            hm = h.monomial_generator(he.coords)
-            if gm is not None and hm is not None:
-                c = commutator_scalar(gm, hm)
-            else:
-                c = commutator_scalar(gmat, h.generator(he.coords))
-            root = c.as_root_of_unity()
-            if root is None:
-                raise NotProjectivelyCommuting("commutator scalar is not a root of unity")
-            if n % root[0]:
+            f = commutator_exponent(g_op, h.operator(he.coords))
+            if n % f.denominator:
                 raise NotProjectivelyCommuting(
-                    f"scalar order {root[0]} does not divide the ambient dimension {n}"
+                    f"scalar order {f.denominator} does not divide the ambient dimension {n}"
                 )
-            row.append(root)
+            row.append((f.denominator, f.numerator))
         rows.append(tuple(row))
     return PairingTable(g.component_group, h.component_group, tuple(rows))
 
@@ -726,18 +698,11 @@ def component_pairing_character_matrix(g: GroupSpec, h: GroupSpec):
     delta = h.component_group
     cols = []
     for e in delta.generators():
-        h_mono = h.monomial_generator(e.coords)
-        h_mat = h.generator(e.coords)
+        h_op = h.operator(e.coords)
         col = []
         for a, d in enumerate(gamma.invariant_factors):
             coords_a = tuple(1 if t == a else 0 for t in range(gamma.rank))
-            g_mono = g.monomial_generator(coords_a)
-            if g_mono is not None and h_mono is not None:
-                c = commutator_scalar(g_mono, h_mono)
-            else:
-                c = commutator_scalar(g.generator(coords_a), h_mat)
-            order, expo = c.as_root_of_unity()
-            val = Fraction(expo, order) * d
+            val = commutator_exponent(g.operator(coords_a), h_op) * d
             if val.denominator != 1:
                 raise NotProjectivelyCommuting(
                     "pairing value incompatible with the coset order"
@@ -797,13 +762,10 @@ class VerificationReport:
         }
 
 
-def _membership(candidate: CycMatrix, coset_rep: CycMatrix, span: VectorSpan) -> bool:
-    """Is candidate inside coset_rep * (algebra of the span)?"""
-    mono = Monomial.from_matrix(coset_rep)
-    if mono is not None:
-        shifted = mono.inverse().to_matrix() @ candidate
-    else:
-        shifted = coset_rep.inverse() @ candidate
+def _membership(candidate: CycMatrix, coset_rep, span: VectorSpan) -> bool:
+    """Is candidate inside coset_rep * (algebra of the span)?  coset_rep is
+    an operator; a Monomial one is inverted in O(n)."""
+    shifted = as_dense(coset_rep.inverse()) @ candidate
     return span.contains(shifted.flatten())
 
 
@@ -817,47 +779,33 @@ def _compare_with_centralizer(claimed: GroupSpec, computed: CentralizerData,
     span_cl_in_co = comp_span.contains_span(claimed_span)
     span_co_in_cl = claimed_span.contains_span(comp_span)
 
-    ref_monos = [reference.monomial_generator(c) for c in computed.ref_cosets]
-    ref_mats = [reference.generator(c) for c in computed.ref_cosets]
-
-    claimed_in_computed = span_cl_in_co
-    claimed_tuples = {}
-    if claimed_in_computed:
-        for coords, mat in claimed.generators.items():
+    # tuples of the claimed generators in order, up to the first one that
+    # does not commute projectively with the reference
+    claimed_tuples = []
+    complete = True
+    if span_cl_in_co or span_co_in_cl:
+        ref_ops = [reference.operator(c) for c in computed.ref_cosets]
+        for coords in claimed.generators:
             try:
-                t = _scalar_tuple(mat, ref_monos, ref_mats, computed.moduli)
+                t = _scalar_tuple(claimed.operator(coords), ref_ops, computed.moduli)
             except NotProjectivelyCommuting:
-                claimed_in_computed = False
+                complete = False
                 break
-            claimed_tuples[t] = coords
-            target_coset = computed.tuple_to_coset.get(t)
-            if target_coset is None:
-                claimed_in_computed = False
-                break
-            if not _membership(mat, computed.spec.generator(target_coset), comp_span):
-                claimed_in_computed = False
-                break
+            claimed_tuples.append((t, coords))
 
-    computed_in_claimed = span_co_in_cl
-    if computed_in_claimed:
-        if len(claimed_tuples) != claimed.component_count():
-            # build tuples if the previous pass did not finish
-            claimed_tuples = {}
-            for coords, mat in claimed.generators.items():
-                try:
-                    t = _scalar_tuple(mat, ref_monos, ref_mats, computed.moduli)
-                except NotProjectivelyCommuting:
-                    break
-                claimed_tuples[t] = coords
-        for t, coords in computed.tuple_to_coset.items():
-            claimed_coset = claimed_tuples.get(t)
-            if claimed_coset is None:
-                computed_in_claimed = False
-                break
-            if not _membership(computed.spec.generator(coords),
-                               claimed.generator(claimed_coset), claimed_span):
-                computed_in_claimed = False
-                break
+    claimed_in_computed = span_cl_in_co and complete and all(
+        t in computed.tuple_to_coset
+        and _membership(claimed.generator(coords),
+                        computed.spec.operator(computed.tuple_to_coset[t]), comp_span)
+        for t, coords in claimed_tuples
+    )
+    coset_of = dict(claimed_tuples)
+    computed_in_claimed = span_co_in_cl and all(
+        t in coset_of
+        and _membership(computed.spec.generator(coords),
+                        claimed.operator(coset_of[t]), claimed_span)
+        for t, coords in computed.tuple_to_coset.items()
+    )
 
     if claimed_in_computed and computed_in_claimed:
         return failures
@@ -940,9 +888,9 @@ def specs_equal(a: GroupSpec, b: GroupSpec) -> bool:
         return False
     if a.component_count() != b.component_count():
         return False
-    for coords, mat in a.generators.items():
+    for mat in a.generators.values():
         if not any(
-            _membership(mat, b.generator(bc), span_b) for bc in b.generators
+            _membership(mat, b.operator(bc), span_b) for bc in b.generators
         ):
             return False
     return True

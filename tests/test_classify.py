@@ -79,8 +79,7 @@ def test_component_group_formula():
     gamma = component_group_of(ing)
     assert gamma == FinAbGroup.from_factors([2, 2, 4, 3])
     assert gamma.order == ing.L_group.order ** 2 * 4 * 3
-    row = single_row(ing)
-    assert row.gamma == row.gamma_hat
+    assert single_row(ing).gamma == gamma
 
 
 def test_canonicalize_single_orientation():

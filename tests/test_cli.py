@@ -8,6 +8,7 @@ from projpair import serialize
 from projpair.abelian import FinAbGroup
 from projpair.cli import main
 from projpair.construct import SingleOrbitIngredients, single_orbit_pair, xx_hat_pair
+from projpair.cyclo import conductor_cap, set_conductor_cap
 from projpair.verify import verify_dual_pair
 
 TRIV = FinAbGroup.trivial()
@@ -49,6 +50,34 @@ def test_verify_rejects_truncated_json(tmp_path):
 
 def test_verify_missing_file():
     assert run(["verify", "/nonexistent/file.json"]) == 2
+
+
+def test_verify_rejects_singular_generator(tmp_path):
+    """A zero generator is bad input (2), not a failed verification (1)."""
+    pair_file = tmp_path / "pair.json"
+    run(["construct", "--L", "2", "-o", str(pair_file)])
+    data = json.loads(pair_file.read_text())
+    matrix = data["g"]["generators"][1]["matrix"]
+    matrix["entries"] = [[["0", "1"]] for _ in matrix["entries"]]
+    pair_file.write_text(json.dumps(data))
+    assert run(["verify", str(pair_file)]) == 2
+    assert run(["pairing", str(pair_file)]) == 2
+
+
+def test_resource_limit_exits_3_without_traceback(tmp_path, capsys):
+    """The conductor cap is a resource limit: exit 3 and one error line."""
+    pair_file = tmp_path / "p3.json"
+    assert run(["construct", "--L", "3", "-o", str(pair_file)]) == 0
+    capsys.readouterr()
+    old = conductor_cap()
+    try:
+        code = run(["--conductor-cap", "2", "verify", str(pair_file)])
+    finally:
+        set_conductor_cap(old)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_detects_edited_pair(tmp_path):

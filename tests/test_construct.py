@@ -4,7 +4,9 @@ import pytest
 
 from projpair.abelian import FinAbGroup, identity_matrix
 from projpair.construct import (
+    Ambient,
     Block,
+    GroupSpec,
     MultiOrbitSpec,
     SingleOrbitIngredients,
     connected_pair,
@@ -15,14 +17,14 @@ from projpair.construct import (
     type2_pair,
     xx_hat_pair,
 )
-from projpair.cyclo import span_of_matrices
+from projpair.cyclo import CycMatrix, span_of_matrices
 from projpair.errors import (
     EmptyDecomposition,
     InputNotDualPair,
     NotIsomorphism,
     PreconditionViolated,
 )
-from projpair.matrep import projective_equal
+from projpair.matrep import Monomial, TensorShape, projective_equal
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
@@ -78,6 +80,28 @@ def test_spec_validation():
         a, b = single_orbit_pair(ing)
         a.validate(deep=True)
         b.validate(deep=True)
+
+
+def test_operator_picks_monomial_or_dense_form():
+    """GroupSpec.operator returns a Monomial for a monomial generator and
+    the stored dense matrix itself otherwise."""
+    ambient = Ambient.single(TensorShape((("A", 2),)))
+    swap = CycMatrix([[0, 1], [1, 0]])
+    spec = GroupSpec(ambient, scalar_blocks(2), Z2,
+                     {(0,): CycMatrix.identity(2), (1,): swap})
+    op = spec.operator((1,))
+    assert isinstance(op, Monomial)
+    assert op.to_matrix() == swap
+    assert spec.operator([1]) is op
+    hadamard = CycMatrix([[1, 1], [1, -1]])
+    spec = GroupSpec(ambient, scalar_blocks(2), Z2,
+                     {(0,): CycMatrix.identity(2), (1,): hadamard})
+    assert spec.operator((1,)) is spec.generator((1,))
+    spec.validate()
+    singular = GroupSpec(ambient, scalar_blocks(2), Z2,
+                         {(0,): CycMatrix.identity(2), (1,): CycMatrix([[1, 1], [1, 1]])})
+    with pytest.raises(ValueError):
+        singular.validate()
 
 
 def test_single_orbit_dimensions_and_components():

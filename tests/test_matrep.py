@@ -1,6 +1,7 @@
 """Translation and character operators, embeddings, commutator scalars."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from projpair.matrep import (
     TensorShape,
     character_matrix,
     character_monomial,
+    commutator_exponent,
     commutator_scalar,
     embed_factor,
     embed_factor_monomial,
@@ -97,6 +99,20 @@ def test_commutator_scalar_is_bimultiplicative():
             for c in ops[:4]:
                 left = commutator_scalar(a, c) * commutator_scalar(b, c)
                 assert left == commutator_scalar(a @ b, c)
+
+
+def test_commutator_scalar_agrees_across_forms():
+    """The monomial path, the dense path and a mixed pair give one scalar."""
+    g = FinAbGroup.cyclic(4)
+    ops = [heisenberg_monomial(g, x, xi) for x in g.elements() for xi in g.characters()]
+    for a in ops[::3]:
+        for b in ops[::2]:
+            c = commutator_scalar(a, b)
+            assert commutator_scalar(a.to_matrix(), b.to_matrix()) == c
+            assert commutator_scalar(a, b.to_matrix()) == c
+            assert commutator_scalar(a.to_matrix(), b) == c
+            order, expo = c.as_root_of_unity()
+            assert commutator_exponent(a.to_matrix(), b) == Fraction(expo, order)
 
 
 def test_commutator_scalar_order_divides_dimension():

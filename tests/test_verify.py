@@ -13,10 +13,11 @@ from projpair.construct import (
     xx_hat_pair,
 )
 from projpair.cyclo import CycMatrix, CycNum, MINUS_ONE, ONE, span_of_matrices
-from projpair.errors import NotProjectivelyCommuting, ShapeMismatch
+from projpair.errors import NotProjectivelyCommuting, ShapeMismatch, WitnessSearchUndecided
 from projpair.matrep import TensorShape, character_matrix, translation_matrix
 from projpair.verify import (
     CommutantEngine,
+    _invertible_in_span,
     TwistedCommutantProblem,
     compute_centralizer,
     pairing_table,
@@ -104,6 +105,16 @@ def test_solver_fast_and_general_paths_agree():
             assert len(b_fast) == len(b_slow)
             if b_fast:
                 assert span_of_matrices(b_fast).equals(span_of_matrices(b_slow))
+
+
+def test_witness_search_undecided_is_typed():
+    """Ten matrix units E_ij with i >= 1 span only singular matrices (row 0
+    is zero), so sampling fails, and the grid of 5^10 points exceeds the
+    search bound."""
+    units = [CycMatrix.from_entries(4, 4, {(i, j): ONE})
+             for i in range(1, 4) for j in range(4)][:10]
+    with pytest.raises(WitnessSearchUndecided):
+        _invertible_in_span(units, 4)
 
 
 # -- centralizers ---------------------------------------------------------------
