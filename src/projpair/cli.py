@@ -21,7 +21,7 @@ from . import serialize
 from .abelian import FinAbGroup
 from .classify import enumerate_multi_orbit, enumerate_single_orbit
 from .construct import SingleOrbitIngredients, multi_orbit_glue, single_orbit_pair
-from .cyclo import set_conductor_cap
+from .cyclo import conductor_cap, set_conductor_cap
 from .errors import DegeneratePairing, NotAlternating, ProjPairError
 from .verify import pairing_table, verify_dual_pair
 
@@ -50,6 +50,16 @@ def _parse_group(text: str) -> FinAbGroup:
     if not factors or any(f < 1 for f in factors):
         raise ValueError(f"bad group factors {text!r}")
     return FinAbGroup.from_factors(factors)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _write_output(text: str, path: str | None):
@@ -182,7 +192,8 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         row_jsons = [serialize.row_to_json(r) for r in rows]
         workers = cfg.workers
         if workers > 1 and len(rows) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers, initializer=set_conductor_cap,
+                                     initargs=(conductor_cap(),)) as pool:
                 check_results = list(pool.map(_check_one, row_jsons))
         else:
             check_results = [_check_one(rj) for rj in row_jsons]
@@ -271,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, verify, and enumerate dual pairs in PGL(n, C) "
         "with exact cyclotomic arithmetic.",
     )
-    parser.add_argument("--conductor-cap", type=int, default=None,
+    parser.add_argument("--conductor-cap", type=_positive_int, default=None,
                         help="override the cyclotomic conductor cap")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -582,17 +582,19 @@ def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
 # ---------------------------------------------------------------------------
 
 
-def _character_of_component(g_spec: GroupSpec, h_spec: GroupSpec, h_coords):
-    """The character of the first side's component group cut out by pairing
-    against one component of the second side."""
+def pairing_character(g_spec: GroupSpec, h_op, error) -> tuple[int, ...]:
+    """The character of the first side's component group cut out by
+    pairing against the operator h_op, on canonical coordinates: the
+    commutator exponent with each canonical generator, times its invariant
+    factor d, reduced mod d.  Raises error when a value is not a multiple
+    of 1/d."""
     gamma = g_spec.component_group
     coords = []
     for a, d in enumerate(gamma.invariant_factors):
         e_a = tuple(1 if t == a else 0 for t in range(gamma.rank))
-        f = commutator_exponent(g_spec.operator(e_a), h_spec.operator(h_coords))
-        val = f * d
+        val = commutator_exponent(g_spec.operator(e_a), h_op) * d
         if val.denominator != 1:
-            raise IncompatibleGluing("pairing value incompatible with the coset order")
+            raise error("pairing value incompatible with the coset order")
         coords.append(int(val) % d)
     return tuple(coords)
 
@@ -628,7 +630,8 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
         # identify the second side's cosets with characters of the first side
         char_of = {}
         for delta in h_i.component_group.elements():
-            char_of[_character_of_component(g_i, h_i, delta.coords)] = delta.coords
+            char = pairing_character(g_i, h_i.operator(delta.coords), IncompatibleGluing)
+            char_of[char] = delta.coords
         if len(char_of) != h_i.component_group.order:
             raise IncompatibleGluing("summand pairing is degenerate")
         sides.append((g_i, h_i, q, u, char_of))

@@ -49,6 +49,7 @@ def _check_conductor(m: int) -> None:
         )
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     phi = 1
     n = m
@@ -219,10 +220,14 @@ class CycNum:
         g = math.gcd(k, m)
         m2, k2 = m // g, k // g
         if m2 == 1:
-            return CycNum.one()
+            return ONE
+        # checked before the lookup, so that a lowered cap still raises
         _check_conductor(m2)
-        poly = [0] * k2 + [1]
-        return CycNum(m2, _reduce_int_poly(poly, m2))
+        root = _ROOTS.get((m2, k2))
+        if root is None:
+            poly = [0] * k2 + [1]
+            root = _ROOTS[(m2, k2)] = CycNum(m2, _reduce_int_poly(poly, m2))
+        return root
 
     # -- views ----------------------------------------------------------
 
@@ -392,6 +397,15 @@ class CycNum:
         """Return (order, exponent) with value == zeta_order^exponent, or None."""
         if self.den != 1:
             return None
+        key = (self.m, self.num)
+        root = _ROOT_EXPONENTS.get(key)
+        if root is None:
+            root = self._find_root_of_unity()
+            if root is not None:
+                _ROOT_EXPONENTS[key] = root
+        return root
+
+    def _find_root_of_unity(self):
         k = self._as_unit_power()
         if k is not None:
             g = math.gcd(k, self.m) if k else self.m
@@ -458,6 +472,14 @@ def _poly_modular_inverse(a: list[Fraction], modulus: list[Fraction]) -> list[Fr
     rem += [Fraction(0)] * (len(modulus) - 1 - len(rem))
     return rem[: len(modulus) - 1]
 
+
+# Memos of the root-of-unity conversions: zeta_m^k keyed on the reduced
+# (m, k), and the (order, exponent) of an integral value keyed on (m, num).
+# Both hold roots of unity only (a value that is not one is not stored),
+# so neither outgrows the roots of unity below the conductor cap; values
+# are immutable, so sharing them is safe.
+_ROOTS: dict = {}
+_ROOT_EXPONENTS: dict = {}
 
 ZERO = CycNum.zero()
 ONE = CycNum.one()

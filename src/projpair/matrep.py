@@ -6,13 +6,18 @@ elements with the identity first, so every matrix here is pinned down
 exactly.  Translation and character operators are monomial (one nonzero
 entry per column); the Monomial class keeps that structure explicit so
 that products, inverses and commutator scalars cost O(n) instead of
-O(n^3).  Conversion to and from dense CycMatrix is lossless; which form a
-stored generator takes is decided by GroupSpec.operator, and the helpers
-here accept either.
+O(n^3).  Their scales are roots of unity, and Monomial.unit_exponents
+carries them as integer exponents over one common order, so the
+commutator of two such operators is integer arithmetic; CycNum appears
+only where a result leaves as a field element or meets a dense matrix.
+Conversion to and from dense CycMatrix is lossless; which form a stored
+generator takes is decided by GroupSpec.operator, and the helpers here
+accept either.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,7 +98,7 @@ class Monomial:
     products, so the verification pipeline works at O(n) per product.
     """
 
-    __slots__ = ("perm", "scales")
+    __slots__ = ("perm", "scales", "_units")
 
     def __init__(self, perm, scales):
         perm = tuple(perm)
@@ -107,10 +112,24 @@ class Monomial:
             raise ValueError("monomial scales must be nonzero")
         self.perm = perm
         self.scales = scales
+        self._units = None
 
     @property
     def n(self) -> int:
         return len(self.perm)
+
+    def unit_exponents(self):
+        """(N, exps) with scales[j] == zeta_N^exps[j] and N the lcm of the
+        scales' orders, or None when some scale is not a root of unity.
+        Computed on first use and cached."""
+        if self._units is None:
+            roots = [s.as_root_of_unity() for s in self.scales]
+            if any(r is None for r in roots):
+                self._units = False
+            else:
+                order = math.lcm(*(d for d, _ in roots))
+                self._units = (order, tuple(k * (order // d) for d, k in roots))
+        return self._units or None
 
     @staticmethod
     def identity(n: int) -> "Monomial":
@@ -121,7 +140,16 @@ class Monomial:
             s.is_one() for s in self.scales
         )
 
-    def __matmul__(self, other: "Monomial") -> "Monomial":
+    def __matmul__(self, other: "Monomial | CycMatrix"):
+        """The product with a Monomial, or with a CycMatrix in O(n^2): the
+        rows of other permuted and scaled."""
+        if isinstance(other, CycMatrix):
+            if other.rows != self.n:
+                raise DimensionMismatch(f"cannot multiply {self.n}x{self.n} by {other.shape}")
+            rows = [None] * self.n
+            for j, (p, s) in enumerate(zip(self.perm, self.scales)):
+                rows[p] = [s * v if v else ZERO for v in other.data[j]]
+            return CycMatrix(rows)
         if self.n != other.n:
             raise DimensionMismatch("monomial sizes differ")
         # (self @ other): column j -> other sends j to (other.perm[j], other.scales[j]),
@@ -287,18 +315,32 @@ def _first_nonzero(mat: CycMatrix):
 
 
 def commutator_scalar_monomial(g: Monomial, h: Monomial) -> CycNum:
-    """Exact scalar c with g h g^-1 h^-1 = c, for monomial matrices."""
+    """Exact scalar c with g h g^-1 h^-1 = c, for monomial matrices whose
+    scales are roots of unity (both have a unit view).
+
+    On exponents over N = lcm of the two orders, column j of g h carries
+    e_h[j] + e_g[h.perm[j]] and column j of h g carries
+    e_g[j] + e_h[g.perm[j]]; the commutator is the scalar zeta_N^k when
+    the permutations commute and their difference is k at every j.
+    """
     if g.n != h.n:
         raise DimensionMismatch("sizes differ")
-    gh = g @ h
-    hg = h @ g
-    if gh.perm != hg.perm:
-        raise NotProjectivelyCommuting("commutator permutes the basis nontrivially")
-    c = gh.scales[0] / hg.scales[0]
-    for j in range(1, g.n):
-        if gh.scales[j] != c * hg.scales[j]:
+    (n_g, e_g), (n_h, e_h) = g.unit_exponents(), h.unit_exponents()
+    order = math.lcm(n_g, n_h)
+    lift_g, lift_h = order // n_g, order // n_h
+    pg, ph = g.perm, h.perm
+    k = None
+    for j in range(g.n):
+        if pg[ph[j]] != ph[pg[j]]:
+            raise NotProjectivelyCommuting("commutator permutes the basis nontrivially")
+        kj = ((e_h[j] - e_h[pg[j]]) * lift_h + (e_g[ph[j]] - e_g[j]) * lift_g) % order
+        if k is None:
+            k = kj
+        elif kj != k:
             raise NotProjectivelyCommuting("commutator is not scalar")
-    return c
+    if (k * g.n) % order:
+        raise NotProjectivelyCommuting("scalar is not an n-th root of unity")
+    return CycNum.root_of_unity(order, k)
 
 
 def as_dense(op) -> CycMatrix:
@@ -309,27 +351,25 @@ def as_dense(op) -> CycMatrix:
 def commutator_scalar(g, h) -> CycNum:
     """Exact scalar c with g h g^-1 h^-1 = c I, else NotProjectivelyCommuting.
 
-    Two Monomials take the O(n) path; any other pair is multiplied out
-    densely.  The result always satisfies c^n = 1 (take determinants of
-    g h = c h g).
+    Two Monomials whose scales are roots of unity take the O(n) integer
+    path; any other pair is multiplied out densely.  The result always
+    satisfies c^n = 1 (take determinants of g h = c h g).
     """
-    if isinstance(g, Monomial) and isinstance(h, Monomial):
-        c = commutator_scalar_monomial(g, h)
-        n = g.n
-    else:
-        gm, hm = as_dense(g), as_dense(h)
-        if gm.shape != hm.shape or not gm.is_square():
-            raise DimensionMismatch("need square matrices of equal size")
-        gh = gm @ hm
-        hg = hm @ gm
-        pos = _first_nonzero(hg)
-        if pos is None:
-            raise NotProjectivelyCommuting("singular product")
-        c = gh.entry(*pos) / hg.entry(*pos)
-        if gh != hg.scale(c):
-            raise NotProjectivelyCommuting("commutator is not scalar")
-        n = gm.rows
-    if (c ** n) != ONE:
+    if (isinstance(g, Monomial) and isinstance(h, Monomial)
+            and g.unit_exponents() and h.unit_exponents()):
+        return commutator_scalar_monomial(g, h)
+    gm, hm = as_dense(g), as_dense(h)
+    if gm.shape != hm.shape or not gm.is_square():
+        raise DimensionMismatch("need square matrices of equal size")
+    gh = gm @ hm
+    hg = hm @ gm
+    pos = _first_nonzero(hg)
+    if pos is None:
+        raise NotProjectivelyCommuting("singular product")
+    c = gh.entry(*pos) / hg.entry(*pos)
+    if gh != hg.scale(c):
+        raise NotProjectivelyCommuting("commutator is not scalar")
+    if (c ** gm.rows) != ONE:
         raise NotProjectivelyCommuting("scalar is not an n-th root of unity")
     return c
 

@@ -11,12 +11,16 @@ contains an invertible element.
 The form of each generator, a Monomial or a dense matrix, is decided
 once, by GroupSpec.operator; everything here takes those operators and
 chooses no form itself.  Generators produced by the constructions are
-monomial and their identity components are coordinate-aligned block
-algebras, so the solver chases position orbits with a ratio union-find in
-O(n^2) per generator.  The dense path, a kernel of a stacked linear
-system, serves computed centralizers, which carry a spanning set instead
-of blocks, and any non-monomial generator.  The two agree exactly and the
-tests cross-check them.
+monomial with root-of-unity scales, and their identity components are
+coordinate-aligned block algebras, so the solver chases position orbits
+with a ratio union-find in O(n^2) per generator.  Its ratios, like the
+commutator scalars behind the scalar tuples and the pairing table, are
+integer exponents of one root of unity; CycNum appears only at the dense
+boundary, in the cells of a returned basis and in the scalars handed to
+the dense path.  That path, a kernel of a stacked linear system, serves
+computed centralizers, which carry a spanning set instead of blocks, and
+any generator that is not monomial or whose scales are not roots of
+unity.  The two agree exactly and the tests cross-check them.
 """
 
 from __future__ import annotations
@@ -25,16 +29,18 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .abelian import FinAbGroup, subgroup_from_elements
-from .construct import GroupSpec
+from .construct import GroupSpec, pairing_character
 from .cyclo import (
     ONE,
     ZERO,
     CycMatrix,
     CycNum,
     VectorSpan,
+    as_cyc,
+    conductor_cap,
+    set_conductor_cap,
     span_of_matrices,
 )
 from .errors import (
@@ -52,12 +58,14 @@ from .matrep import Monomial, as_dense, commutator_exponent
 
 
 class _RatioUnionFind:
-    """Union-find where each element carries value[u] = ratio[u] * value[root];
-    inconsistent relations collapse a class to zero."""
+    """Union-find where each element carries value[u] = zeta_N^ratio[u] *
+    value[root], the ratio an integer mod N; inconsistent relations
+    collapse a class to zero."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, order: int):
+        self.order = order
         self.parent = list(range(n))
-        self.ratio: list[CycNum] = [ONE] * n
+        self.ratio = [0] * n
         self.dead = [False] * n
 
     def find(self, u: int) -> int:
@@ -65,36 +73,32 @@ class _RatioUnionFind:
         while self.parent[u] != u:
             chain.append(u)
             u = self.parent[u]
-        acc = ONE
+        acc = 0
         for v in reversed(chain):
-            acc = acc * self.ratio[v]
+            acc = (acc + self.ratio[v]) % self.order
             self.parent[v] = u
             self.ratio[v] = acc
         return u
 
     def _root_and_ratio(self, u: int):
         root = self.find(u)
-        return (root, ONE) if root == u else (root, self.ratio[u])
+        return (root, 0) if root == u else (root, self.ratio[u])
 
     def set_zero(self, u: int):
         root, _ = self._root_and_ratio(u)
         self.dead[root] = True
 
-    def is_zero(self, u: int) -> bool:
-        root, _ = self._root_and_ratio(u)
-        return self.dead[root]
-
-    def relate(self, u: int, v: int, mult: CycNum):
-        """Impose value[v] = mult * value[u]."""
+    def relate(self, u: int, v: int, mult: int):
+        """Impose value[v] = zeta_N^mult * value[u]."""
         ru, qu = self._root_and_ratio(u)
         rv, qv = self._root_and_ratio(v)
         if ru == rv:
-            if qv != mult * qu:
+            if (qv - mult - qu) % self.order:
                 self.dead[ru] = True
             return
-        # attach rv below ru: value[rv] = (mult*qu/qv) * value[ru]
+        # attach rv below ru: value[rv] = zeta_N^(mult+qu-qv) * value[ru]
         self.parent[rv] = ru
-        self.ratio[rv] = mult * qu / qv
+        self.ratio[rv] = (mult + qu - qv) % self.order
         self.dead[ru] = self.dead[ru] or self.dead[rv]
 
     def classes(self):
@@ -119,8 +123,10 @@ class CommutantEngine:
     against one fixed target.
 
     gens are operators, each a Monomial or a CycMatrix.  The union-find
-    path runs when the blocks partition the basis and every generator is a
-    Monomial; otherwise the generators are expanded once for the dense path.
+    path runs when the blocks partition the basis, every generator is a
+    Monomial with a unit view and every scalar is a root of unity; it
+    works on integer exponents and builds CycNum cells only for the
+    returned basis.  Otherwise the solve takes the dense path.
     """
 
     def __init__(self, n: int, blocks=None, algebra_basis=None, gens=()):
@@ -129,7 +135,8 @@ class CommutantEngine:
         self.grid_model = False
         if blocks is not None and self._blocks_partition(blocks, n):
             self.grid_model = True
-            self.pos_unknown: dict = {}
+            # unknown_at[i * n + j]: the unknown of position (i, j), or -1
+            self.unknown_at = [-1] * (n * n)
             self.unknown_positions: list[list[tuple[int, int]]] = []
             for blk in blocks:
                 for c1 in range(blk.mult):
@@ -139,16 +146,19 @@ class CommutantEngine:
                             (blk.grid[r][c1], blk.grid[r][c2]) for r in range(blk.dim)
                         ]
                         self.unknown_positions.append(positions)
-                        for p in positions:
-                            self.pos_unknown[p] = idx
+                        for i, j in positions:
+                            self.unknown_at[i * n + j] = idx
             self.base_basis = None
         else:
             if algebra_basis is None:
                 raise ValueError("need blocks or an algebra basis")
             self.base_basis = _untwisted_base(n, algebra_basis)
-        self.monomial = self.grid_model and all(isinstance(h, Monomial) for h in self.gens)
-        if not self.monomial:
-            self.gens = [as_dense(h) for h in self.gens]
+        self.units = None
+        if self.grid_model and all(isinstance(h, Monomial) for h in self.gens):
+            units = [h.unit_exponents() for h in self.gens]
+            if None not in units:
+                self.units = units
+        self._dense_gens = None
 
     @staticmethod
     def _blocks_partition(blocks, n: int) -> bool:
@@ -172,13 +182,17 @@ class CommutantEngine:
 
     def solve(self, scalars) -> list[CycMatrix]:
         """Exact basis of the twisted commutant for one scalar tuple."""
-        scalars = [s for s in scalars]
+        scalars = [as_cyc(s) for s in scalars]
         if len(scalars) != len(self.gens):
             raise ValueError("need one scalar per generator")
-        if self.monomial:
-            return self._solve_monomial(scalars)
+        if self.units is not None:
+            roots = [c.as_root_of_unity() for c in scalars]
+            if None not in roots:
+                return self._solve_monomial(roots)
+        if self._dense_gens is None:
+            self._dense_gens = [as_dense(h) for h in self.gens]
         basis = self._pattern_basis() if self.grid_model else list(self.base_basis)
-        for h, c in zip(self.gens, scalars):
+        for h, c in zip(self._dense_gens, scalars):
             if not basis:
                 return []
             basis = _apply_twist_constraint(basis, h, c)
@@ -192,32 +206,43 @@ class CommutantEngine:
             )
         return out
 
-    def _solve_monomial(self, scalars) -> list[CycMatrix]:
-        uf = _RatioUnionFind(len(self.unknown_positions))
-        for mono, c in zip(self.gens, scalars):
-            for a in range(self.n):
-                sa = mono.scales[a]
-                pa = mono.perm[a]
-                for b in range(self.n):
+    def _solve_monomial(self, roots) -> list[CycMatrix]:
+        """Union-find solve with every generator scale and scalar an
+        integer exponent over N, the lcm of all their orders."""
+        n = self.n
+        order = math.lcm(*(u[0] for u in self.units), *(d for d, _ in roots))
+        unknown_at = self.unknown_at
+        uf = _RatioUnionFind(len(self.unknown_positions), order)
+        for mono, (n_h, e_h), (d, k) in zip(self.gens, self.units, roots):
+            lift = order // n_h
+            e = [x * lift for x in e_h]
+            c = k * (order // d)
+            perm = mono.perm
+            for a in range(n):
+                ca = c + e[a]
+                row_src = a * n
+                row_tgt = perm[a] * n
+                for b in range(n):
                     # X[perm a, perm b] = (c * s_a / s_b) X[a, b]
-                    src = self.pos_unknown.get((a, b))
-                    tgt = self.pos_unknown.get((pa, mono.perm[b]))
-                    if src is None and tgt is None:
+                    src = unknown_at[row_src + b]
+                    tgt = unknown_at[row_tgt + perm[b]]
+                    if src < 0 and tgt < 0:
                         continue
-                    if src is None:
+                    if src < 0:
                         uf.set_zero(tgt)
-                    elif tgt is None:
+                    elif tgt < 0:
                         uf.set_zero(src)
                     else:
-                        uf.relate(src, tgt, c * sa / mono.scales[b])
+                        uf.relate(src, tgt, ca - e[b])
         basis = []
         classes = uf.classes()
         for root in sorted(classes):
             cells = {}
             for u, ratio in classes[root]:
+                value = CycNum.root_of_unity(order, ratio)
                 for p in self.unknown_positions[u]:
-                    cells[p] = ratio
-            basis.append(CycMatrix.from_entries(self.n, self.n, cells))
+                    cells[p] = value
+            basis.append(CycMatrix.from_entries(n, n, cells))
         return basis
 
     # -- invertible witnesses ------------------------------------------------
@@ -536,7 +561,8 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
         chunk = max(1, len(all_tuples) // (workers * 4))
         batches = [all_tuples[i:i + chunk] for i in range(0, len(all_tuples), chunk)]
         results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=set_conductor_cap,
+                                 initargs=(conductor_cap(),)) as pool:
             for part in pool.map(_solve_tuple_batch, itertools.repeat(engine),
                                  batches, itertools.repeat(moduli)):
                 results.extend(part)
@@ -637,27 +663,23 @@ class PairingTable:
         delta_elems = list(self.delta.elements())
         idx_g = {e.coords: i for i, e in enumerate(gamma_elems)}
         idx_d = {e.coords: i for i, e in enumerate(delta_elems)}
-
-        def frac(v):
-            return Fraction(v[1], v[0])
+        # every value as an exponent mod the lcm of the orders
+        order = math.lcm(*(d for row in self.values for d, _ in row))
+        expo = [[k * (order // d) for d, k in row] for row in self.values]
 
         for a in gamma_elems:
+            ia = idx_g[a.coords]
             for b in gamma_elems:
-                s = (a + b).coords
+                s, ib = idx_g[(a + b).coords], idx_g[b.coords]
                 for j in range(len(delta_elems)):
-                    lhs = frac(self.values[idx_g[s]][j])
-                    rhs = (frac(self.values[idx_g[a.coords]][j])
-                           + frac(self.values[idx_g[b.coords]][j])) % 1
-                    if lhs != rhs:
+                    if expo[s][j] != (expo[ia][j] + expo[ib][j]) % order:
                         return False
         for a in delta_elems:
+            ja = idx_d[a.coords]
             for b in delta_elems:
-                s = (a + b).coords
-                for i in range(len(gamma_elems)):
-                    lhs = frac(self.values[i][idx_d[s]])
-                    rhs = (frac(self.values[i][idx_d[a.coords]])
-                           + frac(self.values[i][idx_d[b.coords]])) % 1
-                    if lhs != rhs:
+                s, jb = idx_d[(a + b).coords], idx_d[b.coords]
+                for row in expo:
+                    if row[s] != (row[ja] + row[jb]) % order:
                         return False
         return True
 
@@ -694,22 +716,11 @@ def pairing_table(g: GroupSpec, h: GroupSpec) -> PairingTable:
 def component_pairing_character_matrix(g: GroupSpec, h: GroupSpec):
     """Matrix of the map from the second component group to characters of
     the first, delta -> commutator pairing with delta, on canonical coords."""
-    gamma = g.component_group
-    delta = h.component_group
-    cols = []
-    for e in delta.generators():
-        h_op = h.operator(e.coords)
-        col = []
-        for a, d in enumerate(gamma.invariant_factors):
-            coords_a = tuple(1 if t == a else 0 for t in range(gamma.rank))
-            val = commutator_exponent(g.operator(coords_a), h_op) * d
-            if val.denominator != 1:
-                raise NotProjectivelyCommuting(
-                    "pairing value incompatible with the coset order"
-                )
-            col.append(int(val) % d)
-        cols.append(col)
-    return [[cols[j][i] for j in range(delta.rank)] for i in range(gamma.rank)]
+    cols = [
+        pairing_character(g, h.operator(e.coords), NotProjectivelyCommuting)
+        for e in h.component_group.generators()
+    ]
+    return [[col[i] for col in cols] for i in range(g.component_group.rank)]
 
 
 def pairing_coset_character_matrix(g: GroupSpec, h: GroupSpec):
@@ -764,8 +775,9 @@ class VerificationReport:
 
 def _membership(candidate: CycMatrix, coset_rep, span: VectorSpan) -> bool:
     """Is candidate inside coset_rep * (algebra of the span)?  coset_rep is
-    an operator; a Monomial one is inverted in O(n)."""
-    shifted = as_dense(coset_rep.inverse()) @ candidate
+    an operator; a Monomial one is inverted in O(n) and applied to the
+    candidate in O(n^2)."""
+    shifted = coset_rep.inverse() @ candidate
     return span.contains(shifted.flatten())
 
 

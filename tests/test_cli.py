@@ -80,6 +80,22 @@ def test_resource_limit_exits_3_without_traceback(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_conductor_cap_below_one_is_bad_input(capsys):
+    """A cap below 1 is a bad flag: exit 2 and one error line, before the
+    global cap is touched."""
+    old = conductor_cap()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            run(["--conductor-cap", "0", "enumerate", "--n", "1"])
+        assert conductor_cap() == old
+    finally:
+        set_conductor_cap(old)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
 def test_verify_detects_edited_pair(tmp_path):
     """Removing a generator (and shrinking the component group accordingly)
     leaves a subgroup whose centralizer is strictly larger."""

@@ -109,6 +109,11 @@ def test_conductor_cap():
             CycNum.root_of_unity(11)
         set_conductor_cap(11)
         CycNum.root_of_unity(11)
+        # a root already built and memoized still obeys a lowered cap
+        CycNum.root_of_unity(3)
+        set_conductor_cap(2)
+        with pytest.raises(ConductorCapExceeded):
+            CycNum.root_of_unity(3)
     finally:
         set_conductor_cap(old)
 

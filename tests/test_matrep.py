@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projpair.abelian import FinAbGroup, char_eval, enumerate_abelian_groups
 from projpair.cyclo import CycMatrix, CycNum, MINUS_ONE, ONE
@@ -16,6 +18,7 @@ from projpair.errors import (
 from projpair.matrep import (
     Monomial,
     TensorShape,
+    as_dense,
     character_matrix,
     character_monomial,
     commutator_exponent,
@@ -113,6 +116,88 @@ def test_commutator_scalar_agrees_across_forms():
             assert commutator_scalar(a.to_matrix(), b) == c
             order, expo = c.as_root_of_unity()
             assert commutator_exponent(a.to_matrix(), b) == Fraction(expo, order)
+
+
+def _assert_matches_dense(g, h):
+    """commutator_scalar on the operators equals it on their dense forms,
+    or both raise NotProjectivelyCommuting."""
+    try:
+        c = commutator_scalar(g, h)
+    except NotProjectivelyCommuting:
+        with pytest.raises(NotProjectivelyCommuting):
+            commutator_scalar(as_dense(g), as_dense(h))
+        return
+    assert commutator_scalar(as_dense(g), as_dense(h)) == c
+
+
+@st.composite
+def unit_monomials(draw, n):
+    perm = draw(st.permutations(range(n)))
+    scales = []
+    for _ in range(n):
+        d = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+        scales.append(CycNum.root_of_unity(d, draw(st.integers(0, d - 1))))
+    return Monomial(perm, scales)
+
+
+@st.composite
+def unit_monomial_pairs(draw):
+    n = draw(st.integers(1, 4))
+    g = draw(unit_monomials(n))
+    # h is either independent of g, or a scaled power of g, which commutes
+    # with g up to that scale
+    if draw(st.booleans()):
+        h = draw(unit_monomials(n))
+    else:
+        d = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+        scale = CycNum.root_of_unity(d, draw(st.integers(0, d - 1)))
+        h = (g ** draw(st.integers(-2, 3))).scale_by(scale)
+    return g, h
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_monomial_pairs())
+def test_integer_commutator_matches_dense_on_random_monomials(pair):
+    g, h = pair
+    assert g.unit_exponents() is not None and h.unit_exponents() is not None
+    _assert_matches_dense(g, h)
+
+
+@st.composite
+def heisenberg_pairs(draw):
+    group = FinAbGroup(draw(st.sampled_from([(2,), (3,), (4,), (6,), (2, 2), (2, 4)])))
+    elems = list(group.elements())
+    chars = list(group.characters())
+    return tuple(
+        heisenberg_monomial(group, draw(st.sampled_from(elems)), draw(st.sampled_from(chars)))
+        for _ in range(2)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(heisenberg_pairs())
+def test_integer_commutator_matches_dense_on_heisenberg_operators(pair):
+    _assert_matches_dense(*pair)
+
+
+def test_monomial_without_unit_view_takes_dense_branch():
+    swap = Monomial([1, 0], [ONE, ONE])
+    doubled = Monomial([0, 1], [2, -2])
+    assert doubled.unit_exponents() is None
+    assert swap.unit_exponents() == (1, (0, 0))
+    assert commutator_scalar(doubled, swap) == MINUS_ONE
+    assert commutator_scalar(doubled.to_matrix(), swap.to_matrix()) == MINUS_ONE
+    assert commutator_scalar(swap, Monomial([1, 0], [2, 2])) == ONE
+
+
+def test_monomial_times_dense_matrix():
+    g = FinAbGroup((2, 4))
+    mono = heisenberg_monomial(g, g.element((1, 3)), g.character((1, 1)))
+    rng = random.Random(5)
+    dense = CycMatrix([[rng.randrange(-2, 3) for _ in range(8)] for _ in range(8)])
+    assert mono @ dense == mono.to_matrix() @ dense
+    with pytest.raises(DimensionMismatch):
+        mono @ CycMatrix.identity(3)
 
 
 def test_commutator_scalar_order_divides_dimension():

@@ -17,6 +17,7 @@ from projpair.errors import NotProjectivelyCommuting, ShapeMismatch, WitnessSear
 from projpair.matrep import TensorShape, character_matrix, translation_matrix
 from projpair.verify import (
     CommutantEngine,
+    PairingTable,
     _invertible_in_span,
     TwistedCommutantProblem,
     compute_centralizer,
@@ -84,9 +85,14 @@ def test_solver_fast_and_general_paths_agree():
         single_orbit_pair(SingleOrbitIngredients(1, 1, TRIV, Z2, Z2))[0],
         single_orbit_pair(SingleOrbitIngredients(2, 1, TRIV, Z2, TRIV))[1],
         swap_spec(),
+        # two generators of order 4: the union-find works over the lcm of
+        # the generators' and the scalars' orders
+        xx_hat_pair(FinAbGroup.cyclic(4))[0],
+        xx_hat_pair(FinAbGroup((2, 2)))[1],
     ]
     for target in cases:
         fast = CommutantEngine.from_spec(target)
+        assert fast.units is not None
         cosets = target.generating_cosets()
         slow = CommutantEngine(
             target.ambient.dim,
@@ -94,12 +100,17 @@ def test_solver_fast_and_general_paths_agree():
             algebra_basis=target.algebra_basis(),
             gens=[target.generator(c) for c in cosets],
         )
-        n = target.ambient.dim
         import itertools
 
         moduli = [target.component_group.element(c).order() for c in cosets]
-        for exps in itertools.product(*(range(m) for m in moduli)):
-            scalars = [CycNum.root_of_unity(m, t) for m, t in zip(moduli, exps)]
+        tuples = [
+            [CycNum.root_of_unity(m, t) for m, t in zip(moduli, exps)]
+            for exps in itertools.product(*(range(m) for m in moduli))
+        ]
+        # a scalar that is not a root of unity sends the fast engine down
+        # its dense pattern-basis path
+        tuples.append([CycNum.from_rational(2)] * len(moduli))
+        for scalars in tuples:
             b_fast = fast.solve(scalars)
             b_slow = slow.solve(scalars)
             assert len(b_fast) == len(b_slow)
@@ -251,6 +262,20 @@ def test_pairing_table_klein():
     assert table.is_bicharacter()
     flat = [v for row in table.values for v in row]
     assert flat.count((1, 0)) == 10 and flat.count((2, 1)) == 6
+
+
+def test_is_bicharacter_rejects_an_altered_entry():
+    g, h = xx_hat_pair(FinAbGroup.cyclic(4))
+    table = pairing_table(g, h)
+    assert table.is_bicharacter()
+    values = [list(row) for row in table.values]
+    order, expo = values[1][2]
+    values[1][2] = (4, (expo * 4 // order + 1) % 4)
+    altered = PairingTable(table.gamma, table.delta, tuple(map(tuple, values)))
+    assert not altered.is_bicharacter()
+    # an unreduced (order, exponent) names the same root of unity
+    values[1][2] = (2 * order, 2 * expo)
+    assert PairingTable(table.gamma, table.delta, tuple(map(tuple, values))).is_bicharacter()
 
 
 def test_pairing_table_single_orbit_j():
