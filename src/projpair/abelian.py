@@ -546,10 +546,6 @@ class SymplecticPairing:
                     total += a * b * row[j]
         return total % 1
 
-    def value_as_root(self, x: GroupElement, y: GroupElement) -> tuple[int, int]:
-        f = self.value(x, y)
-        return (f.denominator, f.numerator)
-
     def is_alternating(self) -> bool:
         fs = self.group.invariant_factors
         r = self.group.rank
@@ -614,16 +610,6 @@ class HyperbolicDecomposition:
         if total != x:
             raise DegeneratePairing("hyperbolic pairs do not span the group")
         return coords
-
-    def reconstruct_value(self, x: GroupElement, y: GroupElement) -> Fraction:
-        """Bilinear extension of the pairs' pairing table."""
-        cx = self.coordinates(x)
-        cy = self.coordinates(y)
-        total = Fraction(0)
-        for (a, b), (c, d), (lam, lam_p, r) in zip(cx, cy, self.pairs):
-            s = self.pairing.value(lam, lam_p)
-            total += (a * d - b * c) * s
-        return total % 1
 
     def reconstructs_pairing(self) -> bool:
         """Exhaustive check that the bilinear extension of the pairs equals

@@ -34,6 +34,7 @@ from .errors import (
 from .matrep import (
     Monomial,
     TensorShape,
+    as_dense,
     commutator_exponent,
     heisenberg_monomial,
     character_monomial,
@@ -216,17 +217,31 @@ class GroupSpec:
         return self.component_group.order
 
     def validate(self, deep: bool = False) -> None:
-        """Check the structural invariants; deep also checks normalization
-        of the identity component and the extension closure of generators."""
+        """Check the structural invariants: the block grids partition the
+        basis indices, the generators sit on the component group's
+        elements, every generator is invertible, and each generating
+        coset's generator raised to its invariant factor lies in the
+        algebra.  deep also checks normalization of the identity component
+        and the extension closure of generators."""
+        n = self.ambient.dim
+        if self.blocks is not None:
+            indices = sorted(i for b in self.blocks for i in b.indices())
+            if indices != list(range(n)):
+                raise ValueError(f"block grids do not partition the indices 0..{n - 1}")
+        if set(self.generators) != {e.coords for e in self.component_group.elements()}:
+            raise ValueError("generator cosets are not the component group's elements")
         for coords in self.generators:
             # a Monomial is invertible by construction
             op = self.operator(coords)
             if isinstance(op, CycMatrix) and not op.is_invertible():
                 raise ValueError(f"generator at {coords} is singular")
+        span = self.algebra_span()
+        for coords, d in zip(self.generating_cosets(), self.component_group.invariant_factors):
+            if not span.contains(as_dense(self.operator(coords) ** d).flatten()):
+                raise ValueError(
+                    f"generator at {coords} to the power {d} leaves the identity component")
         if not deep:
             return
-        span = self.algebra_span()
-        n = self.ambient.dim
         basis = self.algebra_basis()
         for coords, mat in self.generators.items():
             inv = mat.inverse()

@@ -244,11 +244,6 @@ class CycNum:
     def is_rational(self) -> bool:
         return all(v == 0 for v in self.num[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
-
     def coefficients(self) -> list[Fraction]:
         return [Fraction(v, self.den) for v in self.num]
 
@@ -550,9 +545,6 @@ class CycMatrix:
 
     def entry(self, i: int, j: int) -> CycNum:
         return self.data[i][j]
-
-    def row_list(self):
-        return [list(row) for row in self.data]
 
     def flatten(self) -> list[CycNum]:
         return [v for row in self.data for v in row]

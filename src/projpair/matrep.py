@@ -62,12 +62,6 @@ class TensorShape:
     def labels(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, _ in self.factors)
 
-    def dim_of(self, label: str) -> int:
-        for lbl, d in self.factors:
-            if lbl == label:
-                return d
-        raise UnknownLabel(f"no factor labeled {label!r} in {self.labels}")
-
     def position(self, label: str) -> int:
         for i, (lbl, _) in enumerate(self.factors):
             if lbl == label:

@@ -40,10 +40,14 @@ def cyc_num_to_json(c: CycNum) -> dict:
 
 
 def cyc_num_from_json(data: dict) -> CycNum:
+    """Decode on integers over the lcm of the denominators; a zero
+    denominator raises ValueError."""
     m = int(data["conductor"])
-    coeffs = [Fraction(int(n), int(d)) for n, d in data["coeffs"]]
-    den = math.lcm(*(f.denominator for f in coeffs))
-    return CycNum(m, [int(f * den) for f in coeffs], den)
+    pairs = [(int(n), int(d)) for n, d in data["coeffs"]]
+    if any(d == 0 for _, d in pairs):
+        raise ValueError("coefficient with a zero denominator")
+    den = math.lcm(*(d for _, d in pairs))
+    return CycNum(m, [n * (den // d) for n, d in pairs], den)
 
 
 def cyc_matrix_to_json(mat: CycMatrix) -> dict:

@@ -10,17 +10,19 @@ contains an invertible element.
 
 The form of each generator, a Monomial or a dense matrix, is decided
 once, by GroupSpec.operator; everything here takes those operators and
-chooses no form itself.  Generators produced by the constructions are
-monomial with root-of-unity scales, and their identity components are
-coordinate-aligned block algebras, so the solver chases position orbits
-with a ratio union-find in O(n^2) per generator.  Its ratios, like the
-commutator scalars behind the scalar tuples and the pairing table, are
-integer exponents of one root of unity; CycNum appears only at the dense
-boundary, in the cells of a returned basis and in the scalars handed to
-the dense path.  That path, a kernel of a stacked linear system, serves
-computed centralizers, which carry a spanning set instead of blocks, and
-any generator that is not monomial or whose scales are not roots of
-unity.  The two agree exactly and the tests cross-check them.
+chooses no form itself.  CommutantEngine takes an algebra basis and the
+generators, nothing else, and every solve runs one two-step procedure.
+A constraint X a = c a X in which a is a partial monomial with
+root-of-unity entries and c a root of unity ties the entries of X
+together one or two at a time, so it goes into a ratio union-find over
+the n^2 positions of X, on integer exponents of one root of unity.  The
+translation and character operators of the constructions, the matrix
+units of their block algebras and the pattern matrices of computed
+centralizers are all of this kind.  Whatever is not (a dense algebra
+element or generator, a scalar that is not a root of unity) then cuts
+the union-find's pattern basis with the dense kernel.  CycNum appears
+only at that boundary and in the cells of a returned basis; the tests
+cross-check the engine against a purely dense solve.
 """
 
 from __future__ import annotations
@@ -68,6 +70,16 @@ class _RatioUnionFind:
         self.ratio = [0] * n
         self.dead = [False] * n
 
+    def lifted(self, order: int) -> "_RatioUnionFind":
+        """A copy over a multiple of this order."""
+        out = _RatioUnionFind.__new__(_RatioUnionFind)
+        lift = order // self.order
+        out.order = order
+        out.parent = list(self.parent)
+        out.ratio = [r * lift for r in self.ratio]
+        out.dead = list(self.dead)
+        return out
+
     def find(self, u: int) -> int:
         chain = []
         while self.parent[u] != u:
@@ -112,137 +124,134 @@ class _RatioUnionFind:
         return out
 
 
+def _unit_pattern(op):
+    """(N, cells) when the operator is a partial monomial whose nonzero
+    entries are roots of unity: op[i][j] = zeta_N^k for each (i, j, k) in
+    cells, at most one cell per row and per column, zero elsewhere.  None
+    for any other operator."""
+    if isinstance(op, Monomial):
+        units = op.unit_exponents()
+        if units is None:
+            return None
+        order, exps = units
+        return order, [(p, j, e) for j, (p, e) in enumerate(zip(op.perm, exps))]
+    roots = []
+    used_cols = set()
+    for i, row in enumerate(op.data):
+        hits = [j for j, v in enumerate(row) if v]
+        if not hits:
+            continue
+        if len(hits) > 1 or hits[0] in used_cols:
+            return None
+        root = row[hits[0]].as_root_of_unity()
+        if root is None:
+            return None
+        used_cols.add(hits[0])
+        roots.append((i, hits[0], root))
+    order = math.lcm(*(d for _, _, (d, _) in roots))
+    return order, [(i, j, k * (order // d)) for i, j, (d, k) in roots]
+
+
+def _chase(uf: _RatioUnionFind, n: int, pattern, c: int) -> None:
+    """Impose X a = zeta_N^c a X on the union-find over the positions
+    i * n + j of X, for a given by its unit pattern and N = uf.order.
+
+    With a[p_k, k] = zeta^e_k: X[p_k, p_j] = zeta^(c + e_k - e_j) X[k, j]
+    for every two cells; a row outside the image or a column outside the
+    domain of a forces X to vanish on the matching positions."""
+    order_a, cells = pattern
+    lift = uf.order // order_a
+    rows = {p for p, _, _ in cells}
+    cols = {j for _, j, _ in cells}
+    for p_k, k, e_k in cells:
+        ck = c + e_k * lift
+        for p_j, j, e_j in cells:
+            uf.relate(k * n + j, p_k * n + p_j, ck - e_j * lift)
+        for j in range(n):
+            if j not in cols:
+                uf.set_zero(k * n + j)
+    for i in range(n):
+        if i not in rows:
+            for p_j, _, _ in cells:
+                uf.set_zero(i * n + p_j)
+
+
 # ---------------------------------------------------------------------------
 # the commutant engine
 # ---------------------------------------------------------------------------
 
 
 class CommutantEngine:
-    """Solves {X : X b = b X for the identity-component algebra,
-    X h_i = c_i h_i X for the component generators} for many scalar tuples
-    against one fixed target.
+    """Solves {X : X a = a X for a in the algebra basis, X h_i = c_i h_i X
+    for the generators} for many scalar tuples against one fixed target.
 
-    gens are operators, each a Monomial or a CycMatrix.  The union-find
-    path runs when the blocks partition the basis, every generator is a
-    Monomial with a unit view and every scalar is a root of unity; it
-    works on integer exponents and builds CycNum cells only for the
-    returned basis.  Otherwise the solve takes the dense path.
+    gens are operators, each a Monomial or a CycMatrix.  Every solve runs
+    the same two steps.  A constraint X a = c a X with a a partial monomial
+    with root-of-unity entries and c a root of unity relates the n^2
+    entries of X one or two at a time, so it goes into a ratio union-find
+    over those positions, on integer exponents; the algebra's constraints
+    are chased once, here, and each scalar tuple adds the generators' to a
+    copy.  Each union-find class is one pattern matrix.  Every other
+    constraint (a dense or non-unit algebra element, a dense generator, a
+    scalar that is not a root of unity) then cuts that pattern basis with
+    the dense kernel.
     """
 
-    def __init__(self, n: int, blocks=None, algebra_basis=None, gens=()):
+    def __init__(self, n: int, algebra_basis, gens):
         self.n = n
         self.gens = list(gens)
-        self.grid_model = False
-        if blocks is not None and self._blocks_partition(blocks, n):
-            self.grid_model = True
-            # unknown_at[i * n + j]: the unknown of position (i, j), or -1
-            self.unknown_at = [-1] * (n * n)
-            self.unknown_positions: list[list[tuple[int, int]]] = []
-            for blk in blocks:
-                for c1 in range(blk.mult):
-                    for c2 in range(blk.mult):
-                        idx = len(self.unknown_positions)
-                        positions = [
-                            (blk.grid[r][c1], blk.grid[r][c2]) for r in range(blk.dim)
-                        ]
-                        self.unknown_positions.append(positions)
-                        for i, j in positions:
-                            self.unknown_at[i * n + j] = idx
-            self.base_basis = None
-        else:
-            if algebra_basis is None:
-                raise ValueError("need blocks or an algebra basis")
-            self.base_basis = _untwisted_base(n, algebra_basis)
-        self.units = None
-        if self.grid_model and all(isinstance(h, Monomial) for h in self.gens):
-            units = [h.unit_exponents() for h in self.gens]
-            if None not in units:
-                self.units = units
-        self._dense_gens = None
+        self._gen_patterns = [_unit_pattern(h) for h in self.gens]
+        patterns = []
+        self._dense_algebra = []
+        for a in algebra_basis:
+            pattern = _unit_pattern(a)
+            if pattern is None:
+                self._dense_algebra.append(as_dense(a))
+            else:
+                patterns.append(pattern)
+        self._algebra = _RatioUnionFind(n * n, math.lcm(*(p[0] for p in patterns)))
+        for pattern in patterns:
+            _chase(self._algebra, n, pattern, 0)
+        # flatten every path once, so that each solve copies a flat forest
+        for u in range(n * n):
+            self._algebra.find(u)
 
     @staticmethod
-    def _blocks_partition(blocks, n: int) -> bool:
-        seen = set()
-        for blk in blocks:
-            for i in blk.indices():
-                if i in seen:
-                    return False
-                seen.add(i)
-        return seen == set(range(n))
-
-    @staticmethod
-    def from_spec(target: GroupSpec, gen_cosets=None):
-        n = target.ambient.dim
-        cosets = gen_cosets if gen_cosets is not None else target.generating_cosets()
-        return CommutantEngine(n, blocks=target.blocks,
-                               algebra_basis=target.algebra_basis(),
-                               gens=[target.operator(c) for c in cosets])
-
-    # -- solving -----------------------------------------------------------
+    def from_spec(target: GroupSpec):
+        return CommutantEngine(target.ambient.dim, target.algebra_basis(),
+                               [target.operator(c) for c in target.generating_cosets()])
 
     def solve(self, scalars) -> list[CycMatrix]:
         """Exact basis of the twisted commutant for one scalar tuple."""
+        n = self.n
         scalars = [as_cyc(s) for s in scalars]
         if len(scalars) != len(self.gens):
             raise ValueError("need one scalar per generator")
-        if self.units is not None:
-            roots = [c.as_root_of_unity() for c in scalars]
-            if None not in roots:
-                return self._solve_monomial(roots)
-        if self._dense_gens is None:
-            self._dense_gens = [as_dense(h) for h in self.gens]
-        basis = self._pattern_basis() if self.grid_model else list(self.base_basis)
-        for h, c in zip(self._dense_gens, scalars):
-            if not basis:
-                return []
-            basis = _apply_twist_constraint(basis, h, c)
-        return basis
-
-    def _pattern_basis(self) -> list[CycMatrix]:
-        out = []
-        for positions in self.unknown_positions:
-            out.append(
-                CycMatrix.from_entries(self.n, self.n, {p: ONE for p in positions})
-            )
-        return out
-
-    def _solve_monomial(self, roots) -> list[CycMatrix]:
-        """Union-find solve with every generator scale and scalar an
-        integer exponent over N, the lcm of all their orders."""
-        n = self.n
-        order = math.lcm(*(u[0] for u in self.units), *(d for d, _ in roots))
-        unknown_at = self.unknown_at
-        uf = _RatioUnionFind(len(self.unknown_positions), order)
-        for mono, (n_h, e_h), (d, k) in zip(self.gens, self.units, roots):
-            lift = order // n_h
-            e = [x * lift for x in e_h]
-            c = k * (order // d)
-            perm = mono.perm
-            for a in range(n):
-                ca = c + e[a]
-                row_src = a * n
-                row_tgt = perm[a] * n
-                for b in range(n):
-                    # X[perm a, perm b] = (c * s_a / s_b) X[a, b]
-                    src = unknown_at[row_src + b]
-                    tgt = unknown_at[row_tgt + perm[b]]
-                    if src < 0 and tgt < 0:
-                        continue
-                    if src < 0:
-                        uf.set_zero(tgt)
-                    elif tgt < 0:
-                        uf.set_zero(src)
-                    else:
-                        uf.relate(src, tgt, ca - e[b])
-        basis = []
+        chased = []
+        cuts = [(a, ONE) for a in self._dense_algebra]
+        for h, pattern, c in zip(self.gens, self._gen_patterns, scalars):
+            root = c.as_root_of_unity() if pattern is not None else None
+            if root is None:
+                cuts.append((as_dense(h), c))
+            else:
+                chased.append((pattern, root))
+        order = math.lcm(self._algebra.order, *(p[0] for p, _ in chased),
+                         *(d for _, (d, _) in chased))
+        uf = self._algebra.lifted(order)
+        for pattern, (d, k) in chased:
+            _chase(uf, n, pattern, k * (order // d))
         classes = uf.classes()
-        for root in sorted(classes):
-            cells = {}
-            for u, ratio in classes[root]:
-                value = CycNum.root_of_unity(order, ratio)
-                for p in self.unknown_positions[u]:
-                    cells[p] = value
-            basis.append(CycMatrix.from_entries(n, n, cells))
+        basis = [
+            CycMatrix.from_entries(n, n, {
+                divmod(u, n): CycNum.root_of_unity(order, ratio)
+                for u, ratio in classes[root]
+            })
+            for root in sorted(classes)
+        ]
+        for h, c in cuts:
+            if not basis:
+                break
+            basis = _apply_twist_constraint(basis, h, c)
         return basis
 
     # -- invertible witnesses ------------------------------------------------
@@ -262,20 +271,6 @@ class CommutantEngine:
 
 def _scalar_is_one(c) -> bool:
     return c.is_one() if isinstance(c, CycNum) else c == 1
-
-
-def _untwisted_base(n: int, algebra_basis) -> list[CycMatrix]:
-    """Commutant of a spanned algebra: iterate X a = a X over a basis."""
-    basis = [
-        CycMatrix.from_entries(n, n, {(i, j): ONE})
-        for i in range(n)
-        for j in range(n)
-    ]
-    for a in algebra_basis:
-        if not basis:
-            return []
-        basis = _apply_twist_constraint(basis, a, ONE)
-    return basis
 
 
 def _apply_twist_constraint(basis, h: CycMatrix, c) -> list[CycMatrix]:
@@ -461,11 +456,7 @@ def twisted_commutant(problem: TwistedCommutantProblem):
 
     Returns (basis, has_invertible, witness); the basis may be empty.
     """
-    n = problem.dim
-    engine = CommutantEngine(
-        n, blocks=None, algebra_basis=list(problem.block_span),
-        gens=list(problem.comp_gens),
-    )
+    engine = CommutantEngine(problem.dim, problem.block_span, problem.comp_gens)
     basis = engine.solve(list(problem.scalars))
     witness = engine.witness(basis, list(problem.scalars))
     if witness is not None:
@@ -475,11 +466,7 @@ def twisted_commutant(problem: TwistedCommutantProblem):
 
 def untwisted_commutant_basis(spec: GroupSpec) -> list[CycMatrix]:
     """Commutant of a spec's identity-component algebra (no twists)."""
-    engine = CommutantEngine(
-        spec.ambient.dim, blocks=spec.blocks,
-        algebra_basis=None if spec.blocks is not None else spec.algebra_basis(),
-    )
-    return engine.solve([])
+    return CommutantEngine(spec.ambient.dim, spec.algebra_basis(), []).solve([])
 
 
 def _normalize_projective(mat: CycMatrix) -> CycMatrix:
@@ -645,9 +632,6 @@ class PairingTable:
     gamma: FinAbGroup
     delta: FinAbGroup
     values: tuple[tuple[tuple[int, int], ...], ...]
-
-    def value_at(self, i: int, j: int) -> tuple[int, int]:
-        return self.values[i][j]
 
     def is_nondegenerate(self) -> bool:
         rows = set(self.values)
@@ -847,7 +831,13 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec, workers: int = 1) -> Verificati
 
     Computes the projective centralizer of each side and compares it with
     the other side; fills the component pairing table and checks that it
-    is a nondegenerate bicharacter with matching component counts.
+    is nondegenerate with matching component counts.
+
+    The table needs no bicharacter check: commutator scalars are central,
+    so [g1 g2, h] = [g1, h] [g2, h], and likewise in the second argument;
+    and once the comparisons show that each side centralizes the other's
+    identity component, a value depends only on the two components.
+    Checking it would cost O(|Gamma|^2 |Delta|) per direction.
     """
     if not g.ambient.compatible_with(h.ambient):
         raise ShapeMismatch(

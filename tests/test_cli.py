@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from projpair import serialize
 from projpair.abelian import FinAbGroup
@@ -62,6 +64,93 @@ def test_verify_rejects_singular_generator(tmp_path):
     pair_file.write_text(json.dumps(data))
     assert run(["verify", str(pair_file)]) == 2
     assert run(["pairing", str(pair_file)]) == 2
+
+
+def _edited_pair(tmp_path, edit):
+    """The --L 2 pair file with one edit applied to its decoded JSON."""
+    pair_file = tmp_path / "pair.json"
+    run(["construct", "--L", "2", "-o", str(pair_file)])
+    data = json.loads(pair_file.read_text())
+    edit(data)
+    pair_file.write_text(json.dumps(data))
+    return str(pair_file)
+
+
+def assert_bad_input(path, capsys):
+    capsys.readouterr()
+    assert run(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_rejects_block_index_out_of_range(tmp_path, capsys):
+    """A grid index outside range(n) is bad input; an IndexError traceback
+    and exit 1 at the parent commit."""
+    def edit(data):
+        data["g"]["blocks"][0]["grid"] = [[0, 5]]
+    assert_bad_input(_edited_pair(tmp_path, edit), capsys)
+
+
+def test_verify_rejects_repeated_block_index(tmp_path, capsys):
+    """Grids that repeat an index (and so miss another) are bad input."""
+    def edit(data):
+        data["g"]["blocks"][0]["grid"] = [[0, 0]]
+    assert_bad_input(_edited_pair(tmp_path, edit), capsys)
+
+
+def test_verify_rejects_generator_power_outside_identity_component(tmp_path, capsys):
+    """diag(1, 2) squared is not a scalar, so it cannot generate a coset of
+    order 2 over the scalars."""
+    def edit(data):
+        data["g"]["generators"][1]["matrix"]["entries"] = [
+            [["1", "1"]], [["0", "1"]], [["0", "1"]], [["2", "1"]]]
+    assert_bad_input(_edited_pair(tmp_path, edit), capsys)
+
+
+def test_verify_rejects_zero_denominator(tmp_path, capsys):
+    """A coefficient over 0 is bad input; a ZeroDivisionError traceback and
+    exit 1 at the parent commit."""
+    def edit(data):
+        data["g"]["generators"][1]["matrix"]["entries"][0][0] = ["1", "0"]
+    assert_bad_input(_edited_pair(tmp_path, edit), capsys)
+
+
+def _json_leaves(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _json_leaves(value, path + (key,))
+    elif isinstance(obj, list) and obj:
+        for i, value in enumerate(obj):
+            yield from _json_leaves(value, path + (i,))
+    else:
+        yield path
+
+
+_L2_PAIR = serialize.pair_to_json(*xx_hat_pair(Z2))
+_L2_LEAVES = list(_json_leaves(_L2_PAIR))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_L2_LEAVES),
+       st.one_of(st.integers(-3, 30), st.sampled_from(["", "x", "-1", "0", "2", "1/2"])))
+def test_verify_fuzzed_leaf_keeps_exit_contract(tmp_path, path, value):
+    """Replacing any one leaf of the --L 2 pair file by an int or a string
+    gives an exit code in {0, 1, 2, 3}, never another exception."""
+    data = json.loads(json.dumps(_L2_PAIR))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    pair_file = tmp_path / "fuzzed.json"
+    pair_file.write_text(json.dumps(data))
+    try:
+        code = main(["verify", str(pair_file)])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert code in (0, 1, 2, 3)
 
 
 def test_resource_limit_exits_3_without_traceback(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """The twisted-commutant solver and centralizer verification."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projpair.abelian import FinAbGroup
 from projpair.construct import (
@@ -12,12 +16,19 @@ from projpair.construct import (
     single_orbit_pair,
     xx_hat_pair,
 )
-from projpair.cyclo import CycMatrix, CycNum, MINUS_ONE, ONE, span_of_matrices
+from projpair.cyclo import CycMatrix, CycNum, MINUS_ONE, ONE, as_cyc, span_of_matrices
 from projpair.errors import NotProjectivelyCommuting, ShapeMismatch, WitnessSearchUndecided
-from projpair.matrep import TensorShape, character_matrix, translation_matrix
+from projpair.matrep import (
+    Monomial,
+    TensorShape,
+    as_dense,
+    character_matrix,
+    translation_matrix,
+)
 from projpair.verify import (
     CommutantEngine,
     PairingTable,
+    _apply_twist_constraint,
     _invertible_in_span,
     TwistedCommutantProblem,
     compute_centralizer,
@@ -78,8 +89,27 @@ def test_twisted_problem_rejects_bad_scalar():
         TwistedCommutantProblem((CycMatrix.identity(2),), (s,), (z3,))
 
 
+def _dense_commutant(n, algebra_basis, gens, scalars):
+    """The reference solve: the n^2 matrix units cut by X a = a X for every
+    algebra element and by X h = c h X for every generator, each constraint
+    through the dense kernel."""
+    basis = [CycMatrix.from_entries(n, n, {(i, j): ONE}) for i in range(n) for j in range(n)]
+    constraints = [(a, ONE) for a in algebra_basis] + list(zip(gens, scalars))
+    for h, c in constraints:
+        if not basis:
+            break
+        basis = _apply_twist_constraint(basis, as_dense(h), as_cyc(c))
+    return basis
+
+
+def assert_same_span(a, b):
+    assert len(a) == len(b)
+    if a:
+        assert span_of_matrices(a).equals(span_of_matrices(b))
+
+
 def test_solver_fast_and_general_paths_agree():
-    """Union-find path versus the stacked dense kernel, exact span equality."""
+    """The engine versus the dense reference, exact span equality."""
     cases = [
         single_orbit_pair(SingleOrbitIngredients(1, 1, Z2, TRIV, TRIV))[0],
         single_orbit_pair(SingleOrbitIngredients(1, 1, TRIV, Z2, Z2))[0],
@@ -91,31 +121,74 @@ def test_solver_fast_and_general_paths_agree():
         xx_hat_pair(FinAbGroup((2, 2)))[1],
     ]
     for target in cases:
-        fast = CommutantEngine.from_spec(target)
-        assert fast.units is not None
+        engine = CommutantEngine.from_spec(target)
         cosets = target.generating_cosets()
-        slow = CommutantEngine(
-            target.ambient.dim,
-            blocks=None,
-            algebra_basis=target.algebra_basis(),
-            gens=[target.generator(c) for c in cosets],
-        )
-        import itertools
-
         moduli = [target.component_group.element(c).order() for c in cosets]
         tuples = [
             [CycNum.root_of_unity(m, t) for m, t in zip(moduli, exps)]
             for exps in itertools.product(*(range(m) for m in moduli))
         ]
-        # a scalar that is not a root of unity sends the fast engine down
-        # its dense pattern-basis path
+        # a scalar that is not a root of unity sends its generator to the
+        # dense kernel after the union-find
         tuples.append([CycNum.from_rational(2)] * len(moduli))
         for scalars in tuples:
-            b_fast = fast.solve(scalars)
-            b_slow = slow.solve(scalars)
-            assert len(b_fast) == len(b_slow)
-            if b_fast:
-                assert span_of_matrices(b_fast).equals(span_of_matrices(b_slow))
+            assert_same_span(
+                engine.solve(scalars),
+                _dense_commutant(target.ambient.dim, target.algebra_basis(),
+                                 [target.generator(c) for c in cosets], scalars),
+            )
+
+
+ROOT_ORDERS = (1, 2, 3, 4, 6)
+
+
+@st.composite
+def unit_roots(draw):
+    d = draw(st.sampled_from(ROOT_ORDERS))
+    return CycNum.root_of_unity(d, draw(st.integers(0, d - 1)))
+
+
+@st.composite
+def partial_monomials(draw, n, full=False):
+    """At most one nonzero entry per row and column, each a root of unity;
+    one in every row and column when full."""
+    cols = list(range(n)) if full else draw(
+        st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    rows = draw(st.permutations(range(n)))
+    return CycMatrix.from_entries(
+        n, n, {(r, c): draw(unit_roots()) for r, c in zip(rows, cols)})
+
+
+@st.composite
+def commutant_problems(draw):
+    """Partial-monomial algebra elements, unit-monomial generators (as a
+    Monomial or a CycMatrix) and root-of-unity scalars; sometimes one
+    algebra element that is not a partial monomial and one scalar 2."""
+    n = draw(st.integers(1, 5))
+    algebra = draw(st.lists(partial_monomials(n), max_size=3))
+    gens = draw(st.lists(partial_monomials(n, full=True), max_size=2))
+    scalars = [draw(unit_roots()) for _ in gens]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if n == 1 or draw(st.booleans()):
+            cells = {(i, j): 2}
+        else:
+            cells = {(i, j): ONE, (i, (j + 1) % n): ONE}
+        algebra.insert(draw(st.integers(0, len(algebra))), CycMatrix.from_entries(n, n, cells))
+    if gens and draw(st.booleans()):
+        scalars[draw(st.integers(0, len(gens) - 1))] = CycNum.from_rational(2)
+    ops = [Monomial.from_matrix(h) if draw(st.booleans()) else h for h in gens]
+    return n, algebra, ops, scalars
+
+
+@settings(max_examples=80, deadline=None)
+@given(commutant_problems())
+def test_engine_matches_dense_reference_on_partial_monomials(problem):
+    """Union-find, then the kernel for what does not qualify, spans what
+    the dense reference spans."""
+    n, algebra, gens, scalars = problem
+    assert_same_span(CommutantEngine(n, algebra, gens).solve(scalars),
+                     _dense_commutant(n, algebra, gens, scalars))
 
 
 def test_witness_search_undecided_is_typed():
