@@ -770,17 +770,29 @@ def subgroup_from_elements(moduli: list[int], elements):
     r = len(moduli)
     if r == 0 or all(all(c == 0 for c in e) for e in elements):
         return FinAbGroup.trivial(), lambda coords: ()
-    # lattice L spanned by the lifted elements together with diag(moduli);
+    # the lattice L spanned by the lifted elements and diag(moduli) has
+    # U [elements | diag(moduli)] V = [diag(d) | 0], so the columns of
+    # U^-1 diag(d) are a basis of L, and x in L has coordinates (U x)_k / d_k
+    mat = [[e[i] for e in elements] + [moduli[i] if j == i else 0 for j in range(r)]
+           for i in range(r)]
+    d_mat, u, _ = smith_normal_form(mat)
+    divisors = [d_mat[k][k] for k in range(r)]
+    if any(dk == 0 for dk in divisors):
+        raise AssertionError("lattice is not full rank")
+
+    def lattice_coords(x):
+        out = []
+        for row, dk in zip(u, divisors):
+            q, rem = divmod(sum(a * b for a, b in zip(row, x)), dk)
+            if rem:
+                raise AssertionError("vector is not in the lattice")
+            out.append(q)
+        return out
+
     # the subgroup is L / diag(moduli), read off from the relation matrix
-    # of the moduli in a basis of L
-    cols = [list(e) for e in elements] + [
-        [moduli[i] if j == i else 0 for i in range(r)] for j in range(r)
-    ]
-    basis = _lattice_basis(cols, r)
-    rel_cols = []
-    for i in range(r):
-        target = [moduli[i] if k == i else 0 for k in range(r)]
-        rel_cols.append(_solve_integral(basis, target))
+    # of the moduli in the basis of L
+    rel_cols = [lattice_coords([moduli[i] if k == i else 0 for k in range(r)])
+                for i in range(r)]
     rel_mat = [[rel_cols[j][i] for j in range(r)] for i in range(r)]
     diag_mat, u_left, _ = smith_normal_form(rel_mat)
     diag = [diag_mat[i][i] for i in range(r)]
@@ -790,73 +802,8 @@ def subgroup_from_elements(moduli: list[int], elements):
     group = FinAbGroup(tuple(diag[i] for i in keep))
 
     def to_canonical(coords):
-        y = _solve_integral(basis, list(coords))
+        y = lattice_coords(coords)
         z = [sum(u_left[i][j] * y[j] for j in range(r)) for i in range(r)]
         return tuple(z[i] % diag[i] for i in keep)
 
     return group, to_canonical
-
-
-def _lattice_basis(cols: list[list[int]], r: int) -> list[list[int]]:
-    """A basis (as r columns) of the full-rank lattice spanned by cols."""
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(r)]
-    d, u, v = smith_normal_form(mat)
-    # mat = U^{-1} D V^{-1}; basis of the column lattice is U^{-1} * diag(d)
-    u_inv = _int_matrix_inverse(u)
-    basis = []
-    for k in range(r):
-        if d[k][k] == 0:
-            raise AssertionError("lattice is not full rank")
-        basis.append([u_inv[i][k] * d[k][k] for i in range(r)])
-    return basis
-
-
-def _int_matrix_inverse(u: list[list[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, exactly."""
-    n = len(u)
-    work = [[Fraction(u[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i in range(n)]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if work[i][c])
-        work[c], work[pr] = work[pr], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = work[i][n + j]
-            if x.denominator != 1:
-                raise AssertionError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(row)
-    return out
-
-
-def _solve_integral(basis: list[list[int]], target: list[int]) -> list[int]:
-    """Solve basis @ y = target for integral y (basis given as columns)."""
-    n = len(target)
-    work = [[Fraction(basis[j][i]) for j in range(n)] + [Fraction(target[i])]
-            for i in range(n)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if work[i][c]), None)
-        if pr is None:
-            raise AssertionError("basis is singular")
-        work[c], work[pr] = work[pr], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    out = []
-    for i in range(n):
-        x = work[i][n]
-        if x.denominator != 1:
-            raise AssertionError("target is not in the lattice")
-        out.append(int(x))
-    return out

@@ -92,7 +92,7 @@ def cmd_construct(cfg: RunConfig) -> int:
                 "construction": "single_orbit",
                 "ingredients": serialize.ingredients_to_json(ing),
             }
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
     except ProjPairError as exc:

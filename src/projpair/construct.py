@@ -13,6 +13,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .abelian import (
@@ -22,6 +23,7 @@ from .abelian import (
     dual_isomorphism_transport,
     is_isomorphism_matrix,
     product_embedding,
+    transport_character,
 )
 from .cyclo import ONE, CycMatrix, VectorSpan, span_of_matrices
 from .errors import (
@@ -615,14 +617,15 @@ def pairing_character(g_spec: GroupSpec, h_op, error) -> tuple[int, ...]:
 
 
 def monomial_direct_sum(monos) -> Monomial:
+    order = math.lcm(*(m.order for m in monos))
     perm = []
-    scales = []
+    exps = []
     offset = 0
     for m in monos:
         perm.extend(p + offset for p in m.perm)
-        scales.extend(m.scales)
+        exps.extend(e * (order // m.order) for e in m.exps)
         offset += m.n
-    return Monomial(perm, scales)
+    return Monomial.from_exponents(perm, order, exps)
 
 
 def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
@@ -637,11 +640,11 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
     sides = []
     for ing, q in spec.summands:
         g_i, h_i = single_orbit_pair(ing)
-        if not is_isomorphism_matrix(list(map(list, q)), gamma, g_i.component_group):
-            raise NotIsomorphism(
-                f"gluing map is not an isomorphism onto {g_i.component_group}"
-            )
-        u = dual_isomorphism_transport(list(map(list, q)), gamma, g_i.component_group)
+        q = list(map(list, q))
+        gamma_i = g_i.component_group
+        if not is_isomorphism_matrix(q, gamma, gamma_i):
+            raise NotIsomorphism(f"gluing map is not an isomorphism onto {gamma_i}")
+        u = dual_isomorphism_transport(q, gamma, gamma_i)
         # identify the second side's cosets with characters of the first side
         char_of = {}
         for delta in h_i.component_group.elements():
@@ -649,26 +652,25 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
             char_of[char] = delta.coords
         if len(char_of) != h_i.component_group.order:
             raise IncompatibleGluing("summand pairing is degenerate")
-        sides.append((g_i, h_i, q, u, char_of))
+        # the summand's coset under each coset of the shared group and of its dual
+        g_coset = {x.coords: apply_matrix(q, x.coords, gamma_i).coords
+                   for x in gamma.elements()}
+        h_coset = {}
+        for delta in gamma.characters():
+            hi_coords = char_of.get(transport_character(u, delta, gamma_i).coords)
+            if hi_coords is None:
+                raise IncompatibleGluing("transported character misses every coset")
+            h_coset[delta.coords] = hi_coords
+        sides.append((g_i, h_i, g_coset, h_coset))
 
     # pairing compatibility across summands, exhaustively on coset pairs
     for gamma_el in gamma.elements():
         for delta in gamma.characters():
-            values = []
-            for g_i, h_i, q, u, char_of in sides:
-                gi_coords = apply_matrix(list(map(list, q)), gamma_el.coords,
-                                         g_i.component_group).coords
-                u_delta = tuple(
-                    sum(u[r][c] * delta.coords[c] for c in range(gamma.rank))
-                    % g_i.component_group.invariant_factors[r]
-                    for r in range(g_i.component_group.rank)
-                )
-                hi_coords = char_of.get(u_delta)
-                if hi_coords is None:
-                    raise IncompatibleGluing("transported character misses every coset")
-                values.append(
-                    commutator_exponent(g_i.operator(gi_coords), h_i.operator(hi_coords))
-                )
+            values = [
+                commutator_exponent(g_i.operator(g_coset[gamma_el.coords]),
+                                    h_i.operator(h_coset[delta.coords]))
+                for g_i, h_i, g_coset, h_coset in sides
+            ]
             if any(v != values[0] for v in values[1:]):
                 raise IncompatibleGluing(
                     f"pairings disagree at {gamma_el.coords}, {delta.coords}: {values}"
@@ -676,7 +678,6 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
 
     ambient = Ambient(tuple(g_i.ambient.summands[0] for g_i, *_ in sides))
     offsets = ambient.offsets()
-    n = ambient.dim
 
     g_blocks = []
     h_blocks = []
@@ -684,26 +685,16 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
         g_blocks.extend(b.shift(off) for b in g_i.blocks)
         h_blocks.extend(b.shift(off) for b in h_i.blocks)
 
-    g_gens = {}
-    for gamma_el in gamma.elements():
-        parts = []
-        for g_i, h_i, q, u, char_of in sides:
-            gi_coords = apply_matrix(list(map(list, q)), gamma_el.coords,
-                                     g_i.component_group).coords
-            parts.append(g_i.operator(gi_coords))
-        g_gens[gamma_el.coords] = monomial_direct_sum(parts).to_matrix()
-
-    h_gens = {}
-    for delta in gamma.characters():
-        parts = []
-        for g_i, h_i, q, u, char_of in sides:
-            u_delta = tuple(
-                sum(u[r][c] * delta.coords[c] for c in range(gamma.rank))
-                % g_i.component_group.invariant_factors[r]
-                for r in range(g_i.component_group.rank)
-            )
-            parts.append(h_i.operator(char_of[u_delta]))
-        h_gens[delta.coords] = monomial_direct_sum(parts).to_matrix()
+    g_gens = {
+        x.coords: monomial_direct_sum(
+            [g_i.operator(g_coset[x.coords]) for g_i, _, g_coset, _ in sides]).to_matrix()
+        for x in gamma.elements()
+    }
+    h_gens = {
+        delta.coords: monomial_direct_sum(
+            [h_i.operator(h_coset[delta.coords]) for _, h_i, _, h_coset in sides]).to_matrix()
+        for delta in gamma.characters()
+    }
 
     g = GroupSpec(ambient, tuple(g_blocks), gamma, g_gens)
     h = GroupSpec(ambient, tuple(h_blocks), gamma, h_gens)

@@ -4,15 +4,16 @@ embeddings, commutator scalars, and projective equality.
 The basis of L^2(X, C) is indexed by the lexicographically ordered group
 elements with the identity first, so every matrix here is pinned down
 exactly.  Translation and character operators are monomial (one nonzero
-entry per column); the Monomial class keeps that structure explicit so
-that products, inverses and commutator scalars cost O(n) instead of
-O(n^3).  Their scales are roots of unity, and Monomial.unit_exponents
-carries them as integer exponents over one common order, so the
-commutator of two such operators is integer arithmetic; CycNum appears
-only where a result leaves as a field element or meets a dense matrix.
-Conversion to and from dense CycMatrix is lossless; which form a stored
-generator takes is decided by GroupSpec.operator, and the helpers here
-accept either.
+entry per column, a root of unity); the Monomial class stores them as a
+permutation with integer exponents of one root of unity, so products,
+inverses, Kronecker products and commutator scalars are O(n) integer
+arithmetic instead of O(n^3) field arithmetic.  CycNum appears only where
+a result leaves as a field element or meets a dense matrix.  One scan,
+unit_pattern, reads a dense matrix as a partial monomial with
+root-of-unity entries; Monomial.from_matrix is that scan at full
+coverage, so the conversion to and from dense CycMatrix is lossless.
+Which form a stored generator takes is decided by GroupSpec.operator,
+and the helpers here accept either.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import Character, FinAbGroup, GroupElement, char_eval
+from .abelian import Character, FinAbGroup, GroupElement
 from .cyclo import ONE, ZERO, CycMatrix, CycNum, as_cyc
 from .errors import (
     DimensionMismatch,
@@ -85,54 +86,61 @@ class TensorShape:
 
 
 class Monomial:
-    """An invertible matrix with one nonzero entry per row and column.
+    """An invertible matrix with one nonzero entry per row and column, each
+    entry a root of unity.
 
-    Column j holds scale[j] at row perm[j].  All the operators built from
-    translations and characters are of this form, as are their Kronecker
-    products, so the verification pipeline works at O(n) per product.
+    Column j holds zeta_order^exps[j] at row perm[j], and order is the
+    least one that carries every entry, so equal matrices store equal
+    (perm, order, exps).  The translation and character operators are of this form, as
+    are their products and Kronecker products, so all of these are O(n)
+    integer operations; CycNum cells are built only for a dense value.
     """
 
-    __slots__ = ("perm", "scales", "_units")
+    __slots__ = ("perm", "order", "exps")
 
     def __init__(self, perm, scales):
+        """From a permutation and one scale per column; ValueError when a
+        scale is not a root of unity."""
         perm = tuple(perm)
         n = len(perm)
         if sorted(perm) != list(range(n)):
             raise ValueError("perm is not a permutation")
-        scales = tuple(as_cyc(s) for s in scales)
-        if len(scales) != n:
+        roots = [as_cyc(s).as_root_of_unity() for s in scales]
+        if len(roots) != n:
             raise ValueError("need one scale per column")
-        if any(s.is_zero() for s in scales):
-            raise ValueError("monomial scales must be nonzero")
+        if None in roots:
+            raise ValueError("monomial scales must be roots of unity")
+        # the roots are reduced, so the lcm of their orders is the least
         self.perm = perm
-        self.scales = scales
-        self._units = None
+        self.order = math.lcm(*(d for d, _ in roots))
+        self.exps = tuple(k * (self.order // d) for d, k in roots)
+
+    @staticmethod
+    def from_exponents(perm, order: int, exps) -> "Monomial":
+        """Column j holds zeta_order^exps[j] at row perm[j], for a
+        permutation perm and exponents in range(order); the order is
+        reduced to the least one."""
+        g = math.gcd(order, *exps)
+        out = object.__new__(Monomial)
+        out.perm = tuple(perm)
+        out.order = order // g
+        out.exps = tuple(e // g for e in exps)
+        return out
 
     @property
     def n(self) -> int:
         return len(self.perm)
 
-    def unit_exponents(self):
-        """(N, exps) with scales[j] == zeta_N^exps[j] and N the lcm of the
-        scales' orders, or None when some scale is not a root of unity.
-        Computed on first use and cached."""
-        if self._units is None:
-            roots = [s.as_root_of_unity() for s in self.scales]
-            if any(r is None for r in roots):
-                self._units = False
-            else:
-                order = math.lcm(*(d for d, _ in roots))
-                self._units = (order, tuple(k * (order // d) for d, k in roots))
-        return self._units or None
+    @property
+    def scales(self) -> tuple[CycNum, ...]:
+        return tuple(CycNum.root_of_unity(self.order, e) for e in self.exps)
 
     @staticmethod
     def identity(n: int) -> "Monomial":
-        return Monomial(range(n), [ONE] * n)
+        return Monomial.from_exponents(range(n), 1, (0,) * n)
 
     def is_identity(self) -> bool:
-        return all(p == j for j, p in enumerate(self.perm)) and all(
-            s.is_one() for s in self.scales
-        )
+        return self.order == 1 and all(p == j for j, p in enumerate(self.perm))
 
     def __matmul__(self, other: "Monomial | CycMatrix"):
         """The product with a Monomial, or with a CycMatrix in O(n^2): the
@@ -146,20 +154,22 @@ class Monomial:
             return CycMatrix(rows)
         if self.n != other.n:
             raise DimensionMismatch("monomial sizes differ")
-        # (self @ other): column j -> other sends j to (other.perm[j], other.scales[j]),
-        # then self sends that row index as a column
-        perm = tuple(self.perm[other.perm[j]] for j in range(self.n))
-        scales = tuple(other.scales[j] * self.scales[other.perm[j]] for j in range(self.n))
-        return Monomial(perm, scales)
+        # column j: other sends it to row other.perm[j], which self sends on
+        order = math.lcm(self.order, other.order)
+        lift_s, lift_o = order // self.order, order // other.order
+        perm, exps = self.perm, self.exps
+        return Monomial.from_exponents(
+            [perm[p] for p in other.perm], order,
+            [(e * lift_o + exps[p] * lift_s) % order for p, e in zip(other.perm, other.exps)])
 
     def inverse(self) -> "Monomial":
         n = self.n
         perm = [0] * n
-        scales: list[CycNum] = [ONE] * n
-        for j in range(n):
-            perm[self.perm[j]] = j
-            scales[self.perm[j]] = self.scales[j].inverse()
-        return Monomial(perm, scales)
+        exps = [0] * n
+        for j, (p, e) in enumerate(zip(self.perm, self.exps)):
+            perm[p] = j
+            exps[p] = -e % self.order
+        return Monomial.from_exponents(perm, self.order, exps)
 
     def __pow__(self, e: int) -> "Monomial":
         if e < 0:
@@ -175,73 +185,100 @@ class Monomial:
         return out
 
     def scale_by(self, c) -> "Monomial":
-        c = as_cyc(c)
-        return Monomial(self.perm, tuple(c * s for s in self.scales))
+        """c times this monomial, for a root of unity c."""
+        root = as_cyc(c).as_root_of_unity()
+        if root is None:
+            raise ValueError("monomial scales must be roots of unity")
+        d, k = root
+        order = math.lcm(self.order, d)
+        lift, shift = order // self.order, k * (order // d)
+        return Monomial.from_exponents(
+            self.perm, order, [(e * lift + shift) % order for e in self.exps])
 
     def kron(self, other: "Monomial") -> "Monomial":
         """Row-major Kronecker product; this factor's indices vary slowest."""
         n2 = other.n
-        perm = []
-        scales = []
-        for j1 in range(self.n):
-            for j2 in range(n2):
-                perm.append(self.perm[j1] * n2 + other.perm[j2])
-                scales.append(self.scales[j1] * other.scales[j2])
-        return Monomial(perm, scales)
+        order = math.lcm(self.order, other.order)
+        lift_s, lift_o = order // self.order, order // other.order
+        exps2 = [e * lift_o for e in other.exps]
+        return Monomial.from_exponents(
+            [p1 * n2 + p2 for p1 in self.perm for p2 in other.perm], order,
+            [(e1 * lift_s + e2) % order for e1 in self.exps for e2 in exps2])
 
     def entry(self, i: int, j: int) -> CycNum:
-        return self.scales[j] if self.perm[j] == i else ZERO
+        if self.perm[j] != i:
+            return ZERO
+        return CycNum.root_of_unity(self.order, self.exps[j])
 
     def to_matrix(self) -> CycMatrix:
-        cells = {(self.perm[j], j): self.scales[j] for j in range(self.n)}
+        cells = {(p, j): s for j, (p, s) in enumerate(zip(self.perm, self.scales))}
         return CycMatrix.from_entries(self.n, self.n, cells)
 
     @staticmethod
     def from_matrix(mat: CycMatrix):
-        """Detect monomial structure; returns None when the matrix is not monomial."""
-        if not mat.is_square():
+        """The Monomial of a dense matrix, or None when the matrix is not
+        monomial or an entry is not a root of unity."""
+        pattern = unit_pattern(mat) if mat.is_square() else None
+        if pattern is None or len(pattern[1]) != mat.rows:
             return None
-        n = mat.rows
-        perm = [-1] * n
-        scales = [None] * n
-        for j in range(n):
-            hit = None
-            for i in range(n):
-                v = mat.entry(i, j)
-                if not v.is_zero():
-                    if hit is not None:
-                        return None
-                    hit = (i, v)
-            if hit is None:
-                return None
-            perm[j], scales[j] = hit
-        if sorted(perm) != list(range(n)):
-            return None
-        return Monomial(perm, scales)
+        order, cells = pattern
+        perm = [0] * mat.rows
+        exps = [0] * mat.rows
+        for i, j, k in cells:
+            perm[j], exps[j] = i, k
+        return Monomial.from_exponents(perm, order, exps)
 
     def __eq__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        return self.perm == other.perm and self.scales == other.scales
+        return (self.perm, self.order, self.exps) == (other.perm, other.order, other.exps)
 
     __hash__ = None
 
     def __repr__(self):
-        return f"Monomial(perm={self.perm}, scales={list(map(repr, self.scales))})"
+        return f"Monomial(perm={self.perm}, order={self.order}, exps={self.exps})"
+
+
+def unit_pattern(op):
+    """(N, cells) when the operator, a Monomial or a CycMatrix, is a partial
+    monomial whose nonzero entries are roots of unity: op[i][j] = zeta_N^k
+    for each (i, j, k) in cells, at most one cell per row and per column,
+    zero elsewhere, and N the least order carrying them.  None for any
+    other CycMatrix."""
+    if isinstance(op, Monomial):
+        return op.order, [(p, j, e) for j, (p, e) in enumerate(zip(op.perm, op.exps))]
+    roots = []
+    used_cols = set()
+    for i, row in enumerate(op.data):
+        hits = [j for j, v in enumerate(row) if v]
+        if not hits:
+            continue
+        if len(hits) > 1 or hits[0] in used_cols:
+            return None
+        root = row[hits[0]].as_root_of_unity()
+        if root is None:
+            return None
+        used_cols.add(hits[0])
+        roots.append((i, hits[0], root))
+    order = math.lcm(*(d for _, _, (d, _) in roots))
+    return order, [(i, j, k * (order // d)) for i, j, (d, k) in roots]
 
 
 def translation_monomial(group: FinAbGroup, x: GroupElement) -> Monomial:
     if x.group != group:
         raise GroupMismatch("element of a different group")
-    order = list(group.elements())
-    perm = [group.index_of(e + x) for e in order]
-    return Monomial(perm, [ONE] * len(order))
+    perm = [group.index_of(e + x) for e in group.elements()]
+    return Monomial.from_exponents(perm, 1, (0,) * len(perm))
 
 
 def character_monomial(group: FinAbGroup, xi: Character) -> Monomial:
     if xi.group != group:
         raise GroupMismatch("character of a different group")
-    return Monomial(range(group.order), [char_eval(xi, e) for e in group.elements()])
+    # xi(e) = zeta_N^(sum_i c_i e_i N / d_i) for N the group's exponent
+    order = group.exponent
+    weights = [c * (order // d) for c, d in zip(xi.coords, group.invariant_factors)]
+    exps = [sum(w * v for w, v in zip(weights, e.coords)) % order for e in group.elements()]
+    return Monomial.from_exponents(range(group.order), order, exps)
 
 
 def translation_matrix(group: FinAbGroup, x: GroupElement) -> CycMatrix:
@@ -309,8 +346,7 @@ def _first_nonzero(mat: CycMatrix):
 
 
 def commutator_scalar_monomial(g: Monomial, h: Monomial) -> CycNum:
-    """Exact scalar c with g h g^-1 h^-1 = c, for monomial matrices whose
-    scales are roots of unity (both have a unit view).
+    """Exact scalar c with g h g^-1 h^-1 = c, for two monomials.
 
     On exponents over N = lcm of the two orders, column j of g h carries
     e_h[j] + e_g[h.perm[j]] and column j of h g carries
@@ -319,9 +355,9 @@ def commutator_scalar_monomial(g: Monomial, h: Monomial) -> CycNum:
     """
     if g.n != h.n:
         raise DimensionMismatch("sizes differ")
-    (n_g, e_g), (n_h, e_h) = g.unit_exponents(), h.unit_exponents()
-    order = math.lcm(n_g, n_h)
-    lift_g, lift_h = order // n_g, order // n_h
+    e_g, e_h = g.exps, h.exps
+    order = math.lcm(g.order, h.order)
+    lift_g, lift_h = order // g.order, order // h.order
     pg, ph = g.perm, h.perm
     k = None
     for j in range(g.n):
@@ -345,12 +381,11 @@ def as_dense(op) -> CycMatrix:
 def commutator_scalar(g, h) -> CycNum:
     """Exact scalar c with g h g^-1 h^-1 = c I, else NotProjectivelyCommuting.
 
-    Two Monomials whose scales are roots of unity take the O(n) integer
-    path; any other pair is multiplied out densely.  The result always
-    satisfies c^n = 1 (take determinants of g h = c h g).
+    Two Monomials take the O(n) integer path; any other pair is
+    multiplied out densely.  The result always satisfies c^n = 1 (take
+    determinants of g h = c h g).
     """
-    if (isinstance(g, Monomial) and isinstance(h, Monomial)
-            and g.unit_exponents() and h.unit_exponents()):
+    if isinstance(g, Monomial) and isinstance(h, Monomial):
         return commutator_scalar_monomial(g, h)
     gm, hm = as_dense(g), as_dense(h)
     if gm.shape != hm.shape or not gm.is_square():

@@ -94,11 +94,15 @@ def pairing_to_json(p: SymplecticPairing) -> dict:
 
 def pairing_from_json(data: dict) -> SymplecticPairing:
     group = group_from_json(data["group"])
-    table = tuple(
-        tuple(Fraction(int(expo), int(order)) for order, expo in row)
-        for row in data["table"]
-    )
+    table = tuple(tuple(_root_exponent(*entry) for entry in row) for row in data["table"])
     return SymplecticPairing(group, table)
+
+
+def _root_exponent(order, expo) -> Fraction:
+    """A table entry (order, exponent) as the exponent in Q/Z."""
+    if int(order) < 1:
+        raise ValueError(f"root of unity of order {order}")
+    return Fraction(int(expo), int(order))
 
 
 # -- specs ------------------------------------------------------------------

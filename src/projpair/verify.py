@@ -51,7 +51,7 @@ from .errors import (
     ShapeMismatch,
     WitnessSearchUndecided,
 )
-from .matrep import Monomial, as_dense, commutator_exponent
+from .matrep import as_dense, commutator_exponent, unit_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -124,34 +124,6 @@ class _RatioUnionFind:
         return out
 
 
-def _unit_pattern(op):
-    """(N, cells) when the operator is a partial monomial whose nonzero
-    entries are roots of unity: op[i][j] = zeta_N^k for each (i, j, k) in
-    cells, at most one cell per row and per column, zero elsewhere.  None
-    for any other operator."""
-    if isinstance(op, Monomial):
-        units = op.unit_exponents()
-        if units is None:
-            return None
-        order, exps = units
-        return order, [(p, j, e) for j, (p, e) in enumerate(zip(op.perm, exps))]
-    roots = []
-    used_cols = set()
-    for i, row in enumerate(op.data):
-        hits = [j for j, v in enumerate(row) if v]
-        if not hits:
-            continue
-        if len(hits) > 1 or hits[0] in used_cols:
-            return None
-        root = row[hits[0]].as_root_of_unity()
-        if root is None:
-            return None
-        used_cols.add(hits[0])
-        roots.append((i, hits[0], root))
-    order = math.lcm(*(d for _, _, (d, _) in roots))
-    return order, [(i, j, k * (order // d)) for i, j, (d, k) in roots]
-
-
 def _chase(uf: _RatioUnionFind, n: int, pattern, c: int) -> None:
     """Impose X a = zeta_N^c a X on the union-find over the positions
     i * n + j of X, for a given by its unit pattern and N = uf.order.
@@ -200,11 +172,11 @@ class CommutantEngine:
     def __init__(self, n: int, algebra_basis, gens):
         self.n = n
         self.gens = list(gens)
-        self._gen_patterns = [_unit_pattern(h) for h in self.gens]
+        self._gen_patterns = [unit_pattern(h) for h in self.gens]
         patterns = []
         self._dense_algebra = []
         for a in algebra_basis:
-            pattern = _unit_pattern(a)
+            pattern = unit_pattern(a)
             if pattern is None:
                 self._dense_algebra.append(as_dense(a))
             else:
@@ -543,7 +515,8 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
     for coords, d in zip(ref_cosets, target.component_group.invariant_factors):
         m = projective_order(target.operator(coords), span, d)
         moduli.append(math.gcd(m, n))
-    all_tuples = list(itertools.product(*(range(g) for g in moduli)))
+    # the zero tuple is the identity component, solved once below
+    all_tuples = list(itertools.product(*(range(g) for g in moduli)))[1:]
     if workers > 1 and len(all_tuples) > 1:
         chunk = max(1, len(all_tuples) // (workers * 4))
         batches = [all_tuples[i:i + chunk] for i in range(0, len(all_tuples), chunk)]
@@ -556,14 +529,13 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
     else:
         results = _solve_tuple_batch(engine, all_tuples, moduli)
 
-    identity_basis = engine.solve([ONE] * len(moduli)) if moduli else engine.solve([])
+    identity_basis = engine.solve([ONE] * len(moduli))
     if not identity_basis:
         raise IdentityComponentNotSemisimpleBlocks("untwisted commutant is empty")
     _check_semisimple(identity_basis)
 
-    surviving = {exps: w for exps, w in results if w is not None}
-    zero_tuple = tuple(0 for _ in moduli)
-    surviving[zero_tuple] = CycMatrix.identity(n)
+    surviving = {tuple(0 for _ in moduli): CycMatrix.identity(n)}
+    surviving.update((exps, w) for exps, w in results if w is not None)
     comp_group, to_canonical = subgroup_from_elements(moduli, list(surviving))
     if comp_group.order != len(surviving):
         raise AssertionError("surviving scalar tuples do not form a group")

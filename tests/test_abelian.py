@@ -292,6 +292,7 @@ def test_subgroup_map_is_homomorphism():
                     frontier.append(nxt)
         group, conv = subgroup_from_elements(moduli, sorted(elems))
         assert group.order == len(elems)
+        assert len({conv(e) for e in elems}) == len(elems)
         for a in list(sorted(elems))[:8]:
             for b in list(sorted(elems))[:8]:
                 s = tuple((x + y) % d for x, y, d in zip(a, b, moduli))

@@ -127,6 +127,23 @@ def _json_leaves(obj, path=()):
         yield path
 
 
+def _fuzzed_leaf_exit_code(tmp_path, document, path, value, command):
+    """Exit code of command on document with the leaf at path replaced by
+    value; a SystemExit must carry 2 (bad input) and counts as that."""
+    data = json.loads(json.dumps(document))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    fuzzed = tmp_path / "fuzzed.json"
+    fuzzed.write_text(json.dumps(data))
+    try:
+        return main([*command, str(fuzzed)])
+    except SystemExit as exc:
+        assert exc.code == 2
+        return 2
+
+
 _L2_PAIR = serialize.pair_to_json(*xx_hat_pair(Z2))
 _L2_LEAVES = list(_json_leaves(_L2_PAIR))
 
@@ -138,19 +155,58 @@ _L2_LEAVES = list(_json_leaves(_L2_PAIR))
 def test_verify_fuzzed_leaf_keeps_exit_contract(tmp_path, path, value):
     """Replacing any one leaf of the --L 2 pair file by an int or a string
     gives an exit code in {0, 1, 2, 3}, never another exception."""
-    data = json.loads(json.dumps(_L2_PAIR))
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    pair_file = tmp_path / "fuzzed.json"
-    pair_file.write_text(json.dumps(data))
-    try:
-        code = main(["verify", str(pair_file)])
-    except SystemExit as exc:
-        assert exc.code == 2
-    else:
-        assert code in (0, 1, 2, 3)
+    assert _fuzzed_leaf_exit_code(tmp_path, _L2_PAIR, path, value, ["verify"]) in (0, 1, 2, 3)
+
+
+_SMALL_LEAVES = st.one_of(st.integers(-3, 6), st.sampled_from(["", "x", "-1", "0", "2", "1/2"]))
+
+_Z2Z2_PAIRING = {
+    "group": {"invariant_factors": [2, 2]},
+    "table": [[[1, 0], [2, 1]], [[2, 1], [1, 0]]],
+}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(list(_json_leaves(_Z2Z2_PAIRING))), _SMALL_LEAVES)
+def test_symplectic_fuzzed_leaf_keeps_exit_contract(tmp_path, path, value):
+    """Replacing any one leaf of a Z2 x Z2 pairing file gives an exit code
+    in {0, 1, 2, 3}, never another exception."""
+    code = _fuzzed_leaf_exit_code(tmp_path, _Z2Z2_PAIRING, path, value, ["symplectic"])
+    assert code in (0, 1, 2, 3)
+
+
+_L2_GLUE_SUMMAND = {
+    "ingredients": {"b": 1, "e": 1, "L": {"invariant_factors": [2]},
+                    "J": {"invariant_factors": []}, "K": {"invariant_factors": []}},
+    "q": [[1, 0], [0, 1]],
+}
+_L2_GLUE = {"gamma": {"invariant_factors": [2, 2]},
+            "summands": [_L2_GLUE_SUMMAND, _L2_GLUE_SUMMAND]}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(list(_json_leaves(_L2_GLUE))), _SMALL_LEAVES)
+def test_glue_fuzzed_leaf_keeps_exit_contract(tmp_path, path, value):
+    """Replacing any one leaf of the README glue file gives an exit code in
+    {0, 1, 2, 3}, never another exception."""
+    code = _fuzzed_leaf_exit_code(tmp_path, _L2_GLUE, path, value,
+                                  ["construct", "-o", str(tmp_path / "pair.json"), "--glue"])
+    assert code in (0, 1, 2, 3)
+
+
+def test_pairing_order_zero_is_bad_input(tmp_path, capsys):
+    """A table entry of order 0 is bad input: exit 2 and one error line; a
+    ZeroDivisionError traceback and exit 1 at the parent commit."""
+    data = json.loads(json.dumps(_Z2Z2_PAIRING))
+    data["table"][0][0] = [0, 1]
+    f = tmp_path / "pairing.json"
+    f.write_text(json.dumps(data))
+    assert run(["symplectic", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_resource_limit_exits_3_without_traceback(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projpair.abelian import FinAbGroup, char_eval, enumerate_abelian_groups
+from projpair.construct import Ambient, GroupSpec, scalar_blocks
 from projpair.cyclo import CycMatrix, CycNum, MINUS_ONE, ONE
 from projpair.errors import (
     DimensionMismatch,
@@ -158,9 +159,7 @@ def unit_monomial_pairs(draw):
 @settings(max_examples=80, deadline=None)
 @given(unit_monomial_pairs())
 def test_integer_commutator_matches_dense_on_random_monomials(pair):
-    g, h = pair
-    assert g.unit_exponents() is not None and h.unit_exponents() is not None
-    _assert_matches_dense(g, h)
+    _assert_matches_dense(*pair)
 
 
 @st.composite
@@ -180,14 +179,22 @@ def test_integer_commutator_matches_dense_on_heisenberg_operators(pair):
     _assert_matches_dense(*pair)
 
 
-def test_monomial_without_unit_view_takes_dense_branch():
+def test_non_root_scale_is_not_a_monomial():
+    """A scale that is not a root of unity is refused by the constructor;
+    such a matrix is no Monomial, so its generator stays dense and its
+    commutator is multiplied out."""
+    with pytest.raises(ValueError):
+        Monomial([0, 1], [2, -2])
+    with pytest.raises(ValueError):
+        Monomial.identity(2).scale_by(2)
+    doubled = CycMatrix.diagonal([2, -2])
+    assert Monomial.from_matrix(doubled) is None
+    ambient = Ambient.single(TensorShape((("A", 2),)))
+    spec = GroupSpec(ambient, scalar_blocks(2), FinAbGroup.cyclic(2),
+                     {(0,): CycMatrix.identity(2), (1,): doubled})
+    assert spec.operator((1,)) is doubled
     swap = Monomial([1, 0], [ONE, ONE])
-    doubled = Monomial([0, 1], [2, -2])
-    assert doubled.unit_exponents() is None
-    assert swap.unit_exponents() == (1, (0, 0))
-    assert commutator_scalar(doubled, swap) == MINUS_ONE
-    assert commutator_scalar(doubled.to_matrix(), swap.to_matrix()) == MINUS_ONE
-    assert commutator_scalar(swap, Monomial([1, 0], [2, 2])) == ONE
+    assert commutator_scalar(spec.operator((1,)), swap) == MINUS_ONE
 
 
 def test_monomial_times_dense_matrix():
@@ -211,21 +218,43 @@ def test_commutator_scalar_order_divides_dimension():
                 assert (c ** n) == ONE
 
 
+def _random_monomial(rng, n):
+    """A monomial with scales zeta_d^k of mixed orders d."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    scales = []
+    for _ in range(n):
+        d = rng.choice([1, 2, 3, 4, 6, 12])
+        scales.append(CycNum.root_of_unity(d, rng.randrange(d)))
+    return Monomial(perm, scales)
+
+
 def test_monomial_roundtrip_and_products():
-    g = FinAbGroup((2, 4))
+    """Every integer operation on Monomials agrees with its dense form."""
     rng = random.Random(3)
-    ops = []
-    for _ in range(5):
-        x = g.element(tuple(rng.randrange(d) for d in g.invariant_factors))
-        xi = g.character(tuple(rng.randrange(d) for d in g.invariant_factors))
-        ops.append(heisenberg_monomial(g, x, xi))
-    for a in ops:
+    for _ in range(30):
+        n = rng.randrange(1, 5)
+        a, b = _random_monomial(rng, n), _random_monomial(rng, n)
+        c = _random_monomial(rng, rng.randrange(1, 4))
+        da, db = a.to_matrix(), b.to_matrix()
+        assert Monomial.from_matrix(da) == a
+        assert [a.entry(i, j) for i in range(n) for j in range(n)] == da.flatten()
+        assert a.inverse().to_matrix() == da.inverse()
+        assert (a @ b).to_matrix() == da @ db
+        assert (a ** 3).to_matrix() == da @ da @ da
+        assert (a ** -2).to_matrix() == (da @ da).inverse()
+        assert a.kron(c).to_matrix() == da.kron(c.to_matrix())
+        d = rng.choice([1, 2, 3, 4, 6, 12])
+        z = CycNum.root_of_unity(d, rng.randrange(d))
+        assert a.scale_by(z).to_matrix() == da.scale(z)
+        assert (a @ a.inverse()).is_identity()
+    g = FinAbGroup((2, 4))
+    ops = [heisenberg_monomial(g, x, xi) for x in g.elements() for xi in g.characters()]
+    for a in ops[::5]:
         assert Monomial.from_matrix(a.to_matrix()) == a
-        assert a.inverse().to_matrix() == a.to_matrix().inverse()
-        for b in ops:
-            assert (a @ b).to_matrix() == a.to_matrix() @ b.to_matrix()
     assert Monomial.from_matrix(CycMatrix([[1, 1], [0, 1]])) is None
     assert Monomial.from_matrix(CycMatrix([[1, 0], [1, 0]])) is None
+    assert Monomial.from_matrix(CycMatrix([[1, 0], [0, 0]])) is None
 
 
 def test_projective_equal():
