@@ -105,8 +105,6 @@ class FinAbGroup:
         """All elements in lexicographic coordinate order (identity first)."""
         for coords in itertools.product(*(range(d) for d in self.invariant_factors)):
             yield GroupElement(self, coords)
-        if not self.invariant_factors:
-            return
 
     def index_of(self, x: "GroupElement") -> int:
         if x.group != self:

@@ -162,8 +162,7 @@ def _reduce_matrix(mat, gamma: FinAbGroup):
 def _aut_inverse(mat, gamma: FinAbGroup):
     key = (gamma.invariant_factors, mat)
     if key not in _AUT_INVERSE_CACHE:
-        inv = invert_isomorphism([list(r) for r in mat], gamma, gamma)
-        _AUT_INVERSE_CACHE[key] = _reduce_matrix(inv, gamma)
+        _AUT_INVERSE_CACHE[key] = invert_isomorphism([list(r) for r in mat], gamma, gamma)
     return _AUT_INVERSE_CACHE[key]
 
 
@@ -269,10 +268,7 @@ def enumerate_multi_orbit(n: int, max_parts: int | None = None) -> list[Classifi
     if max_parts < 1:
         raise ValueError("max_parts must be positive")
     rows = list(enumerate_single_orbit(n))
-    singles_by_dim: dict[int, list[ClassificationRow]] = {}
-    for d in range(1, n):
-        if d <= n - 1:
-            singles_by_dim[d] = enumerate_single_orbit(d)
+    singles_by_dim = {d: enumerate_single_orbit(d) for d in range(1, n)}
     seen = set()
     out = list(rows)
     for partition in _partitions_bounded(n, max_parts):

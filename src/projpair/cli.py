@@ -15,34 +15,14 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import serialize
 from .abelian import FinAbGroup
 from .classify import enumerate_multi_orbit, enumerate_single_orbit
 from .construct import SingleOrbitIngredients, multi_orbit_glue, single_orbit_pair
 from .cyclo import conductor_cap, set_conductor_cap
-from .errors import DegeneratePairing, NotAlternating, ProjPairError
+from .errors import DegeneratePairing, NotAlternating, NotProjectivelyCommuting, ProjPairError
 from .verify import pairing_table, verify_dual_pair
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int | None = None
-    max_parts: int | None = None
-    check: bool = False
-    fmt: str = "table"
-    workers: int = 1
-    output: str | None = None
-    input_path: str | None = None
-    b: int = 1
-    e: int = 1
-    L: str = "1"
-    J: str = "1"
-    K: str = "1"
-    glue: str | None = None
-    conductor_cap: int | None = None
 
 
 def _parse_group(text: str) -> FinAbGroup:
@@ -75,17 +55,17 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def cmd_construct(cfg: RunConfig) -> int:
+def cmd_construct(args) -> int:
     try:
-        if cfg.glue is not None:
-            data = _load_json(cfg.glue)
+        if args.glue is not None:
+            data = _load_json(args.glue)
             spec = serialize.multi_spec_from_json(data)
             g, h = multi_orbit_glue(spec)
             meta = {"construction": "multi_orbit", "summands": len(spec.summands)}
         else:
             ing = SingleOrbitIngredients(
-                cfg.b, cfg.e, _parse_group(cfg.L), _parse_group(cfg.J),
-                _parse_group(cfg.K),
+                args.b, args.e, _parse_group(args.L), _parse_group(args.J),
+                _parse_group(args.K),
             )
             g, h = single_orbit_pair(ing)
             meta = {
@@ -100,7 +80,7 @@ def cmd_construct(cfg: RunConfig) -> int:
         return 3
     meta["ambient_dim"] = g.ambient.dim
     _write_output(
-        serialize.dumps_canonical(serialize.pair_to_json(g, h, meta)), cfg.output
+        serialize.dumps_canonical(serialize.pair_to_json(g, h, meta)), args.output
     )
     return 0
 
@@ -116,18 +96,18 @@ def _report_lines(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     try:
-        data = _load_json(cfg.input_path)
+        data = _load_json(args.pair_file)
         g, h = serialize.pair_from_json(data)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         print(f"error: malformed pair file: {exc}", file=sys.stderr)
         return 2
-    report = verify_dual_pair(g, h, workers=cfg.workers)
-    if cfg.fmt == "json":
-        _write_output(serialize.dumps_canonical(report.to_json_dict()), cfg.output)
+    report = verify_dual_pair(g, h, workers=args.workers)
+    if args.format == "json":
+        _write_output(serialize.dumps_canonical(report.to_json_dict()), args.output)
     else:
-        _write_output(_report_lines(report), cfg.output)
+        _write_output(_report_lines(report), args.output)
     return 0 if report.is_dual_pair else 1
 
 
@@ -165,46 +145,37 @@ def _format_table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_one(row_json: dict):
-    """Worker: rebuild a row from JSON, construct and verify it."""
-    if row_json["kind"] == "single":
-        ing = serialize.ingredients_from_json(row_json["ingredients"])
-        g, h = single_orbit_pair(ing)
-    else:
-        g, h = multi_orbit_glue(serialize.multi_spec_from_json(row_json["glue"]))
-    report = verify_dual_pair(g, h)
+def _check_one(row):
+    """Worker: construct and verify one classification row."""
+    report = verify_dual_pair(*row.build())
     return report.is_dual_pair, report.failure_codes()
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    if cfg.n is None:
-        print("error: --n is required", file=sys.stderr)
-        return 2
-    max_parts = cfg.max_parts if cfg.max_parts is not None else 1
-    if max_parts > 1:
-        rows = enumerate_multi_orbit(cfg.n, max_parts)
+def cmd_enumerate(args) -> int:
+    if (args.max_parts or 1) > 1:
+        rows = enumerate_multi_orbit(args.n, args.max_parts)
     else:
-        rows = enumerate_single_orbit(cfg.n)
-    if cfg.fmt == "json":
-        payload = {"n": cfg.n, "rows": [serialize.row_to_json(r) for r in rows]}
+        rows = enumerate_single_orbit(args.n)
+    if args.format == "json":
+        payload = {"n": args.n, "rows": [serialize.row_to_json(r) for r in rows]}
     check_results = None
-    if cfg.check:
-        row_jsons = [serialize.row_to_json(r) for r in rows]
-        workers = cfg.workers
+    if args.check:
+        # all cores by default; an explicit --workers 0 or 1 stays serial
+        workers = args.workers if args.workers is not None else os.cpu_count() or 1
         if workers > 1 and len(rows) > 1:
             with ProcessPoolExecutor(max_workers=workers, initializer=set_conductor_cap,
                                      initargs=(conductor_cap(),)) as pool:
-                check_results = list(pool.map(_check_one, row_jsons))
+                check_results = list(pool.map(_check_one, rows))
         else:
-            check_results = [_check_one(rj) for rj in row_jsons]
-    if cfg.fmt == "json":
+            check_results = [_check_one(row) for row in rows]
+    if args.format == "json":
         if check_results is not None:
             for rj, (ok, codes) in zip(payload["rows"], check_results):
                 rj["verified"] = ok
                 rj["failure_codes"] = codes
             payload["passed"] = sum(1 for ok, _ in check_results if ok)
             payload["failed"] = sum(1 for ok, _ in check_results if not ok)
-        _write_output(serialize.dumps_canonical(payload), cfg.output)
+        _write_output(serialize.dumps_canonical(payload), args.output)
     else:
         text = _format_table(rows)
         if check_results is not None:
@@ -213,41 +184,41 @@ def cmd_enumerate(cfg: RunConfig) -> int:
             for row, (ok, codes) in zip(rows, check_results):
                 if not ok:
                     text += f"FAILED: {_row_cells(row)} {codes}\n"
-        _write_output(text, cfg.output)
+        _write_output(text, args.output)
     if check_results is not None and any(not ok for ok, _ in check_results):
         return 1
     return 0
 
 
-def cmd_pairing(cfg: RunConfig) -> int:
+def cmd_pairing(args) -> int:
     try:
-        data = _load_json(cfg.input_path)
+        data = _load_json(args.pair_file)
         g, h = serialize.pair_from_json(data)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         print(f"error: malformed pair file: {exc}", file=sys.stderr)
         return 2
     try:
         table = pairing_table(g, h)
-    except ProjPairError as exc:
+    except NotProjectivelyCommuting as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.fmt == "json":
-        _write_output(serialize.dumps_canonical(table.to_json_dict()), cfg.output)
+    if args.format == "json":
+        _write_output(serialize.dumps_canonical(table.to_json_dict()), args.output)
     else:
         lines = [
             " ".join(f"z{order}^{expo}" if order > 1 else "1" for order, expo in row)
             for row in table.values
         ]
         nondeg = table.is_nondegenerate()
-        _write_output("\n".join(lines) + f"\nnondegenerate: {nondeg}\n", cfg.output)
+        _write_output("\n".join(lines) + f"\nnondegenerate: {nondeg}\n", args.output)
     return 0
 
 
-def cmd_symplectic(cfg: RunConfig) -> int:
+def cmd_symplectic(args) -> int:
     from .abelian import symplectic_decompose
 
     try:
-        data = _load_json(cfg.input_path)
+        data = _load_json(args.pairing_file)
         pairing = serialize.pairing_from_json(data)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         print(f"error: malformed pairing file: {exc}", file=sys.stderr)
@@ -257,7 +228,7 @@ def cmd_symplectic(cfg: RunConfig) -> int:
     except (DegeneratePairing, NotAlternating) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "pairs": [
                 {"lambda": list(lam.coords), "lambda_prime": list(lp.coords), "order": r}
@@ -265,14 +236,14 @@ def cmd_symplectic(cfg: RunConfig) -> int:
             ],
             "lagrangian": serialize.group_to_json(dec.lagrangian),
         }
-        _write_output(serialize.dumps_canonical(payload), cfg.output)
+        _write_output(serialize.dumps_canonical(payload), args.output)
     else:
         lines = [
             f"pair: lambda={list(lam.coords)} lambda'={list(lp.coords)} order={r}"
             for lam, lp, r in dec.pairs
         ]
         lines.append(f"lagrangian: {dec.lagrangian}")
-        _write_output("\n".join(lines) + "\n", cfg.output)
+        _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -323,38 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.conductor_cap = args.conductor_cap
-    cfg.fmt = getattr(args, "format", "table")
-    cfg.output = getattr(args, "output", None)
-    if args.command == "construct":
-        cfg.b, cfg.e = args.b, args.e
-        cfg.L, cfg.J, cfg.K = args.L, args.J, args.K
-        cfg.glue = args.glue
-    elif args.command == "verify":
-        cfg.input_path = args.pair_file
-        cfg.workers = args.workers
-    elif args.command == "enumerate":
-        cfg.n = args.n
-        cfg.max_parts = args.max_parts
-        cfg.check = args.check
-        if args.workers is not None:
-            cfg.workers = args.workers
-        elif args.check:
-            cfg.workers = os.cpu_count() or 1
-        else:
-            cfg.workers = 1
-    elif args.command in ("pairing", "symplectic"):
-        cfg.input_path = getattr(args, "pair_file", None) or args.pairing_file
-    return cfg
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
-    if cfg.conductor_cap is not None:
-        set_conductor_cap(cfg.conductor_cap)
+    if args.conductor_cap is not None:
+        set_conductor_cap(args.conductor_cap)
     handlers = {
         "construct": cmd_construct,
         "verify": cmd_verify,
@@ -363,7 +306,7 @@ def main(argv=None) -> int:
         "symplectic": cmd_symplectic,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except ProjPairError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

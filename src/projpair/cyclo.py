@@ -8,13 +8,13 @@ numerators and the denominator is 1.  Values are immutable; mixed
 conductors are lifted lazily to the lcm.
 
 Matrices hold a rectangular grid of values over a common conductor.
-Kernels, determinants and inverses use fraction-free (Bareiss-style)
-elimination, with the one exact field division per pivot that Bareiss
-requires.
+Rank, kernels, determinants and inverses all come from one Gauss-Jordan
+step: inserting a row into a VectorSpan kept in reduced echelon form.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from fractions import Fraction
@@ -657,114 +657,53 @@ class CycMatrix:
 
     # -- elimination-based operations ---------------------------------------
 
-    def _bareiss(self):
-        """Fraction-free forward elimination.
-
-        Returns (echelon rows, pivot column list, determinant-of-leading-minors
-        sign-tracked last pivot, row swap parity).  Works on denominator-cleared
-        integral rows; every division is exact by the Bareiss identity.
-        """
-        rows = []
-        scales = []
+    def _echelon(self) -> "VectorSpan":
+        """The row span in reduced echelon form."""
+        span = VectorSpan(self.cols)
         for row in self.data:
-            den = 1
-            for v in row:
-                den = den * v.den // math.gcd(den, v.den)
-            rows.append([v * den for v in row])
-            scales.append(den)
-        ncols = self.cols
-        pivots = []
-        prev = ONE
-        parity = 1
-        r = 0
-        for c in range(ncols):
-            pr = None
-            for i in range(r, len(rows)):
-                if not rows[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            if pr != r:
-                rows[r], rows[pr] = rows[pr], rows[r]
-                parity = -parity
-            piv = rows[r][c]
-            prev_is_one = prev.is_one()
-            prev_inv = None if prev_is_one else prev.inverse()
-            for i in range(r + 1, len(rows)):
-                head = rows[i][c]
-                row_i = rows[i]
-                if head.is_zero():
-                    for j in range(c + 1, ncols):
-                        v = row_i[j]
-                        if not v.is_zero():
-                            t = piv * v
-                            row_i[j] = t if prev_is_one else t * prev_inv
-                    continue
-                row_r = rows[r]
-                for j in range(c + 1, ncols):
-                    num = piv * row_i[j] - head * row_r[j]
-                    if not (prev_is_one or num.is_zero()):
-                        num = num * prev_inv
-                    row_i[j] = num
-                row_i[c] = ZERO
-            pivots.append(c)
-            prev = piv
-            r += 1
-            if r == len(rows):
+            if span.dim == self.cols:
                 break
-        return rows[:r], pivots, prev, parity, scales
+            span._insert(row)
+        return span
 
     def rank(self) -> int:
-        _, pivots, _, _, _ = self._bareiss()
-        return len(pivots)
+        return self._echelon().dim
 
     def det(self) -> CycNum:
+        """The product of the leading values of the rows, each reduced
+        against the earlier ones, signed by the parity of their pivots.
+
+        Reducing a row by earlier rows keeps the determinant, and in pivot
+        order the reduced rows are triangular.
+        """
         if not self.is_square():
             raise DimensionMismatch("determinant needs a square matrix")
-        echelon, pivots, last, parity, scales = self._bareiss()
-        if len(pivots) < self.rows:
-            return ZERO
-        # Bareiss: the final pivot is det of the cleared matrix
-        d = last if parity > 0 else -last
-        scale = 1
-        for s in scales:
-            scale *= s
-        return d / CycNum.from_rational(scale)
+        span = VectorSpan(self.cols)
+        pivots = []
+        d = ONE
+        for row in self.data:
+            step = span._insert(row)
+            if step is None:
+                return ZERO
+            pivots.append(step[0])
+            d = d * step[1]
+        inversions = sum(1 for i, p in enumerate(pivots) for q in pivots[:i] if q > p)
+        return -d if inversions % 2 else d
 
     def inverse(self) -> "CycMatrix":
+        """The right half of the reduced echelon form of [A | I]."""
         if not self.is_square():
             raise DimensionMismatch("inverse needs a square matrix")
         n = self.rows
-        work = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-                for i, row in enumerate(self.data)]
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if not work[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
+        span = VectorSpan(2 * n)
+        for i, row in enumerate(self.data):
+            pivot, _ = span._insert(list(row) + [ONE if j == i else ZERO for j in range(n)])
+            if pivot >= n:
                 raise SingularMatrix("matrix is singular")
-            work[c], work[pr] = work[pr], work[c]
-            inv = work[c][c].inverse()
-            work[c] = [v * inv for v in work[c]]
-            for i in range(n):
-                if i != c and not work[i][c].is_zero():
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-        return CycMatrix([row[n:] for row in work])
+        return CycMatrix([row[n:] for row in span.rows])
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
-
-    def trace(self) -> CycNum:
-        if not self.is_square():
-            raise DimensionMismatch("trace needs a square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self.data[i][i]
-        return acc
 
     def kernel(self) -> list["CycMatrix"]:
         """Exact basis of the right null space, as n x 1 column matrices.
@@ -772,30 +711,20 @@ class CycMatrix:
         Each basis vector is normalized so its first nonzero coordinate is 1;
         the basis is ordered by free column.
         """
-        echelon, pivots, _, _, _ = self._bareiss()
-        ncols = self.cols
-        pivot_set = set(pivots)
-        free = [c for c in range(ncols) if c not in pivot_set]
+        span = self._echelon()
+        pivot_set = set(span.pivots)
         basis = []
-        for fc in free:
-            vec = [ZERO] * ncols
+        for fc in range(self.cols):
+            if fc in pivot_set:
+                continue
+            vec = [ZERO] * self.cols
             vec[fc] = ONE
-            # back-substitute pivot coordinates, bottom row first
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                acc = ZERO
-                row = echelon[r]
-                for j in range(pc + 1, ncols):
-                    if not row[j].is_zero() and not vec[j].is_zero():
-                        acc = acc + row[j] * vec[j]
-                if not acc.is_zero():
-                    vec[pc] = -acc / row[pc]
-            for v in vec:
-                if not v.is_zero():
-                    lead_inv = v.inverse()
-                    vec = [lead_inv * u for u in vec]
-                    break
-            basis.append(CycMatrix([[v] for v in vec]))
+            for row, p in zip(span.rows, span.pivots):
+                # zero entries stay the conductor-1 ZERO, so a unit vector keeps conductor 1
+                if not row[fc].is_zero():
+                    vec[p] = -row[fc]
+            lead_inv = next(v for v in vec if not v.is_zero()).inverse()
+            basis.append(CycMatrix([[lead_inv * v] for v in vec]))
         return basis
 
 
@@ -803,7 +732,8 @@ class VectorSpan:
     """A linear subspace of C^N over Q(zeta), kept in reduced echelon form.
 
     Supports exact membership, incremental growth, and span equality;
-    used for matrix-algebra spans via flattening.
+    used for matrix-algebra spans via flattening.  Its insertion step is
+    the one elimination behind CycMatrix's rank, kernel, det and inverse.
     """
 
     def __init__(self, length: int):
@@ -820,35 +750,39 @@ class VectorSpan:
         for row, p in zip(self.rows, self.pivots):
             c = vec[p]
             if not c.is_zero():
-                for j in range(self.length):
+                for j in range(p, self.length):
                     if not row[j].is_zero():
                         vec[j] = vec[j] - c * row[j]
         return vec
 
-    def add(self, vec) -> bool:
-        """Insert a vector; returns True when the dimension grew."""
-        vec = self._reduce([as_cyc(v) for v in vec])
-        pivot = None
-        for j in range(self.length):
-            if not vec[j].is_zero():
-                pivot = j
-                break
+    def _insert(self, vec: list[CycNum]):
+        """Reduce vec against the rows; if anything is left, scale it to
+        pivot 1, clear its pivot column from the other rows and store it.
+
+        Returns (pivot column, leading value before scaling), or None when
+        vec lies in the span.
+        """
+        vec = self._reduce(vec)
+        pivot = next((j for j, v in enumerate(vec) if not v.is_zero()), None)
         if pivot is None:
-            return False
-        inv = vec[pivot].inverse()
+            return None
+        lead = vec[pivot]
+        inv = lead.inverse()
         vec = [inv * v for v in vec]
         for row in self.rows:
             c = row[pivot]
             if not c.is_zero():
-                for j in range(self.length):
+                for j in range(pivot, self.length):
                     if not vec[j].is_zero():
                         row[j] = row[j] - c * vec[j]
-        self.rows.append(vec)
-        self.pivots.append(pivot)
-        order = sorted(range(len(self.pivots)), key=lambda k: self.pivots[k])
-        self.rows = [self.rows[k] for k in order]
-        self.pivots = [self.pivots[k] for k in order]
-        return True
+        k = bisect.bisect(self.pivots, pivot)
+        self.rows.insert(k, vec)
+        self.pivots.insert(k, pivot)
+        return pivot, lead
+
+    def add(self, vec) -> bool:
+        """Insert a vector; returns True when the dimension grew."""
+        return self._insert([as_cyc(v) for v in vec]) is not None
 
     def contains(self, vec) -> bool:
         vec = self._reduce([as_cyc(v) for v in vec])

@@ -83,15 +83,6 @@ def group_from_json(data: dict) -> FinAbGroup:
     return FinAbGroup(tuple(int(d) for d in data["invariant_factors"]))
 
 
-def pairing_to_json(p: SymplecticPairing) -> dict:
-    return {
-        "group": group_to_json(p.group),
-        "table": [
-            [[f.denominator, f.numerator] for f in row] for row in p.gen_table
-        ],
-    }
-
-
 def pairing_from_json(data: dict) -> SymplecticPairing:
     group = group_from_json(data["group"])
     table = tuple(tuple(_root_exponent(*entry) for entry in row) for row in data["table"])
@@ -162,10 +153,13 @@ def pair_to_json(g: GroupSpec, h: GroupSpec, meta=None) -> dict:
 
 def pair_from_json(data: dict):
     """Decode a pair file; a structurally invalid side (a singular
-    generator among them) raises ValueError."""
+    generator among them) or two sides in different ambient spaces
+    raise ValueError."""
     g, h = spec_from_json(data["g"]), spec_from_json(data["h"])
     g.validate()
     h.validate()
+    if not g.ambient.compatible_with(h.ambient):
+        raise ValueError("the two sides live in different ambient spaces")
     return g, h
 
 

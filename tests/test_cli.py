@@ -66,6 +66,24 @@ def test_verify_rejects_singular_generator(tmp_path):
     assert run(["pairing", str(pair_file)]) == 2
 
 
+def test_pair_sides_in_different_ambients_are_bad_input(tmp_path, capsys):
+    """g from --L 2 and h from --L 3 is bad input: exit 2 and one error
+    line for both commands, not "pairing not defined" (1) or a package
+    error (3)."""
+    pair2, pair3 = tmp_path / "p2.json", tmp_path / "p3.json"
+    assert run(["construct", "--L", "2", "-o", str(pair2)]) == 0
+    assert run(["construct", "--L", "3", "-o", str(pair3)]) == 0
+    data = json.loads(pair2.read_text())
+    data["h"] = json.loads(pair3.read_text())["h"]
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(data))
+    capsys.readouterr()
+    for command in ("verify", "pairing"):
+        assert run([command, str(mixed)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def _edited_pair(tmp_path, edit):
     """The --L 2 pair file with one edit applied to its decoded JSON."""
     pair_file = tmp_path / "pair.json"
@@ -148,14 +166,17 @@ _L2_PAIR = serialize.pair_to_json(*xx_hat_pair(Z2))
 _L2_LEAVES = list(_json_leaves(_L2_PAIR))
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(_L2_LEAVES),
-       st.one_of(st.integers(-3, 30), st.sampled_from(["", "x", "-1", "0", "2", "1/2"])))
-def test_verify_fuzzed_leaf_keeps_exit_contract(tmp_path, path, value):
+       st.one_of(st.integers(-3, 30), st.sampled_from(["", "x", "-1", "0", "2", "1/2"])),
+       st.sampled_from(["verify", "pairing"]))
+def test_verify_fuzzed_leaf_keeps_exit_contract(tmp_path, path, value, command):
     """Replacing any one leaf of the --L 2 pair file by an int or a string
-    gives an exit code in {0, 1, 2, 3}, never another exception."""
-    assert _fuzzed_leaf_exit_code(tmp_path, _L2_PAIR, path, value, ["verify"]) in (0, 1, 2, 3)
+    gives an exit code in {0, 1, 2, 3} for verify and for pairing, never
+    another exception."""
+    code = _fuzzed_leaf_exit_code(tmp_path, _L2_PAIR, path, value, [command])
+    assert code in (0, 1, 2, 3)
 
 
 _SMALL_LEAVES = st.one_of(st.integers(-3, 6), st.sampled_from(["", "x", "-1", "0", "2", "1/2"]))

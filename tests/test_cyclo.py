@@ -141,16 +141,45 @@ def test_kernel_examples():
     assert (a @ ker[0]).is_zero()
 
 
+def _random_matrix(rng, rows, cols):
+    return CycMatrix([[_random_cyc(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def _free_columns(mat):
+    """Columns that lie in the span of the columns before them."""
+    free, prev = [], 0
+    for j in range(mat.cols):
+        r = CycMatrix([row[: j + 1] for row in mat.data]).rank()
+        if r == prev:
+            free.append(j)
+        prev = r
+    return free
+
+
 def test_kernel_rank_random():
     rng = random.Random(11)
+    mats = []
     for _ in range(40):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
-        mat = CycMatrix([[_random_cyc(rng) for _ in range(cols)] for _ in range(rows)])
+        mats.append(_random_matrix(rng, rows, cols))
+    for _ in range(30):
+        # low rank: a product through k < min(rows, cols) dimensions
+        rows, cols = rng.randrange(2, 6), rng.randrange(2, 6)
+        k = rng.randrange(1, min(rows, cols))
+        mats.append(_random_matrix(rng, rows, k) @ _random_matrix(rng, k, cols))
+    for mat in mats:
         ker = mat.kernel()
-        assert len(ker) + mat.rank() == cols
-        for v in ker:
+        assert len(ker) + mat.rank() == mat.cols
+        free = _free_columns(mat)
+        assert len(ker) == len(free)
+        for v, fc in zip(ker, free):
             assert (mat @ v).is_zero()
+            entries = [v.entry(i, 0) for i in range(mat.cols)]
+            assert next(x for x in entries if not x.is_zero()) == ONE
+            # on the free columns, the vector is a multiple of its own unit vector
+            assert not entries[fc].is_zero()
+            assert all(entries[f].is_zero() for f in free if f != fc)
 
 
 def test_matrix_ops_examples():
@@ -191,11 +220,33 @@ def test_kron_matches_oracle_and_mixed_product():
         assert a.kron(b) @ c.kron(d) == (a @ c).kron(b @ d)
 
 
+def _laplace_det(mat):
+    """Independent determinant by cofactor expansion along the first row."""
+    n = mat.rows
+    if n == 1:
+        return mat.entry(0, 0)
+    acc = ZERO
+    for j in range(n):
+        a = mat.entry(0, j)
+        if a.is_zero():
+            continue
+        minor = CycMatrix([[mat.entry(i, k) for k in range(n) if k != j] for i in range(1, n)])
+        term = a * _laplace_det(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
 def test_inverse_det_random():
     rng = random.Random(23)
-    for _ in range(25):
-        n = rng.randrange(1, 4)
-        mat = CycMatrix([[_random_cyc(rng) for _ in range(n)] for _ in range(n)])
+    for trial in range(50):
+        # the sparse second half puts the pivots out of row order
+        sparse = trial >= 25
+        n = rng.randrange(2, 5) if sparse else rng.randrange(1, 4)
+        mat = CycMatrix([
+            [ZERO if sparse and rng.random() < 0.5 else _random_cyc(rng) for _ in range(n)]
+            for _ in range(n)
+        ])
+        assert mat.det() == _laplace_det(mat)
         if mat.det().is_zero():
             assert mat.rank() < n
             continue
