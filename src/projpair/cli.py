@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("enumerate", help="enumerate classification rows")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-parts", type=int, default=None)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--max-parts", type=_positive_int, default=None)
     p.add_argument("--check", action="store_true",
                    help="construct and verify every row")
     p.add_argument("--format", choices=["json", "table"], default="table")

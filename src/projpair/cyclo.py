@@ -9,7 +9,9 @@ conductors are lifted lazily to the lcm.
 
 Matrices hold a rectangular grid of values over a common conductor.
 Rank, kernels, determinants and inverses all come from one Gauss-Jordan
-step: inserting a row into a VectorSpan kept in reduced echelon form.
+step: inserting a row into a VectorSpan kept in reduced echelon form,
+whose rows keep only their nonzero entries, so the step costs work in
+proportion to the nonzeros it touches.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ class CycNum:
         return self.m
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.num)
+        return not any(self.num)
 
     def is_one(self) -> bool:
         return self.den == 1 and self.num[0] == 1 and all(v == 0 for v in self.num[1:])
@@ -254,6 +256,11 @@ class CycNum:
         if target % self.m:
             raise ValueError(f"cannot lift conductor {self.m} into {target}")
         _check_conductor(target)
+        if self.is_zero():
+            zero = _ZEROS.get(target)
+            if zero is None:
+                zero = _ZEROS[target] = CycNum(target, [0] * euler_phi(target))
+            return zero
         rows = _lift_rows(self.m, target)
         phi = euler_phi(target)
         out = [0] * phi
@@ -472,9 +479,11 @@ def _poly_modular_inverse(a: list[Fraction], modulus: list[Fraction]) -> list[Fr
 # (m, k), and the (order, exponent) of an integral value keyed on (m, num).
 # Both hold roots of unity only (a value that is not one is not stored),
 # so neither outgrows the roots of unity below the conductor cap; values
-# are immutable, so sharing them is safe.
+# are immutable, so sharing them is safe.  _ZEROS holds the zero of each
+# conductor that a value was lifted into.
 _ROOTS: dict = {}
 _ROOT_EXPONENTS: dict = {}
+_ZEROS: dict = {}
 
 ZERO = CycNum.zero()
 ONE = CycNum.one()
@@ -588,7 +597,7 @@ class CycMatrix:
 
     def scale(self, c) -> "CycMatrix":
         c = as_cyc(c)
-        return CycMatrix([[c * v for v in row] for row in self.data])
+        return CycMatrix([[v if v.is_zero() else c * v for v in row] for row in self.data])
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         if self.cols != other.rows:
@@ -663,7 +672,7 @@ class CycMatrix:
         for row in self.data:
             if span.dim == self.cols:
                 break
-            span._insert(row)
+            span._insert(_sparse(row))
         return span
 
     def rank(self) -> int:
@@ -682,7 +691,7 @@ class CycMatrix:
         pivots = []
         d = ONE
         for row in self.data:
-            step = span._insert(row)
+            step = span._insert(_sparse(row))
             if step is None:
                 return ZERO
             pivots.append(step[0])
@@ -697,10 +706,12 @@ class CycMatrix:
         n = self.rows
         span = VectorSpan(2 * n)
         for i, row in enumerate(self.data):
-            pivot, _ = span._insert(list(row) + [ONE if j == i else ZERO for j in range(n)])
+            vec = _sparse(row)
+            vec[n + i] = ONE
+            pivot, _ = span._insert(vec)
             if pivot >= n:
                 raise SingularMatrix("matrix is singular")
-        return CycMatrix([row[n:] for row in span.rows])
+        return CycMatrix([[row.get(j, ZERO) for j in range(n, 2 * n)] for row in span.rows])
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
@@ -721,8 +732,9 @@ class CycMatrix:
             vec[fc] = ONE
             for row, p in zip(span.rows, span.pivots):
                 # zero entries stay the conductor-1 ZERO, so a unit vector keeps conductor 1
-                if not row[fc].is_zero():
-                    vec[p] = -row[fc]
+                v = row.get(fc)
+                if v is not None:
+                    vec[p] = -v
             lead_inv = next(v for v in vec if not v.is_zero()).inverse()
             basis.append(CycMatrix([[lead_inv * v] for v in vec]))
         return basis
@@ -731,50 +743,52 @@ class CycMatrix:
 class VectorSpan:
     """A linear subspace of C^N over Q(zeta), kept in reduced echelon form.
 
-    Supports exact membership, incremental growth, and span equality;
-    used for matrix-algebra spans via flattening.  Its insertion step is
-    the one elimination behind CycMatrix's rank, kernel, det and inverse.
+    Each row keeps only its nonzero entries, as a dict from column to
+    value, with value 1 at its pivot; a dense vector is read into that
+    form once, on the way in.  Supports exact membership, incremental
+    growth, and span equality; used for matrix-algebra spans via
+    flattening.  Its insertion step is the one elimination behind
+    CycMatrix's rank, kernel, det and inverse.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self.rows: list[list[CycNum]] = []
+        self.rows: list[dict[int, CycNum]] = []
         self.pivots: list[int] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: list[CycNum]) -> list[CycNum]:
-        vec = list(vec)
+    def _reduce(self, vec: dict[int, CycNum]) -> dict[int, CycNum]:
+        """Subtract from vec, in place, its part along the stored rows."""
         for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if not c.is_zero():
-                for j in range(p, self.length):
-                    if not row[j].is_zero():
-                        vec[j] = vec[j] - c * row[j]
+            c = vec.pop(p, None)
+            if c is not None:
+                _subtract_multiple(vec, c, row, p)
         return vec
 
-    def _insert(self, vec: list[CycNum]):
+    def _insert(self, vec: dict[int, CycNum]):
         """Reduce vec against the rows; if anything is left, scale it to
-        pivot 1, clear its pivot column from the other rows and store it.
+        pivot 1 at its least column, clear that column from the other rows
+        and store it.
 
         Returns (pivot column, leading value before scaling), or None when
         vec lies in the span.
         """
         vec = self._reduce(vec)
-        pivot = next((j for j, v in enumerate(vec) if not v.is_zero()), None)
-        if pivot is None:
+        if not vec:
             return None
+        pivot = min(vec)
         lead = vec[pivot]
         inv = lead.inverse()
-        vec = [inv * v for v in vec]
+        for j, v in vec.items():
+            vec[j] = inv * v
+        vec[pivot] = ONE
         for row in self.rows:
-            c = row[pivot]
-            if not c.is_zero():
-                for j in range(pivot, self.length):
-                    if not vec[j].is_zero():
-                        row[j] = row[j] - c * vec[j]
+            c = row.pop(pivot, None)
+            if c is not None:
+                _subtract_multiple(row, c, vec, pivot)
         k = bisect.bisect(self.pivots, pivot)
         self.rows.insert(k, vec)
         self.pivots.insert(k, pivot)
@@ -782,17 +796,37 @@ class VectorSpan:
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when the dimension grew."""
-        return self._insert([as_cyc(v) for v in vec]) is not None
+        return self._insert(_sparse(vec)) is not None
 
     def contains(self, vec) -> bool:
-        vec = self._reduce([as_cyc(v) for v in vec])
-        return all(v.is_zero() for v in vec)
+        """Membership of a dense vector, or of one given as a dict of its
+        nonzero entries."""
+        return not self._reduce(_sparse(vec))
 
     def contains_span(self, other: "VectorSpan") -> bool:
         return all(self.contains(row) for row in other.rows)
 
     def equals(self, other: "VectorSpan") -> bool:
         return self.dim == other.dim and self.contains_span(other)
+
+
+def _sparse(vec) -> dict[int, CycNum]:
+    """The nonzero entries of a vector by column; a dict is copied."""
+    if isinstance(vec, dict):
+        return dict(vec)
+    return {j: v for j, v in enumerate(map(as_cyc, vec)) if not v.is_zero()}
+
+
+def _subtract_multiple(vec: dict, c: CycNum, row: dict, pivot: int) -> None:
+    """vec -= c * row over the nonzeros of row, leaving out its pivot
+    column, which the caller has already taken out of vec."""
+    for j, v in row.items():
+        if j != pivot:
+            w = vec[j] - c * v if j in vec else -(c * v)
+            if w.is_zero():
+                del vec[j]
+            else:
+                vec[j] = w
 
 
 def span_of_matrices(mats) -> VectorSpan:

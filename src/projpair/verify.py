@@ -283,14 +283,26 @@ def _det_nonzero(mat: CycMatrix) -> bool:
     return mat.rank() == mat.rows
 
 
-def _combine(basis, coeffs) -> CycMatrix | None:
-    acc = None
-    for x, c in zip(basis, coeffs):
+def _combine(cells, coeffs, n: int) -> CycMatrix | None:
+    """The n x n sum of c * x over the nonzero coefficients, each x given
+    by its nonzero cells; None when no coefficient is nonzero."""
+    acc = {}
+    for x, c in zip(cells, coeffs):
         if c == 0:
             continue
-        term = x.scale(CycNum.from_rational(c))
-        acc = term if acc is None else acc + term
-    return acc
+        c = CycNum.from_rational(c)
+        for cell, v in x.items():
+            w = acc.get(cell)
+            acc[cell] = c * v if w is None else w + c * v
+    if not acc:
+        return None
+    return CycMatrix.from_entries(n, n, acc)
+
+
+def _nonzero_cells(mat: CycMatrix) -> dict:
+    """(i, j) -> value for the nonzero entries, in row-major order."""
+    return {(i, j): v for i, row in enumerate(mat.data)
+            for j, v in enumerate(row) if not v.is_zero()}
 
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -328,12 +340,13 @@ def _invertible_in_span(basis, n: int, fallback=None) -> CycMatrix | None:
     the conjugate space prunes the common no-witness case first.
     """
     dim = len(basis)
+    cells = [_nonzero_cells(x) for x in basis]
     tried = set()
     for coeffs in _sample_vectors(dim, n):
         if coeffs in tried:
             continue
         tried.add(coeffs)
-        cand = _combine(basis, coeffs)
+        cand = _combine(cells, coeffs, n)
         if cand is not None and _det_nonzero(cand):
             return cand
     if fallback is not None:
@@ -361,7 +374,7 @@ def _invertible_in_span(basis, n: int, fallback=None) -> CycMatrix | None:
     for coeffs in itertools.product(range(n + 1), repeat=dim):
         if coeffs in tried:
             continue
-        cand = _combine(basis, coeffs)
+        cand = _combine(cells, coeffs, n)
         if cand is not None and _det_nonzero(cand):
             return cand
     return None
@@ -570,19 +583,17 @@ def _check_semisimple(basis) -> None:
     """Trace-form nondegeneracy: exact criterion for a direct sum of full
     matrix algebras over an algebraically closed field."""
     dim = len(basis)
+    cells = [_nonzero_cells(a) for a in basis]
     gram = []
-    for a in basis:
+    for a in cells:
         row = []
-        for b in basis:
+        for b in cells:
+            # tr(a b) = sum over a's cells of a[i, j] * b[j, i]
             acc = ZERO
-            for i in range(a.rows):
-                for j in range(a.cols):
-                    va = a.entry(i, j)
-                    if va.is_zero():
-                        continue
-                    vb = b.entry(j, i)
-                    if not vb.is_zero():
-                        acc = acc + va * vb
+            for (i, j), va in a.items():
+                vb = b.get((j, i))
+                if vb is not None:
+                    acc = acc + va * vb
             row.append(acc)
         gram.append(row)
     if CycMatrix(gram).rank() != dim:

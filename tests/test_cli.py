@@ -318,6 +318,39 @@ def test_enumerate_requires_n(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-2"],
+                                   ["--n", "2", "--max-parts", "0"],
+                                   ["--n", "2", "--max-parts", "-1"]])
+def test_enumerate_nonpositive_flags_are_bad_input(flags, capsys):
+    """--n and --max-parts below 1 are bad flags: exit 2 and one error
+    line, not a ValueError traceback or a silent single-orbit listing."""
+    with pytest.raises(SystemExit) as exc:
+        run(["enumerate", *flags])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+_FLAG_VALUES = st.one_of(st.integers(-3, 6).map(str),
+                         st.sampled_from(["", "x", "-", "1.5", "0x2", " 3"]))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FLAG_VALUES, _FLAG_VALUES)
+def test_enumerate_fuzzed_flags_keep_exit_contract(tmp_path, capsys, n, max_parts):
+    """Any --n and --max-parts give exit 0, or exit 2 with one error line."""
+    out = tmp_path / "rows.json"
+    try:
+        code = main(["enumerate", "--n", n, "--max-parts", max_parts, "-o", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+    assert code in (0, 2)
+
+
 def test_glue_file_roundtrip(tmp_path):
     ing = SingleOrbitIngredients(1, 1, TRIV, TRIV, TRIV)
     glue = {

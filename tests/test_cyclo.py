@@ -114,6 +114,12 @@ def test_conductor_cap():
         set_conductor_cap(2)
         with pytest.raises(ConductorCapExceeded):
             CycNum.root_of_unity(3)
+        # so does the memoized zero of a conductor
+        set_conductor_cap(12)
+        assert ZERO.lift(12).is_zero()
+        set_conductor_cap(6)
+        with pytest.raises(ConductorCapExceeded):
+            ZERO.lift(12)
     finally:
         set_conductor_cap(old)
 
@@ -280,3 +286,119 @@ def test_vector_span():
 def test_serialization_of_coefficients():
     x = CycNum(4, [1, -2], 3)
     assert x.coefficients() == [Fraction(1, 3), Fraction(-2, 3)]
+
+
+# -- sparse elimination against a dense oracle --------------------------------
+
+
+_ORACLE_CONDUCTORS = [1, 2, 3, 4, 6, 12]
+
+
+@st.composite
+def _sparse_entries(draw, m):
+    """Half the entries zero: the shared ZERO, or a value minus itself, which
+    is zero on conductor m; the rest small sums of m-th roots of unity, which
+    may cancel to zero too."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return ZERO
+    root = CycNum.root_of_unity(m, draw(st.integers(0, m - 1)))
+    if kind == 1:
+        return root - root
+    value = ZERO
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(0, m - 1))
+        value = value + CycNum.root_of_unity(m, k) * draw(st.integers(-2, 2))
+    return value
+
+
+@st.composite
+def _oracle_matrices(draw, square=False):
+    m = draw(st.sampled_from(_ORACLE_CONDUCTORS))
+    rows = draw(st.integers(1, 5))
+    cols = rows if square else draw(st.integers(1, 5))
+
+    def grid(r, c):
+        return CycMatrix([[draw(_sparse_entries(m)) for _ in range(c)] for _ in range(r)])
+
+    if draw(st.booleans()):
+        # a product through k inner dimensions has rank at most k
+        k = draw(st.integers(1, 5))
+        return grid(rows, k) @ grid(k, cols)
+    return grid(rows, cols)
+
+
+def _dense_gauss_jordan(rows, ncols):
+    """Textbook Gauss-Jordan on full rows: (reduced rows, pivot columns,
+    determinant of the leading square part when the rows are square)."""
+    a = [list(r) for r in rows]
+    pivots, det, r = [], ONE, 0
+    for c in range(ncols):
+        k = next((i for i in range(r, len(a)) if not a[i][c].is_zero()), None)
+        if k is None:
+            continue
+        if k != r:
+            a[r], a[k] = a[k], a[r]
+            det = -det
+        det = det * a[r][c]
+        inv = a[r][c].inverse()
+        a[r] = [inv * v for v in a[r]]
+        for i in range(len(a)):
+            if i != r and not a[i][c].is_zero():
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    if r < len(a):
+        det = ZERO
+    return a[:r], pivots, det
+
+
+def _column(vec):
+    return [vec.entry(i, 0) for i in range(vec.rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_matrices())
+def test_sparse_elimination_matches_dense_oracle(mat):
+    """rank, kernel and span membership equal a dense Gauss-Jordan's."""
+    rows = [list(r) for r in mat.data]
+    reduced, pivots, _ = _dense_gauss_jordan(rows, mat.cols)
+    assert mat.rank() == len(pivots)
+    expected = []
+    for fc in (j for j in range(mat.cols) if j not in pivots):
+        vec = [ZERO] * mat.cols
+        vec[fc] = ONE
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[fc]
+        lead = next(v for v in vec if not v.is_zero())
+        expected.append([v / lead for v in vec])
+    assert [_column(v) for v in mat.kernel()] == expected
+
+    span = VectorSpan(mat.cols)
+    for row in rows:
+        span.add(row)
+    assert span.dim == len(pivots)
+    # every row, a combination of rows, and each unit vector
+    candidates = rows + [[x + y for x, y in zip(rows[0], rows[-1])]]
+    candidates += [[ONE if j == k else ZERO for j in range(mat.cols)] for k in range(mat.cols)]
+    for vec in candidates:
+        inside = len(_dense_gauss_jordan(rows + [vec], mat.cols)[1]) == len(pivots)
+        assert span.contains(vec) == inside
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_matrices(square=True))
+def test_sparse_det_and_inverse_match_dense_oracle(mat):
+    n = mat.rows
+    _, pivots, det = _dense_gauss_jordan(mat.data, n)
+    assert mat.det() == det
+    if len(pivots) < n:
+        with pytest.raises(SingularMatrix):
+            mat.inverse()
+        return
+    augmented = [list(row) + [ONE if j == i else ZERO for j in range(n)]
+                 for i, row in enumerate(mat.data)]
+    reduced, _, _ = _dense_gauss_jordan(augmented, 2 * n)
+    inv = mat.inverse()
+    assert [[inv.entry(i, j) for j in range(n)] for i in range(n)] == [row[n:] for row in reduced]

@@ -17,7 +17,12 @@ from projpair.construct import (
     xx_hat_pair,
 )
 from projpair.cyclo import CycMatrix, CycNum, MINUS_ONE, ONE, as_cyc, span_of_matrices
-from projpair.errors import NotProjectivelyCommuting, ShapeMismatch, WitnessSearchUndecided
+from projpair.errors import (
+    IdentityComponentNotSemisimpleBlocks,
+    NotProjectivelyCommuting,
+    ShapeMismatch,
+    WitnessSearchUndecided,
+)
 from projpair.matrep import (
     Monomial,
     TensorShape,
@@ -29,6 +34,7 @@ from projpair.verify import (
     CommutantEngine,
     PairingTable,
     _apply_twist_constraint,
+    _check_semisimple,
     _invertible_in_span,
     TwistedCommutantProblem,
     compute_centralizer,
@@ -202,6 +208,45 @@ def test_witness_search_undecided_is_typed():
 
 
 # -- centralizers ---------------------------------------------------------------
+
+
+def _unit(n, i, j):
+    return CycMatrix.from_entries(n, n, {(i, j): ONE})
+
+
+def _block_units(sizes):
+    """The matrix units of a direct sum of full matrix algebras."""
+    n, start, basis = sum(sizes), 0, []
+    for d in sizes:
+        basis += [_unit(n, start + i, start + j) for i in range(d) for j in range(d)]
+        start += d
+    return basis
+
+
+_NOT_SEMISIMPLE = {
+    "I and E01": [CycMatrix.identity(2), _unit(2, 0, 1)],
+    "E00 and E01": [_unit(2, 0, 0), _unit(2, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_SEMISIMPLE))
+def test_check_semisimple_rejects_degenerate_trace_form(name):
+    """Both spans carry the nilpotent E01, which pairs to zero with the
+    whole span under tr(a b), so the Gram matrix is singular."""
+    with pytest.raises(IdentityComponentNotSemisimpleBlocks):
+        _check_semisimple(_NOT_SEMISIMPLE[name])
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (1, 1, 1), (2, 1), (1, 2, 1)])
+def test_check_semisimple_accepts_block_units_and_their_conjugates(sizes):
+    basis = _block_units(sizes)
+    _check_semisimple(basis)
+    n = sum(sizes)
+    z3 = CycNum.root_of_unity(3)
+    p = CycMatrix([[(i + 2) ** j + (z3 if i == j else 0) for j in range(n)]
+                   for i in range(n)])
+    p_inv = p.inverse()
+    _check_semisimple([p @ x @ p_inv for x in basis])
 
 
 def test_centralizer_of_gl_block():
