@@ -146,9 +146,14 @@ def _format_table(rows) -> str:
 
 
 def _check_one(row):
-    """Worker: construct and verify one classification row."""
-    report = verify_dual_pair(*row.build())
-    return report.is_dual_pair, report.failure_codes()
+    """Worker: construct and verify one classification row.  Returns
+    (verified, failure codes, error), the error "<Type>: <message>" when
+    the row raised, else None."""
+    try:
+        report = verify_dual_pair(*row.build())
+    except ProjPairError as exc:
+        return False, [], f"{type(exc).__name__}: {exc}"
+    return report.is_dual_pair, report.failure_codes(), None
 
 
 def cmd_enumerate(args) -> int:
@@ -170,24 +175,32 @@ def cmd_enumerate(args) -> int:
             check_results = [_check_one(row) for row in rows]
     if args.format == "json":
         if check_results is not None:
-            for rj, (ok, codes) in zip(payload["rows"], check_results):
+            for rj, (ok, codes, error) in zip(payload["rows"], check_results):
                 rj["verified"] = ok
                 rj["failure_codes"] = codes
-            payload["passed"] = sum(1 for ok, _ in check_results if ok)
-            payload["failed"] = sum(1 for ok, _ in check_results if not ok)
+                if error is not None:
+                    rj["error"] = error
+            payload["passed"] = sum(1 for ok, _, _ in check_results if ok)
+            payload["failed"] = sum(1 for ok, _, error in check_results
+                                    if not ok and error is None)
+            payload["errors"] = sum(1 for _, _, error in check_results if error is not None)
         _write_output(serialize.dumps_canonical(payload), args.output)
     else:
         text = _format_table(rows)
         if check_results is not None:
-            passed = sum(1 for ok, _ in check_results if ok)
+            passed = sum(1 for ok, _, _ in check_results if ok)
             text += f"verified: {passed}/{len(rows)} pairs pass\n"
-            for row, (ok, codes) in zip(rows, check_results):
-                if not ok:
+            for row, (ok, codes, error) in zip(rows, check_results):
+                if error is not None:
+                    text += f"ERROR: {_row_cells(row)} {error}\n"
+                elif not ok:
                     text += f"FAILED: {_row_cells(row)} {codes}\n"
         _write_output(text, args.output)
-    if check_results is not None and any(not ok for ok, _ in check_results):
-        return 1
-    return 0
+    if check_results is None:
+        return 0
+    if any(error is not None for _, _, error in check_results):
+        return 3
+    return 1 if any(not ok for ok, _, _ in check_results) else 0
 
 
 def cmd_pairing(args) -> int:

@@ -239,7 +239,7 @@ class GroupSpec:
                 raise ValueError(f"generator at {coords} is singular")
         span = self.algebra_span()
         for coords, d in zip(self.generating_cosets(), self.component_group.invariant_factors):
-            if not span.contains(as_dense(self.operator(coords) ** d).flatten()):
+            if not span.contains(as_dense(self.operator(coords) ** d).flat_cells()):
                 raise ValueError(
                     f"generator at {coords} to the power {d} leaves the identity component")
         if not deep:
@@ -248,7 +248,7 @@ class GroupSpec:
         for coords, mat in self.generators.items():
             inv = mat.inverse()
             for b in basis:
-                if not span.contains((mat @ b @ inv).flatten()):
+                if not span.contains((mat @ b @ inv).flat_cells()):
                     raise ValueError(f"generator at {coords} does not normalize the blocks")
         group = self.component_group
         for a in self.generators:
@@ -258,7 +258,7 @@ class GroupSpec:
                 target = self.generators[s.coords]
                 # prod must equal (identity-component element) * target
                 cand = prod @ target.inverse()
-                if not span.contains(cand.flatten()):
+                if not span.contains(cand.flat_cells()):
                     raise ValueError("generator products leave the extension")
 
     def __repr__(self):

@@ -7,11 +7,12 @@ over a single positive denominator, normalized so that the gcd of all
 numerators and the denominator is 1.  Values are immutable; mixed
 conductors are lifted lazily to the lcm.
 
-Matrices hold a rectangular grid of values over a common conductor.
-Rank, kernels, determinants and inverses all come from one Gauss-Jordan
-step: inserting a row into a VectorSpan kept in reduced echelon form,
-whose rows keep only their nonzero entries, so the step costs work in
-proportion to the nonzeros it touches.
+A matrix keeps only its nonzero cells, all on one conductor, so building,
+adding and multiplying matrices costs work in proportion to their
+nonzeros.  Rank, kernels, determinants and inverses all come from one
+Gauss-Jordan step: inserting a row into a VectorSpan kept in reduced
+echelon form, whose rows keep only their nonzero entries, so the step
+costs work in proportion to the nonzeros it touches.
 """
 
 from __future__ import annotations
@@ -499,49 +500,66 @@ def as_cyc(x) -> CycNum:
 
 
 class CycMatrix:
-    """A rectangular matrix over Q(zeta_m), all entries on one conductor."""
+    """A matrix over Q(zeta_m) that keeps only its nonzero cells.
 
-    __slots__ = ("rows", "cols", "m", "data")
+    cells maps (i, j) to the nonzero value there, every value lifted to the
+    matrix's one conductor m.  m follows the rule of a dense grid whose
+    every entry is lifted to the lcm of the conductors: a constructor takes
+    the lcm over all the values it is given, zeros included, and each
+    operation takes the conductor its dense counterpart would have.  data
+    is a read-only dense view, zeros on conductor m.
+    """
+
+    __slots__ = ("rows", "cols", "m", "cells")
 
     def __init__(self, data):
-        data = [[as_cyc(v) for v in row] for row in data]
-        if not data or not data[0]:
+        """From a dense grid of values."""
+        grid = [[as_cyc(v) for v in row] for row in data]
+        if not grid or not grid[0]:
             raise ValueError("matrix needs at least one row and column")
-        cols = len(data[0])
-        if any(len(row) != cols for row in data):
+        cols = len(grid[0])
+        if any(len(row) != cols for row in grid):
             raise ValueError("ragged rows")
-        m = 1
-        for row in data:
-            for v in row:
-                m = m * v.m // math.gcd(m, v.m)
+        out = CycMatrix.from_entries(len(grid), cols, {
+            (i, j): v for i, row in enumerate(grid) for j, v in enumerate(row)})
+        self.rows, self.cols, self.m, self.cells = out.rows, out.cols, out.m, out.cells
+
+    @staticmethod
+    def _of(rows: int, cols: int, cells: dict, m: int) -> "CycMatrix":
+        """From nonzero cells already on conductor m."""
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix needs at least one row and column")
         _check_conductor(m)
-        self.rows, self.cols, self.m = len(data), cols, m
-        self.data = tuple(tuple(v.lift(m) for v in row) for row in data)
+        out = object.__new__(CycMatrix)
+        out.rows, out.cols, out.m, out.cells = rows, cols, m, cells
+        return out
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "CycMatrix":
-        return CycMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return CycMatrix._of(n, n, {(i, i): ONE for i in range(n)}, 1)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "CycMatrix":
-        return CycMatrix([[ZERO] * cols for _ in range(rows)])
+        return CycMatrix._of(rows, cols, {}, 1)
 
     @staticmethod
     def diagonal(values) -> "CycMatrix":
-        values = [as_cyc(v) for v in values]
+        values = list(values)
         n = len(values)
-        return CycMatrix(
-            [[values[i] if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        return CycMatrix.from_entries(n, n, {(i, i): v for i, v in enumerate(values)})
 
     @staticmethod
     def from_entries(rows: int, cols: int, entries: dict) -> "CycMatrix":
-        grid = [[ZERO] * cols for _ in range(rows)]
-        for (i, j), v in entries.items():
-            grid[i][j] = as_cyc(v)
-        return CycMatrix(grid)
+        """From values by (i, j), zero elsewhere.  The conductor is the lcm
+        over all the given values, zeros included."""
+        if any(not (0 <= i < rows and 0 <= j < cols) for i, j in entries):
+            raise IndexError(f"entry outside a {rows} x {cols} matrix")
+        values = {k: as_cyc(v) for k, v in entries.items()}
+        m = math.lcm(*(v.m for v in values.values()))
+        return CycMatrix._of(rows, cols, {
+            k: v.lift(m) for k, v in values.items() if not v.is_zero()}, m)
 
     # -- views -----------------------------------------------------------
 
@@ -553,67 +571,90 @@ class CycMatrix:
         return self.rows == self.cols
 
     def entry(self, i: int, j: int) -> CycNum:
-        return self.data[i][j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.rows} x {self.cols} matrix")
+        v = self.cells.get((i, j))
+        return ZERO.lift(self.m) if v is None else v
+
+    @property
+    def data(self) -> tuple:
+        zero = ZERO.lift(self.m)
+        return tuple(tuple(self.cells.get((i, j), zero) for j in range(self.cols))
+                     for i in range(self.rows))
 
     def flatten(self) -> list[CycNum]:
         return [v for row in self.data for v in row]
 
+    def flat_cells(self) -> dict[int, CycNum]:
+        """The nonzero cells by row-major position i * cols + j, the form
+        VectorSpan.add and contains take."""
+        cols = self.cols
+        return {i * cols + j: v for (i, j), v in self.cells.items()}
+
+    def first_nonzero(self):
+        """The row-major first position with a nonzero value, or None."""
+        return min(self.cells, default=None)
+
     def transpose(self) -> "CycMatrix":
-        return CycMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return CycMatrix._of(self.cols, self.rows,
+                             {(j, i): v for (i, j), v in self.cells.items()}, self.m)
 
     def is_identity(self) -> bool:
-        if not self.is_square():
-            return False
-        return all(
-            self.data[i][j] == (ONE if i == j else ZERO)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return (self.is_square() and len(self.cells) == self.rows
+                and all(i == j and v.is_one() for (i, j), v in self.cells.items()))
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for row in self.data for v in row)
+        return not self.cells
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "CycMatrix") -> "CycMatrix":
+        """The sum, on lcm(self.m, other.m)."""
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        return CycMatrix(
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        m = math.lcm(self.m, other.m)
+        zero = ZERO.lift(m)
+        cells = {k: v.lift(m) for k, v in self.cells.items()}
+        for k, v in other.cells.items():
+            w = cells.pop(k, zero) + v
+            if not w.is_zero():
+                cells[k] = w
+        return CycMatrix._of(self.rows, self.cols, cells, m)
+
+    def __neg__(self) -> "CycMatrix":
+        return CycMatrix._of(self.rows, self.cols,
+                             {k: -v for k, v in self.cells.items()}, self.m)
 
     def __sub__(self, other: "CycMatrix") -> "CycMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot subtract {self.shape} and {other.shape}")
-        return CycMatrix(
-            [
-                [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return self + (-other)
 
     def scale(self, c) -> "CycMatrix":
+        """c times this matrix, on lcm(m, c.m) unless the matrix is zero."""
         c = as_cyc(c)
-        return CycMatrix([[v if v.is_zero() else c * v for v in row] for row in self.data])
+        if not self.cells:
+            return CycMatrix._of(self.rows, self.cols, {}, self.m)
+        m = math.lcm(self.m, c.m)
+        cells = {} if c.is_zero() else {k: c * v for k, v in self.cells.items()}
+        return CycMatrix._of(self.rows, self.cols, cells, m)
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
+        """The product, on lcm(self.m, other.m) when two nonzero factors
+        meet, else on 1."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        bt = other.transpose().data
-        out = []
-        for row in self.data:
-            out_row = []
-            for col in bt:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return CycMatrix(out)
+        by_row: dict[int, list] = {}
+        for (k, j), b in other.cells.items():
+            by_row.setdefault(k, []).append((j, b))
+        acc = {}
+        for (i, k), a in self.cells.items():
+            for j, b in by_row.get(k, ()):
+                w = acc.get((i, j))
+                acc[(i, j)] = a * b if w is None else w + a * b
+        m = math.lcm(self.m, other.m) if acc else 1
+        return CycMatrix._of(self.rows, other.cols,
+                             {k: v for k, v in acc.items() if not v.is_zero()}, m)
 
     __mul__ = __matmul__
 
@@ -635,13 +676,9 @@ class CycMatrix:
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        if self.shape != other.shape:
+        if self.shape != other.shape or self.cells.keys() != other.cells.keys():
             return False
-        return all(
-            self.data[i][j] == other.data[i][j]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return all(v == other.cells[k] for k, v in self.cells.items())
 
     __hash__ = None
 
@@ -650,29 +687,36 @@ class CycMatrix:
         return f"CycMatrix({self.rows}x{self.cols}, m={self.m})\n [{body}]"
 
     def kron(self, other: "CycMatrix") -> "CycMatrix":
-        """Kronecker product, row-major blocks: this matrix's indices vary slowest."""
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    a = self.data[i][j]
-                    if a.is_zero():
-                        row.extend([ZERO] * other.cols)
-                    else:
-                        row.extend(a * b for b in other.data[k])
-                out.append(row)
-        return CycMatrix(out)
+        """Kronecker product, row-major blocks: this matrix's indices vary
+        slowest.  On lcm(self.m, other.m) unless this matrix is zero."""
+        rows, cols = self.rows * other.rows, self.cols * other.cols
+        if not self.cells:
+            return CycMatrix._of(rows, cols, {}, 1)
+        r2, c2 = other.rows, other.cols
+        m = math.lcm(self.m, other.m)
+        cells = {
+            (i * r2 + k, j * c2 + l): a * b
+            for (i, j), a in self.cells.items()
+            for (k, l), b in other.cells.items()
+        }
+        return CycMatrix._of(rows, cols, cells, m)
 
     # -- elimination-based operations ---------------------------------------
+
+    def _row_dicts(self) -> list[dict[int, CycNum]]:
+        """Each row's nonzero cells by column, the form VectorSpan takes."""
+        out: list[dict[int, CycNum]] = [{} for _ in range(self.rows)]
+        for (i, j), v in self.cells.items():
+            out[i][j] = v
+        return out
 
     def _echelon(self) -> "VectorSpan":
         """The row span in reduced echelon form."""
         span = VectorSpan(self.cols)
-        for row in self.data:
+        for row in self._row_dicts():
             if span.dim == self.cols:
                 break
-            span._insert(_sparse(row))
+            span._insert(row)
         return span
 
     def rank(self) -> int:
@@ -690,8 +734,8 @@ class CycMatrix:
         span = VectorSpan(self.cols)
         pivots = []
         d = ONE
-        for row in self.data:
-            step = span._insert(_sparse(row))
+        for row in self._row_dicts():
+            step = span._insert(row)
             if step is None:
                 return ZERO
             pivots.append(step[0])
@@ -705,13 +749,13 @@ class CycMatrix:
             raise DimensionMismatch("inverse needs a square matrix")
         n = self.rows
         span = VectorSpan(2 * n)
-        for i, row in enumerate(self.data):
-            vec = _sparse(row)
+        for i, vec in enumerate(self._row_dicts()):
             vec[n + i] = ONE
             pivot, _ = span._insert(vec)
             if pivot >= n:
                 raise SingularMatrix("matrix is singular")
-        return CycMatrix([[row.get(j, ZERO) for j in range(n, 2 * n)] for row in span.rows])
+        return CycMatrix.from_entries(n, n, {
+            (i, j - n): v for i, row in enumerate(span.rows) for j, v in row.items() if j >= n})
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
@@ -836,5 +880,5 @@ def span_of_matrices(mats) -> VectorSpan:
     n = mats[0].rows * mats[0].cols
     span = VectorSpan(n)
     for m in mats:
-        span.add(m.flatten())
+        span.add(m.flat_cells())
     return span

@@ -8,10 +8,10 @@ entry per column, a root of unity); the Monomial class stores them as a
 permutation with integer exponents of one root of unity, so products,
 inverses, Kronecker products and commutator scalars are O(n) integer
 arithmetic instead of O(n^3) field arithmetic.  CycNum appears only where
-a result leaves as a field element or meets a dense matrix.  One scan,
-unit_pattern, reads a dense matrix as a partial monomial with
+a result leaves as a field element or meets a CycMatrix.  One scan,
+unit_pattern, reads a CycMatrix's cells as a partial monomial with
 root-of-unity entries; Monomial.from_matrix is that scan at full
-coverage, so the conversion to and from dense CycMatrix is lossless.
+coverage, so the conversion to and from CycMatrix is lossless.
 Which form a stored generator takes is decided by GroupSpec.operator,
 and the helpers here accept either.
 """
@@ -143,15 +143,14 @@ class Monomial:
         return self.order == 1 and all(p == j for j, p in enumerate(self.perm))
 
     def __matmul__(self, other: "Monomial | CycMatrix"):
-        """The product with a Monomial, or with a CycMatrix in O(n^2): the
-        rows of other permuted and scaled."""
+        """The product with a Monomial, or with a CycMatrix in time linear
+        in its nonzero cells: the rows of other permuted and scaled."""
         if isinstance(other, CycMatrix):
             if other.rows != self.n:
                 raise DimensionMismatch(f"cannot multiply {self.n}x{self.n} by {other.shape}")
-            rows = [None] * self.n
-            for j, (p, s) in enumerate(zip(self.perm, self.scales)):
-                rows[p] = [s * v if v else ZERO for v in other.data[j]]
-            return CycMatrix(rows)
+            perm, scales = self.perm, self.scales
+            return CycMatrix.from_entries(self.n, other.cols, {
+                (perm[j], k): scales[j] * v for (j, k), v in other.cells.items()})
         if self.n != other.n:
             raise DimensionMismatch("monomial sizes differ")
         # column j: other sends it to row other.perm[j], which self sends on
@@ -216,7 +215,7 @@ class Monomial:
 
     @staticmethod
     def from_matrix(mat: CycMatrix):
-        """The Monomial of a dense matrix, or None when the matrix is not
+        """The Monomial of a CycMatrix, or None when the matrix is not
         monomial or an entry is not a root of unity."""
         pattern = unit_pattern(mat) if mat.is_square() else None
         if pattern is None or len(pattern[1]) != mat.rows:
@@ -247,19 +246,19 @@ def unit_pattern(op):
     other CycMatrix."""
     if isinstance(op, Monomial):
         return op.order, [(p, j, e) for j, (p, e) in enumerate(zip(op.perm, op.exps))]
+    # in row-major order, so that a matrix that is not a pattern is turned
+    # down after the same root-of-unity tests as a scan of its rows makes
+    cells = sorted(op.cells.items())
     roots = []
     used_cols = set()
-    for i, row in enumerate(op.data):
-        hits = [j for j, v in enumerate(row) if v]
-        if not hits:
-            continue
-        if len(hits) > 1 or hits[0] in used_cols:
+    for k, ((i, j), v) in enumerate(cells):
+        if (k + 1 < len(cells) and cells[k + 1][0][0] == i) or j in used_cols:
             return None
-        root = row[hits[0]].as_root_of_unity()
+        root = v.as_root_of_unity()
         if root is None:
             return None
-        used_cols.add(hits[0])
-        roots.append((i, hits[0], root))
+        used_cols.add(j)
+        roots.append((i, j, root))
     order = math.lcm(*(d for _, _, (d, _) in roots))
     return order, [(i, j, k * (order // d)) for i, j, (d, k) in roots]
 
@@ -337,14 +336,6 @@ def embed_factor_monomial(mono: Monomial, shape: TensorShape, label: str) -> Mon
     return out
 
 
-def _first_nonzero(mat: CycMatrix):
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            if not mat.entry(i, j).is_zero():
-                return i, j
-    return None
-
-
 def commutator_scalar_monomial(g: Monomial, h: Monomial) -> CycNum:
     """Exact scalar c with g h g^-1 h^-1 = c, for two monomials.
 
@@ -392,7 +383,7 @@ def commutator_scalar(g, h) -> CycNum:
         raise DimensionMismatch("need square matrices of equal size")
     gh = gm @ hm
     hg = hm @ gm
-    pos = _first_nonzero(hg)
+    pos = hg.first_nonzero()
     if pos is None:
         raise NotProjectivelyCommuting("singular product")
     c = gh.entry(*pos) / hg.entry(*pos)
@@ -417,8 +408,8 @@ def projective_equal(g: CycMatrix, h: CycMatrix) -> bool:
     """True iff g = c h for some scalar c (exact, zero tolerance)."""
     if g.shape != h.shape:
         return False
-    pos = _first_nonzero(h)
-    pos_g = _first_nonzero(g)
+    pos = h.first_nonzero()
+    pos_g = g.first_nonzero()
     if pos is None or pos_g is None:
         return pos == pos_g
     if g.entry(*pos).is_zero():

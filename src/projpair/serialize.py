@@ -19,7 +19,7 @@ from .construct import (
     MultiOrbitSpec,
     SingleOrbitIngredients,
 )
-from .cyclo import CycMatrix, CycNum
+from .cyclo import CycMatrix, CycNum, euler_phi
 from .matrep import TensorShape
 
 
@@ -30,13 +30,17 @@ def dumps_canonical(obj) -> str:
 # -- cyclotomic values ---------------------------------------------------
 
 
+def _coeffs_to_json(c: CycNum) -> list:
+    return [[str(f.numerator), str(f.denominator)] for f in c.coefficients()]
+
+
+def _zero_coeffs(m: int) -> list:
+    """The coefficients of zero on conductor m, as _coeffs_to_json writes them."""
+    return [["0", "1"] for _ in range(euler_phi(m))]
+
+
 def cyc_num_to_json(c: CycNum) -> dict:
-    return {
-        "conductor": c.conductor,
-        "coeffs": [
-            [str(f.numerator), str(f.denominator)] for f in c.coefficients()
-        ],
-    }
+    return {"conductor": c.conductor, "coeffs": _coeffs_to_json(c)}
 
 
 def cyc_num_from_json(data: dict) -> CycNum:
@@ -51,12 +55,13 @@ def cyc_num_from_json(data: dict) -> CycNum:
 
 
 def cyc_matrix_to_json(mat: CycMatrix) -> dict:
+    cells = mat.cells
     return {
         "rows": mat.rows,
         "cols": mat.cols,
         "conductor": mat.m,
         "entries": [
-            [[str(f.numerator), str(f.denominator)] for f in mat.entry(i, j).coefficients()]
+            _coeffs_to_json(cells[i, j]) if (i, j) in cells else _zero_coeffs(mat.m)
             for i in range(mat.rows)
             for j in range(mat.cols)
         ],
@@ -64,12 +69,24 @@ def cyc_matrix_to_json(mat: CycMatrix) -> dict:
 
 
 def cyc_matrix_from_json(data: dict) -> CycMatrix:
+    """Decode a matrix from its entries in row-major order.  Once the first
+    entry has checked the conductor, an entry written exactly as zero is
+    skipped; any other entry is decoded, so malformed input fails as it
+    would in cyc_num_from_json.  A wrong entry count raises ValueError."""
     rows, cols, m = int(data["rows"]), int(data["cols"]), int(data["conductor"])
-    values = []
-    for coeffs in data["entries"]:
-        values.append(cyc_num_from_json({"conductor": m, "coeffs": coeffs}))
-    grid = [values[i * cols:(i + 1) * cols] for i in range(rows)]
-    return CycMatrix(grid)
+    zero = None
+    values = {}
+    for k, coeffs in enumerate(data["entries"]):
+        if coeffs == zero:
+            continue
+        values[k] = cyc_num_from_json({"conductor": m, "coeffs": coeffs})
+        if zero is None:
+            zero = _zero_coeffs(m)
+    count = len(data["entries"])
+    if rows < 1 or cols < 1 or count != rows * cols:
+        raise ValueError(f"{count} entries for a {rows} x {cols} matrix")
+    # every value is on conductor m, so the matrix is too
+    return CycMatrix.from_entries(rows, cols, {divmod(k, cols): v for k, v in values.items()})
 
 
 # -- groups ----------------------------------------------------------------

@@ -249,15 +249,9 @@ def _apply_twist_constraint(basis, h: CycMatrix, c) -> list[CycMatrix]:
     """Cut a solution basis down by X h = c h X."""
     c = c if isinstance(c, CycNum) else CycNum.from_rational(c)
     images = [(x @ h) - (h @ x).scale(c) for x in basis]
-    rows = set()
-    for img in images:
-        for i in range(img.rows):
-            for j in range(img.cols):
-                if not img.entry(i, j).is_zero():
-                    rows.add((i, j))
+    rows = sorted({cell for img in images for cell in img.cells})
     if not rows:
         return list(basis)
-    rows = sorted(rows)
     mat = CycMatrix(
         [[img.entry(i, j) for img in images] for (i, j) in rows]
     )
@@ -299,12 +293,6 @@ def _combine(cells, coeffs, n: int) -> CycMatrix | None:
     return CycMatrix.from_entries(n, n, acc)
 
 
-def _nonzero_cells(mat: CycMatrix) -> dict:
-    """(i, j) -> value for the nonzero entries, in row-major order."""
-    return {(i, j): v for i, row in enumerate(mat.data)
-            for j, v in enumerate(row) if not v.is_zero()}
-
-
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
            67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
            139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
@@ -340,7 +328,7 @@ def _invertible_in_span(basis, n: int, fallback=None) -> CycMatrix | None:
     the conjugate space prunes the common no-witness case first.
     """
     dim = len(basis)
-    cells = [_nonzero_cells(x) for x in basis]
+    cells = [x.cells for x in basis]
     tried = set()
     for coeffs in _sample_vectors(dim, n):
         if coeffs in tried:
@@ -353,11 +341,11 @@ def _invertible_in_span(basis, n: int, fallback=None) -> CycMatrix | None:
         conj = fallback()
         if conj is not None:
             products = VectorSpan(n * n)
-            ident = CycMatrix.identity(n).flatten()
+            ident = CycMatrix.identity(n).flat_cells()
             found = False
             for x in basis:
                 for y in conj:
-                    products.add((x @ y).flatten())
+                    products.add((x @ y).flat_cells())
                     if products.contains(ident):
                         found = True
                         break
@@ -428,7 +416,7 @@ def projective_order(op, span: VectorSpan, bound: int) -> int:
     scalar), for an operator given as a Monomial or a CycMatrix."""
     power = op
     for m in range(1, bound + 1):
-        if span.contains(as_dense(power).flatten()):
+        if span.contains(as_dense(power).flat_cells()):
             return m
         power = power @ op
     raise ValueError(
@@ -455,12 +443,9 @@ def untwisted_commutant_basis(spec: GroupSpec) -> list[CycMatrix]:
 
 
 def _normalize_projective(mat: CycMatrix) -> CycMatrix:
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            v = mat.entry(i, j)
-            if not v.is_zero():
-                return mat.scale(v.inverse())
-    return mat
+    """The multiple of mat whose first nonzero value is 1."""
+    pos = mat.first_nonzero()
+    return mat if pos is None else mat.scale(mat.cells[pos].inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +568,7 @@ def _check_semisimple(basis) -> None:
     """Trace-form nondegeneracy: exact criterion for a direct sum of full
     matrix algebras over an algebraically closed field."""
     dim = len(basis)
-    cells = [_nonzero_cells(a) for a in basis]
+    cells = [a.cells for a in basis]
     gram = []
     for a in cells:
         row = []
@@ -743,9 +728,9 @@ class VerificationReport:
 def _membership(candidate: CycMatrix, coset_rep, span: VectorSpan) -> bool:
     """Is candidate inside coset_rep * (algebra of the span)?  coset_rep is
     an operator; a Monomial one is inverted in O(n) and applied to the
-    candidate in O(n^2)."""
+    candidate's nonzero cells."""
     shifted = coset_rep.inverse() @ candidate
-    return span.contains(shifted.flatten())
+    return span.contains(shifted.flat_cells())
 
 
 def _compare_with_centralizer(claimed: GroupSpec, computed: CentralizerData,

@@ -134,6 +134,44 @@ def test_verify_rejects_zero_denominator(tmp_path, capsys):
     assert_bad_input(_edited_pair(tmp_path, edit), capsys)
 
 
+@pytest.mark.parametrize("extra", [[["0", "1"]], [["1", "1"]]])
+@pytest.mark.parametrize("command", ["verify", "pairing"])
+def test_matrix_with_extra_entries_is_bad_input(tmp_path, capsys, command, extra):
+    """A 2 x 2 generator with five entries is bad input; at the parent commit
+    the fifth entry was dropped and the file verified."""
+    def edit(data):
+        data["g"]["generators"][1]["matrix"]["entries"].append(extra)
+    path = _edited_pair(tmp_path, edit)
+    capsys.readouterr()
+    assert run([command, path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_matrix_decoder_skips_only_canonical_zeros():
+    """Zero entries keep the matrix on the file's conductor, and an entry
+    that only looks like zero is decoded, and rejected, as before."""
+    from projpair.cyclo import CycMatrix, CycNum
+
+    z4 = CycNum.root_of_unity(4)
+    for mat in (CycMatrix([[z4, 0], [0, 0]]), CycMatrix([[z4 - z4, 0]])):
+        back = serialize.cyc_matrix_from_json(serialize.cyc_matrix_to_json(mat))
+        assert back == mat and back.m == mat.m == 4
+    assert CycMatrix([[z4 - z4, 0]]).cells == {}
+    data = {"rows": 1, "cols": 2, "conductor": 4,
+            "entries": [[["0", "1"], ["0", "1"]], [["0", "3"], ["0", "1"]]]}
+    back = serialize.cyc_matrix_from_json(data)
+    assert back.m == 4 and back.is_zero()
+    data["entries"][1] = [["0", "1"]]
+    with pytest.raises(ValueError):
+        serialize.cyc_matrix_from_json(data)
+    data["entries"][1] = [["0", "1"], ["0", "1"]]
+    data["entries"].append([["0", "1"], ["0", "1"]])
+    with pytest.raises(ValueError):
+        serialize.cyc_matrix_from_json(data)
+
+
 def _json_leaves(obj, path=()):
     if isinstance(obj, dict):
         for key, value in obj.items():
@@ -310,6 +348,33 @@ def test_enumerate_check_small(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["failed"] == 0
     assert payload["passed"] == len(payload["rows"])
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_enumerate_check_reports_row_errors(tmp_path, capsys, workers):
+    """A row that raises is reported on its own line and in its JSON row,
+    and the command exits 3; at the parent commit the first raising row
+    aborted the command with one error line and every row was lost."""
+    out = tmp_path / "rows.json"
+    args = ["enumerate", "--n", "4", "--max-parts", "2", "--check", "--workers", workers]
+    old = conductor_cap()
+    try:
+        code = run(["--conductor-cap", "2", *args, "--format", "json", "-o", str(out)])
+        table_code = run(["--conductor-cap", "2", *args])
+    finally:
+        set_conductor_cap(old)
+    assert code == table_code == 3
+    payload = json.loads(out.read_text())
+    rows = payload["rows"]
+    errors = [r["error"] for r in rows if "error" in r]
+    assert len(rows) == 24
+    assert errors and all(e.startswith("ConductorCapExceeded: ") for e in errors)
+    assert payload["errors"] == len(errors)
+    assert payload["passed"] + payload["failed"] + payload["errors"] == len(rows)
+    assert all(not r["verified"] for r in rows if "error" in r)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert sum(line.startswith("ERROR: ") for line in captured.out.splitlines()) == len(errors)
 
 
 def test_enumerate_requires_n(capsys):

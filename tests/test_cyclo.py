@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic and linear algebra."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from projpair.cyclo import (
     span_of_matrices,
 )
 from projpair.errors import ConductorCapExceeded, DimensionMismatch, SingularMatrix
+from projpair.matrep import Monomial, unit_pattern
 
 
 def test_roots_of_unity_basics():
@@ -402,3 +404,147 @@ def test_sparse_det_and_inverse_match_dense_oracle(mat):
     reduced, _, _ = _dense_gauss_jordan(augmented, 2 * n)
     inv = mat.inverse()
     assert [[inv.entry(i, j) for j in range(n)] for i in range(n)] == [row[n:] for row in reduced]
+
+
+# -- sparse storage against a dense oracle ------------------------------------
+#
+# The oracle computes on full grids, every entry on its matrix's conductor,
+# exactly as a dense matrix type does: a result's conductor is the lcm over
+# all of its entries, zeros included.
+
+
+def _grid_conductor(grid):
+    return math.lcm(*(v.m for row in grid for v in row))
+
+
+def _assert_matches(mat, grid):
+    """mat holds the grid's values, on the grid's conductor, and keeps
+    exactly the grid's nonzero cells."""
+    assert mat.shape == (len(grid), len(grid[0]))
+    assert [list(r) for r in mat.data] == grid
+    assert mat.m == _grid_conductor(grid)
+    assert set(mat.cells) == {(i, j) for i, row in enumerate(grid)
+                              for j, v in enumerate(row) if not v.is_zero()}
+    assert all(v.m == mat.m for v in mat.cells.values())
+
+
+def _dense_matmul(a, b):
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = ZERO
+            for x, col in zip(row, b):
+                if x and col[j]:
+                    acc = acc + x * col[j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _dense_kron(a, b):
+    return [[ZERO if x.is_zero() else x * y for x in arow for y in brow]
+            for arow in a for brow in b]
+
+
+def _dense_unit_pattern(grid):
+    """The row scan of a dense matrix that unit_pattern replaces."""
+    roots, used = [], set()
+    for i, row in enumerate(grid):
+        hits = [j for j, v in enumerate(row) if v]
+        if not hits:
+            continue
+        if len(hits) > 1 or hits[0] in used:
+            return None
+        root = row[hits[0]].as_root_of_unity()
+        if root is None:
+            return None
+        used.add(hits[0])
+        roots.append((i, hits[0], root))
+    order = math.lcm(*(d for _, _, (d, _) in roots))
+    return order, [(i, j, k * (order // d)) for i, j, (d, k) in roots]
+
+
+@st.composite
+def _storage_operands(draw):
+    """Matrices A and B of one shape and D with A's column count as rows, on
+    conductors drawn apart, half their entries zero; a scalar that may be
+    zero on a conductor above 1; and a monomial of A's row count."""
+    r, k, c = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    m_a, m_b, m_d = (draw(st.sampled_from(_ORACLE_CONDUCTORS)) for _ in range(3))
+
+    def grid(rows, cols, m):
+        return CycMatrix([[draw(_sparse_entries(m)) for _ in range(cols)] for _ in range(rows)])
+
+    a, b, d = grid(r, k, m_a), grid(r, k, m_b), grid(k, c, m_d)
+    scalar = draw(_sparse_entries(draw(st.sampled_from(_ORACLE_CONDUCTORS))))
+    order = draw(st.sampled_from(_ORACLE_CONDUCTORS))
+    perm = draw(st.permutations(range(r)))
+    exps = [draw(st.integers(0, order - 1)) for _ in range(r)]
+    return a, b, d, scalar, Monomial.from_exponents(perm, order, exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_storage_operands())
+def test_sparse_storage_matches_dense_oracle(operands):
+    """+, -, scale, @, kron, transpose, == and Monomial @ give the dense
+    grid's values and conductor, including products and sums that cancel
+    to zero."""
+    a, b, d, c, mono = operands
+    ga, gb, gd = ([list(r) for r in x.data] for x in (a, b, d))
+    _assert_matches(a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ga, gb)])
+    _assert_matches(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ga, gb)])
+    _assert_matches(a - a, [[x - x for x in r] for r in ga])
+    for s in (c, ZERO, c - c, ONE):
+        _assert_matches(a.scale(s), [[x if x.is_zero() else s * x for x in r] for r in ga])
+    _assert_matches(a @ d, _dense_matmul(ga, gd))
+    # each kernel vector's product with a cancels to zero on every row
+    for vec in a.kernel():
+        _assert_matches(a @ vec, _dense_matmul(ga, [list(r) for r in vec.data]))
+    _assert_matches(a.kron(d), _dense_kron(ga, gd))
+    _assert_matches(a.transpose(), [list(col) for col in zip(*ga)])
+    scales = mono.scales
+    rows = [None] * mono.n
+    for j, p in enumerate(mono.perm):
+        rows[p] = [scales[j] * v if v else ZERO for v in ga[j]]
+    _assert_matches(mono @ a, rows)
+    assert (a == b) == (ga == gb)
+    assert a == a + CycMatrix.zeros(*a.shape).scale(c) + (b - b)
+    assert a.is_zero() == all(v.is_zero() for r in ga for v in r)
+
+
+@st.composite
+def _pattern_candidates(draw):
+    """Partial monomials with root-of-unity entries, some spoilt by a second
+    cell in a row or column or by a value that is not a root of unity."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.sampled_from(_ORACLE_CONDUCTORS))
+    perm = draw(st.permutations(range(n)))
+    grid = [[ZERO] * n for _ in range(n)]
+    for j, p in enumerate(perm):
+        if draw(st.booleans()):
+            grid[p][j] = CycNum.root_of_unity(order, draw(st.integers(0, order - 1)))
+    spoil = draw(st.integers(0, 3))
+    if spoil == 1:
+        grid[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = ONE
+    elif spoil == 2:
+        i = draw(st.integers(0, n - 1))
+        grid[i] = [v + v for v in grid[i]]
+    return CycMatrix(grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pattern_candidates())
+def test_unit_pattern_matches_row_scan(mat):
+    assert unit_pattern(mat) == _dense_unit_pattern(mat.data)
+
+
+def test_cells_outside_the_shape_are_refused():
+    with pytest.raises(IndexError):
+        CycMatrix.from_entries(2, 2, {(2, 0): ONE})
+    with pytest.raises(IndexError):
+        CycMatrix.from_entries(2, 2, {(0, -1): ONE})
+    with pytest.raises(IndexError):
+        CycMatrix.identity(2).entry(0, 2)
+    with pytest.raises(ValueError):
+        CycMatrix.identity(0)
