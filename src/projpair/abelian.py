@@ -380,24 +380,49 @@ def is_homomorphism_matrix(q, source: FinAbGroup, target: FinAbGroup) -> bool:
     return True
 
 
+def _smith_inverse(q, source: FinAbGroup, target: FinAbGroup):
+    """The inverse of q: source -> target as an integer matrix, rows reduced
+    modulo the source factors, or None when q is not an isomorphism.
+
+    One Smith form U [q | diag(e)] V = D decides it.  With equal orders and
+    q a homomorphism matrix, q is bijective iff it is onto, iff every
+    invariant of D is 1.  Then [q | diag(e)] V [U; 0] = 1, so the first
+    source.rank rows of V [U; 0] send each target generator to a preimage.
+    The result is checked exactly on generators: p is a homomorphism
+    matrix, p q = 1 on the source and q p = 1 on the target.
+    """
+    if source.order != target.order or not is_homomorphism_matrix(q, source, target):
+        return None
+    ds, es = source.invariant_factors, target.invariant_factors
+    r, s = len(ds), len(es)
+    mat = [list(q[i]) + [es[i] if j == i else 0 for j in range(s)] for i in range(s)]
+    d_mat, u, v = smith_normal_form(mat)
+    if any(d_mat[k][k] != 1 for k in range(s)):
+        return None
+    p = [[sum(v[i][k] * u[k][j] for k in range(s)) % ds[i] for j in range(s)]
+         for i in range(r)]
+    ok = is_homomorphism_matrix(p, target, source) and all(
+        (sum(p[i][k] * q[k][j] for k in range(s)) - (i == j)) % ds[i] == 0
+        for i in range(r) for j in range(r)
+    ) and all(
+        (sum(q[i][k] * p[k][j] for k in range(r)) - (i == j)) % es[i] == 0
+        for i in range(s) for j in range(s)
+    )
+    if not ok:
+        raise AssertionError("Smith-form inverse is not a two-sided inverse")
+    return p
+
+
 def is_isomorphism_matrix(q, source: FinAbGroup, target: FinAbGroup) -> bool:
-    """Bijectivity check; groups at desk scale, so image size is counted."""
-    if source.order != target.order:
-        return False
-    if not is_homomorphism_matrix(q, source, target):
-        return False
-    seen = set()
-    for x in source.elements():
-        seen.add(apply_matrix(q, x.coords, target).coords)
-    return len(seen) == source.order
+    """Bijectivity of the homomorphism q, decided from one Smith form."""
+    return _smith_inverse(q, source, target) is not None
 
 
 def invert_isomorphism(q, source: FinAbGroup, target: FinAbGroup) -> list[list[int]]:
-    if not is_isomorphism_matrix(q, source, target):
+    p = _smith_inverse(q, source, target)
+    if p is None:
         raise NotIsomorphism("matrix is not an isomorphism")
-    lookup = {apply_matrix(q, x.coords, target).coords: x.coords for x in source.elements()}
-    cols = [lookup[g.coords] for g in target.generators()]
-    return [[cols[j][i] for j in range(target.rank)] for i in range(source.rank)]
+    return p
 
 
 def random_automorphism(group: FinAbGroup, rng) -> list[list[int]]:
@@ -458,28 +483,26 @@ def dual_isomorphism_transport(q, source: FinAbGroup, target: FinAbGroup) -> lis
     isomorphism u with u(delta)(q(gamma)) = delta(gamma) for all gamma, delta.
 
     Both character spaces use the self-dual coordinates, so u is again an
-    integer matrix.  The defining relation is verified exhaustively on
-    generator pairs before returning.
+    integer matrix, in closed form u[j][k] = p[k][j] e_j / d_k with p the
+    inverse of q.  The defining relation is checked in integers on every
+    pair of generators before returning.
     """
-    q_inv = invert_isomorphism(q, source, target)
-    # u(delta) on the j-th target generator equals delta(q^{-1} generator)
-    preimages = [
-        apply_matrix(q_inv, tuple(1 if t == j else 0 for t in range(target.rank)), source)
-        for j in range(target.rank)
-    ]
-    u = [[0] * source.rank for _ in range(target.rank)]
-    for k in range(source.rank):
-        delta = Character(source, tuple(1 if t == k else 0 for t in range(source.rank)))
-        for j, e in enumerate(target.invariant_factors):
-            val = delta.exponent_at(preimages[j]) * e  # denominator must divide e
-            if val.denominator != 1:
+    p = invert_isomorphism(q, source, target)
+    ds, es = source.invariant_factors, target.invariant_factors
+    u = [[0] * len(ds) for _ in es]
+    for j, e in enumerate(es):
+        for k, d in enumerate(ds):
+            # delta_k(q^{-1} f_j) = p[k][j] / d_k must be a multiple of 1/e_j
+            num = p[k][j] * e
+            if num % d:
                 raise NotIsomorphism("transport does not land in the character lattice")
-            u[j][k] = int(val) % e
-    for k in range(source.rank):
-        delta = Character(source, tuple(1 if t == k else 0 for t in range(source.rank)))
-        u_delta = transport_character(u, delta, target)
-        for g in source.generators():
-            if u_delta.exponent_at(apply_matrix(q, g.coords, target)) != delta.exponent_at(g):
+            u[j][k] = num // d % e
+    # u(delta_k)(q(g_i)) = delta_k(g_i), as exponents times big = lcm(d, e)
+    big = math.lcm(*ds, *es)
+    for k, d in enumerate(ds):
+        for i in range(len(ds)):
+            lhs = sum(u[j][k] * q[j][i] * (big // e) for j, e in enumerate(es))
+            if (lhs - (big // d if i == k else 0)) % big:
                 raise NotIsomorphism("transported map fails the defining relation")
     return u
 
@@ -557,15 +580,12 @@ class SymplecticPairing:
         return True
 
     def is_nondegenerate(self) -> bool:
-        """Exhaustive: the map omega -> (pairing with generators) is injective."""
-        seen = set()
-        gens = self.group.generators()
-        for x in self.group.elements():
-            key = tuple(self.value(x, g) for g in gens)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        """The map omega -> characters, x -> <x, .>, is bijective.  On
+        self-dual coordinates it is the matrix m[j][i] = table[i][j] d_j."""
+        fs = self.group.invariant_factors
+        m = [[int(self.gen_table[i][j] * d) for i in range(len(fs))]
+             for j, d in enumerate(fs)]
+        return is_isomorphism_matrix(m, self.group, self.group)
 
     def conjugate(self, alpha) -> "SymplecticPairing":
         """Pull the pairing back along an automorphism matrix."""

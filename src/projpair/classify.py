@@ -241,7 +241,7 @@ _PHI_INV_CACHE: dict = {}
 def _dual_gluing_matrix(ing: SingleOrbitIngredients, q, gamma: FinAbGroup):
     """The gluing map of the mirrored row: transport q to character space
     and identify the mirrored summand's component group through the
-    commutator pairing."""
+    commutator pairing.  Memoized per ingredient tuple on q."""
     from .abelian import dual_isomorphism_transport
     from .construct import single_orbit_pair
     from .verify import pairing_coset_character_matrix
@@ -251,10 +251,13 @@ def _dual_gluing_matrix(ing: SingleOrbitIngredients, q, gamma: FinAbGroup):
         _PHI_INV_CACHE[ing] = (
             tuple(tuple(r) for r in pairing_coset_character_matrix(g_i, h_i)),
             g_i.component_group,
+            {},
         )
-    phi_inv, gamma_i = _PHI_INV_CACHE[ing]
-    u = dual_isomorphism_transport([list(r) for r in q], gamma, gamma_i)
-    return _mat_mod(phi_inv, tuple(tuple(r) for r in u), gamma)
+    phi_inv, gamma_i, mirrored = _PHI_INV_CACHE[ing]
+    if q not in mirrored:
+        u = dual_isomorphism_transport([list(r) for r in q], gamma, gamma_i)
+        mirrored[q] = _mat_mod(phi_inv, tuple(tuple(r) for r in u), gamma)
+    return mirrored[q]
 
 
 def enumerate_multi_orbit(n: int, max_parts: int | None = None) -> list[ClassificationRow]:

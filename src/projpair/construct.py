@@ -21,7 +21,6 @@ from .abelian import (
     FinAbGroup,
     apply_matrix,
     dual_isomorphism_transport,
-    is_isomorphism_matrix,
     product_embedding,
     transport_character,
 )
@@ -642,9 +641,10 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
         g_i, h_i = single_orbit_pair(ing)
         q = list(map(list, q))
         gamma_i = g_i.component_group
-        if not is_isomorphism_matrix(q, gamma, gamma_i):
-            raise NotIsomorphism(f"gluing map is not an isomorphism onto {gamma_i}")
-        u = dual_isomorphism_transport(q, gamma, gamma_i)
+        try:
+            u = dual_isomorphism_transport(q, gamma, gamma_i)
+        except NotIsomorphism as err:
+            raise NotIsomorphism(f"gluing map is not an isomorphism onto {gamma_i}") from err
         # identify the second side's cosets with characters of the first side
         char_of = {}
         for delta in h_i.component_group.elements():

@@ -1,10 +1,14 @@
 """Finite abelian groups, characters, and hyperbolic decomposition."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from projpair import abelian
 from projpair.abelian import (
     Character,
     FinAbGroup,
@@ -16,11 +20,15 @@ from projpair.abelian import (
     direct_product,
     dual_isomorphism_transport,
     enumerate_abelian_groups,
+    invert_isomorphism,
+    is_homomorphism_matrix,
+    is_isomorphism_matrix,
     partition_count,
     product_embedding,
     smith_normal_form,
     subgroup_from_elements,
     symplectic_decompose,
+    transport_character,
 )
 from projpair.cyclo import CycNum, MINUS_ONE, ONE, prime_factors
 from projpair.errors import DegeneratePairing, GroupMismatch, NotAlternating, NotIsomorphism
@@ -154,6 +162,142 @@ def test_dual_transport_defining_relation_exhaustive():
             for x in g.elements():
                 qx = apply_matrix([list(r) for r in q], x.coords, g)
                 assert u_delta.exponent_at(qx) == delta.exponent_at(x)
+
+
+# -- integer transports against element-wise oracles --------------------------
+
+
+def _oracle_is_isomorphism(q, source, target):
+    """Count the image of every element."""
+    if source.order != target.order or not is_homomorphism_matrix(q, source, target):
+        return False
+    seen = {apply_matrix(q, x.coords, target).coords for x in source.elements()}
+    return len(seen) == source.order
+
+
+def _oracle_invert(q, source, target):
+    """Look up the preimage of each target generator."""
+    if not _oracle_is_isomorphism(q, source, target):
+        raise NotIsomorphism("matrix is not an isomorphism")
+    lookup = {apply_matrix(q, x.coords, target).coords: x.coords for x in source.elements()}
+    cols = [lookup[g.coords] for g in target.generators()]
+    return [[cols[j][i] for j in range(target.rank)] for i in range(source.rank)]
+
+
+def _oracle_transport(q, source, target):
+    """Evaluate characters, as exponents in Q/Z, on preimages of generators."""
+    q_inv = _oracle_invert(q, source, target)
+    preimages = [
+        apply_matrix(q_inv, tuple(1 if t == j else 0 for t in range(target.rank)), source)
+        for j in range(target.rank)
+    ]
+    u = [[0] * source.rank for _ in range(target.rank)]
+    for k in range(source.rank):
+        delta = Character(source, tuple(1 if t == k else 0 for t in range(source.rank)))
+        for j, e in enumerate(target.invariant_factors):
+            val = delta.exponent_at(preimages[j]) * e
+            if val.denominator != 1:
+                raise NotIsomorphism("transport does not land in the character lattice")
+            u[j][k] = int(val) % e
+    for k in range(source.rank):
+        delta = Character(source, tuple(1 if t == k else 0 for t in range(source.rank)))
+        u_delta = transport_character(u, delta, target)
+        for g in source.generators():
+            if u_delta.exponent_at(apply_matrix(q, g.coords, target)) != delta.exponent_at(g):
+                raise NotIsomorphism("transported map fails the defining relation")
+    return u
+
+
+def _oracle_is_nondegenerate(pairing):
+    """The map omega -> (pairing with generators) is injective, element by element."""
+    seen = set()
+    gens = pairing.group.generators()
+    for x in pairing.group.elements():
+        key = tuple(pairing.value(x, g) for g in gens)
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+_SMALL_GROUPS = [g for n in range(1, 65) for g in enumerate_abelian_groups(n)]
+
+
+@st.composite
+def _group_pairs(draw):
+    """A source group of order <= 64 and a target of the same order (mostly
+    the same group, sometimes another factor chain), rarely of another order."""
+    source = draw(st.sampled_from(_SMALL_GROUPS))
+    kind = draw(st.sampled_from(["same"] * 6 + ["same_order"] * 3 + ["any"]))
+    if kind == "same":
+        return source, source
+    if kind == "same_order":
+        return source, draw(st.sampled_from(enumerate_abelian_groups(source.order)))
+    return source, draw(st.sampled_from(_SMALL_GROUPS))
+
+
+@st.composite
+def _hom_matrices(draw, source, target):
+    """A homomorphism matrix source -> target, entries sometimes shifted by
+    a multiple of the target factor (unreduced or negative); now and then
+    one entry is spoilt by 1 so that the matrix is no homomorphism."""
+    q = []
+    for e in target.invariant_factors:
+        row = []
+        for d in source.invariant_factors:
+            g = math.gcd(d, e)
+            row.append(draw(st.integers(0, g - 1)) * (e // g) + e * draw(st.sampled_from(
+                [0, 0, 0, -1, 1, -2, 3])))
+        q.append(row)
+    if q and q[0] and draw(st.integers(0, 9)) == 0:
+        q[0][0] += 1
+    return q
+
+
+@st.composite
+def _transport_cases(draw):
+    source, target = draw(_group_pairs())
+    return source, target, draw(_hom_matrices(source, target))
+
+
+def _same_outcome(fn, oracle, *args):
+    try:
+        want = oracle(*args)
+    except NotIsomorphism:
+        with pytest.raises(NotIsomorphism):
+            fn(*args)
+        return False
+    assert fn(*args) == want
+    return True
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_transport_cases())
+def test_integer_transports_match_elementwise_oracles(case):
+    source, target, q = case
+    assert is_isomorphism_matrix(q, source, target) == _oracle_is_isomorphism(q, source, target)
+    _same_outcome(invert_isomorphism, _oracle_invert, q, source, target)
+    _same_outcome(dual_isomorphism_transport, _oracle_transport, q, source, target)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_is_nondegenerate_matches_elementwise_oracle(data):
+    group = data.draw(st.sampled_from(_SMALL_GROUPS))
+    fs = group.invariant_factors
+    table = [[Fraction(data.draw(st.integers(-2, 2 * math.gcd(a, b))), math.gcd(a, b))
+              for b in fs] for a in fs]
+    pairing = SymplecticPairing(group, tuple(tuple(row) for row in table))
+    assert pairing.is_nondegenerate() == _oracle_is_nondegenerate(pairing)
+
+
+def test_transport_refuses_a_non_integral_inverse(monkeypatch):
+    """The closed form needs e_j p[k][j] / d_k integral; an inverse that is
+    not a homomorphism matrix must be refused, not rounded."""
+    g = FinAbGroup((2, 4))
+    monkeypatch.setattr(abelian, "invert_isomorphism", lambda q, s, t: [[1, 0], [1, 1]])
+    with pytest.raises(NotIsomorphism, match="character lattice"):
+        dual_isomorphism_transport([[1, 0], [0, 1]], g, g)
 
 
 def test_automorphism_counts():
