@@ -32,22 +32,13 @@ from .construct import (
     xx_hat_pair,
 )
 from .cyclo import CycMatrix, CycNum, conductor_cap, set_conductor_cap
-from .matrep import (
-    TensorShape,
-    character_matrix,
-    commutator_scalar,
-    embed_factor,
-    projective_equal,
-    translation_matrix,
-)
+from .matrep import TensorShape, commutator_scalar, projective_equal
 from .verify import (
     PairingTable,
-    TwistedCommutantProblem,
     VerificationReport,
     pairing_table,
     projective_centralizer,
     specs_equal,
-    twisted_commutant,
     verify_dual_pair,
 )
 

@@ -32,14 +32,21 @@ def _parse_group(text: str) -> FinAbGroup:
     return FinAbGroup.from_factors(factors)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+# 0 and 1 both mean serial
+_workers_int = _int_at_least(0)
 
 
 def _write_output(text: str, path: str | None):
@@ -168,7 +175,9 @@ def cmd_enumerate(args) -> int:
         # all cores by default; an explicit --workers 0 or 1 stays serial
         workers = args.workers if args.workers is not None else os.cpu_count() or 1
         if workers > 1 and len(rows) > 1:
-            with ProcessPoolExecutor(max_workers=workers, initializer=set_conductor_cap,
+            # a forked pool starts all its workers at the first submit
+            with ProcessPoolExecutor(max_workers=min(workers, len(rows)),
+                                     initializer=set_conductor_cap,
                                      initargs=(conductor_cap(),)) as pool:
                 check_results = list(pool.map(_check_one, rows))
         else:
@@ -282,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a pair file")
     p.add_argument("pair_file")
     p.add_argument("--format", choices=["json", "table"], default="table")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers_int, default=1)
     p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("enumerate", help="enumerate classification rows")
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="construct and verify every row")
     p.add_argument("--format", choices=["json", "table"], default="table")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_workers_int, default=None)
     p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("pairing", help="print the component pairing table")

@@ -524,9 +524,9 @@ def _is_scalar_component(spec: GroupSpec) -> bool:
 def _is_connected_gl_pair(h1: GroupSpec, h2: GroupSpec) -> bool:
     if not (h1.component_group.is_trivial() and h2.component_group.is_trivial()):
         return False
-    from .verify import untwisted_commutant_basis
+    from .verify import CommutantEngine
 
-    basis = untwisted_commutant_basis(h1)
+    basis = CommutantEngine.from_spec(h1).solve([])
     return span_of_matrices(basis).equals(h2.algebra_span())
 
 

@@ -33,10 +33,6 @@ class NotIsomorphism(ProjPairError):
     """An integer matrix does not define a group isomorphism."""
 
 
-class UnknownLabel(ProjPairError):
-    """A tensor-factor label does not occur in the shape."""
-
-
 class NotProjectivelyCommuting(ProjPairError):
     """A commutator is not a scalar matrix."""
 

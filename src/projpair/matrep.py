@@ -1,19 +1,20 @@
-"""Concrete operators on L^2 of a finite abelian group, tensor-slot
-embeddings, commutator scalars, and projective equality.
+"""Concrete operators on L^2 of a finite abelian group, tensor shapes,
+commutator scalars, and projective equality.
 
 The basis of L^2(X, C) is indexed by the lexicographically ordered group
 elements with the identity first, so every matrix here is pinned down
 exactly.  Translation and character operators are monomial (one nonzero
-entry per column, a root of unity); the Monomial class stores them as a
+entry per column, a root of unity) and are built only as Monomials: a
 permutation with integer exponents of one root of unity, so products,
 inverses, Kronecker products and commutator scalars are O(n) integer
-arithmetic instead of O(n^3) field arithmetic.  CycNum appears only where
-a result leaves as a field element or meets a CycMatrix.  One scan,
-unit_pattern, reads a CycMatrix's cells as a partial monomial with
-root-of-unity entries; Monomial.from_matrix is that scan at full
-coverage, so the conversion to and from CycMatrix is lossless.
-Which form a stored generator takes is decided by GroupSpec.operator,
-and the helpers here accept either.
+arithmetic instead of O(n^3) field arithmetic; Monomial.to_matrix is the
+one way to a dense matrix.  CycNum appears only where a result leaves as
+a field element or meets a CycMatrix.  One scan, unit_pattern, reads a
+CycMatrix's cells as a partial monomial with root-of-unity entries;
+Monomial.from_matrix is that scan at full coverage, so the conversion to
+and from CycMatrix is lossless.  Which form a stored generator takes is
+decided by GroupSpec.operator, and the commutator helpers here accept
+either.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from fractions import Fraction
 
 from .abelian import Character, FinAbGroup, GroupElement
 from .cyclo import ONE, ZERO, CycMatrix, CycNum, as_cyc
-from .errors import (
-    DimensionMismatch,
-    GroupMismatch,
-    NotProjectivelyCommuting,
-    UnknownLabel,
-)
+from .errors import DimensionMismatch, GroupMismatch, NotProjectivelyCommuting
 
 
 @dataclass(frozen=True)
@@ -63,12 +59,6 @@ class TensorShape:
     def labels(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, _ in self.factors)
 
-    def position(self, label: str) -> int:
-        for i, (lbl, _) in enumerate(self.factors):
-            if lbl == label:
-                return i
-        raise UnknownLabel(f"no factor labeled {label!r} in {self.labels}")
-
     def flatten(self, multi_index) -> int:
         idx = 0
         for (lbl, d), k in zip(self.factors, multi_index):
@@ -76,13 +66,6 @@ class TensorShape:
                 raise ValueError(f"index {k} out of range for factor {lbl}")
             idx = idx * d + k
         return idx
-
-    def unflatten(self, index: int) -> tuple[int, ...]:
-        out = []
-        for _, d in reversed(self.factors):
-            out.append(index % d)
-            index //= d
-        return tuple(reversed(out))
 
 
 class Monomial:
@@ -280,60 +263,9 @@ def character_monomial(group: FinAbGroup, xi: Character) -> Monomial:
     return Monomial.from_exponents(range(group.order), order, exps)
 
 
-def translation_matrix(group: FinAbGroup, x: GroupElement) -> CycMatrix:
-    """The permutation matrix sending the basis vector at g to the one at g + x."""
-    return translation_monomial(group, x).to_matrix()
-
-
-def character_matrix(group: FinAbGroup, xi: Character) -> CycMatrix:
-    """diag(xi(g)) over the lexicographically ordered group elements."""
-    return character_monomial(group, xi).to_matrix()
-
-
 def heisenberg_monomial(group: FinAbGroup, x: GroupElement, xi: Character) -> Monomial:
     """The canonical section tau_x sigma_xi of a translation-character coset."""
     return translation_monomial(group, x) @ character_monomial(group, xi)
-
-
-def embed_factor(mat: CycMatrix, shape: TensorShape, label: str) -> CycMatrix:
-    """Place a square matrix at one tensor slot, identity elsewhere."""
-    pos = shape.position(label)
-    d = shape.factors[pos][1]
-    if not mat.is_square() or mat.rows != d:
-        raise DimensionMismatch(
-            f"matrix is {mat.shape}, factor {label!r} has dimension {d}"
-        )
-    pre = 1
-    for _, dd in shape.factors[:pos]:
-        pre *= dd
-    post = 1
-    for _, dd in shape.factors[pos + 1:]:
-        post *= dd
-    out = mat
-    if pre > 1:
-        out = CycMatrix.identity(pre).kron(out)
-    if post > 1:
-        out = out.kron(CycMatrix.identity(post))
-    return out
-
-
-def embed_factor_monomial(mono: Monomial, shape: TensorShape, label: str) -> Monomial:
-    pos = shape.position(label)
-    d = shape.factors[pos][1]
-    if mono.n != d:
-        raise DimensionMismatch(f"monomial is {mono.n}, factor {label!r} has dimension {d}")
-    pre = 1
-    for _, dd in shape.factors[:pos]:
-        pre *= dd
-    post = 1
-    for _, dd in shape.factors[pos + 1:]:
-        post *= dd
-    out = mono
-    if pre > 1:
-        out = Monomial.identity(pre).kron(out)
-    if post > 1:
-        out = out.kron(Monomial.identity(post))
-    return out
 
 
 def commutator_scalar_monomial(g: Monomial, h: Monomial) -> CycNum:

@@ -11,18 +11,19 @@ contains an invertible element.
 The form of each generator, a Monomial or a dense matrix, is decided
 once, by GroupSpec.operator; everything here takes those operators and
 chooses no form itself.  CommutantEngine takes an algebra basis and the
-generators, nothing else, and every solve runs one two-step procedure.
-A constraint X a = c a X in which a is a partial monomial with
-root-of-unity entries and c a root of unity ties the entries of X
+generators, nothing else, and every solve takes one scalar per generator
+as an integer root of unity (order, exponent), the form in which
+compute_centralizer enumerates them.  A constraint X a = c a X in which a
+is a partial monomial with root-of-unity entries ties the entries of X
 together one or two at a time, so it goes into a ratio union-find over
 the n^2 positions of X, on integer exponents of one root of unity.  The
 translation and character operators of the constructions, the matrix
 units of their block algebras and the pattern matrices of computed
 centralizers are all of this kind.  Whatever is not (a dense algebra
-element or generator, a scalar that is not a root of unity) then cuts
-the union-find's pattern basis with the dense kernel.  CycNum appears
-only at that boundary and in the cells of a returned basis; the tests
-cross-check the engine against a purely dense solve.
+element or generator) then cuts the union-find's pattern basis with the
+dense kernel.  CycNum appears only at that boundary and in the cells of
+a returned basis; the tests cross-check the engine against a purely
+dense solve.
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ from .cyclo import (
     CycMatrix,
     CycNum,
     VectorSpan,
-    as_cyc,
     conductor_cap,
     set_conductor_cap,
-    span_of_matrices,
 )
 from .errors import (
     IdentityComponentNotSemisimpleBlocks,
@@ -157,16 +156,16 @@ class CommutantEngine:
     """Solves {X : X a = a X for a in the algebra basis, X h_i = c_i h_i X
     for the generators} for many scalar tuples against one fixed target.
 
-    gens are operators, each a Monomial or a CycMatrix.  Every solve runs
-    the same two steps.  A constraint X a = c a X with a a partial monomial
-    with root-of-unity entries and c a root of unity relates the n^2
-    entries of X one or two at a time, so it goes into a ratio union-find
-    over those positions, on integer exponents; the algebra's constraints
-    are chased once, here, and each scalar tuple adds the generators' to a
-    copy.  Each union-find class is one pattern matrix.  Every other
-    constraint (a dense or non-unit algebra element, a dense generator, a
-    scalar that is not a root of unity) then cuts that pattern basis with
-    the dense kernel.
+    gens are operators, each a Monomial or a CycMatrix, and each scalar
+    c_i = zeta_d^k is given as the integer pair (d, k).  Every solve runs
+    the same two steps.  A constraint X a = c a X with a a partial
+    monomial with root-of-unity entries relates the n^2 entries of X one
+    or two at a time, so it goes into a ratio union-find over those
+    positions, on integer exponents; the algebra's constraints are chased
+    once, here, and each scalar tuple adds the generators' to a copy.
+    Each union-find class is one pattern matrix.  Every other constraint
+    (a dense or non-unit algebra element, a dense generator) then cuts
+    that pattern basis with the dense kernel.
     """
 
     def __init__(self, n: int, algebra_basis, gens):
@@ -194,19 +193,14 @@ class CommutantEngine:
                                [target.operator(c) for c in target.generating_cosets()])
 
     def solve(self, scalars) -> list[CycMatrix]:
-        """Exact basis of the twisted commutant for one scalar tuple."""
+        """Exact basis of the twisted commutant for one scalar tuple, each
+        scalar an integer root of unity (order, exponent)."""
         n = self.n
-        scalars = [as_cyc(s) for s in scalars]
         if len(scalars) != len(self.gens):
             raise ValueError("need one scalar per generator")
-        chased = []
-        cuts = [(a, ONE) for a in self._dense_algebra]
-        for h, pattern, c in zip(self.gens, self._gen_patterns, scalars):
-            root = c.as_root_of_unity() if pattern is not None else None
-            if root is None:
-                cuts.append((as_dense(h), c))
-            else:
-                chased.append((pattern, root))
+        roots = [_lowest_terms(d, k) for d, k in scalars]
+        chased = [(pattern, root) for pattern, root in zip(self._gen_patterns, roots)
+                  if pattern is not None]
         order = math.lcm(self._algebra.order, *(p[0] for p, _ in chased),
                          *(d for _, (d, _) in chased))
         uf = self._algebra.lifted(order)
@@ -220,6 +214,10 @@ class CommutantEngine:
             })
             for root in sorted(classes)
         ]
+        cuts = [(a, ONE) for a in self._dense_algebra]
+        cuts += [(as_dense(h), CycNum.root_of_unity(d, k))
+                 for h, pattern, (d, k) in zip(self.gens, self._gen_patterns, roots)
+                 if pattern is None]
         for h, c in cuts:
             if not basis:
                 break
@@ -232,22 +230,22 @@ class CommutantEngine:
         """A deterministic invertible element of the span, or None (exact)."""
         if not basis:
             return None
-        if all(_scalar_is_one(c) for c in scalars):
+        if all(k % d == 0 for d, k in scalars):
             return CycMatrix.identity(self.n)
-        return _invertible_in_span(basis, self.n,
-                                   fallback=lambda: self._conjugate_basis(scalars))
-
-    def _conjugate_basis(self, scalars):
-        return self.solve([c.inverse() for c in scalars])
+        conjugate = [(d, -k) for d, k in scalars]
+        return _invertible_in_span(basis, self.n, fallback=lambda: self.solve(conjugate))
 
 
-def _scalar_is_one(c) -> bool:
-    return c.is_one() if isinstance(c, CycNum) else c == 1
+def _lowest_terms(order: int, exponent: int) -> tuple[int, int]:
+    """The root of unity zeta_order^exponent as (d, k) with gcd(d, k) = 1
+    and k in range(d); (1, 0) for 1."""
+    exponent %= order
+    g = math.gcd(order, exponent)
+    return order // g, exponent // g
 
 
-def _apply_twist_constraint(basis, h: CycMatrix, c) -> list[CycMatrix]:
+def _apply_twist_constraint(basis, h: CycMatrix, c: CycNum) -> list[CycMatrix]:
     """Cut a solution basis down by X h = c h X."""
-    c = c if isinstance(c, CycNum) else CycNum.from_rational(c)
     images = [(x @ h) - (h @ x).scale(c) for x in basis]
     rows = sorted({cell for img in images for cell in img.cells})
     if not rows:
@@ -369,46 +367,8 @@ def _invertible_in_span(basis, n: int, fallback=None) -> CycMatrix | None:
 
 
 # ---------------------------------------------------------------------------
-# the public twisted-commutant operation
+# projective centralizers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwistedCommutantProblem:
-    """Block-span commutation plus scalar-twisted generator commutation.
-
-    Scalars are validated at construction: each c_i must satisfy
-    c_i^{m_i} = 1 where m_i is the least power of h_i lying projectively
-    in the spanned algebra.
-    """
-
-    block_span: tuple[CycMatrix, ...]
-    comp_gens: tuple[CycMatrix, ...]
-    scalars: tuple[CycNum, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "block_span", tuple(self.block_span))
-        object.__setattr__(self, "comp_gens", tuple(self.comp_gens))
-        object.__setattr__(self, "scalars", tuple(self.scalars))
-        if not self.block_span:
-            raise ValueError("block span must be nonempty (scalars at least)")
-        n = self.block_span[0].rows
-        for m in self.block_span + self.comp_gens:
-            if m.shape != (n, n):
-                raise ValueError("all matrices must share the ambient dimension")
-        if len(self.comp_gens) != len(self.scalars):
-            raise ValueError("need one scalar per generator")
-        span = span_of_matrices(self.block_span)
-        for h, c in zip(self.comp_gens, self.scalars):
-            m = projective_order(h, span, bound=n * n)
-            if (c ** m) != ONE:
-                raise ValueError(
-                    f"scalar {c!r} does not satisfy c^{m} = 1 for its generator"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.block_span[0].rows
 
 
 def projective_order(op, span: VectorSpan, bound: int) -> int:
@@ -424,33 +384,10 @@ def projective_order(op, span: VectorSpan, bound: int) -> int:
     )
 
 
-def twisted_commutant(problem: TwistedCommutantProblem):
-    """Exact basis of the twisted commutant, with an invertible witness.
-
-    Returns (basis, has_invertible, witness); the basis may be empty.
-    """
-    engine = CommutantEngine(problem.dim, problem.block_span, problem.comp_gens)
-    basis = engine.solve(list(problem.scalars))
-    witness = engine.witness(basis, list(problem.scalars))
-    if witness is not None:
-        witness = _normalize_projective(witness)
-    return basis, witness is not None, witness
-
-
-def untwisted_commutant_basis(spec: GroupSpec) -> list[CycMatrix]:
-    """Commutant of a spec's identity-component algebra (no twists)."""
-    return CommutantEngine(spec.ambient.dim, spec.algebra_basis(), []).solve([])
-
-
 def _normalize_projective(mat: CycMatrix) -> CycMatrix:
     """The multiple of mat whose first nonzero value is 1."""
     pos = mat.first_nonzero()
     return mat if pos is None else mat.scale(mat.cells[pos].inverse())
-
-
-# ---------------------------------------------------------------------------
-# projective centralizers
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -459,11 +396,9 @@ class CentralizerData:
     to scalar tuples against the target's generating cosets."""
 
     spec: GroupSpec
-    target: GroupSpec
     ref_cosets: list
     moduli: list[int]
     tuple_to_coset: dict
-    algebra_span: VectorSpan
 
 
 def _scalar_tuple(x, ref_ops, moduli):
@@ -484,10 +419,7 @@ def _scalar_tuple(x, ref_ops, moduli):
 def _solve_tuple_batch(engine, tuples, moduli):
     out = []
     for exps in tuples:
-        scalars = [
-            CycNum.root_of_unity(g, t) if g > 1 else ONE
-            for g, t in zip(moduli, exps)
-        ]
+        scalars = list(zip(moduli, exps))
         basis = engine.solve(scalars)
         if not basis:
             out.append((exps, None))
@@ -519,7 +451,9 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
         chunk = max(1, len(all_tuples) // (workers * 4))
         batches = [all_tuples[i:i + chunk] for i in range(0, len(all_tuples), chunk)]
         results = []
-        with ProcessPoolExecutor(max_workers=workers, initializer=set_conductor_cap,
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches)),
+                                 initializer=set_conductor_cap,
                                  initargs=(conductor_cap(),)) as pool:
             for part in pool.map(_solve_tuple_batch, itertools.repeat(engine),
                                  batches, itertools.repeat(moduli)):
@@ -527,7 +461,7 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
     else:
         results = _solve_tuple_batch(engine, all_tuples, moduli)
 
-    identity_basis = engine.solve([ONE] * len(moduli))
+    identity_basis = engine.solve([(1, 0)] * len(moduli))
     if not identity_basis:
         raise IdentityComponentNotSemisimpleBlocks("untwisted commutant is empty")
     _check_semisimple(identity_basis)
@@ -552,16 +486,14 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
     )
     return CentralizerData(
         spec=spec,
-        target=target,
         ref_cosets=ref_cosets,
         moduli=moduli,
         tuple_to_coset=tuple_to_coset,
-        algebra_span=span_of_matrices(identity_basis),
     )
 
 
-def projective_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
-    return compute_centralizer(target, workers=workers).spec
+def projective_centralizer(target: GroupSpec) -> GroupSpec:
+    return compute_centralizer(target).spec
 
 
 def _check_semisimple(basis) -> None:
@@ -739,7 +671,7 @@ def _compare_with_centralizer(claimed: GroupSpec, computed: CentralizerData,
     centralizer of the other side."""
     failures = []
     claimed_span = claimed.algebra_span()
-    comp_span = computed.algebra_span
+    comp_span = computed.spec.algebra_span()
     span_cl_in_co = comp_span.contains_span(claimed_span)
     span_co_in_cl = claimed_span.contains_span(comp_span)
 

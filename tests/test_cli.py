@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from projpair import serialize
+from projpair import cli, serialize, verify
 from projpair.abelian import FinAbGroup
 from projpair.cli import main
 from projpair.construct import SingleOrbitIngredients, single_orbit_pair, xx_hat_pair
@@ -385,16 +385,69 @@ def test_enumerate_requires_n(capsys):
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-2"],
                                    ["--n", "2", "--max-parts", "0"],
-                                   ["--n", "2", "--max-parts", "-1"]])
+                                   ["--n", "2", "--max-parts", "-1"],
+                                   ["--n", "2", "--check", "--workers", "-1"]])
 def test_enumerate_nonpositive_flags_are_bad_input(flags, capsys):
-    """--n and --max-parts below 1 are bad flags: exit 2 and one error
-    line, not a ValueError traceback or a silent single-orbit listing."""
+    """--n and --max-parts below 1, and --workers below 0, are bad flags:
+    exit 2 and one error line, not a ValueError traceback or a silent
+    single-orbit listing."""
     with pytest.raises(SystemExit) as exc:
         run(["enumerate", *flags])
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def test_verify_negative_workers_is_bad_input(tmp_path, capsys):
+    pair_file = tmp_path / "pair.json"
+    run(["construct", "--L", "2", "-o", str(pair_file)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", str(pair_file), "--workers", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert run(["verify", str(pair_file), "--workers", "0"]) == 0
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pools of cli and verify by one that records
+    max_workers and maps in this process, so no worker is started."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_pools_never_outnumber_their_work(tmp_path, pool_sizes):
+    """A pool asks for no more workers than it has rows or tuple batches:
+    a forked pool starts every worker at the first submit."""
+    assert run(["enumerate", "--n", "2", "--check", "--workers", "5000"]) == 0
+    # the five single-orbit rows at n = 2
+    assert pool_sizes == [5]
+    pair_file = tmp_path / "pair.json"
+    run(["construct", "--L", "2", "-o", str(pair_file)])
+    assert run(["verify", str(pair_file), "--workers", "5000"]) == 0
+    # each side's component group is Z2 x Z2: three twisted tuples, one
+    # batch each, for each of the two centralizers
+    assert pool_sizes == [5, 3, 3]
 
 
 _FLAG_VALUES = st.one_of(st.integers(-3, 6).map(str),

@@ -1,4 +1,4 @@
-"""Translation and character operators, embeddings, commutator scalars."""
+"""Translation and character operators, tensor shapes, commutator scalars."""
 
 import random
 from fractions import Fraction
@@ -10,50 +10,41 @@ from hypothesis import strategies as st
 from projpair.abelian import FinAbGroup, char_eval, enumerate_abelian_groups
 from projpair.construct import Ambient, GroupSpec, scalar_blocks
 from projpair.cyclo import CycMatrix, CycNum, MINUS_ONE, ONE
-from projpair.errors import (
-    DimensionMismatch,
-    GroupMismatch,
-    NotProjectivelyCommuting,
-    UnknownLabel,
-)
+from projpair.errors import DimensionMismatch, GroupMismatch, NotProjectivelyCommuting
 from projpair.matrep import (
     Monomial,
     TensorShape,
     as_dense,
-    character_matrix,
     character_monomial,
     commutator_exponent,
     commutator_scalar,
-    embed_factor,
-    embed_factor_monomial,
     heisenberg_monomial,
     projective_equal,
-    translation_matrix,
     translation_monomial,
 )
 
 
 def test_translation_examples():
     z2 = FinAbGroup.cyclic(2)
-    assert translation_matrix(z2, z2.identity()).is_identity()
-    assert translation_matrix(z2, z2.element((1,))) == CycMatrix([[0, 1], [1, 0]])
+    assert translation_monomial(z2, z2.identity()).to_matrix().is_identity()
+    assert translation_monomial(z2, z2.element((1,))).to_matrix() == CycMatrix([[0, 1], [1, 0]])
     z3 = FinAbGroup.cyclic(3)
-    t = translation_matrix(z3, z3.element((1,)))
+    t = translation_monomial(z3, z3.element((1,))).to_matrix()
     assert (t @ t @ t).is_identity()
     assert not (t @ t).is_identity()
 
 
 def test_character_examples():
     z2 = FinAbGroup.cyclic(2)
-    assert character_matrix(z2, z2.trivial_character()).is_identity()
-    assert character_matrix(z2, z2.character((1,))) == CycMatrix.diagonal([1, -1])
+    assert character_monomial(z2, z2.trivial_character()).to_matrix().is_identity()
+    assert character_monomial(z2, z2.character((1,))).to_matrix() == CycMatrix.diagonal([1, -1])
     z4 = FinAbGroup.cyclic(4)
     z = CycNum.root_of_unity(4)
-    assert character_matrix(z4, z4.character((1,))) == CycMatrix.diagonal(
+    assert character_monomial(z4, z4.character((1,))).to_matrix() == CycMatrix.diagonal(
         [ONE, z, MINUS_ONE, z ** 3]
     )
     with pytest.raises(GroupMismatch):
-        character_matrix(z2, z4.character((1,)))
+        character_monomial(z2, z4.character((1,)))
 
 
 def test_operators_are_homomorphisms():
@@ -266,37 +257,17 @@ def test_projective_equal():
     assert not projective_equal(g, CycMatrix([[1, 2], [3, 5]]))
 
 
-def test_embed_factor():
-    shape = TensorShape((("A", 2), ("B", 3)))
-    assert shape.dim == 6
-    assert embed_factor(CycMatrix.identity(2), shape, "A").is_identity()
-    swap = CycMatrix([[0, 1], [1, 0]])
-    assert embed_factor(swap, shape, "A") == swap.kron(CycMatrix.identity(3))
-    with pytest.raises(UnknownLabel):
-        embed_factor(swap, shape, "C")
-    with pytest.raises(DimensionMismatch):
-        embed_factor(swap, shape, "B")
-
-
 def test_embeds_at_distinct_labels_commute():
+    """A matrix on the first tensor slot commutes with one on the second."""
     rng = random.Random(9)
     shape = TensorShape((("A", 2), ("B", 3)))
+    assert shape.dim == 6
     for _ in range(6):
         m = CycMatrix([[rng.randrange(-2, 3) for _ in range(2)] for _ in range(2)])
         n = CycMatrix([[rng.randrange(-2, 3) for _ in range(3)] for _ in range(3)])
-        em = embed_factor(m, shape, "A")
-        en = embed_factor(n, shape, "B")
+        em = m.kron(CycMatrix.identity(3))
+        en = CycMatrix.identity(2).kron(n)
         assert em @ en == en @ em
-
-
-def test_embed_monomial_matches_dense():
-    z2 = FinAbGroup.cyclic(2)
-    mono = heisenberg_monomial(z2, z2.element((1,)), z2.character((1,)))
-    shape = TensorShape((("L", 2), ("K", 3)))
-    assert embed_factor_monomial(mono, shape, "L").to_matrix() == embed_factor(
-        mono.to_matrix(), shape, "L"
-    )
-    assert embed_factor_monomial(mono, shape, "K" if False else "L").n == 6
 
 
 def test_tensor_shape_indexing():
@@ -305,9 +276,7 @@ def test_tensor_shape_indexing():
     for i in range(2):
         for j in range(3):
             for k in range(2):
-                idx = shape.flatten((i, j, k))
-                assert shape.unflatten(idx) == (i, j, k)
-                seen.add(idx)
+                seen.add(shape.flatten((i, j, k)))
     assert seen == set(range(12))
     with pytest.raises(ValueError):
         shape.flatten((2, 0, 0))

@@ -16,7 +16,7 @@ from projpair.construct import (
     single_orbit_pair,
     xx_hat_pair,
 )
-from projpair.cyclo import CycMatrix, CycNum, MINUS_ONE, ONE, as_cyc, span_of_matrices
+from projpair.cyclo import CycMatrix, CycNum, ONE, span_of_matrices
 from projpair.errors import (
     IdentityComponentNotSemisimpleBlocks,
     NotProjectivelyCommuting,
@@ -27,8 +27,8 @@ from projpair.matrep import (
     Monomial,
     TensorShape,
     as_dense,
-    character_matrix,
-    translation_matrix,
+    character_monomial,
+    translation_monomial,
 )
 from projpair.verify import (
     CommutantEngine,
@@ -36,19 +36,28 @@ from projpair.verify import (
     _apply_twist_constraint,
     _check_semisimple,
     _invertible_in_span,
-    TwistedCommutantProblem,
     compute_centralizer,
     pairing_table,
     projective_centralizer,
     specs_equal,
-    twisted_commutant,
-    untwisted_commutant_basis,
     verify_dual_pair,
 )
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
 Z3 = FinAbGroup.cyclic(3)
+
+
+def _dense_involution_spec():
+    """The swap conjugated by [[1, 1], [0, 1]]: an involution image in
+    PGL(2) whose generator [[1, 0], [1, -1]] is not monomial."""
+    ambient = Ambient.single(TensorShape((("L", 2),)))
+    return GroupSpec(
+        ambient,
+        scalar_blocks(2),
+        Z2,
+        {(0,): CycMatrix.identity(2), (1,): CycMatrix([[1, 0], [1, -1]])},
+    )
 
 
 def swap_spec():
@@ -67,44 +76,37 @@ def swap_spec():
 
 def test_commutant_of_gl2_block():
     g, h = connected_pair([(2, 2)])
-    problem = TwistedCommutantProblem(tuple(g.algebra_basis()), (), ())
-    basis, invertible, witness = twisted_commutant(problem)
+    engine = CommutantEngine.from_spec(g)
+    basis = engine.solve([])
+    witness = engine.witness(basis, [])
     assert len(basis) == 4
-    assert invertible and witness is not None
+    assert witness is not None
     assert witness.is_identity()
     assert span_of_matrices(basis).equals(h.algebra_span())
 
 
 def test_commutant_twisted_by_character():
-    s = character_matrix(Z2, Z2.character((1,)))
-    problem = TwistedCommutantProblem(
-        (CycMatrix.identity(2),), (s,), (MINUS_ONE,)
-    )
-    basis, invertible, witness = twisted_commutant(problem)
+    s = character_monomial(Z2, Z2.character((1,)))
+    engine = CommutantEngine(2, [CycMatrix.identity(2)], [s])
+    basis = engine.solve([(2, 1)])
     assert len(basis) == 2
     # solutions are the antidiagonal matrices
     for mat in basis:
         assert mat.entry(0, 0).is_zero() and mat.entry(1, 1).is_zero()
-    assert invertible
-
-
-def test_twisted_problem_rejects_bad_scalar():
-    s = character_matrix(Z2, Z2.character((1,)))
-    z3 = CycNum.root_of_unity(3)
-    with pytest.raises(ValueError):
-        TwistedCommutantProblem((CycMatrix.identity(2),), (s,), (z3,))
+    assert engine.witness(basis, [(2, 1)]) is not None
 
 
 def _dense_commutant(n, algebra_basis, gens, scalars):
     """The reference solve: the n^2 matrix units cut by X a = a X for every
-    algebra element and by X h = c h X for every generator, each constraint
-    through the dense kernel."""
+    algebra element and by X h = c h X for every generator, c = zeta_d^k
+    for each scalar (d, k), each constraint through the dense kernel."""
     basis = [CycMatrix.from_entries(n, n, {(i, j): ONE}) for i in range(n) for j in range(n)]
-    constraints = [(a, ONE) for a in algebra_basis] + list(zip(gens, scalars))
+    constraints = [(a, ONE) for a in algebra_basis] + [
+        (h, CycNum.root_of_unity(d, k)) for h, (d, k) in zip(gens, scalars)]
     for h, c in constraints:
         if not basis:
             break
-        basis = _apply_twist_constraint(basis, as_dense(h), as_cyc(c))
+        basis = _apply_twist_constraint(basis, as_dense(h), c)
     return basis
 
 
@@ -121,6 +123,8 @@ def test_solver_fast_and_general_paths_agree():
         single_orbit_pair(SingleOrbitIngredients(1, 1, TRIV, Z2, Z2))[0],
         single_orbit_pair(SingleOrbitIngredients(2, 1, TRIV, Z2, TRIV))[1],
         swap_spec(),
+        # a generator that is not a monomial takes the dense kernel
+        _dense_involution_spec(),
         # two generators of order 4: the union-find works over the lcm of
         # the generators' and the scalars' orders
         xx_hat_pair(FinAbGroup.cyclic(4))[0],
@@ -131,12 +135,9 @@ def test_solver_fast_and_general_paths_agree():
         cosets = target.generating_cosets()
         moduli = [target.component_group.element(c).order() for c in cosets]
         tuples = [
-            [CycNum.root_of_unity(m, t) for m, t in zip(moduli, exps)]
+            list(zip(moduli, exps))
             for exps in itertools.product(*(range(m) for m in moduli))
         ]
-        # a scalar that is not a root of unity sends its generator to the
-        # dense kernel after the union-find
-        tuples.append([CycNum.from_rational(2)] * len(moduli))
         for scalars in tuples:
             assert_same_span(
                 engine.solve(scalars),
@@ -149,9 +150,15 @@ ROOT_ORDERS = (1, 2, 3, 4, 6)
 
 
 @st.composite
-def unit_roots(draw):
+def root_tuples(draw):
+    """A root of unity as (order, exponent), not always in lowest terms."""
     d = draw(st.sampled_from(ROOT_ORDERS))
-    return CycNum.root_of_unity(d, draw(st.integers(0, d - 1)))
+    return d, draw(st.integers(-d, 2 * d))
+
+
+@st.composite
+def unit_roots(draw):
+    return CycNum.root_of_unity(*draw(root_tuples()))
 
 
 @st.composite
@@ -169,11 +176,12 @@ def partial_monomials(draw, n, full=False):
 def commutant_problems(draw):
     """Partial-monomial algebra elements, unit-monomial generators (as a
     Monomial or a CycMatrix) and root-of-unity scalars; sometimes one
-    algebra element that is not a partial monomial and one scalar 2."""
+    algebra element that is not a partial monomial, and one generator
+    that is not a monomial."""
     n = draw(st.integers(1, 5))
     algebra = draw(st.lists(partial_monomials(n), max_size=3))
     gens = draw(st.lists(partial_monomials(n, full=True), max_size=2))
-    scalars = [draw(unit_roots()) for _ in gens]
+    scalars = [draw(root_tuples()) for _ in gens]
     if draw(st.booleans()):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         if n == 1 or draw(st.booleans()):
@@ -181,17 +189,24 @@ def commutant_problems(draw):
         else:
             cells = {(i, j): ONE, (i, (j + 1) % n): ONE}
         algebra.insert(draw(st.integers(0, len(algebra))), CycMatrix.from_entries(n, n, cells))
-    if gens and draw(st.booleans()):
-        scalars[draw(st.integers(0, len(gens) - 1))] = CycNum.from_rational(2)
     ops = [Monomial.from_matrix(h) if draw(st.booleans()) else h for h in gens]
+    if gens and draw(st.booleans()):
+        k = draw(st.integers(0, len(gens) - 1))
+        h = as_dense(ops[k])
+        if n == 1 or draw(st.booleans()):
+            ops[k] = h.scale(2)
+        else:
+            # one more cell in the first row: no longer a partial monomial
+            j = next(j for j in range(n) if h.entry(0, j).is_zero())
+            ops[k] = h + CycMatrix.from_entries(n, n, {(0, j): ONE})
     return n, algebra, ops, scalars
 
 
 @settings(max_examples=80, deadline=None)
 @given(commutant_problems())
 def test_engine_matches_dense_reference_on_partial_monomials(problem):
-    """Union-find, then the kernel for what does not qualify, spans what
-    the dense reference spans."""
+    """Union-find, then the kernel for what does not qualify (a dense
+    algebra element or generator), spans what the dense reference spans."""
     n, algebra, gens, scalars = problem
     assert_same_span(CommutantEngine(n, algebra, gens).solve(scalars),
                      _dense_commutant(n, algebra, gens, scalars))
@@ -295,7 +310,7 @@ def test_triple_centralizer_idempotence_small():
 
 def test_untwisted_commutant_basis():
     g, h = connected_pair([(3, 2)])
-    basis = untwisted_commutant_basis(g)
+    basis = CommutantEngine.from_spec(g).solve([])
     assert span_of_matrices(basis).equals(h.algebra_span())
 
 
@@ -328,7 +343,7 @@ def test_verify_detects_missing_generator():
     """Dropping the character generators leaves a subgroup whose centralizer
     is strictly larger."""
     g, h = xx_hat_pair(Z2)
-    tau = translation_matrix(Z2, Z2.element((1,)))
+    tau = translation_monomial(Z2, Z2.element((1,))).to_matrix()
     crippled = GroupSpec(
         g.ambient,
         g.blocks,
