@@ -341,8 +341,15 @@ def apply_matrix(matrix: list[list[int]], coords, target: FinAbGroup) -> GroupEl
 
 def product_embedding(groups):
     """Return (product group, combine, split) where combine maps a tuple of
-    per-factor elements to a product element and split inverts it."""
-    groups = list(groups)
+    per-factor elements to a product element and split inverts it.
+
+    Memoized per tuple of factor groups: both sides of a single-orbit pair,
+    and every ingredient tuple with the same (L, J, K), share one table."""
+    return _product_embedding(tuple(groups))
+
+
+@lru_cache(maxsize=None)
+def _product_embedding(groups):
     product, embeds = direct_product(groups)
     table = {}
     for combo in itertools.product(*(g.elements() for g in groups)):

@@ -190,13 +190,13 @@ def _canonical_gluing(summand_keys, qs, gamma: FinAbGroup):
     for combo in itertools.product(*perms_per_block):
         perm = [i for block in combo for i in block]
         permuted = [qs[p] for p in perm]
+        # pinning sends the first map to q0 q0^-1 and the second to
+        # alpha q1 q0^-1, both the identity; only later slots are multiplied
+        # out.  The two inversions still check that q0 and q1 are isomorphisms.
         pin = _aut_inverse(permuted[0], gamma)
-        pinned = [_mat_mod(q, pin, gamma) for q in permuted]
-        if r >= 2:
-            alpha = _aut_inverse(pinned[1], gamma)
-            cand = tuple([pinned[0]] + [_mat_mod(alpha, q, gamma) for q in pinned[1:]])
-        else:
-            cand = tuple(pinned)
+        alpha = _aut_inverse(_mat_mod(permuted[1], pin, gamma), gamma)
+        cand = (ident, ident) + tuple(
+            _mat_mod(alpha, _mat_mod(q, pin, gamma), gamma) for q in permuted[2:])
         if best is None or cand < best:
             best = cand
     return best

@@ -4,7 +4,9 @@ A GroupSpec pins down a reductive subgroup of GL(U) up to scalars: the
 ambient space (a direct sum of labeled tensor products), the identity
 component (a product of GL blocks, each given by an explicit index grid,
 or a raw spanning set for computed centralizers), a finite abelian
-component group, and one generator matrix per component.
+component group, and one generator matrix per component.  The
+constructions here hand each spec a per-coset builder, so a coset's
+generator is built only when something reads it.
 
 The canonical generator section multiplies per-factor operators with
 translations before characters, slots in shape order, so every spec is
@@ -14,7 +16,9 @@ bit-reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 
 from .abelian import (
     Character,
@@ -140,28 +144,86 @@ class Ambient:
         return self.summand_dims() == other.summand_dims()
 
 
+def _check_shape(mat: CycMatrix, n: int) -> CycMatrix:
+    if mat.shape != (n, n):
+        raise ValueError("generator has the wrong shape")
+    return mat
+
+
+class CosetGenerators(Mapping):
+    """The generator matrix of each coset, keyed by coset coordinates in
+    the component group's element order.
+
+    build(coords) makes the generator of one coset; it runs the first time
+    that coset is read, its result is shape-checked and cached, and it is
+    dropped once every coset is built.  Iterating over the keys builds
+    nothing; items() and values() build every coset.  A dict of matrices
+    is a table whose cosets are all built already.
+    """
+
+    def __init__(self, cosets, build, n: int, built=None):
+        self._cosets = tuple(cosets)
+        self._index = frozenset(self._cosets)
+        self._build = build
+        self._n = n
+        self._built = {} if built is None else built
+
+    def __getitem__(self, coords):
+        mat = self._built.get(coords)
+        if mat is None:
+            if coords not in self._index or self._build is None:
+                raise KeyError(coords)
+            mat = self._built[coords] = _check_shape(self._build(coords), self._n)
+            if len(self._built) == len(self._cosets):
+                self._build = None
+        return mat
+
+    def __contains__(self, coords):
+        return coords in self._index
+
+    def __iter__(self):
+        return iter(self._cosets)
+
+    def __len__(self):
+        return len(self._cosets)
+
+
 class GroupSpec:
-    """A reductive subgroup of GL(U) up to scalars, with explicit generators."""
+    """A reductive subgroup of GL(U) up to scalars, with explicit generators.
+
+    generators is either a dict from coset coordinates to generator
+    matrices (decoded and computed specs), or a picklable function from a
+    coset's coordinates to its generator (the constructions, for example
+    a module-level function bound with functools.partial).  Either way
+    self.generators is a CosetGenerators table over the component group's
+    cosets: a builder runs once per coset, on its first read, so callers
+    that read only the generating cosets, as the enumeration does, build
+    no others.  The identity coset is built and checked here.
+    """
 
     def __init__(self, ambient, blocks, component_group, generators, algebra_basis=None):
         self.ambient = ambient
         self.blocks = tuple(blocks) if blocks is not None else None
         self.component_group = component_group
-        self.generators = dict(generators)
         self._algebra_basis = tuple(algebra_basis) if algebra_basis is not None else None
         self._operators: dict = {}
         self._span = None
         n = self.ambient.dim
         ident = self.component_group.identity().coords
-        if ident not in self.generators:
-            raise ValueError("missing generator for the identity coset")
-        if len(self.generators) != self.component_group.order:
-            raise ValueError("need exactly one generator per coset")
+        if callable(generators):
+            cosets = [e.coords for e in self.component_group.elements()]
+            self.generators = CosetGenerators(cosets, generators, n)
+        else:
+            built = dict(generators)
+            if ident not in built:
+                raise ValueError("missing generator for the identity coset")
+            if len(built) != self.component_group.order:
+                raise ValueError("need exactly one generator per coset")
+            for mat in built.values():
+                _check_shape(mat, n)
+            self.generators = CosetGenerators(built, None, n, built)
         if not self.generators[ident].is_identity():
             raise ValueError("identity-coset generator must be the identity matrix")
-        for coords, mat in self.generators.items():
-            if mat.shape != (n, n):
-                raise ValueError("generator has the wrong shape")
         if self.blocks is None and self._algebra_basis is None:
             raise ValueError("need either blocks or an algebra basis")
 
@@ -193,6 +255,7 @@ class GroupSpec:
     # -- generators ----------------------------------------------------------
 
     def generator(self, coords) -> CycMatrix:
+        """The dense generator of a coset, built on its first read."""
         return self.generators[tuple(coords)]
 
     def operator(self, coords):
@@ -200,8 +263,9 @@ class GroupSpec:
         dense CycMatrix itself.
 
         This is the one place that decides a generator's form.  It is
-        detected on first use and cached, because most callers (the
-        enumeration among them) never ask for most cosets.
+        detected on first use and cached, and the generator itself is
+        built then too, because most callers (the enumeration among them)
+        never ask for most cosets.
         """
         coords = tuple(coords)
         op = self._operators.get(coords)
@@ -368,26 +432,25 @@ def connected_pair(decomposition) -> tuple[GroupSpec, GroupSpec]:
     return g, h
 
 
-def _side_generators(b, e, L, J, K, side):
-    """Generator monomials of one side of a single-orbit pair, keyed by the
-    product coordinates (lambda, xi, eta-or-j, k-or-chi)."""
-    groups = [L, L, J, K]
-    product, combine, split = product_embedding(groups)
-    gens = {}
-    id_b = Monomial.identity(b)
-    id_e = Monomial.identity(e)
-    for coset in product.elements():
-        lam, xi, third, fourth = split(coset)
-        l_op = heisenberg_monomial(L, lam, Character(L, xi.coords))
-        if side == "g":
-            j_op = character_monomial(J, Character(J, third.coords))
-            k_op = translation_monomial(K, fourth)
-        else:
-            j_op = translation_monomial(J, third)
-            k_op = character_monomial(K, Character(K, fourth.coords))
-        mono = id_b.kron(id_e).kron(l_op).kron(j_op).kron(k_op)
-        gens[coset.coords] = mono.to_matrix()
-    return product, gens
+def _split_coset(parts, coords):
+    """The per-factor elements of a coset of the direct product of parts."""
+    product, _, split = product_embedding(parts)
+    return split(product.element(coords))
+
+
+def _single_orbit_generator(b, e, L, J, K, side, coords):
+    """The generator of one side of a single-orbit pair at the product
+    coordinates (lambda, xi, eta-or-j, k-or-chi)."""
+    lam, xi, third, fourth = _split_coset((L, L, J, K), coords)
+    l_op = heisenberg_monomial(L, lam, Character(L, xi.coords))
+    if side == "g":
+        j_op = character_monomial(J, Character(J, third.coords))
+        k_op = translation_monomial(K, fourth)
+    else:
+        j_op = translation_monomial(J, third)
+        k_op = character_monomial(K, Character(K, fourth.coords))
+    mono = Monomial.identity(b).kron(Monomial.identity(e)).kron(l_op).kron(j_op).kron(k_op)
+    return mono.to_matrix()
 
 
 def single_orbit_pair(ing: SingleOrbitIngredients) -> tuple[GroupSpec, GroupSpec]:
@@ -402,7 +465,6 @@ def single_orbit_pair(ing: SingleOrbitIngredients) -> tuple[GroupSpec, GroupSpec
     l, j, k = L.order, J.order, K.order
     shape = TensorShape((("B", b), ("E", e), ("L", l), ("J", j), ("K", k)))
     ambient = Ambient.single(shape)
-    n = ambient.dim
 
     g_blocks = []
     for k0 in range(k):
@@ -427,10 +489,9 @@ def single_orbit_pair(ing: SingleOrbitIngredients) -> tuple[GroupSpec, GroupSpec
             grid.append(tuple(row))
         h_blocks.append(Block(e, tuple(grid)))
 
-    gamma, g_gens = _side_generators(b, e, L, J, K, "g")
-    delta, h_gens = _side_generators(b, e, L, J, K, "h")
-    g = GroupSpec(ambient, g_blocks, gamma, g_gens)
-    h = GroupSpec(ambient, h_blocks, delta, h_gens)
+    gamma = product_embedding((L, L, J, K))[0]
+    g = GroupSpec(ambient, g_blocks, gamma, partial(_single_orbit_generator, b, e, L, J, K, "g"))
+    h = GroupSpec(ambient, h_blocks, gamma, partial(_single_orbit_generator, b, e, L, J, K, "h"))
     return g, h
 
 
@@ -465,24 +526,39 @@ def _extend_ambient(ambient: Ambient, n_x: int, base_label: str):
     return Ambient(tuple(shapes))
 
 
-def _product_generators(parts, builders, n: int):
-    """Generators over a direct product of coset groups.
-
-    parts: list of FinAbGroup; builders: function taking one element per
-    part and returning the generator matrix.
-    """
-    product, combine, split = product_embedding(parts)
-    gens = {}
-    for coset in product.elements():
-        gens[coset.coords] = builders(split(coset))
-    return product, gens
-
-
 def _kron_operator(base, op: Monomial) -> CycMatrix:
     """The dense generator base (x) op, for a spec operator base."""
     if isinstance(base, Monomial):
         return base.kron(op).to_matrix()
     return base.kron(op.to_matrix())
+
+
+def _xx_hat_generator(side: GroupSpec, x_group: FinAbGroup, coords):
+    """side's generator tensored with tau_lambda sigma_xi, at the coset
+    (gamma, lambda, xi) of Gamma x X x X-hat."""
+    gamma1, lam, xi = _split_coset((side.component_group, x_group, x_group), coords)
+    op = heisenberg_monomial(x_group, lam, Character(x_group, xi.coords))
+    return _kron_operator(side.operator(gamma1.coords), op)
+
+
+def _type2_generator(side: GroupSpec, x_group: FinAbGroup, twist: str, coords):
+    """side's generator tensored with a translation (twist "tau") or a
+    character (twist "sigma") of X, at the coset (gamma, x) of Gamma x X."""
+    gamma1, x = _split_coset((side.component_group, x_group), coords)
+    if twist == "tau":
+        op = translation_monomial(x_group, x)
+    else:
+        op = character_monomial(x_group, Character(x_group, x.coords))
+    return _kron_operator(side.operator(gamma1.coords), op)
+
+
+def _connected_type2_generator(dim_w: int, x_group: FinAbGroup, twist: str, coords):
+    """I_W tensored with a translation or a character of X, at coords."""
+    if twist == "tau":
+        op = translation_monomial(x_group, x_group.element(coords))
+    else:
+        op = character_monomial(x_group, x_group.character(coords))
+    return Monomial.identity(dim_w).kron(op).to_matrix()
 
 
 def general_xx_hat_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
@@ -499,20 +575,11 @@ def general_xx_hat_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
             raise InputNotDualPair(f"input pair fails verification: {report.failures}")
     n_x = x_group.order
     ambient = _extend_ambient(h1.ambient, n_x, "X")
-    n = ambient.dim
 
     def build_side(side: GroupSpec) -> GroupSpec:
         blocks = tuple(b.tensor_extend(n_x) for b in side.blocks)
-
-        def builder(parts):
-            gamma1, lam, xi = parts
-            op = heisenberg_monomial(x_group, lam, Character(x_group, xi.coords))
-            return _kron_operator(side.operator(gamma1.coords), op)
-
-        comp, gens = _product_generators(
-            [side.component_group, x_group, x_group], builder, n
-        )
-        return GroupSpec(ambient, blocks, comp, gens)
+        comp = product_embedding((side.component_group, x_group, x_group))[0]
+        return GroupSpec(ambient, blocks, comp, partial(_xx_hat_generator, side, x_group))
 
     return build_side(h1), build_side(h2)
 
@@ -545,7 +612,6 @@ def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
         raise ValueError("variant must be 'i' or 'ii'")
     n_x = x_group.order
     ambient = _extend_ambient(h1.ambient, n_x, "X")
-    n = ambient.dim
     dim_w = h1.ambient.dim
     if variant == "i":
         if not _is_scalar_component(h1):
@@ -555,23 +621,12 @@ def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
         torus = tuple(
             Block(1, (tuple(g * n_x + x for g in range(dim_w)),)) for x in range(n_x)
         )
-
-        def build_g(parts):
-            gamma1, xx = parts
-            op = translation_monomial(x_group, xx)
-            return _kron_operator(h1.operator(gamma1.coords), op)
-
-        comp_g, gens_g = _product_generators([h1.component_group, x_group], build_g, n)
-        g_spec = GroupSpec(ambient, torus, comp_g, gens_g)
-
-        def build_h(parts):
-            gamma2, xi = parts
-            op = character_monomial(x_group, Character(x_group, xi.coords))
-            return _kron_operator(h2.operator(gamma2.coords), op)
-
-        comp_h, gens_h = _product_generators([h2.component_group, x_group], build_h, n)
+        comp_g = product_embedding((h1.component_group, x_group))[0]
+        g_spec = GroupSpec(ambient, torus, comp_g, partial(_type2_generator, h1, x_group, "tau"))
+        comp_h = product_embedding((h2.component_group, x_group))[0]
         h_blocks = tuple(b.tensor_extend(n_x) for b in h2.blocks)
-        h_spec = GroupSpec(ambient, h_blocks, comp_h, gens_h)
+        h_spec = GroupSpec(ambient, h_blocks, comp_h,
+                           partial(_type2_generator, h2, x_group, "sigma"))
         return g_spec, h_spec
 
     if not _is_connected_gl_pair(h1, h2):
@@ -579,17 +634,11 @@ def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
             "variant ii needs a connected mutual-commutant pair in GL(W)"
         )
     g_blocks = tuple(nb for b in h1.blocks for nb in b.replicate(n_x))
-    gens_g = {}
-    for x in x_group.elements():
-        op = Monomial.identity(dim_w).kron(translation_monomial(x_group, x))
-        gens_g[x.coords] = op.to_matrix()
-    g_spec = GroupSpec(ambient, g_blocks, x_group, gens_g)
+    g_spec = GroupSpec(ambient, g_blocks, x_group,
+                       partial(_connected_type2_generator, dim_w, x_group, "tau"))
     h_blocks = tuple(b.tensor_extend(n_x) for b in h2.blocks)
-    gens_h = {}
-    for xi in x_group.characters():
-        op = Monomial.identity(dim_w).kron(character_monomial(x_group, xi))
-        gens_h[xi.coords] = op.to_matrix()
-    h_spec = GroupSpec(ambient, h_blocks, x_group, gens_h)
+    h_spec = GroupSpec(ambient, h_blocks, x_group,
+                       partial(_connected_type2_generator, dim_w, x_group, "sigma"))
     return g_spec, h_spec
 
 
@@ -625,6 +674,13 @@ def monomial_direct_sum(monos) -> Monomial:
         exps.extend(e * (order // m.order) for e in m.exps)
         offset += m.n
     return Monomial.from_exponents(perm, order, exps)
+
+
+def _glued_generator(summands, coords):
+    """The block-diagonal generator at coords of the shared group, from
+    (summand spec, coset map) pairs."""
+    return monomial_direct_sum(
+        [side.operator(coset_of[coords]) for side, coset_of in summands]).to_matrix()
 
 
 def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
@@ -685,17 +741,8 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
         g_blocks.extend(b.shift(off) for b in g_i.blocks)
         h_blocks.extend(b.shift(off) for b in h_i.blocks)
 
-    g_gens = {
-        x.coords: monomial_direct_sum(
-            [g_i.operator(g_coset[x.coords]) for g_i, _, g_coset, _ in sides]).to_matrix()
-        for x in gamma.elements()
-    }
-    h_gens = {
-        delta.coords: monomial_direct_sum(
-            [h_i.operator(h_coset[delta.coords]) for _, h_i, _, h_coset in sides]).to_matrix()
-        for delta in gamma.characters()
-    }
-
-    g = GroupSpec(ambient, tuple(g_blocks), gamma, g_gens)
-    h = GroupSpec(ambient, tuple(h_blocks), gamma, h_gens)
+    g_parts = [(g_i, g_coset) for g_i, _, g_coset, _ in sides]
+    h_parts = [(h_i, h_coset) for _, h_i, _, h_coset in sides]
+    g = GroupSpec(ambient, tuple(g_blocks), gamma, partial(_glued_generator, g_parts))
+    h = GroupSpec(ambient, tuple(h_blocks), gamma, partial(_glued_generator, h_parts))
     return g, h

@@ -247,19 +247,30 @@ def unit_pattern(op):
 
 
 def translation_monomial(group: FinAbGroup, x: GroupElement) -> Monomial:
+    """Column index(e) holds 1 at row index(e + x).
+
+    Both indices are mixed-radix over the invariant factors, first factor
+    slowest, so the permutation is built one factor at a time."""
     if x.group != group:
         raise GroupMismatch("element of a different group")
-    perm = [group.index_of(e + x) for e in group.elements()]
+    perm = [0]
+    for d, s in zip(group.invariant_factors, x.coords):
+        shifted = [(c + s) % d for c in range(d)]
+        perm = [p * d + c for p in perm for c in shifted]
     return Monomial.from_exponents(perm, 1, (0,) * len(perm))
 
 
 def character_monomial(group: FinAbGroup, xi: Character) -> Monomial:
+    """The diagonal of xi in the basis of group elements, index order."""
     if xi.group != group:
         raise GroupMismatch("character of a different group")
-    # xi(e) = zeta_N^(sum_i c_i e_i N / d_i) for N the group's exponent
+    # xi(e) = zeta_N^(sum_i c_i e_i N / d_i) for N the group's exponent,
+    # accumulated one factor at a time in the same mixed-radix order
     order = group.exponent
-    weights = [c * (order // d) for c, d in zip(xi.coords, group.invariant_factors)]
-    exps = [sum(w * v for w, v in zip(weights, e.coords)) % order for e in group.elements()]
+    exps = [0]
+    for c, d in zip(xi.coords, group.invariant_factors):
+        steps = [c * (order // d) * v for v in range(d)]
+        exps = [(a + w) % order for a in exps for w in steps]
     return Monomial.from_exponents(range(group.order), order, exps)
 
 

@@ -50,7 +50,7 @@ from .errors import (
     ShapeMismatch,
     WitnessSearchUndecided,
 )
-from .matrep import as_dense, commutator_exponent, unit_pattern
+from .matrep import Monomial, as_dense, commutator_exponent, unit_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +80,11 @@ class _RatioUnionFind:
         return out
 
     def find(self, u: int) -> int:
+        parent = self.parent
+        root = parent[u]
+        if parent[root] == root:
+            # u is a root or hangs from one: no path to compress
+            return root
         chain = []
         while self.parent[u] != u:
             chain.append(u)
@@ -272,6 +277,10 @@ def _apply_twist_constraint(basis, h: CycMatrix, c: CycNum) -> list[CycMatrix]:
 
 
 def _det_nonzero(mat: CycMatrix) -> bool:
+    # one nonzero cell in every row and every column: a scaled permutation
+    if (len(mat.cells) == mat.rows == len({i for i, _ in mat.cells})
+            == len({j for _, j in mat.cells})):
+        return True
     return mat.rank() == mat.rows
 
 
@@ -657,11 +666,18 @@ class VerificationReport:
         }
 
 
-def _membership(candidate: CycMatrix, coset_rep, span: VectorSpan) -> bool:
-    """Is candidate inside coset_rep * (algebra of the span)?  coset_rep is
-    an operator; a Monomial one is inverted in O(n) and applied to the
-    candidate's nonzero cells."""
+def _membership(candidate, coset_rep, span: VectorSpan) -> bool:
+    """Is candidate inside coset_rep * (algebra of the span)?  Both are
+    operators.  A Monomial coset_rep is inverted in O(n) and multiplied
+    with a Monomial candidate in integers, or applied to a dense one's
+    nonzero cells."""
+    if not isinstance(coset_rep, Monomial):
+        candidate = as_dense(candidate)
     shifted = coset_rep.inverse() @ candidate
+    if isinstance(shifted, Monomial):
+        n = shifted.n
+        cells = {p * n + j: s for j, (p, s) in enumerate(zip(shifted.perm, shifted.scales))}
+        return span.contains(cells)
     return span.contains(shifted.flat_cells())
 
 
@@ -691,14 +707,14 @@ def _compare_with_centralizer(claimed: GroupSpec, computed: CentralizerData,
 
     claimed_in_computed = span_cl_in_co and complete and all(
         t in computed.tuple_to_coset
-        and _membership(claimed.generator(coords),
+        and _membership(claimed.operator(coords),
                         computed.spec.operator(computed.tuple_to_coset[t]), comp_span)
         for t, coords in claimed_tuples
     )
     coset_of = dict(claimed_tuples)
     computed_in_claimed = span_co_in_cl and all(
         t in coset_of
-        and _membership(computed.spec.generator(coords),
+        and _membership(computed.spec.operator(coords),
                         claimed.operator(coset_of[t]), claimed_span)
         for t, coords in computed.tuple_to_coset.items()
     )

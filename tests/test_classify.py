@@ -1,8 +1,23 @@
 """Classification enumeration and canonical labeling."""
 
-from projpair.abelian import FinAbGroup, enumerate_abelian_groups
+import itertools
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from projpair.abelian import (
+    FinAbGroup,
+    enumerate_abelian_groups,
+    identity_matrix,
+    random_automorphism,
+)
 from projpair.classify import (
     GLUING_CLASS_FLAG,
+    _aut_inverse,
+    _canonical_gluing,
+    _mat_mod,
+    _reduce_matrix,
     canonicalize_row,
     component_group_of,
     enumerate_multi_orbit,
@@ -141,3 +156,49 @@ def test_multi_rows_build_and_roundtrip():
         g, h = row.build()
         assert g.ambient.dim == row.ambient_dim
         assert g.component_group.order == row.gamma.order
+
+
+def _oracle_canonical_gluing(summand_keys, qs, gamma):
+    """_canonical_gluing as it multiplied out every slot: pin the first
+    map, then compose all but the first with the inverse of the second."""
+    r = len(qs)
+    ident = tuple(tuple(row) for row in identity_matrix(gamma))
+    if gamma.is_trivial() or r == 1:
+        return tuple([ident] * r)
+    qs = [_reduce_matrix(q, gamma) for q in qs]
+    blocks = []
+    start = 0
+    for i in range(1, r + 1):
+        if i == r or summand_keys[i] != summand_keys[start]:
+            blocks.append(list(range(start, i)))
+            start = i
+    best = None
+    for combo in itertools.product(*[list(itertools.permutations(b)) for b in blocks]):
+        permuted = [qs[p] for block in combo for p in block]
+        pin = _aut_inverse(permuted[0], gamma)
+        pinned = [_mat_mod(q, pin, gamma) for q in permuted]
+        alpha = _aut_inverse(pinned[1], gamma)
+        cand = tuple([pinned[0]] + [_mat_mod(alpha, q, gamma) for q in pinned[1:]])
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+_GLUING_GROUPS = [FinAbGroup(fs) for fs in [(2,), (3,), (4,), (2, 2), (2, 4), (2, 2, 2)]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_GLUING_GROUPS), st.integers(1, 4), st.data())
+def test_canonical_gluing_matches_oracle(gamma, r, data):
+    """Slots 0 and 1 are left as the identity instead of multiplied out;
+    the result is the same on random automorphism tuples, with equal
+    summand keys and unreduced entries."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    keys = sorted(data.draw(st.lists(st.integers(0, 2), min_size=r, max_size=r)))
+    qs = []
+    for _ in range(r):
+        q = random_automorphism(gamma, rng)
+        # lift each entry by a multiple of its row's invariant factor
+        qs.append(tuple(tuple(x + rng.randrange(3) * d for x in row)
+                        for row, d in zip(q, gamma.invariant_factors)))
+    assert _canonical_gluing(keys, qs, gamma) == _oracle_canonical_gluing(keys, qs, gamma)

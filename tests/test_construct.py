@@ -1,8 +1,11 @@
 """Structural checks on the pair constructions."""
 
+import pickle
+
 import pytest
 
 from projpair.abelian import FinAbGroup, identity_matrix
+from projpair import construct
 from projpair.construct import (
     Ambient,
     Block,
@@ -294,3 +297,75 @@ def test_scalar_blocks_span():
     basis = blocks[0].matrix_units(3)
     assert len(basis) == 1
     assert basis[0].is_identity()
+
+
+# -- generators built on first read -----------------------------------------
+
+
+def test_enumeration_reads_build_only_generating_cosets(monkeypatch):
+    """The mirrored gluing matrix reads each side's generating cosets; the
+    identity coset is built by the construction's own check, and no other
+    coset is built."""
+    from projpair.verify import pairing_coset_character_matrix
+
+    built = []
+    real = construct._single_orbit_generator
+
+    def counting(b, e, L, J, K, side, coords):
+        built.append((side, coords))
+        return real(b, e, L, J, K, side, coords)
+
+    monkeypatch.setattr(construct, "_single_orbit_generator", counting)
+    g, h = single_orbit_pair(SingleOrbitIngredients(1, 2, Z2, Z2, Z3))
+    assert g.component_group.order == 24
+    pairing_coset_character_matrix(g, h)
+    ident = g.component_group.identity().coords
+    expected = {(side, c) for side in "gh" for c in [ident] + g.generating_cosets()}
+    assert sorted(built) == sorted(expected)
+
+
+def test_builder_of_wrong_shape_raises_on_first_read():
+    ambient = Ambient.single(TensorShape((("A", 2),)))
+
+    def build(coords):
+        return CycMatrix.identity(2 if coords == (0,) else 3)
+
+    spec = GroupSpec(ambient, scalar_blocks(2), Z2, build)
+    assert spec.generator((0,)).is_identity()
+    with pytest.raises(ValueError, match="wrong shape"):
+        spec.generator((1,))
+    with pytest.raises(ValueError, match="wrong shape"):
+        GroupSpec(ambient, scalar_blocks(2), Z2,
+                  {(0,): CycMatrix.identity(2), (1,): CycMatrix.identity(3)})
+
+
+def test_non_identity_generator_at_identity_coset_raises_at_construction():
+    ambient = Ambient.single(TensorShape((("A", 2),)))
+    swap = CycMatrix([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="identity matrix"):
+        GroupSpec(ambient, scalar_blocks(2), Z2, lambda coords: swap)
+    with pytest.raises(ValueError, match="identity matrix"):
+        GroupSpec(ambient, scalar_blocks(2), Z2, {(0,): swap, (1,): swap})
+
+
+def _all_generators(spec):
+    return {coords: spec.generator(coords) for coords in spec.generators}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: single_orbit_pair(SingleOrbitIngredients(1, 1, Z2, Z2, TRIV)),
+    lambda: general_xx_hat_pair(*connected_pair([(1, 2)]), Z2, check=False),
+    lambda: type2_pair(*xx_hat_pair(Z2), Z2, "i"),
+    lambda: type2_pair(*connected_pair([(2, 1)]), Z2, "ii"),
+    lambda: multi_orbit_glue(MultiOrbitSpec(FinAbGroup((2, 2)), (
+        (SingleOrbitIngredients(1, 1, Z2, TRIV, TRIV), ((1, 0), (0, 1))),
+        (SingleOrbitIngredients(1, 1, Z2, TRIV, TRIV), ((0, 1), (1, 0)))))),
+])
+def test_constructed_spec_pickles_before_and_after_its_cosets_are_built(build):
+    for spec in build():
+        before = pickle.loads(pickle.dumps(spec))
+        reference = _all_generators(spec)
+        after = pickle.loads(pickle.dumps(spec))
+        for copy in (before, after):
+            assert list(copy.generators) == list(spec.generators)
+            assert _all_generators(copy) == reference

@@ -62,6 +62,31 @@ def test_operators_are_homomorphisms():
                     assert lhs == character_monomial(g, xi + eta)
 
 
+def _oracle_translation(group, x):
+    """tau_x element by element: column index(e) has its 1 at index(e + x)."""
+    perm = [group.index_of(e + x) for e in group.elements()]
+    return Monomial.from_exponents(perm, 1, (0,) * len(perm))
+
+
+def _oracle_character(group, xi):
+    """sigma_xi element by element: entry index(e) is xi(e) on zeta_N."""
+    order = group.exponent
+    weights = [c * (order // d) for c, d in zip(xi.coords, group.invariant_factors)]
+    exps = [sum(w * v for w, v in zip(weights, e.coords)) % order for e in group.elements()]
+    return Monomial.from_exponents(range(group.order), order, exps)
+
+
+def test_operators_match_element_wise_oracles():
+    """The mixed-radix integer builds equal the element-wise formulas, for
+    every element and character of every group of order <= 32."""
+    for n in range(1, 33):
+        for g in enumerate_abelian_groups(n):
+            for x in g.elements():
+                assert translation_monomial(g, x) == _oracle_translation(g, x)
+            for xi in g.characters():
+                assert character_monomial(g, xi) == _oracle_character(g, xi)
+
+
 def test_commutation_relation_small():
     """The conjugation relations between sigma and tau, exact, order <= 8."""
     for n in range(1, 9):

@@ -35,7 +35,9 @@ from projpair.verify import (
     PairingTable,
     _apply_twist_constraint,
     _check_semisimple,
+    _det_nonzero,
     _invertible_in_span,
+    _membership,
     compute_centralizer,
     pairing_table,
     projective_centralizer,
@@ -210,6 +212,44 @@ def test_engine_matches_dense_reference_on_partial_monomials(problem):
     n, algebra, gens, scalars = problem
     assert_same_span(CommutantEngine(n, algebra, gens).solve(scalars),
                      _dense_commutant(n, algebra, gens, scalars))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: partial_monomials(n)), st.booleans())
+def test_det_nonzero_matches_rank(mat, extra):
+    """The scaled-permutation shortcut agrees with the rank, also on
+    partial monomials and on a matrix with a second cell in a row."""
+    n = mat.rows
+    if extra and n > 1:
+        j = next((j for j in range(n) if mat.entry(0, j).is_zero()), None)
+        if j is not None:
+            mat = mat + CycMatrix.from_entries(n, n, {(0, j): ONE})
+    assert _det_nonzero(mat) == (mat.rank() == n)
+
+
+@st.composite
+def membership_problems(draw):
+    """A span of partial monomials, two unit monomials rep and a, and the
+    candidate rep @ a; a is in the span about half of the time."""
+    n = draw(st.integers(1, 4))
+    algebra = draw(st.lists(partial_monomials(n), max_size=3))
+    a = draw(partial_monomials(n, full=True))
+    if draw(st.booleans()):
+        algebra.append(a)
+    rep = draw(partial_monomials(n, full=True))
+    return algebra or [CycMatrix.identity(n)], rep @ a, rep, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(membership_problems())
+def test_membership_of_monomials_matches_dense(problem):
+    """Two Monomials multiplied in integers give the dense answer."""
+    algebra, candidate, rep, dense_rep = problem
+    span = span_of_matrices(algebra)
+    expected = span.contains((rep.inverse() @ candidate).flat_cells())
+    rep_op = rep if dense_rep else Monomial.from_matrix(rep)
+    assert _membership(Monomial.from_matrix(candidate), rep_op, span) == expected
+    assert _membership(candidate, rep_op, span) == expected
 
 
 def test_witness_search_undecided_is_typed():
