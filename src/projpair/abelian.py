@@ -21,35 +21,47 @@ from .cyclo import CycNum, prime_factors
 from .errors import DegeneratePairing, GroupMismatch, NotAlternating, NotIsomorphism
 
 
-def canonical_factors(factors) -> tuple[int, ...]:
-    """Canonical invariant-factor chain of a direct product of cyclic groups."""
-    primary: dict[int, list[int]] = {}
-    for f in factors:
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime p dividing n exactly e times, p increasing."""
+    out = []
+    for p in prime_factors(n):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
+
+
+def _primary_decomposition(factors) -> tuple[tuple[int, ...], list[list[tuple[int, int]]]]:
+    """Invariant factors of a direct product of cyclic groups, and for each
+    cyclic factor the (slot, p**e) of each of its primary parts.
+
+    For each prime, the primary parts of all factors are merged largest with
+    largest: the i-th largest p-part lands in slot depth - 1 - i, where
+    depth is the longest such list, and equal parts keep their input order.
+    The invariant factor of a slot is the product of the parts it receives.
+    """
+    primary: dict[int, list[tuple[int, int]]] = {}
+    for k, f in enumerate(factors):
         if f < 1:
             raise ValueError(f"cyclic factor must be positive, got {f}")
-        if f == 1:
-            continue
-        n = f
-        for p in prime_factors(f):
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            primary.setdefault(p, []).append(p ** e)
-    if not primary:
-        return ()
-    for p in primary:
-        primary[p].sort(reverse=True)
-    depth = max(len(v) for v in primary.values())
-    out = []
-    for i in range(depth):
-        d = 1
-        for p in primary:
-            if i < len(primary[p]):
-                d *= primary[p][i]
-        out.append(d)
-    out.reverse()
-    return tuple(out)
+        for p, e in _prime_powers(f):
+            primary.setdefault(p, []).append((p ** e, k))
+    depth = max((len(v) for v in primary.values()), default=0)
+    invariant = [1] * depth
+    slots: list[list[tuple[int, int]]] = [[] for _ in factors]
+    for parts in primary.values():
+        parts.sort(key=lambda part: -part[0])
+        for i, (pe, k) in enumerate(parts):
+            invariant[depth - 1 - i] *= pe
+            slots[k].append((depth - 1 - i, pe))
+    return tuple(invariant), slots
+
+
+def canonical_factors(factors) -> tuple[int, ...]:
+    """Canonical invariant-factor chain of a direct product of cyclic groups."""
+    return _primary_decomposition(factors)[0]
 
 
 @dataclass(frozen=True)
@@ -222,8 +234,9 @@ def char_eval(xi: Character, x: GroupElement) -> CycNum:
 
 
 @lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n, parts weakly decreasing."""
+def partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n, parts weakly decreasing, in reverse
+    lexicographic order."""
     if n == 0:
         return ((),)
     out = []
@@ -240,7 +253,7 @@ def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def partition_count(n: int) -> int:
-    return len(_partitions(n))
+    return len(partitions(n))
 
 
 def enumerate_abelian_groups(n: int) -> list[FinAbGroup]:
@@ -253,18 +266,8 @@ def enumerate_abelian_groups(n: int) -> list[FinAbGroup]:
         raise ValueError("order must be positive")
     if n == 1:
         return [FinAbGroup.trivial()]
-    primes = prime_factors(n)
-    exps = []
-    rest = n
-    for p in primes:
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        exps.append((p, e))
-    choices = []
-    for p, e in exps:
-        choices.append([[p ** part for part in parts] for parts in _partitions(e)])
+    choices = [[[p ** part for part in parts] for parts in partitions(e)]
+               for p, e in _prime_powers(n)]
     groups = set()
     for combo in itertools.product(*choices):
         factors = [f for block in combo for f in block]
@@ -284,48 +287,21 @@ def direct_product(groups) -> tuple[FinAbGroup, list[list[list[int]]]]:
     the column holds that generator's coordinates inside the product group.
     """
     groups = list(groups)
-    all_factors = [d for g in groups for d in g.invariant_factors]
-    product = FinAbGroup(canonical_factors(all_factors))
-    # assign the primary components of each cyclic factor to product slots,
-    # mirroring the largest-with-largest merge in canonical_factors
-    primary: dict[int, list[int]] = {}
-    for d in all_factors:
-        for p in prime_factors(d):
-            e = 0
-            dd = d
-            while dd % p == 0:
-                dd //= p
-                e += 1
-            primary.setdefault(p, []).append(p ** e)
-    slot_of: dict[tuple[int, int, int], int] = {}
-    depth = len(product.invariant_factors)
-    for p, powers in primary.items():
-        order = sorted(range(len(powers)), key=lambda i: -powers[i])
-        for rank_pos, idx in enumerate(order):
-            # largest primary part lands in the largest invariant factor
-            slot_of[(p, idx)] = depth - 1 - rank_pos
-    # now walk the factors again in the same discovery order to consume indices
-    counters: dict[int, int] = {}
+    invariant, slots = _primary_decomposition(
+        [d for g in groups for d in g.invariant_factors])
+    cols = []
+    for parts in slots:
+        col = [0] * len(invariant)
+        for slot, pe in parts:
+            col[slot] = (col[slot] + invariant[slot] // pe) % invariant[slot]
+        cols.append(col)
     embeds = []
+    start = 0
     for g in groups:
-        cols = []
-        for d in g.invariant_factors:
-            col = [0] * depth
-            dd = d
-            for p in prime_factors(d):
-                e = 0
-                while dd % p == 0:
-                    dd //= p
-                    e += 1
-                idx = counters.get(p, 0)
-                counters[p] = idx + 1
-                slot = slot_of[(p, idx)]
-                pe = p ** e
-                col[slot] = (col[slot] + product.invariant_factors[slot] // pe) % \
-                    product.invariant_factors[slot]
-            cols.append(col)
-        embeds.append([[cols[j][i] for j in range(len(cols))] for i in range(depth)])
-    return product, embeds
+        own = cols[start:start + g.rank]
+        start += g.rank
+        embeds.append([[col[i] for col in own] for i in range(len(invariant))])
+    return FinAbGroup(invariant), embeds
 
 
 def apply_matrix(matrix: list[list[int]], coords, target: FinAbGroup) -> GroupElement:
@@ -430,29 +406,6 @@ def invert_isomorphism(q, source: FinAbGroup, target: FinAbGroup) -> list[list[i
     if p is None:
         raise NotIsomorphism("matrix is not an isomorphism")
     return p
-
-
-def random_automorphism(group: FinAbGroup, rng) -> list[list[int]]:
-    """One automorphism drawn from a seeded RNG via rejection sampling.
-
-    Entries respect the homomorphism condition d_j * q[i][j] = 0 mod d_i;
-    a random legal matrix is invertible with decent probability, so this
-    stays cheap even where enumerating the automorphism group would not.
-    """
-    fs = group.invariant_factors
-    r = group.rank
-    if r == 0:
-        return []
-    while True:
-        q = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                g = math.gcd(fs[i], fs[j])
-                row.append(rng.randrange(g) * (fs[i] // g))
-            q.append(row)
-        if is_isomorphism_matrix(q, group, group):
-            return q
 
 
 @lru_cache(maxsize=None)

@@ -18,11 +18,19 @@ from dataclasses import dataclass
 from .abelian import (
     FinAbGroup,
     automorphisms,
+    dual_isomorphism_transport,
     enumerate_abelian_groups,
     identity_matrix,
     invert_isomorphism,
+    partitions,
 )
-from .construct import MultiOrbitSpec, SingleOrbitIngredients
+from .construct import (
+    MultiOrbitSpec,
+    SingleOrbitIngredients,
+    multi_orbit_glue,
+    pairing_coset_matrix,
+    single_orbit_pair,
+)
 
 GLUING_CLASS_FLAG = "gluing-class-representative"
 
@@ -62,8 +70,6 @@ class ClassificationRow:
 
     def build(self):
         """Construct the (G, H) pair this row describes."""
-        from .construct import multi_orbit_glue, single_orbit_pair
-
         if self.kind == "single":
             return single_orbit_pair(self.single)
         return multi_orbit_glue(self.multi)
@@ -119,21 +125,6 @@ def enumerate_single_orbit(n: int) -> list[ClassificationRow]:
                                     single_row(SingleOrbitIngredients(b, e, L, J, K))
                                 )
     return rows
-
-
-def _partitions_bounded(n: int, max_parts: int):
-    """Partitions of n into at most max_parts parts, weakly decreasing."""
-
-    def rec(remaining, maximum, parts_left, prefix):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        if parts_left == 0:
-            return
-        for part in range(min(remaining, maximum), 0, -1):
-            yield from rec(remaining - part, part, parts_left - 1, prefix + [part])
-
-    yield from rec(n, n, max_parts, [])
 
 
 def _mat_mod(a, b, group: FinAbGroup):
@@ -203,7 +194,12 @@ def _canonical_gluing(summand_keys, qs, gamma: FinAbGroup):
 
 
 def canonicalize_row(row: ClassificationRow) -> ClassificationRow:
-    """Idempotent normal form: orientation, summand order, gluing maps."""
+    """Normal form of a row: orientation, summand order, gluing maps.
+
+    Not idempotent on every multi-orbit row: re-canonicalizing some rows
+    with Gamma = Z2 x Z2 gives another enumerated row, because left
+    composition on slots 2.. and the summand permutations do not close
+    into one group action (see the gluing-classes item of ROADMAP.md)."""
     if row.kind == "single":
         ing = row.single
         swapped = ing.swapped()
@@ -242,14 +238,10 @@ def _dual_gluing_matrix(ing: SingleOrbitIngredients, q, gamma: FinAbGroup):
     """The gluing map of the mirrored row: transport q to character space
     and identify the mirrored summand's component group through the
     commutator pairing.  Memoized per ingredient tuple on q."""
-    from .abelian import dual_isomorphism_transport
-    from .construct import single_orbit_pair
-    from .verify import pairing_coset_character_matrix
-
     if ing not in _PHI_INV_CACHE:
         g_i, h_i = single_orbit_pair(ing)
         _PHI_INV_CACHE[ing] = (
-            tuple(tuple(r) for r in pairing_coset_character_matrix(g_i, h_i)),
+            tuple(tuple(r) for r in pairing_coset_matrix(g_i, h_i)),
             g_i.component_group,
             {},
         )
@@ -263,8 +255,10 @@ def _dual_gluing_matrix(ing: SingleOrbitIngredients, q, gamma: FinAbGroup):
 def enumerate_multi_orbit(n: int, max_parts: int | None = None) -> list[ClassificationRow]:
     """Single-orbit rows plus glued multisets with matching component groups.
 
-    Multi-part rows are deduplicated through canonicalize_row, so each
-    gluing class appears once.
+    Multi-part rows are deduplicated through canonicalize_row.  They are
+    gluing-class representatives, not yet claimed complete or irredundant:
+    some conjugacy classes are missed and some are listed twice (see the
+    gluing-classes item of ROADMAP.md).
     """
     if max_parts is None:
         max_parts = n
@@ -274,8 +268,8 @@ def enumerate_multi_orbit(n: int, max_parts: int | None = None) -> list[Classifi
     singles_by_dim = {d: enumerate_single_orbit(d) for d in range(1, n)}
     seen = set()
     out = list(rows)
-    for partition in _partitions_bounded(n, max_parts):
-        if len(partition) < 2:
+    for partition in partitions(n):
+        if not 2 <= len(partition) <= max_parts:
             continue
         # group candidate summands by their component group
         by_gamma: dict[tuple, dict[int, list[SingleOrbitIngredients]]] = {}

@@ -25,6 +25,7 @@ from .abelian import (
     FinAbGroup,
     apply_matrix,
     dual_isomorphism_transport,
+    invert_isomorphism,
     product_embedding,
     transport_character,
 )
@@ -253,10 +254,6 @@ class GroupSpec:
         return sorted((b.dim, b.mult) for b in self.blocks) if self.blocks else None
 
     # -- generators ----------------------------------------------------------
-
-    def generator(self, coords) -> CycMatrix:
-        """The dense generator of a coset, built on its first read."""
-        return self.generators[tuple(coords)]
 
     def operator(self, coords):
         """The generator of a coset as a Monomial when it is one, else the
@@ -647,21 +644,36 @@ def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
 # ---------------------------------------------------------------------------
 
 
-def pairing_character(g_spec: GroupSpec, h_op, error) -> tuple[int, ...]:
+def pairing_character(g_spec: GroupSpec, h_op) -> tuple[int, ...]:
     """The character of the first side's component group cut out by
     pairing against the operator h_op, on canonical coordinates: the
     commutator exponent with each canonical generator, times its invariant
-    factor d, reduced mod d.  Raises error when a value is not a multiple
-    of 1/d."""
+    factor d, reduced mod d.  Raises IncompatibleGluing when a value is not
+    a multiple of 1/d."""
     gamma = g_spec.component_group
     coords = []
     for a, d in enumerate(gamma.invariant_factors):
         e_a = tuple(1 if t == a else 0 for t in range(gamma.rank))
         val = commutator_exponent(g_spec.operator(e_a), h_op) * d
         if val.denominator != 1:
-            raise error("pairing value incompatible with the coset order")
+            raise IncompatibleGluing("pairing value incompatible with the coset order")
         coords.append(int(val) % d)
     return tuple(coords)
+
+
+def pairing_coset_matrix(g: GroupSpec, h: GroupSpec) -> list[list[int]]:
+    """Inverse of the pairing identification of h's component group with
+    the characters of g's: the integer matrix sending a character (self-dual
+    coordinates) to the coset of h that pairs with g through it.  Read off
+    h's generating cosets; raises IncompatibleGluing when the pairing is
+    degenerate."""
+    cols = [pairing_character(g, h.operator(c)) for c in h.generating_cosets()]
+    phi = [[col[i] for col in cols] for i in range(g.component_group.rank)]
+    char_space = FinAbGroup(g.component_group.invariant_factors)
+    try:
+        return invert_isomorphism(phi, h.component_group, char_space)
+    except NotIsomorphism as err:
+        raise IncompatibleGluing("summand pairing is degenerate") from err
 
 
 def monomial_direct_sum(monos) -> Monomial:
@@ -701,22 +713,16 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
             u = dual_isomorphism_transport(q, gamma, gamma_i)
         except NotIsomorphism as err:
             raise NotIsomorphism(f"gluing map is not an isomorphism onto {gamma_i}") from err
-        # identify the second side's cosets with characters of the first side
-        char_of = {}
-        for delta in h_i.component_group.elements():
-            char = pairing_character(g_i, h_i.operator(delta.coords), IncompatibleGluing)
-            char_of[char] = delta.coords
-        if len(char_of) != h_i.component_group.order:
-            raise IncompatibleGluing("summand pairing is degenerate")
+        coset_of_char = pairing_coset_matrix(g_i, h_i)
         # the summand's coset under each coset of the shared group and of its dual
         g_coset = {x.coords: apply_matrix(q, x.coords, gamma_i).coords
                    for x in gamma.elements()}
-        h_coset = {}
-        for delta in gamma.characters():
-            hi_coords = char_of.get(transport_character(u, delta, gamma_i).coords)
-            if hi_coords is None:
-                raise IncompatibleGluing("transported character misses every coset")
-            h_coset[delta.coords] = hi_coords
+        h_coset = {
+            delta.coords: apply_matrix(
+                coset_of_char, transport_character(u, delta, gamma_i).coords,
+                h_i.component_group).coords
+            for delta in gamma.characters()
+        }
         sides.append((g_i, h_i, g_coset, h_coset))
 
     # pairing compatibility across summands, exhaustively on coset pairs

@@ -54,19 +54,9 @@ def _check_conductor(m: int) -> None:
 
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
-    phi = 1
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            phi *= p - 1
-            while n % p == 0:
-                n //= p
-                phi *= p
-        p += 1
-    if n > 1:
-        phi *= n - 1
+    phi = m
+    for p in prime_factors(m):
+        phi -= phi // p
     return phi
 
 

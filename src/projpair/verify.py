@@ -34,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .abelian import FinAbGroup, subgroup_from_elements
-from .construct import GroupSpec, pairing_character
+from .construct import GroupSpec
 from .cyclo import (
     ONE,
     ZERO,
@@ -604,26 +604,6 @@ def pairing_table(g: GroupSpec, h: GroupSpec) -> PairingTable:
             row.append((f.denominator, f.numerator))
         rows.append(tuple(row))
     return PairingTable(g.component_group, h.component_group, tuple(rows))
-
-
-def component_pairing_character_matrix(g: GroupSpec, h: GroupSpec):
-    """Matrix of the map from the second component group to characters of
-    the first, delta -> commutator pairing with delta, on canonical coords."""
-    cols = [
-        pairing_character(g, h.operator(e.coords), NotProjectivelyCommuting)
-        for e in h.component_group.generators()
-    ]
-    return [[col[i] for col in cols] for i in range(g.component_group.rank)]
-
-
-def pairing_coset_character_matrix(g: GroupSpec, h: GroupSpec):
-    """Inverse of the pairing identification: characters of the first
-    component group (self-dual coords) back to cosets of the second."""
-    from .abelian import invert_isomorphism
-
-    phi = component_pairing_character_matrix(g, h)
-    char_space = FinAbGroup(g.component_group.invariant_factors)
-    return invert_isomorphism(phi, h.component_group, char_space)
 
 
 FAIL_CENTRALIZER_LARGER = "CENTRALIZER_LARGER"

@@ -1,5 +1,6 @@
 """Finite abelian groups, characters, and hyperbolic decomposition."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -33,6 +34,8 @@ from projpair.abelian import (
 from projpair.cyclo import CycNum, MINUS_ONE, ONE, prime_factors
 from projpair.errors import DegeneratePairing, GroupMismatch, NotAlternating, NotIsomorphism
 
+from sampling import random_automorphism
+
 
 def test_canonical_factors():
     assert canonical_factors([1, 1]) == ()
@@ -40,6 +43,9 @@ def test_canonical_factors():
     assert canonical_factors([4, 2]) == (2, 4)
     assert canonical_factors([2, 2, 3]) == (2, 6)
     assert canonical_factors([12, 2]) == (2, 12)
+    for bad in ([0], [2, -3]):
+        with pytest.raises(ValueError, match="must be positive"):
+            canonical_factors(bad)
     with pytest.raises(ValueError):
         FinAbGroup((4, 2))
 
@@ -137,6 +143,99 @@ def test_direct_product_embeddings():
                  FinAbGroup.cyclic(3).element((1,)),
                  FinAbGroup((2, 4)).element((0, 0))])
     assert a.order() == 6
+
+
+# the primary-part merge as two separate loops, kept as the oracle for the
+# shared slot rule
+
+
+def _oracle_canonical_factors(factors):
+    primary = {}
+    for f in factors:
+        if f < 1:
+            raise ValueError(f"cyclic factor must be positive, got {f}")
+        if f == 1:
+            continue
+        n = f
+        for p in prime_factors(f):
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            primary.setdefault(p, []).append(p ** e)
+    if not primary:
+        return ()
+    for p in primary:
+        primary[p].sort(reverse=True)
+    depth = max(len(v) for v in primary.values())
+    out = []
+    for i in range(depth):
+        d = 1
+        for p in primary:
+            if i < len(primary[p]):
+                d *= primary[p][i]
+        out.append(d)
+    out.reverse()
+    return tuple(out)
+
+
+def _oracle_direct_product(groups):
+    all_factors = [d for g in groups for d in g.invariant_factors]
+    product = FinAbGroup(_oracle_canonical_factors(all_factors))
+    primary = {}
+    for d in all_factors:
+        for p in prime_factors(d):
+            e = 0
+            dd = d
+            while dd % p == 0:
+                dd //= p
+                e += 1
+            primary.setdefault(p, []).append(p ** e)
+    slot_of = {}
+    depth = len(product.invariant_factors)
+    for p, powers in primary.items():
+        order = sorted(range(len(powers)), key=lambda i: -powers[i])
+        for rank_pos, idx in enumerate(order):
+            slot_of[(p, idx)] = depth - 1 - rank_pos
+    counters = {}
+    embeds = []
+    for g in groups:
+        cols = []
+        for d in g.invariant_factors:
+            col = [0] * depth
+            dd = d
+            for p in prime_factors(d):
+                e = 0
+                while dd % p == 0:
+                    dd //= p
+                    e += 1
+                idx = counters.get(p, 0)
+                counters[p] = idx + 1
+                slot = slot_of[(p, idx)]
+                col[slot] = (col[slot] + product.invariant_factors[slot] // p ** e) % \
+                    product.invariant_factors[slot]
+            cols.append(col)
+        embeds.append([[cols[j][i] for j in range(len(cols))] for i in range(depth)])
+    return product, embeds
+
+
+def test_direct_product_matches_oracle():
+    """Ordered pairs over every group of order <= 32 and triples over every
+    group of order <= 12 (7,938 products), trivial group included."""
+    upto32 = [g for n in range(1, 33) for g in enumerate_abelian_groups(n)]
+    upto12 = [g for g in upto32 if g.order <= 12]
+    count = 0
+    for groups in itertools.chain(itertools.product(upto32, repeat=2),
+                                  itertools.product(upto12, repeat=3)):
+        assert direct_product(groups) == _oracle_direct_product(groups), groups
+        count += 1
+    assert count == 7938
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 400), max_size=6))
+def test_canonical_factors_matches_oracle(factors):
+    assert canonical_factors(factors) == _oracle_canonical_factors(factors)
 
 
 def test_dual_transport_examples():
@@ -357,8 +456,6 @@ def test_decompose_rejects_non_alternating():
 def random_nondegenerate_pairing(rng):
     """Seeded sampler: a standard hyperbolic pairing pulled back along a
     random automorphism (stays alternating and nondegenerate)."""
-    from projpair.abelian import random_automorphism
-
     lagrangians = [
         FinAbGroup.cyclic(2), FinAbGroup.cyclic(3), FinAbGroup.cyclic(4),
         FinAbGroup((2, 2)), FinAbGroup.cyclic(5), FinAbGroup.cyclic(6),

@@ -10,7 +10,6 @@ from projpair.abelian import (
     FinAbGroup,
     enumerate_abelian_groups,
     identity_matrix,
-    random_automorphism,
 )
 from projpair.classify import (
     GLUING_CLASS_FLAG,
@@ -26,6 +25,8 @@ from projpair.classify import (
     single_row,
 )
 from projpair.construct import MultiOrbitSpec, SingleOrbitIngredients
+
+from sampling import random_automorphism
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)

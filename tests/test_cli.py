@@ -552,5 +552,5 @@ def test_serialize_roundtrips():
     assert back_g.component_group == g.component_group
     assert set(back_g.generators) == set(g.generators)
     for coords in g.generators:
-        assert back_g.generator(coords) == g.generator(coords)
+        assert back_g.generators[coords] == g.generators[coords]
     assert back_g.algebra_span().equals(g.algebra_span())

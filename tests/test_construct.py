@@ -4,7 +4,12 @@ import pickle
 
 import pytest
 
-from projpair.abelian import FinAbGroup, identity_matrix
+from projpair.abelian import (
+    FinAbGroup,
+    dual_isomorphism_transport,
+    identity_matrix,
+    transport_character,
+)
 from projpair import construct
 from projpair.construct import (
     Ambient,
@@ -14,7 +19,10 @@ from projpair.construct import (
     SingleOrbitIngredients,
     connected_pair,
     general_xx_hat_pair,
+    monomial_direct_sum,
     multi_orbit_glue,
+    pairing_character,
+    pairing_coset_matrix,
     scalar_blocks,
     single_orbit_pair,
     type2_pair,
@@ -23,6 +31,7 @@ from projpair.construct import (
 from projpair.cyclo import CycMatrix, span_of_matrices
 from projpair.errors import (
     EmptyDecomposition,
+    IncompatibleGluing,
     InputNotDualPair,
     NotIsomorphism,
     PreconditionViolated,
@@ -64,7 +73,7 @@ def test_xx_hat_pair_structure():
     # both sides have identical generator sets
     assert set(g.generators) == set(h.generators)
     for coords in g.generators:
-        assert g.generator(coords) == h.generator(coords)
+        assert g.generators[coords] == h.generators[coords]
     g3, _ = xx_hat_pair(Z3)
     assert g3.component_group.order == 9
     gt, ht = xx_hat_pair(TRIV)
@@ -99,7 +108,7 @@ def test_operator_picks_monomial_or_dense_form():
     hadamard = CycMatrix([[1, 1], [1, -1]])
     spec = GroupSpec(ambient, scalar_blocks(2), Z2,
                      {(0,): CycMatrix.identity(2), (1,): hadamard})
-    assert spec.operator((1,)) is spec.generator((1,))
+    assert spec.operator((1,)) is spec.generators[(1,)]
     spec.validate()
     singular = GroupSpec(ambient, scalar_blocks(2), Z2,
                          {(0,): CycMatrix.identity(2), (1,): CycMatrix([[1, 1], [1, 1]])})
@@ -139,8 +148,8 @@ def test_generator_extension_closure():
     span = g.algebra_span()
     for a in group.elements():
         for b in group.elements():
-            prod = g.generator(a.coords) @ g.generator(b.coords)
-            target = g.generator((a + b).coords)
+            prod = g.generators[a.coords] @ g.generators[b.coords]
+            target = g.generators[(a + b).coords]
             shifted = prod @ target.inverse()
             assert span.contains(shifted.flatten())
 
@@ -258,7 +267,7 @@ def test_glue_single_summand_matches_single_orbit():
     assert g1.algebra_span().equals(g2.algebra_span())
     assert set(g1.generators) == set(g2.generators)
     for coords in g1.generators:
-        assert projective_equal(g1.generator(coords), g2.generator(coords))
+        assert projective_equal(g1.generators[coords], g2.generators[coords])
 
 
 def test_glue_with_nonidentity_isomorphism_verifies():
@@ -271,6 +280,53 @@ def test_glue_with_nonidentity_isomorphism_verifies():
     g, h = multi_orbit_glue(MultiOrbitSpec(gamma, ((ing, ident), (ing, swap_q))))
     report = verify_dual_pair(g, h)
     assert report.is_dual_pair, report.failure_codes()
+
+
+def _oracle_h_coset(g_i, h_i, q, gamma):
+    """The summand's h coset under each character of the shared group, by
+    looking the transported character up in a table of the pairing
+    character of every coset of h_i."""
+    gamma_i = g_i.component_group
+    u = dual_isomorphism_transport([list(r) for r in q], gamma, gamma_i)
+    char_of = {}
+    for delta in h_i.component_group.elements():
+        char_of[pairing_character(g_i, h_i.operator(delta.coords))] = delta.coords
+    assert len(char_of) == h_i.component_group.order
+    return {delta.coords: char_of[transport_character(u, delta, gamma_i).coords]
+            for delta in gamma.characters()}
+
+
+def test_glued_h_cosets_match_pairing_table_oracle():
+    """Every glued h generator of the multi-orbit rows with n <= 8 is the
+    direct sum of the summand cosets the pairing table picks."""
+    from projpair.classify import enumerate_multi_orbit
+
+    summands = 0
+    for n in range(2, 9):
+        for row in enumerate_multi_orbit(n, min(4, n)):
+            if row.kind != "multi":
+                continue
+            gamma = row.multi.gamma
+            _, h = multi_orbit_glue(row.multi)
+            cosets = []
+            for ing, q in row.multi.summands:
+                g_i, h_i = single_orbit_pair(ing)
+                cosets.append((h_i, _oracle_h_coset(g_i, h_i, q, gamma)))
+                summands += 1
+            for delta in gamma.characters():
+                expected = monomial_direct_sum(
+                    [h_i.operator(h_coset[delta.coords]) for h_i, h_coset in cosets])
+                assert h.operator(delta.coords) == expected, (row.multi, delta.coords)
+    assert summands > 300
+
+
+def test_degenerate_pairing_raises_incompatible_gluing():
+    g, _ = xx_hat_pair(Z2)
+    flat = GroupSpec(g.ambient, g.blocks, g.component_group,
+                     lambda coords: CycMatrix.identity(2))
+    assert pairing_coset_matrix(g, g) == [[0, 1], [1, 0]]
+    with pytest.raises(IncompatibleGluing, match="degenerate"):
+        pairing_coset_matrix(g, flat)
 
 
 def test_glue_blocks_are_block_diagonal():
@@ -306,8 +362,6 @@ def test_enumeration_reads_build_only_generating_cosets(monkeypatch):
     """The mirrored gluing matrix reads each side's generating cosets; the
     identity coset is built by the construction's own check, and no other
     coset is built."""
-    from projpair.verify import pairing_coset_character_matrix
-
     built = []
     real = construct._single_orbit_generator
 
@@ -318,7 +372,7 @@ def test_enumeration_reads_build_only_generating_cosets(monkeypatch):
     monkeypatch.setattr(construct, "_single_orbit_generator", counting)
     g, h = single_orbit_pair(SingleOrbitIngredients(1, 2, Z2, Z2, Z3))
     assert g.component_group.order == 24
-    pairing_coset_character_matrix(g, h)
+    pairing_coset_matrix(g, h)
     ident = g.component_group.identity().coords
     expected = {(side, c) for side in "gh" for c in [ident] + g.generating_cosets()}
     assert sorted(built) == sorted(expected)
@@ -331,9 +385,9 @@ def test_builder_of_wrong_shape_raises_on_first_read():
         return CycMatrix.identity(2 if coords == (0,) else 3)
 
     spec = GroupSpec(ambient, scalar_blocks(2), Z2, build)
-    assert spec.generator((0,)).is_identity()
+    assert spec.generators[(0,)].is_identity()
     with pytest.raises(ValueError, match="wrong shape"):
-        spec.generator((1,))
+        spec.generators[(1,)]
     with pytest.raises(ValueError, match="wrong shape"):
         GroupSpec(ambient, scalar_blocks(2), Z2,
                   {(0,): CycMatrix.identity(2), (1,): CycMatrix.identity(3)})
@@ -349,7 +403,7 @@ def test_non_identity_generator_at_identity_coset_raises_at_construction():
 
 
 def _all_generators(spec):
-    return {coords: spec.generator(coords) for coords in spec.generators}
+    return {coords: spec.generators[coords] for coords in spec.generators}
 
 
 @pytest.mark.parametrize("build", [

@@ -25,6 +25,11 @@ from projpair.errors import ConductorCapExceeded, DimensionMismatch, SingularMat
 from projpair.matrep import Monomial, unit_pattern
 
 
+def test_euler_phi_counts_units():
+    for m in range(1, 301):
+        assert euler_phi(m) == sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1), m
+
+
 def test_roots_of_unity_basics():
     assert CycNum.root_of_unity(1, 0) == ONE
     assert CycNum.root_of_unity(2, 1) == MINUS_ONE

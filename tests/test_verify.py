@@ -144,7 +144,7 @@ def test_solver_fast_and_general_paths_agree():
             assert_same_span(
                 engine.solve(scalars),
                 _dense_commutant(target.ambient.dim, target.algebra_basis(),
-                                 [target.generator(c) for c in cosets], scalars),
+                                 [target.generators[c] for c in cosets], scalars),
             )
 
 
@@ -260,6 +260,57 @@ def test_witness_search_undecided_is_typed():
              for i in range(1, 4) for j in range(4)][:10]
     with pytest.raises(WitnessSearchUndecided):
         _invertible_in_span(units, 4)
+
+
+def _span_sum(basis, coeffs, n):
+    acc = CycMatrix.from_entries(n, n, {})
+    for x, c in zip(basis, coeffs):
+        acc = acc + x.scale(c)
+    return acc
+
+
+@st.composite
+def witness_problems(draw):
+    """A span of at most 3 elements in M_n, n <= 3, and a conjugate space
+    that holds the inverse of every invertible element of the span.
+
+    Either integer matrices, made singular by a shared zero row about half
+    of the time, with all of M_n as the conjugate space; or integer
+    combinations inside the twisted commutant {X : X h = c h X} of a unit
+    monomial h, whose conjugate space is the twisted commutant for 1/c."""
+    n = draw(st.integers(1, 3))
+    units = [_unit(n, i, j) for i in range(n) for j in range(n)]
+    size = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        zero_row = draw(st.sampled_from([None] + list(range(n))))
+        basis = [CycMatrix.from_entries(n, n, {
+            (i, j): draw(st.integers(-1, 2))
+            for i in range(n) for j in range(n) if i != zero_row}) for _ in range(size)]
+        return n, basis, units
+    h = draw(partial_monomials(n, full=True))
+    d, k = draw(root_tuples())
+    space = _apply_twist_constraint(units, h, CycNum.root_of_unity(d, k))
+    conjugate = _apply_twist_constraint(units, h, CycNum.root_of_unity(d, -k))
+    coeffs = st.lists(st.integers(-1, 2), min_size=len(space), max_size=len(space))
+    basis = [_span_sum(space, draw(coeffs), n) for _ in range(size)]
+    return n, basis, conjugate
+
+
+@settings(max_examples=120, deadline=None)
+@given(witness_problems(), st.booleans())
+def test_witness_search_says_no_only_when_the_grid_has_no_witness(problem, pruned):
+    """A witness lies in the span and has full rank; None comes back only
+    when no point of the grid {0..n}^dim combines to a full-rank matrix,
+    which by the degree bound means the span has no invertible element."""
+    n, basis, conjugate = problem
+    fallback = (lambda: conjugate) if pruned else None
+    witness = _invertible_in_span(basis, n, fallback=fallback)
+    if witness is not None:
+        assert span_of_matrices(basis).contains(witness.flat_cells())
+        assert witness.rank() == n
+    else:
+        for coeffs in itertools.product(range(n + 1), repeat=len(basis)):
+            assert _span_sum(basis, coeffs, n).rank() < n, coeffs
 
 
 # -- centralizers ---------------------------------------------------------------
