@@ -28,8 +28,8 @@ from .construct import (
     MultiOrbitSpec,
     SingleOrbitIngredients,
     multi_orbit_glue,
-    pairing_coset_matrix,
     single_orbit_pair,
+    summand_pair,
 )
 
 GLUING_CLASS_FLAG = "gluing-class-representative"
@@ -237,19 +237,14 @@ _PHI_INV_CACHE: dict = {}
 def _dual_gluing_matrix(ing: SingleOrbitIngredients, q, gamma: FinAbGroup):
     """The gluing map of the mirrored row: transport q to character space
     and identify the mirrored summand's component group through the
-    commutator pairing.  Memoized per ingredient tuple on q."""
-    if ing not in _PHI_INV_CACHE:
-        g_i, h_i = single_orbit_pair(ing)
-        _PHI_INV_CACHE[ing] = (
-            tuple(tuple(r) for r in pairing_coset_matrix(g_i, h_i)),
-            g_i.component_group,
-            {},
-        )
-    phi_inv, gamma_i, mirrored = _PHI_INV_CACHE[ing]
-    if q not in mirrored:
-        u = dual_isomorphism_transport([list(r) for r in q], gamma, gamma_i)
-        mirrored[q] = _mat_mod(phi_inv, tuple(tuple(r) for r in u), gamma)
-    return mirrored[q]
+    commutator pairing, read from the summand memo that gluing shares.
+    Memoized per ingredient tuple and q."""
+    key = (ing, q)
+    if key not in _PHI_INV_CACHE:
+        g_i, _, phi_inv = summand_pair(ing)
+        u = dual_isomorphism_transport([list(r) for r in q], gamma, g_i.component_group)
+        _PHI_INV_CACHE[key] = _mat_mod(phi_inv, tuple(tuple(r) for r in u), gamma)
+    return _PHI_INV_CACHE[key]
 
 
 def enumerate_multi_orbit(n: int, max_parts: int | None = None) -> list[ClassificationRow]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .abelian import (
     Character,
@@ -41,7 +41,7 @@ from .matrep import (
     Monomial,
     TensorShape,
     as_dense,
-    commutator_exponent,
+    commutator_scalar,
     heisenberg_monomial,
     character_monomial,
     translation_monomial,
@@ -145,21 +145,22 @@ class Ambient:
         return self.summand_dims() == other.summand_dims()
 
 
-def _check_shape(mat: CycMatrix, n: int) -> CycMatrix:
-    if mat.shape != (n, n):
+def _check_shape(op, n: int):
+    if op.shape != (n, n):
         raise ValueError("generator has the wrong shape")
-    return mat
+    return op
 
 
 class CosetGenerators(Mapping):
-    """The generator matrix of each coset, keyed by coset coordinates in
-    the component group's element order.
+    """The generator of each coset, a CycMatrix or a Monomial, keyed by
+    coset coordinates in the component group's element order.
 
     build(coords) makes the generator of one coset; it runs the first time
     that coset is read, its result is shape-checked and cached, and it is
     dropped once every coset is built.  Iterating over the keys builds
-    nothing; items() and values() build every coset.  A dict of matrices
-    is a table whose cosets are all built already.
+    nothing; items() and values() build every coset.  peek(coords) reads a
+    coset without caching it.  A dict of generators is a table whose
+    cosets are all built already.
     """
 
     def __init__(self, cosets, build, n: int, built=None):
@@ -170,14 +171,23 @@ class CosetGenerators(Mapping):
         self._built = {} if built is None else built
 
     def __getitem__(self, coords):
-        mat = self._built.get(coords)
-        if mat is None:
-            if coords not in self._index or self._build is None:
-                raise KeyError(coords)
-            mat = self._built[coords] = _check_shape(self._build(coords), self._n)
+        op = self._built.get(coords)
+        if op is None:
+            op = self._built[coords] = self._make(coords)
             if len(self._built) == len(self._cosets):
                 self._build = None
-        return mat
+        return op
+
+    def peek(self, coords):
+        """The generator of a coset: the cached one, else a fresh build
+        that is not cached."""
+        op = self._built.get(coords)
+        return self._make(coords) if op is None else op
+
+    def _make(self, coords):
+        if coords not in self._index or self._build is None:
+            raise KeyError(coords)
+        return _check_shape(self._build(coords), self._n)
 
     def __contains__(self, coords):
         return coords in self._index
@@ -192,14 +202,16 @@ class CosetGenerators(Mapping):
 class GroupSpec:
     """A reductive subgroup of GL(U) up to scalars, with explicit generators.
 
-    generators is either a dict from coset coordinates to generator
-    matrices (decoded and computed specs), or a picklable function from a
-    coset's coordinates to its generator (the constructions, for example
-    a module-level function bound with functools.partial).  Either way
-    self.generators is a CosetGenerators table over the component group's
-    cosets: a builder runs once per coset, on its first read, so callers
-    that read only the generating cosets, as the enumeration does, build
-    no others.  The identity coset is built and checked here.
+    generators is either a dict from coset coordinates to generators, each
+    a CycMatrix or a Monomial (decoded and computed specs; a computed
+    centralizer stores its unit-monomial witnesses as Monomials), or a
+    picklable function from a coset's coordinates to its generator (the
+    constructions, for example a module-level function bound with
+    functools.partial).  Either way self.generators is a CosetGenerators
+    table over the component group's cosets: a builder runs once per
+    coset, on its first read, so callers that read only the generating
+    cosets, as the enumeration does, build no others.  The identity coset
+    is built and checked here.
     """
 
     def __init__(self, ambient, blocks, component_group, generators, algebra_basis=None):
@@ -220,8 +232,8 @@ class GroupSpec:
                 raise ValueError("missing generator for the identity coset")
             if len(built) != self.component_group.order:
                 raise ValueError("need exactly one generator per coset")
-            for mat in built.values():
-                _check_shape(mat, n)
+            for op in built.values():
+                _check_shape(op, n)
             self.generators = CosetGenerators(built, None, n, built)
         if not self.generators[ident].is_identity():
             raise ValueError("identity-coset generator must be the identity matrix")
@@ -259,16 +271,20 @@ class GroupSpec:
         """The generator of a coset as a Monomial when it is one, else the
         dense CycMatrix itself.
 
-        This is the one place that decides a generator's form.  It is
-        detected on first use and cached, and the generator itself is
-        built then too, because most callers (the enumeration among them)
-        never ask for most cosets.
+        This is the one place that decides a generator's form.  A stored
+        Monomial is returned as is; a CycMatrix is scanned on first use and
+        the result cached, and the generator itself is built then too,
+        because most callers (the enumeration among them) never ask for
+        most cosets.  A coset built here is kept only in this form: the
+        summand pairs that gluing memoizes would otherwise hold the dense
+        copy of every generator they read.
         """
         coords = tuple(coords)
         op = self._operators.get(coords)
         if op is None:
-            mat = self.generators[coords]
-            op = Monomial.from_matrix(mat) or mat
+            op = self.generators.peek(coords)
+            if isinstance(op, CycMatrix):
+                op = Monomial.from_matrix(op) or op
             self._operators[coords] = op
         return op
 
@@ -305,17 +321,18 @@ class GroupSpec:
         if not deep:
             return
         basis = self.algebra_basis()
-        for coords, mat in self.generators.items():
+        dense = {coords: as_dense(op) for coords, op in self.generators.items()}
+        for coords, mat in dense.items():
             inv = mat.inverse()
             for b in basis:
                 if not span.contains((mat @ b @ inv).flat_cells()):
                     raise ValueError(f"generator at {coords} does not normalize the blocks")
         group = self.component_group
-        for a in self.generators:
-            for b in self.generators:
+        for a in dense:
+            for b in dense:
                 s = group.element(a) + group.element(b)
-                prod = self.generators[a] @ self.generators[b]
-                target = self.generators[s.coords]
+                prod = dense[a] @ dense[b]
+                target = dense[s.coords]
                 # prod must equal (identity-component element) * target
                 cand = prod @ target.inverse()
                 if not span.contains(cand.flat_cells()):
@@ -647,17 +664,17 @@ def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
 def pairing_character(g_spec: GroupSpec, h_op) -> tuple[int, ...]:
     """The character of the first side's component group cut out by
     pairing against the operator h_op, on canonical coordinates: the
-    commutator exponent with each canonical generator, times its invariant
-    factor d, reduced mod d.  Raises IncompatibleGluing when a value is not
-    a multiple of 1/d."""
+    commutator scalar zeta_order^k with each canonical generator, as the
+    exponent k d / order mod its invariant factor d.  Raises
+    IncompatibleGluing when order does not divide d."""
     gamma = g_spec.component_group
     coords = []
     for a, d in enumerate(gamma.invariant_factors):
         e_a = tuple(1 if t == a else 0 for t in range(gamma.rank))
-        val = commutator_exponent(g_spec.operator(e_a), h_op) * d
-        if val.denominator != 1:
+        order, k = commutator_scalar(g_spec.operator(e_a), h_op)
+        if d % order:
             raise IncompatibleGluing("pairing value incompatible with the coset order")
-        coords.append(int(val) % d)
+        coords.append(k * (d // order) % d)
     return tuple(coords)
 
 
@@ -674,6 +691,15 @@ def pairing_coset_matrix(g: GroupSpec, h: GroupSpec) -> list[list[int]]:
         return invert_isomorphism(phi, h.component_group, char_space)
     except NotIsomorphism as err:
         raise IncompatibleGluing("summand pairing is degenerate") from err
+
+
+@lru_cache(maxsize=None)
+def summand_pair(ing: SingleOrbitIngredients):
+    """(g, h, coset_of_char) for one ingredient tuple: single_orbit_pair(ing)
+    and its pairing_coset_matrix as a tuple of rows.  Built once per tuple
+    and shared by every gluing and mirrored row that uses it."""
+    g, h = single_orbit_pair(ing)
+    return g, h, tuple(tuple(row) for row in pairing_coset_matrix(g, h))
 
 
 def monomial_direct_sum(monos) -> Monomial:
@@ -701,19 +727,20 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
     Each summand's component group is identified with the shared group via
     its gluing map; the dual maps are derived from the duality transport
     and the compatibility of all the commutator pairings is checked before
-    assembling block-diagonal generators.
+    assembling block-diagonal generators.  Each summand's pair and pairing
+    identification come from summand_pair, built once per ingredient tuple.
     """
     gamma = spec.gamma
+    deltas = list(gamma.characters())
     sides = []
     for ing, q in spec.summands:
-        g_i, h_i = single_orbit_pair(ing)
+        g_i, h_i, coset_of_char = summand_pair(ing)
         q = list(map(list, q))
         gamma_i = g_i.component_group
         try:
             u = dual_isomorphism_transport(q, gamma, gamma_i)
         except NotIsomorphism as err:
             raise NotIsomorphism(f"gluing map is not an isomorphism onto {gamma_i}") from err
-        coset_of_char = pairing_coset_matrix(g_i, h_i)
         # the summand's coset under each coset of the shared group and of its dual
         g_coset = {x.coords: apply_matrix(q, x.coords, gamma_i).coords
                    for x in gamma.elements()}
@@ -721,16 +748,16 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
             delta.coords: apply_matrix(
                 coset_of_char, transport_character(u, delta, gamma_i).coords,
                 h_i.component_group).coords
-            for delta in gamma.characters()
+            for delta in deltas
         }
         sides.append((g_i, h_i, g_coset, h_coset))
 
     # pairing compatibility across summands, exhaustively on coset pairs
     for gamma_el in gamma.elements():
-        for delta in gamma.characters():
+        for delta in deltas:
             values = [
-                commutator_exponent(g_i.operator(g_coset[gamma_el.coords]),
-                                    h_i.operator(h_coset[delta.coords]))
+                commutator_scalar(g_i.operator(g_coset[gamma_el.coords]),
+                                  h_i.operator(h_coset[delta.coords]))
                 for g_i, h_i, g_coset, h_coset in sides
             ]
             if any(v != values[0] for v in values[1:]):

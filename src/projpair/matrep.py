@@ -8,23 +8,24 @@ entry per column, a root of unity) and are built only as Monomials: a
 permutation with integer exponents of one root of unity, so products,
 inverses, Kronecker products and commutator scalars are O(n) integer
 arithmetic instead of O(n^3) field arithmetic; Monomial.to_matrix is the
-one way to a dense matrix.  CycNum appears only where a result leaves as
-a field element or meets a CycMatrix.  One scan, unit_pattern, reads a
-CycMatrix's cells as a partial monomial with root-of-unity entries;
-Monomial.from_matrix is that scan at full coverage, so the conversion to
-and from CycMatrix is lossless.  Which form a stored generator takes is
-decided by GroupSpec.operator, and the commutator helpers here accept
-either.
+one way to a dense matrix.  A commutator scalar is returned as the
+integer root of unity (order, exponent) whichever form its arguments
+take.  CycNum appears only where a Monomial meets a CycMatrix, in its
+scales and entries, and in the dense commutator.  One scan,
+unit_pattern, reads a CycMatrix's cells as a partial monomial with
+root-of-unity entries; Monomial.from_matrix is that scan at full
+coverage, so the conversion to and from CycMatrix is lossless.  Which
+form a stored generator takes is decided by GroupSpec.operator, and the
+commutator helpers here accept either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .abelian import Character, FinAbGroup, GroupElement
-from .cyclo import ONE, ZERO, CycMatrix, CycNum, as_cyc
+from .cyclo import ZERO, CycMatrix, CycNum, as_cyc
 from .errors import DimensionMismatch, GroupMismatch, NotProjectivelyCommuting
 
 
@@ -113,6 +114,10 @@ class Monomial:
     @property
     def n(self) -> int:
         return len(self.perm)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, self.n
 
     @property
     def scales(self) -> tuple[CycNum, ...]:
@@ -279,48 +284,52 @@ def heisenberg_monomial(group: FinAbGroup, x: GroupElement, xi: Character) -> Mo
     return translation_monomial(group, x) @ character_monomial(group, xi)
 
 
-def commutator_scalar_monomial(g: Monomial, h: Monomial) -> CycNum:
-    """Exact scalar c with g h g^-1 h^-1 = c, for two monomials.
-
-    On exponents over N = lcm of the two orders, column j of g h carries
-    e_h[j] + e_g[h.perm[j]] and column j of h g carries
-    e_g[j] + e_h[g.perm[j]]; the commutator is the scalar zeta_N^k when
-    the permutations commute and their difference is k at every j.
-    """
-    if g.n != h.n:
-        raise DimensionMismatch("sizes differ")
-    e_g, e_h = g.exps, h.exps
-    order = math.lcm(g.order, h.order)
-    lift_g, lift_h = order // g.order, order // h.order
-    pg, ph = g.perm, h.perm
-    k = None
-    for j in range(g.n):
-        if pg[ph[j]] != ph[pg[j]]:
-            raise NotProjectivelyCommuting("commutator permutes the basis nontrivially")
-        kj = ((e_h[j] - e_h[pg[j]]) * lift_h + (e_g[ph[j]] - e_g[j]) * lift_g) % order
-        if k is None:
-            k = kj
-        elif kj != k:
-            raise NotProjectivelyCommuting("commutator is not scalar")
-    if (k * g.n) % order:
-        raise NotProjectivelyCommuting("scalar is not an n-th root of unity")
-    return CycNum.root_of_unity(order, k)
-
-
 def as_dense(op) -> CycMatrix:
     """The dense matrix of an operator given as a Monomial or a CycMatrix."""
     return op.to_matrix() if isinstance(op, Monomial) else op
 
 
-def commutator_scalar(g, h) -> CycNum:
-    """Exact scalar c with g h g^-1 h^-1 = c I, else NotProjectivelyCommuting.
+def lowest_terms(order: int, exponent: int) -> tuple[int, int]:
+    """The root of unity zeta_order^exponent as (d, k) with gcd(d, k) = 1
+    and k in range(d); (1, 0) for 1."""
+    exponent %= order
+    g = math.gcd(order, exponent)
+    return order // g, exponent // g
 
-    Two Monomials take the O(n) integer path; any other pair is
-    multiplied out densely.  The result always satisfies c^n = 1 (take
-    determinants of g h = c h g).
+
+def commutator_scalar(g, h) -> tuple[int, int]:
+    """The scalar c with g h g^-1 h^-1 = c I as the reduced root of unity
+    (order, exponent), c = zeta_order^exponent in lowest terms; else
+    NotProjectivelyCommuting.
+
+    Two Monomials take the O(n) integer path: on exponents over N = lcm of
+    the two orders, column j of g h carries e_h[j] + e_g[h.perm[j]] and
+    column j of h g carries e_g[j] + e_h[g.perm[j]], so the commutator is
+    zeta_N^k when the permutations commute and the difference is k at
+    every j.  Any other pair is multiplied out densely and its scalar
+    read by as_root_of_unity.  Either way c^n = 1 is checked (take
+    determinants of g h = c h g), so the order divides n.
     """
     if isinstance(g, Monomial) and isinstance(h, Monomial):
-        return commutator_scalar_monomial(g, h)
+        n = g.n
+        if h.n != n:
+            raise DimensionMismatch("sizes differ")
+        pg, ph, e_g, e_h = g.perm, h.perm, g.exps, h.exps
+        order = math.lcm(g.order, h.order)
+        lift_g, lift_h = order // g.order, order // h.order
+        k = None
+        for j in range(n):
+            a, b = pg[j], ph[j]
+            if pg[b] != ph[a]:
+                raise NotProjectivelyCommuting("commutator permutes the basis nontrivially")
+            kj = ((e_h[j] - e_h[a]) * lift_h + (e_g[b] - e_g[j]) * lift_g) % order
+            if k is None:
+                k = kj
+            elif kj != k:
+                raise NotProjectivelyCommuting("commutator is not scalar")
+        if (k * n) % order:
+            raise NotProjectivelyCommuting("scalar is not an n-th root of unity")
+        return lowest_terms(order, k)
     gm, hm = as_dense(g), as_dense(h)
     if gm.shape != hm.shape or not gm.is_square():
         raise DimensionMismatch("need square matrices of equal size")
@@ -332,19 +341,10 @@ def commutator_scalar(g, h) -> CycNum:
     c = gh.entry(*pos) / hg.entry(*pos)
     if gh != hg.scale(c):
         raise NotProjectivelyCommuting("commutator is not scalar")
-    if (c ** gm.rows) != ONE:
+    root = c.as_root_of_unity()
+    if root is None or gm.rows % root[0]:
         raise NotProjectivelyCommuting("scalar is not an n-th root of unity")
-    return c
-
-
-def commutator_exponent(g, h) -> Fraction:
-    """The commutator scalar of g and h as k/N in [0, 1), meaning zeta_N^k
-    in lowest terms (so the pair (N, k) is the reduced root of unity)."""
-    root = commutator_scalar(g, h).as_root_of_unity()
-    if root is None:
-        raise NotProjectivelyCommuting("commutator scalar is not a root of unity")
-    order, expo = root
-    return Fraction(expo, order)
+    return root
 
 
 def projective_equal(g: CycMatrix, h: CycMatrix) -> bool:

@@ -20,7 +20,7 @@ from .construct import (
     SingleOrbitIngredients,
 )
 from .cyclo import CycMatrix, CycNum, euler_phi
-from .matrep import TensorShape
+from .matrep import TensorShape, as_dense
 
 
 def dumps_canonical(obj) -> str:
@@ -132,8 +132,8 @@ def spec_to_json(spec: GroupSpec) -> dict:
         else [{"dim": b.dim, "grid": [list(r) for r in b.grid]} for b in spec.blocks],
         "component_group": group_to_json(spec.component_group),
         "generators": [
-            {"coset": list(coords), "matrix": cyc_matrix_to_json(mat)}
-            for coords, mat in sorted(spec.generators.items())
+            {"coset": list(coords), "matrix": cyc_matrix_to_json(as_dense(op))}
+            for coords, op in sorted(spec.generators.items())
         ],
     }
     if spec.blocks is None:

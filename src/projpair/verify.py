@@ -21,9 +21,13 @@ translation and character operators of the constructions, the matrix
 units of their block algebras and the pattern matrices of computed
 centralizers are all of this kind.  Whatever is not (a dense algebra
 element or generator) then cuts the union-find's pattern basis with the
-dense kernel.  CycNum appears only at that boundary and in the cells of
-a returned basis; the tests cross-check the engine against a purely
-dense solve.
+dense kernel.  CycNum appears only at that boundary, in the cells of a
+returned basis and in the witness search over them.  A witness that is
+a unit monomial comes back as a Monomial and is normalized on its
+exponents, so a computed centralizer stores it as one.  Commutator
+scalars, and with them the scalar tuples of the comparison and the
+pairing table, are integer pairs (order, exponent) throughout.  The
+tests cross-check the engine against a purely dense solve.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .errors import (
     ShapeMismatch,
     WitnessSearchUndecided,
 )
-from .matrep import Monomial, as_dense, commutator_exponent, unit_pattern
+from .matrep import Monomial, as_dense, commutator_scalar, lowest_terms, unit_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +207,7 @@ class CommutantEngine:
         n = self.n
         if len(scalars) != len(self.gens):
             raise ValueError("need one scalar per generator")
-        roots = [_lowest_terms(d, k) for d, k in scalars]
+        roots = [lowest_terms(d, k) for d, k in scalars]
         chased = [(pattern, root) for pattern, root in zip(self._gen_patterns, roots)
                   if pattern is not None]
         order = math.lcm(self._algebra.order, *(p[0] for p, _ in chased),
@@ -231,22 +235,15 @@ class CommutantEngine:
 
     # -- invertible witnesses ------------------------------------------------
 
-    def witness(self, basis, scalars) -> CycMatrix | None:
-        """A deterministic invertible element of the span, or None (exact)."""
+    def witness(self, basis, scalars) -> Monomial | CycMatrix | None:
+        """A deterministic invertible element of the span, or None (exact);
+        a Monomial when it is a unit monomial."""
         if not basis:
             return None
         if all(k % d == 0 for d, k in scalars):
-            return CycMatrix.identity(self.n)
+            return Monomial.identity(self.n)
         conjugate = [(d, -k) for d, k in scalars]
         return _invertible_in_span(basis, self.n, fallback=lambda: self.solve(conjugate))
-
-
-def _lowest_terms(order: int, exponent: int) -> tuple[int, int]:
-    """The root of unity zeta_order^exponent as (d, k) with gcd(d, k) = 1
-    and k in range(d); (1, 0) for 1."""
-    exponent %= order
-    g = math.gcd(order, exponent)
-    return order // g, exponent // g
 
 
 def _apply_twist_constraint(basis, h: CycMatrix, c: CycNum) -> list[CycMatrix]:
@@ -325,8 +322,17 @@ def _sample_vectors(dim: int, n: int):
         yield tuple(vec)
 
 
-def _invertible_in_span(basis, n: int, fallback=None) -> CycMatrix | None:
-    """Exact search for an invertible element of a matrix span.
+def _as_operator(mat: CycMatrix):
+    """mat as a Monomial when it is a unit monomial, else mat.  Only a
+    matrix with one cell per row can be one, so no other is scanned."""
+    if len(mat.cells) == mat.rows:
+        return Monomial.from_matrix(mat) or mat
+    return mat
+
+
+def _invertible_in_span(basis, n: int, fallback=None) -> Monomial | CycMatrix | None:
+    """Exact search for an invertible element of a matrix span, returned
+    as a Monomial when it is a unit monomial.
 
     Deterministic samples first; if they all fail, a product grid of size
     n+1 per coordinate decides existence exactly (the determinant has
@@ -343,7 +349,7 @@ def _invertible_in_span(basis, n: int, fallback=None) -> CycMatrix | None:
         tried.add(coeffs)
         cand = _combine(cells, coeffs, n)
         if cand is not None and _det_nonzero(cand):
-            return cand
+            return _as_operator(cand)
     if fallback is not None:
         conj = fallback()
         if conj is not None:
@@ -371,7 +377,7 @@ def _invertible_in_span(basis, n: int, fallback=None) -> CycMatrix | None:
             continue
         cand = _combine(cells, coeffs, n)
         if cand is not None and _det_nonzero(cand):
-            return cand
+            return _as_operator(cand)
     return None
 
 
@@ -393,10 +399,16 @@ def projective_order(op, span: VectorSpan, bound: int) -> int:
     )
 
 
-def _normalize_projective(mat: CycMatrix) -> CycMatrix:
-    """The multiple of mat whose first nonzero value is 1."""
-    pos = mat.first_nonzero()
-    return mat if pos is None else mat.scale(mat.cells[pos].inverse())
+def _normalize_projective(op):
+    """The multiple of an operator whose row-major first nonzero value is
+    1; a Monomial is rescaled on its integer exponents."""
+    if isinstance(op, Monomial):
+        # the first nonzero value sits in row 0
+        first = op.exps[op.perm.index(0)]
+        return Monomial.from_exponents(op.perm, op.order,
+                                       [(e - first) % op.order for e in op.exps])
+    pos = op.first_nonzero()
+    return op if pos is None else op.scale(op.cells[pos].inverse())
 
 
 @dataclass
@@ -416,12 +428,12 @@ def _scalar_tuple(x, ref_ops, moduli):
     NotProjectivelyCommuting."""
     out = []
     for ref, g in zip(ref_ops, moduli):
-        f = commutator_exponent(x, ref)
-        if g % f.denominator:
+        order, k = commutator_scalar(x, ref)
+        if g % order:
             raise NotProjectivelyCommuting(
-                f"commutator exponent {f} lies outside modulus {g}"
+                f"commutator scalar zeta_{order}^{k} lies outside modulus {g}"
             )
-        out.append(f.numerator * (g // f.denominator) % g)
+        out.append(k * (g // order) % g)
     return tuple(out)
 
 
@@ -475,7 +487,7 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
         raise IdentityComponentNotSemisimpleBlocks("untwisted commutant is empty")
     _check_semisimple(identity_basis)
 
-    surviving = {tuple(0 for _ in moduli): CycMatrix.identity(n)}
+    surviving = {tuple(0 for _ in moduli): Monomial.identity(n)}
     surviving.update((exps, w) for exps, w in results if w is not None)
     comp_group, to_canonical = subgroup_from_elements(moduli, list(surviving))
     if comp_group.order != len(surviving):
@@ -588,21 +600,15 @@ def pairing_table(g: GroupSpec, h: GroupSpec) -> PairingTable:
     """The table of commutator scalars over all component pairs.
 
     Well-defined on components: scalars cancel in commutators, so the
-    choice of generator representatives does not matter.
+    choice of generator representatives does not matter.  Each value is
+    commutator_scalar's reduced (order, exponent), whose order divides
+    the ambient dimension; h's operators are read once.
     """
-    n = g.ambient.dim
+    h_ops = [h.operator(he.coords) for he in h.component_group.elements()]
     rows = []
     for ge in g.component_group.elements():
         g_op = g.operator(ge.coords)
-        row = []
-        for he in h.component_group.elements():
-            f = commutator_exponent(g_op, h.operator(he.coords))
-            if n % f.denominator:
-                raise NotProjectivelyCommuting(
-                    f"scalar order {f.denominator} does not divide the ambient dimension {n}"
-                )
-            row.append((f.denominator, f.numerator))
-        rows.append(tuple(row))
+        rows.append(tuple([commutator_scalar(g_op, h_op) for h_op in h_ops]))
     return PairingTable(g.component_group, h.component_group, tuple(rows))
 
 

@@ -7,7 +7,8 @@ before re-recording it.  The calls are cut to stay under a second or so;
 (12, 2) reaches the two-part rows and the mirrored gluing matrices at
 n = 12, (10, 3) and (8, 4) the three- and four-part canonical gluings.
 The two glue files cover an L summand alone and next to a J/K summand
-glued through a non-identity map.
+glued through a non-identity map.  The verify report and the pairing
+table are pinned on the `construct --L 4` pair and the README glue pair.
 """
 
 import hashlib
@@ -72,4 +73,35 @@ def test_answer_bytes_unchanged(tmp_path, args, digest):
     out = tmp_path / "out.json"
     args = [a.format(glue=glue, jk_glue=jk_glue) for a in args]
     assert main(args + ["-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# (pair built by these construct args, command run on it, digest)
+PAIR_DIGESTS = [
+    (["--L", "4"], ["verify", "--format", "json"],
+     "37cca2a0f615864a3740a6f45611c76db436e49ff6367e19394a6445ee9c6b59"),
+    (["--L", "4"], ["pairing"],
+     "f9e9265dbc72e3ef700c046b2e6902a93b5e0c400259a08141ebfac48e10952d"),
+    (["--L", "4"], ["pairing", "--format", "json"],
+     "8afcf9d3f93971624e6972510e4a36985519aa645ccdfe237ce078fdf44cf74a"),
+    (["--glue", "{glue}"], ["verify", "--format", "json"],
+     "fcb3d1b27515a01b578f42693a8a5bf920beedb13866c21278e735c555233bbc"),
+    (["--glue", "{glue}"], ["pairing"],
+     "e067a6bac42783892351eb10dca225e87a07c4b9c93fb73a1d3273fc54e94774"),
+    (["--glue", "{glue}"], ["pairing", "--format", "json"],
+     "adb52d6696a54558a6a1a43ef9c1f65076df2c7f1092e587730fedea16061d29"),
+]
+
+
+@pytest.mark.parametrize(
+    "construct_args,command,digest", PAIR_DIGESTS,
+    ids=[" ".join(c + a) for a, c, _ in PAIR_DIGESTS])
+def test_pair_answer_bytes_unchanged(tmp_path, construct_args, command, digest):
+    glue = tmp_path / "glue.json"
+    glue.write_text(json.dumps(README_GLUE))
+    pair = tmp_path / "pair.json"
+    construct_args = [a.format(glue=glue) for a in construct_args]
+    assert main(["construct"] + construct_args + ["-o", str(pair)]) == 0
+    out = tmp_path / "out.txt"
+    assert main([command[0], str(pair)] + command[1:] + ["-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

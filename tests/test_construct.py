@@ -10,7 +10,7 @@ from projpair.abelian import (
     identity_matrix,
     transport_character,
 )
-from projpair import construct
+from projpair import construct, serialize
 from projpair.construct import (
     Ambient,
     Block,
@@ -391,6 +391,26 @@ def test_builder_of_wrong_shape_raises_on_first_read():
     with pytest.raises(ValueError, match="wrong shape"):
         GroupSpec(ambient, scalar_blocks(2), Z2,
                   {(0,): CycMatrix.identity(2), (1,): CycMatrix.identity(3)})
+
+
+def test_generator_table_holds_monomials():
+    """A generator dict may hold Monomials: each is shape-checked by n,
+    returned by operator() as is, and made dense where cells are needed."""
+    ambient = Ambient.single(TensorShape((("A", 2),)))
+    swap = Monomial([1, 0], [1, 1])
+    spec = GroupSpec(ambient, scalar_blocks(2), Z2,
+                     {(0,): Monomial.identity(2), (1,): swap})
+    assert spec.operator((1,)) is swap
+    spec.validate(deep=True)
+    assert serialize.spec_to_json(spec) == serialize.spec_to_json(GroupSpec(
+        ambient, scalar_blocks(2), Z2,
+        {(0,): CycMatrix.identity(2), (1,): swap.to_matrix()}))
+    with pytest.raises(ValueError, match="wrong shape"):
+        GroupSpec(ambient, scalar_blocks(2), Z2,
+                  {(0,): Monomial.identity(2), (1,): Monomial.identity(3)})
+    with pytest.raises(ValueError, match="wrong shape"):
+        GroupSpec(ambient, scalar_blocks(2), Z2,
+                  {(0,): Monomial.identity(3), (1,): swap})
 
 
 def test_non_identity_generator_at_identity_coset_raises_at_construction():

@@ -1,7 +1,7 @@
 """Translation and character operators, tensor shapes, commutator scalars."""
 
+import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +16,9 @@ from projpair.matrep import (
     TensorShape,
     as_dense,
     character_monomial,
-    commutator_exponent,
     commutator_scalar,
     heisenberg_monomial,
+    lowest_terms,
     projective_equal,
     translation_monomial,
 )
@@ -104,10 +104,17 @@ def test_commutator_scalar_examples():
     z2 = FinAbGroup.cyclic(2)
     t = translation_monomial(z2, z2.element((1,)))
     s = character_monomial(z2, z2.character((1,)))
-    assert commutator_scalar(Monomial.identity(2), t) == ONE
-    assert commutator_scalar(s, t) == MINUS_ONE
+    assert commutator_scalar(Monomial.identity(2), t) == (1, 0)
+    assert commutator_scalar(s, t) == (2, 1)
+    assert commutator_scalar(t, s) == (2, 1)
     with pytest.raises(NotProjectivelyCommuting):
         commutator_scalar(CycMatrix.diagonal([1, 2]), CycMatrix([[1, 1], [0, 1]]))
+
+
+def _root_product(a, b):
+    """The product of two reduced roots of unity (order, exponent)."""
+    order = math.lcm(a[0], b[0])
+    return lowest_terms(order, a[1] * (order // a[0]) + b[1] * (order // b[0]))
 
 
 def test_commutator_scalar_is_bimultiplicative():
@@ -117,7 +124,7 @@ def test_commutator_scalar_is_bimultiplicative():
     for a in ops[:4]:
         for b in ops[:4]:
             for c in ops[:4]:
-                left = commutator_scalar(a, c) * commutator_scalar(b, c)
+                left = _root_product(commutator_scalar(a, c), commutator_scalar(b, c))
                 assert left == commutator_scalar(a @ b, c)
 
 
@@ -131,8 +138,8 @@ def test_commutator_scalar_agrees_across_forms():
             assert commutator_scalar(a.to_matrix(), b.to_matrix()) == c
             assert commutator_scalar(a, b.to_matrix()) == c
             assert commutator_scalar(a.to_matrix(), b) == c
-            order, expo = c.as_root_of_unity()
-            assert commutator_exponent(a.to_matrix(), b) == Fraction(expo, order)
+            # in lowest terms, as the dense scalar's as_root_of_unity reads it
+            assert lowest_terms(*c) == c
 
 
 def _assert_matches_dense(g, h):
@@ -172,10 +179,35 @@ def unit_monomial_pairs(draw):
     return g, h
 
 
+def _dense_commutator_root(g, h):
+    """The scalar of g h g^-1 h^-1 multiplied out densely and read by
+    as_root_of_unity, or None when it is no scalar n-th root of unity."""
+    gm, hm = as_dense(g), as_dense(h)
+    comm = gm @ hm @ gm.inverse() @ hm.inverse()
+    c = comm.entry(0, 0)
+    if comm != CycMatrix.identity(gm.rows).scale(c) or c ** gm.rows != ONE:
+        return None
+    return c.as_root_of_unity()
+
+
 @settings(max_examples=80, deadline=None)
 @given(unit_monomial_pairs())
 def test_integer_commutator_matches_dense_on_random_monomials(pair):
-    _assert_matches_dense(*pair)
+    """For Monomial, dense and mixed arguments, commutator_scalar gives the
+    dense product's scalar read by as_root_of_unity, reduced and of an
+    order dividing n, or raises in every form."""
+    g, h = pair
+    n = g.n
+    expected = _dense_commutator_root(g, h)
+    forms = [(g, h), (as_dense(g), as_dense(h)), (g, as_dense(h)), (as_dense(g), h)]
+    for a, b in forms:
+        if expected is None:
+            with pytest.raises(NotProjectivelyCommuting):
+                commutator_scalar(a, b)
+            continue
+        d, k = commutator_scalar(a, b)
+        assert math.gcd(d, k) == 1 and 0 <= k < d and n % d == 0
+        assert (d, k) == expected
 
 
 @st.composite
@@ -210,7 +242,7 @@ def test_non_root_scale_is_not_a_monomial():
                      {(0,): CycMatrix.identity(2), (1,): doubled})
     assert spec.operator((1,)) is doubled
     swap = Monomial([1, 0], [ONE, ONE])
-    assert commutator_scalar(spec.operator((1,)), swap) == MINUS_ONE
+    assert commutator_scalar(spec.operator((1,)), swap) == (2, 1)
 
 
 def test_monomial_times_dense_matrix():
@@ -228,10 +260,11 @@ def test_commutator_scalar_order_divides_dimension():
         g = FinAbGroup.cyclic(n)
         for x in g.elements():
             for xi in g.characters():
-                c = commutator_scalar(
+                d, k = commutator_scalar(
                     character_monomial(g, xi), translation_monomial(g, x)
                 )
-                assert (c ** n) == ONE
+                assert n % d == 0
+                assert CycNum.root_of_unity(d, k) ** n == ONE
 
 
 def _random_monomial(rng, n):

@@ -38,12 +38,15 @@ from projpair.verify import (
     _det_nonzero,
     _invertible_in_span,
     _membership,
+    _normalize_projective,
     compute_centralizer,
     pairing_table,
     projective_centralizer,
     specs_equal,
     verify_dual_pair,
 )
+
+from test_acceptance import _battery
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
@@ -227,6 +230,16 @@ def test_det_nonzero_matches_rank(mat, extra):
     assert _det_nonzero(mat) == (mat.rank() == n)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: partial_monomials(n, full=True)))
+def test_normalize_projective_rescales_monomials_in_integers(mat):
+    """A unit monomial is normalized on its exponents to the Monomial of
+    its normalized dense form: first nonzero entry 1, least order."""
+    out = _normalize_projective(Monomial.from_matrix(mat))
+    assert isinstance(out, Monomial)
+    assert out == Monomial.from_matrix(_normalize_projective(mat))
+
+
 @st.composite
 def membership_problems(draw):
     """A span of partial monomials, two unit monomials rep and a, and the
@@ -306,6 +319,7 @@ def test_witness_search_says_no_only_when_the_grid_has_no_witness(problem, prune
     fallback = (lambda: conjugate) if pruned else None
     witness = _invertible_in_span(basis, n, fallback=fallback)
     if witness is not None:
+        witness = as_dense(witness)
         assert span_of_matrices(basis).contains(witness.flat_cells())
         assert witness.rank() == n
     else:
@@ -384,6 +398,30 @@ def test_centralizer_of_swap_is_positive_dimensional():
     # the swap image and its centralizer form a dual pair: Z(Z(S)) = S
     z2 = projective_centralizer(z)
     assert specs_equal(z2, spec)
+
+
+def test_computed_centralizers_store_unit_monomial_witnesses():
+    """Over the criterion-7 battery and both sides of xx_hat_pair(Z4), a
+    computed centralizer keeps each unit-monomial witness as a Monomial and
+    every other witness dense.  Each generator has 1 as its first nonzero
+    entry, the spec passes validate(deep=True), its centralizer is built
+    from those Monomials, and Z(Z(Z(S))) = Z(S)."""
+    specs = [spec for _, spec in _battery()] + list(xx_hat_pair(FinAbGroup.cyclic(4)))
+    monomials = 0
+    for spec in specs:
+        z1 = projective_centralizer(spec)
+        z1.validate(deep=True)
+        for coords, op in z1.generators.items():
+            mat = as_dense(op)
+            assert mat.cells[mat.first_nonzero()].is_one()
+            if isinstance(op, Monomial):
+                monomials += 1
+                assert z1.operator(coords) is op
+            else:
+                assert Monomial.from_matrix(mat) is None
+        z3 = projective_centralizer(projective_centralizer(z1))
+        assert specs_equal(z1, z3)
+    assert monomials > len(specs)
 
 
 def test_triple_centralizer_idempotence_small():
