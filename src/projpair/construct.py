@@ -44,6 +44,8 @@ from .matrep import (
     commutator_scalar,
     heisenberg_monomial,
     character_monomial,
+    in_root_pattern,
+    root_pattern,
     translation_monomial,
 )
 
@@ -212,6 +214,12 @@ class GroupSpec:
     coset, on its first read, so callers that read only the generating
     cosets, as the enumeration does, build no others.  The identity coset
     is built and checked here.
+
+    Membership in the identity-component algebra goes through one method,
+    algebra_contains.  It tests a Monomial on integer exponents against
+    algebra_pattern, the basis read as roots of unity on disjoint
+    supports, and reduces anything else through algebra_span; both are
+    built on first use and cached.
     """
 
     def __init__(self, ambient, blocks, component_group, generators, algebra_basis=None):
@@ -221,6 +229,8 @@ class GroupSpec:
         self._algebra_basis = tuple(algebra_basis) if algebra_basis is not None else None
         self._operators: dict = {}
         self._span = None
+        # None until first read, then the pattern or False for none
+        self._pattern = None
         n = self.ambient.dim
         ident = self.component_group.identity().coords
         if callable(generators):
@@ -256,6 +266,26 @@ class GroupSpec:
         if self._span is None:
             self._span = span_of_matrices(self.algebra_basis())
         return self._span
+
+    def algebra_pattern(self):
+        """The algebra basis as a matrep.root_pattern, or None when it is
+        not one; built on first use, so a spec that is never tested for
+        membership builds none.  Block matrix units are such a pattern, and
+        so is a union-find basis that no dense cut touched."""
+        if self._pattern is None:
+            self._pattern = root_pattern(self.algebra_basis(), self.ambient.dim) or False
+        return self._pattern or None
+
+    def algebra_contains(self, op) -> bool:
+        """Does the identity-component algebra hold the operator op, a
+        Monomial or a CycMatrix?  A Monomial against a root-of-unity
+        pattern is tested on integer exponents (matrep.in_root_pattern);
+        anything else reduces op's cells through algebra_span()."""
+        if isinstance(op, Monomial):
+            pattern = self.algebra_pattern()
+            if pattern is not None:
+                return in_root_pattern(pattern, op)
+        return self.algebra_span().contains(as_dense(op).flat_cells())
 
     def identity_component_dim(self) -> int:
         if self.blocks is not None:
@@ -313,13 +343,13 @@ class GroupSpec:
             op = self.operator(coords)
             if isinstance(op, CycMatrix) and not op.is_invertible():
                 raise ValueError(f"generator at {coords} is singular")
-        span = self.algebra_span()
         for coords, d in zip(self.generating_cosets(), self.component_group.invariant_factors):
-            if not span.contains(as_dense(self.operator(coords) ** d).flat_cells()):
+            if not self.algebra_contains(self.operator(coords) ** d):
                 raise ValueError(
                     f"generator at {coords} to the power {d} leaves the identity component")
         if not deep:
             return
+        span = self.algebra_span()
         basis = self.algebra_basis()
         dense = {coords: as_dense(op) for coords, op in self.generators.items()}
         for coords, mat in dense.items():

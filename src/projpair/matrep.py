@@ -14,9 +14,11 @@ take.  CycNum appears only where a Monomial meets a CycMatrix, in its
 scales and entries, and in the dense commutator.  One scan,
 unit_pattern, reads a CycMatrix's cells as a partial monomial with
 root-of-unity entries; Monomial.from_matrix is that scan at full
-coverage, so the conversion to and from CycMatrix is lossless.  Which
-form a stored generator takes is decided by GroupSpec.operator, and the
-commutator helpers here accept either.
+coverage, so the conversion to and from CycMatrix is lossless.
+root_pattern reads an algebra basis whose cells are roots of unity on
+disjoint supports, and in_root_pattern tests a Monomial against it on
+integer exponents.  Which form a stored generator takes is decided by
+GroupSpec.operator, and the commutator helpers here accept either.
 """
 
 from __future__ import annotations
@@ -249,6 +251,60 @@ def unit_pattern(op):
         roots.append((i, j, root))
     order = math.lcm(*(d for _, _, (d, _) in roots))
     return order, [(i, j, k * (order // d)) for i, j, (d, k) in roots]
+
+
+def root_pattern(basis, n: int):
+    """(N, where, sizes) when the n x n matrices of basis form a
+    root-of-unity pattern: every nonzero cell a root of unity and no two
+    matrices sharing a position.  where[i * n + j] is (b, k) when basis[b]
+    holds zeta_N^k at (i, j) and None off every support, sizes[b] is the
+    number of cells of basis[b], and N the least order carrying every
+    cell.  None for any other basis."""
+    where = [None] * (n * n)
+    roots = []
+    sizes = []
+    for b, mat in enumerate(basis):
+        for (i, j), v in mat.cells.items():
+            root = v.as_root_of_unity()
+            pos = i * n + j
+            if root is None or where[pos] is not None:
+                return None
+            where[pos] = b
+            roots.append((pos, b, root))
+        sizes.append(len(mat.cells))
+    order = math.lcm(*(d for _, _, (d, _) in roots))
+    for pos, b, (d, k) in roots:
+        where[pos] = (b, k * (order // d))
+    return order, where, tuple(sizes)
+
+
+def in_root_pattern(pattern, mono: Monomial) -> bool:
+    """Does the span of a root_pattern basis hold the unit monomial mono?
+
+    The supports are disjoint, so a matrix lies in the span iff on each
+    support it is a multiple of that basis matrix and it is zero off their
+    union.  mono has no zero cell, so it must lie in the supports, differ
+    from each basis matrix it touches by one exponent, and cover those
+    matrices whole: their cell counts sum to n."""
+    order, where, sizes = pattern
+    n = mono.n
+    lcm = math.lcm(order, mono.order)
+    lift_p, lift_m = lcm // order, lcm // mono.order
+    shifts = {}
+    covered = 0
+    for j, (i, e) in enumerate(zip(mono.perm, mono.exps)):
+        hit = where[i * n + j]
+        if hit is None:
+            return False
+        b, k = hit
+        shift = (e * lift_m - k * lift_p) % lcm
+        seen = shifts.get(b)
+        if seen is None:
+            shifts[b] = shift
+            covered += sizes[b]
+        elif seen != shift:
+            return False
+    return covered == n
 
 
 def translation_monomial(group: FinAbGroup, x: GroupElement) -> Monomial:

@@ -24,10 +24,17 @@ element or generator) then cuts the union-find's pattern basis with the
 dense kernel.  CycNum appears only at that boundary, in the cells of a
 returned basis and in the witness search over them.  A witness that is
 a unit monomial comes back as a Monomial and is normalized on its
-exponents, so a computed centralizer stores it as one.  Commutator
-scalars, and with them the scalar tuples of the comparison and the
-pairing table, are integer pairs (order, exponent) throughout.  The
-tests cross-check the engine against a purely dense solve.
+exponents, so a computed centralizer stores it as one.  A witness
+candidate with an empty row or column is turned down without a rank.
+Commutator scalars, and with them the scalar tuples of the comparison and
+the pairing table, are integer pairs (order, exponent) throughout.  The
+comparison tests each generator against a coset of the other side's
+identity-component algebra through GroupSpec.algebra_contains: a unit
+Monomial against a basis of roots of unity on disjoint supports (block
+matrix units, or a union-find basis that no dense cut touched) is an
+integer test on exponents, and only a dense operand or another basis
+reduces cells through the VectorSpan.  The tests cross-check the engine
+against a purely dense solve.
 """
 
 from __future__ import annotations
@@ -274,11 +281,14 @@ def _apply_twist_constraint(basis, h: CycMatrix, c: CycNum) -> list[CycMatrix]:
 
 
 def _det_nonzero(mat: CycMatrix) -> bool:
-    # one nonzero cell in every row and every column: a scaled permutation
-    if (len(mat.cells) == mat.rows == len({i for i, _ in mat.cells})
-            == len({j for _, j in mat.cells})):
+    n = mat.rows
+    if len({i for i, _ in mat.cells}) < n or len({j for _, j in mat.cells}) < n:
+        # an empty row or column: singular
+        return False
+    if len(mat.cells) == n:
+        # one nonzero cell in every row and every column: a scaled permutation
         return True
-    return mat.rank() == mat.rows
+    return mat.rank() == n
 
 
 def _combine(cells, coeffs, n: int) -> CycMatrix | None:
@@ -386,12 +396,13 @@ def _invertible_in_span(basis, n: int, fallback=None) -> Monomial | CycMatrix | 
 # ---------------------------------------------------------------------------
 
 
-def projective_order(op, span: VectorSpan, bound: int) -> int:
-    """Least m in 1..bound with op^m inside the spanned algebra (up to
-    scalar), for an operator given as a Monomial or a CycMatrix."""
+def projective_order(op, spec: GroupSpec, bound: int) -> int:
+    """Least m in 1..bound with op^m inside the identity-component algebra
+    of spec (up to scalar), for an operator given as a Monomial or a
+    CycMatrix."""
     power = op
     for m in range(1, bound + 1):
-        if span.contains(as_dense(power).flat_cells()):
+        if spec.algebra_contains(power):
             return m
         power = power @ op
     raise ValueError(
@@ -461,10 +472,9 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
     n = target.ambient.dim
     engine = CommutantEngine.from_spec(target)
     ref_cosets = target.generating_cosets()
-    span = target.algebra_span()
     moduli = []
     for coords, d in zip(ref_cosets, target.component_group.invariant_factors):
-        m = projective_order(target.operator(coords), span, d)
+        m = projective_order(target.operator(coords), target, d)
         moduli.append(math.gcd(m, n))
     # the zero tuple is the identity component, solved once below
     all_tuples = list(itertools.product(*(range(g) for g in moduli)))[1:]
@@ -652,19 +662,16 @@ class VerificationReport:
         }
 
 
-def _membership(candidate, coset_rep, span: VectorSpan) -> bool:
-    """Is candidate inside coset_rep * (algebra of the span)?  Both are
-    operators.  A Monomial coset_rep is inverted in O(n) and multiplied
-    with a Monomial candidate in integers, or applied to a dense one's
-    nonzero cells."""
+def _membership(candidate, coset_rep, spec: GroupSpec) -> bool:
+    """Is candidate inside coset_rep * (identity-component algebra of
+    spec)?  Both are operators.  A Monomial coset_rep is inverted in O(n)
+    and multiplied with a Monomial candidate in integers, and
+    spec.algebra_contains tests the product on its exponents when the
+    algebra's basis is a root-of-unity pattern; a dense operand, or any
+    other basis, goes through the span."""
     if not isinstance(coset_rep, Monomial):
         candidate = as_dense(candidate)
-    shifted = coset_rep.inverse() @ candidate
-    if isinstance(shifted, Monomial):
-        n = shifted.n
-        cells = {p * n + j: s for j, (p, s) in enumerate(zip(shifted.perm, shifted.scales))}
-        return span.contains(cells)
-    return span.contains(shifted.flat_cells())
+    return spec.algebra_contains(coset_rep.inverse() @ candidate)
 
 
 def _compare_with_centralizer(claimed: GroupSpec, computed: CentralizerData,
@@ -694,14 +701,14 @@ def _compare_with_centralizer(claimed: GroupSpec, computed: CentralizerData,
     claimed_in_computed = span_cl_in_co and complete and all(
         t in computed.tuple_to_coset
         and _membership(claimed.operator(coords),
-                        computed.spec.operator(computed.tuple_to_coset[t]), comp_span)
+                        computed.spec.operator(computed.tuple_to_coset[t]), computed.spec)
         for t, coords in claimed_tuples
     )
     coset_of = dict(claimed_tuples)
     computed_in_claimed = span_co_in_cl and all(
         t in coset_of
         and _membership(computed.spec.operator(coords),
-                        claimed.operator(coset_of[t]), claimed_span)
+                        claimed.operator(coset_of[t]), claimed)
         for t, coords in computed.tuple_to_coset.items()
     )
 
@@ -792,9 +799,8 @@ def specs_equal(a: GroupSpec, b: GroupSpec) -> bool:
         return False
     if a.component_count() != b.component_count():
         return False
-    for mat in a.generators.values():
-        if not any(
-            _membership(mat, b.operator(bc), span_b) for bc in b.generators
-        ):
+    for ac in a.generators:
+        op = a.operator(ac)
+        if not any(_membership(op, b.operator(bc), b) for bc in b.generators):
             return False
     return True

@@ -343,7 +343,7 @@ def test_criterion_8_centralizer_equals_heisenberg_spec_as_stated():
     span = computed.algebra_span()
     # every Heisenberg element lies in some coset of the centralizer
     klein_inside = span.contains_span(klein.algebra_span()) and all(
-        any(_membership(mat, computed.generators[c], span)
+        any(_membership(mat, computed.generators[c], computed)
             for c in computed.generators)
         for mat in klein.generators.values()
     )

@@ -28,6 +28,8 @@ from projpair.matrep import (
     TensorShape,
     as_dense,
     character_monomial,
+    in_root_pattern,
+    root_pattern,
     translation_monomial,
 )
 from projpair.verify import (
@@ -240,6 +242,14 @@ def test_normalize_projective_rescales_monomials_in_integers(mat):
     assert out == Monomial.from_matrix(_normalize_projective(mat))
 
 
+def _algebra_spec(algebra):
+    """A spec with the trivial component group whose identity-component
+    algebra is the span of the given n x n matrices."""
+    n = algebra[0].rows
+    return GroupSpec(Ambient.single(TensorShape((("L", n),))), None, TRIV,
+                     {(): CycMatrix.identity(n)}, algebra_basis=algebra)
+
+
 @st.composite
 def membership_problems(draw):
     """A span of partial monomials, two unit monomials rep and a, and the
@@ -258,11 +268,84 @@ def membership_problems(draw):
 def test_membership_of_monomials_matches_dense(problem):
     """Two Monomials multiplied in integers give the dense answer."""
     algebra, candidate, rep, dense_rep = problem
-    span = span_of_matrices(algebra)
-    expected = span.contains((rep.inverse() @ candidate).flat_cells())
+    expected = span_of_matrices(algebra).contains((rep.inverse() @ candidate).flat_cells())
     rep_op = rep if dense_rep else Monomial.from_matrix(rep)
-    assert _membership(Monomial.from_matrix(candidate), rep_op, span) == expected
-    assert _membership(candidate, rep_op, span) == expected
+    spec = _algebra_spec(algebra)
+    assert _membership(Monomial.from_matrix(candidate), rep_op, spec) == expected
+    assert _membership(candidate, rep_op, spec) == expected
+
+
+PATTERN_CASES = ("member", "wrong_exponent", "partly_covered", "outside",
+                 "overlap", "not_root")
+
+
+@st.composite
+def root_pattern_problems(draw):
+    """A unit Monomial m, a basis of root-of-unity matrices built around it
+    and the case it was built for.  m's cells are split into groups, each
+    group one basis matrix that differs from m by one root of unity, and
+    more basis matrices sit on positions off m's support.  Then m is a
+    member, or one cell of a group of two gets a wrong exponent, or a
+    group's matrix gets one more cell (partly covered by m), or one cell of
+    m leaves every support; or the basis stops being a pattern, by a
+    matrix overlapping another or a cell that is not a root of unity."""
+    n = draw(st.integers(1, 5))
+    case = draw(st.sampled_from(PATTERN_CASES))
+    order = draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+    perm = draw(st.permutations(range(n)))
+    exps = [draw(st.integers(0, order - 1)) for _ in range(n)]
+    labels = [draw(st.integers(0, n - 1)) for _ in range(n)]
+    if case == "wrong_exponent" and n > 1:
+        labels[1] = labels[0]
+    shifts = [draw(st.integers(0, order - 1)) for _ in range(n)]
+    groups: dict[int, dict] = {}
+    for j in range(n):
+        cell = CycNum.root_of_unity(order, exps[j] - shifts[labels[j]])
+        groups.setdefault(labels[j], {})[(perm[j], j)] = cell
+    free = draw(st.permutations([(i, j) for i in range(n) for j in range(n)
+                                 if perm[j] != i]))
+    if case == "partly_covered" and free:
+        groups[labels[0]][free.pop()] = draw(unit_roots())
+    if case == "outside":
+        del groups[labels[0]][(perm[0], 0)]
+    basis = [CycMatrix.from_entries(n, n, cells) for cells in groups.values()]
+    while free:
+        size = draw(st.integers(1, len(free)))
+        basis.append(CycMatrix.from_entries(
+            n, n, {free.pop(): draw(unit_roots()) for _ in range(size)}))
+    if case == "overlap":
+        basis.append(CycMatrix.from_entries(n, n, {(perm[0], 0): draw(unit_roots())}))
+    if case == "not_root":
+        basis.append(CycMatrix.from_entries(n, n, {(perm[-1], n - 1): 2}))
+    basis = draw(st.permutations(basis))
+    mono = Monomial.from_exponents(perm, order, exps)
+    if case == "wrong_exponent":
+        # half a step off in column 0 only
+        mono = Monomial.from_exponents(perm, 2 * order,
+                                       [2 * e + (j == 0) for j, e in enumerate(exps)])
+    return basis, mono, case
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_pattern_problems())
+def test_root_pattern_membership_matches_span(problem):
+    """The integer test of a unit Monomial against a root-of-unity pattern
+    basis gives VectorSpan.contains's answer; a basis that is not such a
+    pattern gives no pattern, and the spec falls back to the span."""
+    basis, mono, case = problem
+    n = mono.n
+    expected = span_of_matrices(basis).contains(mono.to_matrix().flat_cells())
+    if n > 1:
+        assert expected == (case in ("member", "overlap", "not_root"))
+    pattern = root_pattern(basis, n)
+    if case in ("overlap", "not_root"):
+        assert pattern is None
+    else:
+        assert pattern is not None
+        assert in_root_pattern(pattern, mono) == expected
+    spec = _algebra_spec(basis)
+    assert spec.algebra_contains(mono) == expected
+    assert spec.algebra_pattern() == pattern
 
 
 def test_witness_search_undecided_is_typed():
