@@ -16,7 +16,6 @@ bit-reproducible.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -36,6 +35,7 @@ from .errors import (
     InputNotDualPair,
     NotIsomorphism,
     PreconditionViolated,
+    SingularMatrix,
 )
 from .matrep import (
     Monomial,
@@ -153,52 +153,10 @@ def _check_shape(op, n: int):
     return op
 
 
-class CosetGenerators(Mapping):
-    """The generator of each coset, a CycMatrix or a Monomial, keyed by
-    coset coordinates in the component group's element order.
-
-    build(coords) makes the generator of one coset; it runs the first time
-    that coset is read, its result is shape-checked and cached, and it is
-    dropped once every coset is built.  Iterating over the keys builds
-    nothing; items() and values() build every coset.  peek(coords) reads a
-    coset without caching it.  A dict of generators is a table whose
-    cosets are all built already.
-    """
-
-    def __init__(self, cosets, build, n: int, built=None):
-        self._cosets = tuple(cosets)
-        self._index = frozenset(self._cosets)
-        self._build = build
-        self._n = n
-        self._built = {} if built is None else built
-
-    def __getitem__(self, coords):
-        op = self._built.get(coords)
-        if op is None:
-            op = self._built[coords] = self._make(coords)
-            if len(self._built) == len(self._cosets):
-                self._build = None
-        return op
-
-    def peek(self, coords):
-        """The generator of a coset: the cached one, else a fresh build
-        that is not cached."""
-        op = self._built.get(coords)
-        return self._make(coords) if op is None else op
-
-    def _make(self, coords):
-        if coords not in self._index or self._build is None:
-            raise KeyError(coords)
-        return _check_shape(self._build(coords), self._n)
-
-    def __contains__(self, coords):
-        return coords in self._index
-
-    def __iter__(self):
-        return iter(self._cosets)
-
-    def __len__(self):
-        return len(self._cosets)
+def _times(word, op):
+    """word @ op for operators in either form; a CycMatrix times a Monomial
+    is made dense, since only the other order is defined."""
+    return word @ (as_dense(op) if isinstance(word, CycMatrix) else op)
 
 
 class GroupSpec:
@@ -209,17 +167,24 @@ class GroupSpec:
     centralizer stores its unit-monomial witnesses as Monomials), or a
     picklable function from a coset's coordinates to its generator (the
     constructions, for example a module-level function bound with
-    functools.partial).  Either way self.generators is a CosetGenerators
-    table over the component group's cosets: a builder runs once per
-    coset, on its first read, so callers that read only the generating
-    cosets, as the enumeration does, build no others.  The identity coset
-    is built and checked here.
+    functools.partial).  A dict must hold one generator of the right shape
+    per coset of the component group.
 
-    Membership in the identity-component algebra goes through one method,
-    algebra_contains.  It tests a Monomial on integer exponents against
-    algebra_pattern, the basis read as roots of unity on disjoint
-    supports, and reduces anything else through algebra_span; both are
-    built on first use and cached.
+    operator(coords) is the one way to read a coset.  Its first read builds
+    the generator (a dict hands each one over once), checks its shape,
+    scans a CycMatrix into a Monomial when it is one and caches that single
+    form, so callers that read only the generating cosets, as the
+    enumeration does, build no others.  The identity coset is checked here
+    and stored as Monomial.identity(n).  cosets() lists the coordinates in
+    the component group's element order.
+
+    Membership goes through two methods.  algebra_contains tests an
+    operator against the identity-component algebra: a Monomial on integer
+    exponents against algebra_pattern, the basis read as roots of unity on
+    disjoint supports, anything else through algebra_span.
+    coset_contains(coords, op) tests op against one coset, through the
+    coset generator's inverse, built once per coset.  The algebra basis,
+    its span and its pattern are each built on first use and cached.
     """
 
     def __init__(self, ambient, blocks, component_group, generators, algebra_basis=None):
@@ -227,40 +192,38 @@ class GroupSpec:
         self.blocks = tuple(blocks) if blocks is not None else None
         self.component_group = component_group
         self._algebra_basis = tuple(algebra_basis) if algebra_basis is not None else None
-        self._operators: dict = {}
+        if self.blocks is None and self._algebra_basis is None:
+            raise ValueError("need either blocks or an algebra basis")
         self._span = None
         # None until first read, then the pattern or False for none
         self._pattern = None
+        self._inverses: dict = {}
         n = self.ambient.dim
-        ident = self.component_group.identity().coords
+        self._cosets = tuple(e.coords for e in component_group.elements())
+        self._index = frozenset(self._cosets)
+        ident = self._cosets[0]
         if callable(generators):
-            cosets = [e.coords for e in self.component_group.elements()]
-            self.generators = CosetGenerators(cosets, generators, n)
+            self._build = generators
         else:
-            built = dict(generators)
-            if ident not in built:
-                raise ValueError("missing generator for the identity coset")
-            if len(built) != self.component_group.order:
-                raise ValueError("need exactly one generator per coset")
-            for op in built.values():
+            given = dict(generators)
+            if set(given) != self._index:
+                raise ValueError("need one generator per coset of the component group")
+            for op in given.values():
                 _check_shape(op, n)
-            self.generators = CosetGenerators(built, None, n, built)
-        if not self.generators[ident].is_identity():
+            self._build = given.pop
+        if not _check_shape(self._build(ident), n).is_identity():
             raise ValueError("identity-coset generator must be the identity matrix")
-        if self.blocks is None and self._algebra_basis is None:
-            raise ValueError("need either blocks or an algebra basis")
+        self._operators = {ident: Monomial.identity(n)}
 
     # -- identity component ------------------------------------------------
 
-    def algebra_basis(self) -> list[CycMatrix]:
-        """Matrices spanning the algebra generated by the identity component."""
-        if self._algebra_basis is not None:
-            return list(self._algebra_basis)
-        n = self.ambient.dim
-        out = []
-        for b in self.blocks:
-            out.extend(b.matrix_units(n))
-        return out
+    def algebra_basis(self) -> tuple[CycMatrix, ...]:
+        """Matrices spanning the algebra generated by the identity
+        component; a block spec's matrix units are built on first use."""
+        if self._algebra_basis is None:
+            n = self.ambient.dim
+            self._algebra_basis = tuple(u for b in self.blocks for u in b.matrix_units(n))
+        return self._algebra_basis
 
     def algebra_span(self) -> VectorSpan:
         if self._span is None:
@@ -295,28 +258,41 @@ class GroupSpec:
     def block_dims(self):
         return sorted((b.dim, b.mult) for b in self.blocks) if self.blocks else None
 
-    # -- generators ----------------------------------------------------------
+    # -- cosets --------------------------------------------------------------
+
+    def cosets(self) -> tuple[tuple[int, ...], ...]:
+        """The coset coordinates in the component group's element order."""
+        return self._cosets
 
     def operator(self, coords):
-        """The generator of a coset as a Monomial when it is one, else the
-        dense CycMatrix itself.
-
-        This is the one place that decides a generator's form.  A stored
-        Monomial is returned as is; a CycMatrix is scanned on first use and
-        the result cached, and the generator itself is built then too,
-        because most callers (the enumeration among them) never ask for
-        most cosets.  A coset built here is kept only in this form: the
-        summand pairs that gluing memoizes would otherwise hold the dense
-        copy of every generator they read.
-        """
+        """The generator of a coset: a Monomial when it is one, else the
+        dense CycMatrix itself, built and cached on first read."""
         coords = tuple(coords)
         op = self._operators.get(coords)
         if op is None:
-            op = self.generators.peek(coords)
+            if coords not in self._index:
+                raise KeyError(coords)
+            op = _check_shape(self._build(coords), self.ambient.dim)
             if isinstance(op, CycMatrix):
                 op = Monomial.from_matrix(op) or op
             self._operators[coords] = op
+            if len(self._operators) == len(self._cosets):
+                # every coset is built: let go of whatever the builder holds
+                self._build = None
         return op
+
+    def _inverse(self, coords):
+        inv = self._inverses.get(coords)
+        if inv is None:
+            inv = self._inverses[coords] = self.operator(coords).inverse()
+        return inv
+
+    def coset_contains(self, coords, op) -> bool:
+        """Does the coset at coords hold the operator op, that is, is op in
+        operator(coords) times the identity-component algebra?  The coset's
+        generator is inverted once per spec, a Monomial pair multiplies in
+        integers, and algebra_contains tests the product."""
+        return self.algebra_contains(_times(self._inverse(coords), op))
 
     def generating_cosets(self) -> list[tuple[int, ...]]:
         return [g.coords for g in self.component_group.generators()]
@@ -326,46 +302,51 @@ class GroupSpec:
 
     def validate(self, deep: bool = False) -> None:
         """Check the structural invariants: the block grids partition the
-        basis indices, the generators sit on the component group's
-        elements, every generator is invertible, and each generating
+        basis indices, every generator is invertible, each generating
         coset's generator raised to its invariant factor lies in the
-        algebra.  deep also checks normalization of the identity component
-        and the extension closure of generators."""
+        algebra, and each coset holds its word in the generating cosets.
+        The word of a coset is the word of the coset one step lower in its
+        last nonzero coordinate, times that coordinate's generator.  deep
+        also checks normalization of the identity component and the
+        extension closure of generators."""
         n = self.ambient.dim
         if self.blocks is not None:
             indices = sorted(i for b in self.blocks for i in b.indices())
             if indices != list(range(n)):
                 raise ValueError(f"block grids do not partition the indices 0..{n - 1}")
-        if set(self.generators) != {e.coords for e in self.component_group.elements()}:
-            raise ValueError("generator cosets are not the component group's elements")
-        for coords in self.generators:
-            # a Monomial is invertible by construction
-            op = self.operator(coords)
-            if isinstance(op, CycMatrix) and not op.is_invertible():
-                raise ValueError(f"generator at {coords} is singular")
-        for coords, d in zip(self.generating_cosets(), self.component_group.invariant_factors):
+        for coords in self._cosets:
+            try:
+                self._inverse(coords)
+            except SingularMatrix:
+                raise ValueError(f"generator at {coords} is singular") from None
+        gens = self.generating_cosets()
+        for coords, d in zip(gens, self.component_group.invariant_factors):
             if not self.algebra_contains(self.operator(coords) ** d):
                 raise ValueError(
                     f"generator at {coords} to the power {d} leaves the identity component")
+        ident = self._cosets[0]
+        words = {}
+        for coords in self._cosets[1:]:
+            a = max(i for i, c in enumerate(coords) if c)
+            prev = coords[:a] + (coords[a] - 1,) + coords[a + 1:]
+            if prev == ident:
+                words[coords] = self.operator(coords)
+                continue
+            words[coords] = _times(words[prev], self.operator(gens[a]))
+            if not self.coset_contains(coords, words[coords]):
+                raise ValueError(
+                    f"generator at {coords} is not its word in the generating cosets")
         if not deep:
             return
-        span = self.algebra_span()
-        basis = self.algebra_basis()
-        dense = {coords: as_dense(op) for coords, op in self.generators.items()}
-        for coords, mat in dense.items():
-            inv = mat.inverse()
-            for b in basis:
-                if not span.contains((mat @ b @ inv).flat_cells()):
-                    raise ValueError(f"generator at {coords} does not normalize the blocks")
+        for coords in self._cosets:
+            op, inv = self.operator(coords), as_dense(self._inverse(coords))
+            if not all(self.algebra_contains(op @ b @ inv) for b in self.algebra_basis()):
+                raise ValueError(f"generator at {coords} does not normalize the blocks")
         group = self.component_group
-        for a in dense:
-            for b in dense:
-                s = group.element(a) + group.element(b)
-                prod = dense[a] @ dense[b]
-                target = dense[s.coords]
-                # prod must equal (identity-component element) * target
-                cand = prod @ target.inverse()
-                if not span.contains(cand.flat_cells()):
+        for a in self._cosets:
+            for b in self._cosets:
+                s = (group.element(a) + group.element(b)).coords
+                if not self.coset_contains(s, _times(self.operator(a), self.operator(b))):
                     raise ValueError("generator products leave the extension")
 
     def __repr__(self):

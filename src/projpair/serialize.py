@@ -132,8 +132,8 @@ def spec_to_json(spec: GroupSpec) -> dict:
         else [{"dim": b.dim, "grid": [list(r) for r in b.grid]} for b in spec.blocks],
         "component_group": group_to_json(spec.component_group),
         "generators": [
-            {"coset": list(coords), "matrix": cyc_matrix_to_json(as_dense(op))}
-            for coords, op in sorted(spec.generators.items())
+            {"coset": list(c), "matrix": cyc_matrix_to_json(as_dense(spec.operator(c)))}
+            for c in spec.cosets()
         ],
     }
     if spec.blocks is None:

@@ -28,11 +28,13 @@ exponents, so a computed centralizer stores it as one.  A witness
 candidate with an empty row or column is turned down without a rank.
 Commutator scalars, and with them the scalar tuples of the comparison and
 the pairing table, are integer pairs (order, exponent) throughout.  The
-comparison tests each generator against a coset of the other side's
-identity-component algebra through GroupSpec.algebra_contains: a unit
-Monomial against a basis of roots of unity on disjoint supports (block
-matrix units, or a union-find basis that no dense cut touched) is an
-integer test on exponents, and only a dense operand or another basis
+comparison and specs_equal read cosets only through GroupSpec.cosets and
+GroupSpec.operator, and test each operator against a coset of the other
+side with GroupSpec.coset_contains.  That inverts each coset's generator
+once per spec and tests the product with GroupSpec.algebra_contains: a
+unit Monomial against a basis of roots of unity on disjoint supports
+(block matrix units, or a union-find basis that no dense cut touched) is
+an integer test on exponents, and only a dense operand or another basis
 reduces cells through the VectorSpan.  The tests cross-check the engine
 against a purely dense solve.
 """
@@ -614,10 +616,10 @@ def pairing_table(g: GroupSpec, h: GroupSpec) -> PairingTable:
     commutator_scalar's reduced (order, exponent), whose order divides
     the ambient dimension; h's operators are read once.
     """
-    h_ops = [h.operator(he.coords) for he in h.component_group.elements()]
+    h_ops = [h.operator(c) for c in h.cosets()]
     rows = []
-    for ge in g.component_group.elements():
-        g_op = g.operator(ge.coords)
+    for c in g.cosets():
+        g_op = g.operator(c)
         rows.append(tuple([commutator_scalar(g_op, h_op) for h_op in h_ops]))
     return PairingTable(g.component_group, h.component_group, tuple(rows))
 
@@ -662,18 +664,6 @@ class VerificationReport:
         }
 
 
-def _membership(candidate, coset_rep, spec: GroupSpec) -> bool:
-    """Is candidate inside coset_rep * (identity-component algebra of
-    spec)?  Both are operators.  A Monomial coset_rep is inverted in O(n)
-    and multiplied with a Monomial candidate in integers, and
-    spec.algebra_contains tests the product on its exponents when the
-    algebra's basis is a root-of-unity pattern; a dense operand, or any
-    other basis, goes through the span."""
-    if not isinstance(coset_rep, Monomial):
-        candidate = as_dense(candidate)
-    return spec.algebra_contains(coset_rep.inverse() @ candidate)
-
-
 def _compare_with_centralizer(claimed: GroupSpec, computed: CentralizerData,
                               reference: GroupSpec):
     """Failures from comparing a claimed side against the computed
@@ -690,7 +680,7 @@ def _compare_with_centralizer(claimed: GroupSpec, computed: CentralizerData,
     complete = True
     if span_cl_in_co or span_co_in_cl:
         ref_ops = [reference.operator(c) for c in computed.ref_cosets]
-        for coords in claimed.generators:
+        for coords in claimed.cosets():
             try:
                 t = _scalar_tuple(claimed.operator(coords), ref_ops, computed.moduli)
             except NotProjectivelyCommuting:
@@ -700,15 +690,12 @@ def _compare_with_centralizer(claimed: GroupSpec, computed: CentralizerData,
 
     claimed_in_computed = span_cl_in_co and complete and all(
         t in computed.tuple_to_coset
-        and _membership(claimed.operator(coords),
-                        computed.spec.operator(computed.tuple_to_coset[t]), computed.spec)
+        and computed.spec.coset_contains(computed.tuple_to_coset[t], claimed.operator(coords))
         for t, coords in claimed_tuples
     )
     coset_of = dict(claimed_tuples)
     computed_in_claimed = span_co_in_cl and all(
-        t in coset_of
-        and _membership(computed.spec.operator(coords),
-                        claimed.operator(coset_of[t]), claimed)
+        t in coset_of and claimed.coset_contains(coset_of[t], computed.spec.operator(coords))
         for t, coords in computed.tuple_to_coset.items()
     )
 
@@ -799,8 +786,8 @@ def specs_equal(a: GroupSpec, b: GroupSpec) -> bool:
         return False
     if a.component_count() != b.component_count():
         return False
-    for ac in a.generators:
+    for ac in a.cosets():
         op = a.operator(ac)
-        if not any(_membership(op, b.operator(bc), b) for bc in b.generators):
+        if not any(b.coset_contains(bc, op) for bc in b.cosets()):
             return False
     return True

@@ -43,7 +43,6 @@ from projpair.matrep import (
 )
 from projpair.abelian import char_eval
 from projpair.verify import (
-    _membership,
     projective_centralizer,
     specs_equal,
     verify_dual_pair,
@@ -343,9 +342,8 @@ def test_criterion_8_centralizer_equals_heisenberg_spec_as_stated():
     span = computed.algebra_span()
     # every Heisenberg element lies in some coset of the centralizer
     klein_inside = span.contains_span(klein.algebra_span()) and all(
-        any(_membership(mat, computed.generators[c], computed)
-            for c in computed.generators)
-        for mat in klein.generators.values()
+        any(computed.coset_contains(c, klein.operator(k)) for c in computed.cosets())
+        for k in klein.cosets()
     )
     proper = klein_inside and not specs_equal(computed, klein)
     ok = (

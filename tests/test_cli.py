@@ -300,6 +300,28 @@ def test_conductor_cap_below_one_is_bad_input(capsys):
     assert sum("error:" in line for line in err.splitlines()) == 1
 
 
+def test_mislabelled_coset_table_is_bad_input(tmp_path, capsys):
+    """Swapping the g-side operators of cosets (0, 2) and (1, 2) of the
+    --L 4 pair leaves each coset off its word in the generating cosets:
+    bad input (2) for verify and for pairing, with one error line.  The
+    group is still the dual partner of h as a set, so only the labels are
+    wrong, and the reported pairing table would not be a bicharacter."""
+    pair_file = tmp_path / "pair.json"
+    assert run(["construct", "--L", "4", "-o", str(pair_file)]) == 0
+    assert run(["verify", str(pair_file)]) == 0
+    data = json.loads(pair_file.read_text())
+    items = {tuple(item["coset"]): item for item in data["g"]["generators"]}
+    a, b = items[(0, 2)], items[(1, 2)]
+    a["matrix"], b["matrix"] = b["matrix"], a["matrix"]
+    pair_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    for command in ("verify", "pairing"):
+        assert run([command, str(pair_file)]) == 2
+        err = capsys.readouterr().err
+        assert "not its word in the generating cosets" in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_detects_edited_pair(tmp_path):
     """Removing a generator (and shrinking the component group accordingly)
     leaves a subgroup whose centralizer is strictly larger."""
@@ -550,7 +572,25 @@ def test_serialize_roundtrips():
     back_g = serialize.spec_from_json(serialize.spec_to_json(g))
     assert back_g.ambient.dim == g.ambient.dim
     assert back_g.component_group == g.component_group
-    assert set(back_g.generators) == set(g.generators)
-    for coords in g.generators:
-        assert back_g.generators[coords] == g.generators[coords]
+    assert back_g.cosets() == g.cosets()
+    for coords in g.cosets():
+        assert back_g.operator(coords) == g.operator(coords)
     assert back_g.algebra_span().equals(g.algebra_span())
+
+
+def test_reencoding_a_decoded_unit_monomial_writes_its_least_conductor():
+    """A decoded generator that is a unit monomial written on a larger
+    conductor than its entries need is re-encoded on the least one, the
+    form every construction writes."""
+    from projpair.cyclo import CycMatrix
+
+    g, _ = xx_hat_pair(Z2)
+    data = serialize.spec_to_json(g)
+    item = next(i for i in data["generators"] if i["coset"] == [0, 1])
+    assert item["matrix"]["conductor"] == 1
+    mat = serialize.cyc_matrix_from_json(item["matrix"])
+    item["matrix"] = serialize.cyc_matrix_to_json(
+        CycMatrix.from_entries(2, 2, {k: v.lift(4) for k, v in mat.cells.items()}))
+    assert item["matrix"]["conductor"] == 4
+    again = serialize.spec_to_json(serialize.spec_from_json(data))
+    assert again == serialize.spec_to_json(g)

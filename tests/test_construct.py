@@ -36,7 +36,7 @@ from projpair.errors import (
     NotIsomorphism,
     PreconditionViolated,
 )
-from projpair.matrep import Monomial, TensorShape, projective_equal
+from projpair.matrep import Monomial, TensorShape, as_dense, projective_equal
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
@@ -71,9 +71,9 @@ def test_xx_hat_pair_structure():
     assert g.component_group == FinAbGroup((2, 2))
     assert g.identity_component_dim() == 1
     # both sides have identical generator sets
-    assert set(g.generators) == set(h.generators)
-    for coords in g.generators:
-        assert g.generators[coords] == h.generators[coords]
+    assert g.cosets() == h.cosets()
+    for coords in g.cosets():
+        assert g.operator(coords) == h.operator(coords)
     g3, _ = xx_hat_pair(Z3)
     assert g3.component_group.order == 9
     gt, ht = xx_hat_pair(TRIV)
@@ -108,7 +108,7 @@ def test_operator_picks_monomial_or_dense_form():
     hadamard = CycMatrix([[1, 1], [1, -1]])
     spec = GroupSpec(ambient, scalar_blocks(2), Z2,
                      {(0,): CycMatrix.identity(2), (1,): hadamard})
-    assert spec.operator((1,)) is spec.generators[(1,)]
+    assert spec.operator((1,)) is hadamard
     spec.validate()
     singular = GroupSpec(ambient, scalar_blocks(2), Z2,
                          {(0,): CycMatrix.identity(2), (1,): CycMatrix([[1, 1], [1, 1]])})
@@ -148,8 +148,8 @@ def test_generator_extension_closure():
     span = g.algebra_span()
     for a in group.elements():
         for b in group.elements():
-            prod = g.generators[a.coords] @ g.generators[b.coords]
-            target = g.generators[(a + b).coords]
+            prod = as_dense(g.operator(a.coords)) @ as_dense(g.operator(b.coords))
+            target = as_dense(g.operator((a + b).coords))
             shifted = prod @ target.inverse()
             assert span.contains(shifted.flatten())
 
@@ -161,7 +161,7 @@ def test_generators_scalars_are_roots_of_unity():
     ]:
         g, h = single_orbit_pair(ing)
         for spec in (g, h):
-            for coords, mat in spec.generators.items():
+            for mat in map(as_dense, map(spec.operator, spec.cosets())):
                 first = next(
                     mat.entry(i, j)
                     for i in range(mat.rows)
@@ -200,8 +200,9 @@ def test_general_xx_hat_degenerate_case_is_heisenberg():
     assert g.component_group == ref_g.component_group
     assert g.algebra_span().equals(ref_g.algebra_span())
     matched = 0
-    for mat in g.generators.values():
-        if any(projective_equal(mat, other) for other in ref_g.generators.values()):
+    ref_mats = [as_dense(ref_g.operator(c)) for c in ref_g.cosets()]
+    for mat in map(as_dense, map(g.operator, g.cosets())):
+        if any(projective_equal(mat, other) for other in ref_mats):
             matched += 1
     assert matched == 4
 
@@ -214,7 +215,7 @@ def test_glue_two_heisenberg_summands_diagonal():
     assert g.ambient.dim == 4
     assert g.component_group == gamma
     # generators are the same operator on both summands
-    for coords, mat in g.generators.items():
+    for mat in map(as_dense, map(g.operator, g.cosets())):
         top = [[mat.entry(i, j) for j in range(2)] for i in range(2)]
         bottom = [[mat.entry(i + 2, j + 2) for j in range(2)] for i in range(2)]
         assert top == bottom
@@ -265,9 +266,9 @@ def test_glue_single_summand_matches_single_orbit():
     g1, h1 = multi_orbit_glue(MultiOrbitSpec(gamma, ((ing, q),)))
     g2, h2 = single_orbit_pair(ing)
     assert g1.algebra_span().equals(g2.algebra_span())
-    assert set(g1.generators) == set(g2.generators)
-    for coords in g1.generators:
-        assert projective_equal(g1.generators[coords], g2.generators[coords])
+    assert g1.cosets() == g2.cosets()
+    for coords in g1.cosets():
+        assert projective_equal(as_dense(g1.operator(coords)), as_dense(g2.operator(coords)))
 
 
 def test_glue_with_nonidentity_isomorphism_verifies():
@@ -385,9 +386,9 @@ def test_builder_of_wrong_shape_raises_on_first_read():
         return CycMatrix.identity(2 if coords == (0,) else 3)
 
     spec = GroupSpec(ambient, scalar_blocks(2), Z2, build)
-    assert spec.generators[(0,)].is_identity()
+    assert spec.operator((0,)).is_identity()
     with pytest.raises(ValueError, match="wrong shape"):
-        spec.generators[(1,)]
+        spec.operator((1,))
     with pytest.raises(ValueError, match="wrong shape"):
         GroupSpec(ambient, scalar_blocks(2), Z2,
                   {(0,): CycMatrix.identity(2), (1,): CycMatrix.identity(3)})
@@ -423,7 +424,7 @@ def test_non_identity_generator_at_identity_coset_raises_at_construction():
 
 
 def _all_generators(spec):
-    return {coords: spec.generators[coords] for coords in spec.generators}
+    return {coords: spec.operator(coords) for coords in spec.cosets()}
 
 
 @pytest.mark.parametrize("build", [
@@ -441,5 +442,63 @@ def test_constructed_spec_pickles_before_and_after_its_cosets_are_built(build):
         reference = _all_generators(spec)
         after = pickle.loads(pickle.dumps(spec))
         for copy in (before, after):
-            assert list(copy.generators) == list(spec.generators)
+            assert copy.cosets() == spec.cosets()
             assert _all_generators(copy) == reference
+
+
+# -- one coset table ---------------------------------------------------------
+
+
+def test_builder_runs_once_per_coset_whatever_reads_it(monkeypatch):
+    """Reading every coset through operator(), serializing, validating
+    (deep or not), the pairing table and a full verify build each coset of
+    both sides exactly once; the identity coset is built by the
+    construction's own check and stored as the identity Monomial."""
+    from projpair.verify import pairing_table, verify_dual_pair
+
+    built = []
+    real = construct._single_orbit_generator
+
+    def counting(b, e, L, J, K, side, coords):
+        built.append((side, coords))
+        return real(b, e, L, J, K, side, coords)
+
+    monkeypatch.setattr(construct, "_single_orbit_generator", counting)
+    g, h = single_orbit_pair(SingleOrbitIngredients(1, 1, Z2, Z2, TRIV))
+    ident = g.cosets()[0]
+    assert g.operator(ident) == Monomial.identity(g.ambient.dim)
+    for spec in (g, h):
+        spec.operator(spec.generating_cosets()[0])
+        serialize.spec_to_json(spec)
+        spec.validate()
+        spec.validate(deep=True)
+        for coords in spec.cosets():
+            spec.operator(coords)
+    pairing_table(g, h)
+    assert verify_dual_pair(g, h).is_dual_pair
+    expected = [(side, c) for side, spec in (("g", g), ("h", h)) for c in spec.cosets()]
+    assert sorted(built) == sorted(expected)
+
+
+def test_block_matrix_units_built_once_per_block(monkeypatch):
+    """algebra_basis() builds each block's matrix units once per spec,
+    however many readers (span, pattern, commutant engine, verify) ask."""
+    from projpair.verify import CommutantEngine, verify_dual_pair
+
+    calls = []
+    real = Block.matrix_units
+
+    def counting(self, n):
+        calls.append(self)
+        return real(self, n)
+
+    monkeypatch.setattr(Block, "matrix_units", counting)
+    g, h = connected_pair([(2, 3), (1, 2)])
+    first = g.algebra_basis()
+    assert g.algebra_basis() is first
+    g.algebra_span()
+    g.algebra_pattern()
+    CommutantEngine.from_spec(g)
+    assert verify_dual_pair(g, h).is_dual_pair
+    assert sorted(map(id, calls)) == sorted(map(id, g.blocks + h.blocks))
+    assert len(first) == sum(b.dim ** 2 for b in g.blocks)

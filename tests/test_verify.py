@@ -39,7 +39,6 @@ from projpair.verify import (
     _check_semisimple,
     _det_nonzero,
     _invertible_in_span,
-    _membership,
     _normalize_projective,
     compute_centralizer,
     pairing_table,
@@ -149,7 +148,7 @@ def test_solver_fast_and_general_paths_agree():
             assert_same_span(
                 engine.solve(scalars),
                 _dense_commutant(target.ambient.dim, target.algebra_basis(),
-                                 [target.generators[c] for c in cosets], scalars),
+                                 [target.operator(c) for c in cosets], scalars),
             )
 
 
@@ -252,27 +251,41 @@ def _algebra_spec(algebra):
 
 @st.composite
 def membership_problems(draw):
-    """A span of partial monomials, two unit monomials rep and a, and the
-    candidate rep @ a; a is in the span about half of the time."""
+    """A span of partial monomials, a unit monomial a, a coset
+    representative rep and the candidate rep @ a; a is in the span about
+    half of the time.  About half of the time rep is not monomial: a unit
+    monomial times I + c E_0,n-1, for a root of unity c."""
     n = draw(st.integers(1, 4))
     algebra = draw(st.lists(partial_monomials(n), max_size=3))
     a = draw(partial_monomials(n, full=True))
     if draw(st.booleans()):
         algebra.append(a)
     rep = draw(partial_monomials(n, full=True))
-    return algebra or [CycMatrix.identity(n)], rep @ a, rep, draw(st.booleans())
+    if n > 1 and draw(st.booleans()):
+        rep = rep @ (CycMatrix.identity(n)
+                     + CycMatrix.from_entries(n, n, {(0, n - 1): draw(unit_roots())}))
+    return algebra or [CycMatrix.identity(n)], a, rep
 
 
 @settings(max_examples=80, deadline=None)
 @given(membership_problems())
 def test_membership_of_monomials_matches_dense(problem):
-    """Two Monomials multiplied in integers give the dense answer."""
-    algebra, candidate, rep, dense_rep = problem
-    expected = span_of_matrices(algebra).contains((rep.inverse() @ candidate).flat_cells())
-    rep_op = rep if dense_rep else Monomial.from_matrix(rep)
-    spec = _algebra_spec(algebra)
-    assert _membership(Monomial.from_matrix(candidate), rep_op, spec) == expected
-    assert _membership(candidate, rep_op, spec) == expected
+    """GroupSpec.coset_contains gives the dense answer, rep^-1 x in the
+    span, for a coset representative that operator() reads as a Monomial
+    or keeps dense, and for a candidate x given as a Monomial or dense:
+    x = rep @ a, and x = a itself."""
+    algebra, a, rep = problem
+    n = rep.rows
+    span = span_of_matrices(algebra)
+    spec = GroupSpec(Ambient.single(TensorShape((("L", n),))), None, Z2,
+                     {(0,): CycMatrix.identity(n), (1,): rep}, algebra_basis=algebra)
+    assert isinstance(spec.operator((1,)), Monomial) == (Monomial.from_matrix(rep) is not None)
+    for candidate in (rep @ a, a):
+        expected = span.contains((rep.inverse() @ candidate).flat_cells())
+        assert spec.coset_contains((1,), candidate) == expected
+        mono = Monomial.from_matrix(candidate)
+        if mono is not None:
+            assert spec.coset_contains((1,), mono) == expected
 
 
 PATTERN_CASES = ("member", "wrong_exponent", "partly_covered", "outside",
@@ -494,7 +507,8 @@ def test_computed_centralizers_store_unit_monomial_witnesses():
     for spec in specs:
         z1 = projective_centralizer(spec)
         z1.validate(deep=True)
-        for coords, op in z1.generators.items():
+        for coords in z1.cosets():
+            op = z1.operator(coords)
             mat = as_dense(op)
             assert mat.cells[mat.first_nonzero()].is_one()
             if isinstance(op, Monomial):
@@ -651,3 +665,35 @@ def test_centralizer_component_tuples_form_group():
         for b in exps:
             s = tuple((x + y) % m for x, y, m in zip(a, b, data.moduli))
             assert s in data.tuple_to_coset
+
+
+def _conjugated_klein(shear):
+    """The translation-character group of Z2 conjugated by a 2 x 2 shear:
+    every non-identity coset generator is dense and not monomial."""
+    klein, _ = xx_hat_pair(Z2)
+    inv = shear.inverse()
+    gens = {c: shear @ as_dense(klein.operator(c)) @ inv for c in klein.cosets()}
+    return GroupSpec(klein.ambient, klein.blocks, klein.component_group, gens)
+
+
+def test_specs_equal_inverts_each_dense_coset_once(monkeypatch):
+    """specs_equal inverts each dense coset generator of the second spec
+    once, however many cosets of the first spec it tests, and a second
+    call inverts none."""
+    a = _conjugated_klein(CycMatrix([[1, 1], [0, 1]]))
+    b = _conjugated_klein(CycMatrix([[1, 1], [0, 1]]))
+    dense = [c for c in b.cosets() if not isinstance(b.operator(c), Monomial)]
+    assert len(dense) == 3
+    calls = []
+    real = CycMatrix.inverse
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CycMatrix, "inverse", counting)
+    assert specs_equal(a, b)
+    assert sorted(map(id, calls)) == sorted(id(b.operator(c)) for c in dense)
+    assert specs_equal(a, b)
+    assert len(calls) == 3
+    assert not specs_equal(a, _conjugated_klein(CycMatrix([[1, 0], [1, 1]])))
