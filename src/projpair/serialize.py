@@ -55,13 +55,15 @@ def cyc_num_from_json(data: dict) -> CycNum:
 
 
 def cyc_matrix_to_json(mat: CycMatrix) -> dict:
+    """Entries in row-major order; every zero entry shares one list."""
     cells = mat.cells
+    zero = _zero_coeffs(mat.m)
     return {
         "rows": mat.rows,
         "cols": mat.cols,
         "conductor": mat.m,
         "entries": [
-            _coeffs_to_json(cells[i, j]) if (i, j) in cells else _zero_coeffs(mat.m)
+            _coeffs_to_json(cells[i, j]) if (i, j) in cells else zero
             for i in range(mat.rows)
             for j in range(mat.cols)
         ],

@@ -26,11 +26,12 @@ returned basis and in the witness search over them.  A witness that is
 a unit monomial comes back as a Monomial and is normalized on its
 exponents, so a computed centralizer stores it as one.  A witness
 candidate with an empty row or column is turned down without a rank.
-Commutator scalars, and with them the scalar tuples of the comparison and
-the pairing table, are integer pairs (order, exponent) throughout.  The
-comparison and specs_equal read cosets only through GroupSpec.cosets and
-GroupSpec.operator, and test each operator against a coset of the other
-side with GroupSpec.coset_contains.  That inverts each coset's generator
+The scalar tuples of the solves and the commutator scalars of the
+pairing table are integer pairs (order, exponent) throughout.  Both
+directions of the comparison and specs_equal are one subgroup test,
+spec_contains: one spec lies in another when its algebra span does and
+each of its generating cosets lies in some coset of the other, tested
+with GroupSpec.coset_contains.  That inverts each coset's generator
 once per spec and tests the product with GroupSpec.algebra_contains: a
 unit Monomial against a basis of roots of unity on disjoint supports
 (block matrix units, or a union-find basis that no dense cut touched) is
@@ -424,32 +425,6 @@ def _normalize_projective(op):
     return op if pos is None else op.scale(op.cells[pos].inverse())
 
 
-@dataclass
-class CentralizerData:
-    """The computed centralizer plus the bookkeeping linking its components
-    to scalar tuples against the target's generating cosets."""
-
-    spec: GroupSpec
-    ref_cosets: list
-    moduli: list[int]
-    tuple_to_coset: dict
-
-
-def _scalar_tuple(x, ref_ops, moduli):
-    """Commutator scalars of the operator x against the reference
-    operators, as exponents in the tuple moduli.  Raises
-    NotProjectivelyCommuting."""
-    out = []
-    for ref, g in zip(ref_ops, moduli):
-        order, k = commutator_scalar(x, ref)
-        if g % order:
-            raise NotProjectivelyCommuting(
-                f"commutator scalar zeta_{order}^{k} lies outside modulus {g}"
-            )
-        out.append(k * (g // order) % g)
-    return tuple(out)
-
-
 def _solve_tuple_batch(engine, tuples, moduli):
     out = []
     for exps in tuples:
@@ -463,7 +438,7 @@ def _solve_tuple_batch(engine, tuples, moduli):
     return out
 
 
-def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
+def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     """The full preimage in GL(U) of the centralizer of the target's image.
 
     Scalar tuples run over roots of unity whose order divides both the
@@ -473,9 +448,8 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
     """
     n = target.ambient.dim
     engine = CommutantEngine.from_spec(target)
-    ref_cosets = target.generating_cosets()
     moduli = []
-    for coords, d in zip(ref_cosets, target.component_group.invariant_factors):
+    for coords, d in zip(target.generating_cosets(), target.component_group.invariant_factors):
         m = projective_order(target.operator(coords), target, d)
         moduli.append(math.gcd(m, n))
     # the zero tuple is the identity component, solved once below
@@ -504,29 +478,12 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> CentralizerData:
     comp_group, to_canonical = subgroup_from_elements(moduli, list(surviving))
     if comp_group.order != len(surviving):
         raise AssertionError("surviving scalar tuples do not form a group")
-    generators = {}
-    tuple_to_coset = {}
-    for exps, w in surviving.items():
-        coords = to_canonical(exps)
-        generators[coords] = _normalize_projective(w)
-        tuple_to_coset[exps] = coords
-    spec = GroupSpec(
-        target.ambient,
-        None,
-        comp_group,
-        generators,
-        algebra_basis=identity_basis,
-    )
-    return CentralizerData(
-        spec=spec,
-        ref_cosets=ref_cosets,
-        moduli=moduli,
-        tuple_to_coset=tuple_to_coset,
-    )
+    generators = {to_canonical(exps): _normalize_projective(w) for exps, w in surviving.items()}
+    return GroupSpec(target.ambient, None, comp_group, generators, algebra_basis=identity_basis)
 
 
 def projective_centralizer(target: GroupSpec) -> GroupSpec:
-    return compute_centralizer(target).spec
+    return compute_centralizer(target)
 
 
 def _check_semisimple(basis) -> None:
@@ -664,70 +621,62 @@ class VerificationReport:
         }
 
 
-def _compare_with_centralizer(claimed: GroupSpec, computed: CentralizerData,
-                              reference: GroupSpec):
+def spec_contains(outer: GroupSpec, inner: GroupSpec) -> bool:
+    """Is inner a subgroup of outer, up to scalars?
+
+    Precondition: each spec's coset table is a group, that is, each coset
+    holds its word in the generating cosets.  The constructions and
+    compute_centralizer build such tables, and pair_from_json checks it
+    through GroupSpec.validate.  Then inner is generated by its identity
+    component and its generating cosets, so it lies in the group outer
+    when outer's algebra holds inner's and each generating coset of inner
+    lies in some coset of outer.
+    """
+    if not outer.algebra_span().contains_span(inner.algebra_span()):
+        return False
+    return all(
+        any(outer.coset_contains(oc, inner.operator(ic)) for oc in outer.cosets())
+        for ic in inner.generating_cosets()
+    )
+
+
+def _compare_with_centralizer(claimed: GroupSpec, computed: GroupSpec):
     """Failures from comparing a claimed side against the computed
-    centralizer of the other side."""
-    failures = []
-    claimed_span = claimed.algebra_span()
-    comp_span = computed.spec.algebra_span()
-    span_cl_in_co = comp_span.contains_span(claimed_span)
-    span_co_in_cl = claimed_span.contains_span(comp_span)
-
-    # tuples of the claimed generators in order, up to the first one that
-    # does not commute projectively with the reference
-    claimed_tuples = []
-    complete = True
-    if span_cl_in_co or span_co_in_cl:
-        ref_ops = [reference.operator(c) for c in computed.ref_cosets]
-        for coords in claimed.cosets():
-            try:
-                t = _scalar_tuple(claimed.operator(coords), ref_ops, computed.moduli)
-            except NotProjectivelyCommuting:
-                complete = False
-                break
-            claimed_tuples.append((t, coords))
-
-    claimed_in_computed = span_cl_in_co and complete and all(
-        t in computed.tuple_to_coset
-        and computed.spec.coset_contains(computed.tuple_to_coset[t], claimed.operator(coords))
-        for t, coords in claimed_tuples
-    )
-    coset_of = dict(claimed_tuples)
-    computed_in_claimed = span_co_in_cl and all(
-        t in coset_of and claimed.coset_contains(coset_of[t], computed.spec.operator(coords))
-        for t, coords in computed.tuple_to_coset.items()
-    )
-
+    centralizer of the other side, as the two containments."""
+    claimed_in_computed = spec_contains(computed, claimed)
+    computed_in_claimed = spec_contains(claimed, computed)
     if claimed_in_computed and computed_in_claimed:
-        return failures
-    if claimed_in_computed and not computed_in_claimed:
-        failures.append(VerificationFailure(
+        return []
+    if claimed_in_computed:
+        return [VerificationFailure(
             FAIL_CENTRALIZER_LARGER,
             f"computed centralizer strictly contains the claimed group "
-            f"(identity dims {computed.spec.identity_component_dim()} vs "
+            f"(identity dims {computed.identity_component_dim()} vs "
             f"{claimed.identity_component_dim()}, components "
-            f"{computed.spec.component_count()} vs {claimed.component_count()})",
-        ))
-    elif computed_in_claimed and not claimed_in_computed:
-        failures.append(VerificationFailure(
+            f"{computed.component_count()} vs {claimed.component_count()})",
+        )]
+    if computed_in_claimed:
+        return [VerificationFailure(
             FAIL_CENTRALIZER_SMALLER,
             "claimed group is strictly larger than the computed centralizer",
-        ))
-    else:
-        failures.append(VerificationFailure(
-            FAIL_IDENTITY_COMPONENT_MISMATCH,
-            "claimed group and computed centralizer are incomparable",
-        ))
-    return failures
+        )]
+    return [VerificationFailure(
+        FAIL_IDENTITY_COMPONENT_MISMATCH,
+        "claimed group and computed centralizer are incomparable",
+    )]
 
 
 def verify_dual_pair(g: GroupSpec, h: GroupSpec, workers: int = 1) -> VerificationReport:
     """Check the mutual-centralizer axioms from first principles.
 
-    Computes the projective centralizer of each side and compares it with
-    the other side; fills the component pairing table and checks that it
-    is nondegenerate with matching component counts.
+    Computes the projective centralizer of each side and decides both
+    containments between it and the other side with spec_contains (both
+    hold: no failure; only claimed <= centralizer: CENTRALIZER_LARGER; only
+    centralizer <= claimed: CENTRALIZER_SMALLER; neither:
+    IDENTITY_COMPONENT_MISMATCH); fills the
+    component pairing table and checks that it is nondegenerate with
+    matching component counts.  Precondition, as for spec_contains: each
+    side's coset table is a group.
 
     The table needs no bicharacter check: commutator scalars are central,
     so [g1 g2, h] = [g1, h] [g2, h], and likewise in the second argument;
@@ -739,11 +688,8 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec, workers: int = 1) -> Verificati
         raise ShapeMismatch(
             f"ambient spaces differ: {g.ambient.summand_dims()} vs {h.ambient.summand_dims()}"
         )
-    failures = []
-    cent_h = compute_centralizer(h, workers=workers)
-    failures.extend(_compare_with_centralizer(g, cent_h, h))
-    cent_g = compute_centralizer(g, workers=workers)
-    for fail in _compare_with_centralizer(h, cent_g, g):
+    failures = _compare_with_centralizer(g, compute_centralizer(h, workers=workers))
+    for fail in _compare_with_centralizer(h, compute_centralizer(g, workers=workers)):
         failures.append(VerificationFailure(fail.code, "mirror check: " + fail.detail))
 
     table = None
@@ -772,22 +718,14 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec, workers: int = 1) -> Verificati
 
 
 def specs_equal(a: GroupSpec, b: GroupSpec) -> bool:
-    """Equality of two specified subgroups of the same GL(U).
+    """Equality of two specified subgroups of the same GL(U), up to scalars.
 
-    Identity components compare as algebra spans; components must biject
-    with projectively matching generators (one direction plus equal counts
-    suffices because distinct cosets are disjoint).
+    Precondition, as for spec_contains: each spec's coset table is a group.
+    a lies in b by spec_contains; with equal identity dimensions the
+    algebras are then equal, and with equal component counts each coset of
+    a fills one coset of b (distinct cosets are disjoint), so a = b.
     """
-    if a.ambient.dim != b.ambient.dim:
-        return False
-    span_a = a.algebra_span()
-    span_b = b.algebra_span()
-    if not span_a.equals(span_b):
-        return False
-    if a.component_count() != b.component_count():
-        return False
-    for ac in a.cosets():
-        op = a.operator(ac)
-        if not any(b.coset_contains(bc, op) for bc in b.cosets()):
-            return False
-    return True
+    return (a.ambient.dim == b.ambient.dim
+            and a.component_count() == b.component_count()
+            and a.identity_component_dim() == b.identity_component_dim()
+            and spec_contains(b, a))

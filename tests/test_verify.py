@@ -43,6 +43,7 @@ from projpair.verify import (
     compute_centralizer,
     pairing_table,
     projective_centralizer,
+    spec_contains,
     specs_equal,
     verify_dual_pair,
 )
@@ -656,15 +657,13 @@ def test_pairing_table_rejects_noncommuting():
 
 
 def test_centralizer_component_tuples_form_group():
+    """The surviving scalar tuples of Z(h) for the Heisenberg pair of Z2
+    form the component group: four components, and a coset table that
+    passes the deep group checks."""
     g, h = xx_hat_pair(Z2)
-    data = compute_centralizer(h)
-    assert len(data.tuple_to_coset) == data.spec.component_count()
-    exps = sorted(data.tuple_to_coset)
-    # closed under addition in the tuple moduli
-    for a in exps:
-        for b in exps:
-            s = tuple((x + y) % m for x, y, m in zip(a, b, data.moduli))
-            assert s in data.tuple_to_coset
+    z = compute_centralizer(h)
+    assert z.component_count() == 4
+    z.validate(deep=True)
 
 
 def _conjugated_klein(shear):
@@ -677,8 +676,8 @@ def _conjugated_klein(shear):
 
 
 def test_specs_equal_inverts_each_dense_coset_once(monkeypatch):
-    """specs_equal inverts each dense coset generator of the second spec
-    once, however many cosets of the first spec it tests, and a second
+    """specs_equal inverts each dense coset generator of the second spec at
+    most once, however many cosets of the first spec it tests, and a second
     call inverts none."""
     a = _conjugated_klein(CycMatrix([[1, 1], [0, 1]]))
     b = _conjugated_klein(CycMatrix([[1, 1], [0, 1]]))
@@ -693,7 +692,63 @@ def test_specs_equal_inverts_each_dense_coset_once(monkeypatch):
 
     monkeypatch.setattr(CycMatrix, "inverse", counting)
     assert specs_equal(a, b)
-    assert sorted(map(id, calls)) == sorted(id(b.operator(c)) for c in dense)
+    inverted = [id(m) for m in calls]
+    assert inverted and len(set(inverted)) == len(inverted)
+    assert set(inverted) <= {id(b.operator(c)) for c in dense}
     assert specs_equal(a, b)
-    assert len(calls) == 3
+    assert len(calls) == len(inverted)
     assert not specs_equal(a, _conjugated_klein(CycMatrix([[1, 0], [1, 1]])))
+
+
+def test_gl2_against_a_diagonal_involution_is_smaller_both_ways():
+    """GL(2) and the image of diag(1, -1) in PGL(2) are no dual pair.  Each
+    computed centralizer (the normalizer of the torus, and the scalars)
+    lies strictly inside the other side, in either argument order."""
+    g = connected_pair([(2, 1)])[0]
+    h = GroupSpec(g.ambient, scalar_blocks(2), Z2,
+                  {(0,): CycMatrix.identity(2), (1,): CycMatrix.diagonal([1, -1])})
+    expected = ["CENTRALIZER_SMALLER", "CENTRALIZER_SMALLER", "PAIRING_DEGENERATE"]
+    assert verify_dual_pair(g, h).failure_codes() == expected
+    assert verify_dual_pair(h, g).failure_codes() == expected
+
+
+def _contains_exhaustive(outer, inner):
+    """inner <= outer tested on every coset of inner against every coset
+    of outer: the oracle of spec_contains's generating-coset shortcut."""
+    if not outer.algebra_span().contains_span(inner.algebra_span()):
+        return False
+    return all(
+        any(outer.coset_contains(oc, inner.operator(ic)) for oc in outer.cosets())
+        for ic in inner.cosets()
+    )
+
+
+def test_spec_contains_matches_exhaustive_oracle():
+    """On every ordered pair of equal ambient dimension among S, Z(S) and
+    Z(Z(S)), over the criterion-7 battery and four specs with n <= 8
+    beyond it, testing the generating cosets decides containment as
+    testing every coset does."""
+    z4 = FinAbGroup.cyclic(4)
+    shift = Monomial((1, 2, 3, 0, 5, 6, 7, 4), [ONE] * 8)
+    shift4x2 = GroupSpec(Ambient.single(TensorShape((("A", 8),))), scalar_blocks(8), z4,
+                         {(k,): shift ** k for k in range(4)})
+    battery = [spec for _, spec in _battery()] + [
+        xx_hat_pair(FinAbGroup.cyclic(5))[0],
+        xx_hat_pair(FinAbGroup.cyclic(6))[0],
+        shift4x2,
+        connected_pair([(2, 2), (2, 2)])[0],
+    ]
+    specs = []
+    for spec in battery:
+        z1 = projective_centralizer(spec)
+        specs += [spec, z1, projective_centralizer(z1)]
+    pairs = contained = 0
+    for outer in specs:
+        for inner in specs:
+            if outer.ambient.dim != inner.ambient.dim:
+                continue
+            pairs += 1
+            expected = _contains_exhaustive(outer, inner)
+            assert spec_contains(outer, inner) == expected
+            contained += expected
+    assert (pairs, contained) == (1494, 454)
