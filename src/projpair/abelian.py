@@ -252,10 +252,6 @@ def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def partition_count(n: int) -> int:
-    return len(partitions(n))
-
-
 def enumerate_abelian_groups(n: int) -> list[FinAbGroup]:
     """All isomorphism classes of abelian groups of order n.
 

@@ -291,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a pair file")
     p.add_argument("pair_file")
     p.add_argument("--format", choices=["json", "table"], default="table")
-    p.add_argument("--workers", type=_workers_int, default=1)
+    p.add_argument("--workers", type=_workers_int, default=1,
+                   help="accepted and checked (0 or more) but has no effect: "
+                        "verify runs serially")
     p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("enumerate", help="enumerate classification rows")

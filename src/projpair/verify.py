@@ -27,7 +27,15 @@ a unit monomial comes back as a Monomial and is normalized on its
 exponents, so a computed centralizer stores it as one.  A witness
 candidate with an empty row or column is turned down without a rank.
 The scalar tuples of the solves and the commutator scalars of the
-pairing table are integer pairs (order, exponent) throughout.  Both
+pairing table are integer pairs (order, exponent) throughout.
+
+Work is done on generators where the group structure allows it.  The
+surviving scalar tuples form a subgroup, so compute_centralizer solves
+only tuples that neither a known subgroup of survivors nor the tuples
+already known to fail decide, and gives each derived coset a product of
+witnesses.  Once both comparisons pass, the pairing is a bicharacter,
+so verify_dual_pair expands its table from the commutators of the
+generating cosets.  Everything runs in one process.  Both
 directions of the comparison and specs_equal are one subgroup test,
 spec_contains: one spec lies in another when its algebra span does and
 each of its generating cosets lies in some coset of the other, tested
@@ -44,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .abelian import FinAbGroup, subgroup_from_elements
@@ -55,8 +62,6 @@ from .cyclo import (
     CycMatrix,
     CycNum,
     VectorSpan,
-    conductor_cap,
-    set_conductor_cap,
 )
 from .errors import (
     IdentityComponentNotSemisimpleBlocks,
@@ -425,17 +430,13 @@ def _normalize_projective(op):
     return op if pos is None else op.scale(op.cells[pos].inverse())
 
 
-def _solve_tuple_batch(engine, tuples, moduli):
-    out = []
-    for exps in tuples:
-        scalars = list(zip(moduli, exps))
-        basis = engine.solve(scalars)
-        if not basis:
-            out.append((exps, None))
-            continue
-        witness = engine.witness(basis, scalars)
-        out.append((exps, witness))
-    return out
+def _coset_product(x, y):
+    """An element of the coset of x y.  Both orders lie in it (the scalar
+    tuples of x y and y x are both the sum of x's and y's), so a Monomial
+    goes on the left, where it multiplies a dense matrix in linear time."""
+    if isinstance(x, CycMatrix) and isinstance(y, Monomial):
+        x, y = y, x
+    return x @ y
 
 
 def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
@@ -445,6 +446,20 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     generator's projective order modulo the identity component and the
     ambient dimension (an invertible solution forces c^n = 1 by taking
     determinants); each surviving tuple contributes one component.
+
+    The surviving tuples form a subgroup S (x y has tuple t + t'), so most
+    of them need no solve.  The tuples are walked in order with a known
+    subgroup S0 of S, each element with its witness, and a set of tuples
+    known to lie outside S, a union of cosets of S0.  A tuple in neither
+    is solved.  When it survives, S0 grows by its multiples; the witness
+    of each new coset is a product of witnesses, and the dead set is
+    translated by the new multiples.  When it fails, so does every tuple
+    of t + S0, since S0 lies in S.  The zero tuple is the identity
+    component, solved once on its own.
+
+    workers has no effect: the closure leaves a handful of solves, each
+    depending on the ones before.  It stays for callers that still pass
+    it.
     """
     n = target.ambient.dim
     engine = CommutantEngine.from_spec(target)
@@ -452,33 +467,43 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     for coords, d in zip(target.generating_cosets(), target.component_group.invariant_factors):
         m = projective_order(target.operator(coords), target, d)
         moduli.append(math.gcd(m, n))
-    # the zero tuple is the identity component, solved once below
-    all_tuples = list(itertools.product(*(range(g) for g in moduli)))[1:]
-    if workers > 1 and len(all_tuples) > 1:
-        chunk = max(1, len(all_tuples) // (workers * 4))
-        batches = [all_tuples[i:i + chunk] for i in range(0, len(all_tuples), chunk)]
-        results = []
-        # a forked pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(batches)),
-                                 initializer=set_conductor_cap,
-                                 initargs=(conductor_cap(),)) as pool:
-            for part in pool.map(_solve_tuple_batch, itertools.repeat(engine),
-                                 batches, itertools.repeat(moduli)):
-                results.extend(part)
-    else:
-        results = _solve_tuple_batch(engine, all_tuples, moduli)
+
+    def add(a, b):
+        return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
+
+    zero = tuple(0 for _ in moduli)
+    known = {zero: Monomial.identity(n)}
+    dead = set()
+    for t in itertools.product(*(range(m) for m in moduli)):
+        if t in known or t in dead:
+            continue
+        scalars = list(zip(moduli, t))
+        basis = engine.solve(scalars)
+        w = engine.witness(basis, scalars) if basis else None
+        if w is None:
+            dead.update(add(t, s) for s in known)
+            continue
+        old = list(known.items())
+        shifts = []
+        step, power = t, w
+        while step not in known:
+            shifts.append(step)
+            for s, ws in old:
+                known[add(s, step)] = power if s == zero else _coset_product(ws, power)
+            step = add(step, t)
+            if step not in known:
+                power = _coset_product(power, w)
+        dead.update([add(d, u) for d in dead for u in shifts])
 
     identity_basis = engine.solve([(1, 0)] * len(moduli))
     if not identity_basis:
         raise IdentityComponentNotSemisimpleBlocks("untwisted commutant is empty")
     _check_semisimple(identity_basis)
 
-    surviving = {tuple(0 for _ in moduli): Monomial.identity(n)}
-    surviving.update((exps, w) for exps, w in results if w is not None)
-    comp_group, to_canonical = subgroup_from_elements(moduli, list(surviving))
-    if comp_group.order != len(surviving):
+    comp_group, to_canonical = subgroup_from_elements(moduli, list(known))
+    if comp_group.order != len(known):
         raise AssertionError("surviving scalar tuples do not form a group")
-    generators = {to_canonical(exps): _normalize_projective(w) for exps, w in surviving.items()}
+    generators = {to_canonical(exps): _normalize_projective(w) for exps, w in known.items()}
     return GroupSpec(target.ambient, None, comp_group, generators, algebra_basis=identity_basis)
 
 
@@ -565,14 +590,37 @@ class PairingTable:
         }
 
 
-def pairing_table(g: GroupSpec, h: GroupSpec) -> PairingTable:
+def pairing_table(g: GroupSpec, h: GroupSpec, *, from_generators: bool = False) -> PairingTable:
     """The table of commutator scalars over all component pairs.
 
     Well-defined on components: scalars cancel in commutators, so the
     choice of generator representatives does not matter.  Each value is
     commutator_scalar's reduced (order, exponent), whose order divides
-    the ambient dimension; h's operators are read once.
+    the ambient dimension.  By default every pair of cosets takes one
+    commutator; h's operators are read once.
+
+    from_generators=True takes commutators on the generating cosets only,
+    as exponents T_ij over N, the lcm of their orders, and expands coset
+    pair (c, c') as lowest_terms(N, sum c_i c'_j T_ij).  That is the same
+    table only when the pairing is a bicharacter on the coset labels:
+    verify_dual_pair asks for it once both comparisons have passed, and
+    says why that suffices.
     """
+    if from_generators:
+        gen_rows = [[commutator_scalar(g.operator(a), h.operator(b))
+                     for b in h.generating_cosets()] for a in g.generating_cosets()]
+        order = math.lcm(*(d for row in gen_rows for d, _ in row))
+        expo = [[k * (order // d) for d, k in row] for row in gen_rows]
+        reduced = [lowest_terms(order, k) for k in range(order)]
+        h_cosets = h.cosets()
+        rows = []
+        for c in g.cosets():
+            # coset c's exponent against each generating coset of h
+            against = [sum(ci * row[j] for ci, row in zip(c, expo))
+                       for j in range(h.component_group.rank)]
+            rows.append(tuple([reduced[sum(a * b for a, b in zip(against, c2)) % order]
+                               for c2 in h_cosets]))
+        return PairingTable(g.component_group, h.component_group, tuple(rows))
     h_ops = [h.operator(c) for c in h.cosets()]
     rows = []
     for c in g.cosets():
@@ -678,11 +726,17 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec, workers: int = 1) -> Verificati
     matching component counts.  Precondition, as for spec_contains: each
     side's coset table is a group.
 
-    The table needs no bicharacter check: commutator scalars are central,
-    so [g1 g2, h] = [g1, h] [g2, h], and likewise in the second argument;
-    and once the comparisons show that each side centralizes the other's
-    identity component, a value depends only on the two components.
-    Checking it would cost O(|Gamma|^2 |Delta|) per direction.
+    Once both comparisons pass, the table is a bicharacter and is expanded
+    from the generating cosets (pairing_table(from_generators=True)):
+    commutator scalars are central, so [g1 g2, h] = [g1, h] [g2, h], and
+    likewise in the second argument; each side then centralizes the
+    other's identity-component algebra on the nose, so a value depends
+    only on the two components; and each coset holds its word in the
+    generating cosets.  A pair that fails a comparison gets the full
+    table, one commutator per coset pair, so its report shows every
+    value that is defined.
+
+    workers has no effect; see compute_centralizer.
     """
     if not g.ambient.compatible_with(h.ambient):
         raise ShapeMismatch(
@@ -694,7 +748,7 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec, workers: int = 1) -> Verificati
 
     table = None
     try:
-        table = pairing_table(g, h)
+        table = pairing_table(g, h, from_generators=not failures)
         if g.component_count() != h.component_count() or not table.is_nondegenerate():
             failures.append(VerificationFailure(
                 FAIL_PAIRING_DEGENERATE,

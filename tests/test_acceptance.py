@@ -43,6 +43,7 @@ from projpair.matrep import (
 )
 from projpair.abelian import char_eval
 from projpair.verify import (
+    pairing_table,
     projective_centralizer,
     specs_equal,
     verify_dual_pair,
@@ -165,6 +166,19 @@ def test_criterion_4_component_group_duality(pipeline):
         checked += 1
     _report("criterion 4", ok, f"{checked} pairing tables")
     assert ok
+
+
+def test_expanded_pairing_tables_match_full_tables(pipeline):
+    """A verified pair reports the pairing table expanded from its
+    generating cosets.  On every row for n = 1..8 (a superset of the
+    benchmark's pipeline8 rows) it equals the full table, one commutator
+    per coset pair, and the full table is a bicharacter."""
+    results, _ = pipeline
+    for row, g, h, report in results:
+        full = pairing_table(g, h)
+        assert report.pairing == pairing_table(g, h, from_generators=True)
+        assert report.pairing == full, row.sort_key()
+        assert full.is_bicharacter(), row.sort_key()
 
 
 def test_criterion_5_root_of_unity_scalars(pipeline):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from projpair import cli, serialize, verify
+from projpair import cli, serialize
 from projpair.abelian import FinAbGroup
 from projpair.cli import main
 from projpair.construct import SingleOrbitIngredients, single_orbit_pair, xx_hat_pair
@@ -435,8 +435,8 @@ def test_verify_negative_workers_is_bad_input(tmp_path, capsys):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replace the process pools of cli and verify by one that records
-    max_workers and maps in this process, so no worker is started."""
+    """Replace the process pool of cli by one that records max_workers and
+    maps in this process, so no worker is started."""
     sizes = []
 
     class SerialPool:
@@ -454,22 +454,20 @@ def pool_sizes(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
 def test_pools_never_outnumber_their_work(tmp_path, pool_sizes):
-    """A pool asks for no more workers than it has rows or tuple batches:
-    a forked pool starts every worker at the first submit."""
+    """enumerate --check's row pool asks for no more workers than it has
+    rows: a forked pool starts every worker at the first submit.  verify
+    starts no pool, whatever --workers says."""
     assert run(["enumerate", "--n", "2", "--check", "--workers", "5000"]) == 0
     # the five single-orbit rows at n = 2
     assert pool_sizes == [5]
     pair_file = tmp_path / "pair.json"
     run(["construct", "--L", "2", "-o", str(pair_file)])
     assert run(["verify", str(pair_file), "--workers", "5000"]) == 0
-    # each side's component group is Z2 x Z2: three twisted tuples, one
-    # batch each, for each of the two centralizers
-    assert pool_sizes == [5, 3, 3]
+    assert pool_sizes == [5]
 
 
 _FLAG_VALUES = st.one_of(st.integers(-3, 6).map(str),

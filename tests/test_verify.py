@@ -1,12 +1,14 @@
 """The twisted-commutant solver and centralizer verification."""
 
 import itertools
+import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from projpair.abelian import FinAbGroup
+from projpair.abelian import FinAbGroup, subgroup_from_elements
 from projpair.construct import (
     Ambient,
     GroupSpec,
@@ -28,6 +30,7 @@ from projpair.matrep import (
     TensorShape,
     as_dense,
     character_monomial,
+    commutator_scalar,
     in_root_pattern,
     root_pattern,
     translation_monomial,
@@ -43,6 +46,7 @@ from projpair.verify import (
     compute_centralizer,
     pairing_table,
     projective_centralizer,
+    projective_order,
     spec_contains,
     specs_equal,
     verify_dual_pair,
@@ -596,14 +600,6 @@ def test_verify_shape_mismatch():
         verify_dual_pair(g1, g2)
 
 
-def test_verify_workers_match_serial():
-    g, h = xx_hat_pair(Z2)
-    serial = verify_dual_pair(g, h, workers=1)
-    parallel = verify_dual_pair(g, h, workers=2)
-    assert serial.is_dual_pair == parallel.is_dual_pair
-    assert serial.pairing.values == parallel.pairing.values
-
-
 # -- pairing tables ---------------------------------------------------------------
 
 
@@ -644,6 +640,32 @@ def test_pairing_table_single_orbit_j():
     assert table.values == (((1, 0), (1, 0)), ((1, 0), (2, 1)))
 
 
+def test_failing_pairs_report_the_full_table():
+    """A pair that fails a comparison reports the full table, one
+    commutator per coset pair.  In the second pair a non-generating coset
+    of g holds a torus element that does not commute with the swap, so the
+    table expanded from the generating cosets would differ."""
+    g, h = xx_hat_pair(Z2)
+    tau = translation_monomial(Z2, Z2.element((1,))).to_matrix()
+    crippled = GroupSpec(g.ambient, g.blocks, Z2, {(0,): CycMatrix.identity(2), (1,): tau})
+    report = verify_dual_pair(crippled, h)
+    assert not report.is_dual_pair
+    assert report.pairing == pairing_table(crippled, h)
+
+    ambient = Ambient.single(TensorShape((("L", 2),)))
+    diag = CycMatrix.diagonal([1, -1])
+    torus = GroupSpec(ambient, connected_pair([(1, 1), (1, 1)])[0].blocks, FinAbGroup.cyclic(4),
+                      {(0,): CycMatrix.identity(2), (1,): CycMatrix.identity(2),
+                       (2,): diag, (3,): diag})
+    torus.validate()
+    report = verify_dual_pair(torus, swap_spec())
+    assert not report.is_dual_pair
+    full = pairing_table(torus, swap_spec())
+    assert report.pairing == full
+    assert full != pairing_table(torus, swap_spec(), from_generators=True)
+    assert not full.is_bicharacter()
+
+
 def test_pairing_table_rejects_noncommuting():
     spec = swap_spec()
     other = GroupSpec(
@@ -664,6 +686,169 @@ def test_centralizer_component_tuples_form_group():
     z = compute_centralizer(h)
     assert z.component_count() == 4
     z.validate(deep=True)
+
+
+def _all_tuples_centralizer(target):
+    """compute_centralizer without the closure: solve and witness every
+    scalar tuple.  Returns the spec, the moduli and each surviving tuple's
+    canonical coordinates."""
+    n = target.ambient.dim
+    engine = CommutantEngine.from_spec(target)
+    moduli = [math.gcd(projective_order(target.operator(c), target, d), n)
+              for c, d in zip(target.generating_cosets(),
+                              target.component_group.invariant_factors)]
+    surviving = {}
+    for t in itertools.product(*(range(m) for m in moduli)):
+        scalars = list(zip(moduli, t))
+        basis = engine.solve(scalars)
+        w = engine.witness(basis, scalars) if basis else None
+        if w is not None:
+            surviving[t] = w
+    group, to_canonical = subgroup_from_elements(moduli, list(surviving))
+    assert group.order == len(surviving)
+    spec = GroupSpec(target.ambient, None, group,
+                     {to_canonical(t): _normalize_projective(w) for t, w in surviving.items()},
+                     algebra_basis=engine.solve([(1, 0)] * len(moduli)))
+    return spec, moduli, {t: to_canonical(t) for t in surviving}
+
+
+def _check_closure_against_oracle(target):
+    """The closure centralizer equals the all-tuples one, survives on the
+    same tuples, and each of its coset generators has one of them as its
+    scalar tuple and lies in the oracle's coset of that tuple."""
+    z = compute_centralizer(target)
+    oracle, moduli, coords = _all_tuples_centralizer(target)
+    assert specs_equal(z, oracle) and specs_equal(oracle, z)
+    gens = [target.operator(c) for c in target.generating_cosets()]
+    tuples = set()
+    for c in z.cosets():
+        w = z.operator(c)
+        t = []
+        for h, m in zip(gens, moduli):
+            d, k = commutator_scalar(w, h)
+            assert m % d == 0
+            t.append(k * (m // d))
+        t = tuple(t)
+        assert t in coords
+        assert oracle.coset_contains(coords[t], w)
+        tuples.add(t)
+    assert tuples == set(coords)
+
+
+def test_closure_matches_all_tuples_oracle_on_the_battery():
+    """On the criterion-7 battery and on each spec's computed centralizer
+    (whose generators include dense witnesses, so derived cosets hold
+    dense products), the closure gives the all-tuples centralizer.  So it
+    does for diag(1, 1, -1, -1, z, z^4) in PGL(6), z = zeta_6: its
+    projective order is 6, and the centralizer twists it by -1 but not by
+    z or z^2 (the eigenspaces of 1 and z differ in dimension, and z^2 is
+    no eigenvalue), so the tuples 1 and 2 fail while their multiple 3
+    survives."""
+    diag = Monomial(range(6), [CycNum.root_of_unity(6, k) for k in (0, 0, 3, 3, 1, 4)])
+    uneven = GroupSpec(Ambient.single(TensorShape((("A", 6),))), scalar_blocks(6),
+                       FinAbGroup.cyclic(6), {(k,): diag ** k for k in range(6)})
+    assert compute_centralizer(uneven).component_count() == 2
+    for spec in [spec for _, spec in _battery()] + [uneven]:
+        _check_closure_against_oracle(spec)
+        _check_closure_against_oracle(projective_centralizer(spec))
+
+
+def _subgroup_spec(spec, picks):
+    """The subgroup of a spec generated by its identity component and the
+    cosets at picks, each coset keeping spec's generator."""
+    factors = spec.component_group.invariant_factors
+    elements = {tuple(0 for _ in factors)}
+    frontier = list(elements)
+    while frontier:
+        a = frontier.pop()
+        for p in picks:
+            b = tuple((x + y) % d for x, y, d in zip(a, p, factors))
+            if b not in elements:
+                elements.add(b)
+                frontier.append(b)
+    group, to_canonical = subgroup_from_elements(list(factors), list(elements))
+    return GroupSpec(spec.ambient, spec.blocks, group,
+                     {to_canonical(e): spec.operator(e) for e in elements})
+
+
+_HEISENBERG = [FinAbGroup.cyclic(2), FinAbGroup.cyclic(3), FinAbGroup.cyclic(4),
+               FinAbGroup((2, 2)), FinAbGroup.cyclic(5), FinAbGroup.cyclic(6)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_closure_matches_all_tuples_oracle_on_heisenberg_subgroups(data):
+    """On random subgroups of the translation-character groups, where the
+    surviving tuples form proper, nontrivial subgroups, the closure gives
+    the all-tuples centralizer."""
+    g, _ = xx_hat_pair(data.draw(st.sampled_from(_HEISENBERG)))
+    factors = g.component_group.invariant_factors
+    picks = data.draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in factors)),
+                               max_size=3))
+    _check_closure_against_oracle(_subgroup_spec(g, picks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(
+    st.tuples(st.permutations(range(n)), st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+    min_size=1, max_size=2)))
+def test_closure_matches_all_tuples_oracle_on_random_monomials(gens):
+    """On the group generated by one or two random monomials with entries
+    in the fourth roots of unity, where many tuples fail and some survive
+    only as multiples of failed ones, the closure gives the all-tuples
+    centralizer."""
+    monos = [Monomial(perm, [CycNum.root_of_unity(4, k) for k in exps]) for perm, exps in gens]
+    n = monos[0].n
+    ambient = Ambient.single(TensorShape((("A", n),)))
+    scalars = GroupSpec(ambient, scalar_blocks(n), TRIV, {(): Monomial.identity(n)})
+    # m^k is diagonal for k the order of m's permutation, so m^(4k) = I
+    d = math.lcm(*(projective_order(m, scalars, 4 * math.factorial(n)) for m in monos))
+    if d == 1:
+        return
+    group = FinAbGroup((d,) * len(monos))
+    table = {}
+    for coords in itertools.product(range(d), repeat=len(monos)):
+        op = Monomial.identity(n)
+        for m, k in zip(monos, coords):
+            op = op @ m ** k
+        table[coords] = op
+    try:
+        _check_closure_against_oracle(GroupSpec(ambient, scalar_blocks(n), group, table))
+    except WitnessSearchUndecided:
+        # a witness search that sampling and the pruning leave to an
+        # impractical grid says nothing about the closure
+        reject()
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of owner.name, and of every projpair module's
+    binding of the same function."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("projpair.") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_z12_pair_verifies_on_generators(monkeypatch):
+    """The Z12 translation-character pair has 144 components a side.  The
+    closure solves a handful of tuples (288 without it), and the pairing
+    table takes commutators on the generating cosets only (20,736 over
+    all coset pairs)."""
+    g, h = xx_hat_pair(FinAbGroup.cyclic(12))
+    solves = _counting(monkeypatch, CommutantEngine, "solve")
+    commutators = _counting(monkeypatch, sys.modules["projpair.matrep"], "commutator_scalar")
+    report = verify_dual_pair(g, h)
+    assert report.is_dual_pair
+    assert len(solves) <= 10
+    assert len(commutators) <= 300
 
 
 def _conjugated_klein(shear):
