@@ -110,7 +110,7 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         print(f"error: malformed pair file: {exc}", file=sys.stderr)
         return 2
-    report = verify_dual_pair(g, h, workers=args.workers)
+    report = verify_dual_pair(g, h)
     if args.format == "json":
         _write_output(serialize.dumps_canonical(report.to_json_dict()), args.output)
     else:

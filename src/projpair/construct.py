@@ -4,9 +4,10 @@ A GroupSpec pins down a reductive subgroup of GL(U) up to scalars: the
 ambient space (a direct sum of labeled tensor products), the identity
 component (a product of GL blocks, each given by an explicit index grid,
 or a raw spanning set for computed centralizers), a finite abelian
-component group, and one generator matrix per component.  The
-constructions here hand each spec a per-coset builder, so a coset's
-generator is built only when something reads it.
+component group, and one generator per component, a Monomial or a
+CycMatrix.  The constructions here hand each spec a per-coset builder,
+so a coset's generator is built only when something reads it; every
+builder but the single-orbit one returns the Monomial it made.
 
 The canonical generator section multiplies per-factor operators with
 translations before characters, slots in shape order, so every spec is
@@ -149,14 +150,8 @@ class Ambient:
 
 def _check_shape(op, n: int):
     if op.shape != (n, n):
-        raise ValueError("generator has the wrong shape")
+        raise ValueError(f"a {op.shape} matrix has the wrong shape for n = {n}")
     return op
-
-
-def _times(word, op):
-    """word @ op for operators in either form; a CycMatrix times a Monomial
-    is made dense, since only the other order is defined."""
-    return word @ (as_dense(op) if isinstance(word, CycMatrix) else op)
 
 
 class GroupSpec:
@@ -165,10 +160,11 @@ class GroupSpec:
     generators is either a dict from coset coordinates to generators, each
     a CycMatrix or a Monomial (decoded and computed specs; a computed
     centralizer stores its unit-monomial witnesses as Monomials), or a
-    picklable function from a coset's coordinates to its generator (the
-    constructions, for example a module-level function bound with
-    functools.partial).  A dict must hold one generator of the right shape
-    per coset of the component group.
+    picklable function from a coset's coordinates to its generator, in
+    either form (the constructions, for example a module-level function
+    bound with functools.partial).  A dict must hold one generator of the
+    right shape per coset of the component group, and a raw algebra basis
+    one n x n matrix or more.
 
     operator(coords) is the one way to read a coset.  Its first read builds
     the generator (a dict hands each one over once), checks its shape,
@@ -194,11 +190,15 @@ class GroupSpec:
         self._algebra_basis = tuple(algebra_basis) if algebra_basis is not None else None
         if self.blocks is None and self._algebra_basis is None:
             raise ValueError("need either blocks or an algebra basis")
+        n = self.ambient.dim
+        if self._algebra_basis == ():
+            raise ValueError("the algebra basis is empty")
+        for a in self._algebra_basis or ():
+            _check_shape(a, n)
         self._span = None
         # None until first read, then the pattern or False for none
         self._pattern = None
         self._inverses: dict = {}
-        n = self.ambient.dim
         self._cosets = tuple(e.coords for e in component_group.elements())
         self._index = frozenset(self._cosets)
         ident = self._cosets[0]
@@ -292,7 +292,7 @@ class GroupSpec:
         operator(coords) times the identity-component algebra?  The coset's
         generator is inverted once per spec, a Monomial pair multiplies in
         integers, and algebra_contains tests the product."""
-        return self.algebra_contains(_times(self._inverse(coords), op))
+        return self.algebra_contains(self._inverse(coords) @ op)
 
     def generating_cosets(self) -> list[tuple[int, ...]]:
         return [g.coords for g in self.component_group.generators()]
@@ -302,18 +302,20 @@ class GroupSpec:
 
     def validate(self, deep: bool = False) -> None:
         """Check the structural invariants: the block grids partition the
-        basis indices, every generator is invertible, each generating
-        coset's generator raised to its invariant factor lies in the
-        algebra, and each coset holds its word in the generating cosets.
-        The word of a coset is the word of the coset one step lower in its
-        last nonzero coordinate, times that coordinate's generator.  deep
-        also checks normalization of the identity component and the
-        extension closure of generators."""
+        basis indices, the algebra holds the identity, every generator is
+        invertible, each generating coset's generator raised to its
+        invariant factor lies in the algebra, and each coset holds its word
+        in the generating cosets.  The word of a coset is the word of the
+        coset one step lower in its last nonzero coordinate, times that
+        coordinate's generator.  deep also checks normalization of the
+        identity component and the extension closure of generators."""
         n = self.ambient.dim
         if self.blocks is not None:
             indices = sorted(i for b in self.blocks for i in b.indices())
             if indices != list(range(n)):
                 raise ValueError(f"block grids do not partition the indices 0..{n - 1}")
+        if not self.algebra_contains(Monomial.identity(n)):
+            raise ValueError("the identity-component algebra does not hold the identity")
         for coords in self._cosets:
             try:
                 self._inverse(coords)
@@ -332,21 +334,21 @@ class GroupSpec:
             if prev == ident:
                 words[coords] = self.operator(coords)
                 continue
-            words[coords] = _times(words[prev], self.operator(gens[a]))
+            words[coords] = words[prev] @ self.operator(gens[a])
             if not self.coset_contains(coords, words[coords]):
                 raise ValueError(
                     f"generator at {coords} is not its word in the generating cosets")
         if not deep:
             return
         for coords in self._cosets:
-            op, inv = self.operator(coords), as_dense(self._inverse(coords))
+            op, inv = self.operator(coords), self._inverse(coords)
             if not all(self.algebra_contains(op @ b @ inv) for b in self.algebra_basis()):
                 raise ValueError(f"generator at {coords} does not normalize the blocks")
         group = self.component_group
         for a in self._cosets:
             for b in self._cosets:
                 s = (group.element(a) + group.element(b)).coords
-                if not self.coset_contains(s, _times(self.operator(a), self.operator(b))):
+                if not self.coset_contains(s, self.operator(a) @ self.operator(b)):
                     raise ValueError("generator products leave the extension")
 
     def __repr__(self):
@@ -475,6 +477,7 @@ def _single_orbit_generator(b, e, L, J, K, side, coords):
         j_op = translation_monomial(J, third)
         k_op = character_monomial(K, Character(K, fourth.coords))
     mono = Monomial.identity(b).kron(Monomial.identity(e)).kron(l_op).kron(j_op).kron(k_op)
+    # kept dense: this is the one matrep.to_matrix span the enumerate benchmark requires
     return mono.to_matrix()
 
 
@@ -551,19 +554,12 @@ def _extend_ambient(ambient: Ambient, n_x: int, base_label: str):
     return Ambient(tuple(shapes))
 
 
-def _kron_operator(base, op: Monomial) -> CycMatrix:
-    """The dense generator base (x) op, for a spec operator base."""
-    if isinstance(base, Monomial):
-        return base.kron(op).to_matrix()
-    return base.kron(op.to_matrix())
-
-
 def _xx_hat_generator(side: GroupSpec, x_group: FinAbGroup, coords):
     """side's generator tensored with tau_lambda sigma_xi, at the coset
     (gamma, lambda, xi) of Gamma x X x X-hat."""
     gamma1, lam, xi = _split_coset((side.component_group, x_group, x_group), coords)
     op = heisenberg_monomial(x_group, lam, Character(x_group, xi.coords))
-    return _kron_operator(side.operator(gamma1.coords), op)
+    return side.operator(gamma1.coords).kron(op)
 
 
 def _type2_generator(side: GroupSpec, x_group: FinAbGroup, twist: str, coords):
@@ -574,7 +570,7 @@ def _type2_generator(side: GroupSpec, x_group: FinAbGroup, twist: str, coords):
         op = translation_monomial(x_group, x)
     else:
         op = character_monomial(x_group, Character(x_group, x.coords))
-    return _kron_operator(side.operator(gamma1.coords), op)
+    return side.operator(gamma1.coords).kron(op)
 
 
 def _connected_type2_generator(dim_w: int, x_group: FinAbGroup, twist: str, coords):
@@ -583,7 +579,7 @@ def _connected_type2_generator(dim_w: int, x_group: FinAbGroup, twist: str, coor
         op = translation_monomial(x_group, x_group.element(coords))
     else:
         op = character_monomial(x_group, x_group.character(coords))
-    return Monomial.identity(dim_w).kron(op).to_matrix()
+    return Monomial.identity(dim_w).kron(op)
 
 
 def general_xx_hat_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
@@ -729,7 +725,7 @@ def _glued_generator(summands, coords):
     """The block-diagonal generator at coords of the shared group, from
     (summand spec, coset map) pairs."""
     return monomial_direct_sum(
-        [side.operator(coset_of[coords]) for side, coset_of in summands]).to_matrix()
+        [side.operator(coset_of[coords]) for side, coset_of in summands])
 
 
 def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:

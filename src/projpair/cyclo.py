@@ -631,7 +631,9 @@ class CycMatrix:
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         """The product, on lcm(self.m, other.m) when two nonzero factors
-        meet, else on 1."""
+        meet, else on 1.  A Monomial on the right multiplies itself."""
+        if not isinstance(other, CycMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
         by_row: dict[int, list] = {}
@@ -676,9 +678,12 @@ class CycMatrix:
         body = "\n ".join("[" + ", ".join(map(repr, row)) + "]" for row in self.data)
         return f"CycMatrix({self.rows}x{self.cols}, m={self.m})\n [{body}]"
 
-    def kron(self, other: "CycMatrix") -> "CycMatrix":
+    def kron(self, other) -> "CycMatrix":
         """Kronecker product, row-major blocks: this matrix's indices vary
-        slowest.  On lcm(self.m, other.m) unless this matrix is zero."""
+        slowest.  On lcm(self.m, other.m) unless this matrix is zero; a
+        Monomial factor is expanded."""
+        if not isinstance(other, CycMatrix):
+            other = other.to_matrix()
         rows, cols = self.rows * other.rows, self.cols * other.cols
         if not self.cells:
             return CycMatrix._of(rows, cols, {}, 1)
@@ -746,9 +751,6 @@ class CycMatrix:
                 raise SingularMatrix("matrix is singular")
         return CycMatrix.from_entries(n, n, {
             (i, j - n): v for i, row in enumerate(span.rows) for j, v in row.items() if j >= n})
-
-    def is_invertible(self) -> bool:
-        return self.is_square() and self.rank() == self.rows
 
     def kernel(self) -> list["CycMatrix"]:
         """Exact basis of the right null space, as n x 1 column matrices.

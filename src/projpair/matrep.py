@@ -8,17 +8,19 @@ entry per column, a root of unity) and are built only as Monomials: a
 permutation with integer exponents of one root of unity, so products,
 inverses, Kronecker products and commutator scalars are O(n) integer
 arithmetic instead of O(n^3) field arithmetic; Monomial.to_matrix is the
-one way to a dense matrix.  A commutator scalar is returned as the
-integer root of unity (order, exponent) whichever form its arguments
-take.  CycNum appears only where a Monomial meets a CycMatrix, in its
-scales and entries, and in the dense commutator.  One scan,
-unit_pattern, reads a CycMatrix's cells as a partial monomial with
+one way to a dense matrix.  @ and kron take either form in either
+position, so no caller switches forms: a Monomial times a CycMatrix
+moves and scales the matrix's cells in linear time.  A commutator scalar
+is returned as the integer root of unity (order, exponent) whichever
+form its arguments take.  CycNum appears only where a Monomial meets a
+CycMatrix, in its scales and entries, and in the dense commutator.  One
+scan, unit_pattern, reads a CycMatrix's cells as a partial monomial with
 root-of-unity entries; Monomial.from_matrix is that scan at full
 coverage, so the conversion to and from CycMatrix is lossless.
 root_pattern reads an algebra basis whose cells are roots of unity on
 disjoint supports, and in_root_pattern tests a Monomial against it on
 integer exponents.  Which form a stored generator takes is decided by
-GroupSpec.operator, and the commutator helpers here accept either.
+GroupSpec.operator.
 """
 
 from __future__ import annotations
@@ -151,6 +153,15 @@ class Monomial:
             [perm[p] for p in other.perm], order,
             [(e * lift_o + exps[p] * lift_s) % order for p, e in zip(other.perm, other.exps)])
 
+    def __rmatmul__(self, other: CycMatrix) -> CycMatrix:
+        """other @ self for a CycMatrix, in time linear in its nonzero
+        cells: column perm[j] of other, scaled, lands in column j."""
+        if other.cols != self.n:
+            raise DimensionMismatch(f"cannot multiply {other.shape} by {self.n}x{self.n}")
+        col, scales = self.inverse().perm, self.scales
+        return CycMatrix.from_entries(other.rows, self.n, {
+            (i, col[k]): v * scales[col[k]] for (i, k), v in other.cells.items()})
+
     def inverse(self) -> "Monomial":
         n = self.n
         perm = [0] * n
@@ -184,8 +195,11 @@ class Monomial:
         return Monomial.from_exponents(
             self.perm, order, [(e * lift + shift) % order for e in self.exps])
 
-    def kron(self, other: "Monomial") -> "Monomial":
-        """Row-major Kronecker product; this factor's indices vary slowest."""
+    def kron(self, other: "Monomial | CycMatrix"):
+        """Row-major Kronecker product; this factor's indices vary slowest.
+        With a CycMatrix factor this one is expanded."""
+        if isinstance(other, CycMatrix):
+            return self.to_matrix().kron(other)
         n2 = other.n
         order = math.lcm(self.order, other.order)
         lift_s, lift_o = order // self.order, order // other.order
@@ -206,9 +220,11 @@ class Monomial:
     @staticmethod
     def from_matrix(mat: CycMatrix):
         """The Monomial of a CycMatrix, or None when the matrix is not
-        monomial or an entry is not a root of unity."""
-        pattern = unit_pattern(mat) if mat.is_square() else None
-        if pattern is None or len(pattern[1]) != mat.rows:
+        monomial or an entry is not a root of unity.  Only a square matrix
+        with one cell per row can be one, so no other is scanned."""
+        one_per_row = mat.is_square() and len(mat.cells) == mat.rows
+        pattern = unit_pattern(mat) if one_per_row else None
+        if pattern is None:
             return None
         order, cells = pattern
         perm = [0] * mat.rows
@@ -362,9 +378,9 @@ def commutator_scalar(g, h) -> tuple[int, int]:
     the two orders, column j of g h carries e_h[j] + e_g[h.perm[j]] and
     column j of h g carries e_g[j] + e_h[g.perm[j]], so the commutator is
     zeta_N^k when the permutations commute and the difference is k at
-    every j.  Any other pair is multiplied out densely and its scalar
-    read by as_root_of_unity.  Either way c^n = 1 is checked (take
-    determinants of g h = c h g), so the order divides n.
+    every j.  Any other pair is multiplied out, in the forms given, and
+    its scalar read by as_root_of_unity.  Either way c^n = 1 is checked
+    (take determinants of g h = c h g), so the order divides n.
     """
     if isinstance(g, Monomial) and isinstance(h, Monomial):
         n = g.n
@@ -386,11 +402,11 @@ def commutator_scalar(g, h) -> tuple[int, int]:
         if (k * n) % order:
             raise NotProjectivelyCommuting("scalar is not an n-th root of unity")
         return lowest_terms(order, k)
-    gm, hm = as_dense(g), as_dense(h)
-    if gm.shape != hm.shape or not gm.is_square():
+    n, cols = g.shape
+    if h.shape != g.shape or n != cols:
         raise DimensionMismatch("need square matrices of equal size")
-    gh = gm @ hm
-    hg = hm @ gm
+    gh = g @ h
+    hg = h @ g
     pos = hg.first_nonzero()
     if pos is None:
         raise NotProjectivelyCommuting("singular product")
@@ -398,7 +414,7 @@ def commutator_scalar(g, h) -> tuple[int, int]:
     if gh != hg.scale(c):
         raise NotProjectivelyCommuting("commutator is not scalar")
     root = c.as_root_of_unity()
-    if root is None or gm.rows % root[0]:
+    if root is None or n % root[0]:
         raise NotProjectivelyCommuting("scalar is not an n-th root of unity")
     return root
 

@@ -10,10 +10,11 @@ contains an invertible element.
 
 The form of each generator, a Monomial or a dense matrix, is decided
 once, by GroupSpec.operator; everything here takes those operators and
-chooses no form itself.  CommutantEngine takes an algebra basis and the
-generators, nothing else, and every solve takes one scalar per generator
-as an integer root of unity (order, exponent), the form in which
-compute_centralizer enumerates them.  A constraint X a = c a X in which a
+chooses no form itself, and a product of two forms is matrep's @.
+CommutantEngine takes an algebra basis and the generators, nothing else,
+and every solve takes one scalar per generator as an integer root of
+unity (order, exponent), the form in which compute_centralizer
+enumerates them.  A constraint X a = c a X in which a
 is a partial monomial with root-of-unity entries ties the entries of X
 together one or two at a time, so it goes into a ratio union-find over
 the n^2 positions of X, on integer exponents of one root of unity.  The
@@ -69,7 +70,7 @@ from .errors import (
     ShapeMismatch,
     WitnessSearchUndecided,
 )
-from .matrep import Monomial, as_dense, commutator_scalar, lowest_terms, unit_pattern
+from .matrep import Monomial, commutator_scalar, lowest_terms, unit_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ class CommutantEngine:
         for a in algebra_basis:
             pattern = unit_pattern(a)
             if pattern is None:
-                self._dense_algebra.append(as_dense(a))
+                self._dense_algebra.append(a)
             else:
                 patterns.append(pattern)
         self._algebra = _RatioUnionFind(n * n, math.lcm(*(p[0] for p in patterns)))
@@ -239,7 +240,7 @@ class CommutantEngine:
             for root in sorted(classes)
         ]
         cuts = [(a, ONE) for a in self._dense_algebra]
-        cuts += [(as_dense(h), CycNum.root_of_unity(d, k))
+        cuts += [(h, CycNum.root_of_unity(d, k))
                  for h, pattern, (d, k) in zip(self.gens, self._gen_patterns, roots)
                  if pattern is None]
         for h, c in cuts:
@@ -340,14 +341,6 @@ def _sample_vectors(dim: int, n: int):
         yield tuple(vec)
 
 
-def _as_operator(mat: CycMatrix):
-    """mat as a Monomial when it is a unit monomial, else mat.  Only a
-    matrix with one cell per row can be one, so no other is scanned."""
-    if len(mat.cells) == mat.rows:
-        return Monomial.from_matrix(mat) or mat
-    return mat
-
-
 def _invertible_in_span(basis, n: int, fallback=None) -> Monomial | CycMatrix | None:
     """Exact search for an invertible element of a matrix span, returned
     as a Monomial when it is a unit monomial.
@@ -367,7 +360,7 @@ def _invertible_in_span(basis, n: int, fallback=None) -> Monomial | CycMatrix | 
         tried.add(coeffs)
         cand = _combine(cells, coeffs, n)
         if cand is not None and _det_nonzero(cand):
-            return _as_operator(cand)
+            return Monomial.from_matrix(cand) or cand
     if fallback is not None:
         conj = fallback()
         if conj is not None:
@@ -395,7 +388,7 @@ def _invertible_in_span(basis, n: int, fallback=None) -> Monomial | CycMatrix | 
             continue
         cand = _combine(cells, coeffs, n)
         if cand is not None and _det_nonzero(cand):
-            return _as_operator(cand)
+            return Monomial.from_matrix(cand) or cand
     return None
 
 
@@ -428,15 +421,6 @@ def _normalize_projective(op):
                                        [(e - first) % op.order for e in op.exps])
     pos = op.first_nonzero()
     return op if pos is None else op.scale(op.cells[pos].inverse())
-
-
-def _coset_product(x, y):
-    """An element of the coset of x y.  Both orders lie in it (the scalar
-    tuples of x y and y x are both the sum of x's and y's), so a Monomial
-    goes on the left, where it multiplies a dense matrix in linear time."""
-    if isinstance(x, CycMatrix) and isinstance(y, Monomial):
-        x, y = y, x
-    return x @ y
 
 
 def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
@@ -489,10 +473,10 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
         while step not in known:
             shifts.append(step)
             for s, ws in old:
-                known[add(s, step)] = power if s == zero else _coset_product(ws, power)
+                known[add(s, step)] = power if s == zero else ws @ power
             step = add(step, t)
             if step not in known:
-                power = _coset_product(power, w)
+                power = power @ w
         dead.update([add(d, u) for d in dead for u in shifts])
 
     identity_basis = engine.solve([(1, 0)] * len(moduli))
@@ -714,7 +698,7 @@ def _compare_with_centralizer(claimed: GroupSpec, computed: GroupSpec):
     )]
 
 
-def verify_dual_pair(g: GroupSpec, h: GroupSpec, workers: int = 1) -> VerificationReport:
+def verify_dual_pair(g: GroupSpec, h: GroupSpec) -> VerificationReport:
     """Check the mutual-centralizer axioms from first principles.
 
     Computes the projective centralizer of each side and decides both
@@ -735,15 +719,13 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec, workers: int = 1) -> Verificati
     generating cosets.  A pair that fails a comparison gets the full
     table, one commutator per coset pair, so its report shows every
     value that is defined.
-
-    workers has no effect; see compute_centralizer.
     """
     if not g.ambient.compatible_with(h.ambient):
         raise ShapeMismatch(
             f"ambient spaces differ: {g.ambient.summand_dims()} vs {h.ambient.summand_dims()}"
         )
-    failures = _compare_with_centralizer(g, compute_centralizer(h, workers=workers))
-    for fail in _compare_with_centralizer(h, compute_centralizer(g, workers=workers)):
+    failures = _compare_with_centralizer(g, compute_centralizer(h))
+    for fail in _compare_with_centralizer(h, compute_centralizer(g)):
         failures.append(VerificationFailure(fail.code, "mirror check: " + fail.detail))
 
     table = None

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 from projpair import cli, serialize
 from projpair.abelian import FinAbGroup
 from projpair.cli import main
-from projpair.construct import SingleOrbitIngredients, single_orbit_pair, xx_hat_pair
-from projpair.cyclo import conductor_cap, set_conductor_cap
+from projpair.construct import (
+    SingleOrbitIngredients,
+    connected_pair,
+    single_orbit_pair,
+    xx_hat_pair,
+)
+from projpair.cyclo import CycMatrix, conductor_cap, set_conductor_cap
 from projpair.verify import verify_dual_pair
 
 TRIV = FinAbGroup.trivial()
@@ -319,6 +324,40 @@ def test_mislabelled_coset_table_is_bad_input(tmp_path, capsys):
         assert run([command, str(pair_file)]) == 2
         err = capsys.readouterr().err
         assert "not its word in the generating cosets" in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _raw_basis_pair(tmp_path, basis):
+    """The connected_pair([(2, 1)]) file with g's blocks replaced by the
+    raw algebra basis given as dense rows."""
+    g, h = connected_pair([(2, 1)])
+    data = serialize.pair_to_json(g, h)
+    data["g"]["blocks"] = None
+    data["g"]["algebra_basis"] = [serialize.cyc_matrix_to_json(CycMatrix(rows))
+                                  for rows in basis]
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(data))
+    return str(pair_file)
+
+
+@pytest.mark.parametrize("basis, message", [
+    ([], "algebra basis is empty"),
+    ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "wrong shape"),
+    ([[[1, 0], [0, 0]]], "does not hold the identity"),
+], ids=["empty", "wrong_shape", "no_identity"])
+def test_malformed_raw_algebra_basis_is_bad_input(tmp_path, capsys, basis, message):
+    """An empty raw basis, a basis matrix of the wrong size and a basis
+    whose span misses the identity are bad input (2) for verify and for
+    pairing, with one error line.  At the parent commit the first two
+    crashed with a traceback and exit 1, and the third read
+    CENTRALIZER_LARGER on input that is not a group."""
+    pair_file = _raw_basis_pair(tmp_path, basis)
+    capsys.readouterr()
+    for command in ("verify", "pairing"):
+        assert run([command, pair_file]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
         assert err.startswith("error:") and err.count("\n") == 1
 
 

@@ -446,6 +446,46 @@ def test_constructed_spec_pickles_before_and_after_its_cosets_are_built(build):
             assert _all_generators(copy) == reference
 
 
+_GLUE = MultiOrbitSpec(FinAbGroup((2, 2)), (
+    (SingleOrbitIngredients(1, 1, Z2, TRIV, TRIV), ((1, 0), (0, 1))),
+    (SingleOrbitIngredients(1, 1, Z2, TRIV, TRIV), ((0, 1), (1, 0)))))
+
+
+@pytest.mark.parametrize("inputs, build", [
+    (lambda: xx_hat_pair(Z2), lambda a, b: general_xx_hat_pair(a, b, Z2, check=False)),
+    (lambda: connected_pair([(1, 2)]), lambda a, b: general_xx_hat_pair(a, b, Z2, check=False)),
+    (lambda: xx_hat_pair(Z2), lambda a, b: type2_pair(a, b, Z2, "i")),
+    (lambda: connected_pair([(2, 1)]), lambda a, b: type2_pair(a, b, Z2, "ii")),
+    (lambda: construct.summand_pair(_GLUE.summands[0][0])[:2],
+     lambda a, b: multi_orbit_glue(_GLUE)),
+], ids=["xx_hat", "xx_hat_of_connected", "type2_i", "type2_ii", "glue"])
+def test_builders_keep_monomials(monkeypatch, inputs, build):
+    """Once the input pair's cosets are built, building every coset of the
+    xx-hat, type 2 and glue constructions expands no Monomial to a dense
+    matrix and scans no dense matrix back: each builder hands GroupSpec the
+    Monomial it made."""
+    sides = inputs()
+    for side in sides:
+        _all_generators(side)
+    g, h = build(*sides)
+    calls = []
+    to_matrix, from_matrix = Monomial.to_matrix, Monomial.from_matrix
+
+    def counting_to_matrix(self):
+        calls.append("to_matrix")
+        return to_matrix(self)
+
+    def counting_from_matrix(mat):
+        calls.append("from_matrix")
+        return from_matrix(mat)
+
+    monkeypatch.setattr(Monomial, "to_matrix", counting_to_matrix)
+    monkeypatch.setattr(Monomial, "from_matrix", staticmethod(counting_from_matrix))
+    for spec in (g, h):
+        assert all(isinstance(op, Monomial) for op in _all_generators(spec).values())
+    assert calls == []
+
+
 # -- one coset table ---------------------------------------------------------
 
 

@@ -255,6 +255,74 @@ def test_monomial_times_dense_matrix():
         mono @ CycMatrix.identity(3)
 
 
+_CELL_VALUES = [ONE, MINUS_ONE, CycNum.from_rational(2), CycNum.root_of_unity(4),
+                CycNum.root_of_unity(6), CycNum.root_of_unity(6, 2),
+                ONE + CycNum.root_of_unity(4)]
+
+
+@st.composite
+def sparse_matrices(draw, rows, cols):
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+        st.sampled_from(_CELL_VALUES), max_size=rows * cols))
+    return CycMatrix.from_entries(rows, cols, cells)
+
+
+@st.composite
+def mixed_operands(draw):
+    """(A, R, M): a Monomial M with fourth- and sixth-root scales, a square
+    CycMatrix A that is sparse and random, or a scaled power of M made
+    dense, which commutes with M up to that scale, and a sparse random
+    CycMatrix R with as many columns as M and one to three rows."""
+    n = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(n)))
+    scales = []
+    for _ in range(n):
+        d = draw(st.sampled_from([4, 6]))
+        scales.append(CycNum.root_of_unity(d, draw(st.integers(0, d - 1))))
+    mono = Monomial(perm, scales)
+    if draw(st.booleans()):
+        mat = draw(sparse_matrices(n, n))
+    else:
+        scale = CycNum.root_of_unity(4, draw(st.integers(0, 3)))
+        mat = (mono ** draw(st.integers(-2, 3))).to_matrix().scale(scale)
+    rect = draw(sparse_matrices(draw(st.integers(1, 3)), n))
+    return mat, rect, mono
+
+
+def _outcome(f):
+    """f's value, or the type of the package error it raised."""
+    try:
+        return f()
+    except (NotProjectivelyCommuting, DimensionMismatch) as exc:
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_operands())
+def test_mixed_forms_multiply_as_dense(operands):
+    """@ and kron take a Monomial and a CycMatrix in either position and
+    give the all-dense result, and commutator_scalar on a mixed pair gives
+    the all-dense pair's scalar or raises the same error."""
+    mat, rect, mono = operands
+    dense = mono.to_matrix()
+    assert mat @ mono == mat @ dense
+    assert mono @ mat == dense @ mat
+    assert rect @ mono == rect @ dense
+    assert mono @ rect.transpose() == dense @ rect.transpose()
+    assert mat.kron(mono) == mat.kron(dense)
+    assert mono.kron(mat) == dense.kron(mat)
+    if rect.rows != mono.n:
+        with pytest.raises(DimensionMismatch):
+            rect.transpose() @ mono
+        with pytest.raises(DimensionMismatch):
+            mono @ rect
+    assert _outcome(lambda: commutator_scalar(mat, mono)) == _outcome(
+        lambda: commutator_scalar(mat, dense))
+    assert _outcome(lambda: commutator_scalar(mono, mat)) == _outcome(
+        lambda: commutator_scalar(dense, mat))
+
+
 def test_commutator_scalar_order_divides_dimension():
     for n in [2, 3, 4, 6]:
         g = FinAbGroup.cyclic(n)
