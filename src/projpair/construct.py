@@ -163,8 +163,9 @@ class GroupSpec:
     picklable function from a coset's coordinates to its generator, in
     either form (the constructions, for example a module-level function
     bound with functools.partial).  A dict must hold one generator of the
-    right shape per coset of the component group, and a raw algebra basis
-    one n x n matrix or more.
+    right shape per coset of the component group.  The identity component
+    is given by blocks or by a raw algebra basis of one n x n matrix or
+    more, never both, since the two could describe different algebras.
 
     operator(coords) is the one way to read a coset.  Its first read builds
     the generator (a dict hands each one over once), checks its shape,
@@ -188,8 +189,8 @@ class GroupSpec:
         self.blocks = tuple(blocks) if blocks is not None else None
         self.component_group = component_group
         self._algebra_basis = tuple(algebra_basis) if algebra_basis is not None else None
-        if self.blocks is None and self._algebra_basis is None:
-            raise ValueError("need either blocks or an algebra basis")
+        if (self.blocks is None) == (self._algebra_basis is None):
+            raise ValueError("need either blocks or an algebra basis, not both")
         n = self.ambient.dim
         if self._algebra_basis == ():
             raise ValueError("the algebra basis is empty")
@@ -232,9 +233,10 @@ class GroupSpec:
 
     def algebra_pattern(self):
         """The algebra basis as a matrep.root_pattern, or None when it is
-        not one; built on first use, so a spec that is never tested for
-        membership builds none.  Block matrix units are such a pattern, and
-        so is a union-find basis that no dense cut touched."""
+        not one; built on first use and read by algebra_contains,
+        identity_component_dim, verify.spec_contains and the trace-form
+        check of a computed centralizer.  Block matrix units are such a
+        pattern, and so is a union-find basis that no dense cut touched."""
         if self._pattern is None:
             self._pattern = root_pattern(self.algebra_basis(), self.ambient.dim) or False
         return self._pattern or None
@@ -251,8 +253,15 @@ class GroupSpec:
         return self.algebra_span().contains(as_dense(op).flat_cells())
 
     def identity_component_dim(self) -> int:
+        """The dimension of the identity-component algebra: from the
+        blocks, else the length of a root-of-unity pattern basis (nonzero
+        matrices on disjoint supports are independent), else the rank of
+        algebra_span()."""
         if self.blocks is not None:
             return sum(b.dim * b.dim for b in self.blocks)
+        pattern = self.algebra_pattern()
+        if pattern is not None:
+            return len(pattern[2])
         return self.algebra_span().dim
 
     def block_dims(self):

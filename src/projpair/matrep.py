@@ -18,9 +18,9 @@ scan, unit_pattern, reads a CycMatrix's cells as a partial monomial with
 root-of-unity entries; Monomial.from_matrix is that scan at full
 coverage, so the conversion to and from CycMatrix is lossless.
 root_pattern reads an algebra basis whose cells are roots of unity on
-disjoint supports, and in_root_pattern tests a Monomial against it on
-integer exponents.  Which form a stored generator takes is decided by
-GroupSpec.operator.
+disjoint supports; in_root_pattern tests a Monomial against it, and
+pattern_in_pattern another such basis, on integer exponents.  Which form
+a stored generator takes is decided by GroupSpec.operator.
 """
 
 from __future__ import annotations
@@ -271,15 +271,22 @@ def unit_pattern(op):
 
 def root_pattern(basis, n: int):
     """(N, where, sizes) when the n x n matrices of basis form a
-    root-of-unity pattern: every nonzero cell a root of unity and no two
-    matrices sharing a position.  where[i * n + j] is (b, k) when basis[b]
-    holds zeta_N^k at (i, j) and None off every support, sizes[b] is the
-    number of cells of basis[b], and N the least order carrying every
-    cell.  None for any other basis."""
+    root-of-unity pattern: every nonzero cell a root of unity, no two
+    matrices sharing a position and none of them zero.  where[i * n + j]
+    is (b, k) when basis[b] holds zeta_N^k at (i, j) and None off every
+    support, sizes[b] is the number of cells of basis[b], and N the least
+    order carrying every cell.  None for any other basis.
+
+    Nonzero matrices on disjoint supports are independent, so the basis
+    length is the dimension of the span, and tests on the pattern
+    (in_root_pattern, pattern_in_pattern) decide membership and inclusion
+    on integer exponents."""
     where = [None] * (n * n)
     roots = []
     sizes = []
     for b, mat in enumerate(basis):
+        if not mat.cells:
+            return None
         for (i, j), v in mat.cells.items():
             root = v.as_root_of_unity()
             pos = i * n + j
@@ -321,6 +328,37 @@ def in_root_pattern(pattern, mono: Monomial) -> bool:
         elif seen != shift:
             return False
     return covered == n
+
+
+def pattern_in_pattern(outer, inner) -> bool:
+    """Does the span of the outer root_pattern basis hold that of inner?
+
+    in_root_pattern for each inner basis matrix a: a lies in the outer
+    span iff every cell of a lies on some outer support, a differs from
+    each outer matrix b it touches by one exponent shift, and a covers
+    each such b whole.  Every cell of a lies in exactly one b, so the last
+    holds iff the sizes of the b it touches sum to a's own size."""
+    order_o, where_o, sizes_o = outer
+    order_i, where_i, sizes_i = inner
+    lcm = math.lcm(order_o, order_i)
+    lift_o, lift_i = lcm // order_o, lcm // order_i
+    shifts = {}
+    covered = [0] * len(sizes_i)
+    for pos, cell in enumerate(where_i):
+        if cell is None:
+            continue
+        hit = where_o[pos]
+        if hit is None:
+            return False
+        (a, k), (b, l) = cell, hit
+        shift = (k * lift_i - l * lift_o) % lcm
+        seen = shifts.get((a, b))
+        if seen is None:
+            shifts[a, b] = shift
+            covered[a] += sizes_o[b]
+        elif seen != shift:
+            return False
+    return tuple(covered) == sizes_i
 
 
 def translation_monomial(group: FinAbGroup, x: GroupElement) -> Monomial:

@@ -38,15 +38,24 @@ witnesses.  Once both comparisons pass, the pairing is a bicharacter,
 so verify_dual_pair expands its table from the commutators of the
 generating cosets.  Everything runs in one process.  Both
 directions of the comparison and specs_equal are one subgroup test,
-spec_contains: one spec lies in another when its algebra span does and
+spec_contains: one spec lies in another when its algebra does and
 each of its generating cosets lies in some coset of the other, tested
 with GroupSpec.coset_contains.  That inverts each coset's generator
 once per spec and tests the product with GroupSpec.algebra_contains: a
 unit Monomial against a basis of roots of unity on disjoint supports
 (block matrix units, or a union-find basis that no dense cut touched) is
 an integer test on exponents, and only a dense operand or another basis
-reduces cells through the VectorSpan.  The tests cross-check the engine
-against a purely dense solve.
+reduces cells through the VectorSpan.
+
+The identity-component checks read the same cached pattern,
+GroupSpec.algebra_pattern, whenever there is one.  Two pattern algebras
+are compared on exponents (matrep.pattern_in_pattern), a pattern's
+dimension is its basis length, and the trace form of a computed
+centralizer whose supports are closed under transpose is decided by one
+partner sum per basis element instead of a Gram rank.  Every other basis
+takes the VectorSpan and the Gram rank.  The tests cross-check the
+engine against a purely dense solve, and each pattern path against the
+dense one.
 """
 
 from __future__ import annotations
@@ -70,7 +79,7 @@ from .errors import (
     ShapeMismatch,
     WitnessSearchUndecided,
 )
-from .matrep import Monomial, commutator_scalar, lowest_terms, unit_pattern
+from .matrep import Monomial, commutator_scalar, lowest_terms, pattern_in_pattern, unit_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +450,9 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     of t + S0, since S0 lies in S.  The zero tuple is the identity
     component, solved once on its own.
 
+    The identity component's trace form is checked on the returned
+    spec's cached pattern, so its basis is scanned once.
+
     workers has no effect: the closure leaves a handful of solves, each
     depending on the ones before.  It stays for callers that still pass
     it.
@@ -482,40 +494,86 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     identity_basis = engine.solve([(1, 0)] * len(moduli))
     if not identity_basis:
         raise IdentityComponentNotSemisimpleBlocks("untwisted commutant is empty")
-    _check_semisimple(identity_basis)
 
     comp_group, to_canonical = subgroup_from_elements(moduli, list(known))
     if comp_group.order != len(known):
         raise AssertionError("surviving scalar tuples do not form a group")
     generators = {to_canonical(exps): _normalize_projective(w) for exps, w in known.items()}
-    return GroupSpec(target.ambient, None, comp_group, generators, algebra_basis=identity_basis)
+    spec = GroupSpec(target.ambient, None, comp_group, generators, algebra_basis=identity_basis)
+    _check_semisimple(identity_basis, spec.algebra_pattern())
+    return spec
 
 
 def projective_centralizer(target: GroupSpec) -> GroupSpec:
     return compute_centralizer(target)
 
 
-def _check_semisimple(basis) -> None:
+def _check_semisimple(basis, pattern=None) -> None:
     """Trace-form nondegeneracy: exact criterion for a direct sum of full
-    matrix algebras over an algebraically closed field."""
-    dim = len(basis)
-    cells = [a.cells for a in basis]
-    gram = []
-    for a in cells:
-        row = []
-        for b in cells:
-            # tr(a b) = sum over a's cells of a[i, j] * b[j, i]
-            acc = ZERO
-            for (i, j), va in a.items():
-                vb = b.get((j, i))
-                if vb is not None:
-                    acc = acc + va * vb
-            row.append(acc)
-        gram.append(row)
-    if CycMatrix(gram).rank() != dim:
+    matrix algebras over an algebraically closed field.
+
+    pattern is the basis's matrep.root_pattern, when it has one.  If its
+    supports are closed under transpose, the form is decided by partner
+    sums (_partner_sums_nonzero); any other basis takes the rank of its
+    Gram matrix tr(a b)."""
+    nondegenerate = None
+    if pattern is not None:
+        nondegenerate = _partner_sums_nonzero(pattern, basis[0].rows)
+    if nondegenerate is None:
+        cells = [a.cells for a in basis]
+        gram = []
+        for a in cells:
+            row = []
+            for b in cells:
+                # tr(a b) = sum over a's cells of a[i, j] * b[j, i]
+                acc = ZERO
+                for (i, j), va in a.items():
+                    vb = b.get((j, i))
+                    if vb is not None:
+                        acc = acc + va * vb
+                row.append(acc)
+            gram.append(row)
+        nondegenerate = CycMatrix(gram).rank() == len(basis)
+    if not nondegenerate:
         raise IdentityComponentNotSemisimpleBlocks(
             "untwisted commutant is not a direct sum of full matrix algebras"
         )
+
+
+def _partner_sums_nonzero(pattern, n: int):
+    """Is the trace form of a root_pattern basis of n x n matrices
+    nondegenerate?  None when its supports are not closed under transpose.
+
+    They are closed when the mirror (j, i) of every cell (i, j) of each
+    basis element a lies in one element b, the partner of a.  Then a is
+    b's partner too, so the two supports are each other's transpose and
+    of equal size.  Supports are disjoint and nonempty, so tr(a x)
+    vanishes for every basis element x but b, and the partner map is a
+    bijection.  The Gram matrix is then a permutation matrix times the
+    diagonal of partner sums tr(a b) = sum zeta_N^(e_a(i, j) + e_b(j, i)),
+    so it is nondegenerate iff no partner sum vanishes.  A sum with one
+    distinct exponent is a nonzero multiple of a root of unity; only the
+    others are summed in CycNum."""
+    order, where, sizes = pattern
+    partner = [None] * len(sizes)
+    exps = [{} for _ in sizes]
+    for pos, cell in enumerate(where):
+        if cell is None:
+            continue
+        i, j = divmod(pos, n)
+        mirror = where[j * n + i]
+        if mirror is None:
+            return None
+        (a, k), (b, l) = cell, mirror
+        if partner[a] is None:
+            partner[a] = b
+        elif partner[a] != b:
+            return None
+        e = (k + l) % order
+        exps[a][e] = exps[a].get(e, 0) + 1
+    return all(len(counts) == 1
+               or not sum(CycNum.root_of_unity(order, e) * c for e, c in counts.items()).is_zero()
+               for counts in exps)
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +721,16 @@ def spec_contains(outer: GroupSpec, inner: GroupSpec) -> bool:
     component and its generating cosets, so it lies in the group outer
     when outer's algebra holds inner's and each generating coset of inner
     lies in some coset of outer.
+
+    When both algebra bases are root-of-unity patterns, the algebras are
+    compared on integer exponents (matrep.pattern_in_pattern); otherwise
+    through their VectorSpans.
     """
-    if not outer.algebra_span().contains_span(inner.algebra_span()):
+    outer_pattern, inner_pattern = outer.algebra_pattern(), inner.algebra_pattern()
+    if outer_pattern is not None and inner_pattern is not None:
+        if not pattern_in_pattern(outer_pattern, inner_pattern):
+            return False
+    elif not outer.algebra_span().contains_span(inner.algebra_span()):
         return False
     return all(
         any(outer.coset_contains(oc, inner.operator(ic)) for oc in outer.cosets())

@@ -361,6 +361,25 @@ def test_malformed_raw_algebra_basis_is_bad_input(tmp_path, capsys, basis, messa
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_blocks_and_raw_algebra_basis_together_is_bad_input(tmp_path, capsys):
+    """A side that gives both blocks and a raw algebra basis is bad input
+    (2) for verify and for pairing.  At the parent commit, adding
+    "algebra_basis": [I] to the g side of connected_pair([(2, 1)]) gave a
+    spec whose algebra was the raw basis while its identity dimension
+    came from the blocks, and verify read CENTRALIZER_LARGER both ways."""
+    g, h = connected_pair([(2, 1)])
+    data = serialize.pair_to_json(g, h)
+    data["g"]["algebra_basis"] = [serialize.cyc_matrix_to_json(CycMatrix.identity(2))]
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    for command in ("verify", "pairing"):
+        assert run([command, str(pair_file)]) == 2
+        err = capsys.readouterr().err
+        assert "either blocks or an algebra basis, not both" in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_detects_edited_pair(tmp_path):
     """Removing a generator (and shrinking the component group accordingly)
     leaves a subgroup whose centralizer is strictly larger."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from projpair.abelian import FinAbGroup, char_eval, enumerate_abelian_groups
 from projpair.construct import Ambient, GroupSpec, scalar_blocks
-from projpair.cyclo import CycMatrix, CycNum, MINUS_ONE, ONE
+from projpair.cyclo import CycMatrix, CycNum, MINUS_ONE, ONE, span_of_matrices
 from projpair.errors import DimensionMismatch, GroupMismatch, NotProjectivelyCommuting
 from projpair.matrep import (
     Monomial,
@@ -19,7 +19,9 @@ from projpair.matrep import (
     commutator_scalar,
     heisenberg_monomial,
     lowest_terms,
+    pattern_in_pattern,
     projective_equal,
+    root_pattern,
     translation_monomial,
 )
 
@@ -321,6 +323,76 @@ def test_mixed_forms_multiply_as_dense(operands):
         lambda: commutator_scalar(mat, dense))
     assert _outcome(lambda: commutator_scalar(mono, mat)) == _outcome(
         lambda: commutator_scalar(dense, mat))
+
+
+SPOILS = ("none", "partial", "shift", "outside")
+
+
+def _root(draw, nontrivial=False):
+    d = draw(st.sampled_from((2, 3, 4, 6, 12) if nontrivial else (1, 2, 3, 4, 6, 12)))
+    return CycNum.root_of_unity(d, draw(st.integers(1 if nontrivial else 0, d - 1)))
+
+
+@st.composite
+def pattern_pairs(draw):
+    """Two root-of-unity pattern bases of n x n matrices, outer and inner,
+    and whether each inner matrix was built inside outer's span.
+
+    outer splits a random set of positions into supports with random
+    roots.  Each inner matrix is a sum of outer matrices on distinct
+    supports, each times its own root, and may then be spoiled on one
+    support of two or more cells, by dropping one of its cells (a partial
+    cover) or by a second shift on one of them, or by one more cell
+    outside every support.  Inner keeps a random nonempty subset."""
+    n = draw(st.integers(1, 4))
+    cells = draw(st.permutations([(i, j) for i in range(n) for j in range(n)]))
+    taken = draw(st.integers(1, n * n))
+    used, free = cells[:taken], cells[taken:]
+    outer = []
+    while used:
+        size = draw(st.integers(1, len(used)))
+        outer.append({c: _root(draw) for c in used[:size]})
+        used = used[size:]
+    supports = draw(st.permutations(outer))
+    inner = []
+    while supports:
+        size = draw(st.integers(1, len(supports)))
+        groups, supports = supports[:size], supports[size:]
+        mat = {}
+        for group in groups:
+            shift = _root(draw)
+            mat.update({c: shift * v for c, v in group.items()})
+        spoil = draw(st.sampled_from(SPOILS))
+        big = [c for group in groups if len(group) > 1 for c in list(group)[:1]]
+        if spoil == "partial" and big:
+            del mat[big[0]]
+        elif spoil == "shift" and big:
+            mat[big[0]] = mat[big[0]] * _root(draw, nontrivial=True)
+        elif spoil == "outside" and free:
+            mat[free.pop()] = _root(draw)
+        else:
+            spoil = "none"
+        inner.append((CycMatrix.from_entries(n, n, mat), spoil == "none"))
+    inner = draw(st.permutations(inner))[:draw(st.integers(1, len(inner)))]
+    outer = [CycMatrix.from_entries(n, n, group) for group in outer]
+    return outer, [m for m, _ in inner], all(ok for _, ok in inner)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern_pairs())
+def test_pattern_inclusion_matches_span(pair):
+    """pattern_in_pattern gives VectorSpan.contains_span's answer, in both
+    directions, on pattern pairs with partial covers, two shifts on one
+    support and cells outside every support; inner lies in outer exactly
+    when no inner matrix was spoiled."""
+    outer, inner, inside = pair
+    n = outer[0].rows
+    outer_span, inner_span = span_of_matrices(outer), span_of_matrices(inner)
+    assert outer_span.contains_span(inner_span) == inside
+    outer_p, inner_p = root_pattern(outer, n), root_pattern(inner, n)
+    assert outer_p is not None and inner_p is not None
+    assert pattern_in_pattern(outer_p, inner_p) == inside
+    assert pattern_in_pattern(inner_p, outer_p) == inner_span.contains_span(outer_span)
 
 
 def test_commutator_scalar_order_divides_dimension():

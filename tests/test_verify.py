@@ -5,10 +5,12 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from projpair import verify
 from projpair.abelian import FinAbGroup, subgroup_from_elements
+from projpair.classify import enumerate_multi_orbit
 from projpair.construct import (
     Ambient,
     GroupSpec,
@@ -18,7 +20,7 @@ from projpair.construct import (
     single_orbit_pair,
     xx_hat_pair,
 )
-from projpair.cyclo import CycMatrix, CycNum, ONE, span_of_matrices
+from projpair.cyclo import CycMatrix, CycNum, ONE, VectorSpan, span_of_matrices
 from projpair.errors import (
     IdentityComponentNotSemisimpleBlocks,
     NotProjectivelyCommuting,
@@ -43,6 +45,7 @@ from projpair.verify import (
     _det_nonzero,
     _invertible_in_span,
     _normalize_projective,
+    _partner_sums_nonzero,
     compute_centralizer,
     pairing_table,
     projective_centralizer,
@@ -349,14 +352,15 @@ def root_pattern_problems(draw):
 def test_root_pattern_membership_matches_span(problem):
     """The integer test of a unit Monomial against a root-of-unity pattern
     basis gives VectorSpan.contains's answer; a basis that is not such a
-    pattern gives no pattern, and the spec falls back to the span."""
+    pattern, or that holds a zero matrix (the "outside" case can empty a
+    group), gives no pattern, and the spec falls back to the span."""
     basis, mono, case = problem
     n = mono.n
     expected = span_of_matrices(basis).contains(mono.to_matrix().flat_cells())
     if n > 1:
         assert expected == (case in ("member", "overlap", "not_root"))
     pattern = root_pattern(basis, n)
-    if case in ("overlap", "not_root"):
+    if case in ("overlap", "not_root") or any(not m.cells for m in basis):
         assert pattern is None
     else:
         assert pattern is not None
@@ -468,6 +472,148 @@ def test_check_semisimple_accepts_block_units_and_their_conjugates(sizes):
                    for i in range(n)])
     p_inv = p.inverse()
     _check_semisimple([p @ x @ p_inv for x in basis])
+
+
+@st.composite
+def trace_form_problems(draw):
+    """n and a root-of-unity pattern basis of n x n matrices, its supports
+    built from transpose orbits of positions: a support closed under
+    transpose, or two supports, each the other's mirror.  Sometimes a
+    mirror pair of m >= 2 orbits gets roots 1 on one side and the m-th
+    roots of unity on the other, so its partner sum is their sum, 0.
+    Sometimes one more support on a free position, or one cell moved to a
+    free position, can break the closure under transpose."""
+    n = draw(st.integers(1, 4))
+    orbits = draw(st.permutations(
+        [[(i, j)] if i == j else [(i, j), (j, i)] for i in range(n) for j in range(i, n)]))
+    taken = draw(st.integers(1, len(orbits)))
+    used, free = orbits[:taken], [c for orbit in orbits[taken:] for c in orbit]
+    supports = []
+    while used:
+        size = draw(st.integers(1, len(used)))
+        group, used = used[:size], used[size:]
+        if all(len(orbit) == 2 for orbit in group) and draw(st.booleans()):
+            sides = [orbit if draw(st.booleans()) else orbit[::-1] for orbit in group]
+            if len(sides) > 1 and draw(st.booleans()):
+                m = len(sides)
+                a = {c: ONE for c, _ in sides}
+                b = {c: CycNum.root_of_unity(m, t) for t, (_, c) in enumerate(sides)}
+            else:
+                a = {c: draw(unit_roots()) for c, _ in sides}
+                b = {c: draw(unit_roots()) for _, c in sides}
+            supports += [a, b]
+        else:
+            supports.append({c: draw(unit_roots()) for orbit in group for c in orbit})
+    free = draw(st.permutations(free))
+    if free and draw(st.booleans()):
+        supports.append({free.pop(): draw(unit_roots())})
+    big = [s for s in supports if len(s) > 1]
+    if free and big and draw(st.booleans()):
+        support = big[0]
+        support[free.pop()] = support.pop(next(iter(support)))
+    basis = [CycMatrix.from_entries(n, n, support) for support in supports]
+    return n, draw(st.permutations(basis))
+
+
+def _semisimple(basis, pattern=None) -> bool:
+    try:
+        _check_semisimple(basis, pattern)
+    except IdentityComponentNotSemisimpleBlocks:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_form_problems())
+@example((3, [CycMatrix.diagonal([1, CycNum.root_of_unity(3), CycNum.root_of_unity(3, 2)])]))
+@example((2, [CycMatrix.identity(2), _unit(2, 0, 1)]))
+def test_partner_sums_match_gram_rank(problem):
+    """On a pattern basis whose supports are closed under transpose, the
+    partner sums decide the trace form as the Gram rank does, including
+    vanishing sums such as that of diag(1, z3, z3^2); on any other pattern
+    they decide nothing and _check_semisimple takes the Gram rank."""
+    n, basis = problem
+    pattern = root_pattern(basis, n)
+    assert pattern is not None
+    supports = {frozenset(m.cells) for m in basis}
+    closed = all(frozenset((j, i) for i, j in m.cells) in supports for m in basis)
+    semisimple = _semisimple(basis)
+    decided = _partner_sums_nonzero(pattern, n)
+    assert decided == (semisimple if closed else None)
+    assert _semisimple(basis, pattern) == semisimple
+
+
+@settings(max_examples=100, deadline=None)
+@given(root_pattern_problems())
+def test_identity_component_dim_matches_span(problem):
+    """identity_component_dim of a raw basis, a root pattern or not, is
+    the dimension of its span."""
+    basis, _, _ = problem
+    spec = _algebra_spec(basis)
+    assert spec.identity_component_dim() == span_of_matrices(basis).dim
+
+
+def test_zero_matrix_keeps_a_raw_basis_on_the_span_path():
+    """A raw basis [I, 0] is no root pattern, so its spec keeps identity
+    dimension 1 (its basis length is 2) and spec_contains compares it
+    through the span: it lies in the scalars, a torus and GL(2), and holds
+    only the scalars."""
+    spec = _algebra_spec([CycMatrix.identity(2), CycMatrix.zeros(2, 2)])
+    assert spec.algebra_pattern() is None
+    assert spec.identity_component_dim() == 1
+    scalars = _algebra_spec([CycMatrix.identity(2)])
+    torus = _algebra_spec([_unit(2, 0, 0), _unit(2, 1, 1)])
+    gl2 = connected_pair([(2, 1)])[0]
+    for other in (scalars, torus, gl2):
+        assert spec_contains(other, spec)
+        assert spec_contains(spec, other) == (other is scalars)
+        assert specs_equal(spec, other) == (other is scalars)
+
+
+def test_pattern_specs_take_no_elimination_in_verify(monkeypatch):
+    """Every row with n <= 6 verifies with its identity components decided
+    on root patterns.  Every computed centralizer's basis is one, and no
+    span inclusion (VectorSpan.contains_span), no algebra_span for
+    spec_contains or for the computed specs' identity_component_dim, and
+    no Gram rank in _check_semisimple is taken.  A dense coset operator is still tested
+    through algebra_span, by GroupSpec.algebra_contains.  The counters are
+    shown to fire on a basis that is not a pattern."""
+    inclusions = _counting(monkeypatch, VectorSpan, "contains_span")
+    callers = []
+    for owner, name in ((GroupSpec, "algebra_span"), (CycMatrix, "rank")):
+        def counted(self, real=getattr(owner, name)):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(self)
+        monkeypatch.setattr(owner, name, counted)
+    patterns = []
+    real_centralizer = verify.compute_centralizer
+
+    def centralizer(target):
+        spec = real_centralizer(target)
+        patterns.append(spec.algebra_pattern() is not None)
+        # a failing comparison would report this dimension
+        spec.identity_component_dim()
+        return spec
+
+    monkeypatch.setattr(verify, "compute_centralizer", centralizer)
+    fallbacks = {"spec_contains", "identity_component_dim", "_check_semisimple"}
+    rows = 0
+    for n in range(1, 7):
+        for row in enumerate_multi_orbit(n, min(4, n)):
+            report = verify_dual_pair(*row.build())
+            assert report.is_dual_pair
+            rows += 1
+    assert len(patterns) == 2 * rows and all(patterns)
+    assert not inclusions
+    assert not fallbacks & set(callers)
+
+    p = CycMatrix([[1, 1], [0, 1]])
+    dense = [p @ x @ p.inverse() for x in _block_units((1, 1))]
+    spec = _algebra_spec(dense)
+    _check_semisimple(dense, spec.algebra_pattern())
+    spec.identity_component_dim()
+    assert spec_contains(spec, spec)
+    assert inclusions and fallbacks <= set(callers)
 
 
 def test_centralizer_of_gl_block():
