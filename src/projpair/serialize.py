@@ -2,7 +2,14 @@
 
 All integers that can grow without bound (numerators, denominators) are
 decimal strings; keys are emitted sorted, so serialization is bit-exact
-and round-trips losslessly.
+and round-trips losslessly.  Every other integer field is read by
+_int, which turns down a JSON float or boolean instead of truncating it.
+
+A coset generator that is a unit monomial is written as its permutation,
+least order and exponents ({"monomial": ...}), read from the cached
+GroupSpec.operator, so writing it expands nothing; any other generator is
+a dense matrix ({"matrix": ...}).  Both forms are read, so a file that
+writes unit monomials dense decodes to the same operators.
 """
 
 from __future__ import annotations
@@ -20,11 +27,19 @@ from .construct import (
     SingleOrbitIngredients,
 )
 from .cyclo import CycMatrix, CycNum, euler_phi
-from .matrep import TensorShape, as_dense
+from .matrep import Monomial, TensorShape
 
 
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _int(value) -> int:
+    """An integer field as written: a JSON integer.  A float or a boolean
+    raises ValueError, where int() would truncate or coerce it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 # -- cyclotomic values ---------------------------------------------------
@@ -46,7 +61,7 @@ def cyc_num_to_json(c: CycNum) -> dict:
 def cyc_num_from_json(data: dict) -> CycNum:
     """Decode on integers over the lcm of the denominators; a zero
     denominator raises ValueError."""
-    m = int(data["conductor"])
+    m = _int(data["conductor"])
     pairs = [(int(n), int(d)) for n, d in data["coeffs"]]
     if any(d == 0 for _, d in pairs):
         raise ValueError("coefficient with a zero denominator")
@@ -75,7 +90,7 @@ def cyc_matrix_from_json(data: dict) -> CycMatrix:
     entry has checked the conductor, an entry written exactly as zero is
     skipped; any other entry is decoded, so malformed input fails as it
     would in cyc_num_from_json.  A wrong entry count raises ValueError."""
-    rows, cols, m = int(data["rows"]), int(data["cols"]), int(data["conductor"])
+    rows, cols, m = _int(data["rows"]), _int(data["cols"]), _int(data["conductor"])
     zero = None
     values = {}
     for k, coeffs in enumerate(data["entries"]):
@@ -99,7 +114,7 @@ def group_to_json(g: FinAbGroup) -> dict:
 
 
 def group_from_json(data: dict) -> FinAbGroup:
-    return FinAbGroup(tuple(int(d) for d in data["invariant_factors"]))
+    return FinAbGroup(tuple(_int(d) for d in data["invariant_factors"]))
 
 
 def pairing_from_json(data: dict) -> SymplecticPairing:
@@ -110,9 +125,9 @@ def pairing_from_json(data: dict) -> SymplecticPairing:
 
 def _root_exponent(order, expo) -> Fraction:
     """A table entry (order, exponent) as the exponent in Q/Z."""
-    if int(order) < 1:
+    if _int(order) < 1:
         raise ValueError(f"root of unity of order {order}")
-    return Fraction(int(expo), int(order))
+    return Fraction(_int(expo), order)
 
 
 # -- specs ------------------------------------------------------------------
@@ -123,7 +138,47 @@ def shape_to_json(shape: TensorShape) -> list:
 
 
 def shape_from_json(data: list) -> TensorShape:
-    return TensorShape(tuple((f["label"], int(f["dim"])) for f in data))
+    return TensorShape(tuple((f["label"], _int(f["dim"])) for f in data))
+
+
+def monomial_to_json(mono: Monomial) -> dict:
+    """Column j holds zeta_order^exps[j] at row perm[j], order the least."""
+    return {"perm": list(mono.perm), "order": mono.order, "exps": list(mono.exps)}
+
+
+def monomial_from_json(data: dict) -> Monomial:
+    """Decode in integers.  A perm that is not a permutation of
+    range(len(perm)), exps of another length, an order below 1 or an
+    exponent outside range(order) raises ValueError; the order is reduced
+    to the least one."""
+    perm = [_int(p) for p in data["perm"]]
+    order = _int(data["order"])
+    exps = [_int(e) for e in data["exps"]]
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError("monomial perm is not a permutation")
+    if len(exps) != len(perm):
+        raise ValueError(f"{len(exps)} exponents for a monomial of size {len(perm)}")
+    if order < 1:
+        raise ValueError(f"monomial of order {order}")
+    if not all(0 <= e < order for e in exps):
+        raise ValueError(f"monomial exponent outside range({order})")
+    return Monomial.from_exponents(perm, order, exps)
+
+
+def _generator_to_json(coords, op) -> dict:
+    if isinstance(op, Monomial):
+        return {"coset": list(coords), "monomial": monomial_to_json(op)}
+    return {"coset": list(coords), "matrix": cyc_matrix_to_json(op)}
+
+
+def _generator_from_json(item: dict):
+    """A Monomial or a CycMatrix; an item with both forms or neither raises
+    ValueError."""
+    if ("matrix" in item) == ("monomial" in item):
+        raise ValueError("a generator needs exactly one of 'matrix' and 'monomial'")
+    if "monomial" in item:
+        return monomial_from_json(item["monomial"])
+    return cyc_matrix_from_json(item["matrix"])
 
 
 def spec_to_json(spec: GroupSpec) -> dict:
@@ -133,10 +188,7 @@ def spec_to_json(spec: GroupSpec) -> dict:
         if spec.blocks is None
         else [{"dim": b.dim, "grid": [list(r) for r in b.grid]} for b in spec.blocks],
         "component_group": group_to_json(spec.component_group),
-        "generators": [
-            {"coset": list(c), "matrix": cyc_matrix_to_json(as_dense(spec.operator(c)))}
-            for c in spec.cosets()
-        ],
+        "generators": [_generator_to_json(c, spec.operator(c)) for c in spec.cosets()],
     }
     if spec.blocks is None:
         out["algebra_basis"] = [cyc_matrix_to_json(m) for m in spec.algebra_basis()]
@@ -148,12 +200,12 @@ def spec_from_json(data: dict) -> GroupSpec:
     blocks = None
     if data.get("blocks") is not None:
         blocks = tuple(
-            Block(int(b["dim"]), tuple(tuple(int(i) for i in r) for r in b["grid"]))
+            Block(_int(b["dim"]), tuple(tuple(_int(i) for i in r) for r in b["grid"]))
             for b in data["blocks"]
         )
     group = group_from_json(data["component_group"])
     gens = {
-        tuple(int(c) for c in item["coset"]): cyc_matrix_from_json(item["matrix"])
+        tuple(_int(c) for c in item["coset"]): _generator_from_json(item)
         for item in data["generators"]
     }
     basis = None
@@ -197,8 +249,8 @@ def ingredients_to_json(ing: SingleOrbitIngredients) -> dict:
 
 def ingredients_from_json(data: dict) -> SingleOrbitIngredients:
     return SingleOrbitIngredients(
-        int(data["b"]),
-        int(data["e"]),
+        _int(data["b"]),
+        _int(data["e"]),
         group_from_json(data["L"]),
         group_from_json(data["J"]),
         group_from_json(data["K"]),
@@ -220,7 +272,7 @@ def multi_spec_from_json(data: dict) -> MultiOrbitSpec:
     summands = tuple(
         (
             ingredients_from_json(item["ingredients"]),
-            tuple(tuple(int(x) for x in r) for r in item["q"]),
+            tuple(tuple(_int(x) for x in r) for r in item["q"]),
         )
         for item in data["summands"]
     )

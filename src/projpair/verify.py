@@ -333,7 +333,15 @@ _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 
 
 def _sample_vectors(dim: int, n: int):
-    """Deterministic coefficient samples; the fast path of the witness search."""
+    """Deterministic coefficient samples; the fast path of the witness search.
+
+    The dim unit vectors and three fixed vectors, then pseudo-random ones:
+    up to 64 samples in all, and never fewer than 8 pseudo-random ones.
+    The floor is for spans of dim 61 or more: the (8, 1, 1, 1, Z2) row at
+    n = 16 spans 128 single-cell matrices, so every unit and fixed vector
+    is singular, and its grid is far over the bound.  The extra samples
+    come after those of the 64 limit, where every grid is over the bound,
+    so they can only turn an undecided search into a witness."""
     for k in range(dim):
         yield tuple(1 if i == k else 0 for i in range(dim))
     yield (1,) * dim
@@ -341,7 +349,7 @@ def _sample_vectors(dim: int, n: int):
     yield tuple(pow(2, i, n * dim + 3) for i in range(dim))
     state = dim * 2654435761 % (2 ** 32)
     produced = dim + 3
-    while produced < 64:
+    while produced < max(64, dim + 11):
         vec = []
         for _ in range(dim):
             state = (1103515245 * state + 12345) % (2 ** 31)

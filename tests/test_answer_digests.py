@@ -9,6 +9,9 @@ n = 12, (10, 3) and (8, 4) the three- and four-part canonical gluings.
 The two glue files cover an L summand alone and next to a J/K summand
 glued through a non-identity map.  The verify report and the pairing
 table are pinned on the `construct --L 4` pair and the README glue pair.
+The three construct digests were re-recorded when pair files began to
+write unit-monomial generators as monomial items; the dense file of
+`construct --L 4` they replaced is kept as tests/data/pair_L4_dense.json.
 """
 
 import hashlib
@@ -56,11 +59,11 @@ DIGESTS = [
     (["enumerate", "--n", "8", "--max-parts", "4", "--format", "json"],
      "a47842171ba760c07b3701fc163851f888db5b2a36968e58cffac75b058ba2e3"),
     (["construct", "--L", "4"],
-     "40a97b8861febe239074db83c94e73779e5ab850281dca71555192fc61473686"),
+     "97cca6350c421c015e069cfbd792a7914b72c3cb3c8d72ec93a062e074fd2c93"),
     (["construct", "--glue", "{glue}"],
-     "986d13fe1dd379c5fa6d12932e6d7dfc36ca6b70f710688b38078aef728399e3"),
+     "17fde78d8160805d20263b5d989951b39a2f612f1f99f9b4994d47c58a6d13c3"),
     (["construct", "--glue", "{jk_glue}"],
-     "b533ba26c2cf11b0ea453d682bdf6400378a3ed44eafcc9f776eca1a710b2a87"),
+     "908d1e9a2247ea0c73d38553c12969b7adb7356305b35d7659ea38eb9a5dd76e"),
 ]
 
 

@@ -59,12 +59,21 @@ def test_verify_missing_file():
     assert run(["verify", "/nonexistent/file.json"]) == 2
 
 
+def _dense(item):
+    """A generator item rewritten in the dense form ("matrix"), which every
+    generator of a pair file once took, so that its entries can be edited."""
+    if "monomial" in item:
+        mono = serialize.monomial_from_json(item.pop("monomial"))
+        item["matrix"] = serialize.cyc_matrix_to_json(mono.to_matrix())
+    return item
+
+
 def test_verify_rejects_singular_generator(tmp_path):
     """A zero generator is bad input (2), not a failed verification (1)."""
     pair_file = tmp_path / "pair.json"
     run(["construct", "--L", "2", "-o", str(pair_file)])
     data = json.loads(pair_file.read_text())
-    matrix = data["g"]["generators"][1]["matrix"]
+    matrix = _dense(data["g"]["generators"][1])["matrix"]
     matrix["entries"] = [[["0", "1"]] for _ in matrix["entries"]]
     pair_file.write_text(json.dumps(data))
     assert run(["verify", str(pair_file)]) == 2
@@ -126,7 +135,7 @@ def test_verify_rejects_generator_power_outside_identity_component(tmp_path, cap
     """diag(1, 2) squared is not a scalar, so it cannot generate a coset of
     order 2 over the scalars."""
     def edit(data):
-        data["g"]["generators"][1]["matrix"]["entries"] = [
+        _dense(data["g"]["generators"][1])["matrix"]["entries"] = [
             [["1", "1"]], [["0", "1"]], [["0", "1"]], [["2", "1"]]]
     assert_bad_input(_edited_pair(tmp_path, edit), capsys)
 
@@ -135,7 +144,7 @@ def test_verify_rejects_zero_denominator(tmp_path, capsys):
     """A coefficient over 0 is bad input; a ZeroDivisionError traceback and
     exit 1 at the parent commit."""
     def edit(data):
-        data["g"]["generators"][1]["matrix"]["entries"][0][0] = ["1", "0"]
+        _dense(data["g"]["generators"][1])["matrix"]["entries"][0][0] = ["1", "0"]
     assert_bad_input(_edited_pair(tmp_path, edit), capsys)
 
 
@@ -145,7 +154,7 @@ def test_matrix_with_extra_entries_is_bad_input(tmp_path, capsys, command, extra
     """A 2 x 2 generator with five entries is bad input; at the parent commit
     the fifth entry was dropped and the file verified."""
     def edit(data):
-        data["g"]["generators"][1]["matrix"]["entries"].append(extra)
+        _dense(data["g"]["generators"][1])["matrix"]["entries"].append(extra)
     path = _edited_pair(tmp_path, edit)
     capsys.readouterr()
     assert run([command, path]) == 2
@@ -316,7 +325,7 @@ def test_mislabelled_coset_table_is_bad_input(tmp_path, capsys):
     assert run(["verify", str(pair_file)]) == 0
     data = json.loads(pair_file.read_text())
     items = {tuple(item["coset"]): item for item in data["g"]["generators"]}
-    a, b = items[(0, 2)], items[(1, 2)]
+    a, b = _dense(items[(0, 2)]), _dense(items[(1, 2)])
     a["matrix"], b["matrix"] = b["matrix"], a["matrix"]
     pair_file.write_text(json.dumps(data))
     capsys.readouterr()
@@ -635,14 +644,14 @@ def test_serialize_roundtrips():
 
 
 def test_reencoding_a_decoded_unit_monomial_writes_its_least_conductor():
-    """A decoded generator that is a unit monomial written on a larger
-    conductor than its entries need is re-encoded on the least one, the
-    form every construction writes."""
+    """A decoded dense generator that is a unit monomial written on a larger
+    conductor than its entries need is re-encoded as the monomial item of
+    least order that every construction writes."""
     from projpair.cyclo import CycMatrix
 
     g, _ = xx_hat_pair(Z2)
     data = serialize.spec_to_json(g)
-    item = next(i for i in data["generators"] if i["coset"] == [0, 1])
+    item = _dense(next(i for i in data["generators"] if i["coset"] == [0, 1]))
     assert item["matrix"]["conductor"] == 1
     mat = serialize.cyc_matrix_from_json(item["matrix"])
     item["matrix"] = serialize.cyc_matrix_to_json(
@@ -650,3 +659,5 @@ def test_reencoding_a_decoded_unit_monomial_writes_its_least_conductor():
     assert item["matrix"]["conductor"] == 4
     again = serialize.spec_to_json(serialize.spec_from_json(data))
     assert again == serialize.spec_to_json(g)
+    back = next(i for i in again["generators"] if i["coset"] == [0, 1])
+    assert set(back) == {"coset", "monomial"} and back["monomial"]["order"] == 1

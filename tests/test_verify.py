@@ -380,6 +380,18 @@ def test_witness_search_undecided_is_typed():
         _invertible_in_span(units, 4)
 
 
+@pytest.mark.parametrize("b,e,J,K", [(1, 8, Z2, TRIV), (8, 1, TRIV, Z2),
+                                     (1, 12, Z2, TRIV), (12, 1, TRIV, Z2)],
+                         ids=["1-8-1-Z2-1", "8-1-1-1-Z2", "1-12-1-Z2-1", "12-1-1-1-Z2"])
+def test_wide_witness_spans_take_random_samples(b, e, J, K):
+    """These rows need a witness in a span of dim 128 or 288 whose unit and
+    fixed sample vectors are all singular; with no pseudo-random sample
+    beyond them the search was left undecided."""
+    g, h = single_orbit_pair(SingleOrbitIngredients(b, e, TRIV, J, K))
+    report = verify_dual_pair(g, h)
+    assert report.is_dual_pair, report.failure_codes()
+
+
 def _span_sum(basis, coeffs, n):
     acc = CycMatrix.from_entries(n, n, {})
     for x, c in zip(basis, coeffs):
