@@ -13,6 +13,11 @@ nonzeros.  Rank, kernels, determinants and inverses all come from one
 Gauss-Jordan step: inserting a row into a VectorSpan kept in reduced
 echelon form, whose rows keep only their nonzero entries, so the step
 costs work in proportion to the nonzeros it touches.
+
+Matrix products and the row updates of that step share one kernel, _dot:
+the products of a cell (or of an update w - c*v) accumulate as one
+integer polynomial over a common denominator, which is reduced mod Phi_m
+and normalized once per cell, not once per term.
 """
 
 from __future__ import annotations
@@ -636,17 +641,31 @@ class CycMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
+        m = math.lcm(self.m, other.m)
+        # lift only cells that meet: a product in which none meet is on
+        # conductor 1, and the lcm must not trip the conductor cap
+        meet = {k for _, k in self.cells}
         by_row: dict[int, list] = {}
         for (k, j), b in other.cells.items():
-            by_row.setdefault(k, []).append((j, b))
-        acc = {}
+            if k in meet:
+                by_row.setdefault(k, []).append((j, _coords(b.lift(m))))
+        acc: dict[tuple, list] = {}
         for (i, k), a in self.cells.items():
-            for j, b in by_row.get(k, ()):
-                w = acc.get((i, j))
-                acc[(i, j)] = a * b if w is None else w + a * b
-        m = math.lcm(self.m, other.m) if acc else 1
-        return CycMatrix._of(self.rows, other.cols,
-                             {k: v for k, v in acc.items() if not v.is_zero()}, m)
+            row = by_row.get(k)
+            if row is not None:
+                ca = _coords(a.lift(m))
+                for j, cb in row:
+                    terms = acc.get((i, j))
+                    if terms is None:
+                        acc[i, j] = [(ca, cb)]
+                    else:
+                        terms.append((ca, cb))
+        cells = {}
+        for key, terms in acc.items():
+            v = _dot(m, terms)
+            if v is not None:
+                cells[key] = v
+        return CycMatrix._of(self.rows, other.cols, cells, m if acc else 1)
 
     __mul__ = __matmul__
 
@@ -853,16 +872,68 @@ def _sparse(vec) -> dict[int, CycNum]:
     return {j: v for j, v in enumerate(map(as_cyc, vec)) if not v.is_zero()}
 
 
+def _coords(x: CycNum):
+    """x's nonzero power-basis coordinates as (power, numerator) pairs,
+    with its denominator: the form of a factor of _dot."""
+    return [(i, v) for i, v in enumerate(x.num) if v], x.den
+
+
+def _dot(m: int, pairs, base: CycNum | None = None) -> CycNum | None:
+    """base + the sum of a * b over the pairs (a, b) of factors given by
+    _coords, everything on conductor m; None when the sum is zero.
+
+    The products accumulate as one integer polynomial of degree below
+    2 phi(m) - 1 over a common denominator, reduced mod Phi_m and
+    normalized once, so the sum builds one CycNum however many terms it
+    has."""
+    phi = euler_phi(m)
+    acc = [0] * (2 * phi - 1)
+    den = None  # until the first value
+    if base is not None:
+        acc[:phi] = base.num
+        den = base.den
+    for (a, da), (b, db) in pairs:
+        d = da * db
+        scale = 1
+        if den is None:
+            den = d
+        elif d != den:
+            up = d // math.gcd(den, d)
+            if up > 1:
+                acc = [v * up for v in acc]
+                den *= up
+            scale = den // d
+        for i, va in a:
+            va *= scale
+            for j, vb in b:
+                acc[i + j] += va * vb
+    num = _reduce_int_poly(acc, m)
+    if not any(num):
+        return None
+    out = object.__new__(CycNum)
+    out.m = m
+    out.num, out.den = _normalize(m, num, den)
+    return out
+
+
 def _subtract_multiple(vec: dict, c: CycNum, row: dict, pivot: int) -> None:
     """vec -= c * row over the nonzeros of row, leaving out its pivot
-    column, which the caller has already taken out of vec."""
+    column, which the caller has already taken out of vec.  Each new
+    entry w - c*v is one _dot on the lcm of the conductors of w, c and v."""
+    minus_c = {}  # -c on each conductor it is lifted to
     for j, v in row.items():
         if j != pivot:
-            w = vec[j] - c * v if j in vec else -(c * v)
-            if w.is_zero():
+            w = vec.get(j)
+            m = math.lcm(v.m, c.m) if w is None else math.lcm(v.m, c.m, w.m)
+            f = minus_c.get(m)
+            if f is None:
+                a, da = _coords(c.lift(m))
+                f = minus_c[m] = ([(i, -u) for i, u in a], da)
+            out = _dot(m, [(f, _coords(v.lift(m)))], None if w is None else w.lift(m))
+            if out is None:
                 del vec[j]
             else:
-                vec[j] = w
+                vec[j] = out
 
 
 def span_of_matrices(mats) -> VectorSpan:

@@ -1,9 +1,10 @@
 """Canonical JSON forms for every value that crosses the CLI boundary.
 
 All integers that can grow without bound (numerators, denominators) are
-decimal strings; keys are emitted sorted, so serialization is bit-exact
-and round-trips losslessly.  Every other integer field is read by
-_int, which turns down a JSON float or boolean instead of truncating it.
+decimal strings, and only decimal strings are read there (_decimal); keys
+are emitted sorted, so serialization is bit-exact and round-trips
+losslessly.  Every other integer field is read by _int, which turns down
+a JSON float or boolean instead of truncating it.
 
 A coset generator that is a unit monomial is written as its permutation,
 least order and exponents ({"monomial": ...}), read from the cached
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .abelian import FinAbGroup, SymplecticPairing
@@ -42,6 +44,18 @@ def _int(value) -> int:
     return value
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(value) -> int:
+    """A numerator or denominator as written: a decimal string, an optional
+    sign and ASCII digits.  Anything else raises ValueError, where int()
+    would truncate a float, coerce a boolean or read other digits."""
+    if not isinstance(value, str) or not _DECIMAL.fullmatch(value):
+        raise ValueError(f"expected a decimal string, got {value!r}")
+    return int(value)
+
+
 # -- cyclotomic values ---------------------------------------------------
 
 
@@ -59,10 +73,11 @@ def cyc_num_to_json(c: CycNum) -> dict:
 
 
 def cyc_num_from_json(data: dict) -> CycNum:
-    """Decode on integers over the lcm of the denominators; a zero
-    denominator raises ValueError."""
+    """Decode on integers over the lcm of the denominators; a coordinate
+    that is not a pair of decimal strings, or a zero denominator, raises
+    ValueError."""
     m = _int(data["conductor"])
-    pairs = [(int(n), int(d)) for n, d in data["coeffs"]]
+    pairs = [(_decimal(n), _decimal(d)) for n, d in data["coeffs"]]
     if any(d == 0 for _, d in pairs):
         raise ValueError("coefficient with a zero denominator")
     den = math.lcm(*(d for _, d in pairs))

@@ -358,15 +358,39 @@ def _sample_vectors(dim: int, n: int):
         yield tuple(vec)
 
 
+def _support_matching(cells, n: int) -> int:
+    """The size of a maximum matching of rows to columns on the union of
+    the supports (augmenting paths; at most n^3 steps)."""
+    cols_of = [set() for _ in range(n)]
+    for x in cells:
+        for i, j in x:
+            cols_of[i].add(j)
+    row_of = {}
+
+    def augment(i, seen):
+        for j in cols_of[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in row_of or augment(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in range(n))
+
+
 def _invertible_in_span(basis, n: int, fallback=None) -> Monomial | CycMatrix | None:
     """Exact search for an invertible element of a matrix span, returned
     as a Monomial when it is a unit monomial.
 
-    Deterministic samples first; if they all fail, a product grid of size
-    n+1 per coordinate decides existence exactly (the determinant has
-    degree at most n in each coordinate, so it cannot vanish on the whole
-    grid unless it is identically zero).  A cheap necessary condition via
-    the conjugate space prunes the common no-witness case first.
+    Deterministic samples first.  If they all fail, two exact "no" tests
+    come next: with no perfect matching on the union of the supports,
+    every term of the determinant vanishes (Frobenius-Koenig), and a
+    necessary condition via the conjugate space prunes the common
+    no-witness case.  Last, a product grid of size n+1 per coordinate
+    decides existence exactly (the determinant has degree at most n in
+    each coordinate, so it cannot vanish on the whole grid unless it is
+    identically zero).
     """
     dim = len(basis)
     cells = [x.cells for x in basis]
@@ -378,6 +402,8 @@ def _invertible_in_span(basis, n: int, fallback=None) -> Monomial | CycMatrix | 
         cand = _combine(cells, coeffs, n)
         if cand is not None and _det_nonzero(cand):
             return Monomial.from_matrix(cand) or cand
+    if _support_matching(cells, n) < n:
+        return None
     if fallback is not None:
         conj = fallback()
         if conj is not None:

@@ -1,6 +1,10 @@
 """CLI commands, exit codes, and JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -661,3 +665,17 @@ def test_reencoding_a_decoded_unit_monomial_writes_its_least_conductor():
     assert again == serialize.spec_to_json(g)
     back = next(i for i in again["generators"] if i["coset"] == [0, 1])
     assert set(back) == {"coset", "monomial"} and back["monomial"]["order"] == 1
+
+
+def test_package_runs_as_a_module(tmp_path):
+    """python -m projpair is the projpair command, with its exit codes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def code(*args):
+        return subprocess.run([sys.executable, "-m", "projpair", *args], cwd=tmp_path,
+                              env=env, capture_output=True).returncode
+
+    assert code("enumerate", "--n", "2") == 0
+    assert code("verify", "missing.json") == 2

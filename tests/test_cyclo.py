@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic and linear algebra."""
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projpair import cyclo
 from projpair.cyclo import (
     CycMatrix,
     CycNum,
@@ -553,3 +555,200 @@ def test_cells_outside_the_shape_are_refused():
         CycMatrix.identity(2).entry(0, 2)
     with pytest.raises(ValueError):
         CycMatrix.identity(0)
+
+
+# -- delayed reduction against the per-term oracle ------------------------------
+#
+# The oracle is the arithmetic that _dot replaced: each product a * b and
+# each partial sum a normalized CycNum of its own.  Both must give the same
+# values on the same conductors, and keep the same cells in the same order.
+
+_KERNEL_CONDUCTORS = [1, 3, 4, 8, 12]
+
+
+def _oracle_matmul(a, b):
+    by_row = {}
+    for (k, j), y in b.cells.items():
+        by_row.setdefault(k, []).append((j, y))
+    acc = {}
+    for (i, k), x in a.cells.items():
+        for j, y in by_row.get(k, ()):
+            w = acc.get((i, j))
+            acc[(i, j)] = x * y if w is None else w + x * y
+    m = math.lcm(a.m, b.m) if acc else 1
+    return CycMatrix._of(a.rows, b.cols, {k: v for k, v in acc.items() if not v.is_zero()}, m)
+
+
+def _oracle_subtract_multiple(vec, c, row, pivot):
+    for j, v in row.items():
+        if j != pivot:
+            w = vec[j] - c * v if j in vec else -(c * v)
+            if w.is_zero():
+                del vec[j]
+            else:
+                vec[j] = w
+
+
+@contextlib.contextmanager
+def _oracle_row_updates():
+    """Within the block, every elimination runs the per-term row update."""
+    real = cyclo._subtract_multiple
+    cyclo._subtract_multiple = _oracle_subtract_multiple
+    try:
+        yield
+    finally:
+        cyclo._subtract_multiple = real
+
+
+@st.composite
+def _kernel_values(draw, m):
+    """Zero a quarter of the time; else a sum of one to three rational
+    multiples of m-th roots of unity (denominators up to 6), which may
+    cancel to zero."""
+    if draw(st.integers(0, 3)) == 0:
+        return ZERO
+    value = ZERO
+    for _ in range(draw(st.integers(1, 3))):
+        q = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 6)))
+        value = value + CycNum.root_of_unity(m, draw(st.integers(0, m - 1))) * q
+    return value
+
+
+def _kernel_grid(draw, rows, cols, m):
+    return CycMatrix([[draw(_kernel_values(m)) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def _kernel_products(draw):
+    """A (r x k) and B (k x c) on conductors drawn apart.  Half the time A's
+    last column repeats its first and B's last row negates its first, so
+    those two products cancel in every cell (all of them when k = 2)."""
+    r, k, c = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    a = _kernel_grid(draw, r, k, draw(st.sampled_from(_KERNEL_CONDUCTORS)))
+    b = _kernel_grid(draw, k, c, draw(st.sampled_from(_KERNEL_CONDUCTORS)))
+    if k > 1 and draw(st.booleans()):
+        ga, gb = [list(row) for row in a.data], [list(row) for row in b.data]
+        for row in ga:
+            row[-1] = row[0]
+        gb[-1] = [-v for v in gb[0]]
+        a, b = CycMatrix(ga), CycMatrix(gb)
+    return a, b
+
+
+def _assert_same_cells(got, want):
+    """The same shape, conductor, values, value conductors and cell order,
+    and no zero cell."""
+    assert got.shape == want.shape and got.m == want.m
+    assert list(got.cells) == list(want.cells)
+    for key, v in got.cells.items():
+        w = want.cells[key]
+        assert (v.m, v.num, v.den) == (w.m, w.num, w.den)
+        assert not v.is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_products())
+def test_product_matches_per_term_oracle(operands):
+    a, b = operands
+    _assert_same_cells(a @ b, _oracle_matmul(a, b))
+
+
+def _span_rows(span):
+    return [(p, [(j, v.m, v.num, v.den) for j, v in row.items()])
+            for p, row in zip(span.pivots, span.rows)]
+
+
+@st.composite
+def _kernel_squares(draw):
+    n = draw(st.integers(1, 5))
+    a = _kernel_grid(draw, n, n, draw(st.sampled_from(_KERNEL_CONDUCTORS)))
+    if n > 1 and draw(st.booleans()):
+        # a repeated row up to a unit: singular
+        grid = [list(row) for row in a.data]
+        unit = CycNum.root_of_unity(draw(st.sampled_from(_KERNEL_CONDUCTORS)), 1)
+        grid[-1] = [unit * v for v in grid[0]]
+        a = CycMatrix(grid)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_squares())
+def test_elimination_matches_per_term_oracle(mat):
+    """rank, kernel, det and inverse, and the echelon rows behind them."""
+
+    def run():
+        try:
+            inv = mat.inverse()
+        except SingularMatrix:
+            inv = None
+        return mat.rank(), mat.kernel(), mat.det(), inv, _span_rows(mat._echelon())
+
+    rank, kern, det, inv, rows = run()
+    with _oracle_row_updates():
+        o_rank, o_kern, o_det, o_inv, o_rows = run()
+    assert rank == o_rank and rows == o_rows
+    assert len(kern) == len(o_kern)
+    for v, w in zip(kern, o_kern):
+        _assert_same_cells(v, w)
+    assert (det.m, det.num, det.den) == (o_det.m, o_det.num, o_det.den)
+    assert (inv is None) == (o_inv is None)
+    if inv is not None:
+        _assert_same_cells(inv, o_inv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_KERNEL_CONDUCTORS), min_size=4, max_size=4),
+                min_size=1, max_size=5),
+       st.data())
+def test_span_with_mixed_conductors_matches_per_term_oracle(conductors, data):
+    """Vectors whose entries keep conductors of their own, so each row
+    update meets up to three conductors."""
+    vecs = [{j: v for j, v in enumerate(data.draw(_kernel_values(m)) for m in row)
+             if not v.is_zero()} for row in conductors]
+    span = VectorSpan(4)
+    for vec in vecs:
+        span.add(vec)
+    with _oracle_row_updates():
+        oracle = VectorSpan(4)
+        for vec in vecs:
+            oracle.add(vec)
+    assert _span_rows(span) == _span_rows(oracle)
+
+
+def test_product_that_cancels_keeps_the_lcm_conductor():
+    """Every product meets another that cancels it: no cell is left, but
+    the two nonzero factors met, so the conductor is lcm(4, 3) = 12."""
+    z4 = CycNum.root_of_unity(4)
+    z3 = CycNum.root_of_unity(3)
+    a = CycMatrix([[z4, z4], [Fraction(1, 2), Fraction(1, 2)]])
+    b = CycMatrix([[z3, 1], [-z3, -1]])
+    prod = a @ b
+    assert prod.cells == {} and prod.m == 12
+    _assert_same_cells(prod, _oracle_matmul(a, b))
+    # no two nonzero cells meet: conductor 1
+    assert (CycMatrix([[z4, 0]]) @ CycMatrix([[0], [z3]])).m == 1
+
+
+def test_dense_product_builds_one_value_per_cell(monkeypatch):
+    """An 8 x 8 product on one conductor normalizes one CycNum per output
+    cell (the per-term arithmetic built 15); on two conductors, one more
+    per lifted input cell."""
+    rng = random.Random(27)
+    calls = []
+    real = cyclo._normalize
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    def dense(m):
+        return CycMatrix([[CycNum(m, [rng.randrange(1, 5) for _ in range(euler_phi(m))],
+                                  rng.randrange(1, 4)) for _ in range(8)] for _ in range(8)])
+
+    a, b, c = dense(12), dense(12), dense(8)
+    monkeypatch.setattr(cyclo, "_normalize", counted)
+    prod = a @ b
+    assert len(prod.cells) == 64 and len(calls) <= 64
+    calls.clear()
+    prod = a @ c
+    assert prod.m == 24 and len(calls) <= 64 + 128

@@ -256,3 +256,26 @@ def test_dense_fixture_decodes_and_verifies_as_before(tmp_path):
         out = tmp_path / "out.txt"
         assert main([command[0], str(fixture)] + command[1:] + ["-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("coefficient", [[1.9, "1"], ["1", True]], ids=["float", "bool"])
+@pytest.mark.parametrize("command", ["verify", "pairing"])
+def test_coefficients_are_read_only_as_decimal_strings(tmp_path, coefficient, command):
+    """One ["1", "1"] coefficient of a g-side generator, rewritten with a
+    JSON float or boolean that int() would truncate or coerce, makes the
+    file bad input (exit 2) instead of the pair it read as before."""
+    data = json.loads((DATA / "pair_L4_dense.json").read_text())
+    entries = data["g"]["generators"][1]["matrix"]["entries"]
+    assert entries[3] == [["1", "1"]]
+    entries[3] = [coefficient]
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    assert main([command, str(edited), "-o", str(tmp_path / "out.txt")]) == 2
+
+
+def test_decimal_strings_only():
+    for text, value in [("12", 12), ("-3", -3), ("+7", 7), ("0", 0)]:
+        assert serialize._decimal(text) == value
+    for bad in [1, 1.0, True, None, "", "1.5", " 1", "1_000", "١", "1\n", "--1"]:
+        with pytest.raises(ValueError):
+            serialize._decimal(bad)

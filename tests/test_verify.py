@@ -45,6 +45,7 @@ from projpair.verify import (
     _det_nonzero,
     _invertible_in_span,
     _normalize_projective,
+    _support_matching,
     _partner_sums_nonzero,
     compute_centralizer,
     pairing_table,
@@ -371,13 +372,41 @@ def test_root_pattern_membership_matches_span(problem):
 
 
 def test_witness_search_undecided_is_typed():
-    """Ten matrix units E_ij with i >= 1 span only singular matrices (row 0
-    is zero), so sampling fails, and the grid of 5^10 points exceeds the
-    search bound."""
+    """The 21 matrices E_ij - E_ji (i < j) in 7 x 7: their supports have a
+    perfect matching, yet every element is singular (odd skew-symmetric),
+    so sampling fails, and the grid of 8^21 points exceeds the search
+    bound."""
+    basis = [CycMatrix.from_entries(7, 7, {(i, j): ONE, (j, i): -ONE})
+             for i in range(7) for j in range(i + 1, 7)]
+    with pytest.raises(WitnessSearchUndecided):
+        _invertible_in_span(basis, 7)
+
+
+def test_no_perfect_matching_on_the_supports_means_no_witness():
+    """Ten matrix units E_ij with i >= 1 leave row 0 empty: the matching on
+    their supports has size 3 < 4, so no element is invertible, and the
+    search says so without the grid of 5^10 points."""
     units = [CycMatrix.from_entries(4, 4, {(i, j): ONE})
              for i in range(1, 4) for j in range(4)][:10]
-    with pytest.raises(WitnessSearchUndecided):
-        _invertible_in_span(units, 4)
+    assert _support_matching([x.cells for x in units], 4) == 3
+    assert _invertible_in_span(units, 4) is None
+
+
+def test_centralizer_decided_by_the_matching_bound():
+    """The centralizer of diag(1, 1, 1, -1, -1, -1, i, -i) in PGL(8).  The
+    twist by i maps the 3-dimensional eigenspace of 1 into the
+    1-dimensional one of i, so its 12-dimensional solution space holds no
+    invertible element; the matching on its supports has size 4.  Scaling
+    by -1 swaps the eigenvalues 1 and -1, and i and -i: 2 components over
+    GL(3) x GL(3) x GL(1) x GL(1), of dimension 20."""
+    n = 8
+    d = Monomial.from_exponents(list(range(n)), 4, [0, 0, 0, 2, 2, 2, 1, 3])
+    ambient = Ambient.single(TensorShape((("A", n),)))
+    target = GroupSpec(ambient, scalar_blocks(n), FinAbGroup((4,)),
+                       {(k,): d ** k for k in range(4)})
+    z = compute_centralizer(target)
+    assert z.component_count() == 2
+    assert z.identity_component_dim() == 20
 
 
 @pytest.mark.parametrize("b,e,J,K", [(1, 8, Z2, TRIV), (8, 1, TRIV, Z2),
@@ -404,18 +433,24 @@ def witness_problems(draw):
     """A span of at most 3 elements in M_n, n <= 3, and a conjugate space
     that holds the inverse of every invertible element of the span.
 
-    Either integer matrices, made singular by a shared zero row about half
-    of the time, with all of M_n as the conjugate space; or integer
-    combinations inside the twisted commutant {X : X h = c h X} of a unit
-    monomial h, whose conjugate space is the twisted commutant for 1/c."""
+    Either integer matrices on a shared support, with all of M_n as the
+    conjugate space: all cells, all but a zero row (about half of the
+    time), or a drawn set of cells, which often has no perfect matching;
+    or integer combinations inside the twisted commutant {X : X h = c h X}
+    of a unit monomial h, whose conjugate space is the twisted commutant
+    for 1/c."""
     n = draw(st.integers(1, 3))
     units = [_unit(n, i, j) for i in range(n) for j in range(n)]
     size = draw(st.integers(1, 3))
     if draw(st.booleans()):
-        zero_row = draw(st.sampled_from([None] + list(range(n))))
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        if draw(st.booleans()):
+            support = draw(st.sets(st.sampled_from(cells), min_size=1))
+        else:
+            zero_row = draw(st.sampled_from([None] + list(range(n))))
+            support = {(i, j) for i, j in cells if i != zero_row}
         basis = [CycMatrix.from_entries(n, n, {
-            (i, j): draw(st.integers(-1, 2))
-            for i in range(n) for j in range(n) if i != zero_row}) for _ in range(size)]
+            cell: draw(st.integers(-1, 2)) for cell in sorted(support)}) for _ in range(size)]
         return n, basis, units
     h = draw(partial_monomials(n, full=True))
     d, k = draw(root_tuples())
