@@ -29,7 +29,7 @@ from .abelian import (
     product_embedding,
     transport_character,
 )
-from .cyclo import ONE, CycMatrix, VectorSpan, span_of_matrices
+from .cyclo import ONE, CycMatrix
 from .errors import (
     EmptyDecomposition,
     IncompatibleGluing,
@@ -39,14 +39,12 @@ from .errors import (
     SingularMatrix,
 )
 from .matrep import (
+    Algebra,
     Monomial,
     TensorShape,
-    as_dense,
     commutator_scalar,
     heisenberg_monomial,
     character_monomial,
-    in_root_pattern,
-    root_pattern,
     translation_monomial,
 )
 
@@ -109,6 +107,10 @@ class Block:
             Block(self.dim, tuple(tuple(g * n_x + x for g in row) for row in self.grid))
             for x in range(n_x)
         ]
+
+
+def _matrix_units(blocks, n: int) -> list[CycMatrix]:
+    return [u for b in blocks for u in b.matrix_units(n)]
 
 
 def scalar_blocks(n: int) -> tuple[Block, ...]:
@@ -175,30 +177,27 @@ class GroupSpec:
     and stored as Monomial.identity(n).  cosets() lists the coordinates in
     the component group's element order.
 
-    Membership goes through two methods.  algebra_contains tests an
-    operator against the identity-component algebra: a Monomial on integer
-    exponents against algebra_pattern, the basis read as roots of unity on
-    disjoint supports, anything else through algebra_span.
+    algebra() is the identity-component algebra, a matrep.Algebra whose
+    basis a block spec builds on first use, with dimension sum d^2.
     coset_contains(coords, op) tests op against one coset, through the
-    coset generator's inverse, built once per coset.  The algebra basis,
-    its span and its pattern are each built on first use and cached.
+    coset generator's inverse, built once per coset.
     """
 
     def __init__(self, ambient, blocks, component_group, generators, algebra_basis=None):
         self.ambient = ambient
         self.blocks = tuple(blocks) if blocks is not None else None
         self.component_group = component_group
-        self._algebra_basis = tuple(algebra_basis) if algebra_basis is not None else None
-        if (self.blocks is None) == (self._algebra_basis is None):
+        if (blocks is None) == (algebra_basis is None):
             raise ValueError("need either blocks or an algebra basis, not both")
         n = self.ambient.dim
-        if self._algebra_basis == ():
-            raise ValueError("the algebra basis is empty")
-        for a in self._algebra_basis or ():
-            _check_shape(a, n)
-        self._span = None
-        # None until first read, then the pattern or False for none
-        self._pattern = None
+        if algebra_basis is None:
+            self._algebra = Algebra(n, partial(_matrix_units, self.blocks, n),
+                                    sum(b.dim * b.dim for b in self.blocks))
+        else:
+            basis = tuple(_check_shape(a, n) for a in algebra_basis)
+            if not basis:
+                raise ValueError("the algebra basis is empty")
+            self._algebra = Algebra(n, basis)
         self._inverses: dict = {}
         self._cosets = tuple(e.coords for e in component_group.elements())
         self._index = frozenset(self._cosets)
@@ -218,51 +217,11 @@ class GroupSpec:
 
     # -- identity component ------------------------------------------------
 
-    def algebra_basis(self) -> tuple[CycMatrix, ...]:
-        """Matrices spanning the algebra generated by the identity
-        component; a block spec's matrix units are built on first use."""
-        if self._algebra_basis is None:
-            n = self.ambient.dim
-            self._algebra_basis = tuple(u for b in self.blocks for u in b.matrix_units(n))
-        return self._algebra_basis
-
-    def algebra_span(self) -> VectorSpan:
-        if self._span is None:
-            self._span = span_of_matrices(self.algebra_basis())
-        return self._span
-
-    def algebra_pattern(self):
-        """The algebra basis as a matrep.root_pattern, or None when it is
-        not one; built on first use and read by algebra_contains,
-        identity_component_dim, verify.spec_contains and the trace-form
-        check of a computed centralizer.  Block matrix units are such a
-        pattern, and so is a union-find basis that no dense cut touched."""
-        if self._pattern is None:
-            self._pattern = root_pattern(self.algebra_basis(), self.ambient.dim) or False
-        return self._pattern or None
-
-    def algebra_contains(self, op) -> bool:
-        """Does the identity-component algebra hold the operator op, a
-        Monomial or a CycMatrix?  A Monomial against a root-of-unity
-        pattern is tested on integer exponents (matrep.in_root_pattern);
-        anything else reduces op's cells through algebra_span()."""
-        if isinstance(op, Monomial):
-            pattern = self.algebra_pattern()
-            if pattern is not None:
-                return in_root_pattern(pattern, op)
-        return self.algebra_span().contains(as_dense(op).flat_cells())
+    def algebra(self) -> Algebra:
+        return self._algebra
 
     def identity_component_dim(self) -> int:
-        """The dimension of the identity-component algebra: from the
-        blocks, else the length of a root-of-unity pattern basis (nonzero
-        matrices on disjoint supports are independent), else the rank of
-        algebra_span()."""
-        if self.blocks is not None:
-            return sum(b.dim * b.dim for b in self.blocks)
-        pattern = self.algebra_pattern()
-        if pattern is not None:
-            return len(pattern[2])
-        return self.algebra_span().dim
+        return self._algebra.dim
 
     def block_dims(self):
         return sorted((b.dim, b.mult) for b in self.blocks) if self.blocks else None
@@ -300,8 +259,8 @@ class GroupSpec:
         """Does the coset at coords hold the operator op, that is, is op in
         operator(coords) times the identity-component algebra?  The coset's
         generator is inverted once per spec, a Monomial pair multiplies in
-        integers, and algebra_contains tests the product."""
-        return self.algebra_contains(self._inverse(coords) @ op)
+        integers, and the algebra tests the product."""
+        return self._algebra.contains(self._inverse(coords) @ op)
 
     def generating_cosets(self) -> list[tuple[int, ...]]:
         return [g.coords for g in self.component_group.generators()]
@@ -323,7 +282,8 @@ class GroupSpec:
             indices = sorted(i for b in self.blocks for i in b.indices())
             if indices != list(range(n)):
                 raise ValueError(f"block grids do not partition the indices 0..{n - 1}")
-        if not self.algebra_contains(Monomial.identity(n)):
+        algebra = self._algebra
+        if not algebra.contains(Monomial.identity(n)):
             raise ValueError("the identity-component algebra does not hold the identity")
         for coords in self._cosets:
             try:
@@ -332,7 +292,7 @@ class GroupSpec:
                 raise ValueError(f"generator at {coords} is singular") from None
         gens = self.generating_cosets()
         for coords, d in zip(gens, self.component_group.invariant_factors):
-            if not self.algebra_contains(self.operator(coords) ** d):
+            if not algebra.contains(self.operator(coords) ** d):
                 raise ValueError(
                     f"generator at {coords} to the power {d} leaves the identity component")
         ident = self._cosets[0]
@@ -351,7 +311,7 @@ class GroupSpec:
             return
         for coords in self._cosets:
             op, inv = self.operator(coords), self._inverse(coords)
-            if not all(self.algebra_contains(op @ b @ inv) for b in self.algebra_basis()):
+            if not all(algebra.contains(op @ b @ inv) for b in algebra.basis):
                 raise ValueError(f"generator at {coords} does not normalize the blocks")
         group = self.component_group
         for a in self._cosets:
@@ -614,17 +574,13 @@ def general_xx_hat_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
     return build_side(h1), build_side(h2)
 
 
-def _is_scalar_component(spec: GroupSpec) -> bool:
-    return spec.identity_component_dim() == 1
-
-
 def _is_connected_gl_pair(h1: GroupSpec, h2: GroupSpec) -> bool:
     if not (h1.component_group.is_trivial() and h2.component_group.is_trivial()):
         return False
     from .verify import CommutantEngine
 
     basis = CommutantEngine.from_spec(h1).solve([])
-    return span_of_matrices(basis).equals(h2.algebra_span())
+    return Algebra(h1.ambient.dim, basis) == h2.algebra()
 
 
 def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
@@ -644,7 +600,7 @@ def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
     ambient = _extend_ambient(h1.ambient, n_x, "X")
     dim_w = h1.ambient.dim
     if variant == "i":
-        if not _is_scalar_component(h1):
+        if h1.identity_component_dim() != 1:
             raise PreconditionViolated(
                 "variant i needs the first group's identity component to be scalars"
             )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,7 +31,7 @@ from .errors import ConductorCapExceeded, DimensionMismatch, SingularMatrix
 
 DEFAULT_CONDUCTOR_CAP = 10080
 
-_conductor_cap = int(os.environ.get("PROJPAIR_CONDUCTOR_CAP", DEFAULT_CONDUCTOR_CAP))
+_conductor_cap = DEFAULT_CONDUCTOR_CAP
 
 
 def conductor_cap() -> int:
@@ -53,7 +52,7 @@ def _check_conductor(m: int) -> None:
     if m > _conductor_cap:
         raise ConductorCapExceeded(
             f"conductor {m} exceeds cap {_conductor_cap} "
-            "(raise via set_conductor_cap or PROJPAIR_CONDUCTOR_CAP)"
+            "(raise it with --conductor-cap or set_conductor_cap)"
         )
 
 
@@ -866,10 +865,10 @@ class VectorSpan:
 
 
 def _sparse(vec) -> dict[int, CycNum]:
-    """The nonzero entries of a vector by column; a dict is copied."""
-    if isinstance(vec, dict):
-        return dict(vec)
-    return {j: v for j, v in enumerate(map(as_cyc, vec)) if not v.is_zero()}
+    """The nonzero entries of a vector, given densely or as a dict, by
+    column."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(map(as_cyc, vec))
+    return {j: v for j, v in items if not v.is_zero()}
 
 
 def _coords(x: CycNum):

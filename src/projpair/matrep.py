@@ -16,20 +16,20 @@ form its arguments take.  CycNum appears only where a Monomial meets a
 CycMatrix, in its scales and entries, and in the dense commutator.  One
 scan, unit_pattern, reads a CycMatrix's cells as a partial monomial with
 root-of-unity entries; Monomial.from_matrix is that scan at full
-coverage, so the conversion to and from CycMatrix is lossless.
-root_pattern reads an algebra basis whose cells are roots of unity on
-disjoint supports; in_root_pattern tests a Monomial against it, and
-pattern_in_pattern another such basis, on integer exponents.  Which form
-a stored generator takes is decided by GroupSpec.operator.
+coverage, so the conversion to and from CycMatrix is lossless.  Which
+form a stored generator takes is decided by GroupSpec.operator.
+Algebra is an identity component's algebra, the one place that chooses
+between integer exponents and the VectorSpan for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abelian import Character, FinAbGroup, GroupElement
-from .cyclo import ZERO, CycMatrix, CycNum, as_cyc
+from .cyclo import ZERO, CycMatrix, CycNum, VectorSpan, as_cyc, span_of_matrices
 from .errors import DimensionMismatch, GroupMismatch, NotProjectivelyCommuting
 
 
@@ -269,18 +269,88 @@ def unit_pattern(op):
     return order, [(i, j, k * (order // d)) for i, j, (d, k) in roots]
 
 
-def root_pattern(basis, n: int):
+class Algebra:
+    """The algebra spanned by n x n matrices (an identity component's), and
+    the one place that chooses how a question about it is answered.
+
+    It keeps the basis, its root pattern (_root_pattern: roots of unity on
+    disjoint nonzero supports, or None) and its VectorSpan, each built on
+    first use.  Where there is a pattern, its integer exponents decide:
+    contains(op) for a unit Monomial, contains_algebra(other) when both
+    are patterns, dim as the basis length (nonzero matrices on disjoint
+    supports are independent) unless a dimension was given (a block spec's
+    sum of d^2), and is_semisimple() by one partner sum per basis element
+    when the supports are closed under transpose.  Anything else goes
+    through the span, or for the trace form the Gram rank.  Algebras are
+    equal when their sizes and dimensions are and one holds the other.
+    """
+
+    def __init__(self, n: int, basis, dim: int | None = None):
+        """basis is the spanning n x n matrices, or a function that builds
+        them on first use; dim is the dimension when it is known without
+        them."""
+        self.n = n
+        if callable(basis):
+            self._build = basis
+        else:
+            self.basis = tuple(basis)
+        if dim is not None:
+            self.dim = dim
+
+    @cached_property
+    def basis(self) -> tuple[CycMatrix, ...]:
+        return tuple(self._build())
+
+    @cached_property
+    def span(self) -> VectorSpan:
+        return span_of_matrices(self.basis)
+
+    @cached_property
+    def _pattern(self):
+        return _root_pattern(self.basis, self.n)
+
+    @cached_property
+    def dim(self) -> int:
+        pattern = self._pattern
+        return len(pattern[2]) if pattern is not None else self.span.dim
+
+    def contains(self, op) -> bool:
+        """Does the algebra hold the operator op, a Monomial or a CycMatrix?"""
+        if isinstance(op, Monomial) and self._pattern is not None:
+            return _in_root_pattern(self._pattern, op)
+        return self.span.contains(as_dense(op).flat_cells())
+
+    def contains_algebra(self, other: "Algebra") -> bool:
+        """Does this algebra hold the other?"""
+        outer, inner = self._pattern, other._pattern
+        if outer is not None and inner is not None:
+            return _pattern_in_pattern(outer, inner)
+        return self.span.contains_span(other.span)
+
+    def __eq__(self, other):
+        if not isinstance(other, Algebra):
+            return NotImplemented
+        return self.n == other.n and self.dim == other.dim and self.contains_algebra(other)
+
+    __hash__ = None
+
+    def is_semisimple(self) -> bool:
+        """Is the trace form tr(a b) nondegenerate?  That is the exact
+        criterion for a direct sum of full matrix algebras over an
+        algebraically closed field."""
+        decided = None
+        if self._pattern is not None:
+            decided = _partner_sums_nonzero(self._pattern, self.n)
+        return _gram_nondegenerate(self.basis) if decided is None else decided
+
+
+def _root_pattern(basis, n: int):
     """(N, where, sizes) when the n x n matrices of basis form a
     root-of-unity pattern: every nonzero cell a root of unity, no two
     matrices sharing a position and none of them zero.  where[i * n + j]
     is (b, k) when basis[b] holds zeta_N^k at (i, j) and None off every
     support, sizes[b] is the number of cells of basis[b], and N the least
-    order carrying every cell.  None for any other basis.
-
-    Nonzero matrices on disjoint supports are independent, so the basis
-    length is the dimension of the span, and tests on the pattern
-    (in_root_pattern, pattern_in_pattern) decide membership and inclusion
-    on integer exponents."""
+    order carrying every cell.  None for any other basis."""
     where = [None] * (n * n)
     roots = []
     sizes = []
@@ -301,8 +371,8 @@ def root_pattern(basis, n: int):
     return order, where, tuple(sizes)
 
 
-def in_root_pattern(pattern, mono: Monomial) -> bool:
-    """Does the span of a root_pattern basis hold the unit monomial mono?
+def _in_root_pattern(pattern, mono: Monomial) -> bool:
+    """Does the span of a _root_pattern basis hold the unit monomial mono?
 
     The supports are disjoint, so a matrix lies in the span iff on each
     support it is a multiple of that basis matrix and it is zero off their
@@ -330,10 +400,10 @@ def in_root_pattern(pattern, mono: Monomial) -> bool:
     return covered == n
 
 
-def pattern_in_pattern(outer, inner) -> bool:
-    """Does the span of the outer root_pattern basis hold that of inner?
+def _pattern_in_pattern(outer, inner) -> bool:
+    """Does the span of the outer _root_pattern basis hold that of inner?
 
-    in_root_pattern for each inner basis matrix a: a lies in the outer
+    _in_root_pattern for each inner basis matrix a: a lies in the outer
     span iff every cell of a lies on some outer support, a differs from
     each outer matrix b it touches by one exponent shift, and a covers
     each such b whole.  Every cell of a lies in exactly one b, so the last
@@ -359,6 +429,51 @@ def pattern_in_pattern(outer, inner) -> bool:
         elif seen != shift:
             return False
     return tuple(covered) == sizes_i
+
+
+def _partner_sums_nonzero(pattern, n: int):
+    """Is the trace form of a _root_pattern basis of n x n matrices
+    nondegenerate?  None when its supports are not closed under transpose.
+
+    They are closed when the mirror (j, i) of every cell (i, j) of each
+    basis element a lies in one element b, the partner of a.  Then a is
+    b's partner too, so the two supports are each other's transpose and
+    of equal size.  Supports are disjoint and nonempty, so tr(a x)
+    vanishes for every basis element x but b, and the partner map is a
+    bijection.  The Gram matrix is then a permutation matrix times the
+    diagonal of partner sums tr(a b) = sum zeta_N^(e_a(i, j) + e_b(j, i)),
+    so it is nondegenerate iff no partner sum vanishes.  A sum with one
+    distinct exponent is a nonzero multiple of a root of unity; only the
+    others are summed in CycNum."""
+    order, where, sizes = pattern
+    partner = [None] * len(sizes)
+    exps = [{} for _ in sizes]
+    for pos, cell in enumerate(where):
+        if cell is None:
+            continue
+        i, j = divmod(pos, n)
+        mirror = where[j * n + i]
+        if mirror is None:
+            return None
+        (a, k), (b, l) = cell, mirror
+        if partner[a] is None:
+            partner[a] = b
+        elif partner[a] != b:
+            return None
+        e = (k + l) % order
+        exps[a][e] = exps[a].get(e, 0) + 1
+    return all(len(counts) == 1
+               or not sum(CycNum.root_of_unity(order, e) * c for e, c in counts.items()).is_zero()
+               for counts in exps)
+
+
+def _gram_nondegenerate(basis) -> bool:
+    """Is the Gram matrix tr(a b) of the basis of full rank?"""
+    cells = [a.cells for a in basis]
+    # tr(a b) = sum over a's cells of a[i, j] * b[j, i]
+    gram = [[sum((va * b[j, i] for (i, j), va in a.items() if (j, i) in b), ZERO)
+             for b in cells] for a in cells]
+    return CycMatrix(gram).rank() == len(basis)
 
 
 def translation_monomial(group: FinAbGroup, x: GroupElement) -> Monomial:

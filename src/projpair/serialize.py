@@ -206,12 +206,15 @@ def spec_to_json(spec: GroupSpec) -> dict:
         "generators": [_generator_to_json(c, spec.operator(c)) for c in spec.cosets()],
     }
     if spec.blocks is None:
-        out["algebra_basis"] = [cyc_matrix_to_json(m) for m in spec.algebra_basis()]
+        out["algebra_basis"] = [cyc_matrix_to_json(m) for m in spec.algebra().basis]
     return out
 
 
 def spec_from_json(data: dict) -> GroupSpec:
-    ambient = Ambient(tuple(shape_from_json(s) for s in data["shape"]))
+    summands = tuple(shape_from_json(s) for s in data["shape"])
+    if not summands:
+        raise ValueError("a side needs at least one ambient summand")
+    ambient = Ambient(summands)
     blocks = None
     if data.get("blocks") is not None:
         blocks = tuple(

@@ -40,22 +40,10 @@ generating cosets.  Everything runs in one process.  Both
 directions of the comparison and specs_equal are one subgroup test,
 spec_contains: one spec lies in another when its algebra does and
 each of its generating cosets lies in some coset of the other, tested
-with GroupSpec.coset_contains.  That inverts each coset's generator
-once per spec and tests the product with GroupSpec.algebra_contains: a
-unit Monomial against a basis of roots of unity on disjoint supports
-(block matrix units, or a union-find basis that no dense cut touched) is
-an integer test on exponents, and only a dense operand or another basis
-reduces cells through the VectorSpan.
-
-The identity-component checks read the same cached pattern,
-GroupSpec.algebra_pattern, whenever there is one.  Two pattern algebras
-are compared on exponents (matrep.pattern_in_pattern), a pattern's
-dimension is its basis length, and the trace form of a computed
-centralizer whose supports are closed under transpose is decided by one
-partner sum per basis element instead of a Gram rank.  Every other basis
-takes the VectorSpan and the Gram rank.  The tests cross-check the
-engine against a purely dense solve, and each pattern path against the
-dense one.
+with GroupSpec.coset_contains.  Every question about an identity-component
+algebra (membership, inclusion, dimension, the trace form) goes to its
+matrep.Algebra.  The tests cross-check the engine against a purely dense
+solve.
 """
 
 from __future__ import annotations
@@ -66,20 +54,14 @@ from dataclasses import dataclass, field
 
 from .abelian import FinAbGroup, subgroup_from_elements
 from .construct import GroupSpec
-from .cyclo import (
-    ONE,
-    ZERO,
-    CycMatrix,
-    CycNum,
-    VectorSpan,
-)
+from .cyclo import ONE, CycMatrix, CycNum, VectorSpan
 from .errors import (
     IdentityComponentNotSemisimpleBlocks,
     NotProjectivelyCommuting,
     ShapeMismatch,
     WitnessSearchUndecided,
 )
-from .matrep import Monomial, commutator_scalar, lowest_terms, pattern_in_pattern, unit_pattern
+from .matrep import Monomial, commutator_scalar, lowest_terms, unit_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +205,7 @@ class CommutantEngine:
 
     @staticmethod
     def from_spec(target: GroupSpec):
-        return CommutantEngine(target.ambient.dim, target.algebra_basis(),
+        return CommutantEngine(target.ambient.dim, target.algebra().basis,
                                [target.operator(c) for c in target.generating_cosets()])
 
     def solve(self, scalars) -> list[CycMatrix]:
@@ -446,7 +428,7 @@ def projective_order(op, spec: GroupSpec, bound: int) -> int:
     CycMatrix."""
     power = op
     for m in range(1, bound + 1):
-        if spec.algebra_contains(power):
+        if spec.algebra().contains(power):
             return m
         power = power @ op
     raise ValueError(
@@ -484,8 +466,8 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     of t + S0, since S0 lies in S.  The zero tuple is the identity
     component, solved once on its own.
 
-    The identity component's trace form is checked on the returned
-    spec's cached pattern, so its basis is scanned once.
+    The identity component's trace form is checked by the returned
+    spec's algebra, so its basis is scanned once.
 
     workers has no effect: the closure leaves a handful of solves, each
     depending on the ones before.  It stays for callers that still pass
@@ -534,80 +516,14 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
         raise AssertionError("surviving scalar tuples do not form a group")
     generators = {to_canonical(exps): _normalize_projective(w) for exps, w in known.items()}
     spec = GroupSpec(target.ambient, None, comp_group, generators, algebra_basis=identity_basis)
-    _check_semisimple(identity_basis, spec.algebra_pattern())
+    if not spec.algebra().is_semisimple():
+        raise IdentityComponentNotSemisimpleBlocks(
+            "untwisted commutant is not a direct sum of full matrix algebras")
     return spec
 
 
 def projective_centralizer(target: GroupSpec) -> GroupSpec:
     return compute_centralizer(target)
-
-
-def _check_semisimple(basis, pattern=None) -> None:
-    """Trace-form nondegeneracy: exact criterion for a direct sum of full
-    matrix algebras over an algebraically closed field.
-
-    pattern is the basis's matrep.root_pattern, when it has one.  If its
-    supports are closed under transpose, the form is decided by partner
-    sums (_partner_sums_nonzero); any other basis takes the rank of its
-    Gram matrix tr(a b)."""
-    nondegenerate = None
-    if pattern is not None:
-        nondegenerate = _partner_sums_nonzero(pattern, basis[0].rows)
-    if nondegenerate is None:
-        cells = [a.cells for a in basis]
-        gram = []
-        for a in cells:
-            row = []
-            for b in cells:
-                # tr(a b) = sum over a's cells of a[i, j] * b[j, i]
-                acc = ZERO
-                for (i, j), va in a.items():
-                    vb = b.get((j, i))
-                    if vb is not None:
-                        acc = acc + va * vb
-                row.append(acc)
-            gram.append(row)
-        nondegenerate = CycMatrix(gram).rank() == len(basis)
-    if not nondegenerate:
-        raise IdentityComponentNotSemisimpleBlocks(
-            "untwisted commutant is not a direct sum of full matrix algebras"
-        )
-
-
-def _partner_sums_nonzero(pattern, n: int):
-    """Is the trace form of a root_pattern basis of n x n matrices
-    nondegenerate?  None when its supports are not closed under transpose.
-
-    They are closed when the mirror (j, i) of every cell (i, j) of each
-    basis element a lies in one element b, the partner of a.  Then a is
-    b's partner too, so the two supports are each other's transpose and
-    of equal size.  Supports are disjoint and nonempty, so tr(a x)
-    vanishes for every basis element x but b, and the partner map is a
-    bijection.  The Gram matrix is then a permutation matrix times the
-    diagonal of partner sums tr(a b) = sum zeta_N^(e_a(i, j) + e_b(j, i)),
-    so it is nondegenerate iff no partner sum vanishes.  A sum with one
-    distinct exponent is a nonzero multiple of a root of unity; only the
-    others are summed in CycNum."""
-    order, where, sizes = pattern
-    partner = [None] * len(sizes)
-    exps = [{} for _ in sizes]
-    for pos, cell in enumerate(where):
-        if cell is None:
-            continue
-        i, j = divmod(pos, n)
-        mirror = where[j * n + i]
-        if mirror is None:
-            return None
-        (a, k), (b, l) = cell, mirror
-        if partner[a] is None:
-            partner[a] = b
-        elif partner[a] != b:
-            return None
-        e = (k + l) % order
-        exps[a][e] = exps[a].get(e, 0) + 1
-    return all(len(counts) == 1
-               or not sum(CycNum.root_of_unity(order, e) * c for e, c in counts.items()).is_zero()
-               for counts in exps)
 
 
 # ---------------------------------------------------------------------------
@@ -755,18 +671,8 @@ def spec_contains(outer: GroupSpec, inner: GroupSpec) -> bool:
     component and its generating cosets, so it lies in the group outer
     when outer's algebra holds inner's and each generating coset of inner
     lies in some coset of outer.
-
-    When both algebra bases are root-of-unity patterns, the algebras are
-    compared on integer exponents (matrep.pattern_in_pattern); otherwise
-    through their VectorSpans.
     """
-    outer_pattern, inner_pattern = outer.algebra_pattern(), inner.algebra_pattern()
-    if outer_pattern is not None and inner_pattern is not None:
-        if not pattern_in_pattern(outer_pattern, inner_pattern):
-            return False
-    elif not outer.algebra_span().contains_span(inner.algebra_span()):
-        return False
-    return all(
+    return outer.algebra().contains_algebra(inner.algebra()) and all(
         any(outer.coset_contains(oc, inner.operator(ic)) for oc in outer.cosets())
         for ic in inner.generating_cosets()
     )

@@ -353,9 +353,9 @@ def test_criterion_8_centralizer_equals_heisenberg_spec_as_stated():
     )
     computed = projective_centralizer(_involution_spec(2, swap))
     klein, _ = xx_hat_pair(Z2)
-    span = computed.algebra_span()
+    span = computed.algebra().span
     # every Heisenberg element lies in some coset of the centralizer
-    klein_inside = span.contains_span(klein.algebra_span()) and all(
+    klein_inside = span.contains_span(klein.algebra().span) and all(
         any(computed.coset_contains(c, klein.operator(k)) for c in computed.cosets())
         for k in klein.cosets()
     )

@@ -102,6 +102,23 @@ def test_pair_sides_in_different_ambients_are_bad_input(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_empty_shape_is_bad_input(tmp_path, capsys):
+    """A side whose ambient has no summand ("shape": []) is bad input for
+    both commands: exit 2 and one error line, not a construction error
+    (3)."""
+    pair_file = tmp_path / "pair.json"
+    assert run(["construct", "--L", "2", "-o", str(pair_file)]) == 0
+    data = json.loads(pair_file.read_text())
+    data["g"]["shape"] = []
+    pair_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    for command in ("verify", "pairing"):
+        assert run([command, str(pair_file)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def _edited_pair(tmp_path, edit):
     """The --L 2 pair file with one edit applied to its decoded JSON."""
     pair_file = tmp_path / "pair.json"
@@ -644,7 +661,7 @@ def test_serialize_roundtrips():
     assert back_g.cosets() == g.cosets()
     for coords in g.cosets():
         assert back_g.operator(coords) == g.operator(coords)
-    assert back_g.algebra_span().equals(g.algebra_span())
+    assert back_g.algebra().span.equals(g.algebra().span)
 
 
 def test_reencoding_a_decoded_unit_monomial_writes_its_least_conductor():
@@ -679,3 +696,16 @@ def test_package_runs_as_a_module(tmp_path):
 
     assert code("enumerate", "--n", "2") == 0
     assert code("verify", "missing.json") == 2
+
+
+def test_conductor_cap_reads_no_environment_variable(tmp_path):
+    """The cap is set by --conductor-cap only: a PROJPAIR_CONDUCTOR_CAP
+    that is no integer changes nothing, where it once killed every command
+    at import with a traceback and exit 1."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PROJPAIR_CONDUCTOR_CAP="abc", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "projpair", "enumerate", "--n", "1"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert "Traceback" not in done.stderr

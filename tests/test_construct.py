@@ -61,8 +61,8 @@ def test_connected_pair_shapes():
 def test_connected_pair_blocks_commute():
     g, h = connected_pair([(2, 3), (1, 2)])
     n = g.ambient.dim
-    for bg in g.algebra_basis():
-        for bh in h.algebra_basis():
+    for bg in g.algebra().basis:
+        for bh in h.algebra().basis:
             assert bg @ bh == bh @ bg
 
 
@@ -136,8 +136,8 @@ def test_single_orbit_trivial_groups_is_connected():
     g, h = single_orbit_pair(SingleOrbitIngredients(2, 2, TRIV, TRIV, TRIV))
     gc, hc = connected_pair([(2, 2)])
     assert g.component_group.is_trivial()
-    assert g.algebra_span().equals(gc.algebra_span())
-    assert h.algebra_span().equals(hc.algebra_span())
+    assert g.algebra().span.equals(gc.algebra().span)
+    assert h.algebra().span.equals(hc.algebra().span)
 
 
 def test_generator_extension_closure():
@@ -145,7 +145,7 @@ def test_generator_extension_closure():
     ing = SingleOrbitIngredients(1, 1, Z2, Z2, TRIV)
     g, _ = single_orbit_pair(ing)
     group = g.component_group
-    span = g.algebra_span()
+    span = g.algebra().span
     for a in group.elements():
         for b in group.elements():
             prod = as_dense(g.operator(a.coords)) @ as_dense(g.operator(b.coords))
@@ -198,7 +198,7 @@ def test_general_xx_hat_degenerate_case_is_heisenberg():
     ref_g, ref_h = xx_hat_pair(Z2)
     assert g.ambient.dim == 2
     assert g.component_group == ref_g.component_group
-    assert g.algebra_span().equals(ref_g.algebra_span())
+    assert g.algebra().span.equals(ref_g.algebra().span)
     matched = 0
     ref_mats = [as_dense(ref_g.operator(c)) for c in ref_g.cosets()]
     for mat in map(as_dense, map(g.operator, g.cosets())):
@@ -265,7 +265,7 @@ def test_glue_single_summand_matches_single_orbit():
     q = tuple(tuple(r) for r in identity_matrix(gamma))
     g1, h1 = multi_orbit_glue(MultiOrbitSpec(gamma, ((ing, q),)))
     g2, h2 = single_orbit_pair(ing)
-    assert g1.algebra_span().equals(g2.algebra_span())
+    assert g1.algebra().span.equals(g2.algebra().span)
     assert g1.cosets() == g2.cosets()
     for coords in g1.cosets():
         assert projective_equal(as_dense(g1.operator(coords)), as_dense(g2.operator(coords)))
@@ -521,7 +521,7 @@ def test_builder_runs_once_per_coset_whatever_reads_it(monkeypatch):
 
 
 def test_block_matrix_units_built_once_per_block(monkeypatch):
-    """algebra_basis() builds each block's matrix units once per spec,
+    """algebra().basis builds each block's matrix units once per spec,
     however many readers (span, pattern, commutant engine, verify) ask."""
     from projpair.verify import CommutantEngine, verify_dual_pair
 
@@ -534,10 +534,10 @@ def test_block_matrix_units_built_once_per_block(monkeypatch):
 
     monkeypatch.setattr(Block, "matrix_units", counting)
     g, h = connected_pair([(2, 3), (1, 2)])
-    first = g.algebra_basis()
-    assert g.algebra_basis() is first
-    g.algebra_span()
-    g.algebra_pattern()
+    first = g.algebra().basis
+    assert g.algebra().basis is first
+    g.algebra().span
+    g.algebra()._pattern
     CommutantEngine.from_spec(g)
     assert verify_dual_pair(g, h).is_dual_pair
     assert sorted(map(id, calls)) == sorted(map(id, g.blocks + h.blocks))

@@ -292,6 +292,21 @@ def test_vector_span():
     assert not u.contains([ONE, ZERO, ZERO, ZERO])
 
 
+def test_dict_vectors_drop_their_zero_entries():
+    """A dict vector's explicit zeros are no entries: the zero vector lies
+    in every span and adds nothing to it, where a zero entry once became a
+    pivot (ZeroDivisionError) and failed membership."""
+    empty = VectorSpan(2)
+    assert empty.contains({0: ZERO})
+    assert not empty.add({0: ZERO})
+    assert empty.dim == 0
+    s = VectorSpan(3)
+    assert s.add({0: ZERO, 1: ONE})
+    assert s.pivots == [1] and s.rows == [{1: ONE}]
+    assert s.contains({1: MINUS_ONE, 2: ZERO})
+    assert not s.contains({0: ONE, 1: ZERO})
+
+
 def test_serialization_of_coefficients():
     x = CycNum(4, [1, -2], 3)
     assert x.coefficients() == [Fraction(1, 3), Fraction(-2, 3)]

@@ -12,6 +12,7 @@ from projpair.construct import Ambient, GroupSpec, scalar_blocks
 from projpair.cyclo import CycMatrix, CycNum, MINUS_ONE, ONE, span_of_matrices
 from projpair.errors import DimensionMismatch, GroupMismatch, NotProjectivelyCommuting
 from projpair.matrep import (
+    Algebra,
     Monomial,
     TensorShape,
     as_dense,
@@ -19,9 +20,7 @@ from projpair.matrep import (
     commutator_scalar,
     heisenberg_monomial,
     lowest_terms,
-    pattern_in_pattern,
     projective_equal,
-    root_pattern,
     translation_monomial,
 )
 
@@ -381,7 +380,8 @@ def pattern_pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(pattern_pairs())
 def test_pattern_inclusion_matches_span(pair):
-    """pattern_in_pattern gives VectorSpan.contains_span's answer, in both
+    """Algebra.contains_algebra on two root patterns, an integer test on
+    exponents, gives VectorSpan.contains_span's answer, in both
     directions, on pattern pairs with partial covers, two shifts on one
     support and cells outside every support; inner lies in outer exactly
     when no inner matrix was spoiled."""
@@ -389,10 +389,12 @@ def test_pattern_inclusion_matches_span(pair):
     n = outer[0].rows
     outer_span, inner_span = span_of_matrices(outer), span_of_matrices(inner)
     assert outer_span.contains_span(inner_span) == inside
-    outer_p, inner_p = root_pattern(outer, n), root_pattern(inner, n)
-    assert outer_p is not None and inner_p is not None
-    assert pattern_in_pattern(outer_p, inner_p) == inside
-    assert pattern_in_pattern(inner_p, outer_p) == inner_span.contains_span(outer_span)
+    outer_a, inner_a = Algebra(n, outer), Algebra(n, inner)
+    assert outer_a._pattern is not None and inner_a._pattern is not None
+    assert outer_a.contains_algebra(inner_a) == inside
+    assert inner_a.contains_algebra(outer_a) == inner_span.contains_span(outer_span)
+    # the exponents decided it: neither algebra built its span
+    assert "span" not in vars(outer_a) and "span" not in vars(inner_a)
 
 
 def test_commutator_scalar_order_divides_dimension():

@@ -22,31 +22,29 @@ from projpair.construct import (
 )
 from projpair.cyclo import CycMatrix, CycNum, ONE, VectorSpan, span_of_matrices
 from projpair.errors import (
-    IdentityComponentNotSemisimpleBlocks,
     NotProjectivelyCommuting,
     ShapeMismatch,
     WitnessSearchUndecided,
 )
 from projpair.matrep import (
+    Algebra,
     Monomial,
     TensorShape,
+    _gram_nondegenerate,
+    _partner_sums_nonzero,
     as_dense,
     character_monomial,
     commutator_scalar,
-    in_root_pattern,
-    root_pattern,
     translation_monomial,
 )
 from projpair.verify import (
     CommutantEngine,
     PairingTable,
     _apply_twist_constraint,
-    _check_semisimple,
     _det_nonzero,
     _invertible_in_span,
     _normalize_projective,
     _support_matching,
-    _partner_sums_nonzero,
     compute_centralizer,
     pairing_table,
     projective_centralizer,
@@ -97,7 +95,7 @@ def test_commutant_of_gl2_block():
     assert len(basis) == 4
     assert witness is not None
     assert witness.is_identity()
-    assert span_of_matrices(basis).equals(h.algebra_span())
+    assert span_of_matrices(basis).equals(h.algebra().span)
 
 
 def test_commutant_twisted_by_character():
@@ -156,7 +154,7 @@ def test_solver_fast_and_general_paths_agree():
         for scalars in tuples:
             assert_same_span(
                 engine.solve(scalars),
-                _dense_commutant(target.ambient.dim, target.algebra_basis(),
+                _dense_commutant(target.ambient.dim, target.algebra().basis,
                                  [target.operator(c) for c in cosets], scalars),
             )
 
@@ -351,24 +349,27 @@ def root_pattern_problems(draw):
 @settings(max_examples=150, deadline=None)
 @given(root_pattern_problems())
 def test_root_pattern_membership_matches_span(problem):
-    """The integer test of a unit Monomial against a root-of-unity pattern
-    basis gives VectorSpan.contains's answer; a basis that is not such a
-    pattern, or that holds a zero matrix (the "outside" case can empty a
-    group), gives no pattern, and the spec falls back to the span."""
+    """Algebra.contains, on a root-of-unity pattern basis an integer test
+    of a unit Monomial, gives VectorSpan.contains's answer; a basis that is
+    not such a pattern, or that holds a zero matrix (the "outside" case
+    can empty a group), gives no pattern, and the algebra falls back to
+    the span."""
     basis, mono, case = problem
     n = mono.n
     expected = span_of_matrices(basis).contains(mono.to_matrix().flat_cells())
     if n > 1:
         assert expected == (case in ("member", "overlap", "not_root"))
-    pattern = root_pattern(basis, n)
+    algebra = Algebra(n, basis)
+    assert algebra.contains(mono) == expected
     if case in ("overlap", "not_root") or any(not m.cells for m in basis):
-        assert pattern is None
+        assert algebra._pattern is None
     else:
-        assert pattern is not None
-        assert in_root_pattern(pattern, mono) == expected
+        assert algebra._pattern is not None
+        # decided on exponents: the span was never built
+        assert "span" not in vars(algebra)
     spec = _algebra_spec(basis)
-    assert spec.algebra_contains(mono) == expected
-    assert spec.algebra_pattern() == pattern
+    assert spec.algebra().contains(mono) == expected
+    assert spec.algebra()._pattern == algebra._pattern
 
 
 def test_witness_search_undecided_is_typed():
@@ -505,20 +506,19 @@ _NOT_SEMISIMPLE = {
 def test_check_semisimple_rejects_degenerate_trace_form(name):
     """Both spans carry the nilpotent E01, which pairs to zero with the
     whole span under tr(a b), so the Gram matrix is singular."""
-    with pytest.raises(IdentityComponentNotSemisimpleBlocks):
-        _check_semisimple(_NOT_SEMISIMPLE[name])
+    assert not Algebra(2, _NOT_SEMISIMPLE[name]).is_semisimple()
 
 
 @pytest.mark.parametrize("sizes", [(1,), (2,), (1, 1, 1), (2, 1), (1, 2, 1)])
 def test_check_semisimple_accepts_block_units_and_their_conjugates(sizes):
     basis = _block_units(sizes)
-    _check_semisimple(basis)
     n = sum(sizes)
+    assert Algebra(n, basis).is_semisimple()
     z3 = CycNum.root_of_unity(3)
     p = CycMatrix([[(i + 2) ** j + (z3 if i == j else 0) for j in range(n)]
                    for i in range(n)])
     p_inv = p.inverse()
-    _check_semisimple([p @ x @ p_inv for x in basis])
+    assert Algebra(n, [p @ x @ p_inv for x in basis]).is_semisimple()
 
 
 @st.composite
@@ -562,14 +562,6 @@ def trace_form_problems(draw):
     return n, draw(st.permutations(basis))
 
 
-def _semisimple(basis, pattern=None) -> bool:
-    try:
-        _check_semisimple(basis, pattern)
-    except IdentityComponentNotSemisimpleBlocks:
-        return False
-    return True
-
-
 @settings(max_examples=200, deadline=None)
 @given(trace_form_problems())
 @example((3, [CycMatrix.diagonal([1, CycNum.root_of_unity(3), CycNum.root_of_unity(3, 2)])]))
@@ -578,35 +570,59 @@ def test_partner_sums_match_gram_rank(problem):
     """On a pattern basis whose supports are closed under transpose, the
     partner sums decide the trace form as the Gram rank does, including
     vanishing sums such as that of diag(1, z3, z3^2); on any other pattern
-    they decide nothing and _check_semisimple takes the Gram rank."""
+    they decide nothing and Algebra.is_semisimple takes the Gram rank."""
     n, basis = problem
-    pattern = root_pattern(basis, n)
+    algebra = Algebra(n, basis)
+    pattern = algebra._pattern
     assert pattern is not None
     supports = {frozenset(m.cells) for m in basis}
     closed = all(frozenset((j, i) for i, j in m.cells) in supports for m in basis)
-    semisimple = _semisimple(basis)
+    semisimple = _gram_nondegenerate(basis)
     decided = _partner_sums_nonzero(pattern, n)
     assert decided == (semisimple if closed else None)
-    assert _semisimple(basis, pattern) == semisimple
+    assert algebra.is_semisimple() == semisimple
 
 
 @settings(max_examples=100, deadline=None)
 @given(root_pattern_problems())
 def test_identity_component_dim_matches_span(problem):
-    """identity_component_dim of a raw basis, a root pattern or not, is
-    the dimension of its span."""
+    """Algebra.dim of a raw basis, a root pattern or not, is the dimension
+    of its span, and so is the spec's identity_component_dim."""
     basis, _, _ = problem
     spec = _algebra_spec(basis)
-    assert spec.identity_component_dim() == span_of_matrices(basis).dim
+    expected = span_of_matrices(basis).dim
+    assert Algebra(basis[0].rows, basis).dim == expected
+    assert spec.identity_component_dim() == expected
+
+
+def test_block_algebras_match_their_matrix_units_as_a_raw_basis():
+    """For both sides of every row with n <= 6, the block spec's algebra,
+    whose dim is the sum of d^2 without a basis, and an algebra given the
+    same matrix units as a raw basis, whose dim is read off its root
+    pattern, agree on dim, hold each other and have nondegenerate trace
+    forms."""
+    sides = 0
+    for n in range(1, 7):
+        for row in enumerate_multi_orbit(n, min(4, n)):
+            for spec in row.build():
+                blocks = spec.algebra()
+                raw = Algebra(spec.ambient.dim, blocks.basis)
+                assert raw._pattern is not None
+                assert blocks.dim == raw.dim == sum(b.dim * b.dim for b in spec.blocks)
+                assert blocks.contains_algebra(raw) and raw.contains_algebra(blocks)
+                assert blocks == raw
+                assert blocks.is_semisimple() and raw.is_semisimple()
+                sides += 1
+    assert sides > 100
 
 
 def test_zero_matrix_keeps_a_raw_basis_on_the_span_path():
-    """A raw basis [I, 0] is no root pattern, so its spec keeps identity
-    dimension 1 (its basis length is 2) and spec_contains compares it
-    through the span: it lies in the scalars, a torus and GL(2), and holds
-    only the scalars."""
+    """A raw basis [I, 0] is no root pattern, so its algebra keeps
+    dimension 1 (its basis length is 2) and compares it through the span:
+    it lies in the scalars, a torus and GL(2), and holds only the
+    scalars."""
     spec = _algebra_spec([CycMatrix.identity(2), CycMatrix.zeros(2, 2)])
-    assert spec.algebra_pattern() is None
+    assert spec.algebra()._pattern is None
     assert spec.identity_component_dim() == 1
     scalars = _algebra_spec([CycMatrix.identity(2)])
     torus = _algebra_spec([_unit(2, 0, 0), _unit(2, 1, 1)])
@@ -620,30 +636,38 @@ def test_zero_matrix_keeps_a_raw_basis_on_the_span_path():
 def test_pattern_specs_take_no_elimination_in_verify(monkeypatch):
     """Every row with n <= 6 verifies with its identity components decided
     on root patterns.  Every computed centralizer's basis is one, and no
-    span inclusion (VectorSpan.contains_span), no algebra_span for
-    spec_contains or for the computed specs' identity_component_dim, and
-    no Gram rank in _check_semisimple is taken.  A dense coset operator is still tested
-    through algebra_span, by GroupSpec.algebra_contains.  The counters are
+    span inclusion (VectorSpan.contains_span), no Algebra.span read for
+    Algebra.contains_algebra or for the computed algebras' dim, and no
+    Gram rank (_gram_nondegenerate) is taken.  A dense coset operator is
+    still tested through the span, by Algebra.contains.  The counters are
     shown to fire on a basis that is not a pattern."""
     inclusions = _counting(monkeypatch, VectorSpan, "contains_span")
     callers = []
-    for owner, name in ((GroupSpec, "algebra_span"), (CycMatrix, "rank")):
-        def counted(self, real=getattr(owner, name)):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return real(self)
-        monkeypatch.setattr(owner, name, counted)
+    real_span = Algebra.span
+
+    def span(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_span.__get__(self, Algebra)
+
+    monkeypatch.setattr(Algebra, "span", property(span))
+
+    def rank(self, real=CycMatrix.rank):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(self)
+
+    monkeypatch.setattr(CycMatrix, "rank", rank)
     patterns = []
     real_centralizer = verify.compute_centralizer
 
     def centralizer(target):
         spec = real_centralizer(target)
-        patterns.append(spec.algebra_pattern() is not None)
+        patterns.append(spec.algebra()._pattern is not None)
         # a failing comparison would report this dimension
         spec.identity_component_dim()
         return spec
 
     monkeypatch.setattr(verify, "compute_centralizer", centralizer)
-    fallbacks = {"spec_contains", "identity_component_dim", "_check_semisimple"}
+    fallbacks = {"contains_algebra", "dim", "_gram_nondegenerate"}
     rows = 0
     for n in range(1, 7):
         for row in enumerate_multi_orbit(n, min(4, n)):
@@ -656,9 +680,9 @@ def test_pattern_specs_take_no_elimination_in_verify(monkeypatch):
 
     p = CycMatrix([[1, 1], [0, 1]])
     dense = [p @ x @ p.inverse() for x in _block_units((1, 1))]
+    assert _algebra_spec(dense).algebra().is_semisimple()
+    _algebra_spec(dense).identity_component_dim()
     spec = _algebra_spec(dense)
-    _check_semisimple(dense, spec.algebra_pattern())
-    spec.identity_component_dim()
     assert spec_contains(spec, spec)
     assert inclusions and fallbacks <= set(callers)
 
@@ -667,7 +691,7 @@ def test_centralizer_of_gl_block():
     g, h = connected_pair([(2, 2)])
     z = projective_centralizer(g)
     assert z.component_count() == 1
-    assert z.algebra_span().equals(h.algebra_span())
+    assert z.algebra().span.equals(h.algebra().span)
     assert specs_equal(z, h)
     assert specs_equal(projective_centralizer(h), g)
 
@@ -688,7 +712,7 @@ def test_centralizer_of_swap_is_positive_dimensional():
     assert z.identity_component_dim() == 2
     assert z.component_count() == 2
     expected = span_of_matrices([CycMatrix.identity(2), CycMatrix([[0, 1], [1, 0]])])
-    assert z.algebra_span().equals(expected)
+    assert z.algebra().span.equals(expected)
     # the swap image and its centralizer form a dual pair: Z(Z(S)) = S
     z2 = projective_centralizer(z)
     assert specs_equal(z2, spec)
@@ -735,7 +759,7 @@ def test_triple_centralizer_idempotence_small():
 def test_untwisted_commutant_basis():
     g, h = connected_pair([(3, 2)])
     basis = CommutantEngine.from_spec(g).solve([])
-    assert span_of_matrices(basis).equals(h.algebra_span())
+    assert span_of_matrices(basis).equals(h.algebra().span)
 
 
 # -- verification reports --------------------------------------------------------
@@ -1093,7 +1117,7 @@ def test_gl2_against_a_diagonal_involution_is_smaller_both_ways():
 def _contains_exhaustive(outer, inner):
     """inner <= outer tested on every coset of inner against every coset
     of outer: the oracle of spec_contains's generating-coset shortcut."""
-    if not outer.algebra_span().contains_span(inner.algebra_span()):
+    if not outer.algebra().span.contains_span(inner.algebra().span):
         return False
     return all(
         any(outer.coset_contains(oc, inner.operator(ic)) for oc in outer.cosets())
