@@ -316,21 +316,33 @@ def product_embedding(groups):
     per-factor elements to a product element and split inverts it.
 
     Memoized per tuple of factor groups: both sides of a single-orbit pair,
-    and every ingredient tuple with the same (L, J, K), share one table."""
+    and every ingredient tuple with the same (L, J, K), share one pair of
+    maps."""
     return _product_embedding(tuple(groups))
 
 
 @lru_cache(maxsize=None)
 def _product_embedding(groups):
     product, embeds = direct_product(groups)
-    table = {}
-    for combo in itertools.product(*(g.elements() for g in groups)):
-        total = product.identity()
-        for x, emb in zip(combo, embeds):
-            total = total + apply_matrix(emb, x.coords, product)
-        table[total.coords] = combo
-    if len(table) != product.order:
-        raise AssertionError("direct product embedding is not bijective")
+    factors = [d for g in groups for d in g.invariant_factors]
+    invariant, slots = _primary_decomposition(factors)
+    # split is an integer matrix too.  A factor's p-part is alone in the
+    # p-part of its slot, embedded as x -> x (d / p^e) with d the slot's
+    # invariant factor, so x = x_slot (d / p^e)^-1 mod p^e; the p-parts of
+    # one factor are then joined by the Chinese remainder theorem.
+    split_rows = []
+    for f, parts in zip(factors, slots):
+        row = [0] * len(invariant)
+        for slot, pe in parts:
+            unit = pow(invariant[slot] // pe, -1, pe)
+            crt = f // pe * pow(f // pe, -1, pe)
+            row[slot] = (row[slot] + unit * crt) % f
+        split_rows.append(row)
+    split_mats = []
+    start = 0
+    for g in groups:
+        split_mats.append(split_rows[start:start + g.rank])
+        start += g.rank
 
     def combine(parts):
         total = product.identity()
@@ -339,7 +351,10 @@ def _product_embedding(groups):
         return total
 
     def split(x: GroupElement):
-        return table[x.coords]
+        parts = tuple(apply_matrix(mat, x.coords, g) for mat, g in zip(split_mats, groups))
+        if combine(parts) != x:
+            raise AssertionError("direct product split does not invert combine")
+        return parts
 
     return product, combine, split
 
@@ -392,32 +407,59 @@ def _smith_inverse(q, source: FinAbGroup, target: FinAbGroup):
     return p
 
 
+# every inverse computed, keyed by q as a tuple of rows and the invariant
+# factors of source and target; None marks a matrix that is no isomorphism
+_INVERSES: dict = {}
+
+
+def _inverse(q, source: FinAbGroup, target: FinAbGroup):
+    """_smith_inverse of q as a tuple of rows (or None), once per distinct
+    matrix and pair of groups."""
+    key = (tuple(map(tuple, q)), source.invariant_factors, target.invariant_factors)
+    try:
+        return _INVERSES[key]
+    except KeyError:
+        p = _smith_inverse(q, source, target)
+        p = _INVERSES[key] = None if p is None else tuple(map(tuple, p))
+        return p
+
+
 def is_isomorphism_matrix(q, source: FinAbGroup, target: FinAbGroup) -> bool:
     """Bijectivity of the homomorphism q, decided from one Smith form."""
-    return _smith_inverse(q, source, target) is not None
+    return _inverse(q, source, target) is not None
 
 
 def invert_isomorphism(q, source: FinAbGroup, target: FinAbGroup) -> list[list[int]]:
-    p = _smith_inverse(q, source, target)
+    """The inverse of q as fresh lists; the Smith form runs once per
+    distinct q, source and target."""
+    p = _inverse(q, source, target)
     if p is None:
         raise NotIsomorphism("matrix is not an isomorphism")
-    return p
+    return [list(row) for row in p]
 
 
 @lru_cache(maxsize=None)
 def automorphisms(group: FinAbGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All automorphisms as integer matrices (cached; desk-scale groups only)."""
+    """All automorphisms as integer matrices (cached; desk-scale groups only).
+
+    The Smith form that accepts a candidate also gives its inverse, which
+    joins the inverse memo; a rejected candidate is not asked for again, so
+    it is not kept."""
     r = group.rank
     if r == 0:
         return ((),)
+    fs = group.invariant_factors
     candidate_images = []
-    for d in group.invariant_factors:
+    for d in fs:
         candidate_images.append([x for x in group.elements() if d % x.order() == 0])
     out = []
     for combo in itertools.product(*candidate_images):
-        q = [[combo[j].coords[i] for j in range(r)] for i in range(r)]
-        if is_isomorphism_matrix(q, group, group):
-            out.append(tuple(tuple(row) for row in q))
+        q = tuple(tuple(combo[j].coords[i] for j in range(r)) for i in range(r))
+        key = (q, fs, fs)
+        p = _INVERSES[key] if key in _INVERSES else _smith_inverse(q, group, group)
+        if p is not None:
+            _INVERSES[key] = tuple(map(tuple, p))
+            out.append(q)
     return tuple(out)
 
 

@@ -16,6 +16,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -199,7 +200,8 @@ class GroupSpec:
                 raise ValueError("the algebra basis is empty")
             self._algebra = Algebra(n, basis)
         self._inverses: dict = {}
-        self._cosets = tuple(e.coords for e in component_group.elements())
+        self._cosets = tuple(itertools.product(
+            *(range(d) for d in component_group.invariant_factors)))
         self._index = frozenset(self._cosets)
         ident = self._cosets[0]
         if callable(generators):
@@ -347,10 +349,15 @@ class SingleOrbitIngredients:
     def __post_init__(self):
         if self.b < 1 or self.e < 1:
             raise ValueError("multiplicity dimensions must be positive")
+        # the sort key is read for every candidate row, so it is built once
+        dim = self.b * self.e * self.L_group.order * self.J_group.order * self.K_group.order
+        object.__setattr__(self, "_key", (
+            dim, self.b, self.e, self.L_group.invariant_factors,
+            self.J_group.invariant_factors, self.K_group.invariant_factors))
 
     @property
     def ambient_dim(self) -> int:
-        return self.b * self.e * self.L_group.order * self.J_group.order * self.K_group.order
+        return self._key[0]
 
     def swapped(self) -> "SingleOrbitIngredients":
         """The mirror-image ingredient tuple describing the pair in the
@@ -358,14 +365,7 @@ class SingleOrbitIngredients:
         return SingleOrbitIngredients(self.e, self.b, self.L_group, self.K_group, self.J_group)
 
     def sort_key(self):
-        return (
-            self.ambient_dim,
-            self.b,
-            self.e,
-            self.L_group.invariant_factors,
-            self.J_group.invariant_factors,
-            self.K_group.invariant_factors,
-        )
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -666,12 +666,30 @@ def pairing_coset_matrix(g: GroupSpec, h: GroupSpec) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
+def pairing_identification(L: FinAbGroup, J: FinAbGroup, K: FinAbGroup):
+    """(g, h, coset_of_char) for the single-orbit pair (1, 1, L, J, K): the
+    pair and its pairing_coset_matrix as a tuple of rows.
+
+    The matrix serves every b and e.  The generators of the pair (b, e, L,
+    J, K) are I_b (x) I_e (x) X, with X the generators at b = e = 1, and the
+    commutator scalar of I (x) X and I (x) Y is that of X and Y, so the
+    pairing characters, and the matrix read off them, do not depend on b
+    and e.  Built once per (L, J, K)."""
+    g, h = single_orbit_pair(SingleOrbitIngredients(1, 1, L, J, K))
+    return g, h, tuple(tuple(row) for row in pairing_coset_matrix(g, h))
+
+
+@lru_cache(maxsize=None)
 def summand_pair(ing: SingleOrbitIngredients):
     """(g, h, coset_of_char) for one ingredient tuple: single_orbit_pair(ing)
-    and its pairing_coset_matrix as a tuple of rows.  Built once per tuple
-    and shared by every gluing and mirrored row that uses it."""
-    g, h = single_orbit_pair(ing)
-    return g, h, tuple(tuple(row) for row in pairing_coset_matrix(g, h))
+    and the pairing identification of its (L, J, K), read at b = e = 1 (see
+    pairing_identification).  Built once per tuple and shared by every
+    gluing that uses it; a tuple with b = e = 1 is the identification's own
+    pair."""
+    g, h, coset_of_char = pairing_identification(ing.L_group, ing.J_group, ing.K_group)
+    if (ing.b, ing.e) != (1, 1):
+        g, h = single_orbit_pair(ing)
+    return g, h, coset_of_char
 
 
 def monomial_direct_sum(monos) -> Monomial:
@@ -700,7 +718,8 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
     its gluing map; the dual maps are derived from the duality transport
     and the compatibility of all the commutator pairings is checked before
     assembling block-diagonal generators.  Each summand's pair and pairing
-    identification come from summand_pair, built once per ingredient tuple.
+    identification come from summand_pair: the pair is built once per
+    ingredient tuple and the identification once per (L, J, K).
     """
     gamma = spec.gamma
     deltas = list(gamma.characters())

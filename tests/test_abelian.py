@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from projpair import abelian
@@ -223,6 +223,41 @@ def _oracle_direct_product(groups):
     return product, embeds
 
 
+def _oracle_split_table(groups):
+    """Every element of the product, from the oracle's embedding columns,
+    mapped to the tuple of per-factor elements it combines."""
+    product, embeds = _oracle_direct_product(groups)
+    table = {}
+    for combo in itertools.product(*(g.elements() for g in groups)):
+        coords = [sum(emb[i][j] * c for emb, x in zip(embeds, combo)
+                      for j, c in enumerate(x.coords)) % d
+                  for i, d in enumerate(product.invariant_factors)]
+        table[tuple(coords)] = combo
+    assert len(table) == product.order
+    return product, table
+
+
+_SPLIT_GROUPS = [FinAbGroup(fs) for fs in
+                 [(2,), (3,), (4,), (6,), (12,), (2, 2), (2, 4), (2, 6), (3, 3)]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(_SPLIT_GROUPS), min_size=1, max_size=4)
+       .filter(lambda gs: math.prod(g.order for g in gs) <= 576))
+@example([FinAbGroup((2,)), FinAbGroup((6,)), FinAbGroup((4,))])
+@example([FinAbGroup((12,)), FinAbGroup((2,)), FinAbGroup((3,))])
+def test_product_split_matches_full_table(groups):
+    """split reads each factor's p-part off its primary slot by the inverse
+    of the slot's cofactor, not by dividing by it, since one slot holds the
+    parts of several factors; it agrees with a table of every element."""
+    product, combine, split = product_embedding(groups)
+    oracle_product, table = _oracle_split_table(groups)
+    assert product == oracle_product
+    for coords, parts in table.items():
+        assert split(product.element(coords)) == parts
+        assert combine(parts).coords == coords
+
+
 def test_direct_product_matches_oracle():
     """Ordered pairs over every group of order <= 32 and triples over every
     group of order <= 12 (7,938 products), trivial group included."""
@@ -401,6 +436,43 @@ def test_transport_refuses_a_non_integral_inverse(monkeypatch):
     monkeypatch.setattr(abelian, "invert_isomorphism", lambda q, s, t: [[1, 0], [1, 1]])
     with pytest.raises(NotIsomorphism, match="character lattice"):
         dual_isomorphism_transport([[1, 0], [0, 1]], g, g)
+
+
+def test_inverse_memo_hands_out_fresh_lists():
+    """Mutating what invert_isomorphism or dual_isomorphism_transport
+    returns, or the matrix passed in, leaves the next call's answer as it
+    was."""
+    g = FinAbGroup((2, 4))
+    q = [[1, 0], [2, 1]]
+    p = invert_isomorphism(q, g, g)
+    u = dual_isomorphism_transport(q, g, g)
+    want_p, want_u = [list(r) for r in p], [list(r) for r in u]
+    assert want_p == _oracle_invert(q, g, g) and want_u == _oracle_transport(q, g, g)
+    p[0][0] += 1
+    p.append([7, 7])
+    u[1][0] += 3
+    q[1][0] = 0
+    assert invert_isomorphism([[1, 0], [2, 1]], g, g) == want_p
+    assert dual_isomorphism_transport([[1, 0], [2, 1]], g, g) == want_u
+    assert invert_isomorphism(q, g, g) == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("fs", [(2, 2), (4,), (2, 4), (2, 2, 2), (6,), (2, 6), (3, 3)])
+def test_automorphisms_keep_the_smith_inverse(fs):
+    """The inverse that automorphisms keeps for each automorphism is the
+    one _smith_inverse computes, and invert_isomorphism reads it without a
+    second Smith form."""
+    group = FinAbGroup(fs)
+    automorphisms.cache_clear()
+    abelian._INVERSES.clear()
+    autos = automorphisms(group)
+    kept = dict(abelian._INVERSES)
+    assert len(kept) == len(autos)
+    for a in autos:
+        want = [list(r) for r in abelian._smith_inverse(a, group, group)]
+        assert [list(r) for r in kept[(a, fs, fs)]] == want
+        assert invert_isomorphism(a, group, group) == want
+    assert abelian._INVERSES == kept
 
 
 def test_automorphism_counts():

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projpair import abelian, classify, construct
 from projpair.abelian import (
     FinAbGroup,
     enumerate_abelian_groups,
@@ -173,13 +175,14 @@ def _oracle_canonical_gluing(summand_keys, qs, gamma):
         if i == r or summand_keys[i] != summand_keys[start]:
             blocks.append(list(range(start, i)))
             start = i
+    fs = gamma.invariant_factors
     best = None
     for combo in itertools.product(*[list(itertools.permutations(b)) for b in blocks]):
         permuted = [qs[p] for block in combo for p in block]
         pin = _aut_inverse(permuted[0], gamma)
-        pinned = [_mat_mod(q, pin, gamma) for q in permuted]
+        pinned = [_mat_mod(q, pin, fs) for q in permuted]
         alpha = _aut_inverse(pinned[1], gamma)
-        cand = tuple([pinned[0]] + [_mat_mod(alpha, q, gamma) for q in pinned[1:]])
+        cand = tuple([pinned[0]] + [_mat_mod(alpha, q, fs) for q in pinned[1:]])
         if best is None or cand < best:
             best = cand
     return best
@@ -203,3 +206,33 @@ def test_canonical_gluing_matches_oracle(gamma, r, data):
         qs.append(tuple(tuple(x + rng.randrange(3) * d for x in row)
                         for row, d in zip(q, gamma.invariant_factors)))
     assert _canonical_gluing(keys, qs, gamma) == _oracle_canonical_gluing(keys, qs, gamma)
+
+
+def test_enumeration_shares_its_integer_work(monkeypatch):
+    """Count guard on the shared work of the enumeration, from cold caches:
+    one single-orbit pair is built per distinct (L, J, K), whatever b and e
+    the summands carry, and one Smith-form inverse runs per distinct
+    (matrix, source, target)."""
+    construct.pairing_identification.cache_clear()
+    construct.summand_pair.cache_clear()
+    classify._PHI_INV_CACHE.clear()
+    classify._mat_mod.cache_clear()
+    abelian.automorphisms.cache_clear()
+    abelian._INVERSES.clear()
+    builds, smiths = Counter(), Counter()
+    real_build, real_smith = construct.single_orbit_pair, abelian._smith_inverse
+
+    def counting_build(ing):
+        builds[ing.L_group, ing.J_group, ing.K_group] += 1
+        return real_build(ing)
+
+    def counting_smith(q, source, target):
+        smiths[tuple(map(tuple, q)), source, target] += 1
+        return real_smith(q, source, target)
+
+    monkeypatch.setattr(construct, "single_orbit_pair", counting_build)
+    monkeypatch.setattr(abelian, "_smith_inverse", counting_smith)
+    rows = enumerate_multi_orbit(9, 3) + enumerate_multi_orbit(10, 3)
+    assert len(rows) == 68 + 137
+    assert len(builds) > 10 and max(builds.values()) == 1
+    assert len(smiths) > 10 and max(smiths.values()) == 1

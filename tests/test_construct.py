@@ -11,6 +11,7 @@ from projpair.abelian import (
     transport_character,
 )
 from projpair import construct, serialize
+from projpair.classify import enumerate_single_orbit
 from projpair.construct import (
     Ambient,
     Block,
@@ -328,6 +329,38 @@ def test_degenerate_pairing_raises_incompatible_gluing():
     assert pairing_coset_matrix(g, g) == [[0, 1], [1, 0]]
     with pytest.raises(IncompatibleGluing, match="degenerate"):
         pairing_coset_matrix(g, flat)
+
+
+def _pairing_outcome(g, h):
+    try:
+        return pairing_coset_matrix(g, h)
+    except IncompatibleGluing:
+        return IncompatibleGluing
+
+
+def test_pairing_identification_does_not_depend_on_b_and_e():
+    """The generators of the pair (b, e, L, J, K) are I_b (x) I_e (x) X, so
+    the identification read once at b = e = 1 serves every b and e.  For
+    each tuple with n <= 16 and b e > 1, the full pair's pairing matrix
+    equals the (1, 1, L, J, K) one, and a degenerate pairing (a side paired
+    with itself, when J or K is nontrivial) raises IncompatibleGluing at
+    both."""
+    checked = degenerate = 0
+    for n in range(1, 17):
+        for row in enumerate_single_orbit(n):
+            ing = row.single
+            if ing.b * ing.e == 1:
+                continue
+            g, h = single_orbit_pair(ing)
+            g1, h1, coset_of_char = construct.pairing_identification(
+                ing.L_group, ing.J_group, ing.K_group)
+            assert pairing_coset_matrix(g, h) == [list(r) for r in coset_of_char], ing
+            outcome = _pairing_outcome(g, g)
+            assert outcome == _pairing_outcome(g1, g1), ing
+            degenerate += outcome is IncompatibleGluing
+            checked += 1
+    assert checked == 276
+    assert 0 < degenerate < checked
 
 
 def test_glue_blocks_are_block_diagonal():
