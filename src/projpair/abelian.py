@@ -776,11 +776,16 @@ def smith_normal_form(mat: list[list[int]]):
 
 
 def subgroup_from_elements(moduli: list[int], elements):
-    """Identify a subgroup of prod Z/moduli given by an explicit element list.
+    """Identify the subgroup of prod Z/moduli generated by a list of
+    elements: any generating list works, the whole subgroup or a few
+    generators.
 
     Returns (group, to_canonical) where group is the canonical form of the
-    subgroup and to_canonical maps an ambient coordinate tuple (which must
-    lie in the subgroup) to canonical coordinates.
+    subgroup and to_canonical, an isomorphism onto group, maps an ambient
+    coordinate tuple (which must lie in the subgroup) to canonical
+    coordinates.  The group does not depend on the list, but the labels
+    can: with moduli [12, 2], (1, 0) is labelled (1, 1) from the
+    generators (1, 1), (11, 0) and (0, 1) from the subgroup's element list.
     """
     elements = [tuple(e) for e in elements]
     r = len(moduli)

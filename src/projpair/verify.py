@@ -33,8 +33,9 @@ pairing table are integer pairs (order, exponent) throughout.
 Work is done on generators where the group structure allows it.  The
 surviving scalar tuples form a subgroup, so compute_centralizer solves
 only tuples that neither a known subgroup of survivors nor the tuples
-already known to fail decide, and gives each derived coset a product of
-witnesses.  Once both comparisons pass, the pairing is a bicharacter,
+already known to fail decide, gives each derived coset a product of
+witnesses, and names the component group from the solved survivors,
+which generate it.  Once both comparisons pass, the pairing is a bicharacter,
 so verify_dual_pair expands its table from the commutators of the
 generating cosets.  Everything runs in one process.  Both
 directions of the comparison and specs_equal are one subgroup test,
@@ -466,6 +467,12 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     of t + S0, since S0 lies in S.  The zero tuple is the identity
     component, solved once on its own.
 
+    The component group and its coset labels come from
+    subgroup_from_elements on the solved survivors alone.  Each of them
+    grows S0 when it is solved, so they generate S, and there are at most
+    log2 |S| of them; the order of the group they name is still checked
+    against the number of known tuples.
+
     The identity component's trace form is checked by the returned
     spec's algebra, so its basis is scanned once.
 
@@ -485,6 +492,8 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
 
     zero = tuple(0 for _ in moduli)
     known = {zero: Monomial.identity(n)}
+    # the solved survivors: each one grows known, so they generate it
+    survivors = []
     dead = set()
     for t in itertools.product(*(range(m) for m in moduli)):
         if t in known or t in dead:
@@ -495,6 +504,7 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
         if w is None:
             dead.update(add(t, s) for s in known)
             continue
+        survivors.append(t)
         old = list(known.items())
         shifts = []
         step, power = t, w
@@ -511,7 +521,7 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     if not identity_basis:
         raise IdentityComponentNotSemisimpleBlocks("untwisted commutant is empty")
 
-    comp_group, to_canonical = subgroup_from_elements(moduli, list(known))
+    comp_group, to_canonical = subgroup_from_elements(moduli, survivors)
     if comp_group.order != len(known):
         raise AssertionError("surviving scalar tuples do not form a group")
     generators = {to_canonical(exps): _normalize_projective(w) for exps, w in known.items()}
@@ -541,13 +551,11 @@ class PairingTable:
     values: tuple[tuple[tuple[int, int], ...], ...]
 
     def is_nondegenerate(self) -> bool:
-        rows = set(self.values)
-        if len(rows) != len(self.values):
+        """No two rows are equal and no two columns are."""
+        if len(set(self.values)) != len(self.values):
             return False
-        cols = set()
-        for j in range(len(self.values[0])):
-            cols.add(tuple(self.values[i][j] for i in range(len(self.values))))
-        return len(cols) == len(self.values[0])
+        cols = list(zip(*self.values))
+        return len(set(cols)) == len(cols)
 
     def is_bicharacter(self) -> bool:
         gamma_elems = list(self.gamma.elements())
@@ -578,8 +586,19 @@ class PairingTable:
         return {
             "gamma": {"invariant_factors": list(self.gamma.invariant_factors)},
             "delta": {"invariant_factors": list(self.delta.invariant_factors)},
-            "values": [[list(v) for v in row] for row in self.values],
+            # json writes the (order, exponent) tuples as arrays
+            "values": self.values,
         }
+
+
+def _mixed_radix_sums(xs, factors, order: int) -> list[int]:
+    """sum_i c_i xs[i] mod order for every c in itertools.product order
+    over range(factors[i]): one added step per coordinate."""
+    sums = [0]
+    for x, d in zip(xs, factors):
+        steps = [k * x % order for k in range(d)]
+        sums = [(s + step) % order for s in sums for step in steps]
+    return sums
 
 
 def pairing_table(g: GroupSpec, h: GroupSpec, *, from_generators: bool = False) -> PairingTable:
@@ -593,7 +612,12 @@ def pairing_table(g: GroupSpec, h: GroupSpec, *, from_generators: bool = False) 
 
     from_generators=True takes commutators on the generating cosets only,
     as exponents T_ij over N, the lcm of their orders, and expands coset
-    pair (c, c') as lowest_terms(N, sum c_i c'_j T_ij).  That is the same
+    pair (c, c') as lowest_terms(N, sum c_i c'_j T_ij).  No entry takes a
+    sum of its own.  For each generating coset j of h, the exponents
+    sum_i c_i T_ij of all cosets c of g are built in GroupSpec.cosets()
+    order, one added multiple of T_ij per coordinate step; each row's
+    values are built the same way over h's coordinates and read through
+    a table of lowest terms.  That is the same
     table only when the pairing is a bicharacter on the coset labels:
     verify_dual_pair asks for it once both comparisons have passed, and
     says why that suffices.
@@ -604,14 +628,15 @@ def pairing_table(g: GroupSpec, h: GroupSpec, *, from_generators: bool = False) 
         order = math.lcm(*(d for row in gen_rows for d, _ in row))
         expo = [[k * (order // d) for d, k in row] for row in gen_rows]
         reduced = [lowest_terms(order, k) for k in range(order)]
-        h_cosets = h.cosets()
+        h_factors = h.component_group.invariant_factors
+        # column j: every coset of g against the j-th generating coset of h
+        columns = [_mixed_radix_sums([row[j] for row in expo],
+                                     g.component_group.invariant_factors, order)
+                   for j in range(len(h_factors))]
         rows = []
-        for c in g.cosets():
-            # coset c's exponent against each generating coset of h
-            against = [sum(ci * row[j] for ci, row in zip(c, expo))
-                       for j in range(h.component_group.rank)]
-            rows.append(tuple([reduced[sum(a * b for a, b in zip(against, c2)) % order]
-                               for c2 in h_cosets]))
+        for i in range(g.component_count()):
+            values = _mixed_radix_sums([col[i] for col in columns], h_factors, order)
+            rows.append(tuple([reduced[v] for v in values]))
         return PairingTable(g.component_group, h.component_group, tuple(rows))
     h_ops = [h.operator(c) for c in h.cosets()]
     rows = []

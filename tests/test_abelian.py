@@ -589,24 +589,60 @@ def test_subgroup_from_elements():
     assert g3.is_trivial()
 
 
+def _closure(moduli, gens):
+    """Every element of prod Z/moduli that is a sum of the gens."""
+    elems = {tuple(0 for _ in moduli)}
+    frontier = list(elems)
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple((a + b) % d for a, b, d in zip(cur, g, moduli))
+            if nxt not in elems:
+                elems.add(nxt)
+                frontier.append(nxt)
+    return elems
+
+
+@st.composite
+def _generated_subgroups(draw):
+    moduli = draw(st.lists(st.integers(1, 12), max_size=3)
+                  .filter(lambda ms: math.prod(ms) <= 288))
+    gens = draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in moduli)), max_size=4))
+    return moduli, gens
+
+
+@settings(max_examples=120, deadline=None)
+@given(_generated_subgroups())
+@example(([12, 2], [(1, 1), (11, 0)]))
+def test_subgroup_from_generators_matches_the_element_list(case):
+    """Generators and their closure name the same subgroup, and each
+    to_canonical is an isomorphism onto it.  The labels may differ: in the
+    example, (1, 0) is labelled (0, 1) from the element list and (1, 1)
+    from the generators."""
+    moduli, gens = case
+    elems = _closure(moduli, gens)
+    from_gens = subgroup_from_elements(moduli, gens)
+    from_elems = subgroup_from_elements(moduli, sorted(elems))
+    assert from_gens[0].invariant_factors == from_elems[0].invariant_factors
+    for group, conv in (from_gens, from_elems):
+        assert {conv(x) for x in elems} == {x.coords for x in group.elements()}
+        assert group.order == len(elems)
+        factors = group.invariant_factors
+        for x in elems:
+            for g in gens:
+                s = tuple((a + b) % d for a, b, d in zip(x, g, moduli))
+                assert conv(s) == tuple(
+                    (a + b) % d for a, b, d in zip(conv(x), conv(g), factors))
+
+
 def test_subgroup_map_is_homomorphism():
     rng = random.Random(13)
     for _ in range(10):
         moduli = rng.choice([[4, 4], [2, 6], [8], [2, 2, 2]])
         ambient = FinAbGroup.from_factors(moduli)
         # random subgroup: generated by two random elements
-        import itertools
-
         gens = [tuple(rng.randrange(d) for d in moduli) for _ in range(2)]
-        elems = {tuple(0 for _ in moduli)}
-        frontier = list(elems)
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = tuple((a + b) % d for a, b, d in zip(cur, g, moduli))
-                if nxt not in elems:
-                    elems.add(nxt)
-                    frontier.append(nxt)
+        elems = _closure(moduli, gens)
         group, conv = subgroup_from_elements(moduli, sorted(elems))
         assert group.order == len(elems)
         assert len({conv(e) for e in elems}) == len(elems)

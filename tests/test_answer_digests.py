@@ -8,7 +8,9 @@ before re-recording it.  The calls are cut to stay under a second or so;
 n = 12, (10, 3) and (8, 4) the three- and four-part canonical gluings.
 The two glue files cover an L summand alone and next to a J/K summand
 glued through a non-identity map.  The verify report and the pairing
-table are pinned on the `construct --L 4` pair and the README glue pair.
+table are pinned on the `construct --L 4` pair and the README glue pair,
+and the verify report also on the 144-component pairs of `construct
+--L 12` and `--L 2,6`, whose tables verify expands from generators.
 The three construct digests were re-recorded when pair files began to
 write unit-monomial generators as monomial items; the dense file of
 `construct --L 4` they replaced is kept as tests/data/pair_L4_dense.json.
@@ -93,6 +95,10 @@ PAIR_DIGESTS = [
      "e067a6bac42783892351eb10dca225e87a07c4b9c93fb73a1d3273fc54e94774"),
     (["--glue", "{glue}"], ["pairing", "--format", "json"],
      "adb52d6696a54558a6a1a43ef9c1f65076df2c7f1092e587730fedea16061d29"),
+    (["--L", "12"], ["verify", "--format", "json"],
+     "e151225bba687d4f07d0006a61b092889aa6a41b85762808f0070a16bdeae715"),
+    (["--L", "2,6"], ["verify", "--format", "json"],
+     "71cdaf02b022b100545bee10e19a9c3ff16bce654ace4216bfc0f6e370eabb69"),
 ]
 
 

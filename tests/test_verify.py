@@ -1068,6 +1068,70 @@ def test_z12_pair_verifies_on_generators(monkeypatch):
     assert len(commutators) <= 300
 
 
+def test_centralizer_labels_components_from_its_solved_survivors(monkeypatch):
+    """compute_centralizer names its component group from the tuples it
+    solved that survived, each of which grew the known subgroup, not from
+    all 144 surviving tuples: on both sides of the Z12 pair the list is no
+    longer than the number of solves."""
+    g, h = xx_hat_pair(FinAbGroup.cyclic(12))
+    solves = _counting(monkeypatch, CommutantEngine, "solve")
+    lists = []
+
+    def recorded(moduli, elements):
+        lists.append(list(elements))
+        return subgroup_from_elements(moduli, elements)
+
+    monkeypatch.setattr(verify, "subgroup_from_elements", recorded)
+    for side in (g, h):
+        solves.clear()
+        lists.clear()
+        assert compute_centralizer(side).component_count() == 144
+        assert len(lists) == 1
+        assert len(lists[0]) <= len(solves)
+
+
+@pytest.mark.parametrize("factors", [(2, 6), (3, 3), (2, 4)])
+def test_generator_table_expands_in_coset_order(factors):
+    """The table expanded from the generating cosets equals the full one
+    on translation-character pairs with unequal invariant factors and
+    rank 4, so its mixed-radix order is GroupSpec.cosets() order."""
+    g, h = xx_hat_pair(FinAbGroup(factors))
+    assert pairing_table(g, h, from_generators=True) == pairing_table(g, h)
+    assert pairing_table(h, g, from_generators=True) == pairing_table(h, g)
+
+
+def _nondegenerate_oracle(values):
+    """Every two rows differ in some entry, and so do every two columns."""
+    rows, cols = len(values), len(values[0])
+    return (all(any(values[i][k] != values[j][k] for k in range(cols))
+                for i in range(rows) for j in range(i))
+            and all(any(values[k][i] != values[k][j] for k in range(rows))
+                    for i in range(cols) for j in range(i)))
+
+
+# distinct rows, but the last two columns are equal
+_EQUAL_COLUMNS = (((1, 0), (2, 1), (2, 1)),
+                  ((2, 1), (1, 0), (1, 0)),
+                  ((1, 0), (1, 0), (1, 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda rows: st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(st.sampled_from([(1, 0), (2, 1), (3, 1)]),
+                                   min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))),
+       st.booleans())
+@example([list(row) for row in _EQUAL_COLUMNS], False)
+@example([list(row) for row in _EQUAL_COLUMNS], True)
+def test_is_nondegenerate_matches_elementwise_oracle(values, transpose):
+    values = tuple(tuple(row) for row in values)
+    if transpose:
+        values = tuple(zip(*values))
+    table = PairingTable(FinAbGroup.cyclic(len(values)),
+                         FinAbGroup.cyclic(len(values[0])), values)
+    assert table.is_nondegenerate() == _nondegenerate_oracle(values)
+
+
 def _conjugated_klein(shear):
     """The translation-character group of Z2 conjugated by a 2 x 2 shear:
     every non-identity coset generator is dense and not monomial."""
