@@ -4,10 +4,10 @@ A GroupSpec pins down a reductive subgroup of GL(U) up to scalars: the
 ambient space (a direct sum of labeled tensor products), the identity
 component (a product of GL blocks, each given by an explicit index grid,
 or a raw spanning set for computed centralizers), a finite abelian
-component group, and one generator per component, a Monomial or a
+component group, and one generator per generating coset, a Monomial or a
 CycMatrix.  The constructions here hand each spec a per-coset builder,
-so a coset's generator is built only when something reads it; every
-builder but the single-orbit one returns the Monomial it made.
+read only for the generating cosets and only when something reads them;
+every builder but the single-orbit one returns the Monomial it made.
 
 The canonical generator section multiplies per-factor operators with
 translations before characters, slots in shape order, so every spec is
@@ -65,11 +65,11 @@ class Block:
     def __post_init__(self):
         grid = tuple(tuple(int(i) for i in row) for row in self.grid)
         object.__setattr__(self, "grid", grid)
-        if len(grid) != self.dim:
-            raise ValueError("grid must have one row per block dimension")
-        width = len(grid[0]) if grid else 0
-        if any(len(row) != width for row in grid):
-            raise ValueError("ragged block grid")
+        if self.dim < 1 or len(grid) != self.dim:
+            raise ValueError("grid must have one row per block dimension, at least one")
+        width = len(grid[0])
+        if not width or any(len(row) != width for row in grid):
+            raise ValueError("block grid rows must be nonempty and of one width")
 
     @property
     def mult(self) -> int:
@@ -158,30 +158,33 @@ def _check_shape(op, n: int):
 
 
 class GroupSpec:
-    """A reductive subgroup of GL(U) up to scalars, with explicit generators.
+    """A reductive subgroup of GL(U) up to scalars: its identity component
+    and one generator per generating coset (a unit coordinate vector).
 
     generators is either a dict from coset coordinates to generators, each
-    a CycMatrix or a Monomial (decoded and computed specs; a computed
-    centralizer stores its unit-monomial witnesses as Monomials), or a
-    picklable function from a coset's coordinates to its generator, in
-    either form (the constructions, for example a module-level function
-    bound with functools.partial).  A dict must hold one generator of the
-    right shape per coset of the component group.  The identity component
-    is given by blocks or by a raw algebra basis of one n x n matrix or
-    more, never both, since the two could describe different algebras.
+    a CycMatrix or a Monomial (decoded and computed specs), or a picklable
+    function from a coset's coordinates to its generator, in either form
+    (the constructions, for example a module-level function bound with
+    functools.partial).  Only the identity and the generating cosets are
+    read from it.  A dict must hold those; any other coset it holds, as old
+    pair files do, must be an invertible operator in the coset of its word,
+    is checked once here and is then dropped.  The identity component is
+    given by blocks or by a raw algebra basis of one n x n matrix or more,
+    never both, since the two could describe different algebras.
 
-    operator(coords) is the one way to read a coset.  Its first read builds
-    the generator (a dict hands each one over once), checks its shape,
-    scans a CycMatrix into a Monomial when it is one and caches that single
-    form, so callers that read only the generating cosets, as the
-    enumeration does, build no others.  The identity coset is checked here
-    and stored as Monomial.identity(n).  cosets() lists the coordinates in
-    the component group's element order.
+    operator(coords) is the one way to read a coset.  A generating coset's
+    first read builds its generator (a dict hands each one over once) and
+    checks its shape; any other coset is its word, the word of the coset
+    one step lower in its last nonzero coordinate times that coordinate's
+    generator, so the cosets form a group by construction.  Either is
+    scanned into a Monomial when it is one and cached in that single form.
+    The identity coset is checked here and stored as Monomial.identity(n).
+    cosets() lists the coordinates in the component group's element order.
 
     algebra() is the identity-component algebra, a matrep.Algebra whose
     basis a block spec builds on first use, with dimension sum d^2.
     coset_contains(coords, op) tests op against one coset, through the
-    coset generator's inverse, built once per coset.
+    coset operator's inverse, built once per coset.
     """
 
     def __init__(self, ambient, blocks, component_group, generators, algebra_basis=None):
@@ -203,19 +206,28 @@ class GroupSpec:
         self._cosets = tuple(itertools.product(
             *(range(d) for d in component_group.invariant_factors)))
         self._index = frozenset(self._cosets)
+        self._gens = tuple(self.generating_cosets())
         ident = self._cosets[0]
         if callable(generators):
-            self._build = generators
+            self._build, extra = generators, {}
         else:
             given = dict(generators)
-            if set(given) != self._index:
-                raise ValueError("need one generator per coset of the component group")
+            if not {ident, *self._gens} <= set(given) <= self._index:
+                raise ValueError("need a generator for the identity and each generating "
+                                 "coset, and none outside the component group")
             for op in given.values():
                 _check_shape(op, n)
-            self._build = given.pop
+            self._build = {c: given.pop(c) for c in (ident, *self._gens)}.pop
+            extra = given
         if not _check_shape(self._build(ident), n).is_identity():
             raise ValueError("identity-coset generator must be the identity matrix")
         self._operators = {ident: Monomial.identity(n)}
+        for coords, op in extra.items():
+            if not self.coset_contains(coords, op):
+                raise ValueError(
+                    f"generator at {coords} is not its word in the generating cosets")
+            if isinstance(op, CycMatrix) and op.rank() < n:
+                raise ValueError(f"generator at {coords} is singular")
 
     # -- identity component ------------------------------------------------
 
@@ -235,32 +247,48 @@ class GroupSpec:
         return self._cosets
 
     def operator(self, coords):
-        """The generator of a coset: a Monomial when it is one, else the
-        dense CycMatrix itself, built and cached on first read."""
+        """The generator or word of a coset, built and cached on first read."""
         coords = tuple(coords)
         op = self._operators.get(coords)
+        if op is not None:
+            return op
+        if coords not in self._index:
+            raise KeyError(coords)
+        # lower the last nonzero coordinate down to a built or generating coset
+        steps = []
+        while coords not in self._operators and coords not in self._gens:
+            a = max(i for i, c in enumerate(coords) if c)
+            steps.append((coords, a))
+            coords = coords[:a] + (coords[a] - 1,) + coords[a + 1:]
+        op = self._operators.get(coords)
         if op is None:
-            if coords not in self._index:
-                raise KeyError(coords)
-            op = _check_shape(self._build(coords), self.ambient.dim)
-            if isinstance(op, CycMatrix):
-                op = Monomial.from_matrix(op) or op
-            self._operators[coords] = op
-            if len(self._operators) == len(self._cosets):
-                # every coset is built: let go of whatever the builder holds
+            op = self._store(coords, _check_shape(self._build(coords), self.ambient.dim))
+            if all(c in self._operators for c in self._gens):
+                # every generator is built: let go of whatever the builder holds
                 self._build = None
+        for coords, a in reversed(steps):
+            op = self._store(coords, op @ self.operator(self._gens[a]))
+        return op
+
+    def _store(self, coords, op):
+        if isinstance(op, CycMatrix):
+            op = Monomial.from_matrix(op) or op
+        self._operators[coords] = op
         return op
 
     def _inverse(self, coords):
         inv = self._inverses.get(coords)
         if inv is None:
-            inv = self._inverses[coords] = self.operator(coords).inverse()
+            try:
+                inv = self._inverses[coords] = self.operator(coords).inverse()
+            except SingularMatrix:
+                raise ValueError(f"generator at {coords} is singular") from None
         return inv
 
     def coset_contains(self, coords, op) -> bool:
         """Does the coset at coords hold the operator op, that is, is op in
         operator(coords) times the identity-component algebra?  The coset's
-        generator is inverted once per spec, a Monomial pair multiplies in
+        operator is inverted once per spec, a Monomial pair multiplies in
         integers, and the algebra tests the product."""
         return self._algebra.contains(self._inverse(coords) @ op)
 
@@ -272,13 +300,10 @@ class GroupSpec:
 
     def validate(self, deep: bool = False) -> None:
         """Check the structural invariants: the block grids partition the
-        basis indices, the algebra holds the identity, every generator is
-        invertible, each generating coset's generator raised to its
-        invariant factor lies in the algebra, and each coset holds its word
-        in the generating cosets.  The word of a coset is the word of the
-        coset one step lower in its last nonzero coordinate, times that
-        coordinate's generator.  deep also checks normalization of the
-        identity component and the extension closure of generators."""
+        basis indices, the algebra holds the identity, and each generator is
+        invertible, with its power by its invariant factor in the algebra.
+        deep also checks that the generators normalize the identity
+        component and commute modulo it, so the words close up."""
         n = self.ambient.dim
         if self.blocks is not None:
             indices = sorted(i for b in self.blocks for i in b.indices())
@@ -287,39 +312,22 @@ class GroupSpec:
         algebra = self._algebra
         if not algebra.contains(Monomial.identity(n)):
             raise ValueError("the identity-component algebra does not hold the identity")
-        for coords in self._cosets:
-            try:
-                self._inverse(coords)
-            except SingularMatrix:
-                raise ValueError(f"generator at {coords} is singular") from None
-        gens = self.generating_cosets()
-        for coords, d in zip(gens, self.component_group.invariant_factors):
+        for coords, d in zip(self._gens, self.component_group.invariant_factors):
+            self._inverse(coords)
             if not algebra.contains(self.operator(coords) ** d):
                 raise ValueError(
                     f"generator at {coords} to the power {d} leaves the identity component")
-        ident = self._cosets[0]
-        words = {}
-        for coords in self._cosets[1:]:
-            a = max(i for i, c in enumerate(coords) if c)
-            prev = coords[:a] + (coords[a] - 1,) + coords[a + 1:]
-            if prev == ident:
-                words[coords] = self.operator(coords)
-                continue
-            words[coords] = words[prev] @ self.operator(gens[a])
-            if not self.coset_contains(coords, words[coords]):
-                raise ValueError(
-                    f"generator at {coords} is not its word in the generating cosets")
         if not deep:
             return
-        for coords in self._cosets:
+        for coords in self._gens:
             op, inv = self.operator(coords), self._inverse(coords)
             if not all(algebra.contains(op @ b @ inv) for b in algebra.basis):
                 raise ValueError(f"generator at {coords} does not normalize the blocks")
-        group = self.component_group
-        for a in self._cosets:
-            for b in self._cosets:
-                s = (group.element(a) + group.element(b)).coords
-                if not self.coset_contains(s, self.operator(a) @ self.operator(b)):
+        for b, y in enumerate(self._gens):
+            for x in self._gens[:b]:
+                # the word of x + y is x y; y x must lie in its coset
+                s = tuple(i + j for i, j in zip(x, y))
+                if not self.coset_contains(s, self.operator(y) @ self.operator(x)):
                     raise ValueError("generator products leave the extension")
 
     def __repr__(self):
@@ -398,10 +406,6 @@ class MultiOrbitSpec:
 # ---------------------------------------------------------------------------
 
 
-def _trivial_generators(n: int):
-    return {(): CycMatrix.identity(n)}
-
-
 def connected_pair(decomposition) -> tuple[GroupSpec, GroupSpec]:
     """The product-of-GL pair attached to a decomposition U = sum V_i (x) W_i."""
     decomposition = [(int(v), int(w)) for v, w in decomposition]
@@ -421,10 +425,9 @@ def connected_pair(decomposition) -> tuple[GroupSpec, GroupSpec]:
         h_blocks.append(
             Block(w, tuple(tuple(off + r * w + c for r in range(v)) for c in range(w)))
         )
-    n = ambient.dim
     trivial = FinAbGroup.trivial()
-    g = GroupSpec(ambient, g_blocks, trivial, _trivial_generators(n))
-    h = GroupSpec(ambient, h_blocks, trivial, _trivial_generators(n))
+    g = GroupSpec(ambient, g_blocks, trivial, {(): Monomial.identity(ambient.dim)})
+    h = GroupSpec(ambient, h_blocks, trivial, {(): Monomial.identity(ambient.dim)})
     return g, h
 
 
@@ -716,13 +719,15 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
 
     Each summand's component group is identified with the shared group via
     its gluing map; the dual maps are derived from the duality transport
-    and the compatibility of all the commutator pairings is checked before
-    assembling block-diagonal generators.  Each summand's pair and pairing
-    identification come from summand_pair: the pair is built once per
-    ingredient tuple and the identification once per (L, J, K).
+    and the compatibility of the commutator pairings is checked on the
+    generating cosets before assembling block-diagonal generators.  Each
+    summand's pair and pairing identification come from summand_pair: the
+    pair is built once per ingredient tuple and the identification once
+    per (L, J, K).
     """
     gamma = spec.gamma
-    deltas = list(gamma.characters())
+    # the glued specs read only these cosets, the identity and the generating ones
+    stored = [x.coords for x in (gamma.identity(), *gamma.generators())]
     sides = []
     for ing, q in spec.summands:
         g_i, h_i, coset_of_char = summand_pair(ing)
@@ -732,29 +737,27 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
             u = dual_isomorphism_transport(q, gamma, gamma_i)
         except NotIsomorphism as err:
             raise NotIsomorphism(f"gluing map is not an isomorphism onto {gamma_i}") from err
-        # the summand's coset under each coset of the shared group and of its dual
-        g_coset = {x.coords: apply_matrix(q, x.coords, gamma_i).coords
-                   for x in gamma.elements()}
+        # the summand's coset under each stored coset of the shared group and of its dual
+        g_coset = {c: apply_matrix(q, c, gamma_i).coords for c in stored}
         h_coset = {
-            delta.coords: apply_matrix(
-                coset_of_char, transport_character(u, delta, gamma_i).coords,
+            c: apply_matrix(
+                coset_of_char, transport_character(u, gamma.character(c), gamma_i).coords,
                 h_i.component_group).coords
-            for delta in deltas
+            for c in stored
         }
         sides.append((g_i, h_i, g_coset, h_coset))
 
-    # pairing compatibility across summands, exhaustively on coset pairs
-    for gamma_el in gamma.elements():
-        for delta in deltas:
+    # pairing compatibility across summands, on generating pairs: each
+    # summand's pairing is a bicharacter in the shared labels, since its
+    # cosets are words and q and the transported maps are homomorphisms
+    for a in stored[1:]:
+        for b in stored[1:]:
             values = [
-                commutator_scalar(g_i.operator(g_coset[gamma_el.coords]),
-                                  h_i.operator(h_coset[delta.coords]))
+                commutator_scalar(g_i.operator(g_coset[a]), h_i.operator(h_coset[b]))
                 for g_i, h_i, g_coset, h_coset in sides
             ]
             if any(v != values[0] for v in values[1:]):
-                raise IncompatibleGluing(
-                    f"pairings disagree at {gamma_el.coords}, {delta.coords}: {values}"
-                )
+                raise IncompatibleGluing(f"pairings disagree at {a}, {b}: {values}")
 
     ambient = Ambient(tuple(g_i.ambient.summands[0] for g_i, *_ in sides))
     offsets = ambient.offsets()

@@ -6,11 +6,14 @@ are emitted sorted, so serialization is bit-exact and round-trips
 losslessly.  Every other integer field is read by _int, which turns down
 a JSON float or boolean instead of truncating it.
 
-A coset generator that is a unit monomial is written as its permutation,
-least order and exponents ({"monomial": ...}), read from the cached
-GroupSpec.operator, so writing it expands nothing; any other generator is
-a dense matrix ({"matrix": ...}).  Both forms are read, so a file that
-writes unit monomials dense decodes to the same operators.
+A spec's "generators" lists its identity and generating cosets, the
+operators a GroupSpec stores; a file that lists more, as old files list
+every coset, still reads (GroupSpec checks and drops the extras), and a
+coset listed twice is bad input.  A unit-monomial generator is written
+as its permutation, least order and exponents ({"monomial": ...}), read
+from the cached GroupSpec.operator, so writing it expands nothing; any
+other is a dense matrix ({"matrix": ...}).  Both forms are read, so a
+file that writes unit monomials dense decodes to the same operators.
 """
 
 from __future__ import annotations
@@ -203,7 +206,8 @@ def spec_to_json(spec: GroupSpec) -> dict:
         if spec.blocks is None
         else [{"dim": b.dim, "grid": [list(r) for r in b.grid]} for b in spec.blocks],
         "component_group": group_to_json(spec.component_group),
-        "generators": [_generator_to_json(c, spec.operator(c)) for c in spec.cosets()],
+        "generators": [_generator_to_json(c, spec.operator(c))
+                       for c in sorted([spec.cosets()[0], *spec.generating_cosets()])],
     }
     if spec.blocks is None:
         out["algebra_basis"] = [cyc_matrix_to_json(m) for m in spec.algebra().basis]
@@ -222,10 +226,12 @@ def spec_from_json(data: dict) -> GroupSpec:
             for b in data["blocks"]
         )
     group = group_from_json(data["component_group"])
-    gens = {
-        tuple(_int(c) for c in item["coset"]): _generator_from_json(item)
-        for item in data["generators"]
-    }
+    gens = {}
+    for item in data["generators"]:
+        coords = tuple(_int(c) for c in item["coset"])
+        if coords in gens:
+            raise ValueError(f"coset {list(coords)} is listed twice")
+        gens[coords] = _generator_from_json(item)
     basis = None
     if data.get("algebra_basis") is not None:
         basis = [cyc_matrix_from_json(m) for m in data["algebra_basis"]]
@@ -242,8 +248,8 @@ def pair_to_json(g: GroupSpec, h: GroupSpec, meta=None) -> dict:
 
 def pair_from_json(data: dict):
     """Decode a pair file; a structurally invalid side (a singular
-    generator among them) or two sides in different ambient spaces
-    raise ValueError."""
+    generator, or an extra coset off its word, among them) or two sides
+    in different ambient spaces raise ValueError."""
     g, h = spec_from_json(data["g"]), spec_from_json(data["h"])
     g.validate()
     h.validate()

@@ -33,11 +33,11 @@ pairing table are integer pairs (order, exponent) throughout.
 Work is done on generators where the group structure allows it.  The
 surviving scalar tuples form a subgroup, so compute_centralizer solves
 only tuples that neither a known subgroup of survivors nor the tuples
-already known to fail decide, gives each derived coset a product of
-witnesses, and names the component group from the solved survivors,
-which generate it.  Once both comparisons pass, the pairing is a bicharacter,
-so verify_dual_pair expands its table from the commutators of the
-generating cosets.  Everything runs in one process.  Both
+already known to fail decide, names the component group from the
+solved survivors, which generate it, and multiplies out witnesses for
+its generating cosets alone.  Every coset of a GroupSpec is its word in
+those, so pairing_table expands its table from their commutators.
+Everything runs in one process.  Both
 directions of the comparison and specs_equal are one subgroup test,
 spec_contains: one spec lies in another when its algebra does and
 each of its generating cosets lies in some coset of the other, tested
@@ -52,6 +52,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import matmul
 
 from .abelian import FinAbGroup, subgroup_from_elements
 from .construct import GroupSpec
@@ -459,19 +461,20 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
 
     The surviving tuples form a subgroup S (x y has tuple t + t'), so most
     of them need no solve.  The tuples are walked in order with a known
-    subgroup S0 of S, each element with its witness, and a set of tuples
-    known to lie outside S, a union of cosets of S0.  A tuple in neither
-    is solved.  When it survives, S0 grows by its multiples; the witness
-    of each new coset is a product of witnesses, and the dead set is
-    translated by the new multiples.  When it fails, so does every tuple
-    of t + S0, since S0 lies in S.  The zero tuple is the identity
-    component, solved once on its own.
+    subgroup S0 of S, each element with its word over the solved
+    survivors, and a set of tuples known to lie outside S, a union of
+    cosets of S0.  A tuple in neither is solved.  When it survives, S0
+    grows by its multiples, each new word one survivor's power longer,
+    and the dead set is translated by the new multiples.  When it fails,
+    so does every tuple of t + S0, since S0 lies in S.  The zero tuple is
+    the identity component, solved once on its own.
 
     The component group and its coset labels come from
     subgroup_from_elements on the solved survivors alone.  Each of them
     grows S0 when it is solved, so they generate S, and there are at most
     log2 |S| of them; the order of the group they name is still checked
-    against the number of known tuples.
+    against the number of known tuples.  Only the generating cosets' words
+    are multiplied out (witness powers in survivor order) and normalized.
 
     The identity component's trace form is checked by the returned
     spec's algebra, so its basis is scanned once.
@@ -491,7 +494,8 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
         return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
 
     zero = tuple(0 for _ in moduli)
-    known = {zero: Monomial.identity(n)}
+    # each known tuple's word: (witness, power) pairs in survivor order
+    known = {zero: ()}
     # the solved survivors: each one grows known, so they generate it
     survivors = []
     dead = set()
@@ -507,14 +511,12 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
         survivors.append(t)
         old = list(known.items())
         shifts = []
-        step, power = t, w
+        step, power = t, 1
         while step not in known:
             shifts.append(step)
-            for s, ws in old:
-                known[add(s, step)] = power if s == zero else ws @ power
-            step = add(step, t)
-            if step not in known:
-                power = power @ w
+            for s, word in old:
+                known[add(s, step)] = word + ((w, power),)
+            step, power = add(step, t), power + 1
         dead.update([add(d, u) for d in dead for u in shifts])
 
     identity_basis = engine.solve([(1, 0)] * len(moduli))
@@ -524,7 +526,13 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     comp_group, to_canonical = subgroup_from_elements(moduli, survivors)
     if comp_group.order != len(known):
         raise AssertionError("surviving scalar tuples do not form a group")
-    generators = {to_canonical(exps): _normalize_projective(w) for exps, w in known.items()}
+    generators = {(0,) * comp_group.rank: Monomial.identity(n)}
+    gens = {g.coords for g in comp_group.generators()}
+    for t, word in known.items():
+        coords = to_canonical(t)
+        if coords in gens:
+            op = reduce(matmul, [w ** power for w, power in word])
+            generators[coords] = _normalize_projective(op)
     spec = GroupSpec(target.ambient, None, comp_group, generators, algebra_basis=identity_basis)
     if not spec.algebra().is_semisimple():
         raise IdentityComponentNotSemisimpleBlocks(
@@ -601,48 +609,34 @@ def _mixed_radix_sums(xs, factors, order: int) -> list[int]:
     return sums
 
 
-def pairing_table(g: GroupSpec, h: GroupSpec, *, from_generators: bool = False) -> PairingTable:
-    """The table of commutator scalars over all component pairs.
+def pairing_table(g: GroupSpec, h: GroupSpec) -> PairingTable:
+    """The table of commutator scalars over all component pairs, each a
+    reduced (order, exponent) whose order divides the ambient dimension.
 
-    Well-defined on components: scalars cancel in commutators, so the
-    choice of generator representatives does not matter.  Each value is
-    commutator_scalar's reduced (order, exponent), whose order divides
-    the ambient dimension.  By default every pair of cosets takes one
-    commutator; h's operators are read once.
-
-    from_generators=True takes commutators on the generating cosets only,
-    as exponents T_ij over N, the lcm of their orders, and expands coset
-    pair (c, c') as lowest_terms(N, sum c_i c'_j T_ij).  No entry takes a
-    sum of its own.  For each generating coset j of h, the exponents
-    sum_i c_i T_ij of all cosets c of g are built in GroupSpec.cosets()
-    order, one added multiple of T_ij per coordinate step; each row's
-    values are built the same way over h's coordinates and read through
-    a table of lowest terms.  That is the same
-    table only when the pairing is a bicharacter on the coset labels:
-    verify_dual_pair asks for it once both comparisons have passed, and
-    says why that suffices.
+    Every coset of a GroupSpec is its word in the generating cosets, and
+    scalars are central, so [g1 g2, h] = [g1, h] [g2, h] once the
+    generators' commutators are scalars (else NotProjectivelyCommuting),
+    and likewise in h.  So commutators are taken on the generating cosets
+    only, as exponents T_ij over N, the lcm of their orders, and coset pair
+    (c, c') gets lowest_terms(N, sum c_i c'_j T_ij).  No entry takes a sum
+    of its own: for each generating coset j of h, the sums over g's cosets
+    are built in GroupSpec.cosets() order, one added multiple of T_ij per
+    coordinate step, and each row the same way over h's coordinates.
     """
-    if from_generators:
-        gen_rows = [[commutator_scalar(g.operator(a), h.operator(b))
-                     for b in h.generating_cosets()] for a in g.generating_cosets()]
-        order = math.lcm(*(d for row in gen_rows for d, _ in row))
-        expo = [[k * (order // d) for d, k in row] for row in gen_rows]
-        reduced = [lowest_terms(order, k) for k in range(order)]
-        h_factors = h.component_group.invariant_factors
-        # column j: every coset of g against the j-th generating coset of h
-        columns = [_mixed_radix_sums([row[j] for row in expo],
-                                     g.component_group.invariant_factors, order)
-                   for j in range(len(h_factors))]
-        rows = []
-        for i in range(g.component_count()):
-            values = _mixed_radix_sums([col[i] for col in columns], h_factors, order)
-            rows.append(tuple([reduced[v] for v in values]))
-        return PairingTable(g.component_group, h.component_group, tuple(rows))
-    h_ops = [h.operator(c) for c in h.cosets()]
+    gen_rows = [[commutator_scalar(g.operator(a), h.operator(b))
+                 for b in h.generating_cosets()] for a in g.generating_cosets()]
+    order = math.lcm(*(d for row in gen_rows for d, _ in row))
+    expo = [[k * (order // d) for d, k in row] for row in gen_rows]
+    reduced = [lowest_terms(order, k) for k in range(order)]
+    h_factors = h.component_group.invariant_factors
+    # column j: every coset of g against the j-th generating coset of h
+    columns = [_mixed_radix_sums([row[j] for row in expo],
+                                 g.component_group.invariant_factors, order)
+               for j in range(len(h_factors))]
     rows = []
-    for c in g.cosets():
-        g_op = g.operator(c)
-        rows.append(tuple([commutator_scalar(g_op, h_op) for h_op in h_ops]))
+    for i in range(g.component_count()):
+        values = _mixed_radix_sums([col[i] for col in columns], h_factors, order)
+        rows.append(tuple([reduced[v] for v in values]))
     return PairingTable(g.component_group, h.component_group, tuple(rows))
 
 
@@ -689,13 +683,11 @@ class VerificationReport:
 def spec_contains(outer: GroupSpec, inner: GroupSpec) -> bool:
     """Is inner a subgroup of outer, up to scalars?
 
-    Precondition: each spec's coset table is a group, that is, each coset
-    holds its word in the generating cosets.  The constructions and
-    compute_centralizer build such tables, and pair_from_json checks it
-    through GroupSpec.validate.  Then inner is generated by its identity
-    component and its generating cosets, so it lies in the group outer
-    when outer's algebra holds inner's and each generating coset of inner
-    lies in some coset of outer.
+    Each coset of a GroupSpec is its word in the generating cosets, so
+    inner is generated by its identity component and its generating
+    cosets, and it lies in the group outer when outer's algebra holds
+    inner's and each generating coset of inner lies in some coset of
+    outer.
     """
     return outer.algebra().contains_algebra(inner.algebra()) and all(
         any(outer.coset_contains(oc, inner.operator(ic)) for oc in outer.cosets())
@@ -738,18 +730,14 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec) -> VerificationReport:
     centralizer <= claimed: CENTRALIZER_SMALLER; neither:
     IDENTITY_COMPONENT_MISMATCH); fills the
     component pairing table and checks that it is nondegenerate with
-    matching component counts.  Precondition, as for spec_contains: each
-    side's coset table is a group.
+    matching component counts.
 
-    Once both comparisons pass, the table is a bicharacter and is expanded
-    from the generating cosets (pairing_table(from_generators=True)):
-    commutator scalars are central, so [g1 g2, h] = [g1, h] [g2, h], and
-    likewise in the second argument; each side then centralizes the
-    other's identity-component algebra on the nose, so a value depends
-    only on the two components; and each coset holds its word in the
-    generating cosets.  A pair that fails a comparison gets the full
-    table, one commutator per coset pair, so its report shows every
-    value that is defined.
+    The table is expanded from the generating cosets (pairing_table),
+    which is exact for every pair, failing or not: each coset is its word
+    in the generating cosets.  Once both comparisons pass, each side also
+    centralizes the other's identity-component algebra on the nose, so a
+    value depends only on the two components, whichever operators stand
+    for them.
     """
     if not g.ambient.compatible_with(h.ambient):
         raise ShapeMismatch(
@@ -761,7 +749,7 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec) -> VerificationReport:
 
     table = None
     try:
-        table = pairing_table(g, h, from_generators=not failures)
+        table = pairing_table(g, h)
         if g.component_count() != h.component_count() or not table.is_nondegenerate():
             failures.append(VerificationFailure(
                 FAIL_PAIRING_DEGENERATE,
@@ -787,7 +775,6 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec) -> VerificationReport:
 def specs_equal(a: GroupSpec, b: GroupSpec) -> bool:
     """Equality of two specified subgroups of the same GL(U), up to scalars.
 
-    Precondition, as for spec_contains: each spec's coset table is a group.
     a lies in b by spec_contains; with equal identity dimensions the
     algebras are then equal, and with equal component counts each coset of
     a fills one coset of b (distinct cosets are disjoint), so a = b.

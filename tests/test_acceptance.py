@@ -10,25 +10,33 @@ principles; several criteria then interrogate the collected reports.
 import math
 import random
 import time
+from functools import partial
 
 import pytest
 
+from projpair import construct
 from projpair.abelian import (
     FinAbGroup,
     SymplecticPairing,
+    apply_matrix,
+    dual_isomorphism_transport,
     enumerate_abelian_groups,
     symplectic_decompose,
+    transport_character,
 )
 from projpair.classify import (
     component_group_of,
     enumerate_multi_orbit,
     enumerate_single_orbit,
+    single_row,
 )
 from projpair.construct import (
     Ambient,
     GroupSpec,
     SingleOrbitIngredients,
     connected_pair,
+    monomial_direct_sum,
+    pairing_character,
     scalar_blocks,
     single_orbit_pair,
     type2_pair,
@@ -39,10 +47,12 @@ from projpair.matrep import (
     Monomial,
     TensorShape,
     character_monomial,
+    commutator_scalar,
     translation_monomial,
 )
 from projpair.abelian import char_eval
 from projpair.verify import (
+    PairingTable,
     pairing_table,
     projective_centralizer,
     specs_equal,
@@ -77,6 +87,51 @@ def pipeline():
             results.append((row, g, h, report))
     elapsed = time.time() - start
     return results, elapsed
+
+
+def builder_formulas(row):
+    """(g, h) for a row's pair: functions from a coset's coordinates to
+    the operator the constructions' per-coset formulas give it, as a
+    Monomial, where GroupSpec builds the coset as its word in the
+    generating cosets.  A single-orbit side is _single_orbit_generator at
+    the coset.  A glued side is the direct sum of its summands' formulas
+    at the cosets the gluing picks: q on the g side, and on the h side the
+    coset whose pairing character with g_i is the transported one, looked
+    up in a table of every coset's pairing character."""
+    if row.kind == "single":
+        ing = row.single
+        return tuple(
+            partial(_single_orbit_formula, ing, side) for side in ("g", "h"))
+    parts = [_summand_formulas(row.multi.gamma, ing, q) for ing, q in row.multi.summands]
+    return tuple(
+        lambda coords, k=k: monomial_direct_sum([part[k](coords) for part in parts])
+        for k in (0, 1))
+
+
+def _single_orbit_formula(ing, side, coords):
+    return Monomial.from_matrix(construct._single_orbit_generator(
+        ing.b, ing.e, ing.L_group, ing.J_group, ing.K_group, side, coords))
+
+
+def _summand_formulas(gamma, ing, q):
+    g_i, h_i = single_orbit_pair(ing)
+    g_op, h_op = builder_formulas(single_row(ing))
+    gamma_i = g_i.component_group
+    u = dual_isomorphism_transport([list(r) for r in q], gamma, gamma_i)
+    coset_of = {pairing_character(g_i, h_op(c)): c for c in h_i.cosets()}
+    assert len(coset_of) == h_i.component_count()
+    return (
+        lambda c: g_op(apply_matrix(q, c, gamma_i).coords),
+        lambda c: h_op(coset_of[transport_character(u, gamma.character(c), gamma_i).coords]),
+    )
+
+
+def full_pairing_table(g, h, g_op, h_op):
+    """The pairing table of g and h with one commutator per coset pair,
+    on the operators g_op and h_op give the cosets."""
+    h_ops = [h_op(c) for c in h.cosets()]
+    return PairingTable(g.component_group, h.component_group, tuple(
+        tuple(commutator_scalar(x, y) for y in h_ops) for x in map(g_op, g.cosets())))
 
 
 def test_criterion_1_heisenberg_self_duality():
@@ -172,13 +227,30 @@ def test_expanded_pairing_tables_match_full_tables(pipeline):
     """A verified pair reports the pairing table expanded from its
     generating cosets.  On every row for n = 1..8 (a superset of the
     benchmark's pipeline8 rows) it equals the full table, one commutator
-    per coset pair, and the full table is a bicharacter."""
+    per coset pair on the constructions' per-coset formulas, and the full
+    table is a bicharacter."""
     results, _ = pipeline
     for row, g, h, report in results:
-        full = pairing_table(g, h)
-        assert report.pairing == pairing_table(g, h, from_generators=True)
+        full = full_pairing_table(g, h, *builder_formulas(row))
+        assert report.pairing == pairing_table(g, h)
         assert report.pairing == full, row.sort_key()
         assert full.is_bicharacter(), row.sort_key()
+
+
+def test_builder_formulas_lie_in_the_cosets_of_their_words(pipeline):
+    """On every row for n <= 6, each coset's operator by the
+    constructions' per-coset formula lies in the coset of its word in the
+    generating cosets, on both sides."""
+    results, _ = pipeline
+    checked = 0
+    for row, g, h, _ in results:
+        if row.ambient_dim > 6:
+            continue
+        for spec, formula in zip((g, h), builder_formulas(row)):
+            for coords in spec.cosets():
+                assert spec.coset_contains(coords, formula(coords)), (row.sort_key(), coords)
+                checked += 1
+    assert checked > 800
 
 
 def test_criterion_5_root_of_unity_scalars(pipeline):

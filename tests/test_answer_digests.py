@@ -12,8 +12,10 @@ table are pinned on the `construct --L 4` pair and the README glue pair,
 and the verify report also on the 144-component pairs of `construct
 --L 12` and `--L 2,6`, whose tables verify expands from generators.
 The three construct digests were re-recorded when pair files began to
-write unit-monomial generators as monomial items; the dense file of
-`construct --L 4` they replaced is kept as tests/data/pair_L4_dense.json.
+write unit-monomial generators as monomial items, and again when they
+began to list only the identity and the generating cosets.  The two
+`construct --L 4` files they replaced, which list every coset, are kept
+as tests/data/pair_L4_dense.json and tests/data/pair_L4_monomial.json.
 """
 
 import hashlib
@@ -61,11 +63,11 @@ DIGESTS = [
     (["enumerate", "--n", "8", "--max-parts", "4", "--format", "json"],
      "a47842171ba760c07b3701fc163851f888db5b2a36968e58cffac75b058ba2e3"),
     (["construct", "--L", "4"],
-     "97cca6350c421c015e069cfbd792a7914b72c3cb3c8d72ec93a062e074fd2c93"),
+     "a02b2a042c7b7c08839833eef7f3ab004e3779baa8f2607375de9cd573ed72a2"),
     (["construct", "--glue", "{glue}"],
-     "17fde78d8160805d20263b5d989951b39a2f612f1f99f9b4994d47c58a6d13c3"),
+     "3abcff7d9e5173cc21c8b8a7b69a5778fa0eab3cbd761cad2567050200a07142"),
     (["construct", "--glue", "{jk_glue}"],
-     "908d1e9a2247ea0c73d38553c12969b7adb7356305b35d7659ea38eb9a5dd76e"),
+     "c8dd516806c3e7340fe9781dd7bcf7d5abb1deaeb5f1ab684e575603f279e450"),
 ]
 
 

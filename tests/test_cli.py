@@ -22,6 +22,7 @@ from projpair.construct import (
 from projpair.cyclo import CycMatrix, conductor_cap, set_conductor_cap
 from projpair.verify import verify_dual_pair
 
+DATA = Path(__file__).parent / "data"
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
 
@@ -73,12 +74,21 @@ def _dense(item):
 
 
 def test_verify_rejects_singular_generator(tmp_path):
-    """A zero generator is bad input (2), not a failed verification (1)."""
+    """A zero generator is bad input (2), not a failed verification (1);
+    so is a zero operator at a coset beyond the generating ones in a file
+    that lists every coset, although the algebra holds it."""
     pair_file = tmp_path / "pair.json"
     run(["construct", "--L", "2", "-o", str(pair_file)])
     data = json.loads(pair_file.read_text())
     matrix = _dense(data["g"]["generators"][1])["matrix"]
     matrix["entries"] = [[["0", "1"]] for _ in matrix["entries"]]
+    pair_file.write_text(json.dumps(data))
+    assert run(["verify", str(pair_file)]) == 2
+    assert run(["pairing", str(pair_file)]) == 2
+    data = json.loads((DATA / "pair_L4_monomial.json").read_text())
+    item = next(item for item in data["g"]["generators"] if item["coset"] == [1, 1])
+    matrix = _dense(item)["matrix"]
+    matrix.update(conductor=1, entries=[[["0", "1"]] for _ in matrix["entries"]])
     pair_file.write_text(json.dumps(data))
     assert run(["verify", str(pair_file)]) == 2
     assert run(["pairing", str(pair_file)]) == 2
@@ -336,24 +346,67 @@ def test_conductor_cap_below_one_is_bad_input(capsys):
 
 
 def test_mislabelled_coset_table_is_bad_input(tmp_path, capsys):
-    """Swapping the g-side operators of cosets (0, 2) and (1, 2) of the
-    --L 4 pair leaves each coset off its word in the generating cosets:
-    bad input (2) for verify and for pairing, with one error line.  The
-    group is still the dual partner of h as a set, so only the labels are
-    wrong, and the reported pairing table would not be a bicharacter."""
+    """Two files that list every coset of the --L 4 pair, as construct once
+    wrote it dense and then as monomials.  Swapping the g-side operators of
+    cosets (0, 2) and (1, 2) leaves each off its word in the generating
+    cosets: bad input (2) for verify and for pairing, with one error line.
+    The group is still the dual partner of h as a set, so only the labels
+    are wrong."""
+    for fixture in ("pair_L4_dense.json", "pair_L4_monomial.json"):
+        data = json.loads((DATA / fixture).read_text())
+        assert len(data["g"]["generators"]) == 16
+        pair_file = tmp_path / fixture
+        pair_file.write_text(json.dumps(data))
+        assert run(["verify", str(pair_file)]) == 0
+        items = {tuple(item["coset"]): item for item in data["g"]["generators"]}
+        a, b = _dense(items[(0, 2)]), _dense(items[(1, 2)])
+        a["matrix"], b["matrix"] = b["matrix"], a["matrix"]
+        pair_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        for command in ("verify", "pairing"):
+            assert run([command, str(pair_file)]) == 2
+            err = capsys.readouterr().err
+            assert "not its word in the generating cosets" in err
+            assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("block", [
+    {"dim": 1, "grid": [[]]},
+    {"dim": 2, "grid": [[], []]},
+    {"dim": 0, "grid": []},
+], ids=["empty row", "two empty rows", "dimension 0"])
+def test_phantom_block_is_bad_input(tmp_path, capsys, block):
+    """A block with no multiplicity copy or no dimension adds nothing to
+    the identity component, yet verify once counted its dim^2 in g_dim
+    and exited 0: bad input (2) for verify and for pairing."""
     pair_file = tmp_path / "pair.json"
-    assert run(["construct", "--L", "4", "-o", str(pair_file)]) == 0
-    assert run(["verify", str(pair_file)]) == 0
+    assert run(["construct", "--L", "2", "-o", str(pair_file)]) == 0
     data = json.loads(pair_file.read_text())
-    items = {tuple(item["coset"]): item for item in data["g"]["generators"]}
-    a, b = _dense(items[(0, 2)]), _dense(items[(1, 2)])
-    a["matrix"], b["matrix"] = b["matrix"], a["matrix"]
+    data["g"]["blocks"].append(block)
     pair_file.write_text(json.dumps(data))
     capsys.readouterr()
     for command in ("verify", "pairing"):
         assert run([command, str(pair_file)]) == 2
         err = capsys.readouterr().err
-        assert "not its word in the generating cosets" in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_coset_listed_twice_is_bad_input(tmp_path, capsys):
+    """g's coset (0, 1) listed first as the identity and then as its true
+    operator is bad input (2), not the pair whichever item came last
+    makes."""
+    pair_file = tmp_path / "pair.json"
+    assert run(["construct", "--L", "2", "-o", str(pair_file)]) == 0
+    data = json.loads(pair_file.read_text())
+    items = data["g"]["generators"]
+    k = next(k for k, item in enumerate(items) if item["coset"] == [0, 1])
+    items.insert(k, {"coset": [0, 1], "monomial": {"perm": [0, 1], "order": 1, "exps": [0, 0]}})
+    pair_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    for command in ("verify", "pairing"):
+        assert run([command, str(pair_file)]) == 2
+        err = capsys.readouterr().err
+        assert "listed twice" in err
         assert err.startswith("error:") and err.count("\n") == 1
 
 

@@ -4,12 +4,7 @@ import pickle
 
 import pytest
 
-from projpair.abelian import (
-    FinAbGroup,
-    dual_isomorphism_transport,
-    identity_matrix,
-    transport_character,
-)
+from projpair.abelian import FinAbGroup, identity_matrix
 from projpair import construct, serialize
 from projpair.classify import enumerate_single_orbit
 from projpair.construct import (
@@ -20,9 +15,7 @@ from projpair.construct import (
     SingleOrbitIngredients,
     connected_pair,
     general_xx_hat_pair,
-    monomial_direct_sum,
     multi_orbit_glue,
-    pairing_character,
     pairing_coset_matrix,
     scalar_blocks,
     single_orbit_pair,
@@ -284,41 +277,25 @@ def test_glue_with_nonidentity_isomorphism_verifies():
     assert report.is_dual_pair, report.failure_codes()
 
 
-def _oracle_h_coset(g_i, h_i, q, gamma):
-    """The summand's h coset under each character of the shared group, by
-    looking the transported character up in a table of the pairing
-    character of every coset of h_i."""
-    gamma_i = g_i.component_group
-    u = dual_isomorphism_transport([list(r) for r in q], gamma, gamma_i)
-    char_of = {}
-    for delta in h_i.component_group.elements():
-        char_of[pairing_character(g_i, h_i.operator(delta.coords))] = delta.coords
-    assert len(char_of) == h_i.component_group.order
-    return {delta.coords: char_of[transport_character(u, delta, gamma_i).coords]
-            for delta in gamma.characters()}
-
-
 def test_glued_h_cosets_match_pairing_table_oracle():
-    """Every glued h generator of the multi-orbit rows with n <= 8 is the
-    direct sum of the summand cosets the pairing table picks."""
+    """Every glued h coset of the multi-orbit rows with n <= 8 holds the
+    direct sum of the summand cosets the pairing table picks (the oracle
+    looks each transported character up in a table of every summand
+    coset's pairing character)."""
     from projpair.classify import enumerate_multi_orbit
+    from test_acceptance import builder_formulas
 
     summands = 0
     for n in range(2, 9):
         for row in enumerate_multi_orbit(n, min(4, n)):
             if row.kind != "multi":
                 continue
-            gamma = row.multi.gamma
             _, h = multi_orbit_glue(row.multi)
-            cosets = []
-            for ing, q in row.multi.summands:
-                g_i, h_i = single_orbit_pair(ing)
-                cosets.append((h_i, _oracle_h_coset(g_i, h_i, q, gamma)))
-                summands += 1
-            for delta in gamma.characters():
-                expected = monomial_direct_sum(
-                    [h_i.operator(h_coset[delta.coords]) for h_i, h_coset in cosets])
-                assert h.operator(delta.coords) == expected, (row.multi, delta.coords)
+            _, expected = builder_formulas(row)
+            for delta in row.multi.gamma.characters():
+                assert h.coset_contains(delta.coords, expected(delta.coords)), (
+                    row.multi, delta.coords)
+            summands += len(row.multi.summands)
     assert summands > 300
 
 
@@ -329,6 +306,35 @@ def test_degenerate_pairing_raises_incompatible_gluing():
     assert pairing_coset_matrix(g, g) == [[0, 1], [1, 0]]
     with pytest.raises(IncompatibleGluing, match="degenerate"):
         pairing_coset_matrix(g, flat)
+
+
+def test_gluing_with_disagreeing_pairings_raises(monkeypatch):
+    """The README glue pair with the second summand's pairing
+    identification composed with the swap of Z2 x Z2: its h cosets pair
+    with g through another character, so the two summands' pairings
+    disagree on a generating pair and the gluing is refused."""
+    from projpair.verify import verify_dual_pair
+
+    spec = MultiOrbitSpec(FinAbGroup((2, 2)), (
+        (SingleOrbitIngredients(1, 1, Z2, TRIV, TRIV), ((1, 0), (0, 1))),
+        (SingleOrbitIngredients(1, 1, Z2, TRIV, TRIV), ((1, 0), (0, 1)))))
+    g, h = multi_orbit_glue(spec)
+    assert verify_dual_pair(g, h).is_dual_pair
+    real = construct.summand_pair
+    calls = []
+
+    def twisted(ing):
+        g_i, h_i, coset_of_char = real(ing)
+        calls.append(ing)
+        if len(calls) == 2:
+            assert coset_of_char == ((0, 1), (1, 0))
+            coset_of_char = ((1, 0), (0, 1))
+        return g_i, h_i, coset_of_char
+
+    monkeypatch.setattr(construct, "summand_pair", twisted)
+    with pytest.raises(IncompatibleGluing, match="pairings disagree"):
+        multi_orbit_glue(spec)
+    assert len(calls) == 2
 
 
 def _pairing_outcome(g, h):
@@ -524,9 +530,11 @@ def test_builders_keep_monomials(monkeypatch, inputs, build):
 
 def test_builder_runs_once_per_coset_whatever_reads_it(monkeypatch):
     """Reading every coset through operator(), serializing, validating
-    (deep or not), the pairing table and a full verify build each coset of
-    both sides exactly once; the identity coset is built by the
-    construction's own check and stored as the identity Monomial."""
+    (deep or not), the pairing table and a full verify run the builder of
+    each side once for the identity coset and once for each generating
+    coset, and for no other coset: every other one is its word.  The
+    identity coset is built by the construction's own check and stored as
+    the identity Monomial."""
     from projpair.verify import pairing_table, verify_dual_pair
 
     built = []
@@ -549,8 +557,10 @@ def test_builder_runs_once_per_coset_whatever_reads_it(monkeypatch):
             spec.operator(coords)
     pairing_table(g, h)
     assert verify_dual_pair(g, h).is_dual_pair
-    expected = [(side, c) for side, spec in (("g", g), ("h", h)) for c in spec.cosets()]
+    expected = [(side, c) for side, spec in (("g", g), ("h", h))
+                for c in [spec.cosets()[0]] + spec.generating_cosets()]
     assert sorted(built) == sorted(expected)
+    assert len(built) == 2 * (1 + 3) < 2 * g.component_count()
 
 
 def test_block_matrix_units_built_once_per_block(monkeypatch):

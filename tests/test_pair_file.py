@@ -1,5 +1,6 @@
 """The pair-file format: monomial and dense generator items, integer
-fields, and the dense files written before generators were monomials."""
+fields, the generating cosets alone, and the files written before:
+dense, and listing every coset."""
 
 import hashlib
 import json
@@ -232,30 +233,50 @@ def test_construct_writes_every_generator_as_a_monomial(tmp_path):
             assert path.stat().st_size < 114_360
 
 
-# -- the dense format ------------------------------------------------------------
+def test_construct_writes_the_generating_cosets_alone(tmp_path):
+    """A pair file lists the identity and the generating cosets of each
+    side, in coset order: the Z8 x Z8 file is under a hundredth of the
+    3,040,224 bytes it took when it listed all 4096 cosets."""
+    path = _construct(tmp_path, ["--L", "8,8"])
+    data = json.loads(path.read_text())
+    for side in ("g", "h"):
+        cosets = [item["coset"] for item in data[side]["generators"]]
+        assert cosets == [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+    assert path.stat().st_size < 30_402
+
+
+# -- the formats written before --------------------------------------------------
 
 
 def test_dense_fixture_decodes_and_verifies_as_before(tmp_path):
-    """construct --L 4 as written when every generator was a dense matrix:
-    it decodes to the operators of today's file, and verify and pairing
-    give the pinned answers."""
-    fixture = DATA / "pair_L4_dense.json"
-    assert hashlib.sha256(fixture.read_bytes()).hexdigest() == (
-        "40a97b8861febe239074db83c94e73779e5ab850281dca71555192fc61473686")
+    """construct --L 4 as written when pair files listed every coset,
+    first with every generator a dense matrix, then as monomials: each
+    decodes to the operators of today's file, which lists the identity and
+    the two generating cosets alone, once its extra cosets are checked
+    against their words and dropped, and verify and pairing give the
+    pinned answers of today's file."""
     new = _construct(tmp_path, ["--L", "4"])
-    old_pair = serialize.pair_from_json(json.loads(fixture.read_text()))
+    assert len(json.loads(new.read_text())["g"]["generators"]) == 3
     new_pair = serialize.pair_from_json(json.loads(new.read_text()))
-    for old, cur in zip(old_pair, new_pair):
-        assert old.cosets() == cur.cosets()
-        assert old.blocks == cur.blocks
-        for coords in cur.cosets():
-            assert old.operator(coords) == cur.operator(coords)
-    for construct_args, command, digest in PAIR_DIGESTS:
-        if construct_args != ["--L", "4"]:
-            continue
-        out = tmp_path / "out.txt"
-        assert main([command[0], str(fixture)] + command[1:] + ["-o", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    for name, sha in (
+            ("pair_L4_dense.json",
+             "40a97b8861febe239074db83c94e73779e5ab850281dca71555192fc61473686"),
+            ("pair_L4_monomial.json",
+             "97cca6350c421c015e069cfbd792a7914b72c3cb3c8d72ec93a062e074fd2c93")):
+        fixture = DATA / name
+        assert hashlib.sha256(fixture.read_bytes()).hexdigest() == sha
+        old_pair = serialize.pair_from_json(json.loads(fixture.read_text()))
+        for old, cur in zip(old_pair, new_pair):
+            assert old.cosets() == cur.cosets()
+            assert old.blocks == cur.blocks
+            for coords in cur.cosets():
+                assert old.operator(coords) == cur.operator(coords)
+        for construct_args, command, digest in PAIR_DIGESTS:
+            if construct_args != ["--L", "4"]:
+                continue
+            out = tmp_path / "out.txt"
+            assert main([command[0], str(fixture)] + command[1:] + ["-o", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("coefficient", [[1.9, "1"], ["1", True]], ids=["float", "bool"])

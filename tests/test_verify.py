@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from projpair import verify
 from projpair.abelian import FinAbGroup, subgroup_from_elements
-from projpair.classify import enumerate_multi_orbit
+from projpair.classify import enumerate_multi_orbit, single_row
 from projpair.construct import (
     Ambient,
     GroupSpec,
@@ -54,7 +54,7 @@ from projpair.verify import (
     verify_dual_pair,
 )
 
-from test_acceptance import _battery
+from test_acceptance import _battery, builder_formulas, full_pairing_table
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
@@ -720,16 +720,17 @@ def test_centralizer_of_swap_is_positive_dimensional():
 
 def test_computed_centralizers_store_unit_monomial_witnesses():
     """Over the criterion-7 battery and both sides of xx_hat_pair(Z4), a
-    computed centralizer keeps each unit-monomial witness as a Monomial and
-    every other witness dense.  Each generator has 1 as its first nonzero
-    entry, the spec passes validate(deep=True), its centralizer is built
-    from those Monomials, and Z(Z(Z(S))) = Z(S)."""
+    computed centralizer keeps each unit-monomial witness product of a
+    generating coset as a Monomial and every other one dense.  Each
+    generator has 1 as its first nonzero entry, the spec passes
+    validate(deep=True), its centralizer is built from those Monomials,
+    and Z(Z(Z(S))) = Z(S)."""
     specs = [spec for _, spec in _battery()] + list(xx_hat_pair(FinAbGroup.cyclic(4)))
-    monomials = 0
+    monomials = dense = 0
     for spec in specs:
         z1 = projective_centralizer(spec)
         z1.validate(deep=True)
-        for coords in z1.cosets():
+        for coords in z1.generating_cosets():
             op = z1.operator(coords)
             mat = as_dense(op)
             assert mat.cells[mat.first_nonzero()].is_one()
@@ -737,10 +738,12 @@ def test_computed_centralizers_store_unit_monomial_witnesses():
                 monomials += 1
                 assert z1.operator(coords) is op
             else:
+                dense += 1
                 assert Monomial.from_matrix(mat) is None
         z3 = projective_centralizer(projective_centralizer(z1))
         assert specs_equal(z1, z3)
-    assert monomials > len(specs)
+    # 26 generating cosets; those of Z(type2ii_h) and Z(perm6) are dense
+    assert (monomials, dense) == (24, 2)
 
 
 def test_triple_centralizer_idempotence_small():
@@ -858,29 +861,16 @@ def test_pairing_table_single_orbit_j():
 
 
 def test_failing_pairs_report_the_full_table():
-    """A pair that fails a comparison reports the full table, one
-    commutator per coset pair.  In the second pair a non-generating coset
-    of g holds a torus element that does not commute with the swap, so the
-    table expanded from the generating cosets would differ."""
+    """A pair that fails a comparison reports its full table, one
+    commutator per coset pair on the constructions' per-coset formulas."""
     g, h = xx_hat_pair(Z2)
     tau = translation_monomial(Z2, Z2.element((1,))).to_matrix()
     crippled = GroupSpec(g.ambient, g.blocks, Z2, {(0,): CycMatrix.identity(2), (1,): tau})
     report = verify_dual_pair(crippled, h)
     assert not report.is_dual_pair
-    assert report.pairing == pairing_table(crippled, h)
-
-    ambient = Ambient.single(TensorShape((("L", 2),)))
-    diag = CycMatrix.diagonal([1, -1])
-    torus = GroupSpec(ambient, connected_pair([(1, 1), (1, 1)])[0].blocks, FinAbGroup.cyclic(4),
-                      {(0,): CycMatrix.identity(2), (1,): CycMatrix.identity(2),
-                       (2,): diag, (3,): diag})
-    torus.validate()
-    report = verify_dual_pair(torus, swap_spec())
-    assert not report.is_dual_pair
-    full = pairing_table(torus, swap_spec())
-    assert report.pairing == full
-    assert full != pairing_table(torus, swap_spec(), from_generators=True)
-    assert not full.is_bicharacter()
+    _, h_op = builder_formulas(single_row(SingleOrbitIngredients(1, 1, Z2, TRIV, TRIV)))
+    crippled_op = {(0,): CycMatrix.identity(2), (1,): tau}.get
+    assert report.pairing == full_pairing_table(crippled, h, crippled_op, h_op)
 
 
 def test_pairing_table_rejects_noncommuting():
@@ -1092,12 +1082,15 @@ def test_centralizer_labels_components_from_its_solved_survivors(monkeypatch):
 
 @pytest.mark.parametrize("factors", [(2, 6), (3, 3), (2, 4)])
 def test_generator_table_expands_in_coset_order(factors):
-    """The table expanded from the generating cosets equals the full one
-    on translation-character pairs with unequal invariant factors and
-    rank 4, so its mixed-radix order is GroupSpec.cosets() order."""
-    g, h = xx_hat_pair(FinAbGroup(factors))
-    assert pairing_table(g, h, from_generators=True) == pairing_table(g, h)
-    assert pairing_table(h, g, from_generators=True) == pairing_table(h, g)
+    """The table expanded from the generating cosets equals the full one,
+    one commutator per coset pair on the per-coset formulas, on
+    translation-character pairs with unequal invariant factors and rank
+    4, so its mixed-radix order is GroupSpec.cosets() order."""
+    group = FinAbGroup(factors)
+    g, h = xx_hat_pair(group)
+    g_op, h_op = builder_formulas(single_row(SingleOrbitIngredients(1, 1, group, TRIV, TRIV)))
+    assert pairing_table(g, h) == full_pairing_table(g, h, g_op, h_op)
+    assert pairing_table(h, g) == full_pairing_table(h, g, h_op, g_op)
 
 
 def _nondegenerate_oracle(values):
