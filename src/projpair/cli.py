@@ -3,9 +3,10 @@
 Commands: construct, verify, enumerate, pairing, symplectic.  Files are
 UTF-8 JSON in canonical key order; exit codes are the only success
 channel: 0 ok, 1 verification/decomposition failure, 2 bad input, 3 a
-construction error or a resource limit (the conductor cap, a witness
-search that sampling could not decide and whose exhaustive grid is too
-large).  No package error leaves main as a traceback.
+construction error or a resource limit (the conductor cap, or a witness
+search on a twisted commutant of the untwisted dimension whose samples
+found no invertible element and whose exhaustive grid is too large).  No
+package error leaves main as a traceback.
 """
 
 from __future__ import annotations

@@ -62,5 +62,7 @@ class IdentityComponentNotSemisimpleBlocks(ProjPairError):
 
 
 class WitnessSearchUndecided(ProjPairError):
-    """Sampling found no invertible element of a span, and the exhaustive
-    grid that would decide the question is too large to run."""
+    """A twisted commutant of the untwisted dimension defeated the samples,
+    and the exhaustive grid that would find its invertible element, or
+    show it has none, is over the bound.  A tuple of any other dimension
+    is dead without a search, so it never raises this."""

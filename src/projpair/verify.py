@@ -4,9 +4,17 @@ The centralizer of a specified subgroup, taken in PGL(U), is computed
 exactly: a matrix centralizes the image projectively iff it commutes with
 the identity-component algebra on the nose and commutes with each
 component generator up to a root-of-unity scalar.  For each admissible
-scalar tuple the twisted commutant is an exact linear solve; a tuple
-contributes one component of the centralizer iff its solution space
-contains an invertible element.
+scalar tuple the twisted commutant B is an exact linear solve; a tuple
+contributes one component of the centralizer iff B contains an
+invertible element, and dimension decides that:
+- if X in B is invertible, then B = X A', A' the untwisted commutant;
+- for a reductive target, dim B = sum m_pi m_(pi (x) chi) <= sum m_pi^2
+  = dim A', with equality iff rho = rho (x) chi (Schur's lemma and
+  Cauchy-Schwarz; Serre, Linear Representations of Finite Groups, ch. 2).
+A tuple of another dimension is dead, and the witness search runs only
+on the rest.  For a raw algebra basis that is not semisimple (no
+construction makes one) an equal dimension may hold no invertible
+element; the exhaustive grid then says so, or hits its bound.
 
 The form of each generator, a Monomial or a dense matrix, is decided
 once, by GroupSpec.operator; everything here takes those operators and
@@ -57,7 +65,7 @@ from operator import matmul
 
 from .abelian import FinAbGroup, subgroup_from_elements
 from .construct import GroupSpec
-from .cyclo import ONE, CycMatrix, CycNum, VectorSpan
+from .cyclo import ONE, CycMatrix, CycNum
 from .errors import (
     IdentityComponentNotSemisimpleBlocks,
     NotProjectivelyCommuting,
@@ -252,8 +260,7 @@ class CommutantEngine:
             return None
         if all(k % d == 0 for d, k in scalars):
             return Monomial.identity(self.n)
-        conjugate = [(d, -k) for d, k in scalars]
-        return _invertible_in_span(basis, self.n, fallback=lambda: self.solve(conjugate))
+        return _invertible_in_span(basis, self.n)
 
 
 def _apply_twist_constraint(basis, h: CycMatrix, c: CycNum) -> list[CycMatrix]:
@@ -343,39 +350,25 @@ def _sample_vectors(dim: int, n: int):
         yield tuple(vec)
 
 
-def _support_matching(cells, n: int) -> int:
-    """The size of a maximum matching of rows to columns on the union of
-    the supports (augmenting paths; at most n^3 steps)."""
-    cols_of = [set() for _ in range(n)]
-    for x in cells:
-        for i, j in x:
-            cols_of[i].add(j)
-    row_of = {}
-
-    def augment(i, seen):
-        for j in cols_of[i]:
-            if j not in seen:
-                seen.add(j)
-                if j not in row_of or augment(row_of[j], seen):
-                    row_of[j] = i
-                    return True
-        return False
-
-    return sum(augment(i, set()) for i in range(n))
-
-
-def _invertible_in_span(basis, n: int, fallback=None) -> Monomial | CycMatrix | None:
+def _invertible_in_span(basis, n: int) -> Monomial | CycMatrix | None:
     """Exact search for an invertible element of a matrix span, returned
     as a Monomial when it is a unit monomial.
 
-    Deterministic samples first.  If they all fail, two exact "no" tests
-    come next: with no perfect matching on the union of the supports,
-    every term of the determinant vanishes (Frobenius-Koenig), and a
-    necessary condition via the conjugate space prunes the common
-    no-witness case.  Last, a product grid of size n+1 per coordinate
-    decides existence exactly (the determinant has degree at most n in
-    each coordinate, so it cannot vanish on the whole grid unless it is
-    identically zero).
+    Deterministic samples first.  If they all fail, a product grid of size
+    n+1 per coordinate decides existence exactly (the determinant has
+    degree at most n in each coordinate, so it cannot vanish on the whole
+    grid unless it is identically zero); a grid over the bound raises
+    WitnessSearchUndecided.
+
+    compute_centralizer asks only about a twisted commutant B whose
+    dimension equals that of the untwisted commutant A':
+    - if X in B is invertible, then B = X A';
+    - for a reductive target, dim B = sum m_pi m_(pi (x) chi) <= sum
+      m_pi^2 = dim A', with equality iff rho = rho (x) chi.
+    So B holds an invertible element and the search only has to find it.
+    For a target given by a raw algebra basis that is not semisimple (no
+    construction makes one), B may hold none; then the grid says "no", or
+    hits its bound.
     """
     dim = len(basis)
     cells = [x.cells for x in basis]
@@ -387,25 +380,6 @@ def _invertible_in_span(basis, n: int, fallback=None) -> Monomial | CycMatrix | 
         cand = _combine(cells, coeffs, n)
         if cand is not None and _det_nonzero(cand):
             return Monomial.from_matrix(cand) or cand
-    if _support_matching(cells, n) < n:
-        return None
-    if fallback is not None:
-        conj = fallback()
-        if conj is not None:
-            products = VectorSpan(n * n)
-            ident = CycMatrix.identity(n).flat_cells()
-            found = False
-            for x in basis:
-                for y in conj:
-                    products.add((x @ y).flat_cells())
-                    if products.contains(ident):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                # an invertible w in the span would put I = w w^{-1} here
-                return None
     if (n + 1) ** dim > 2_000_000:
         raise WitnessSearchUndecided(
             "invertibility undecided by sampling and the grid bound is "
@@ -467,7 +441,21 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     grows by its multiples, each new word one survivor's power longer,
     and the dead set is translated by the new multiples.  When it fails,
     so does every tuple of t + S0, since S0 lies in S.  The zero tuple is
-    the identity component, solved once on its own.
+    the identity component, solved once on its own, before the walk.
+
+    A solved tuple survives iff its twisted commutant B holds an
+    invertible element, and its dimension decides that:
+    - if X in B is invertible, then B = X A', A' the untwisted commutant;
+    - for a reductive target, dim B = sum m_pi m_(pi (x) chi) <= sum
+      m_pi^2 = dim A', with equality iff rho = rho (x) chi (Schur's lemma
+      and Cauchy-Schwarz).
+    So a tuple with dim B != dim A' is dead with no witness search: sound
+    for every target, and complete for a reductive one (block specs, and
+    computed centralizers, whose algebra is checked semisimple), where the
+    search on the rest only has to find a witness.  A target given by a
+    raw algebra basis that is not semisimple can have dim B = dim A' and
+    no invertible element; the grid of _invertible_in_span then says "no"
+    exactly, or hits its bound and raises WitnessSearchUndecided.
 
     The component group and its coset labels come from
     subgroup_from_elements on the solved survivors alone.  Each of them
@@ -494,6 +482,9 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
         return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
 
     zero = tuple(0 for _ in moduli)
+    identity_basis = engine.solve([(1, 0)] * len(moduli))
+    if not identity_basis:
+        raise IdentityComponentNotSemisimpleBlocks("untwisted commutant is empty")
     # each known tuple's word: (witness, power) pairs in survivor order
     known = {zero: ()}
     # the solved survivors: each one grows known, so they generate it
@@ -504,7 +495,8 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
             continue
         scalars = list(zip(moduli, t))
         basis = engine.solve(scalars)
-        w = engine.witness(basis, scalars) if basis else None
+        # an invertible X gives B = X A', so any other dimension is dead
+        w = engine.witness(basis, scalars) if len(basis) == len(identity_basis) else None
         if w is None:
             dead.update(add(t, s) for s in known)
             continue
@@ -518,10 +510,6 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
                 known[add(s, step)] = word + ((w, power),)
             step, power = add(step, t), power + 1
         dead.update([add(d, u) for d in dead for u in shifts])
-
-    identity_basis = engine.solve([(1, 0)] * len(moduli))
-    if not identity_basis:
-        raise IdentityComponentNotSemisimpleBlocks("untwisted commutant is empty")
 
     comp_group, to_canonical = subgroup_from_elements(moduli, survivors)
     if comp_group.order != len(known):

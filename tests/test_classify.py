@@ -112,6 +112,14 @@ def test_canonicalize_single_orientation():
     assert canonicalize_row(sym).single == sym.single
 
 
+def test_canonicalize_swaps_a_single_row_to_its_mirror():
+    """(b, e, L, J, K) = (2, 1, 1, 1, Z2) sorts after its mirror
+    (1, 2, 1, Z2, 1), which is the normal form of both."""
+    canon = canonicalize_row(single_row(SingleOrbitIngredients(2, 1, TRIV, TRIV, Z2)))
+    assert canon.single == SingleOrbitIngredients(1, 2, TRIV, Z2, TRIV)
+    assert canonicalize_row(canon) == canon
+
+
 def test_canonicalize_multi_sorts_summands():
     triv_ing = SingleOrbitIngredients(1, 1, TRIV, TRIV, TRIV)
     big = SingleOrbitIngredients(1, 3, TRIV, TRIV, TRIV)

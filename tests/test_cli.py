@@ -14,13 +14,19 @@ from projpair import cli, serialize
 from projpair.abelian import FinAbGroup
 from projpair.cli import main
 from projpair.construct import (
+    Ambient,
+    GroupSpec,
     SingleOrbitIngredients,
     connected_pair,
+    scalar_blocks,
     single_orbit_pair,
     xx_hat_pair,
 )
 from projpair.cyclo import CycMatrix, conductor_cap, set_conductor_cap
-from projpair.verify import verify_dual_pair
+from projpair.matrep import Monomial, TensorShape
+from projpair.verify import compute_centralizer, verify_dual_pair
+
+from test_verify import cycle_spec
 
 DATA = Path(__file__).parent / "data"
 TRIV = FinAbGroup.trivial()
@@ -487,6 +493,50 @@ def test_verify_detects_edited_pair(tmp_path):
     assert not report["is_dual_pair"]
     codes = [f["code"] for f in report["failures"]]
     assert "CENTRALIZER_LARGER" in codes
+
+
+def test_verify_finds_the_centralizer_of_a_centralizer_larger(tmp_path, capsys):
+    """The pair (S, Z(S)) for S = <(0 1 2)> in PGL(6) is no dual pair:
+    Z(Z(S)) is a 3-dimensional torus, larger than S, and S has 3
+    components to Z(S)'s one.  Every nonzero twist of S is decided by
+    dimension, with no witness search."""
+    s = cycle_spec(6, (0, 1, 2))
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(serialize.pair_to_json(s, compute_centralizer(s))))
+    out = tmp_path / "report.json"
+    assert run(["verify", str(pair_file), "--format", "json", "-o", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert [f["code"] for f in report["failures"]] == ["CENTRALIZER_LARGER",
+                                                       "PAIRING_DEGENERATE"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _non_commuting_pair(tmp_path):
+    """<diag(1, 1, -1)> against <(0 2)> in PGL(3): the commutator of the
+    two generators is diag(-1, 1, -1), not a scalar."""
+    ambient = Ambient.single(TensorShape((("A", 3),)))
+    sides = [GroupSpec(ambient, scalar_blocks(3), Z2, {(0,): Monomial.identity(3), (1,): op})
+             for op in (Monomial.from_exponents([0, 1, 2], 2, [0, 0, 1]),
+                        Monomial.from_exponents([2, 1, 0], 1, [0, 0, 0]))]
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(serialize.pair_to_json(*sides)))
+    return str(pair_file)
+
+
+def test_pairing_of_non_commuting_generators_exits_1(tmp_path, capsys):
+    pair_file = _non_commuting_pair(tmp_path)
+    assert run(["pairing", pair_file]) == 1
+    assert capsys.readouterr().err == "error: commutator is not scalar\n"
+
+
+def test_verify_of_non_commuting_generators_has_no_pairing(tmp_path):
+    pair_file = _non_commuting_pair(tmp_path)
+    out = tmp_path / "report.json"
+    assert run(["verify", pair_file, "--format", "json", "-o", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["pairing"] is None
+    assert {"code": "PAIRING_DEGENERATE",
+            "detail": "pairing not defined: commutator is not scalar"} in report["failures"]
 
 
 def test_enumerate_counts(tmp_path):

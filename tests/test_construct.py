@@ -184,6 +184,18 @@ def test_general_xx_hat_component_groups():
     assert g0.component_group.is_trivial()
 
 
+def test_general_xx_hat_of_its_own_output_takes_a_fresh_label():
+    """The second application finds the factor label X taken and names
+    its new factor X2; the result is still a dual pair."""
+    from projpair.verify import verify_dual_pair
+
+    g, h = connected_pair([(1, 1)])
+    for _ in range(2):
+        g, h = general_xx_hat_pair(g, h, Z2)
+    assert g.ambient.summands[0].labels == ("V", "W", "X", "X2")
+    assert verify_dual_pair(g, h).is_dual_pair
+
+
 def test_general_xx_hat_degenerate_case_is_heisenberg():
     """Starting from the trivial pair in PGL(1), the tensor construction
     reduces to the plain translation-character pair."""

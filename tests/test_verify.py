@@ -44,7 +44,6 @@ from projpair.verify import (
     _det_nonzero,
     _invertible_in_span,
     _normalize_projective,
-    _support_matching,
     compute_centralizer,
     pairing_table,
     projective_centralizer,
@@ -373,32 +372,21 @@ def test_root_pattern_membership_matches_span(problem):
 
 
 def test_witness_search_undecided_is_typed():
-    """The 21 matrices E_ij - E_ji (i < j) in 7 x 7: their supports have a
-    perfect matching, yet every element is singular (odd skew-symmetric),
-    so sampling fails, and the grid of 8^21 points exceeds the search
-    bound."""
+    """The 21 matrices E_ij - E_ji (i < j) in 7 x 7: every element is
+    singular (odd skew-symmetric), so sampling fails, and the grid of
+    8^21 points exceeds the search bound."""
     basis = [CycMatrix.from_entries(7, 7, {(i, j): ONE, (j, i): -ONE})
              for i in range(7) for j in range(i + 1, 7)]
     with pytest.raises(WitnessSearchUndecided):
         _invertible_in_span(basis, 7)
 
 
-def test_no_perfect_matching_on_the_supports_means_no_witness():
-    """Ten matrix units E_ij with i >= 1 leave row 0 empty: the matching on
-    their supports has size 3 < 4, so no element is invertible, and the
-    search says so without the grid of 5^10 points."""
-    units = [CycMatrix.from_entries(4, 4, {(i, j): ONE})
-             for i in range(1, 4) for j in range(4)][:10]
-    assert _support_matching([x.cells for x in units], 4) == 3
-    assert _invertible_in_span(units, 4) is None
-
-
-def test_centralizer_decided_by_the_matching_bound():
+def test_centralizer_decided_by_dimension():
     """The centralizer of diag(1, 1, 1, -1, -1, -1, i, -i) in PGL(8).  The
     twist by i maps the 3-dimensional eigenspace of 1 into the
-    1-dimensional one of i, so its 12-dimensional solution space holds no
-    invertible element; the matching on its supports has size 4.  Scaling
-    by -1 swaps the eigenvalues 1 and -1, and i and -i: 2 components over
+    1-dimensional one of i, so its solution space has dimension 12, not
+    the untwisted 20, and holds no invertible element.  Scaling by -1
+    swaps the eigenvalues 1 and -1, and i and -i: 2 components over
     GL(3) x GL(3) x GL(1) x GL(1), of dimension 20."""
     n = 8
     d = Monomial.from_exponents(list(range(n)), 4, [0, 0, 0, 2, 2, 2, 1, 3])
@@ -408,6 +396,37 @@ def test_centralizer_decided_by_the_matching_bound():
     z = compute_centralizer(target)
     assert z.component_count() == 2
     assert z.identity_component_dim() == 20
+
+
+def cycle_spec(n, cycle):
+    """The group generated by the permutation matrix of one cycle on
+    range(n), over the scalars."""
+    perm = list(range(n))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        perm[a] = b
+    ambient = Ambient.single(TensorShape((("A", n),)))
+    return GroupSpec(ambient, scalar_blocks(n), FinAbGroup.cyclic(len(cycle)),
+                     {(0,): Monomial.identity(n), (1,): Monomial.from_exponents(perm, 1, [0] * n)})
+
+
+@pytest.mark.parametrize("n, cycle, dim", [(6, (0, 1, 2), 18), (8, (0, 1, 2, 3), 28),
+                                           (4, (0, 1), 10)],
+                         ids=["3-cycle-in-PGL6", "4-cycle-in-PGL8", "swap-in-PGL4"])
+def test_permutation_centralizers_are_decided_by_dimension(monkeypatch, n, cycle, dim):
+    """A k-cycle in PGL(n) has the eigenvalue 1 with multiplicity n - k + 1
+    and every other k-th root of unity once, so its centralizer is
+    GL(n - k + 1) x GL(1)^(k - 1), one component, and every nonzero twist
+    has a solution space of smaller dimension than the untwisted one.
+    Each such tuple dies with no witness search.  A search would need
+    them: the samples find no invertible element there, and the grids of
+    the 3-cycle (7^9 points) and the 4-cycle (9^12) are over the bound.
+    The triple centralizer is the centralizer again."""
+    searches = _counting(monkeypatch, verify, "_invertible_in_span")
+    z = compute_centralizer(cycle_spec(n, cycle))
+    assert (z.component_count(), z.identity_component_dim()) == (1, dim)
+    assert searches == []
+    z3 = compute_centralizer(compute_centralizer(z))
+    assert specs_equal(z3, z) and specs_equal(z, z3)
 
 
 @pytest.mark.parametrize("b,e,J,K", [(1, 8, Z2, TRIV), (8, 1, TRIV, Z2),
@@ -431,17 +450,14 @@ def _span_sum(basis, coeffs, n):
 
 @st.composite
 def witness_problems(draw):
-    """A span of at most 3 elements in M_n, n <= 3, and a conjugate space
-    that holds the inverse of every invertible element of the span.
+    """A span of at most 3 elements in M_n, n <= 3.
 
-    Either integer matrices on a shared support, with all of M_n as the
-    conjugate space: all cells, all but a zero row (about half of the
-    time), or a drawn set of cells, which often has no perfect matching;
-    or integer combinations inside the twisted commutant {X : X h = c h X}
-    of a unit monomial h, whose conjugate space is the twisted commutant
-    for 1/c."""
+    Either integer matrices on a shared support: all cells, all but a
+    zero row (about half of the time), or a drawn set of cells, which
+    often has no perfect matching, so the grid must say "no"; or integer
+    combinations inside the twisted commutant {X : X h = c h X} of a unit
+    monomial h."""
     n = draw(st.integers(1, 3))
-    units = [_unit(n, i, j) for i in range(n) for j in range(n)]
     size = draw(st.integers(1, 3))
     if draw(st.booleans()):
         cells = [(i, j) for i in range(n) for j in range(n)]
@@ -452,25 +468,24 @@ def witness_problems(draw):
             support = {(i, j) for i, j in cells if i != zero_row}
         basis = [CycMatrix.from_entries(n, n, {
             cell: draw(st.integers(-1, 2)) for cell in sorted(support)}) for _ in range(size)]
-        return n, basis, units
+        return n, basis
+    units = [_unit(n, i, j) for i in range(n) for j in range(n)]
     h = draw(partial_monomials(n, full=True))
     d, k = draw(root_tuples())
     space = _apply_twist_constraint(units, h, CycNum.root_of_unity(d, k))
-    conjugate = _apply_twist_constraint(units, h, CycNum.root_of_unity(d, -k))
     coeffs = st.lists(st.integers(-1, 2), min_size=len(space), max_size=len(space))
     basis = [_span_sum(space, draw(coeffs), n) for _ in range(size)]
-    return n, basis, conjugate
+    return n, basis
 
 
 @settings(max_examples=120, deadline=None)
-@given(witness_problems(), st.booleans())
-def test_witness_search_says_no_only_when_the_grid_has_no_witness(problem, pruned):
+@given(witness_problems())
+def test_witness_search_says_no_only_when_the_grid_has_no_witness(problem):
     """A witness lies in the span and has full rank; None comes back only
     when no point of the grid {0..n}^dim combines to a full-rank matrix,
     which by the degree bound means the span has no invertible element."""
-    n, basis, conjugate = problem
-    fallback = (lambda: conjugate) if pruned else None
-    witness = _invertible_in_span(basis, n, fallback=fallback)
+    n, basis = problem
+    witness = _invertible_in_span(basis, n)
     if witness is not None:
         witness = as_dense(witness)
         assert span_of_matrices(basis).contains(witness.flat_cells())
@@ -895,27 +910,37 @@ def test_centralizer_component_tuples_form_group():
     z.validate(deep=True)
 
 
-def _all_tuples_centralizer(target):
-    """compute_centralizer without the closure: solve and witness every
-    scalar tuple.  Returns the spec, the moduli and each surviving tuple's
-    canonical coordinates."""
+def _tuple_moduli(target):
+    """The order of each generator's scalar, as compute_centralizer takes
+    it: the projective order modulo the identity component, gcd'd with n."""
     n = target.ambient.dim
+    return [math.gcd(projective_order(target.operator(c), target, d), n)
+            for c, d in zip(target.generating_cosets(),
+                            target.component_group.invariant_factors)]
+
+
+def _all_tuples_centralizer(target):
+    """compute_centralizer without the closure: solve every scalar tuple,
+    and witness each one whose solution space has the untwisted dimension
+    (the criterion itself is tested on its own, against the search).
+    Returns the spec, the moduli and each surviving tuple's canonical
+    coordinates."""
     engine = CommutantEngine.from_spec(target)
-    moduli = [math.gcd(projective_order(target.operator(c), target, d), n)
-              for c, d in zip(target.generating_cosets(),
-                              target.component_group.invariant_factors)]
+    moduli = _tuple_moduli(target)
+    identity_basis = engine.solve([(1, 0)] * len(moduli))
     surviving = {}
     for t in itertools.product(*(range(m) for m in moduli)):
         scalars = list(zip(moduli, t))
         basis = engine.solve(scalars)
-        w = engine.witness(basis, scalars) if basis else None
-        if w is not None:
+        if len(basis) == len(identity_basis):
+            w = engine.witness(basis, scalars)
+            assert w is not None
             surviving[t] = w
     group, to_canonical = subgroup_from_elements(moduli, list(surviving))
     assert group.order == len(surviving)
     spec = GroupSpec(target.ambient, None, group,
                      {to_canonical(t): _normalize_projective(w) for t, w in surviving.items()},
-                     algebra_basis=engine.solve([(1, 0)] * len(moduli)))
+                     algebra_basis=identity_basis)
     return spec, moduli, {t: to_canonical(t) for t in surviving}
 
 
@@ -982,28 +1007,36 @@ _HEISENBERG = [FinAbGroup.cyclic(2), FinAbGroup.cyclic(3), FinAbGroup.cyclic(4),
                FinAbGroup((2, 2)), FinAbGroup.cyclic(5), FinAbGroup.cyclic(6)]
 
 
+def _heisenberg_subgroup(data):
+    """A random subgroup of a translation-character group, generated by
+    its identity component and at most three drawn cosets."""
+    g, _ = xx_hat_pair(data.draw(st.sampled_from(_HEISENBERG)))
+    factors = g.component_group.invariant_factors
+    picks = data.draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in factors)),
+                               max_size=3))
+    return _subgroup_spec(g, picks)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_closure_matches_all_tuples_oracle_on_heisenberg_subgroups(data):
     """On random subgroups of the translation-character groups, where the
     surviving tuples form proper, nontrivial subgroups, the closure gives
     the all-tuples centralizer."""
-    g, _ = xx_hat_pair(data.draw(st.sampled_from(_HEISENBERG)))
-    factors = g.component_group.invariant_factors
-    picks = data.draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in factors)),
-                               max_size=3))
-    _check_closure_against_oracle(_subgroup_spec(g, picks))
+    _check_closure_against_oracle(_heisenberg_subgroup(data))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 6).flatmap(lambda n: st.lists(
-    st.tuples(st.permutations(range(n)), st.lists(st.integers(0, 3), min_size=n, max_size=n)),
-    min_size=1, max_size=2)))
-def test_closure_matches_all_tuples_oracle_on_random_monomials(gens):
-    """On the group generated by one or two random monomials with entries
-    in the fourth roots of unity, where many tuples fail and some survive
-    only as multiples of failed ones, the closure gives the all-tuples
-    centralizer."""
+def monomial_generators(max_n):
+    """One or two random n x n monomials, 2 <= n <= max_n, each as its
+    permutation and the exponents of i on its entries."""
+    return st.integers(2, max_n).flatmap(lambda n: st.lists(
+        st.tuples(st.permutations(range(n)), st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        min_size=1, max_size=2))
+
+
+def _monomial_group(gens):
+    """The group generated by monomials with entries in the fourth roots
+    of unity, over the scalars, or None when it is scalar."""
     monos = [Monomial(perm, [CycNum.root_of_unity(4, k) for k in exps]) for perm, exps in gens]
     n = monos[0].n
     ambient = Ambient.single(TensorShape((("A", n),)))
@@ -1011,7 +1044,7 @@ def test_closure_matches_all_tuples_oracle_on_random_monomials(gens):
     # m^k is diagonal for k the order of m's permutation, so m^(4k) = I
     d = math.lcm(*(projective_order(m, scalars, 4 * math.factorial(n)) for m in monos))
     if d == 1:
-        return
+        return None
     group = FinAbGroup((d,) * len(monos))
     table = {}
     for coords in itertools.product(range(d), repeat=len(monos)):
@@ -1019,12 +1052,55 @@ def test_closure_matches_all_tuples_oracle_on_random_monomials(gens):
         for m, k in zip(monos, coords):
             op = op @ m ** k
         table[coords] = op
+    return GroupSpec(ambient, scalar_blocks(n), group, table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_generators(6))
+def test_closure_matches_all_tuples_oracle_on_random_monomials(gens):
+    """On the group generated by one or two random monomials with entries
+    in the fourth roots of unity, where many tuples fail and some survive
+    only as multiples of failed ones, the closure gives the all-tuples
+    centralizer."""
+    target = _monomial_group(gens)
+    if target is None:
+        return
     try:
-        _check_closure_against_oracle(GroupSpec(ambient, scalar_blocks(n), group, table))
+        _check_closure_against_oracle(target)
     except WitnessSearchUndecided:
-        # a witness search that sampling and the pruning leave to an
-        # impractical grid says nothing about the closure
+        # a witness search that sampling leaves to an impractical grid
+        # says nothing about the closure
         reject()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dimension_decides_every_scalar_tuple(data):
+    """On random monomial groups (n <= 4) and random subgroups of the
+    translation-character groups, every scalar tuple's solution space has
+    the untwisted dimension exactly when the witness search, samples and
+    then the exhaustive grid, finds an invertible element in it; and
+    compute_centralizer keeps a component for each such tuple."""
+    if data.draw(st.booleans()):
+        target = _monomial_group(data.draw(monomial_generators(4)))
+        if target is None:
+            reject()
+    else:
+        target = _heisenberg_subgroup(data)
+    n = target.ambient.dim
+    engine = CommutantEngine.from_spec(target)
+    moduli = _tuple_moduli(target)
+    untwisted = len(engine.solve([(1, 0)] * len(moduli)))
+    found = 0
+    for t in itertools.product(*(range(m) for m in moduli)):
+        basis = engine.solve(list(zip(moduli, t)))
+        try:
+            witness = _invertible_in_span(basis, n) if basis else None
+        except WitnessSearchUndecided:
+            reject()
+        assert (len(basis) == untwisted) == (witness is not None), t
+        found += witness is not None
+    assert compute_centralizer(target).component_count() == found
 
 
 def _counting(monkeypatch, owner, name):
