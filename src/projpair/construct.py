@@ -5,9 +5,9 @@ ambient space (a direct sum of labeled tensor products), the identity
 component (a product of GL blocks, each given by an explicit index grid,
 or a raw spanning set for computed centralizers), a finite abelian
 component group, and one generator per generating coset, a Monomial or a
-CycMatrix.  The constructions here hand each spec a per-coset builder,
-read only for the generating cosets and only when something reads them;
-every builder but the single-orbit one returns the Monomial it made.
+CycMatrix.  Each construction here builds those generators when it is
+called (_built_spec); every one but the single-orbit construction
+builds the Monomial it stores.
 
 The canonical generator section multiplies per-factor operators with
 translations before characters, slots in shape order, so every spec is
@@ -30,7 +30,7 @@ from .abelian import (
     product_embedding,
     transport_character,
 )
-from .cyclo import ONE, CycMatrix
+from .cyclo import ONE, CycMatrix, prime_factors
 from .errors import (
     EmptyDecomposition,
     IncompatibleGluing,
@@ -161,25 +161,22 @@ class GroupSpec:
     """A reductive subgroup of GL(U) up to scalars: its identity component
     and one generator per generating coset (a unit coordinate vector).
 
-    generators is either a dict from coset coordinates to generators, each
-    a CycMatrix or a Monomial (decoded and computed specs), or a picklable
-    function from a coset's coordinates to its generator, in either form
-    (the constructions, for example a module-level function bound with
-    functools.partial).  Only the identity and the generating cosets are
-    read from it.  A dict must hold those; any other coset it holds, as old
-    pair files do, must be an invertible operator in the coset of its word,
-    is checked once here and is then dropped.  The identity component is
-    given by blocks or by a raw algebra basis of one n x n matrix or more,
-    never both, since the two could describe different algebras.
+    generators is a dict from coset coordinates to generators, each a
+    CycMatrix or a Monomial.  It must hold the identity and the generating
+    cosets, and each is shape-checked here; any other coset it holds, as
+    old pair files do, must be an invertible operator in the coset of its
+    word, is checked once here and is then dropped.  The identity component
+    is given by blocks or by a raw algebra basis of one n x n matrix or
+    more, never both, since the two could describe different algebras.
 
-    operator(coords) is the one way to read a coset.  A generating coset's
-    first read builds its generator (a dict hands each one over once) and
-    checks its shape; any other coset is its word, the word of the coset
-    one step lower in its last nonzero coordinate times that coordinate's
-    generator, so the cosets form a group by construction.  Either is
-    scanned into a Monomial when it is one and cached in that single form.
-    The identity coset is checked here and stored as Monomial.identity(n).
-    cosets() lists the coordinates in the component group's element order.
+    operator(coords) is the one way to read a coset.  The identity coset is
+    stored as Monomial.identity(n) and each generating coset as its
+    generator; any other coset is its word, the word of the coset one step
+    lower in its last nonzero coordinate times that coordinate's generator,
+    multiplied out on first read, so the cosets form a group by
+    construction.  Each is scanned into a Monomial when it is one and
+    cached in that single form.  cosets() lists the coordinates in the
+    component group's element order.
 
     algebra() is the identity-component algebra, a matrep.Algebra whose
     basis a block spec builds on first use, with dimension sum d^2.
@@ -208,21 +205,18 @@ class GroupSpec:
         self._index = frozenset(self._cosets)
         self._gens = tuple(self.generating_cosets())
         ident = self._cosets[0]
-        if callable(generators):
-            self._build, extra = generators, {}
-        else:
-            given = dict(generators)
-            if not {ident, *self._gens} <= set(given) <= self._index:
-                raise ValueError("need a generator for the identity and each generating "
-                                 "coset, and none outside the component group")
-            for op in given.values():
-                _check_shape(op, n)
-            self._build = {c: given.pop(c) for c in (ident, *self._gens)}.pop
-            extra = given
-        if not _check_shape(self._build(ident), n).is_identity():
+        given = dict(generators)
+        if not {ident, *self._gens} <= set(given) <= self._index:
+            raise ValueError("need a generator for the identity and each generating "
+                             "coset, and none outside the component group")
+        for op in given.values():
+            _check_shape(op, n)
+        if not given.pop(ident).is_identity():
             raise ValueError("identity-coset generator must be the identity matrix")
         self._operators = {ident: Monomial.identity(n)}
-        for coords, op in extra.items():
+        for coords in self._gens:
+            self._store(coords, given.pop(coords))
+        for coords, op in given.items():
             if not self.coset_contains(coords, op):
                 raise ValueError(
                     f"generator at {coords} is not its word in the generating cosets")
@@ -247,27 +241,23 @@ class GroupSpec:
         return self._cosets
 
     def operator(self, coords):
-        """The generator or word of a coset, built and cached on first read."""
+        """The stored generator of a coset, or its word, multiplied out and
+        cached on first read."""
         coords = tuple(coords)
         op = self._operators.get(coords)
         if op is not None:
             return op
         if coords not in self._index:
             raise KeyError(coords)
-        # lower the last nonzero coordinate down to a built or generating coset
+        # lower the last nonzero coordinate down to a stored coset
         steps = []
-        while coords not in self._operators and coords not in self._gens:
+        while coords not in self._operators:
             a = max(i for i, c in enumerate(coords) if c)
             steps.append((coords, a))
             coords = coords[:a] + (coords[a] - 1,) + coords[a + 1:]
-        op = self._operators.get(coords)
-        if op is None:
-            op = self._store(coords, _check_shape(self._build(coords), self.ambient.dim))
-            if all(c in self._operators for c in self._gens):
-                # every generator is built: let go of whatever the builder holds
-                self._build = None
+        op = self._operators[coords]
         for coords, a in reversed(steps):
-            op = self._store(coords, op @ self.operator(self._gens[a]))
+            op = self._store(coords, op @ self._operators[self._gens[a]])
         return op
 
     def _store(self, coords, op):
@@ -298,12 +288,15 @@ class GroupSpec:
     def component_count(self) -> int:
         return self.component_group.order
 
-    def validate(self, deep: bool = False) -> None:
-        """Check the structural invariants: the block grids partition the
-        basis indices, the algebra holds the identity, and each generator is
-        invertible, with its power by its invariant factor in the algebra.
-        deep also checks that the generators normalize the identity
-        component and commute modulo it, so the words close up."""
+    def validate(self) -> None:
+        """Check that the spec is a group with one coset per label: the
+        block grids partition the basis indices, the algebra holds the
+        identity, and each generator is invertible, normalizes the identity
+        component and has its power by its invariant factor in it.  The
+        generators must commute modulo the identity component, so the
+        labels map onto the cosets as a homomorphism, and no label of prime
+        order may map to the identity component, so no two labels share a
+        coset (a nontrivial kernel holds an element of prime order)."""
         n = self.ambient.dim
         if self.blocks is not None:
             indices = sorted(i for b in self.blocks for i in b.indices())
@@ -313,15 +306,11 @@ class GroupSpec:
         if not algebra.contains(Monomial.identity(n)):
             raise ValueError("the identity-component algebra does not hold the identity")
         for coords, d in zip(self._gens, self.component_group.invariant_factors):
-            self._inverse(coords)
-            if not algebra.contains(self.operator(coords) ** d):
+            op, inv = self.operator(coords), self._inverse(coords)
+            if not algebra.contains(op ** d):
                 raise ValueError(
                     f"generator at {coords} to the power {d} leaves the identity component")
-        if not deep:
-            return
-        for coords in self._gens:
-            op, inv = self.operator(coords), self._inverse(coords)
-            if not all(algebra.contains(op @ b @ inv) for b in algebra.basis):
+            if not algebra.contains_algebra(Algebra(n, [op @ b @ inv for b in algebra.basis])):
                 raise ValueError(f"generator at {coords} does not normalize the blocks")
         for b, y in enumerate(self._gens):
             for x in self._gens[:b]:
@@ -329,6 +318,14 @@ class GroupSpec:
                 s = tuple(i + j for i, j in zip(x, y))
                 if not self.coset_contains(s, self.operator(y) @ self.operator(x)):
                     raise ValueError("generator products leave the extension")
+        factors = self.component_group.invariant_factors
+        for p in prime_factors(self.component_group.exponent):
+            # the elements of order p: multiples of d / p in each factor d
+            steps = [range(0, d, d // p) if d % p == 0 else (0,) for d in factors]
+            for coords in itertools.product(*steps):
+                if any(coords) and algebra.contains(self.operator(coords)):
+                    raise ValueError(f"the label {coords} of order {p} names the "
+                                     "identity component")
 
     def __repr__(self):
         blocks = self.block_dims()
@@ -431,6 +428,13 @@ def connected_pair(decomposition) -> tuple[GroupSpec, GroupSpec]:
     return g, h
 
 
+def _built_spec(ambient, blocks, group: FinAbGroup, build) -> GroupSpec:
+    """The spec whose identity and generating cosets hold build(coords),
+    the operators a GroupSpec stores."""
+    stored = (group.identity(), *group.generators())
+    return GroupSpec(ambient, blocks, group, {x.coords: build(x.coords) for x in stored})
+
+
 def _split_coset(parts, coords):
     """The per-factor elements of a coset of the direct product of parts."""
     product, _, split = product_embedding(parts)
@@ -490,8 +494,9 @@ def single_orbit_pair(ing: SingleOrbitIngredients) -> tuple[GroupSpec, GroupSpec
         h_blocks.append(Block(e, tuple(grid)))
 
     gamma = product_embedding((L, L, J, K))[0]
-    g = GroupSpec(ambient, g_blocks, gamma, partial(_single_orbit_generator, b, e, L, J, K, "g"))
-    h = GroupSpec(ambient, h_blocks, gamma, partial(_single_orbit_generator, b, e, L, J, K, "h"))
+    build = partial(_single_orbit_generator, b, e, L, J, K)
+    g = _built_spec(ambient, g_blocks, gamma, partial(build, "g"))
+    h = _built_spec(ambient, h_blocks, gamma, partial(build, "h"))
     return g, h
 
 
@@ -572,7 +577,7 @@ def general_xx_hat_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
     def build_side(side: GroupSpec) -> GroupSpec:
         blocks = tuple(b.tensor_extend(n_x) for b in side.blocks)
         comp = product_embedding((side.component_group, x_group, x_group))[0]
-        return GroupSpec(ambient, blocks, comp, partial(_xx_hat_generator, side, x_group))
+        return _built_spec(ambient, blocks, comp, partial(_xx_hat_generator, side, x_group))
 
     return build_side(h1), build_side(h2)
 
@@ -611,11 +616,11 @@ def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
             Block(1, (tuple(g * n_x + x for g in range(dim_w)),)) for x in range(n_x)
         )
         comp_g = product_embedding((h1.component_group, x_group))[0]
-        g_spec = GroupSpec(ambient, torus, comp_g, partial(_type2_generator, h1, x_group, "tau"))
+        g_spec = _built_spec(ambient, torus, comp_g, partial(_type2_generator, h1, x_group, "tau"))
         comp_h = product_embedding((h2.component_group, x_group))[0]
         h_blocks = tuple(b.tensor_extend(n_x) for b in h2.blocks)
-        h_spec = GroupSpec(ambient, h_blocks, comp_h,
-                           partial(_type2_generator, h2, x_group, "sigma"))
+        h_spec = _built_spec(ambient, h_blocks, comp_h,
+                             partial(_type2_generator, h2, x_group, "sigma"))
         return g_spec, h_spec
 
     if not _is_connected_gl_pair(h1, h2):
@@ -623,11 +628,11 @@ def type2_pair(h1: GroupSpec, h2: GroupSpec, x_group: FinAbGroup,
             "variant ii needs a connected mutual-commutant pair in GL(W)"
         )
     g_blocks = tuple(nb for b in h1.blocks for nb in b.replicate(n_x))
-    g_spec = GroupSpec(ambient, g_blocks, x_group,
-                       partial(_connected_type2_generator, dim_w, x_group, "tau"))
+    g_spec = _built_spec(ambient, g_blocks, x_group,
+                         partial(_connected_type2_generator, dim_w, x_group, "tau"))
     h_blocks = tuple(b.tensor_extend(n_x) for b in h2.blocks)
-    h_spec = GroupSpec(ambient, h_blocks, x_group,
-                       partial(_connected_type2_generator, dim_w, x_group, "sigma"))
+    h_spec = _built_spec(ambient, h_blocks, x_group,
+                         partial(_connected_type2_generator, dim_w, x_group, "sigma"))
     return g_spec, h_spec
 
 
@@ -770,6 +775,6 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
 
     g_parts = [(g_i, g_coset) for g_i, _, g_coset, _ in sides]
     h_parts = [(h_i, h_coset) for _, h_i, _, h_coset in sides]
-    g = GroupSpec(ambient, tuple(g_blocks), gamma, partial(_glued_generator, g_parts))
-    h = GroupSpec(ambient, tuple(h_blocks), gamma, partial(_glued_generator, h_parts))
+    g = _built_spec(ambient, tuple(g_blocks), gamma, partial(_glued_generator, g_parts))
+    h = _built_spec(ambient, tuple(h_blocks), gamma, partial(_glued_generator, h_parts))
     return g, h

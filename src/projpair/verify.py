@@ -40,16 +40,17 @@ pairing table are integer pairs (order, exponent) throughout.
 
 Work is done on generators where the group structure allows it.  The
 surviving scalar tuples form a subgroup, so compute_centralizer solves
-only tuples that neither a known subgroup of survivors nor the tuples
-already known to fail decide, names the component group from the
-solved survivors, which generate it, and multiplies out witnesses for
-its generating cosets alone.  Every coset of a GroupSpec is its word in
-those, so pairing_table expands its table from their commutators.
-Everything runs in one process.  Both
-directions of the comparison and specs_equal are one subgroup test,
-spec_contains: one spec lies in another when its algebra does and
-each of its generating cosets lies in some coset of the other, tested
-with GroupSpec.coset_contains.  Every question about an identity-component
+only tuples outside the subgroup its survivors so far generate, names
+the component group from the solved survivors, which generate it, and
+multiplies out witnesses for its generating cosets alone.  Every coset
+of a GroupSpec is its word in those, so pairing_table expands its table
+from their commutators.  Everything runs in one process.  Both
+directions of the comparison are one subgroup test, spec_contains: one
+spec lies in another when its algebra does and each of its generating
+cosets lies in some coset of the other, tested with
+GroupSpec.coset_contains.  specs_equal runs that scan once, and a
+second time only when the cosets it finds do not generate the other
+spec's component group.  Every question about an identity-component
 algebra (membership, inclusion, dimension, the trace form) goes to its
 matrep.Algebra.  The tests cross-check the engine against a purely dense
 solve.
@@ -372,11 +373,7 @@ def _invertible_in_span(basis, n: int) -> Monomial | CycMatrix | None:
     """
     dim = len(basis)
     cells = [x.cells for x in basis]
-    tried = set()
     for coeffs in _sample_vectors(dim, n):
-        if coeffs in tried:
-            continue
-        tried.add(coeffs)
         cand = _combine(cells, coeffs, n)
         if cand is not None and _det_nonzero(cand):
             return Monomial.from_matrix(cand) or cand
@@ -386,8 +383,6 @@ def _invertible_in_span(basis, n: int) -> Monomial | CycMatrix | None:
             f"impractical (dim {dim}, ambient {n})"
         )
     for coeffs in itertools.product(range(n + 1), repeat=dim):
-        if coeffs in tried:
-            continue
         cand = _combine(cells, coeffs, n)
         if cand is not None and _det_nonzero(cand):
             return Monomial.from_matrix(cand) or cand
@@ -436,12 +431,11 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     The surviving tuples form a subgroup S (x y has tuple t + t'), so most
     of them need no solve.  The tuples are walked in order with a known
     subgroup S0 of S, each element with its word over the solved
-    survivors, and a set of tuples known to lie outside S, a union of
-    cosets of S0.  A tuple in neither is solved.  When it survives, S0
-    grows by its multiples, each new word one survivor's power longer,
-    and the dead set is translated by the new multiples.  When it fails,
-    so does every tuple of t + S0, since S0 lies in S.  The zero tuple is
-    the identity component, solved once on its own, before the walk.
+    survivors, and a tuple outside S0 is solved.  When it survives, S0
+    grows by its multiples, each new word one survivor's power longer.
+    A failing tuple costs that one solve, and its dimension decides it
+    (below).  The zero tuple is the identity component, solved once on
+    its own, before the walk.
 
     A solved tuple survives iff its twisted commutant B holds an
     invertible element, and its dimension decides that:
@@ -489,27 +483,22 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     known = {zero: ()}
     # the solved survivors: each one grows known, so they generate it
     survivors = []
-    dead = set()
     for t in itertools.product(*(range(m) for m in moduli)):
-        if t in known or t in dead:
+        if t in known:
             continue
         scalars = list(zip(moduli, t))
         basis = engine.solve(scalars)
         # an invertible X gives B = X A', so any other dimension is dead
         w = engine.witness(basis, scalars) if len(basis) == len(identity_basis) else None
         if w is None:
-            dead.update(add(t, s) for s in known)
             continue
         survivors.append(t)
         old = list(known.items())
-        shifts = []
         step, power = t, 1
         while step not in known:
-            shifts.append(step)
             for s, word in old:
                 known[add(s, step)] = word + ((w, power),)
             step, power = add(step, t), power + 1
-        dead.update([add(d, u) for d in dead for u in shifts])
 
     comp_group, to_canonical = subgroup_from_elements(moduli, survivors)
     if comp_group.order != len(known):
@@ -668,6 +657,20 @@ class VerificationReport:
         }
 
 
+def _places(outer: GroupSpec, inner: GroupSpec):
+    """For each generating coset of inner, the first coset of outer that
+    holds its operator, in outer.cosets() order; None as soon as one has
+    no place."""
+    places = []
+    for ic in inner.generating_cosets():
+        op = inner.operator(ic)
+        place = next((oc for oc in outer.cosets() if outer.coset_contains(oc, op)), None)
+        if place is None:
+            return None
+        places.append(place)
+    return places
+
+
 def spec_contains(outer: GroupSpec, inner: GroupSpec) -> bool:
     """Is inner a subgroup of outer, up to scalars?
 
@@ -677,10 +680,8 @@ def spec_contains(outer: GroupSpec, inner: GroupSpec) -> bool:
     inner's and each generating coset of inner lies in some coset of
     outer.
     """
-    return outer.algebra().contains_algebra(inner.algebra()) and all(
-        any(outer.coset_contains(oc, inner.operator(ic)) for oc in outer.cosets())
-        for ic in inner.generating_cosets()
-    )
+    return (outer.algebra().contains_algebra(inner.algebra())
+            and _places(outer, inner) is not None)
 
 
 def _compare_with_centralizer(claimed: GroupSpec, computed: GroupSpec):
@@ -763,11 +764,18 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec) -> VerificationReport:
 def specs_equal(a: GroupSpec, b: GroupSpec) -> bool:
     """Equality of two specified subgroups of the same GL(U), up to scalars.
 
-    a lies in b by spec_contains; with equal identity dimensions the
-    algebras are then equal, and with equal component counts each coset of
-    a fills one coset of b (distinct cosets are disjoint), so a = b.
+    a lies in b as in spec_contains, and with equal identity dimensions the
+    algebras are then equal.  b lies in a when the cosets of b that hold
+    a's generating cosets generate b's component group, since every coset
+    of b is their word; otherwise the reverse scan decides it.  Counting
+    components would not do: two labels of a may name one coset.
     """
-    return (a.ambient.dim == b.ambient.dim
-            and a.component_count() == b.component_count()
-            and a.identity_component_dim() == b.identity_component_dim()
-            and spec_contains(b, a))
+    if (a.ambient.dim != b.ambient.dim
+            or a.identity_component_dim() != b.identity_component_dim()
+            or not b.algebra().contains_algebra(a.algebra())):
+        return False
+    places = _places(b, a)
+    if places is None:
+        return False
+    placed, _ = subgroup_from_elements(list(b.component_group.invariant_factors), places)
+    return placed.order == b.component_count() or _places(a, b) is not None

@@ -15,6 +15,7 @@ from projpair.abelian import FinAbGroup
 from projpair.cli import main
 from projpair.construct import (
     Ambient,
+    Block,
     GroupSpec,
     SingleOrbitIngredients,
     connected_pair,
@@ -537,6 +538,47 @@ def test_verify_of_non_commuting_generators_has_no_pairing(tmp_path):
     assert report["pairing"] is None
     assert {"code": "PAIRING_DEGENERATE",
             "detail": "pairing not defined: commutator is not scalar"} in report["failures"]
+
+
+def _one_sided_pair_file(tmp_path, blocks, group, gens):
+    """A pair file of one spec on both sides, written as its generators
+    are given, with no check that they make a group."""
+    n = next(iter(gens.values())).shape[0]
+    spec = GroupSpec(Ambient.single(TensorShape((("A", n),))), blocks, group, gens)
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(serialize.pair_to_json(spec, spec)))
+    return str(pair_file)
+
+
+def _transposition(n, i, j):
+    perm = list(range(n))
+    perm[i], perm[j] = j, i
+    return Monomial.from_exponents(perm, 1, [0] * n)
+
+
+@pytest.mark.parametrize("blocks, group, gens, message", [
+    # the Hadamard matrix does not normalize the diagonal torus of PGL(2)
+    ((Block(1, ((0,),)), Block(1, ((1,),))), Z2,
+     {(0,): CycMatrix.identity(2), (1,): CycMatrix([[1, 1], [1, -1]])},
+     "does not normalize"),
+    # (0 1) and (1 2) do not commute modulo the scalars of PGL(3)
+    (scalar_blocks(3), FinAbGroup((2, 2)),
+     {(0, 0): Monomial.identity(3), (1, 0): _transposition(3, 0, 1),
+      (0, 1): _transposition(3, 1, 2)},
+     "leave the extension"),
+    # <I> declared as Z2: both labels name the identity component
+    (scalar_blocks(2), Z2, {(0,): Monomial.identity(2), (1,): Monomial.identity(2)},
+     "names the identity component"),
+], ids=["torus_not_normalized", "generators_not_commuting", "labels_collapse"])
+def test_pair_file_of_a_side_that_is_no_group_exits_2(tmp_path, capsys, blocks, group,
+                                                     gens, message):
+    """A side whose generators do not make a group with one coset per
+    label is bad input for verify and for pairing, not a failing pair."""
+    pair_file = _one_sided_pair_file(tmp_path, blocks, group, gens)
+    for command in ("verify", "pairing"):
+        assert run([command, pair_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed pair file") and message in err
 
 
 def test_enumerate_counts(tmp_path):

@@ -76,16 +76,16 @@ def test_xx_hat_pair_structure():
 
 def test_spec_validation():
     g, h = xx_hat_pair(Z2)
-    g.validate(deep=True)
-    h.validate(deep=True)
+    g.validate()
+    h.validate()
     for ing in [
         SingleOrbitIngredients(2, 1, Z2, TRIV, Z2),
         SingleOrbitIngredients(1, 1, Z2, Z2, TRIV),
         SingleOrbitIngredients(1, 2, TRIV, Z3, TRIV),
     ]:
         a, b = single_orbit_pair(ing)
-        a.validate(deep=True)
-        b.validate(deep=True)
+        a.validate()
+        b.validate()
 
 
 def test_operator_picks_monomial_or_dense_form():
@@ -314,7 +314,7 @@ def test_glued_h_cosets_match_pairing_table_oracle():
 def test_degenerate_pairing_raises_incompatible_gluing():
     g, _ = xx_hat_pair(Z2)
     flat = GroupSpec(g.ambient, g.blocks, g.component_group,
-                     lambda coords: CycMatrix.identity(2))
+                     dict.fromkeys(g.cosets(), CycMatrix.identity(2)))
     assert pairing_coset_matrix(g, g) == [[0, 1], [1, 0]]
     with pytest.raises(IncompatibleGluing, match="degenerate"):
         pairing_coset_matrix(g, flat)
@@ -407,13 +407,12 @@ def test_scalar_blocks_span():
     assert basis[0].is_identity()
 
 
-# -- generators built on first read -----------------------------------------
+# -- generators built at construction ---------------------------------------
 
 
 def test_enumeration_reads_build_only_generating_cosets(monkeypatch):
-    """The mirrored gluing matrix reads each side's generating cosets; the
-    identity coset is built by the construction's own check, and no other
-    coset is built."""
+    """A construction builds each side's identity and generating cosets,
+    which the mirrored gluing matrix reads, and no other coset."""
     built = []
     real = construct._single_orbit_generator
 
@@ -430,19 +429,17 @@ def test_enumeration_reads_build_only_generating_cosets(monkeypatch):
     assert sorted(built) == sorted(expected)
 
 
-def test_builder_of_wrong_shape_raises_on_first_read():
+def test_generator_of_wrong_shape_raises_at_construction():
+    """Every generator a dict holds is shape-checked when the spec is
+    built, an extra coset's as well as a generating coset's."""
     ambient = Ambient.single(TensorShape((("A", 2),)))
-
-    def build(coords):
-        return CycMatrix.identity(2 if coords == (0,) else 3)
-
-    spec = GroupSpec(ambient, scalar_blocks(2), Z2, build)
-    assert spec.operator((0,)).is_identity()
-    with pytest.raises(ValueError, match="wrong shape"):
-        spec.operator((1,))
     with pytest.raises(ValueError, match="wrong shape"):
         GroupSpec(ambient, scalar_blocks(2), Z2,
                   {(0,): CycMatrix.identity(2), (1,): CycMatrix.identity(3)})
+    with pytest.raises(ValueError, match="wrong shape"):
+        GroupSpec(ambient, scalar_blocks(2), FinAbGroup.cyclic(3),
+                  {(0,): CycMatrix.identity(2), (1,): CycMatrix.identity(2),
+                   (2,): CycMatrix.identity(3)})
 
 
 def test_generator_table_holds_monomials():
@@ -453,7 +450,7 @@ def test_generator_table_holds_monomials():
     spec = GroupSpec(ambient, scalar_blocks(2), Z2,
                      {(0,): Monomial.identity(2), (1,): swap})
     assert spec.operator((1,)) is swap
-    spec.validate(deep=True)
+    spec.validate()
     assert serialize.spec_to_json(spec) == serialize.spec_to_json(GroupSpec(
         ambient, scalar_blocks(2), Z2,
         {(0,): CycMatrix.identity(2), (1,): swap.to_matrix()}))
@@ -469,7 +466,7 @@ def test_non_identity_generator_at_identity_coset_raises_at_construction():
     ambient = Ambient.single(TensorShape((("A", 2),)))
     swap = CycMatrix([[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="identity matrix"):
-        GroupSpec(ambient, scalar_blocks(2), Z2, lambda coords: swap)
+        GroupSpec(ambient, scalar_blocks(2), Z2, {(0,): Monomial([1, 0], [1, 1]), (1,): swap})
     with pytest.raises(ValueError, match="identity matrix"):
         GroupSpec(ambient, scalar_blocks(2), Z2, {(0,): swap, (1,): swap})
 
@@ -541,12 +538,11 @@ def test_builders_keep_monomials(monkeypatch, inputs, build):
 
 
 def test_builder_runs_once_per_coset_whatever_reads_it(monkeypatch):
-    """Reading every coset through operator(), serializing, validating
-    (deep or not), the pairing table and a full verify run the builder of
-    each side once for the identity coset and once for each generating
-    coset, and for no other coset: every other one is its word.  The
-    identity coset is built by the construction's own check and stored as
-    the identity Monomial."""
+    """Reading every coset through operator(), serializing, validating,
+    the pairing table and a full verify run the builder of each side once
+    for the identity coset and once for each generating coset, all at
+    construction, and for no other coset: every other one is its word.
+    The identity coset is stored as the identity Monomial."""
     from projpair.verify import pairing_table, verify_dual_pair
 
     built = []
@@ -564,7 +560,6 @@ def test_builder_runs_once_per_coset_whatever_reads_it(monkeypatch):
         spec.operator(spec.generating_cosets()[0])
         serialize.spec_to_json(spec)
         spec.validate()
-        spec.validate(deep=True)
         for coords in spec.cosets():
             spec.operator(coords)
     pairing_table(g, h)

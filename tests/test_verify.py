@@ -648,6 +648,24 @@ def test_zero_matrix_keeps_a_raw_basis_on_the_span_path():
         assert specs_equal(spec, other) == (other is scalars)
 
 
+def test_specs_equal_when_two_labels_name_one_coset():
+    """a = <I> declared as Z2 over the scalars of PGL(2) holds one coset
+    under both labels; b = <diag(1, -1)> holds two.  a lies in b and both
+    count two components, but b does not lie in a, so specs_equal says no
+    in both orders, and a, whose placed cosets do not generate Z2, equals
+    itself by the reverse scan."""
+    ambient = Ambient.single(TensorShape((("A", 2),)))
+    a = GroupSpec(ambient, scalar_blocks(2), Z2,
+                  {(0,): Monomial.identity(2), (1,): Monomial.identity(2)})
+    b = GroupSpec(ambient, scalar_blocks(2), Z2,
+                  {(0,): Monomial.identity(2), (1,): Monomial.from_exponents([0, 1], 2, [0, 1])})
+    assert spec_contains(b, a) and not spec_contains(a, b)
+    assert a.component_count() == b.component_count()
+    assert not specs_equal(a, b)
+    assert not specs_equal(b, a)
+    assert specs_equal(a, a) and specs_equal(b, b)
+
+
 def test_pattern_specs_take_no_elimination_in_verify(monkeypatch):
     """Every row with n <= 6 verifies with its identity components decided
     on root patterns.  Every computed centralizer's basis is one, and no
@@ -738,13 +756,13 @@ def test_computed_centralizers_store_unit_monomial_witnesses():
     computed centralizer keeps each unit-monomial witness product of a
     generating coset as a Monomial and every other one dense.  Each
     generator has 1 as its first nonzero entry, the spec passes
-    validate(deep=True), its centralizer is built from those Monomials,
+    validate(), its centralizer is built from those Monomials,
     and Z(Z(Z(S))) = Z(S)."""
     specs = [spec for _, spec in _battery()] + list(xx_hat_pair(FinAbGroup.cyclic(4)))
     monomials = dense = 0
     for spec in specs:
         z1 = projective_centralizer(spec)
-        z1.validate(deep=True)
+        z1.validate()
         for coords in z1.generating_cosets():
             op = z1.operator(coords)
             mat = as_dense(op)
@@ -903,11 +921,11 @@ def test_pairing_table_rejects_noncommuting():
 def test_centralizer_component_tuples_form_group():
     """The surviving scalar tuples of Z(h) for the Heisenberg pair of Z2
     form the component group: four components, and a coset table that
-    passes the deep group checks."""
+    passes the group checks of validate()."""
     g, h = xx_hat_pair(Z2)
     z = compute_centralizer(h)
     assert z.component_count() == 4
-    z.validate(deep=True)
+    z.validate()
 
 
 def _tuple_moduli(target):
