@@ -289,20 +289,24 @@ class GroupSpec:
         return self.component_group.order
 
     def validate(self) -> None:
-        """Check that the spec is a group with one coset per label: the
-        block grids partition the basis indices, the algebra holds the
-        identity, and each generator is invertible, normalizes the identity
-        component and has its power by its invariant factor in it.  The
-        generators must commute modulo the identity component, so the
-        labels map onto the cosets as a homomorphism, and no label of prime
-        order may map to the identity component, so no two labels share a
-        coset (a nontrivial kernel holds an element of prime order)."""
+        """Check that the spec is a reductive group with one coset per
+        label: the block grids partition the basis indices (so a block
+        spec's algebra is semisimple), a raw algebra basis has a
+        nondegenerate trace form, the algebra holds the identity, and each
+        generator is invertible, normalizes the identity component and has
+        its power by its invariant factor in it.  The generators must
+        commute modulo the identity component, so the labels map onto the
+        cosets as a homomorphism, and no label of prime order may map to
+        the identity component, so no two labels share a coset (a
+        nontrivial kernel holds an element of prime order)."""
         n = self.ambient.dim
+        algebra = self._algebra
         if self.blocks is not None:
             indices = sorted(i for b in self.blocks for i in b.indices())
             if indices != list(range(n)):
                 raise ValueError(f"block grids do not partition the indices 0..{n - 1}")
-        algebra = self._algebra
+        elif not algebra.is_semisimple():
+            raise ValueError("the identity-component algebra is not semisimple")
         if not algebra.contains(Monomial.identity(n)):
             raise ValueError("the identity-component algebra does not hold the identity")
         for coords, d in zip(self._gens, self.component_group.invariant_factors):

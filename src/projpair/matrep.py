@@ -19,7 +19,10 @@ root-of-unity entries; Monomial.from_matrix is that scan at full
 coverage, so the conversion to and from CycMatrix is lossless.  Which
 form a stored generator takes is decided by GroupSpec.operator.
 Algebra is an identity component's algebra, the one place that chooses
-between integer exponents and the VectorSpan for it.
+between integer exponents and the VectorSpan for it.  On exponents, one
+routine, _pattern_in_pattern, answers every membership: a unit Monomial
+is a one-element root pattern, so whether the algebra holds it is the
+inclusion of that pattern in the algebra's.
 """
 
 from __future__ import annotations
@@ -274,15 +277,17 @@ class Algebra:
     the one place that chooses how a question about it is answered.
 
     It keeps the basis, its root pattern (_root_pattern: roots of unity on
-    disjoint nonzero supports, or None) and its VectorSpan, each built on
+    disjoint nonzero supports, as a map from each support position to its
+    basis index and exponent, or None) and its VectorSpan, each built on
     first use.  Where there is a pattern, its integer exponents decide:
-    contains(op) for a unit Monomial, contains_algebra(other) when both
-    are patterns, dim as the basis length (nonzero matrices on disjoint
-    supports are independent) unless a dimension was given (a block spec's
-    sum of d^2), and is_semisimple() by one partner sum per basis element
-    when the supports are closed under transpose.  Anything else goes
-    through the span, or for the trace form the Gram rank.  Algebras are
-    equal when their sizes and dimensions are and one holds the other.
+    contains(op) for a unit Monomial, as the inclusion of the Monomial's
+    one-element pattern, contains_algebra(other) when both are patterns,
+    dim as the basis length (nonzero matrices on disjoint supports are
+    independent) unless a dimension was given (a block spec's sum of d^2),
+    and is_semisimple() by one partner sum per basis element when the
+    supports are closed under transpose.  Anything else goes through the
+    span, or for the trace form the Gram rank.  Algebras are equal when
+    their sizes and dimensions are and one holds the other.
     """
 
     def __init__(self, n: int, basis, dim: int | None = None):
@@ -317,7 +322,10 @@ class Algebra:
     def contains(self, op) -> bool:
         """Does the algebra hold the operator op, a Monomial or a CycMatrix?"""
         if isinstance(op, Monomial) and self._pattern is not None:
-            return _in_root_pattern(self._pattern, op)
+            # a unit monomial is a one-element root pattern
+            n = op.n
+            return _pattern_in_pattern(self._pattern, (op.order, {
+                p * n + j: (0, e) for j, (p, e) in enumerate(zip(op.perm, op.exps))}, (n,)))
         return self.span.contains(as_dense(op).flat_cells())
 
     def contains_algebra(self, other: "Algebra") -> bool:
@@ -347,12 +355,11 @@ class Algebra:
 def _root_pattern(basis, n: int):
     """(N, where, sizes) when the n x n matrices of basis form a
     root-of-unity pattern: every nonzero cell a root of unity, no two
-    matrices sharing a position and none of them zero.  where[i * n + j]
-    is (b, k) when basis[b] holds zeta_N^k at (i, j) and None off every
-    support, sizes[b] is the number of cells of basis[b], and N the least
-    order carrying every cell.  None for any other basis."""
-    where = [None] * (n * n)
-    roots = []
+    matrices sharing a position and none of them zero.  where maps the
+    position i * n + j of each cell on a support to (b, k) when basis[b]
+    holds zeta_N^k there, sizes[b] is the number of cells of basis[b], and
+    N the least order carrying every cell.  None for any other basis."""
+    roots = {}
     sizes = []
     for b, mat in enumerate(basis):
         if not mat.cells:
@@ -360,67 +367,34 @@ def _root_pattern(basis, n: int):
         for (i, j), v in mat.cells.items():
             root = v.as_root_of_unity()
             pos = i * n + j
-            if root is None or where[pos] is not None:
+            if root is None or pos in roots:
                 return None
-            where[pos] = b
-            roots.append((pos, b, root))
+            roots[pos] = (b, root)
         sizes.append(len(mat.cells))
-    order = math.lcm(*(d for _, _, (d, _) in roots))
-    for pos, b, (d, k) in roots:
-        where[pos] = (b, k * (order // d))
-    return order, where, tuple(sizes)
-
-
-def _in_root_pattern(pattern, mono: Monomial) -> bool:
-    """Does the span of a _root_pattern basis hold the unit monomial mono?
-
-    The supports are disjoint, so a matrix lies in the span iff on each
-    support it is a multiple of that basis matrix and it is zero off their
-    union.  mono has no zero cell, so it must lie in the supports, differ
-    from each basis matrix it touches by one exponent, and cover those
-    matrices whole: their cell counts sum to n."""
-    order, where, sizes = pattern
-    n = mono.n
-    lcm = math.lcm(order, mono.order)
-    lift_p, lift_m = lcm // order, lcm // mono.order
-    shifts = {}
-    covered = 0
-    for j, (i, e) in enumerate(zip(mono.perm, mono.exps)):
-        hit = where[i * n + j]
-        if hit is None:
-            return False
-        b, k = hit
-        shift = (e * lift_m - k * lift_p) % lcm
-        seen = shifts.get(b)
-        if seen is None:
-            shifts[b] = shift
-            covered += sizes[b]
-        elif seen != shift:
-            return False
-    return covered == n
+    order = math.lcm(*(d for _, (d, _) in roots.values()))
+    return (order, {pos: (b, k * (order // d)) for pos, (b, (d, k)) in roots.items()},
+            tuple(sizes))
 
 
 def _pattern_in_pattern(outer, inner) -> bool:
     """Does the span of the outer _root_pattern basis hold that of inner?
 
-    _in_root_pattern for each inner basis matrix a: a lies in the outer
-    span iff every cell of a lies on some outer support, a differs from
-    each outer matrix b it touches by one exponent shift, and a covers
-    each such b whole.  Every cell of a lies in exactly one b, so the last
-    holds iff the sizes of the b it touches sum to a's own size."""
+    The outer supports are disjoint, so an inner basis matrix a lies in
+    the outer span iff every cell of a lies on some outer support, a
+    differs from each outer matrix b it touches by one exponent shift, and
+    a covers each such b whole.  Every cell of a lies in exactly one b, so
+    the last holds iff the sizes of the b it touches sum to a's own size."""
     order_o, where_o, sizes_o = outer
     order_i, where_i, sizes_i = inner
     lcm = math.lcm(order_o, order_i)
     lift_o, lift_i = lcm // order_o, lcm // order_i
     shifts = {}
     covered = [0] * len(sizes_i)
-    for pos, cell in enumerate(where_i):
-        if cell is None:
-            continue
-        hit = where_o[pos]
+    for pos, (a, k) in where_i.items():
+        hit = where_o.get(pos)
         if hit is None:
             return False
-        (a, k), (b, l) = cell, hit
+        b, l = hit
         shift = (k * lift_i - l * lift_o) % lcm
         seen = shifts.get((a, b))
         if seen is None:
@@ -448,14 +422,12 @@ def _partner_sums_nonzero(pattern, n: int):
     order, where, sizes = pattern
     partner = [None] * len(sizes)
     exps = [{} for _ in sizes]
-    for pos, cell in enumerate(where):
-        if cell is None:
-            continue
+    for pos, (a, k) in where.items():
         i, j = divmod(pos, n)
-        mirror = where[j * n + i]
+        mirror = where.get(j * n + i)
         if mirror is None:
             return None
-        (a, k), (b, l) = cell, mirror
+        b, l = mirror
         if partner[a] is None:
             partner[a] = b
         elif partner[a] != b:

@@ -44,13 +44,15 @@ only tuples outside the subgroup its survivors so far generate, names
 the component group from the solved survivors, which generate it, and
 multiplies out witnesses for its generating cosets alone.  Every coset
 of a GroupSpec is its word in those, so pairing_table expands its table
-from their commutators.  Everything runs in one process.  Both
-directions of the comparison are one subgroup test, spec_contains: one
-spec lies in another when its algebra does and each of its generating
-cosets lies in some coset of the other, tested with
-GroupSpec.coset_contains.  specs_equal runs that scan once, and a
-second time only when the cosets it finds do not generate the other
-spec's component group.  Every question about an identity-component
+from their commutators.  Everything runs in one process.  Each side
+lies in the other's centralizer iff the pair commutes, one symmetric
+fact that verify_dual_pair decides once, from the pairing table and two
+algebra inclusions.  The other direction of each comparison is the
+subgroup test spec_contains: one spec lies in another when its algebra
+does and each of its generating cosets lies in some coset of the other,
+tested with GroupSpec.coset_contains.  specs_equal runs that scan once,
+and a second time only when the cosets it finds do not generate the
+other spec's component group.  Every question about an identity-component
 algebra (membership, inclusion, dimension, the trace form) goes to its
 matrep.Algebra.  The tests cross-check the engine against a purely dense
 solve.
@@ -684,14 +686,14 @@ def spec_contains(outer: GroupSpec, inner: GroupSpec) -> bool:
             and _places(outer, inner) is not None)
 
 
-def _compare_with_centralizer(claimed: GroupSpec, computed: GroupSpec):
+def _compare_with_centralizer(claimed: GroupSpec, computed: GroupSpec, commute: bool):
     """Failures from comparing a claimed side against the computed
-    centralizer of the other side, as the two containments."""
-    claimed_in_computed = spec_contains(computed, claimed)
-    computed_in_claimed = spec_contains(claimed, computed)
-    if claimed_in_computed and computed_in_claimed:
+    centralizer of the other side.  claimed <= computed holds iff the
+    pair commutes, which verify_dual_pair decides once for both sides;
+    computed <= claimed is a spec_contains scan."""
+    if commute and spec_contains(claimed, computed):
         return []
-    if claimed_in_computed:
+    if commute:
         return [VerificationFailure(
             FAIL_CENTRALIZER_LARGER,
             f"computed centralizer strictly contains the claimed group "
@@ -699,7 +701,7 @@ def _compare_with_centralizer(claimed: GroupSpec, computed: GroupSpec):
             f"{claimed.identity_component_dim()}, components "
             f"{computed.component_count()} vs {claimed.component_count()})",
         )]
-    if computed_in_claimed:
+    if spec_contains(claimed, computed):
         return [VerificationFailure(
             FAIL_CENTRALIZER_SMALLER,
             "claimed group is strictly larger than the computed centralizer",
@@ -713,17 +715,27 @@ def _compare_with_centralizer(claimed: GroupSpec, computed: GroupSpec):
 def verify_dual_pair(g: GroupSpec, h: GroupSpec) -> VerificationReport:
     """Check the mutual-centralizer axioms from first principles.
 
-    Computes the projective centralizer of each side and decides both
-    containments between it and the other side with spec_contains (both
-    hold: no failure; only claimed <= centralizer: CENTRALIZER_LARGER; only
-    centralizer <= claimed: CENTRALIZER_SMALLER; neither:
-    IDENTITY_COMPONENT_MISMATCH); fills the
-    component pairing table and checks that it is nondegenerate with
-    matching component counts.
+    Computes the projective centralizer Z of each side, decides once
+    whether the pair commutes, and compares each side with the other's
+    centralizer (both containments: no failure; only claimed <= Z:
+    CENTRALIZER_LARGER; only Z <= claimed: CENTRALIZER_SMALLER; neither:
+    IDENTITY_COMPONENT_MISMATCH); fills the component pairing table and
+    checks that it is nondegenerate with matching component counts.
+
+    g <= Z(h) and h <= Z(g) are one fact, that the pair commutes, and it
+    holds iff pairing_table finds a scalar commutator for every two
+    generating cosets and each centralizer's algebra holds the other
+    side's.  Z(h) is built from h's algebra and generating cosets: its
+    algebra is the commutant of both, and an operator lies in one of its
+    cosets iff it commutes with h's algebra and with each generating
+    coset up to a scalar, whose order then divides h's projective order
+    and n.  So g's algebra and generating cosets lie in Z(h) exactly when
+    those three conditions hold, and likewise h in Z(g).  Only Z <=
+    claimed takes a spec_contains scan, one per side.
 
     The table is expanded from the generating cosets (pairing_table),
     which is exact for every pair, failing or not: each coset is its word
-    in the generating cosets.  Once both comparisons pass, each side also
+    in the generating cosets.  Once the pair commutes, each side also
     centralizes the other's identity-component algebra on the nose, so a
     value depends only on the two components, whichever operators stand
     for them.
@@ -732,22 +744,27 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec) -> VerificationReport:
         raise ShapeMismatch(
             f"ambient spaces differ: {g.ambient.summand_dims()} vs {h.ambient.summand_dims()}"
         )
-    failures = _compare_with_centralizer(g, compute_centralizer(h))
-    for fail in _compare_with_centralizer(h, compute_centralizer(g)):
-        failures.append(VerificationFailure(fail.code, "mirror check: " + fail.detail))
-
-    table = None
+    zh, zg = compute_centralizer(h), compute_centralizer(g)
+    table = pairing_failure = None
     try:
         table = pairing_table(g, h)
-        if g.component_count() != h.component_count() or not table.is_nondegenerate():
-            failures.append(VerificationFailure(
-                FAIL_PAIRING_DEGENERATE,
-                f"pairing table degenerate or size mismatch "
-                f"({g.component_count()} vs {h.component_count()})",
-            ))
     except NotProjectivelyCommuting as exc:
+        pairing_failure = VerificationFailure(
+            FAIL_PAIRING_DEGENERATE, f"pairing not defined: {exc}")
+    commute = (table is not None
+               and zh.algebra().contains_algebra(g.algebra())
+               and zg.algebra().contains_algebra(h.algebra()))
+    failures = _compare_with_centralizer(g, zh, commute)
+    for fail in _compare_with_centralizer(h, zg, commute):
+        failures.append(VerificationFailure(fail.code, "mirror check: " + fail.detail))
+
+    if table is None:
+        failures.append(pairing_failure)
+    elif g.component_count() != h.component_count() or not table.is_nondegenerate():
         failures.append(VerificationFailure(
-            FAIL_PAIRING_DEGENERATE, f"pairing not defined: {exc}"
+            FAIL_PAIRING_DEGENERATE,
+            f"pairing table degenerate or size mismatch "
+            f"({g.component_count()} vs {h.component_count()})",
         ))
 
     return VerificationReport(

@@ -7,6 +7,7 @@ to four summands), constructs each pair, and verifies it from first
 principles; several criteria then interrogate the collected reports.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -14,7 +15,7 @@ from functools import partial
 
 import pytest
 
-from projpair import construct
+from projpair import construct, serialize
 from projpair.abelian import (
     FinAbGroup,
     SymplecticPairing,
@@ -195,6 +196,18 @@ def test_criterion_3_full_pipeline(pipeline):
         f"{len(results)} rows, {len(failures)} failures, {elapsed:.1f}s",
     )
     assert ok, failures[:5]
+
+
+def test_pipeline_reports_keep_their_digest(pipeline):
+    """The 280 reports for n = 1..8, in enumeration order, keep the sha256
+    of their canonical JSON: a change to how pairs are verified may change
+    its speed, never its answers.  A change to the rows re-records it."""
+    results, _ = pipeline
+    digest = hashlib.sha256()
+    for _, _, _, report in results:
+        digest.update(serialize.dumps_canonical(report.to_json_dict()).encode())
+    assert (len(results), digest.hexdigest()) == (
+        280, "898234985ad77825e119240601d8fa62d7c683aa1342eb388aceff62a843bca3")
 
 
 def test_criterion_4_component_group_duality(pipeline):

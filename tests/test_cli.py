@@ -581,6 +581,21 @@ def test_pair_file_of_a_side_that_is_no_group_exits_2(tmp_path, capsys, blocks, 
         assert err.startswith("error: malformed pair file") and message in err
 
 
+def test_pair_file_of_a_side_that_is_not_reductive_exits_2(tmp_path, capsys):
+    """span{I, E_01} in PGL(2) is no reductive group (its trace form is
+    degenerate), so a pair file with it on both sides is bad input for
+    verify and for pairing, not a construction error or a pairing."""
+    basis = [CycMatrix.identity(2), CycMatrix.from_entries(2, 2, {(0, 1): 1})]
+    spec = GroupSpec(Ambient.single(TensorShape((("A", 2),))), None, FinAbGroup.trivial(),
+                     {(): Monomial.identity(2)}, algebra_basis=basis)
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(serialize.pair_to_json(spec, spec)))
+    for command in ("verify", "pairing"):
+        assert run([command, str(pair_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed pair file") and "not semisimple" in err
+
+
 def test_enumerate_counts(tmp_path):
     out = tmp_path / "rows.json"
     assert run(["enumerate", "--n", "1", "--format", "json", "-o", str(out)]) == 0

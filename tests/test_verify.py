@@ -38,8 +38,13 @@ from projpair.matrep import (
     translation_monomial,
 )
 from projpair.verify import (
+    FAIL_CENTRALIZER_LARGER,
+    FAIL_CENTRALIZER_SMALLER,
+    FAIL_IDENTITY_COMPONENT_MISMATCH,
+    FAIL_PAIRING_DEGENERATE,
     CommutantEngine,
     PairingTable,
+    VerificationFailure,
     _apply_twist_constraint,
     _det_nonzero,
     _invertible_in_span,
@@ -1305,3 +1310,144 @@ def test_spec_contains_matches_exhaustive_oracle():
             assert spec_contains(outer, inner) == expected
             contained += expected
     assert (pairs, contained) == (1494, 454)
+
+
+def _compare_oracle(claimed, computed):
+    """The comparison of a claimed side with the computed centralizer of
+    the other side as two spec_contains scans, one per direction."""
+    claimed_in_computed = spec_contains(computed, claimed)
+    computed_in_claimed = spec_contains(claimed, computed)
+    if claimed_in_computed and computed_in_claimed:
+        return []
+    if claimed_in_computed:
+        return [VerificationFailure(
+            FAIL_CENTRALIZER_LARGER,
+            f"computed centralizer strictly contains the claimed group "
+            f"(identity dims {computed.identity_component_dim()} vs "
+            f"{claimed.identity_component_dim()}, components "
+            f"{computed.component_count()} vs {claimed.component_count()})",
+        )]
+    if computed_in_claimed:
+        return [VerificationFailure(
+            FAIL_CENTRALIZER_SMALLER,
+            "claimed group is strictly larger than the computed centralizer",
+        )]
+    return [VerificationFailure(
+        FAIL_IDENTITY_COMPONENT_MISMATCH,
+        "claimed group and computed centralizer are incomparable",
+    )]
+
+
+def _failures_oracle(g, h):
+    """verify_dual_pair's failures with both containments of each side
+    scanned on their own, and the pairing table checked after them."""
+    failures = _compare_oracle(g, compute_centralizer(h))
+    for fail in _compare_oracle(h, compute_centralizer(g)):
+        failures.append(VerificationFailure(fail.code, "mirror check: " + fail.detail))
+    try:
+        table = pairing_table(g, h)
+        if g.component_count() != h.component_count() or not table.is_nondegenerate():
+            failures.append(VerificationFailure(
+                FAIL_PAIRING_DEGENERATE,
+                f"pairing table degenerate or size mismatch "
+                f"({g.component_count()} vs {h.component_count()})",
+            ))
+    except NotProjectivelyCommuting as exc:
+        failures.append(VerificationFailure(FAIL_PAIRING_DEGENERATE, f"pairing not defined: {exc}"))
+    return failures
+
+
+def _rows_up_to(max_dim):
+    return [row.build() for n in range(1, max_dim + 1)
+            for row in enumerate_multi_orbit(n, min(4, n))]
+
+
+def _failing_pairs():
+    """The failing pairs of the report tests above, in both orders."""
+    g, h = xx_hat_pair(Z2)
+    tau = translation_monomial(Z2, Z2.element((1,))).to_matrix()
+    crippled = GroupSpec(g.ambient, g.blocks, Z2, {(0,): CycMatrix.identity(2), (1,): tau})
+    gl2 = connected_pair([(2, 1)])[0]
+    diagonal = GroupSpec(gl2.ambient, scalar_blocks(2), Z2,
+                         {(0,): CycMatrix.identity(2), (1,): CycMatrix.diagonal([1, -1])})
+    pairs = [(swap_spec(), swap_spec()), (crippled, h),
+             (connected_pair([(4, 1)])[0], connected_pair([(2, 2)])[1]),
+             (gl2, diagonal), (swap_spec(), _dense_involution_spec()),
+             (_dense_involution_spec(), _dense_involution_spec())]
+    return pairs + [(b, a) for a, b in pairs]
+
+
+def test_commutation_test_matches_two_scans_on_rows_and_failing_pairs():
+    """Deciding claimed <= centralizer once per pair, by commutation, gives
+    the failures of two spec_contains scans per side, details and order
+    included: on every row with n <= 6 and on the failing pairs, which
+    reach every failure code."""
+    codes = set()
+    for g, h in _rows_up_to(6) + _failing_pairs():
+        failures = verify_dual_pair(g, h).failures
+        assert failures == _failures_oracle(g, h)
+        codes.update(f.code for f in failures)
+    assert codes == {FAIL_CENTRALIZER_LARGER, FAIL_CENTRALIZER_SMALLER,
+                     FAIL_IDENTITY_COMPONENT_MISMATCH, FAIL_PAIRING_DEGENERATE}
+
+
+def _monomial_pair_sides(max_n):
+    """Generators of two monomial groups on one n."""
+    def gens(n):
+        return st.lists(st.tuples(st.permutations(range(n)),
+                                  st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                        min_size=1, max_size=2)
+    return st.integers(2, max_n).flatmap(lambda n: st.tuples(gens(n), gens(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_monomial_pair_sides(4), st.sampled_from(["other", "centralizer", "other's centralizer"]),
+       st.booleans())
+def test_commutation_test_matches_two_scans_on_random_monomial_pairs(sides, kind, swap):
+    """On a random monomial group against another, which mostly does not
+    commute with it, against its own centralizer, or against the
+    centralizer of the other, the failures match two scans per side."""
+    a, b = (_monomial_group(gens) for gens in sides)
+    if a is None or b is None:
+        reject()
+    try:
+        if kind == "centralizer":
+            b = compute_centralizer(a)
+        elif kind == "other's centralizer":
+            b = compute_centralizer(b)
+        g, h = (b, a) if swap else (a, b)
+        expected = _failures_oracle(g, h)
+    except WitnessSearchUndecided:
+        reject()
+    assert verify_dual_pair(g, h).failures == expected
+
+
+def test_verify_scans_no_computed_centralizer(monkeypatch):
+    """verify_dual_pair asks coset_contains only of the claimed sides: that
+    a side lies in the other's centralizer is the commutation test, not a
+    scan of the centralizer's cosets.  Checked on every row with n <= 6
+    and on the Z12 translation-character pair."""
+    computed, scanned = [], []
+    real_centralizer, real_contains = verify.compute_centralizer, GroupSpec.coset_contains
+
+    def recorded_centralizer(target, *args, **kwargs):
+        spec = real_centralizer(target, *args, **kwargs)
+        computed.append(spec)
+        return spec
+
+    def recorded_contains(self, coords, op):
+        scanned.append(self)
+        return real_contains(self, coords, op)
+
+    monkeypatch.setattr(verify, "compute_centralizer", recorded_centralizer)
+    monkeypatch.setattr(GroupSpec, "coset_contains", recorded_contains)
+    total = 0
+    for g, h in _rows_up_to(6) + [xx_hat_pair(FinAbGroup.cyclic(12))]:
+        computed.clear()
+        scanned.clear()
+        assert verify_dual_pair(g, h).is_dual_pair
+        assert len(computed) == 2
+        assert not any(spec is z for spec in scanned for z in computed)
+        total += len(scanned)
+    # the claimed sides are still scanned
+    assert total > 0
