@@ -6,7 +6,9 @@ channel: 0 ok, 1 verification/decomposition failure, 2 bad input, 3 a
 construction error or a resource limit (the conductor cap, or a witness
 search on a twisted commutant of the untwisted dimension whose samples
 found no invertible element and whose exhaustive grid is too large).  No
-package error leaves main as a traceback.
+package error leaves main as a traceback; nor does a failed internal
+check (an AssertionError), which exits 3, since a traceback exits 1 and
+1 means "not a dual pair".
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def cmd_verify(args) -> int:
         return 2
     report = verify_dual_pair(g, h)
     if args.format == "json":
-        _write_output(serialize.dumps_canonical(report.to_json_dict()), args.output)
+        _write_output(serialize.report_text(report), args.output)
     else:
         _write_output(_report_lines(report), args.output)
     return 0 if report.is_dual_pair else 1
@@ -159,7 +161,7 @@ def _check_one(row):
     the row raised, else None."""
     try:
         report = verify_dual_pair(*row.build())
-    except ProjPairError as exc:
+    except (ProjPairError, AssertionError) as exc:
         return False, [], f"{type(exc).__name__}: {exc}"
     return report.is_dual_pair, report.failure_codes(), None
 
@@ -226,7 +228,7 @@ def cmd_pairing(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        _write_output(serialize.dumps_canonical(table.to_json_dict()), args.output)
+        _write_output(serialize.pairing_table_text(table), args.output)
     else:
         lines = [
             " ".join(f"z{order}^{expo}" if order > 1 else "1" for order, expo in row)
@@ -334,6 +336,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ProjPairError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
 
 

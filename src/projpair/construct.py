@@ -314,7 +314,7 @@ class GroupSpec:
             if not algebra.contains(op ** d):
                 raise ValueError(
                     f"generator at {coords} to the power {d} leaves the identity component")
-            if not algebra.contains_algebra(Algebra(n, [op @ b @ inv for b in algebra.basis])):
+            if not algebra.normalized_by(op, inv):
                 raise ValueError(f"generator at {coords} does not normalize the blocks")
         for b, y in enumerate(self._gens):
             for x in self._gens[:b]:

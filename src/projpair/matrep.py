@@ -282,6 +282,7 @@ class Algebra:
     first use.  Where there is a pattern, its integer exponents decide:
     contains(op) for a unit Monomial, as the inclusion of the Monomial's
     one-element pattern, contains_algebra(other) when both are patterns,
+    normalized_by(op, inv) for a unit Monomial, on the conjugated pattern,
     dim as the basis length (nonzero matrices on disjoint supports are
     independent) unless a dimension was given (a block spec's sum of d^2),
     and is_semisimple() by one partner sum per basis element when the
@@ -334,6 +335,25 @@ class Algebra:
         if outer is not None and inner is not None:
             return _pattern_in_pattern(outer, inner)
         return self.span.contains_span(other.span)
+
+    def normalized_by(self, op, inv) -> bool:
+        """Does op A op^-1 lie in this algebra A, for an operator op (a
+        Monomial or a CycMatrix) with inverse inv?  A unit Monomial maps a
+        root pattern to a root pattern: zeta_N^k at (i, j) goes to
+        zeta_N^(k + e_i - e_j) at (perm[i], perm[j]), on exponents over the
+        lcm of the two orders, so then only integers are compared."""
+        pattern = self._pattern
+        if not isinstance(op, Monomial) or pattern is None:
+            return self.contains_algebra(Algebra(self.n, [op @ b @ inv for b in self.basis]))
+        order, where, sizes = pattern
+        lcm = math.lcm(order, op.order)
+        lift, lift_op = lcm // order, lcm // op.order
+        n, perm, exps = self.n, op.perm, op.exps
+        moved = {}
+        for pos, (b, k) in where.items():
+            i, j = divmod(pos, n)
+            moved[perm[i] * n + perm[j]] = (b, (k * lift + (exps[i] - exps[j]) * lift_op) % lcm)
+        return _pattern_in_pattern(pattern, (lcm, moved, sizes))
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):

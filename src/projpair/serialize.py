@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 from .abelian import FinAbGroup, SymplecticPairing
@@ -32,11 +33,20 @@ from .construct import (
     SingleOrbitIngredients,
 )
 from .cyclo import CycMatrix, CycNum, euler_phi
-from .matrep import Monomial, TensorShape
+from .matrep import Monomial, TensorShape, lowest_terms
+
+
+def _text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _text(obj) + "\n"
+
+
+def _object_text(fields: dict[str, str]) -> str:
+    """A JSON object as _text writes it, from the JSON text of each value."""
+    return "{" + ",".join(f"{_text(k)}:{v}" for k, v in sorted(fields.items())) + "}"
 
 
 def _int(value) -> int:
@@ -146,6 +156,35 @@ def _root_exponent(order, expo) -> Fraction:
     if _int(order) < 1:
         raise ValueError(f"root of unity of order {order}")
     return Fraction(_int(expo), order)
+
+
+def _pairing_text(table) -> str:
+    """_text(table.to_json_dict()), written from the table's row sums
+    (PairingTable.row_sums) without building its values: the text of each
+    exponent's reduced root of unity, such as "[12,5]", is built once and
+    each row is joined from those."""
+    roots = [_text(lowest_terms(table.order, k)) for k in range(table.order)]
+    rows = ",".join(["[" + ",".join([roots[k] for k in sums]) + "]"
+                     for sums in table.row_sums()])
+    return _object_text({
+        "gamma": _text(group_to_json(table.gamma)),
+        "delta": _text(group_to_json(table.delta)),
+        "values": "[" + rows + "]",
+    })
+
+
+def pairing_table_text(table) -> str:
+    """dumps_canonical(table.to_json_dict()), by _pairing_text."""
+    return _pairing_text(table) + "\n"
+
+
+def report_text(report) -> str:
+    """dumps_canonical(report.to_json_dict()) for a VerificationReport,
+    its pairing table written by _pairing_text."""
+    fields = {k: _text(v) for k, v in replace(report, pairing=None).to_json_dict().items()}
+    if report.pairing is not None:
+        fields["pairing"] = _pairing_text(report.pairing)
+    return _object_text(fields) + "\n"
 
 
 # -- specs ------------------------------------------------------------------

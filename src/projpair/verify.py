@@ -43,16 +43,30 @@ surviving scalar tuples form a subgroup, so compute_centralizer solves
 only tuples outside the subgroup its survivors so far generate, names
 the component group from the solved survivors, which generate it, and
 multiplies out witnesses for its generating cosets alone.  Every coset
-of a GroupSpec is its word in those, so pairing_table expands its table
-from their commutators.  Everything runs in one process.  Each side
-lies in the other's centralizer iff the pair commutes, one symmetric
-fact that verify_dual_pair decides once, from the pairing table and two
-algebra inclusions.  The other direction of each comparison is the
-subgroup test spec_contains: one spec lies in another when its algebra
-does and each of its generating cosets lies in some coset of the other,
-tested with GroupSpec.coset_contains.  specs_equal runs that scan once,
-and a second time only when the cosets it finds do not generate the
-other spec's component group.  Every question about an identity-component
+of a GroupSpec is its word in those, so pairing_table takes commutators
+of the generating cosets only and keeps them as a generator matrix T.
+Everything runs in one process.  Each side lies in the other's
+centralizer iff the pair commutes, one symmetric fact that
+verify_dual_pair decides once, from the pairing table and two algebra
+inclusions.
+
+The rest of a verification reads labels.  Each coset c of a side has
+the label v(c) = sum_i c_i T_i mod N, its commutator tuple against the
+other side's generating cosets, and the labels of all |Gamma| cosets
+take O(|Gamma| rank) integer sums.  Two rows of the table are equal iff
+their labels are (every invariant factor is at least 2, so the unit
+vectors are among the columns), so the table is nondegenerate iff the
+row labels are distinct and so are the column labels.  On a commuting
+pair, a coset of g lies in the component of Z(h) that its label names,
+so Z(h) lies in g iff g's algebra holds Z(h)'s and g's cosets carry as
+many distinct labels as Z(h) has components.  No coset_contains call is
+left on a commuting pair, and the full table is built only when read.
+A pair that does not commute still takes the subgroup test
+spec_contains: one spec lies in another when its algebra does and each
+of its generating cosets lies in some coset of the other, tested with
+GroupSpec.coset_contains.  specs_equal runs that scan once, and a
+second time only when the cosets it finds do not generate the other
+spec's component group.  Every question about an identity-component
 algebra (membership, inclusion, dimension, the trace form) goes to its
 matrep.Algebra.  The tests cross-check the engine against a purely dense
 solve.
@@ -63,7 +77,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import matmul
 
 from .abelian import FinAbGroup, subgroup_from_elements
@@ -528,56 +542,6 @@ def projective_centralizer(target: GroupSpec) -> GroupSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairingTable:
-    """Commutator scalars on component pairs as (order, exponent) roots of
-    unity, rows and columns in element-enumeration order."""
-
-    gamma: FinAbGroup
-    delta: FinAbGroup
-    values: tuple[tuple[tuple[int, int], ...], ...]
-
-    def is_nondegenerate(self) -> bool:
-        """No two rows are equal and no two columns are."""
-        if len(set(self.values)) != len(self.values):
-            return False
-        cols = list(zip(*self.values))
-        return len(set(cols)) == len(cols)
-
-    def is_bicharacter(self) -> bool:
-        gamma_elems = list(self.gamma.elements())
-        delta_elems = list(self.delta.elements())
-        idx_g = {e.coords: i for i, e in enumerate(gamma_elems)}
-        idx_d = {e.coords: i for i, e in enumerate(delta_elems)}
-        # every value as an exponent mod the lcm of the orders
-        order = math.lcm(*(d for row in self.values for d, _ in row))
-        expo = [[k * (order // d) for d, k in row] for row in self.values]
-
-        for a in gamma_elems:
-            ia = idx_g[a.coords]
-            for b in gamma_elems:
-                s, ib = idx_g[(a + b).coords], idx_g[b.coords]
-                for j in range(len(delta_elems)):
-                    if expo[s][j] != (expo[ia][j] + expo[ib][j]) % order:
-                        return False
-        for a in delta_elems:
-            ja = idx_d[a.coords]
-            for b in delta_elems:
-                s, jb = idx_d[(a + b).coords], idx_d[b.coords]
-                for row in expo:
-                    if row[s] != (row[ja] + row[jb]) % order:
-                        return False
-        return True
-
-    def to_json_dict(self):
-        return {
-            "gamma": {"invariant_factors": list(self.gamma.invariant_factors)},
-            "delta": {"invariant_factors": list(self.delta.invariant_factors)},
-            # json writes the (order, exponent) tuples as arrays
-            "values": self.values,
-        }
-
-
 def _mixed_radix_sums(xs, factors, order: int) -> list[int]:
     """sum_i c_i xs[i] mod order for every c in itertools.product order
     over range(factors[i]): one added step per coordinate."""
@@ -588,35 +552,100 @@ def _mixed_radix_sums(xs, factors, order: int) -> list[int]:
     return sums
 
 
+def _labels(coefficients, factors, order: int) -> list[tuple[int, ...]]:
+    """For every c in itertools.product order over range(factors[i]), the
+    label whose k-th entry is sum_i c_i coefficients[k][i] mod order: one
+    _mixed_radix_sums list per entry."""
+    entries = [_mixed_radix_sums(xs, factors, order) for xs in coefficients]
+    return list(zip(*entries)) if entries else [()] * math.prod(factors)
+
+
+@dataclass(frozen=True)
+class PairingTable:
+    """The commutator pairing of two component groups, kept as its
+    generator matrix: generators[i][j] is the exponent, over order, of the
+    commutator of gamma's i-th generating coset with delta's j-th, and
+    order is the lcm of those commutators' orders.  The value at a coset
+    pair (c, c') is zeta_order^(sum_ij c_i c'_j generators[i][j]).
+
+    Each coset c of gamma has a row label, v(c) = sum_i c_i generators[i]
+    mod order: its commutator tuple against delta's generating cosets.
+    Row c is the list of sums sum_j c'_j v(c)_j over delta's cosets c'.
+    Every invariant factor is at least 2, so the unit vectors are among
+    the c', and two rows are equal iff their labels are.  Columns carry
+    labels the same way.  So is_nondegenerate asks only that the labels
+    be distinct, in O(|gamma| rank + |delta| rank), exactly for every
+    table, and values (reduced (order, exponent) pairs, rows and columns
+    in element-enumeration order) is built only when something reads it.
+    """
+
+    gamma: FinAbGroup
+    delta: FinAbGroup
+    order: int
+    generators: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def row_labels(self) -> list[tuple[int, ...]]:
+        columns = [[row[j] for row in self.generators] for j in range(self.delta.rank)]
+        return _labels(columns, self.gamma.invariant_factors, self.order)
+
+    @cached_property
+    def column_labels(self) -> list[tuple[int, ...]]:
+        return _labels(self.generators, self.delta.invariant_factors, self.order)
+
+    @cached_property
+    def distinct_rows(self) -> int:
+        return len(set(self.row_labels))
+
+    @cached_property
+    def distinct_columns(self) -> int:
+        return len(set(self.column_labels))
+
+    def is_nondegenerate(self) -> bool:
+        """No two rows are equal and no two columns are: the labels are
+        distinct."""
+        return (self.distinct_rows == self.gamma.order
+                and self.distinct_columns == self.delta.order)
+
+    def row_sums(self):
+        """Each row's exponents over order, rows in element-enumeration
+        order."""
+        factors = self.delta.invariant_factors
+        for label in self.row_labels:
+            yield _mixed_radix_sums(label, factors, self.order)
+
+    @cached_property
+    def values(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        reduced = [lowest_terms(self.order, k) for k in range(self.order)]
+        return tuple(tuple([reduced[v] for v in sums]) for sums in self.row_sums())
+
+    def to_json_dict(self):
+        return {
+            "gamma": {"invariant_factors": list(self.gamma.invariant_factors)},
+            "delta": {"invariant_factors": list(self.delta.invariant_factors)},
+            # json writes the (order, exponent) tuples as arrays
+            "values": self.values,
+        }
+
+
 def pairing_table(g: GroupSpec, h: GroupSpec) -> PairingTable:
-    """The table of commutator scalars over all component pairs, each a
-    reduced (order, exponent) whose order divides the ambient dimension.
+    """The commutator pairing of g's and h's component groups, from the
+    generating cosets alone.
 
     Every coset of a GroupSpec is its word in the generating cosets, and
     scalars are central, so [g1 g2, h] = [g1, h] [g2, h] once the
     generators' commutators are scalars (else NotProjectivelyCommuting),
     and likewise in h.  So commutators are taken on the generating cosets
     only, as exponents T_ij over N, the lcm of their orders, and coset pair
-    (c, c') gets lowest_terms(N, sum c_i c'_j T_ij).  No entry takes a sum
-    of its own: for each generating coset j of h, the sums over g's cosets
-    are built in GroupSpec.cosets() order, one added multiple of T_ij per
-    coordinate step, and each row the same way over h's coordinates.
+    (c, c') has the value lowest_terms(N, sum c_i c'_j T_ij), whose order
+    divides the ambient dimension.  The table keeps T and N; PairingTable
+    says what it builds from them, and when.
     """
     gen_rows = [[commutator_scalar(g.operator(a), h.operator(b))
                  for b in h.generating_cosets()] for a in g.generating_cosets()]
     order = math.lcm(*(d for row in gen_rows for d, _ in row))
-    expo = [[k * (order // d) for d, k in row] for row in gen_rows]
-    reduced = [lowest_terms(order, k) for k in range(order)]
-    h_factors = h.component_group.invariant_factors
-    # column j: every coset of g against the j-th generating coset of h
-    columns = [_mixed_radix_sums([row[j] for row in expo],
-                                 g.component_group.invariant_factors, order)
-               for j in range(len(h_factors))]
-    rows = []
-    for i in range(g.component_count()):
-        values = _mixed_radix_sums([col[i] for col in columns], h_factors, order)
-        rows.append(tuple([reduced[v] for v in values]))
-    return PairingTable(g.component_group, h.component_group, tuple(rows))
+    generators = tuple(tuple(k * (order // d) for d, k in row) for row in gen_rows)
+    return PairingTable(g.component_group, h.component_group, order, generators)
 
 
 FAIL_CENTRALIZER_LARGER = "CENTRALIZER_LARGER"
@@ -686,14 +715,25 @@ def spec_contains(outer: GroupSpec, inner: GroupSpec) -> bool:
             and _places(outer, inner) is not None)
 
 
-def _compare_with_centralizer(claimed: GroupSpec, computed: GroupSpec, commute: bool):
+def _compare_with_centralizer(claimed: GroupSpec, computed: GroupSpec, labels: int | None):
     """Failures from comparing a claimed side against the computed
-    centralizer of the other side.  claimed <= computed holds iff the
-    pair commutes, which verify_dual_pair decides once for both sides;
-    computed <= claimed is a spec_contains scan."""
-    if commute and spec_contains(claimed, computed):
-        return []
-    if commute:
+    centralizer Z of the other side.
+
+    labels is None when the pair does not commute; then claimed <= Z
+    fails, and Z <= claimed is a spec_contains scan.  On a commuting pair
+    claimed <= Z holds, and labels is the number of distinct labels of
+    claimed's cosets, their commutator tuples against the other side's
+    generating cosets (PairingTable's row or column labels).  Z's
+    components are one-to-one with the commutator tuples of its elements,
+    as compute_centralizer builds it, and claimed's coset c lies in the
+    component of Z with tuple v(c).  So claimed meets exactly labels
+    components of Z, and Z <= claimed iff claimed's algebra holds Z's
+    (Z's identity component is then in claimed's) and labels is Z's
+    component count.  A commuting pair makes no coset_contains call."""
+    if labels is not None:
+        if (claimed.algebra().contains_algebra(computed.algebra())
+                and labels == computed.component_count()):
+            return []
         return [VerificationFailure(
             FAIL_CENTRALIZER_LARGER,
             f"computed centralizer strictly contains the claimed group "
@@ -719,8 +759,8 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec) -> VerificationReport:
     whether the pair commutes, and compares each side with the other's
     centralizer (both containments: no failure; only claimed <= Z:
     CENTRALIZER_LARGER; only Z <= claimed: CENTRALIZER_SMALLER; neither:
-    IDENTITY_COMPONENT_MISMATCH); fills the component pairing table and
-    checks that it is nondegenerate with matching component counts.
+    IDENTITY_COMPONENT_MISMATCH); then checks that the component pairing
+    table is nondegenerate with matching component counts.
 
     g <= Z(h) and h <= Z(g) are one fact, that the pair commutes, and it
     holds iff pairing_table finds a scalar commutator for every two
@@ -730,8 +770,15 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec) -> VerificationReport:
     cosets iff it commutes with h's algebra and with each generating
     coset up to a scalar, whose order then divides h's projective order
     and n.  So g's algebra and generating cosets lie in Z(h) exactly when
-    those three conditions hold, and likewise h in Z(g).  Only Z <=
-    claimed takes a spec_contains scan, one per side.
+    those three conditions hold, and likewise h in Z(g).
+
+    On a commuting pair the table's labels decide the rest: g's row
+    labels name the components of Z(h) that g meets, and h's column
+    labels those of Z(g) (_compare_with_centralizer), and the table is
+    nondegenerate iff both sets of labels are distinct
+    (PairingTable.is_nondegenerate).  That is O(|Gamma| rank) work, and
+    the full table is never built.  Only a pair that does not commute
+    takes a spec_contains scan, one per side.
 
     The table is expanded from the generating cosets (pairing_table),
     which is exact for every pair, failing or not: each coset is its word
@@ -754,8 +801,9 @@ def verify_dual_pair(g: GroupSpec, h: GroupSpec) -> VerificationReport:
     commute = (table is not None
                and zh.algebra().contains_algebra(g.algebra())
                and zg.algebra().contains_algebra(h.algebra()))
-    failures = _compare_with_centralizer(g, zh, commute)
-    for fail in _compare_with_centralizer(h, zg, commute):
+    rows, columns = (table.distinct_rows, table.distinct_columns) if commute else (None, None)
+    failures = _compare_with_centralizer(g, zh, rows)
+    for fail in _compare_with_centralizer(h, zg, columns):
         failures.append(VerificationFailure(fail.code, "mirror check: " + fail.detail))
 
     if table is None:

@@ -9,8 +9,11 @@ n = 12, (10, 3) and (8, 4) the three- and four-part canonical gluings.
 The two glue files cover an L summand alone and next to a J/K summand
 glued through a non-identity map.  The verify report and the pairing
 table are pinned on the `construct --L 4` pair and the README glue pair,
-and the verify report also on the 144-component pairs of `construct
---L 12` and `--L 2,6`, whose tables verify expands from generators.
+on the 144-component pairs of `construct --L 12` and `--L 2,6`, and on
+the 81- and 64-component pairs of `--L 3,3`, `--L 2,4` and `--L 2,2,2`,
+whose component groups have several invariant factors, equal or not.
+JSON tables are written straight from their generator rows, so these
+pin that writer against the tables as they were first printed.
 The three construct digests were re-recorded when pair files began to
 write unit-monomial generators as monomial items, and again when they
 began to list only the identity and the generating cosets.  The two
@@ -101,6 +104,22 @@ PAIR_DIGESTS = [
      "e151225bba687d4f07d0006a61b092889aa6a41b85762808f0070a16bdeae715"),
     (["--L", "2,6"], ["verify", "--format", "json"],
      "71cdaf02b022b100545bee10e19a9c3ff16bce654ace4216bfc0f6e370eabb69"),
+    (["--L", "12"], ["pairing", "--format", "json"],
+     "373e8595f8e27bce8d08239a58a2935a0ed5b0182109123d99cb9c5a90e49f4a"),
+    (["--L", "2,6"], ["pairing", "--format", "json"],
+     "8f4095288d8bdd8fa13b00f05ae9e5a44821ec75c8d064318479051843978009"),
+    (["--L", "3,3"], ["verify", "--format", "json"],
+     "60b30453ab839f13cb5f3ff475705f53148802e676baa5d6db335248892e970d"),
+    (["--L", "3,3"], ["pairing", "--format", "json"],
+     "78c2889c809607781c976a2bb7a9e3bcb488cb66916d24b202b992dc65bbfddc"),
+    (["--L", "2,4"], ["verify", "--format", "json"],
+     "aaec6ad2fbf6baf0a0d57438a011b6aa2df93253de9108da83293bfe482f5095"),
+    (["--L", "2,4"], ["pairing", "--format", "json"],
+     "4384a182abb35b8f62b543b229aded95e5819c215a94761e96854c55472567ce"),
+    (["--L", "2,2,2"], ["verify", "--format", "json"],
+     "bb21daa2fc0becea7b216b9b093735ae428814635031856e0860be80a9208a96"),
+    (["--L", "2,2,2"], ["pairing", "--format", "json"],
+     "847ad689ebbc2a6b400b23f5300b2360f312894e0d650a47bb9203a2f4ae0df5"),
 ]
 
 

@@ -71,6 +71,33 @@ def test_verify_missing_file():
     assert run(["verify", "/nonexistent/file.json"]) == 2
 
 
+def test_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
+    """An AssertionError from an internal check is a construction error
+    (3) with one error line, in verify and in each row of enumerate
+    --check; at the parent commit it left main as a traceback, which
+    exits 1, the code for "not a dual pair"."""
+    from projpair import verify
+
+    pair_file = tmp_path / "pair.json"
+    assert run(["construct", "--L", "2", "-o", str(pair_file)]) == 0
+    capsys.readouterr()
+
+    def broken(target, *args, **kwargs):
+        raise AssertionError("surviving scalar tuples do not form a group")
+
+    monkeypatch.setattr(verify, "compute_centralizer", broken)
+    assert run(["verify", str(pair_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: internal check failed: surviving scalar tuples do not form a group"]
+    assert run(["enumerate", "--n", "2", "--check", "--workers", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.out.splitlines() if line.startswith("ERROR: ")]
+    assert errors and all(line.endswith("AssertionError: surviving scalar tuples do not "
+                                        "form a group") for line in errors)
+
+
 def _dense(item):
     """A generator item rewritten in the dense form ("matrix"), which every
     generator of a pair file once took, so that its entries can be edited."""

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projpair.abelian import FinAbGroup, char_eval, enumerate_abelian_groups
@@ -395,6 +395,54 @@ def test_pattern_inclusion_matches_span(pair):
     assert inner_a.contains_algebra(outer_a) == inner_span.contains_span(outer_span)
     # the exponents decided it: neither algebra built its span
     assert "span" not in vars(outer_a) and "span" not in vars(inner_a)
+
+
+@st.composite
+def conjugations(draw):
+    """A root-pattern basis of n x n matrices and a unit Monomial of n:
+    outer of pattern_pairs, which a monomial seldom normalizes, or the
+    diagonal, the scalars or all n^2 matrix units, which every monomial
+    normalizes."""
+    outer, _, _ = draw(pattern_pairs())
+    n = outer[0].rows
+    kind = draw(st.sampled_from(["pattern", "diagonal", "scalars", "units"]))
+    if kind == "diagonal":
+        outer = [CycMatrix.from_entries(n, n, {(i, i): _root(draw)}) for i in range(n)]
+    elif kind == "scalars":
+        outer = [CycMatrix.identity(n).scale(_root(draw))]
+    elif kind == "units":
+        outer = [CycMatrix.from_entries(n, n, {(i, j): _root(draw)})
+                 for i in range(n) for j in range(n)]
+    order = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    perm = draw(st.permutations(range(n)))
+    exps = draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))
+    return outer, Monomial.from_exponents(perm, order, exps)
+
+
+def _swap_with_roots(x, y):
+    """span{I, [[0, w^x], [w^y, 0]]} for w a primitive cube root of unity,
+    and the swap with exponents (1, 0) over 3, which normalizes it iff
+    x - y + 1 = 0 mod 3: a sign slip on the exponents flips both cases."""
+    w = CycNum.root_of_unity(3, 1)
+    basis = [CycMatrix.identity(2), CycMatrix([[0, w ** x], [w ** y, 0]])]
+    return basis, Monomial.from_exponents((1, 0), 3, (1, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(conjugations())
+@example(_swap_with_roots(2, 0))
+@example(_swap_with_roots(1, 0))
+def test_normalized_by_a_monomial_matches_span(case):
+    """Algebra.normalized_by a unit Monomial, decided on the exponents of
+    the conjugated pattern, gives the answer of the span of the dense
+    conjugates, and builds no span."""
+    basis, op = case
+    inv = op.inverse()
+    algebra = Algebra(op.n, basis)
+    expected = span_of_matrices(basis).contains_span(
+        span_of_matrices([as_dense(op) @ b @ as_dense(inv) for b in basis]))
+    assert algebra.normalized_by(op, inv) == expected
+    assert "span" not in vars(algebra)
 
 
 def test_commutator_scalar_order_divides_dimension():

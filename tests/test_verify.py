@@ -58,7 +58,7 @@ from projpair.verify import (
     verify_dual_pair,
 )
 
-from test_acceptance import _battery, builder_formulas, full_pairing_table
+from test_acceptance import _battery, bicharacter_oracle, builder_formulas, full_pairing_table
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
@@ -873,23 +873,24 @@ def test_pairing_table_klein():
     table = pairing_table(g, h)
     assert len(table.values) == 4
     assert table.is_nondegenerate()
-    assert table.is_bicharacter()
+    assert bicharacter_oracle(table.gamma, table.delta, table.values)
     flat = [v for row in table.values for v in row]
     assert flat.count((1, 0)) == 10 and flat.count((2, 1)) == 6
 
 
 def test_is_bicharacter_rejects_an_altered_entry():
+    """The bicharacter oracle of the tests turns down a table with one
+    entry changed, and reads an unreduced entry as its root of unity."""
     g, h = xx_hat_pair(FinAbGroup.cyclic(4))
     table = pairing_table(g, h)
-    assert table.is_bicharacter()
+    assert bicharacter_oracle(table.gamma, table.delta, table.values)
     values = [list(row) for row in table.values]
     order, expo = values[1][2]
     values[1][2] = (4, (expo * 4 // order + 1) % 4)
-    altered = PairingTable(table.gamma, table.delta, tuple(map(tuple, values)))
-    assert not altered.is_bicharacter()
+    assert not bicharacter_oracle(table.gamma, table.delta, values)
     # an unreduced (order, exponent) names the same root of unity
     values[1][2] = (2 * order, 2 * expo)
-    assert PairingTable(table.gamma, table.delta, tuple(map(tuple, values))).is_bicharacter()
+    assert bicharacter_oracle(table.gamma, table.delta, values)
 
 
 def test_pairing_table_single_orbit_j():
@@ -908,7 +909,7 @@ def test_failing_pairs_report_the_full_table():
     assert not report.is_dual_pair
     _, h_op = builder_formulas(single_row(SingleOrbitIngredients(1, 1, Z2, TRIV, TRIV)))
     crippled_op = {(0,): CycMatrix.identity(2), (1,): tau}.get
-    assert report.pairing == full_pairing_table(crippled, h, crippled_op, h_op)
+    assert report.pairing.values == full_pairing_table(crippled, h, crippled_op, h_op)
 
 
 def test_pairing_table_rejects_noncommuting():
@@ -1188,8 +1189,8 @@ def test_generator_table_expands_in_coset_order(factors):
     group = FinAbGroup(factors)
     g, h = xx_hat_pair(group)
     g_op, h_op = builder_formulas(single_row(SingleOrbitIngredients(1, 1, group, TRIV, TRIV)))
-    assert pairing_table(g, h) == full_pairing_table(g, h, g_op, h_op)
-    assert pairing_table(h, g) == full_pairing_table(h, g, h_op, g_op)
+    assert pairing_table(g, h).values == full_pairing_table(g, h, g_op, h_op)
+    assert pairing_table(h, g).values == full_pairing_table(h, g, h_op, g_op)
 
 
 def _nondegenerate_oracle(values):
@@ -1201,27 +1202,34 @@ def _nondegenerate_oracle(values):
                     for i in range(cols) for j in range(i)))
 
 
-# distinct rows, but the last two columns are equal
-_EQUAL_COLUMNS = (((1, 0), (2, 1), (2, 1)),
-                  ((2, 1), (1, 0), (1, 0)),
-                  ((1, 0), (1, 0), (1, 0)))
+_FACTOR_LISTS = st.sampled_from([(), (2,), (3,), (4,), (6,), (2, 2), (2, 4), (3, 3), (2, 2, 2)])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda rows: st.integers(1, 4).flatmap(
-    lambda cols: st.lists(st.lists(st.sampled_from([(1, 0), (2, 1), (3, 1)]),
-                                   min_size=cols, max_size=cols),
-                          min_size=rows, max_size=rows))),
-       st.booleans())
-@example([list(row) for row in _EQUAL_COLUMNS], False)
-@example([list(row) for row in _EQUAL_COLUMNS], True)
-def test_is_nondegenerate_matches_elementwise_oracle(values, transpose):
-    values = tuple(tuple(row) for row in values)
-    if transpose:
-        values = tuple(zip(*values))
-    table = PairingTable(FinAbGroup.cyclic(len(values)),
-                         FinAbGroup.cyclic(len(values[0])), values)
-    assert table.is_nondegenerate() == _nondegenerate_oracle(values)
+@st.composite
+def generator_tables(draw):
+    """A PairingTable on random invariant factors with a random generator
+    matrix over a random order: degenerate tables and tables that are no
+    bicharacter (an entry times its factor is not 0 mod the order) among
+    them."""
+    gamma, delta = FinAbGroup(draw(_FACTOR_LISTS)), FinAbGroup(draw(_FACTOR_LISTS))
+    order = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    generators = tuple(tuple(draw(st.integers(0, order - 1)) for _ in range(delta.rank))
+                       for _ in range(gamma.rank))
+    return PairingTable(gamma, delta, order, generators)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_tables())
+# distinct rows, but two equal columns: (0, 0) and (0, 1) of Z2 x Z2
+@example(PairingTable(Z2, FinAbGroup((2, 2)), 2, ((1, 0),)))
+@example(PairingTable(FinAbGroup((2, 2)), Z2, 2, ((1,), (0,))))
+# the Z4 pairing, and the same matrix over Z2 x Z4, where it is no bicharacter
+@example(PairingTable(FinAbGroup((4,)), FinAbGroup((4,)), 4, ((1,),)))
+@example(PairingTable(FinAbGroup((2, 4)), FinAbGroup((2, 4)), 4, ((1, 0), (0, 1))))
+def test_is_nondegenerate_matches_elementwise_oracle(table):
+    """Label nondegeneracy (distinct row labels and distinct column
+    labels) agrees with the elementwise oracle on the full table."""
+    assert table.is_nondegenerate() == _nondegenerate_oracle(table.values)
 
 
 def _conjugated_klein(shear):
@@ -1346,7 +1354,8 @@ def _failures_oracle(g, h):
         failures.append(VerificationFailure(fail.code, "mirror check: " + fail.detail))
     try:
         table = pairing_table(g, h)
-        if g.component_count() != h.component_count() or not table.is_nondegenerate():
+        if (g.component_count() != h.component_count()
+                or not _nondegenerate_oracle(table.values)):
             failures.append(VerificationFailure(
                 FAIL_PAIRING_DEGENERATE,
                 f"pairing table degenerate or size mismatch "
@@ -1423,10 +1432,12 @@ def test_commutation_test_matches_two_scans_on_random_monomial_pairs(sides, kind
 
 
 def test_verify_scans_no_computed_centralizer(monkeypatch):
-    """verify_dual_pair asks coset_contains only of the claimed sides: that
-    a side lies in the other's centralizer is the commutation test, not a
-    scan of the centralizer's cosets.  Checked on every row with n <= 6
-    and on the Z12 translation-character pair."""
+    """verify_dual_pair makes no coset_contains call on a commuting pair:
+    that each side lies in the other's centralizer is the commutation
+    test, and that each centralizer lies in the other side is read off the
+    pairing table's labels.  Checked on every row with n <= 6 and on the
+    Z12 and Z2 x Z6 translation-character pairs, where a scan of the
+    centralizers' cosets made 50 and 318 calls."""
     computed, scanned = [], []
     real_centralizer, real_contains = verify.compute_centralizer, GroupSpec.coset_contains
 
@@ -1441,13 +1452,67 @@ def test_verify_scans_no_computed_centralizer(monkeypatch):
 
     monkeypatch.setattr(verify, "compute_centralizer", recorded_centralizer)
     monkeypatch.setattr(GroupSpec, "coset_contains", recorded_contains)
-    total = 0
-    for g, h in _rows_up_to(6) + [xx_hat_pair(FinAbGroup.cyclic(12))]:
+    pairs = _rows_up_to(6) + [xx_hat_pair(FinAbGroup(f)) for f in [(12,), (2, 6)]]
+    for g, h in pairs:
         computed.clear()
-        scanned.clear()
         assert verify_dual_pair(g, h).is_dual_pair
         assert len(computed) == 2
-        assert not any(spec is z for spec in scanned for z in computed)
-        total += len(scanned)
-    # the claimed sides are still scanned
-    assert total > 0
+    assert len(pairs) > 100
+    assert scanned == []
+
+
+def test_verify_builds_no_full_table(monkeypatch):
+    """verify_dual_pair on the 256-component pair of Z2^4 (n = 16) reads
+    the pairing table through its labels alone: it builds no values, and
+    its _mixed_radix_sums lists hold |Gamma| rank + |Delta| rank sums in
+    all, where the full table holds |Gamma| |Delta|.  values, when read,
+    is the full table."""
+    sizes = []
+    real = verify._mixed_radix_sums
+
+    def recorded(xs, factors, order):
+        sums = real(xs, factors, order)
+        sizes.append(len(sums))
+        return sums
+
+    monkeypatch.setattr(verify, "_mixed_radix_sums", recorded)
+    group = FinAbGroup((2, 2, 2, 2))
+    g, h = xx_hat_pair(group)
+    report = verify_dual_pair(g, h)
+    assert report.is_dual_pair
+    table = report.pairing
+    assert (table.gamma.order, table.gamma.rank) == (256, 8)
+    assert "values" not in vars(table)
+    assert sum(sizes) == 2 * 256 * 8
+    g_op, h_op = builder_formulas(single_row(SingleOrbitIngredients(1, 1, group, TRIV, TRIV)))
+    assert table.values == full_pairing_table(g, h, g_op, h_op)
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_generators(4), st.sampled_from(["centralizer", "bicentralizer"]), st.booleans())
+def test_label_containment_matches_scan_on_random_commuting_monomial_pairs(gens, kind, swap):
+    """On a random monomial group S with Z(S), or Z(Z(S)) with Z(S), in
+    either order (all commuting pairs), each centralizer Z lies in the
+    claimed side by the table's labels exactly when spec_contains finds
+    it there."""
+    s = _monomial_group(gens)
+    if s is None:
+        reject()
+    try:
+        s.validate()
+    except ValueError:
+        reject()
+    try:
+        z = compute_centralizer(s)
+        a = compute_centralizer(z) if kind == "bicentralizer" else s
+        g, h = (z, a) if swap else (a, z)
+        zh, zg = compute_centralizer(h), compute_centralizer(g)
+    except WitnessSearchUndecided:
+        reject()
+    table = pairing_table(g, h)
+    assert zh.algebra().contains_algebra(g.algebra())
+    assert zg.algebra().contains_algebra(h.algebra())
+    for claimed, computed, labels in [(g, zh, table.distinct_rows),
+                                      (h, zg, table.distinct_columns)]:
+        by_labels = verify._compare_with_centralizer(claimed, computed, labels) == []
+        assert by_labels == spec_contains(claimed, computed)
