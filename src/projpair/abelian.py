@@ -775,6 +775,24 @@ def smith_normal_form(mat: list[list[int]]):
     return a, u, v
 
 
+def generator_coefficients(elements, group: FinAbGroup) -> list[list[int]]:
+    """For each generator e_k of group, integers a with sum_i a_i
+    elements[i] = e_k, for coordinate tuples that generate the group.
+
+    The columns of M = [elements | diag(invariant factors)] then span
+    Z^rank, so the Smith form is U M V = [I | 0], and M V' U = I for V'
+    the first rank columns of V: column k of V' U, cut to its first
+    len(elements) entries, is a."""
+    r = group.rank
+    mat = [[e[k] for e in elements] + [d if j == k else 0 for j in range(r)]
+           for k, d in enumerate(group.invariant_factors)]
+    d_mat, u, v = smith_normal_form(mat)
+    if any(d_mat[k][k] != 1 for k in range(r)):
+        raise ValueError("the elements do not generate the group")
+    return [[sum(v[i][t] * u[t][k] for t in range(r)) for i in range(len(elements))]
+            for k in range(r)]
+
+
 def subgroup_from_elements(moduli: list[int], elements):
     """Identify the subgroup of prod Z/moduli generated by a list of
     elements: any generating list works, the whole subgroup or a few

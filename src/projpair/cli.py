@@ -6,9 +6,11 @@ channel: 0 ok, 1 verification/decomposition failure, 2 bad input, 3 a
 construction error or a resource limit (the conductor cap, or a witness
 search on a twisted commutant of the untwisted dimension whose samples
 found no invertible element and whose exhaustive grid is too large).  No
-package error leaves main as a traceback; nor does a failed internal
-check (an AssertionError), which exits 3, since a traceback exits 1 and
-1 means "not a dual pair".
+exception but KeyboardInterrupt leaves main as a traceback, since a
+traceback exits 1 and 1 means "not a dual pair": a failed internal check
+(an AssertionError) and any other unexpected exception (a MemoryError, a
+TypeError from a bug) exit 3 with one error line, and enumerate --check
+reports such a row as an error.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def _check_one(row):
     the row raised, else None."""
     try:
         report = verify_dual_pair(*row.build())
-    except (ProjPairError, AssertionError) as exc:
+    except Exception as exc:
         return False, [], f"{type(exc).__name__}: {exc}"
     return report.is_dual_pair, report.failure_codes(), None
 
@@ -339,6 +341,9 @@ def main(argv=None) -> int:
         return 3
     except AssertionError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

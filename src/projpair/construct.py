@@ -114,6 +114,31 @@ def _matrix_units(blocks, n: int) -> list[CycMatrix]:
     return [u for b in blocks for u in b.matrix_units(n)]
 
 
+def _block_pattern(blocks, n: int):
+    """matrep._root_pattern of _matrix_units(blocks, n), read off the
+    grids: the unit E_rs (x) I of a block sits at grid[r][c] * n +
+    grid[s][c] for each copy c, with exponent 0 over order 1.  None when
+    two units share a position."""
+    where = {}
+    sizes = []
+    for blk in blocks:
+        grid = blk.grid
+        for row_r in grid:
+            for row_s in grid:
+                b, size = len(sizes), 0
+                for i, j in zip(row_r, row_s):
+                    if not (0 <= i < n and 0 <= j < n):
+                        raise IndexError(f"entry outside a {n} x {n} matrix")
+                    hit = where.get(i * n + j)
+                    if hit is None:
+                        where[i * n + j] = (b, 0)
+                        size += 1
+                    elif hit[0] != b:
+                        return None
+                sizes.append(size)
+    return 1, where, tuple(sizes)
+
+
 def scalar_blocks(n: int) -> tuple[Block, ...]:
     """The identity component of a group whose connected part is scalars."""
     return (Block(1, (tuple(range(n)),)),)
@@ -167,7 +192,8 @@ class GroupSpec:
     old pair files do, must be an invertible operator in the coset of its
     word, is checked once here and is then dropped.  The identity component
     is given by blocks or by a raw algebra basis of one n x n matrix or
-    more, never both, since the two could describe different algebras.
+    more (or its matrep.Algebra), never both, since the two could describe
+    different algebras.
 
     operator(coords) is the one way to read a coset.  The identity coset is
     stored as Monomial.identity(n) and each generating coset as its
@@ -178,8 +204,10 @@ class GroupSpec:
     cached in that single form.  cosets() lists the coordinates in the
     component group's element order.
 
-    algebra() is the identity-component algebra, a matrep.Algebra whose
-    basis a block spec builds on first use, with dimension sum d^2.
+    algebra() is the identity-component algebra, a matrep.Algebra.  A
+    block spec's has dimension sum d^2 and reads its root pattern off the
+    grids (_block_pattern), so its matrix units are built only when
+    something reads its basis.
     coset_contains(coords, op) tests op against one coset, through the
     coset operator's inverse, built once per coset.
     """
@@ -193,7 +221,13 @@ class GroupSpec:
         n = self.ambient.dim
         if algebra_basis is None:
             self._algebra = Algebra(n, partial(_matrix_units, self.blocks, n),
-                                    sum(b.dim * b.dim for b in self.blocks))
+                                    sum(b.dim * b.dim for b in self.blocks),
+                                    partial(_block_pattern, self.blocks, n))
+        elif isinstance(algebra_basis, Algebra):
+            if algebra_basis.n != n:
+                raise ValueError(f"an algebra of {algebra_basis.n} x {algebra_basis.n} "
+                                 f"matrices has the wrong size for n = {n}")
+            self._algebra = algebra_basis
         else:
             basis = tuple(_check_shape(a, n) for a in algebra_basis)
             if not basis:
@@ -203,7 +237,7 @@ class GroupSpec:
         self._cosets = tuple(itertools.product(
             *(range(d) for d in component_group.invariant_factors)))
         self._index = frozenset(self._cosets)
-        self._gens = tuple(self.generating_cosets())
+        self._gens = [g.coords for g in component_group.generators()]
         ident = self._cosets[0]
         given = dict(generators)
         if not {ident, *self._gens} <= set(given) <= self._index:
@@ -283,7 +317,9 @@ class GroupSpec:
         return self._algebra.contains(self._inverse(coords) @ op)
 
     def generating_cosets(self) -> list[tuple[int, ...]]:
-        return [g.coords for g in self.component_group.generators()]
+        """The generating cosets' coordinates, one unit vector per
+        invariant factor; the spec's own list, not a copy."""
+        return self._gens
 
     def component_count(self) -> int:
         return self.component_group.order

@@ -46,7 +46,7 @@ def set_conductor_cap(cap: int) -> None:
     _conductor_cap = cap
 
 
-def _check_conductor(m: int) -> None:
+def check_conductor(m: int) -> None:
     if m < 1:
         raise ValueError(f"conductor must be positive, got {m}")
     if m > _conductor_cap:
@@ -185,7 +185,7 @@ class CycNum:
     __slots__ = ("m", "num", "den")
 
     def __init__(self, m: int, num, den: int = 1):
-        _check_conductor(m)
+        check_conductor(m)
         phi = euler_phi(m)
         num = list(num)
         if len(num) != phi:
@@ -219,7 +219,7 @@ class CycNum:
         if m2 == 1:
             return ONE
         # checked before the lookup, so that a lowered cap still raises
-        _check_conductor(m2)
+        check_conductor(m2)
         root = _ROOTS.get((m2, k2))
         if root is None:
             poly = [0] * k2 + [1]
@@ -250,7 +250,7 @@ class CycNum:
             return self
         if target % self.m:
             raise ValueError(f"cannot lift conductor {self.m} into {target}")
-        _check_conductor(target)
+        check_conductor(target)
         if self.is_zero():
             zero = _ZEROS.get(target)
             if zero is None:
@@ -523,7 +523,7 @@ class CycMatrix:
         """From nonzero cells already on conductor m."""
         if rows < 1 or cols < 1:
             raise ValueError("matrix needs at least one row and column")
-        _check_conductor(m)
+        check_conductor(m)
         out = object.__new__(CycMatrix)
         out.rows, out.cols, out.m, out.cells = rows, cols, m, cells
         return out

@@ -22,7 +22,10 @@ Algebra is an identity component's algebra, the one place that chooses
 between integer exponents and the VectorSpan for it.  On exponents, one
 routine, _pattern_in_pattern, answers every membership: a unit Monomial
 is a one-element root pattern, so whether the algebra holds it is the
-inclusion of that pattern in the algebra's.
+inclusion of that pattern in the algebra's.  A root pattern (N, where,
+sizes) is the one integer form of a span of matrices on disjoint
+supports: an Algebra keeps one, and PatternBasis carries one (a solved
+twisted commutant) and builds its CycMatrix cells only when iterated.
 """
 
 from __future__ import annotations
@@ -272,6 +275,33 @@ def unit_pattern(op):
     return order, [(i, j, k * (order // d)) for i, j, (d, k) in roots]
 
 
+class PatternBasis:
+    """n x n matrices given by a root pattern (N, where, sizes), the format
+    of _root_pattern: matrix b holds zeta_N^k at each position i * n + j
+    with where[i * n + j] == (b, k), and sizes[b] is its cell count.  len
+    is the number of matrices; iterating builds them as CycMatrix."""
+
+    __slots__ = ("n", "pattern")
+
+    def __init__(self, n: int, pattern):
+        self.n = n
+        self.pattern = pattern
+
+    def __len__(self) -> int:
+        return len(self.pattern[2])
+
+    def __iter__(self):
+        return iter(self.matrices())
+
+    def matrices(self) -> list[CycMatrix]:
+        order, where, sizes = self.pattern
+        n = self.n
+        cells = [{} for _ in sizes]
+        for pos, (b, k) in where.items():
+            cells[b][divmod(pos, n)] = CycNum.root_of_unity(order, k)
+        return [CycMatrix.from_entries(n, n, c) for c in cells]
+
+
 class Algebra:
     """The algebra spanned by n x n matrices (an identity component's), and
     the one place that chooses how a question about it is answered.
@@ -279,27 +309,40 @@ class Algebra:
     It keeps the basis, its root pattern (_root_pattern: roots of unity on
     disjoint nonzero supports, as a map from each support position to its
     basis index and exponent, or None) and its VectorSpan, each built on
-    first use.  Where there is a pattern, its integer exponents decide:
+    first use.  The pattern is read off the basis unless it was given: a
+    PatternBasis is its pattern, and a block spec reads it off its grids,
+    so either builds the basis only when something reads it.  Where there
+    is a pattern, its integer exponents decide:
     contains(op) for a unit Monomial, as the inclusion of the Monomial's
     one-element pattern, contains_algebra(other) when both are patterns,
     normalized_by(op, inv) for a unit Monomial, on the conjugated pattern,
     dim as the basis length (nonzero matrices on disjoint supports are
     independent) unless a dimension was given (a block spec's sum of d^2),
-    and is_semisimple() by one partner sum per basis element when the
-    supports are closed under transpose.  Anything else goes through the
-    span, or for the trace form the Gram rank.  Algebras are equal when
-    their sizes and dimensions are and one holds the other.
+    is_semisimple() by one partner sum per basis element when the
+    supports are closed under transpose, and unit_patterns() element by
+    element.  Anything else goes through the span, or for the trace form
+    the Gram rank.  Algebras are equal when their sizes and dimensions are
+    and one holds the other.
     """
 
-    def __init__(self, n: int, basis, dim: int | None = None):
-        """basis is the spanning n x n matrices, or a function that builds
-        them on first use; dim is the dimension when it is known without
-        them."""
+    # a function returning the root pattern without the basis, if given
+    _find_pattern = None
+
+    def __init__(self, n: int, basis, dim: int | None = None, pattern=None):
+        """basis is the spanning n x n matrices, a function that builds
+        them on first use, or a PatternBasis; pattern is a function that
+        returns their root pattern without building them; dim is the
+        dimension when it is known without them."""
         self.n = n
-        if callable(basis):
+        if isinstance(basis, PatternBasis):
+            self._pattern = basis.pattern
+            self._build = basis.matrices
+        elif callable(basis):
             self._build = basis
         else:
             self.basis = tuple(basis)
+        if pattern is not None:
+            self._find_pattern = pattern
         if dim is not None:
             self.dim = dim
 
@@ -313,12 +356,33 @@ class Algebra:
 
     @cached_property
     def _pattern(self):
+        if self._find_pattern is not None:
+            return self._find_pattern()
         return _root_pattern(self.basis, self.n)
 
     @cached_property
     def dim(self) -> int:
         pattern = self._pattern
         return len(pattern[2]) if pattern is not None else self.span.dim
+
+    def unit_patterns(self) -> list:
+        """unit_pattern of each basis element, in basis order: (N, cells)
+        with the cells in row-major order, or None for an element that is
+        not a partial monomial with root-of-unity entries.  With a root
+        pattern the cells are read off it, over its order N, and the basis
+        is not built."""
+        pattern = self._pattern
+        if pattern is None:
+            return [unit_pattern(a) for a in self.basis]
+        order, where, sizes = pattern
+        n = self.n
+        cells = [[] for _ in sizes]
+        for pos in sorted(where):
+            b, k = where[pos]
+            i, j = divmod(pos, n)
+            cells[b].append((i, j, k))
+        return [(order, c) if len({i for i, _, _ in c}) == len({j for _, j, _ in c}) == len(c)
+                else None for c in cells]
 
     def contains(self, op) -> bool:
         """Does the algebra hold the operator op, a Monomial or a CycMatrix?"""

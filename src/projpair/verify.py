@@ -19,24 +19,31 @@ element; the exhaustive grid then says so, or hits its bound.
 The form of each generator, a Monomial or a dense matrix, is decided
 once, by GroupSpec.operator; everything here takes those operators and
 chooses no form itself, and a product of two forms is matrep's @.
-CommutantEngine takes an algebra basis and the generators, nothing else,
-and every solve takes one scalar per generator as an integer root of
-unity (order, exponent), the form in which compute_centralizer
-enumerates them.  A constraint X a = c a X in which a
-is a partial monomial with root-of-unity entries ties the entries of X
-together one or two at a time, so it goes into a ratio union-find over
-the n^2 positions of X, on integer exponents of one root of unity.  The
-translation and character operators of the constructions, the matrix
-units of their block algebras and the pattern matrices of computed
-centralizers are all of this kind.  Whatever is not (a dense algebra
-element or generator) then cuts the union-find's pattern basis with the
-dense kernel.  CycNum appears only at that boundary, in the cells of a
-returned basis and in the witness search over them.  A witness that is
-a unit monomial comes back as a Monomial and is normalized on its
-exponents, so a computed centralizer stores it as one.  A witness
-candidate with an empty row or column is turned down without a rank.
-The scalar tuples of the solves and the commutator scalars of the
-pairing table are integer pairs (order, exponent) throughout.
+CommutantEngine takes an identity-component Algebra (or a basis) and
+the generators, nothing else, and every solve takes one scalar per
+generator as an integer root of unity (order, exponent), the form in
+which compute_centralizer enumerates them.  A constraint X a = c a X in
+which a is a partial monomial with root-of-unity entries ties the
+entries of X together one or two at a time, so it goes into a ratio
+union-find over the n^2 positions of X, on integer exponents of one
+root of unity.  The translation and character operators of the
+constructions, the matrix units of their block algebras and the pattern
+matrices of computed centralizers are all of this kind, and the engine
+reads the algebra's elements off its integer root pattern, so a block
+spec builds no matrix unit.  The union-find's classes come back as one
+root pattern, a matrep.PatternBasis, and a computed centralizer keeps
+its identity basis in that form.  Whatever is not a partial monomial (a
+dense algebra element or generator) then cuts the pattern basis with the
+dense kernel.  CycNum appears only at that boundary, in a witness
+candidate and when something reads a basis as matrices.  The witness
+search reads a candidate's row and column cover off the classes'
+supports, turns down one with an empty row or column without building
+it, and writes each cell of the rest as one root of unity times its
+coefficient.  A witness that is a unit monomial comes back as a
+Monomial and is normalized on its exponents, so a computed centralizer
+stores it as one.  The scalar tuples of the solves and the commutator
+scalars of the pairing table are integer pairs (order, exponent)
+throughout.
 
 Work is done on generators where the group structure allows it.  The
 surviving scalar tuples form a subgroup, so compute_centralizer solves
@@ -77,19 +84,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import matmul
 
-from .abelian import FinAbGroup, subgroup_from_elements
+from .abelian import FinAbGroup, generator_coefficients, subgroup_from_elements
 from .construct import GroupSpec
-from .cyclo import ONE, CycMatrix, CycNum
+from .cyclo import ONE, CycMatrix, CycNum, check_conductor
 from .errors import (
     IdentityComponentNotSemisimpleBlocks,
     NotProjectivelyCommuting,
     ShapeMismatch,
     WitnessSearchUndecided,
 )
-from .matrep import Monomial, commutator_scalar, lowest_terms, unit_pattern
+from .matrep import (
+    Algebra,
+    Monomial,
+    PatternBasis,
+    commutator_scalar,
+    lowest_terms,
+    unit_pattern,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +170,24 @@ class _RatioUnionFind:
         self.ratio[rv] = (mult + qu - qv) % self.order
         self.dead[ru] = self.dead[ru] or self.dead[rv]
 
-    def classes(self):
-        """root -> list of (member, ratio); dead roots omitted."""
-        out: dict[int, list] = {}
-        for u in range(len(self.parent)):
-            root, q = self._root_and_ratio(u)
-            if self.dead[root]:
-                continue
-            out.setdefault(root, []).append((u, q))
-        return out
+    def pattern(self):
+        """The live classes as a root pattern (N, where, sizes) over the
+        least order N: class b, numbered in root order, holds zeta_N^k at
+        each member u with where[u] == (b, k), k its ratio to the root."""
+        found = [self._root_and_ratio(u) for u in range(len(self.parent))]
+        index = {root: b for b, root in enumerate(sorted(
+            {root for root, _ in found if not self.dead[root]}))}
+        sizes = [0] * len(index)
+        where = {}
+        for u, (root, q) in enumerate(found):
+            b = index.get(root)
+            if b is not None:
+                where[u] = (b, q)
+                sizes[b] += 1
+        g = math.gcd(self.order, *(q for _, q in where.values()))
+        if g > 1:
+            where = {u: (b, q // g) for u, (b, q) in where.items()}
+        return self.order // g, where, tuple(sizes)
 
 
 def _chase(uf: _RatioUnionFind, n: int, pattern, c: int) -> None:
@@ -200,6 +223,7 @@ class CommutantEngine:
     """Solves {X : X a = a X for a in the algebra basis, X h_i = c_i h_i X
     for the generators} for many scalar tuples against one fixed target.
 
+    The algebra is the target's matrep.Algebra, or its spanning matrices.
     gens are operators, each a Monomial or a CycMatrix, and each scalar
     c_i = zeta_d^k is given as the integer pair (d, k).  Every solve runs
     the same two steps.  A constraint X a = c a X with a a partial
@@ -207,23 +231,25 @@ class CommutantEngine:
     or two at a time, so it goes into a ratio union-find over those
     positions, on integer exponents; the algebra's constraints are chased
     once, here, and each scalar tuple adds the generators' to a copy.
-    Each union-find class is one pattern matrix.  Every other constraint
-    (a dense or non-unit algebra element, a dense generator) then cuts
-    that pattern basis with the dense kernel.
+    The algebra's elements are read off its root pattern
+    (Algebra.unit_patterns), so a block spec builds no matrix unit.
+    The union-find's classes come back as one root pattern, a
+    PatternBasis, whose CycMatrix cells are built only when it is
+    iterated.  Every other constraint (a dense or non-unit algebra
+    element, a dense generator) then cuts that basis with the dense
+    kernel, and the solve returns the cut basis as a list of CycMatrix.
     """
 
-    def __init__(self, n: int, algebra_basis, gens):
+    def __init__(self, n: int, algebra, gens):
         self.n = n
         self.gens = list(gens)
         self._gen_patterns = [unit_pattern(h) for h in self.gens]
-        patterns = []
-        self._dense_algebra = []
-        for a in algebra_basis:
-            pattern = unit_pattern(a)
-            if pattern is None:
-                self._dense_algebra.append(a)
-            else:
-                patterns.append(pattern)
+        if not isinstance(algebra, Algebra):
+            algebra = Algebra(n, algebra)
+        unit_patterns = algebra.unit_patterns()
+        patterns = [p for p in unit_patterns if p is not None]
+        self._dense_algebra = [algebra.basis[b] for b, p in enumerate(unit_patterns)
+                               if p is None]
         self._algebra = _RatioUnionFind(n * n, math.lcm(*(p[0] for p in patterns)))
         for pattern in patterns:
             _chase(self._algebra, n, pattern, 0)
@@ -233,12 +259,14 @@ class CommutantEngine:
 
     @staticmethod
     def from_spec(target: GroupSpec):
-        return CommutantEngine(target.ambient.dim, target.algebra().basis,
+        return CommutantEngine(target.ambient.dim, target.algebra(),
                                [target.operator(c) for c in target.generating_cosets()])
 
-    def solve(self, scalars) -> list[CycMatrix]:
+    def solve(self, scalars) -> PatternBasis | list[CycMatrix]:
         """Exact basis of the twisted commutant for one scalar tuple, each
-        scalar an integer root of unity (order, exponent)."""
+        scalar an integer root of unity (order, exponent): a PatternBasis,
+        or a list of CycMatrix after a dense cut.  The basis's order is
+        checked against the conductor cap."""
         n = self.n
         if len(scalars) != len(self.gens):
             raise ValueError("need one scalar per generator")
@@ -250,18 +278,16 @@ class CommutantEngine:
         uf = self._algebra.lifted(order)
         for pattern, (d, k) in chased:
             _chase(uf, n, pattern, k * (order // d))
-        classes = uf.classes()
-        basis = [
-            CycMatrix.from_entries(n, n, {
-                divmod(u, n): CycNum.root_of_unity(order, ratio)
-                for u, ratio in classes[root]
-            })
-            for root in sorted(classes)
-        ]
+        basis = PatternBasis(n, uf.pattern())
+        if basis:
+            check_conductor(basis.pattern[0])
         cuts = [(a, ONE) for a in self._dense_algebra]
         cuts += [(h, CycNum.root_of_unity(d, k))
                  for h, pattern, (d, k) in zip(self.gens, self._gen_patterns, roots)
                  if pattern is None]
+        if not cuts or not basis:
+            return basis
+        basis = basis.matrices()
         for h, c in cuts:
             if not basis:
                 break
@@ -334,6 +360,46 @@ def _combine(cells, coeffs, n: int) -> CycMatrix | None:
     return CycMatrix.from_entries(n, n, acc)
 
 
+def _pattern_combiner(basis: PatternBasis):
+    """The candidate builder of the witness search on a PatternBasis:
+    coeffs -> the n x n sum of c * x over the nonzero coefficients, or None
+    when those matrices leave a row or a column empty (so the sum is
+    singular).  The supports are disjoint, so the cover is read off them
+    as bit masks and each cell is one root of unity, times c when c is
+    not 1, with no sum."""
+    n = basis.n
+    order, where, sizes = basis.pattern
+    cells = [[] for _ in sizes]
+    row_masks = [0] * len(sizes)
+    col_masks = [0] * len(sizes)
+    for pos, (b, k) in where.items():
+        i, j = divmod(pos, n)
+        cells[b].append(((i, j), CycNum.root_of_unity(order, k)))
+        row_masks[b] |= 1 << i
+        col_masks[b] |= 1 << j
+    full = (1 << n) - 1
+
+    def combine(coeffs) -> CycMatrix | None:
+        rows = cols = 0
+        for c, row_mask, col_mask in zip(coeffs, row_masks, col_masks):
+            if c:
+                rows |= row_mask
+                cols |= col_mask
+        if rows != full or cols != full:
+            return None
+        acc = {}
+        for x, c in zip(cells, coeffs):
+            if c == 1:
+                acc.update(x)
+            elif c:
+                c = CycNum.from_rational(c)
+                for cell, v in x:
+                    acc[cell] = c * v
+        return CycMatrix.from_entries(n, n, acc)
+
+    return combine
+
+
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
            67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
            139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
@@ -388,9 +454,13 @@ def _invertible_in_span(basis, n: int) -> Monomial | CycMatrix | None:
     hits its bound.
     """
     dim = len(basis)
-    cells = [x.cells for x in basis]
+    if isinstance(basis, PatternBasis):
+        combine = _pattern_combiner(basis)
+    else:
+        cells = [x.cells for x in basis]
+        combine = partial(_combine, cells, n=n)
     for coeffs in _sample_vectors(dim, n):
-        cand = _combine(cells, coeffs, n)
+        cand = combine(coeffs)
         if cand is not None and _det_nonzero(cand):
             return Monomial.from_matrix(cand) or cand
     if (n + 1) ** dim > 2_000_000:
@@ -399,7 +469,7 @@ def _invertible_in_span(basis, n: int) -> Monomial | CycMatrix | None:
             f"impractical (dim {dim}, ambient {n})"
         )
     for coeffs in itertools.product(range(n + 1), repeat=dim):
-        cand = _combine(cells, coeffs, n)
+        cand = combine(coeffs)
         if cand is not None and _det_nonzero(cand):
             return Monomial.from_matrix(cand) or cand
     return None
@@ -471,11 +541,16 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     subgroup_from_elements on the solved survivors alone.  Each of them
     grows S0 when it is solved, so they generate S, and there are at most
     log2 |S| of them; the order of the group they name is still checked
-    against the number of known tuples.  Only the generating cosets' words
-    are multiplied out (witness powers in survivor order) and normalized.
+    against the number of known tuples.  Each generating coset's tuple is
+    an integer combination of the survivors (generator_coefficients on
+    their canonical coordinates), so no other tuple is mapped, and only
+    those words are multiplied out (witness powers in survivor order) and
+    normalized.
 
-    The identity component's trace form is checked by the returned
-    spec's algebra, so its basis is scanned once.
+    The returned spec's algebra is the identity solve's basis, a
+    PatternBasis unless a dense cut made it a list, so the trace form is
+    checked on its pattern, and its matrices are built only when
+    something reads them (the Gram fallback of that check included).
 
     workers has no effect: the closure leaves a handful of solves, each
     depending on the ones before.  It stays for callers that still pass
@@ -520,13 +595,15 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     if comp_group.order != len(known):
         raise AssertionError("surviving scalar tuples do not form a group")
     generators = {(0,) * comp_group.rank: Monomial.identity(n)}
-    gens = {g.coords for g in comp_group.generators()}
-    for t, word in known.items():
-        coords = to_canonical(t)
-        if coords in gens:
-            op = reduce(matmul, [w ** power for w, power in word])
-            generators[coords] = _normalize_projective(op)
-    spec = GroupSpec(target.ambient, None, comp_group, generators, algebra_basis=identity_basis)
+    # each generating coset's tuple, as a combination of the survivors
+    images = [to_canonical(s) for s in survivors]
+    for g, coeffs in zip(comp_group.generators(), generator_coefficients(images, comp_group)):
+        t = tuple(sum(a * s[i] for a, s in zip(coeffs, survivors)) % m
+                  for i, m in enumerate(moduli))
+        op = reduce(matmul, [w ** power for w, power in known[t]])
+        generators[g.coords] = _normalize_projective(op)
+    spec = GroupSpec(target.ambient, None, comp_group, generators,
+                     algebra_basis=Algebra(n, identity_basis))
     if not spec.algebra().is_semisimple():
         raise IdentityComponentNotSemisimpleBlocks(
             "untwisted commutant is not a direct sum of full matrix algebras")

@@ -98,6 +98,39 @@ def test_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
                                         "form a group") for line in errors)
 
 
+@pytest.mark.parametrize("error", [MemoryError("out of memory"),
+                                   TypeError("unsupported operand")])
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch, error):
+    """Any other exception raised inside a solve is an internal error (3)
+    with one error line and no traceback, in verify and in each row of
+    serial enumerate --check, and so is one raised inside a commutator
+    in pairing; at the parent commit either exception left main as a
+    traceback, which exits 1, the code for "not a dual pair"."""
+    from projpair import verify
+    from projpair.verify import CommutantEngine
+
+    pair_file = tmp_path / "pair.json"
+    assert run(["construct", "--L", "2", "-o", str(pair_file)]) == 0
+    capsys.readouterr()
+
+    def broken(self, scalars):
+        raise error
+
+    monkeypatch.setattr(CommutantEngine, "solve", broken)
+    message = f"{type(error).__name__}: {error}"
+    assert run(["verify", str(pair_file)]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: internal error: {message}"]
+    assert run(["enumerate", "--n", "2", "--check", "--workers", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.out.splitlines() if line.startswith("ERROR: ")]
+    assert errors and all(line.endswith(message) for line in errors)
+    assert not [line for line in captured.out.splitlines() if line.startswith("FAILED: ")]
+    monkeypatch.setattr(verify, "commutator_scalar", lambda g, h: broken(None, None))
+    assert run(["pairing", str(pair_file)]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: internal error: {message}"]
+
+
 def _dense(item):
     """A generator item rewritten in the dense form ("matrix"), which every
     generator of a pair file once took, so that its entries can be edited."""

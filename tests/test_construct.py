@@ -3,6 +3,8 @@
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from projpair.abelian import FinAbGroup, identity_matrix
 from projpair import construct, serialize
@@ -30,7 +32,7 @@ from projpair.errors import (
     NotIsomorphism,
     PreconditionViolated,
 )
-from projpair.matrep import Monomial, TensorShape, as_dense, projective_equal
+from projpair.matrep import Monomial, TensorShape, _root_pattern, as_dense, projective_equal
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
@@ -399,6 +401,48 @@ def test_block_matrix_units():
     assert span_of_matrices(units).dim == 4
 
 
+@st.composite
+def block_layouts(draw):
+    """Blocks on range(n): carved from a permutation, so that the grids
+    partition the indices, or drawn freely, so that units may overlap and
+    a unit may repeat a position."""
+    n = draw(st.integers(1, 6))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                           min_size=1, max_size=3))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        blocks, start = [], 0
+        for dim, mult in shapes:
+            if start + dim * mult > n:
+                break
+            cells = order[start:start + dim * mult]
+            blocks.append(Block(dim, tuple(tuple(cells[r * mult:(r + 1) * mult])
+                                           for r in range(dim))))
+            start += dim * mult
+        if blocks:
+            return n, blocks
+    index = st.integers(0, n - 1)
+    return n, [Block(dim, tuple(tuple(draw(index) for _ in range(mult)) for _ in range(dim)))
+               for dim, mult in shapes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_layouts())
+@example((2, [Block(1, ((0, 0),))]))
+@example((2, [Block(1, ((0, 1),)), Block(1, ((1, 0),))]))
+@example((3, [Block(2, ((0,), (1,))), Block(1, ((1,),))]))
+def test_block_pattern_matches_the_scan_of_its_matrix_units(layout):
+    """The root pattern read off the grids is the scan of the matrix
+    units: order 1, one entry per distinct position of each unit, and None
+    when two units share a position (the second and third examples)."""
+    n, blocks = layout
+    expected = _root_pattern(construct._matrix_units(blocks, n), n)
+    assert construct._block_pattern(blocks, n) == expected
+    ambient = Ambient.single(TensorShape((("A", n),)))
+    spec = GroupSpec(ambient, blocks, TRIV, {(): Monomial.identity(n)})
+    assert spec.algebra()._pattern == expected
+
+
 def test_scalar_blocks_span():
     blocks = scalar_blocks(3)
     assert len(blocks) == 1
@@ -571,8 +615,10 @@ def test_builder_runs_once_per_coset_whatever_reads_it(monkeypatch):
 
 
 def test_block_matrix_units_built_once_per_block(monkeypatch):
-    """algebra().basis builds each block's matrix units once per spec,
-    however many readers (span, pattern, commutant engine, verify) ask."""
+    """A block spec's root pattern comes from its grids, so the commutant
+    engine and a full verify build no matrix unit; an explicit
+    algebra().basis read builds each block's units once per spec, however
+    many readers (span, pattern, engine) ask after it."""
     from projpair.verify import CommutantEngine, verify_dual_pair
 
     calls = []
@@ -584,11 +630,14 @@ def test_block_matrix_units_built_once_per_block(monkeypatch):
 
     monkeypatch.setattr(Block, "matrix_units", counting)
     g, h = connected_pair([(2, 3), (1, 2)])
+    CommutantEngine.from_spec(g)
+    assert verify_dual_pair(g, h).is_dual_pair
+    assert calls == []
     first = g.algebra().basis
     assert g.algebra().basis is first
     g.algebra().span
     g.algebra()._pattern
     CommutantEngine.from_spec(g)
     assert verify_dual_pair(g, h).is_dual_pair
-    assert sorted(map(id, calls)) == sorted(map(id, g.blocks + h.blocks))
+    assert sorted(map(id, calls)) == sorted(map(id, g.blocks))
     assert len(first) == sum(b.dim ** 2 for b in g.blocks)

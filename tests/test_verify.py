@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from projpair import verify
+from projpair import construct, verify
 from projpair.abelian import FinAbGroup, subgroup_from_elements
 from projpair.classify import enumerate_multi_orbit, single_row
 from projpair.construct import (
@@ -20,8 +20,17 @@ from projpair.construct import (
     single_orbit_pair,
     xx_hat_pair,
 )
-from projpair.cyclo import CycMatrix, CycNum, ONE, VectorSpan, span_of_matrices
+from projpair.cyclo import (
+    ONE,
+    CycMatrix,
+    CycNum,
+    VectorSpan,
+    conductor_cap,
+    set_conductor_cap,
+    span_of_matrices,
+)
 from projpair.errors import (
+    ConductorCapExceeded,
     NotProjectivelyCommuting,
     ShapeMismatch,
     WitnessSearchUndecided,
@@ -29,6 +38,7 @@ from projpair.errors import (
 from projpair.matrep import (
     Algebra,
     Monomial,
+    PatternBasis,
     TensorShape,
     _gram_nondegenerate,
     _partner_sums_nonzero,
@@ -36,6 +46,7 @@ from projpair.matrep import (
     character_monomial,
     commutator_scalar,
     translation_monomial,
+    unit_pattern,
 )
 from projpair.verify import (
     FAIL_CENTRALIZER_LARGER,
@@ -59,6 +70,7 @@ from projpair.verify import (
 )
 
 from test_acceptance import _battery, bicharacter_oracle, builder_formulas, full_pairing_table
+from test_construct import block_layouts
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
@@ -227,6 +239,133 @@ def test_engine_matches_dense_reference_on_partial_monomials(problem):
     n, algebra, gens, scalars = problem
     assert_same_span(CommutantEngine(n, algebra, gens).solve(scalars),
                      _dense_commutant(n, algebra, gens, scalars))
+
+
+def _solved_cells(basis):
+    """Each solved matrix's cells, in basis order and cell order."""
+    return [list(x.cells.items()) for x in basis]
+
+
+@st.composite
+def block_problems(draw):
+    """A block layout, one or two generators (unit monomials, as a Monomial
+    or a CycMatrix, or one that is not monomial) and scalars."""
+    n, blocks = draw(block_layouts())
+    gens = draw(st.lists(partial_monomials(n, full=True), max_size=2))
+    ops = [Monomial.from_matrix(h) if draw(st.booleans()) else h for h in gens]
+    if gens and draw(st.booleans()):
+        ops[0] = as_dense(ops[0]).scale(2)
+    return n, blocks, ops, [draw(root_tuples()) for _ in gens]
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_problems())
+def test_engine_from_the_algebra_matches_engine_from_its_units(problem):
+    """An engine made from a block spec's Algebra, which reads the root
+    pattern off the grids, and one made from the list of its matrix
+    units, which scans each unit, give the same solve: the same classes
+    in the same order, cell for cell, and the same pattern."""
+    n, blocks, gens, scalars = problem
+    ambient = Ambient.single(TensorShape((("A", n),)))
+    spec = GroupSpec(ambient, blocks, TRIV, {(): Monomial.identity(n)})
+    from_algebra = CommutantEngine(n, spec.algebra(), gens).solve(scalars)
+    from_units = CommutantEngine(n, construct._matrix_units(blocks, n), gens).solve(scalars)
+    assert type(from_algebra) is type(from_units)
+    if isinstance(from_algebra, PatternBasis):
+        assert from_algebra.pattern == from_units.pattern
+    assert _solved_cells(from_algebra) == _solved_cells(from_units)
+
+
+@st.composite
+def shuffled_bases(draw):
+    """Partial monomials and matrices that are not, each built from its
+    cells in a drawn order, so that a root pattern read off them lists
+    positions out of row-major order."""
+    n = draw(st.integers(1, 4))
+    basis = []
+    for _ in range(draw(st.integers(1, 3))):
+        cells = list(draw(partial_monomials(n)).cells.items())
+        if draw(st.booleans()):
+            cells.append(((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))),
+                          draw(unit_roots())))
+        basis.append(CycMatrix.from_entries(n, n, dict(draw(st.permutations(cells)))))
+    return n, basis
+
+
+@settings(max_examples=120, deadline=None)
+@given(shuffled_bases())
+def test_unit_patterns_match_the_scan_of_each_element(problem):
+    """Algebra.unit_patterns reads each element off the root pattern when
+    there is one: the element's unit_pattern, cells in row-major order,
+    with exponents lifted to the pattern's order; and exactly the scans
+    when there is none."""
+    n, basis = problem
+    algebra = Algebra(n, basis)
+    scans = [unit_pattern(a) for a in basis]
+    if algebra._pattern is None:
+        assert algebra.unit_patterns() == scans
+        return
+    order = algebra._pattern[0]
+    lifted = [None if p is None else (order, [(i, j, k * (order // p[0])) for i, j, k in p[1]])
+              for p in scans]
+    assert algebra.unit_patterns() == lifted
+
+
+@pytest.mark.parametrize("target", [
+    lambda: cycle_spec(3, (0, 1)), lambda: cycle_spec(4, (0, 1, 2)),
+    lambda: cycle_spec(6, (0, 1, 2)), swap_spec, lambda: xx_hat_pair(Z2)[0]],
+    ids=["swap-in-PGL3", "3-cycle-in-PGL4", "3-cycle-in-PGL6", "swap", "heis2"])
+def test_engine_from_a_computed_algebra_matches_engine_from_its_basis(target):
+    """A computed centralizer's algebra is its identity solve's
+    PatternBasis, unbuilt, with elements that are not partial monomials
+    for the permutations of unequal cycle lengths; the engine built on it
+    and one built on its CycMatrix basis solve every tuple of the
+    centralizer's own generators alike."""
+    z = compute_centralizer(target())
+    assert z.algebra().__dict__.get("basis") is None
+    n = z.ambient.dim
+    gens = [z.operator(c) for c in z.generating_cosets()]
+    on_pattern = CommutantEngine(n, z.algebra(), gens)
+    on_basis = CommutantEngine(n, list(z.algebra().basis), gens)
+    for t in itertools.product(*(range(d) for d in z.component_group.invariant_factors)):
+        scalars = list(zip(z.component_group.invariant_factors, t))
+        assert (_solved_cells(on_pattern.solve(scalars))
+                == _solved_cells(on_basis.solve(scalars)))
+
+
+@st.composite
+def pattern_problems(draw):
+    """Partial-monomial algebra elements, unit-monomial generators and
+    scalars: every constraint goes into the union-find."""
+    n = draw(st.integers(1, 5))
+    algebra = draw(st.lists(partial_monomials(n), max_size=3))
+    gens = draw(st.lists(partial_monomials(n, full=True), max_size=2))
+    return n, algebra, gens, [draw(root_tuples()) for _ in gens]
+
+
+@settings(max_examples=80, deadline=None)
+@given(pattern_problems())
+def test_solve_checks_its_order_against_the_conductor_cap(problem):
+    """A solve builds no CycNum, so it checks the least order of its
+    pattern against the conductor cap: a cap at that order passes, and
+    one below it raises ConductorCapExceeded."""
+    n, algebra, gens, scalars = problem
+    engine = CommutantEngine(n, algebra, gens)
+    basis = engine.solve(scalars)
+    assert isinstance(basis, PatternBasis)
+    if not basis:
+        return
+    order = basis.pattern[0]
+    old = conductor_cap()
+    try:
+        set_conductor_cap(order)
+        assert engine.solve(scalars).pattern == basis.pattern
+        if order > 1:
+            set_conductor_cap(order - 1)
+            with pytest.raises(ConductorCapExceeded):
+                engine.solve(scalars)
+    finally:
+        set_conductor_cap(old)
 
 
 @settings(max_examples=80, deadline=None)
