@@ -30,7 +30,7 @@ from .abelian import (
     product_embedding,
     transport_character,
 )
-from .cyclo import ONE, CycMatrix, prime_factors
+from .cyclo import CycMatrix, prime_factors
 from .errors import (
     EmptyDecomposition,
     IncompatibleGluing,
@@ -42,6 +42,7 @@ from .errors import (
 from .matrep import (
     Algebra,
     Monomial,
+    PatternBasis,
     TensorShape,
     commutator_scalar,
     heisenberg_monomial,
@@ -78,18 +79,6 @@ class Block:
     def indices(self):
         return [i for row in self.grid for i in row]
 
-    def unit_matrix(self, r: int, s: int, n: int) -> CycMatrix:
-        """The embedded matrix unit E_rs (x) I_mult."""
-        cells = {}
-        for c in range(self.mult):
-            cells[(self.grid[r][c], self.grid[s][c])] = ONE
-        return CycMatrix.from_entries(n, n, cells)
-
-    def matrix_units(self, n: int) -> list[CycMatrix]:
-        return [
-            self.unit_matrix(r, s, n) for r in range(self.dim) for s in range(self.dim)
-        ]
-
     def shift(self, offset: int) -> "Block":
         return Block(self.dim, tuple(tuple(i + offset for i in row) for row in self.grid))
 
@@ -108,35 +97,6 @@ class Block:
             Block(self.dim, tuple(tuple(g * n_x + x for g in row) for row in self.grid))
             for x in range(n_x)
         ]
-
-
-def _matrix_units(blocks, n: int) -> list[CycMatrix]:
-    return [u for b in blocks for u in b.matrix_units(n)]
-
-
-def _block_pattern(blocks, n: int):
-    """matrep._root_pattern of _matrix_units(blocks, n), read off the
-    grids: the unit E_rs (x) I of a block sits at grid[r][c] * n +
-    grid[s][c] for each copy c, with exponent 0 over order 1.  None when
-    two units share a position."""
-    where = {}
-    sizes = []
-    for blk in blocks:
-        grid = blk.grid
-        for row_r in grid:
-            for row_s in grid:
-                b, size = len(sizes), 0
-                for i, j in zip(row_r, row_s):
-                    if not (0 <= i < n and 0 <= j < n):
-                        raise IndexError(f"entry outside a {n} x {n} matrix")
-                    hit = where.get(i * n + j)
-                    if hit is None:
-                        where[i * n + j] = (b, 0)
-                        size += 1
-                    elif hit[0] != b:
-                        return None
-                sizes.append(size)
-    return 1, where, tuple(sizes)
 
 
 def scalar_blocks(n: int) -> tuple[Block, ...]:
@@ -193,7 +153,9 @@ class GroupSpec:
     word, is checked once here and is then dropped.  The identity component
     is given by blocks or by a raw algebra basis of one n x n matrix or
     more (or its matrep.Algebra), never both, since the two could describe
-    different algebras.
+    different algebras.  Block grids must partition the indices 0..n-1,
+    checked here (ValueError otherwise), so their matrix units lie on
+    disjoint supports.
 
     operator(coords) is the one way to read a coset.  The identity coset is
     stored as Monomial.identity(n) and each generating coset as its
@@ -205,9 +167,9 @@ class GroupSpec:
     component group's element order.
 
     algebra() is the identity-component algebra, a matrep.Algebra.  A
-    block spec's has dimension sum d^2 and reads its root pattern off the
-    grids (_block_pattern), so its matrix units are built only when
-    something reads its basis.
+    block spec builds it on first read from the root pattern of its grids
+    (PatternBasis.from_grids), so its dimension is sum d^2 and its matrix
+    units are built only when something reads its basis.
     coset_contains(coords, op) tests op against one coset, through the
     coset operator's inverse, built once per coset.
     """
@@ -220,9 +182,10 @@ class GroupSpec:
             raise ValueError("need either blocks or an algebra basis, not both")
         n = self.ambient.dim
         if algebra_basis is None:
-            self._algebra = Algebra(n, partial(_matrix_units, self.blocks, n),
-                                    sum(b.dim * b.dim for b in self.blocks),
-                                    partial(_block_pattern, self.blocks, n))
+            if sorted(i for b in self.blocks for i in b.indices()) != list(range(n)):
+                raise ValueError(f"block grids do not partition the indices 0..{n - 1}")
+            # built on first read
+            self._algebra = None
         elif isinstance(algebra_basis, Algebra):
             if algebra_basis.n != n:
                 raise ValueError(f"an algebra of {algebra_basis.n} x {algebra_basis.n} "
@@ -260,10 +223,13 @@ class GroupSpec:
     # -- identity component ------------------------------------------------
 
     def algebra(self) -> Algebra:
+        if self._algebra is None:
+            self._algebra = Algebra(self.ambient.dim, PatternBasis.from_grids(
+                self.ambient.dim, [b.grid for b in self.blocks]))
         return self._algebra
 
     def identity_component_dim(self) -> int:
-        return self._algebra.dim
+        return self.algebra().dim
 
     def block_dims(self):
         return sorted((b.dim, b.mult) for b in self.blocks) if self.blocks else None
@@ -314,7 +280,7 @@ class GroupSpec:
         operator(coords) times the identity-component algebra?  The coset's
         operator is inverted once per spec, a Monomial pair multiplies in
         integers, and the algebra tests the product."""
-        return self._algebra.contains(self._inverse(coords) @ op)
+        return self.algebra().contains(self._inverse(coords) @ op)
 
     def generating_cosets(self) -> list[tuple[int, ...]]:
         """The generating cosets' coordinates, one unit vector per
@@ -326,9 +292,9 @@ class GroupSpec:
 
     def validate(self) -> None:
         """Check that the spec is a reductive group with one coset per
-        label: the block grids partition the basis indices (so a block
-        spec's algebra is semisimple), a raw algebra basis has a
-        nondegenerate trace form, the algebra holds the identity, and each
+        label: a raw algebra basis has a nondegenerate trace form (a block
+        spec's grids partition the indices, checked at construction, so
+        its algebra is semisimple), the algebra holds the identity, and each
         generator is invertible, normalizes the identity component and has
         its power by its invariant factor in it.  The generators must
         commute modulo the identity component, so the labels map onto the
@@ -336,12 +302,8 @@ class GroupSpec:
         the identity component, so no two labels share a coset (a
         nontrivial kernel holds an element of prime order)."""
         n = self.ambient.dim
-        algebra = self._algebra
-        if self.blocks is not None:
-            indices = sorted(i for b in self.blocks for i in b.indices())
-            if indices != list(range(n)):
-                raise ValueError(f"block grids do not partition the indices 0..{n - 1}")
-        elif not algebra.is_semisimple():
+        algebra = self.algebra()
+        if self.blocks is None and not algebra.is_semisimple():
             raise ValueError("the identity-component algebra is not semisimple")
         if not algebra.contains(Monomial.identity(n)):
             raise ValueError("the identity-component algebra does not hold the identity")

@@ -228,10 +228,6 @@ class CycNum:
 
     # -- views ----------------------------------------------------------
 
-    @property
-    def conductor(self) -> int:
-        return self.m
-
     def is_zero(self) -> bool:
         return not any(self.num)
 

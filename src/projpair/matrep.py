@@ -18,14 +18,18 @@ scan, unit_pattern, reads a CycMatrix's cells as a partial monomial with
 root-of-unity entries; Monomial.from_matrix is that scan at full
 coverage, so the conversion to and from CycMatrix is lossless.  Which
 form a stored generator takes is decided by GroupSpec.operator.
-Algebra is an identity component's algebra, the one place that chooses
-between integer exponents and the VectorSpan for it.  On exponents, one
-routine, _pattern_in_pattern, answers every membership: a unit Monomial
-is a one-element root pattern, so whether the algebra holds it is the
-inclusion of that pattern in the algebra's.  A root pattern (N, where,
-sizes) is the one integer form of a span of matrices on disjoint
-supports: an Algebra keeps one, and PatternBasis carries one (a solved
-twisted commutant) and builds its CycMatrix cells only when iterated.
+A PatternBasis is the one value that holds a root pattern, the integer
+form of a span of matrices on disjoint supports with root-of-unity
+cells: it is read off matrices or off the index grids of GL blocks, or
+written by the commutant solve, and it builds its CycMatrix cells only
+when asked.  Its cells are split per element once, and every reader of
+an element's cells takes that split.  Algebra is an identity
+component's algebra, given by a PatternBasis or by matrices and nothing
+else, and the one place that chooses between integer exponents and the
+VectorSpan for it.  On exponents, one routine, _pattern_in_pattern,
+answers every membership: a unit Monomial is a one-element root
+pattern, so whether the algebra holds it is the inclusion of that
+pattern in the algebra's.
 """
 
 from __future__ import annotations
@@ -275,127 +279,154 @@ def unit_pattern(op):
     return order, [(i, j, k * (order // d)) for i, j, (d, k) in roots]
 
 
+@dataclass
 class PatternBasis:
-    """n x n matrices given by a root pattern (N, where, sizes), the format
-    of _root_pattern: matrix b holds zeta_N^k at each position i * n + j
-    with where[i * n + j] == (b, k), and sizes[b] is its cell count.  len
-    is the number of matrices; iterating builds them as CycMatrix."""
+    """A root pattern: n x n matrices on disjoint nonempty supports, every
+    cell a root of unity, the one value that holds one.  Matrix b holds
+    zeta_order^k at each position i * n + j with where[i * n + j] == (b, k),
+    and sizes[b] is its cell count.  classes splits where into each
+    matrix's (i, j, k) cells in row-major order, once; matrices() builds
+    the CycMatrix basis from it, and len is the number of matrices.
 
-    __slots__ = ("n", "pattern")
+    The constructors read one off the matrices of a basis (from_matrices)
+    or off the index grids of GL blocks (from_grids); the commutant solve
+    writes its classes as one (verify._RatioUnionFind.pattern)."""
 
-    def __init__(self, n: int, pattern):
-        self.n = n
-        self.pattern = pattern
+    n: int
+    order: int
+    where: dict
+    sizes: tuple
+
+    @staticmethod
+    def from_matrices(n: int, basis) -> "PatternBasis | None":
+        """The pattern of n x n matrices, or None when one of them is zero, a
+        cell is not a root of unity or two matrices share a position; the
+        order is the least one carrying every cell."""
+        roots = {}
+        sizes = []
+        for b, mat in enumerate(basis):
+            if not mat.cells:
+                return None
+            for (i, j), v in mat.cells.items():
+                root = v.as_root_of_unity()
+                pos = i * n + j
+                if root is None or pos in roots:
+                    return None
+                roots[pos] = (b, root)
+            sizes.append(len(mat.cells))
+        order = math.lcm(*(d for _, (d, _) in roots.values()))
+        return PatternBasis(n, order, {pos: (b, k * (order // d))
+                                       for pos, (b, (d, k)) in roots.items()}, tuple(sizes))
+
+    @staticmethod
+    def from_grids(n: int, grids) -> "PatternBasis":
+        """The matrix units E_rs (x) I of GL blocks given by index grids
+        that partition range(n), block by block with r slowest: the unit
+        sits at grid[r][c] * n + grid[s][c] for each copy c, each cell 1."""
+        where = {}
+        sizes = []
+        for grid in grids:
+            for row_r in grid:
+                for row_s in grid:
+                    b = len(sizes)
+                    for i, j in zip(row_r, row_s):
+                        where[i * n + j] = (b, 0)
+                    sizes.append(len(row_r))
+        return PatternBasis(n, 1, where, tuple(sizes))
 
     def __len__(self) -> int:
-        return len(self.pattern[2])
+        return len(self.sizes)
 
     def __iter__(self):
         return iter(self.matrices())
 
+    @cached_property
+    def classes(self) -> list[list[tuple[int, int, int]]]:
+        n, where = self.n, self.where
+        cells = [[] for _ in self.sizes]
+        for pos in sorted(where):
+            b, k = where[pos]
+            i, j = divmod(pos, n)
+            cells[b].append((i, j, k))
+        return cells
+
     def matrices(self) -> list[CycMatrix]:
-        order, where, sizes = self.pattern
-        n = self.n
-        cells = [{} for _ in sizes]
-        for pos, (b, k) in where.items():
-            cells[b][divmod(pos, n)] = CycNum.root_of_unity(order, k)
-        return [CycMatrix.from_entries(n, n, c) for c in cells]
+        n, order = self.n, self.order
+        return [CycMatrix.from_entries(n, n, {(i, j): CycNum.root_of_unity(order, k)
+                                              for i, j, k in cells})
+                for cells in self.classes]
 
 
 class Algebra:
     """The algebra spanned by n x n matrices (an identity component's), and
     the one place that chooses how a question about it is answered.
 
-    It keeps the basis, its root pattern (_root_pattern: roots of unity on
-    disjoint nonzero supports, as a map from each support position to its
-    basis index and exponent, or None) and its VectorSpan, each built on
-    first use.  The pattern is read off the basis unless it was given: a
-    PatternBasis is its pattern, and a block spec reads it off its grids,
-    so either builds the basis only when something reads it.  Where there
-    is a pattern, its integer exponents decide:
+    Algebra(n, basis) takes a PatternBasis or a sequence of n x n
+    matrices.  It keeps the basis, its root pattern (a PatternBasis, or
+    None when the basis is not one) and its VectorSpan, each built on
+    first use: a PatternBasis is its pattern and builds the matrices only
+    when something reads them, and matrices are scanned for a pattern.
+    Where there is a pattern, its integer exponents decide:
     contains(op) for a unit Monomial, as the inclusion of the Monomial's
     one-element pattern, contains_algebra(other) when both are patterns,
     normalized_by(op, inv) for a unit Monomial, on the conjugated pattern,
-    dim as the basis length (nonzero matrices on disjoint supports are
-    independent) unless a dimension was given (a block spec's sum of d^2),
-    is_semisimple() by one partner sum per basis element when the
-    supports are closed under transpose, and unit_patterns() element by
-    element.  Anything else goes through the span, or for the trace form
-    the Gram rank.  Algebras are equal when their sizes and dimensions are
-    and one holds the other.
+    dim as the pattern's length (nonzero matrices on disjoint supports are
+    independent), is_semisimple() by one partner sum per basis element
+    when the supports are closed under transpose, and unit_patterns()
+    element by element.  Anything else goes through the span, or for the
+    trace form the Gram rank.  Algebras are equal when their sizes and
+    dimensions are and one holds the other.
     """
 
-    # a function returning the root pattern without the basis, if given
-    _find_pattern = None
-
-    def __init__(self, n: int, basis, dim: int | None = None, pattern=None):
-        """basis is the spanning n x n matrices, a function that builds
-        them on first use, or a PatternBasis; pattern is a function that
-        returns their root pattern without building them; dim is the
-        dimension when it is known without them."""
+    def __init__(self, n: int, basis):
         self.n = n
         if isinstance(basis, PatternBasis):
-            self._pattern = basis.pattern
-            self._build = basis.matrices
-        elif callable(basis):
-            self._build = basis
+            self.pattern = basis
         else:
             self.basis = tuple(basis)
-        if pattern is not None:
-            self._find_pattern = pattern
-        if dim is not None:
-            self.dim = dim
 
     @cached_property
     def basis(self) -> tuple[CycMatrix, ...]:
-        return tuple(self._build())
+        return tuple(self.pattern.matrices())
 
     @cached_property
     def span(self) -> VectorSpan:
         return span_of_matrices(self.basis)
 
     @cached_property
-    def _pattern(self):
-        if self._find_pattern is not None:
-            return self._find_pattern()
-        return _root_pattern(self.basis, self.n)
+    def pattern(self) -> PatternBasis | None:
+        return PatternBasis.from_matrices(self.n, self.basis)
 
     @cached_property
     def dim(self) -> int:
-        pattern = self._pattern
-        return len(pattern[2]) if pattern is not None else self.span.dim
+        pattern = self.pattern
+        return len(pattern) if pattern is not None else self.span.dim
 
     def unit_patterns(self) -> list:
         """unit_pattern of each basis element, in basis order: (N, cells)
         with the cells in row-major order, or None for an element that is
         not a partial monomial with root-of-unity entries.  With a root
-        pattern the cells are read off it, over its order N, and the basis
+        pattern the cells are its classes, over its order N, and the basis
         is not built."""
-        pattern = self._pattern
+        pattern = self.pattern
         if pattern is None:
             return [unit_pattern(a) for a in self.basis]
-        order, where, sizes = pattern
-        n = self.n
-        cells = [[] for _ in sizes]
-        for pos in sorted(where):
-            b, k = where[pos]
-            i, j = divmod(pos, n)
-            cells[b].append((i, j, k))
-        return [(order, c) if len({i for i, _, _ in c}) == len({j for _, j, _ in c}) == len(c)
-                else None for c in cells]
+        return [(pattern.order, c)
+                if len({i for i, _, _ in c}) == len({j for _, j, _ in c}) == len(c) else None
+                for c in pattern.classes]
 
     def contains(self, op) -> bool:
         """Does the algebra hold the operator op, a Monomial or a CycMatrix?"""
-        if isinstance(op, Monomial) and self._pattern is not None:
+        if isinstance(op, Monomial) and self.pattern is not None:
             # a unit monomial is a one-element root pattern
             n = op.n
-            return _pattern_in_pattern(self._pattern, (op.order, {
+            return _pattern_in_pattern(self.pattern, PatternBasis(n, op.order, {
                 p * n + j: (0, e) for j, (p, e) in enumerate(zip(op.perm, op.exps))}, (n,)))
         return self.span.contains(as_dense(op).flat_cells())
 
     def contains_algebra(self, other: "Algebra") -> bool:
         """Does this algebra hold the other?"""
-        outer, inner = self._pattern, other._pattern
+        outer, inner = self.pattern, other.pattern
         if outer is not None and inner is not None:
             return _pattern_in_pattern(outer, inner)
         return self.span.contains_span(other.span)
@@ -406,18 +437,17 @@ class Algebra:
         root pattern to a root pattern: zeta_N^k at (i, j) goes to
         zeta_N^(k + e_i - e_j) at (perm[i], perm[j]), on exponents over the
         lcm of the two orders, so then only integers are compared."""
-        pattern = self._pattern
+        pattern = self.pattern
         if not isinstance(op, Monomial) or pattern is None:
             return self.contains_algebra(Algebra(self.n, [op @ b @ inv for b in self.basis]))
-        order, where, sizes = pattern
-        lcm = math.lcm(order, op.order)
-        lift, lift_op = lcm // order, lcm // op.order
+        lcm = math.lcm(pattern.order, op.order)
+        lift, lift_op = lcm // pattern.order, lcm // op.order
         n, perm, exps = self.n, op.perm, op.exps
         moved = {}
-        for pos, (b, k) in where.items():
+        for pos, (b, k) in pattern.where.items():
             i, j = divmod(pos, n)
             moved[perm[i] * n + perm[j]] = (b, (k * lift + (exps[i] - exps[j]) * lift_op) % lcm)
-        return _pattern_in_pattern(pattern, (lcm, moved, sizes))
+        return _pattern_in_pattern(pattern, PatternBasis(n, lcm, moved, pattern.sizes))
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
@@ -431,50 +461,25 @@ class Algebra:
         criterion for a direct sum of full matrix algebras over an
         algebraically closed field."""
         decided = None
-        if self._pattern is not None:
-            decided = _partner_sums_nonzero(self._pattern, self.n)
+        if self.pattern is not None:
+            decided = _partner_sums_nonzero(self.pattern)
         return _gram_nondegenerate(self.basis) if decided is None else decided
 
 
-def _root_pattern(basis, n: int):
-    """(N, where, sizes) when the n x n matrices of basis form a
-    root-of-unity pattern: every nonzero cell a root of unity, no two
-    matrices sharing a position and none of them zero.  where maps the
-    position i * n + j of each cell on a support to (b, k) when basis[b]
-    holds zeta_N^k there, sizes[b] is the number of cells of basis[b], and
-    N the least order carrying every cell.  None for any other basis."""
-    roots = {}
-    sizes = []
-    for b, mat in enumerate(basis):
-        if not mat.cells:
-            return None
-        for (i, j), v in mat.cells.items():
-            root = v.as_root_of_unity()
-            pos = i * n + j
-            if root is None or pos in roots:
-                return None
-            roots[pos] = (b, root)
-        sizes.append(len(mat.cells))
-    order = math.lcm(*(d for _, (d, _) in roots.values()))
-    return (order, {pos: (b, k * (order // d)) for pos, (b, (d, k)) in roots.items()},
-            tuple(sizes))
-
-
-def _pattern_in_pattern(outer, inner) -> bool:
-    """Does the span of the outer _root_pattern basis hold that of inner?
+def _pattern_in_pattern(outer: PatternBasis, inner: PatternBasis) -> bool:
+    """Does the span of the outer pattern hold that of inner?
 
     The outer supports are disjoint, so an inner basis matrix a lies in
     the outer span iff every cell of a lies on some outer support, a
     differs from each outer matrix b it touches by one exponent shift, and
     a covers each such b whole.  Every cell of a lies in exactly one b, so
     the last holds iff the sizes of the b it touches sum to a's own size."""
-    order_o, where_o, sizes_o = outer
-    order_i, where_i, sizes_i = inner
-    lcm = math.lcm(order_o, order_i)
-    lift_o, lift_i = lcm // order_o, lcm // order_i
+    where_o, sizes_o = outer.where, outer.sizes
+    lcm = math.lcm(outer.order, inner.order)
+    lift_o, lift_i = lcm // outer.order, lcm // inner.order
     shifts = {}
-    covered = [0] * len(sizes_i)
-    for pos, (a, k) in where_i.items():
+    covered = [0] * len(inner)
+    for pos, (a, k) in inner.where.items():
         hit = where_o.get(pos)
         if hit is None:
             return False
@@ -486,12 +491,12 @@ def _pattern_in_pattern(outer, inner) -> bool:
             covered[a] += sizes_o[b]
         elif seen != shift:
             return False
-    return tuple(covered) == sizes_i
+    return tuple(covered) == inner.sizes
 
 
-def _partner_sums_nonzero(pattern, n: int):
-    """Is the trace form of a _root_pattern basis of n x n matrices
-    nondegenerate?  None when its supports are not closed under transpose.
+def _partner_sums_nonzero(pattern: PatternBasis):
+    """Is the trace form of a pattern nondegenerate?  None when its
+    supports are not closed under transpose.
 
     They are closed when the mirror (j, i) of every cell (i, j) of each
     basis element a lies in one element b, the partner of a.  Then a is
@@ -503,9 +508,9 @@ def _partner_sums_nonzero(pattern, n: int):
     so it is nondegenerate iff no partner sum vanishes.  A sum with one
     distinct exponent is a nonzero multiple of a root of unity; only the
     others are summed in CycNum."""
-    order, where, sizes = pattern
-    partner = [None] * len(sizes)
-    exps = [{} for _ in sizes]
+    n, order, where = pattern.n, pattern.order, pattern.where
+    partner = [None] * len(pattern)
+    exps = [{} for _ in pattern.sizes]
     for pos, (a, k) in where.items():
         i, j = divmod(pos, n)
         mirror = where.get(j * n + i)

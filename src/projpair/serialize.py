@@ -81,10 +81,6 @@ def _zero_coeffs(m: int) -> list:
     return [["0", "1"] for _ in range(euler_phi(m))]
 
 
-def cyc_num_to_json(c: CycNum) -> dict:
-    return {"conductor": c.conductor, "coeffs": _coeffs_to_json(c)}
-
-
 def cyc_num_from_json(data: dict) -> CycNum:
     """Decode on integers over the lcm of the denominators; a coordinate
     that is not a pair of decimal strings, or a zero denominator, raises

@@ -19,21 +19,21 @@ element; the exhaustive grid then says so, or hits its bound.
 The form of each generator, a Monomial or a dense matrix, is decided
 once, by GroupSpec.operator; everything here takes those operators and
 chooses no form itself, and a product of two forms is matrep's @.
-CommutantEngine takes an identity-component Algebra (or a basis) and
-the generators, nothing else, and every solve takes one scalar per
-generator as an integer root of unity (order, exponent), the form in
-which compute_centralizer enumerates them.  A constraint X a = c a X in
+CommutantEngine takes an identity-component Algebra and the generators,
+nothing else, and every solve takes one scalar per generator as an
+integer root of unity (order, exponent), the form in which
+compute_centralizer enumerates them.  A constraint X a = c a X in
 which a is a partial monomial with root-of-unity entries ties the
 entries of X together one or two at a time, so it goes into a ratio
 union-find over the n^2 positions of X, on integer exponents of one
 root of unity.  The translation and character operators of the
 constructions, the matrix units of their block algebras and the pattern
 matrices of computed centralizers are all of this kind, and the engine
-reads the algebra's elements off its integer root pattern, so a block
-spec builds no matrix unit.  The union-find's classes come back as one
-root pattern, a matrep.PatternBasis, and a computed centralizer keeps
-its identity basis in that form.  Whatever is not a partial monomial (a
-dense algebra element or generator) then cuts the pattern basis with the
+reads the algebra's elements off the classes of its matrep.PatternBasis,
+so a block spec builds no matrix unit.  The union-find's classes come
+back as a PatternBasis, and a computed centralizer keeps its identity
+basis in that form.  Whatever is not a partial monomial (a dense
+algebra element or generator) then cuts the pattern basis with the
 dense kernel.  CycNum appears only at that boundary, in a witness
 candidate and when something reads a basis as matrices.  The witness
 search reads a candidate's row and column cover off the classes'
@@ -112,20 +112,23 @@ from .matrep import (
 
 
 class _RatioUnionFind:
-    """Union-find where each element carries value[u] = zeta_N^ratio[u] *
-    value[root], the ratio an integer mod N; inconsistent relations
-    collapse a class to zero."""
+    """Union-find over the positions u = i * n + j of an n x n matrix,
+    where each position carries value[u] = zeta_N^ratio[u] * value[root],
+    the ratio an integer mod N; inconsistent relations collapse a class to
+    zero."""
 
     def __init__(self, n: int, order: int):
+        self.n = n
         self.order = order
-        self.parent = list(range(n))
-        self.ratio = [0] * n
-        self.dead = [False] * n
+        self.parent = list(range(n * n))
+        self.ratio = [0] * (n * n)
+        self.dead = [False] * (n * n)
 
     def lifted(self, order: int) -> "_RatioUnionFind":
         """A copy over a multiple of this order."""
         out = _RatioUnionFind.__new__(_RatioUnionFind)
         lift = order // self.order
+        out.n = self.n
         out.order = order
         out.parent = list(self.parent)
         out.ratio = [r * lift for r in self.ratio]
@@ -170,10 +173,10 @@ class _RatioUnionFind:
         self.ratio[rv] = (mult + qu - qv) % self.order
         self.dead[ru] = self.dead[ru] or self.dead[rv]
 
-    def pattern(self):
-        """The live classes as a root pattern (N, where, sizes) over the
-        least order N: class b, numbered in root order, holds zeta_N^k at
-        each member u with where[u] == (b, k), k its ratio to the root."""
+    def pattern(self) -> PatternBasis:
+        """The live classes as a root pattern over the least order N: class
+        b, numbered in root order, holds zeta_N^k at each member u with
+        where[u] == (b, k), k its ratio to the root."""
         found = [self._root_and_ratio(u) for u in range(len(self.parent))]
         index = {root: b for b, root in enumerate(sorted(
             {root for root, _ in found if not self.dead[root]}))}
@@ -187,16 +190,18 @@ class _RatioUnionFind:
         g = math.gcd(self.order, *(q for _, q in where.values()))
         if g > 1:
             where = {u: (b, q // g) for u, (b, q) in where.items()}
-        return self.order // g, where, tuple(sizes)
+        return PatternBasis(self.n, self.order // g, where, tuple(sizes))
 
 
-def _chase(uf: _RatioUnionFind, n: int, pattern, c: int) -> None:
+def _chase(uf: _RatioUnionFind, pattern, c: int) -> None:
     """Impose X a = zeta_N^c a X on the union-find over the positions
-    i * n + j of X, for a given by its unit pattern and N = uf.order.
+    i * n + j of X, for a given by its unit pattern, n = uf.n and
+    N = uf.order.
 
     With a[p_k, k] = zeta^e_k: X[p_k, p_j] = zeta^(c + e_k - e_j) X[k, j]
     for every two cells; a row outside the image or a column outside the
     domain of a forces X to vanish on the matching positions."""
+    n = uf.n
     order_a, cells = pattern
     lift = uf.order // order_a
     rows = {p for p, _, _ in cells}
@@ -223,51 +228,48 @@ class CommutantEngine:
     """Solves {X : X a = a X for a in the algebra basis, X h_i = c_i h_i X
     for the generators} for many scalar tuples against one fixed target.
 
-    The algebra is the target's matrep.Algebra, or its spanning matrices.
-    gens are operators, each a Monomial or a CycMatrix, and each scalar
+    The algebra is the target's matrep.Algebra, and n its size.  gens are
+    operators, each a Monomial or a CycMatrix, and each scalar
     c_i = zeta_d^k is given as the integer pair (d, k).  Every solve runs
     the same two steps.  A constraint X a = c a X with a a partial
     monomial with root-of-unity entries relates the n^2 entries of X one
     or two at a time, so it goes into a ratio union-find over those
     positions, on integer exponents; the algebra's constraints are chased
     once, here, and each scalar tuple adds the generators' to a copy.
-    The algebra's elements are read off its root pattern
+    The algebra's elements are read off the classes of its PatternBasis
     (Algebra.unit_patterns), so a block spec builds no matrix unit.
-    The union-find's classes come back as one root pattern, a
-    PatternBasis, whose CycMatrix cells are built only when it is
-    iterated.  Every other constraint (a dense or non-unit algebra
-    element, a dense generator) then cuts that basis with the dense
-    kernel, and the solve returns the cut basis as a list of CycMatrix.
+    The union-find's classes come back as a PatternBasis, whose CycMatrix
+    cells are built only when it is iterated.  Every other constraint (a
+    dense or non-unit algebra element, a dense generator) then cuts that
+    basis with the dense kernel, and the solve returns the cut basis as a
+    list of CycMatrix.
     """
 
-    def __init__(self, n: int, algebra, gens):
-        self.n = n
+    def __init__(self, algebra: Algebra, gens):
+        n = self.n = algebra.n
         self.gens = list(gens)
         self._gen_patterns = [unit_pattern(h) for h in self.gens]
-        if not isinstance(algebra, Algebra):
-            algebra = Algebra(n, algebra)
         unit_patterns = algebra.unit_patterns()
         patterns = [p for p in unit_patterns if p is not None]
         self._dense_algebra = [algebra.basis[b] for b, p in enumerate(unit_patterns)
                                if p is None]
-        self._algebra = _RatioUnionFind(n * n, math.lcm(*(p[0] for p in patterns)))
+        self._algebra = _RatioUnionFind(n, math.lcm(*(p[0] for p in patterns)))
         for pattern in patterns:
-            _chase(self._algebra, n, pattern, 0)
+            _chase(self._algebra, pattern, 0)
         # flatten every path once, so that each solve copies a flat forest
         for u in range(n * n):
             self._algebra.find(u)
 
     @staticmethod
     def from_spec(target: GroupSpec):
-        return CommutantEngine(target.ambient.dim, target.algebra(),
-                               [target.operator(c) for c in target.generating_cosets()])
+        return CommutantEngine(
+            target.algebra(), [target.operator(c) for c in target.generating_cosets()])
 
     def solve(self, scalars) -> PatternBasis | list[CycMatrix]:
         """Exact basis of the twisted commutant for one scalar tuple, each
         scalar an integer root of unity (order, exponent): a PatternBasis,
         or a list of CycMatrix after a dense cut.  The basis's order is
         checked against the conductor cap."""
-        n = self.n
         if len(scalars) != len(self.gens):
             raise ValueError("need one scalar per generator")
         roots = [lowest_terms(d, k) for d, k in scalars]
@@ -277,10 +279,10 @@ class CommutantEngine:
                          *(d for _, (d, _) in chased))
         uf = self._algebra.lifted(order)
         for pattern, (d, k) in chased:
-            _chase(uf, n, pattern, k * (order // d))
-        basis = PatternBasis(n, uf.pattern())
+            _chase(uf, pattern, k * (order // d))
+        basis = uf.pattern()
         if basis:
-            check_conductor(basis.pattern[0])
+            check_conductor(basis.order)
         cuts = [(a, ONE) for a in self._dense_algebra]
         cuts += [(h, CycNum.root_of_unity(d, k))
                  for h, pattern, (d, k) in zip(self.gens, self._gen_patterns, roots)
@@ -364,19 +366,19 @@ def _pattern_combiner(basis: PatternBasis):
     """The candidate builder of the witness search on a PatternBasis:
     coeffs -> the n x n sum of c * x over the nonzero coefficients, or None
     when those matrices leave a row or a column empty (so the sum is
-    singular).  The supports are disjoint, so the cover is read off them
-    as bit masks and each cell is one root of unity, times c when c is
-    not 1, with no sum."""
-    n = basis.n
-    order, where, sizes = basis.pattern
-    cells = [[] for _ in sizes]
-    row_masks = [0] * len(sizes)
-    col_masks = [0] * len(sizes)
-    for pos, (b, k) in where.items():
-        i, j = divmod(pos, n)
-        cells[b].append(((i, j), CycNum.root_of_unity(order, k)))
-        row_masks[b] |= 1 << i
-        col_masks[b] |= 1 << j
+    singular).  The supports are disjoint, so the cover is read off the
+    classes as bit masks and each cell is one root of unity, times c when
+    c is not 1, with no sum."""
+    n, order = basis.n, basis.order
+    cells, row_masks, col_masks = [], [], []
+    for members in basis.classes:
+        rows = cols = 0
+        for i, j, _ in members:
+            rows |= 1 << i
+            cols |= 1 << j
+        cells.append([((i, j), CycNum.root_of_unity(order, k)) for i, j, k in members])
+        row_masks.append(rows)
+        col_masks.append(cols)
     full = (1 << n) - 1
 
     def combine(coeffs) -> CycMatrix | None:

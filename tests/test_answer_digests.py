@@ -19,6 +19,10 @@ write unit-monomial generators as monomial items, and again when they
 began to list only the identity and the generating cosets.  The two
 `construct --L 4` files they replaced, which list every coset, are kept
 as tests/data/pair_L4_dense.json and tests/data/pair_L4_monomial.json.
+One more digest pins every twisted-commutant basis and every witness the
+verifier finds on the 299 rows with n <= 8 and on one dense cut, each
+written as its sorted cells, so that it does not depend on the type
+that carries a basis.
 """
 
 import hashlib
@@ -26,7 +30,12 @@ import json
 
 import pytest
 
+from projpair.abelian import FinAbGroup
+from projpair.classify import enumerate_multi_orbit
 from projpair.cli import main
+from projpair.construct import Ambient, GroupSpec, scalar_blocks
+from projpair.matrep import Monomial, TensorShape, as_dense
+from projpair.verify import CommutantEngine, compute_centralizer, verify_dual_pair
 
 # the glue file shown in the README
 README_GLUE = {
@@ -135,3 +144,54 @@ def test_pair_answer_bytes_unchanged(tmp_path, construct_args, command, digest):
     out = tmp_path / "out.txt"
     assert main([command[0], str(pair)] + command[1:] + ["-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _cells(op):
+    """An operator's nonzero cells, sorted, each value as its reduced root
+    of unity (order, exponent) when it is one and as its repr otherwise."""
+    return [(i, j, v.as_root_of_unity() or repr(v))
+            for (i, j), v in sorted(as_dense(op).cells.items())]
+
+
+def _swap_in_pgl3():
+    """The image of the permutation matrix of (1 2) in PGL(3)."""
+    ambient = Ambient.single(TensorShape((("A", 3),)))
+    return GroupSpec(ambient, scalar_blocks(3), FinAbGroup.cyclic(2),
+                     {(0,): Monomial.identity(3),
+                      (1,): Monomial.from_exponents((0, 2, 1), 1, (0, 0, 0))})
+
+
+def test_solves_and_witnesses_keep_their_digest(monkeypatch):
+    """Every CommutantEngine.solve basis, in class order, and every witness
+    found while building and verifying the 299 rows of
+    enumerate_multi_orbit(n) for n <= 8, then while computing the
+    centralizer of Z((1 2)) in PGL(3), whose algebra has elements that are
+    not partial monomials and so takes a dense cut.  Each matrix is written
+    as its sorted cells, so the digest does not depend on the type that
+    carries a basis."""
+    digest = hashlib.sha256()
+    solve, witness = CommutantEngine.solve, CommutantEngine.witness
+
+    def record(*parts):
+        digest.update(repr(parts).encode())
+
+    def recording_solve(self, scalars):
+        basis = solve(self, scalars)
+        record("solve", tuple(scalars), [_cells(x) for x in basis])
+        return basis
+
+    def recording_witness(self, basis, scalars):
+        w = witness(self, basis, scalars)
+        record("witness", tuple(scalars), None if w is None else (type(w).__name__, _cells(w)))
+        return w
+
+    monkeypatch.setattr(CommutantEngine, "solve", recording_solve)
+    monkeypatch.setattr(CommutantEngine, "witness", recording_witness)
+    rows = 0
+    for n in range(1, 9):
+        for row in enumerate_multi_orbit(n):
+            verify_dual_pair(*row.build())
+            rows += 1
+    compute_centralizer(compute_centralizer(_swap_in_pgl3()))
+    assert (rows, digest.hexdigest()) == (
+        299, "0af2f7c34e41eebe9e5218550169da8f800b1a81cf85f02adf371ff3a577614c")

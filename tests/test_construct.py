@@ -24,7 +24,7 @@ from projpair.construct import (
     type2_pair,
     xx_hat_pair,
 )
-from projpair.cyclo import CycMatrix, span_of_matrices
+from projpair.cyclo import ONE, CycMatrix, span_of_matrices
 from projpair.errors import (
     EmptyDecomposition,
     IncompatibleGluing,
@@ -32,7 +32,7 @@ from projpair.errors import (
     NotIsomorphism,
     PreconditionViolated,
 )
-from projpair.matrep import Monomial, TensorShape, _root_pattern, as_dense, projective_equal
+from projpair.matrep import Monomial, PatternBasis, TensorShape, as_dense, projective_equal
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
@@ -392,9 +392,19 @@ def test_glue_blocks_are_block_diagonal():
     assert g.identity_component_dim() == 2
 
 
+def block_units(blocks, n):
+    """The embedded matrix units E_rs (x) I of each block, r slowest."""
+    return [CycMatrix.from_entries(n, n, {(i, j): ONE for i, j in zip(row_r, row_s)})
+            for b in blocks for row_r in b.grid for row_s in b.grid]
+
+
+def _block_spec(n, blocks):
+    ambient = Ambient.single(TensorShape((("A", n),)))
+    return GroupSpec(ambient, blocks, TRIV, {(): Monomial.identity(n)})
+
+
 def test_block_matrix_units():
-    blk = Block(2, ((0, 2), (1, 3)))
-    units = blk.matrix_units(4)
+    units = _block_spec(4, [Block(2, ((0, 2), (1, 3)))]).algebra().basis
     assert len(units) == 4
     total = units[0] + units[3]
     assert total.is_identity()  # E_00 + E_11 with multiplicity = identity
@@ -403,50 +413,54 @@ def test_block_matrix_units():
 
 @st.composite
 def block_layouts(draw):
-    """Blocks on range(n): carved from a permutation, so that the grids
-    partition the indices, or drawn freely, so that units may overlap and
-    a unit may repeat a position."""
+    """Blocks whose grids partition range(n), n <= 6, carved from a
+    permutation of it."""
     n = draw(st.integers(1, 6))
-    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
-                           min_size=1, max_size=3))
-    if draw(st.booleans()):
-        order = draw(st.permutations(range(n)))
-        blocks, start = [], 0
-        for dim, mult in shapes:
-            if start + dim * mult > n:
-                break
-            cells = order[start:start + dim * mult]
-            blocks.append(Block(dim, tuple(tuple(cells[r * mult:(r + 1) * mult])
-                                           for r in range(dim))))
-            start += dim * mult
-        if blocks:
-            return n, blocks
-    index = st.integers(0, n - 1)
-    return n, [Block(dim, tuple(tuple(draw(index) for _ in range(mult)) for _ in range(dim)))
-               for dim, mult in shapes]
+    order = draw(st.permutations(range(n)))
+    blocks, start = [], 0
+    while start < n:
+        dim = draw(st.integers(1, min(3, n - start)))
+        mult = draw(st.integers(1, min(3, (n - start) // dim)))
+        cells = order[start:start + dim * mult]
+        blocks.append(Block(dim, tuple(tuple(cells[r * mult:(r + 1) * mult])
+                                       for r in range(dim))))
+        start += dim * mult
+    return n, blocks
 
 
 @settings(max_examples=150, deadline=None)
 @given(block_layouts())
-@example((2, [Block(1, ((0, 0),))]))
-@example((2, [Block(1, ((0, 1),)), Block(1, ((1, 0),))]))
-@example((3, [Block(2, ((0,), (1,))), Block(1, ((1,),))]))
+@example((2, [Block(1, ((0, 1),))]))
+@example((2, [Block(1, ((1,),)), Block(1, ((0,),))]))
+@example((3, [Block(2, ((2,), (0,))), Block(1, ((1,),))]))
 def test_block_pattern_matches_the_scan_of_its_matrix_units(layout):
-    """The root pattern read off the grids is the scan of the matrix
-    units: order 1, one entry per distinct position of each unit, and None
-    when two units share a position (the second and third examples)."""
+    """The root pattern read off partitioning grids is the scan of the
+    matrix units E_rs (x) I: order 1, one class per unit with one cell per
+    copy, in block order with r slowest."""
     n, blocks = layout
-    expected = _root_pattern(construct._matrix_units(blocks, n), n)
-    assert construct._block_pattern(blocks, n) == expected
-    ambient = Ambient.single(TensorShape((("A", n),)))
-    spec = GroupSpec(ambient, blocks, TRIV, {(): Monomial.identity(n)})
-    assert spec.algebra()._pattern == expected
+    expected = PatternBasis.from_matrices(n, block_units(blocks, n))
+    assert PatternBasis.from_grids(n, [b.grid for b in blocks]) == expected
+    assert _block_spec(n, blocks).algebra().pattern == expected
+
+
+@pytest.mark.parametrize("n, blocks", [
+    (2, [Block(1, ((0, 0),))]),
+    (2, [Block(1, ((0, 1),)), Block(1, ((1, 0),))]),
+    (3, [Block(2, ((0,), (1,))), Block(1, ((1,),))]),
+    (2, [Block(1, ((0,),))]),
+    (2, [Block(1, ((0, -1),))]),
+    (2, [Block(1, ((0, 2),))]),
+], ids=["repeated index", "shared by two blocks", "shared, one missed", "missed",
+        "negative", "past n"])
+def test_grids_that_do_not_partition_are_refused_at_construction(n, blocks):
+    with pytest.raises(ValueError, match="partition"):
+        _block_spec(n, blocks)
 
 
 def test_scalar_blocks_span():
     blocks = scalar_blocks(3)
     assert len(blocks) == 1
-    basis = blocks[0].matrix_units(3)
+    basis = block_units(blocks, 3)
     assert len(basis) == 1
     assert basis[0].is_identity()
 
@@ -616,19 +630,19 @@ def test_builder_runs_once_per_coset_whatever_reads_it(monkeypatch):
 
 def test_block_matrix_units_built_once_per_block(monkeypatch):
     """A block spec's root pattern comes from its grids, so the commutant
-    engine and a full verify build no matrix unit; an explicit
-    algebra().basis read builds each block's units once per spec, however
-    many readers (span, pattern, engine) ask after it."""
+    engine and a full verify build no matrix from any pattern; an explicit
+    algebra().basis read builds the block spec's units once, however many
+    readers (span, pattern, engine) ask after it."""
     from projpair.verify import CommutantEngine, verify_dual_pair
 
     calls = []
-    real = Block.matrix_units
+    real = PatternBasis.matrices
 
-    def counting(self, n):
+    def counting(self):
         calls.append(self)
-        return real(self, n)
+        return real(self)
 
-    monkeypatch.setattr(Block, "matrix_units", counting)
+    monkeypatch.setattr(PatternBasis, "matrices", counting)
     g, h = connected_pair([(2, 3), (1, 2)])
     CommutantEngine.from_spec(g)
     assert verify_dual_pair(g, h).is_dual_pair
@@ -636,8 +650,8 @@ def test_block_matrix_units_built_once_per_block(monkeypatch):
     first = g.algebra().basis
     assert g.algebra().basis is first
     g.algebra().span
-    g.algebra()._pattern
+    g.algebra().pattern
     CommutantEngine.from_spec(g)
     assert verify_dual_pair(g, h).is_dual_pair
-    assert sorted(map(id, calls)) == sorted(map(id, g.blocks))
+    assert len(calls) == 1 and calls[0] is g.algebra().pattern
     assert len(first) == sum(b.dim ** 2 for b in g.blocks)

@@ -103,7 +103,7 @@ def test_field_axioms(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(cyc_numbers(), st.sampled_from([2, 3, 4, 6, 12, 24]))
 def test_conductor_lift_coherence(a, factor):
-    target = a.conductor * factor
+    target = a.m * factor
     lifted = a.lift(target)
     assert lifted == a
     assert (lifted * lifted) == (a * a)

@@ -390,7 +390,7 @@ def test_pattern_inclusion_matches_span(pair):
     outer_span, inner_span = span_of_matrices(outer), span_of_matrices(inner)
     assert outer_span.contains_span(inner_span) == inside
     outer_a, inner_a = Algebra(n, outer), Algebra(n, inner)
-    assert outer_a._pattern is not None and inner_a._pattern is not None
+    assert outer_a.pattern is not None and inner_a.pattern is not None
     assert outer_a.contains_algebra(inner_a) == inside
     assert inner_a.contains_algebra(outer_a) == inner_span.contains_span(outer_span)
     # the exponents decided it: neither algebra built its span

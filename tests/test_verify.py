@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from projpair import construct, verify
+from projpair import verify
 from projpair.abelian import FinAbGroup, subgroup_from_elements
 from projpair.classify import enumerate_multi_orbit, single_row
 from projpair.construct import (
@@ -70,7 +70,7 @@ from projpair.verify import (
 )
 
 from test_acceptance import _battery, bicharacter_oracle, builder_formulas, full_pairing_table
-from test_construct import block_layouts
+from test_construct import block_layouts, block_units
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
@@ -116,7 +116,7 @@ def test_commutant_of_gl2_block():
 
 def test_commutant_twisted_by_character():
     s = character_monomial(Z2, Z2.character((1,)))
-    engine = CommutantEngine(2, [CycMatrix.identity(2)], [s])
+    engine = CommutantEngine(Algebra(2, [CycMatrix.identity(2)]), [s])
     basis = engine.solve([(2, 1)])
     assert len(basis) == 2
     # solutions are the antidiagonal matrices
@@ -237,7 +237,7 @@ def test_engine_matches_dense_reference_on_partial_monomials(problem):
     """Union-find, then the kernel for what does not qualify (a dense
     algebra element or generator), spans what the dense reference spans."""
     n, algebra, gens, scalars = problem
-    assert_same_span(CommutantEngine(n, algebra, gens).solve(scalars),
+    assert_same_span(CommutantEngine(Algebra(n, algebra), gens).solve(scalars),
                      _dense_commutant(n, algebra, gens, scalars))
 
 
@@ -262,17 +262,17 @@ def block_problems(draw):
 @given(block_problems())
 def test_engine_from_the_algebra_matches_engine_from_its_units(problem):
     """An engine made from a block spec's Algebra, which reads the root
-    pattern off the grids, and one made from the list of its matrix
-    units, which scans each unit, give the same solve: the same classes
-    in the same order, cell for cell, and the same pattern."""
+    pattern off the grids, and one made from an Algebra of its matrix
+    units E_rs (x) I, which scans each unit, give the same solve: the
+    same classes in the same order, cell for cell, and the same pattern."""
     n, blocks, gens, scalars = problem
     ambient = Ambient.single(TensorShape((("A", n),)))
     spec = GroupSpec(ambient, blocks, TRIV, {(): Monomial.identity(n)})
-    from_algebra = CommutantEngine(n, spec.algebra(), gens).solve(scalars)
-    from_units = CommutantEngine(n, construct._matrix_units(blocks, n), gens).solve(scalars)
+    from_algebra = CommutantEngine(spec.algebra(), gens).solve(scalars)
+    from_units = CommutantEngine(Algebra(n, block_units(blocks, n)), gens).solve(scalars)
     assert type(from_algebra) is type(from_units)
     if isinstance(from_algebra, PatternBasis):
-        assert from_algebra.pattern == from_units.pattern
+        assert from_algebra == from_units
     assert _solved_cells(from_algebra) == _solved_cells(from_units)
 
 
@@ -302,10 +302,10 @@ def test_unit_patterns_match_the_scan_of_each_element(problem):
     n, basis = problem
     algebra = Algebra(n, basis)
     scans = [unit_pattern(a) for a in basis]
-    if algebra._pattern is None:
+    if algebra.pattern is None:
         assert algebra.unit_patterns() == scans
         return
-    order = algebra._pattern[0]
+    order = algebra.pattern.order
     lifted = [None if p is None else (order, [(i, j, k * (order // p[0])) for i, j, k in p[1]])
               for p in scans]
     assert algebra.unit_patterns() == lifted
@@ -325,8 +325,8 @@ def test_engine_from_a_computed_algebra_matches_engine_from_its_basis(target):
     assert z.algebra().__dict__.get("basis") is None
     n = z.ambient.dim
     gens = [z.operator(c) for c in z.generating_cosets()]
-    on_pattern = CommutantEngine(n, z.algebra(), gens)
-    on_basis = CommutantEngine(n, list(z.algebra().basis), gens)
+    on_pattern = CommutantEngine(z.algebra(), gens)
+    on_basis = CommutantEngine(Algebra(n, z.algebra().basis), gens)
     for t in itertools.product(*(range(d) for d in z.component_group.invariant_factors)):
         scalars = list(zip(z.component_group.invariant_factors, t))
         assert (_solved_cells(on_pattern.solve(scalars))
@@ -350,16 +350,16 @@ def test_solve_checks_its_order_against_the_conductor_cap(problem):
     pattern against the conductor cap: a cap at that order passes, and
     one below it raises ConductorCapExceeded."""
     n, algebra, gens, scalars = problem
-    engine = CommutantEngine(n, algebra, gens)
+    engine = CommutantEngine(Algebra(n, algebra), gens)
     basis = engine.solve(scalars)
     assert isinstance(basis, PatternBasis)
     if not basis:
         return
-    order = basis.pattern[0]
+    order = basis.order
     old = conductor_cap()
     try:
         set_conductor_cap(order)
-        assert engine.solve(scalars).pattern == basis.pattern
+        assert engine.solve(scalars) == basis
         if order > 1:
             set_conductor_cap(order - 1)
             with pytest.raises(ConductorCapExceeded):
@@ -505,14 +505,14 @@ def test_root_pattern_membership_matches_span(problem):
     algebra = Algebra(n, basis)
     assert algebra.contains(mono) == expected
     if case in ("overlap", "not_root") or any(not m.cells for m in basis):
-        assert algebra._pattern is None
+        assert algebra.pattern is None
     else:
-        assert algebra._pattern is not None
+        assert algebra.pattern is not None
         # decided on exponents: the span was never built
         assert "span" not in vars(algebra)
     spec = _algebra_spec(basis)
     assert spec.algebra().contains(mono) == expected
-    assert spec.algebra()._pattern == algebra._pattern
+    assert spec.algebra().pattern == algebra.pattern
 
 
 def test_witness_search_undecided_is_typed():
@@ -732,12 +732,12 @@ def test_partner_sums_match_gram_rank(problem):
     they decide nothing and Algebra.is_semisimple takes the Gram rank."""
     n, basis = problem
     algebra = Algebra(n, basis)
-    pattern = algebra._pattern
+    pattern = algebra.pattern
     assert pattern is not None
     supports = {frozenset(m.cells) for m in basis}
     closed = all(frozenset((j, i) for i, j in m.cells) in supports for m in basis)
     semisimple = _gram_nondegenerate(basis)
-    decided = _partner_sums_nonzero(pattern, n)
+    decided = _partner_sums_nonzero(pattern)
     assert decided == (semisimple if closed else None)
     assert algebra.is_semisimple() == semisimple
 
@@ -756,9 +756,9 @@ def test_identity_component_dim_matches_span(problem):
 
 def test_block_algebras_match_their_matrix_units_as_a_raw_basis():
     """For both sides of every row with n <= 6, the block spec's algebra,
-    whose dim is the sum of d^2 without a basis, and an algebra given the
-    same matrix units as a raw basis, whose dim is read off its root
-    pattern, agree on dim, hold each other and have nondegenerate trace
+    whose pattern is read off its grids, and an algebra given the same
+    matrix units as a raw basis, whose pattern is scanned off them, agree
+    on dim (the sum of d^2), hold each other and have nondegenerate trace
     forms."""
     sides = 0
     for n in range(1, 7):
@@ -766,7 +766,7 @@ def test_block_algebras_match_their_matrix_units_as_a_raw_basis():
             for spec in row.build():
                 blocks = spec.algebra()
                 raw = Algebra(spec.ambient.dim, blocks.basis)
-                assert raw._pattern is not None
+                assert raw.pattern is not None
                 assert blocks.dim == raw.dim == sum(b.dim * b.dim for b in spec.blocks)
                 assert blocks.contains_algebra(raw) and raw.contains_algebra(blocks)
                 assert blocks == raw
@@ -781,7 +781,7 @@ def test_zero_matrix_keeps_a_raw_basis_on_the_span_path():
     it lies in the scalars, a torus and GL(2), and holds only the
     scalars."""
     spec = _algebra_spec([CycMatrix.identity(2), CycMatrix.zeros(2, 2)])
-    assert spec.algebra()._pattern is None
+    assert spec.algebra().pattern is None
     assert spec.identity_component_dim() == 1
     scalars = _algebra_spec([CycMatrix.identity(2)])
     torus = _algebra_spec([_unit(2, 0, 0), _unit(2, 1, 1)])
@@ -838,7 +838,7 @@ def test_pattern_specs_take_no_elimination_in_verify(monkeypatch):
 
     def centralizer(target):
         spec = real_centralizer(target)
-        patterns.append(spec.algebra()._pattern is not None)
+        patterns.append(spec.algebra().pattern is not None)
         # a failing comparison would report this dimension
         spec.identity_component_dim()
         return spec
