@@ -15,7 +15,8 @@ is returned as the integer root of unity (order, exponent) whichever
 form its arguments take.  CycNum appears only where a Monomial meets a
 CycMatrix, in its scales and entries, and in the dense commutator.  One
 scan, unit_pattern, reads a CycMatrix's cells as a partial monomial with
-root-of-unity entries; Monomial.from_matrix is that scan at full
+root-of-unity entries, written as a one-class PatternBasis, the form a
+Monomial's pattern takes too; Monomial.from_matrix is that scan at full
 coverage, so the conversion to and from CycMatrix is lossless.  Which
 form a stored generator takes is decided by GroupSpec.operator.
 A PatternBasis is the one value that holds a root pattern, the integer
@@ -236,12 +237,11 @@ class Monomial:
         pattern = unit_pattern(mat) if one_per_row else None
         if pattern is None:
             return None
-        order, cells = pattern
         perm = [0] * mat.rows
         exps = [0] * mat.rows
-        for i, j, k in cells:
+        for i, j, k in pattern.classes[0]:
             perm[j], exps[j] = i, k
-        return Monomial.from_exponents(perm, order, exps)
+        return Monomial.from_exponents(perm, pattern.order, exps)
 
     def __eq__(self, other):
         if not isinstance(other, Monomial):
@@ -254,14 +254,18 @@ class Monomial:
         return f"Monomial(perm={self.perm}, order={self.order}, exps={self.exps})"
 
 
-def unit_pattern(op):
-    """(N, cells) when the operator, a Monomial or a CycMatrix, is a partial
-    monomial whose nonzero entries are roots of unity: op[i][j] = zeta_N^k
-    for each (i, j, k) in cells, at most one cell per row and per column,
-    zero elsewhere, and N the least order carrying them.  None for any
-    other CycMatrix."""
+def unit_pattern(op) -> "PatternBasis | None":
+    """The one-class PatternBasis of an n x n operator, a Monomial or a
+    CycMatrix, that is a partial monomial whose nonzero entries are roots
+    of unity: op[i][j] = zeta_order^k for each (i, j, k) in its one class,
+    at most one cell per row and per column, zero elsewhere, and order the
+    least one carrying them (the zero matrix is the class with no cell).
+    None for any other CycMatrix."""
     if isinstance(op, Monomial):
-        return op.order, [(p, j, e) for j, (p, e) in enumerate(zip(op.perm, op.exps))]
+        n = op.n
+        return PatternBasis(n, op.order, {p * n + j: (0, e) for j, (p, e)
+                                          in enumerate(zip(op.perm, op.exps))}, (n,))
+    n = op.rows
     # in row-major order, so that a matrix that is not a pattern is turned
     # down after the same root-of-unity tests as a scan of its rows makes
     cells = sorted(op.cells.items())
@@ -276,7 +280,7 @@ def unit_pattern(op):
         used_cols.add(j)
         roots.append((i, j, root))
     order = math.lcm(*(d for _, _, (d, _) in roots))
-    return order, [(i, j, k * (order // d)) for i, j, (d, k) in roots]
+    return PatternBasis.one_class(n, order, [(i, j, k * (order // d)) for i, j, (d, k) in roots])
 
 
 @dataclass
@@ -289,8 +293,10 @@ class PatternBasis:
     the CycMatrix basis from it, and len is the number of matrices.
 
     The constructors read one off the matrices of a basis (from_matrices)
-    or off the index grids of GL blocks (from_grids); the commutant solve
-    writes its classes as one (verify._RatioUnionFind.pattern)."""
+    or off the index grids of GL blocks (from_grids), or take one
+    element's cells (one_class: a partial monomial, as unit_pattern
+    writes it, which may have no cell); the commutant solve writes its
+    live classes as one (verify.CommutantEngine.solve)."""
 
     n: int
     order: int
@@ -333,6 +339,14 @@ class PatternBasis:
                         where[i * n + j] = (b, 0)
                     sizes.append(len(row_r))
         return PatternBasis(n, 1, where, tuple(sizes))
+
+    @staticmethod
+    def one_class(n: int, order: int, cells) -> "PatternBasis":
+        """The pattern of one matrix given by its (i, j, k) cells in
+        row-major order, which are its classes as they stand."""
+        out = PatternBasis(n, order, {i * n + j: (0, k) for i, j, k in cells}, (len(cells),))
+        out.classes = [cells]
+        return out
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -403,15 +417,15 @@ class Algebra:
         return len(pattern) if pattern is not None else self.span.dim
 
     def unit_patterns(self) -> list:
-        """unit_pattern of each basis element, in basis order: (N, cells)
-        with the cells in row-major order, or None for an element that is
-        not a partial monomial with root-of-unity entries.  With a root
-        pattern the cells are its classes, over its order N, and the basis
-        is not built."""
+        """unit_pattern of each basis element, in basis order: a one-class
+        PatternBasis, or None for an element that is not a partial
+        monomial with root-of-unity entries.  With a root pattern each is
+        one of its classes, over its order, and the basis is not built."""
         pattern = self.pattern
         if pattern is None:
             return [unit_pattern(a) for a in self.basis]
-        return [(pattern.order, c)
+        n, order = self.n, pattern.order
+        return [PatternBasis.one_class(n, order, c)
                 if len({i for i, _, _ in c}) == len({j for _, j, _ in c}) == len(c) else None
                 for c in pattern.classes]
 
@@ -419,9 +433,7 @@ class Algebra:
         """Does the algebra hold the operator op, a Monomial or a CycMatrix?"""
         if isinstance(op, Monomial) and self.pattern is not None:
             # a unit monomial is a one-element root pattern
-            n = op.n
-            return _pattern_in_pattern(self.pattern, PatternBasis(n, op.order, {
-                p * n + j: (0, e) for j, (p, e) in enumerate(zip(op.perm, op.exps))}, (n,)))
+            return _pattern_in_pattern(self.pattern, unit_pattern(op))
         return self.span.contains(as_dense(op).flat_cells())
 
     def contains_algebra(self, other: "Algebra") -> bool:

@@ -24,18 +24,23 @@ nothing else, and every solve takes one scalar per generator as an
 integer root of unity (order, exponent), the form in which
 compute_centralizer enumerates them.  A constraint X a = c a X in
 which a is a partial monomial with root-of-unity entries ties the
-entries of X together one or two at a time, so it goes into a ratio
-union-find over the n^2 positions of X, on integer exponents of one
-root of unity.  The translation and character operators of the
-constructions, the matrix units of their block algebras and the pattern
-matrices of computed centralizers are all of this kind, and the engine
-reads the algebra's elements off the classes of its matrep.PatternBasis,
-so a block spec builds no matrix unit.  The union-find's classes come
-back as a PatternBasis, and a computed centralizer keeps its identity
-basis in that form.  Whatever is not a partial monomial (a dense
-algebra element or generator) then cuts the pattern basis with the
-dense kernel.  CycNum appears only at that boundary, in a witness
-candidate and when something reads a basis as matrices.  The witness
+entries of X together one or two at a time, and the ties do not depend
+on c, only the root of unity on each.  So the engine chases the algebra
+and the generators once per target, into a union-find over the n^2
+positions of X whose potentials are integer exponents affine in the
+scalars: a constant plus one coefficient per generator.  The
+translation and character operators of the constructions, the matrix
+units of their block algebras and the pattern matrices of computed
+centralizers are all of this kind, and the engine reads each of them as
+a one-class matrep.PatternBasis (the algebra's elements off the classes
+of its own pattern, so a block spec builds no matrix unit).  A solve
+checks each class's cycle conditions for its tuple and reads the
+exponents off the potentials; the live classes come back as a
+PatternBasis, and a computed centralizer keeps its identity basis in
+that form.  Whatever is not a partial monomial (a dense algebra element
+or generator) then cuts the pattern basis with the dense kernel.
+CycNum appears only at that boundary, in a witness candidate and when
+something reads a basis as matrices.  The witness
 search reads a candidate's row and column cover off the classes'
 supports, turns down one with an empty row or column without building
 it, and writes each cell of the rest as one root of unity times its
@@ -85,7 +90,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
-from operator import matmul
+from operator import matmul, mul
 
 from .abelian import FinAbGroup, generator_coefficients, subgroup_from_elements
 from .construct import GroupSpec
@@ -107,33 +112,39 @@ from .matrep import (
 
 
 # ---------------------------------------------------------------------------
-# ratio union-find over solution unknowns
+# union-find with potentials over solution unknowns
 # ---------------------------------------------------------------------------
 
 
-class _RatioUnionFind:
-    """Union-find over the positions u = i * n + j of an n x n matrix,
-    where each position carries value[u] = zeta_N^ratio[u] * value[root],
-    the ratio an integer mod N; inconsistent relations collapse a class to
-    zero."""
+class _PotentialUnionFind:
+    """Union-find over the positions u = i * n + j of an n x n matrix, where
+    each position carries value[u] = zeta^potential[u] * value[root].
 
-    def __init__(self, n: int, order: int):
+    A potential is affine in the scalar exponents of the chased
+    generators: a constant exponent over order plus one integer
+    coefficient per generator, fields in all, packed into one integer
+    with a signed field of width bits each, the constant lowest.  Adding
+    and subtracting packed potentials adds the fields, so a relation
+    costs what it costs on one exponent.  Potentials are exact integers
+    and no field leaves its width: a potential is a signed sum of at most
+    n^2 relations, each with a constant below order and a coefficient of
+    at most 1.  A relation inside one class closes a cycle, the condition
+    'this potential is 0 mod N'.  A class keeps each cycle with a nonzero
+    coefficient (cycles, by root), and one whose constant alone is not 0
+    mod order kills it for every tuple (dead, roots at the time of each
+    kill, moved along with each union)."""
+
+    def __init__(self, n: int, order: int, fields: int):
         self.n = n
         self.order = order
+        self.width = width = (3 * n * n * order).bit_length() + 1
+        self._half = half = 1 << (width - 1)
+        self._shifts = [width * f for f in range(fields)]
+        self._bias = sum(half << shift for shift in self._shifts)
         self.parent = list(range(n * n))
-        self.ratio = [0] * (n * n)
-        self.dead = [False] * (n * n)
-
-    def lifted(self, order: int) -> "_RatioUnionFind":
-        """A copy over a multiple of this order."""
-        out = _RatioUnionFind.__new__(_RatioUnionFind)
-        lift = order // self.order
-        out.n = self.n
-        out.order = order
-        out.parent = list(self.parent)
-        out.ratio = [r * lift for r in self.ratio]
-        out.dead = list(self.dead)
-        return out
+        self.potential = [0] * (n * n)
+        self.cycles = {}
+        self.dead = set()
 
     def find(self, u: int) -> int:
         parent = self.parent
@@ -142,81 +153,124 @@ class _RatioUnionFind:
             # u is a root or hangs from one: no path to compress
             return root
         chain = []
-        while self.parent[u] != u:
+        while parent[u] != u:
             chain.append(u)
-            u = self.parent[u]
+            u = parent[u]
         acc = 0
+        potential = self.potential
         for v in reversed(chain):
-            acc = (acc + self.ratio[v]) % self.order
-            self.parent[v] = u
-            self.ratio[v] = acc
+            acc += potential[v]
+            parent[v] = u
+            potential[v] = acc
         return u
 
-    def _root_and_ratio(self, u: int):
-        root = self.find(u)
-        return (root, 0) if root == u else (root, self.ratio[u])
+    def chase(self, cells, lift: int, coefficient: int) -> None:
+        """Impose X a = zeta^c a X for the scalar c that the packed
+        coefficient stands for (0 for an algebra element), a given by its
+        unit pattern's cells with exponents over order / lift: value[v] =
+        zeta^mult value[u] for u = k * n + j, v = p_k * n + p_j and
+        mult = c + e_k - e_j, for every two cells.  A root's potential is
+        0, so each potential read after a find is to the root."""
+        n, parent, potential, find = self.n, self.parent, self.potential, self.find
+        cycles, dead, order, half = self.cycles, self.dead, self.order, self._half
+        for p_k, k, e_k in cells:
+            ck = coefficient + e_k * lift
+            for p_j, j, e_j in cells:
+                u, v = k * n + j, p_k * n + p_j
+                ru, rv = parent[u], parent[v]
+                if parent[ru] != ru:
+                    ru = find(u)
+                if parent[rv] != rv:
+                    rv = find(v)
+                mult = ck - e_j * lift
+                if ru == rv:
+                    cycle = potential[v] - mult - potential[u]
+                    if cycle <= -half or cycle >= half:
+                        # a coefficient field is nonzero
+                        if ru in cycles:
+                            cycles[ru].add(cycle)
+                        else:
+                            cycles[ru] = {cycle}
+                    elif cycle % order:
+                        # the constant field alone: no tuple satisfies it
+                        dead.add(ru)
+                    continue
+                # attach rv below ru: value[rv] = zeta^(mult+qu-qv) * value[ru]
+                parent[rv] = ru
+                potential[rv] = mult + potential[u] - potential[v]
+                if rv in dead:
+                    dead.add(ru)
+                if rv in cycles:
+                    moved = cycles.pop(rv)
+                    if ru in cycles:
+                        cycles[ru] |= moved
+                    else:
+                        cycles[ru] = moved
 
-    def set_zero(self, u: int):
-        root, _ = self._root_and_ratio(u)
-        self.dead[root] = True
+    def live_classes(self, forced):
+        """The classes that some tuple may keep, once every relation is in:
+        those with no position in forced (positions forced to zero) and no
+        cycle that fails for every tuple.  Returns (potentials,
+        condition_sets, classes): potentials holds each distinct potential
+        once, unpacked, condition_sets each distinct set of unpacked cycle
+        conditions once, and classes each class in root order as (its
+        condition set's index, its members (u, potential index) in
+        position order).  Classes share few condition sets, so each set of
+        packed cycles is unpacked once."""
+        parent, find, potential = self.parent, self.find, self.potential
+        roots = [r if parent[r] == r else find(u) for u, r in enumerate(parent)]
+        dead = self.dead | {roots[u] for u in forced}
+        index, members = {}, {}
+        for u, root in enumerate(roots):
+            if root not in dead:
+                members.setdefault(root, []).append(
+                    (u, index.setdefault(potential[u], len(index))))
+        sets, seen, classes = {}, {}, []
+        for root, cells in sorted(members.items()):
+            packed = frozenset(self.cycles.get(root, ()))
+            if packed not in seen:
+                seen[packed] = sets.setdefault(frozenset(map(self.unpack, packed)), len(sets))
+            classes.append((seen[packed], cells))
+        return [self.unpack(packed) for packed in index], list(sets), classes
 
-    def relate(self, u: int, v: int, mult: int):
-        """Impose value[v] = zeta_N^mult * value[u]."""
-        ru, qu = self._root_and_ratio(u)
-        rv, qv = self._root_and_ratio(v)
-        if ru == rv:
-            if (qv - mult - qu) % self.order:
-                self.dead[ru] = True
-            return
-        # attach rv below ru: value[rv] = zeta_N^(mult+qu-qv) * value[ru]
-        self.parent[rv] = ru
-        self.ratio[rv] = (mult + qu - qv) % self.order
-        self.dead[ru] = self.dead[ru] or self.dead[rv]
+    def coefficient(self, field: int) -> int:
+        """The packed potential with a 1 in one coefficient field."""
+        return 1 << (self.width * field)
 
-    def pattern(self) -> PatternBasis:
-        """The live classes as a root pattern over the least order N: class
-        b, numbered in root order, holds zeta_N^k at each member u with
-        where[u] == (b, k), k its ratio to the root."""
-        found = [self._root_and_ratio(u) for u in range(len(self.parent))]
-        index = {root: b for b, root in enumerate(sorted(
-            {root for root, _ in found if not self.dead[root]}))}
-        sizes = [0] * len(index)
-        where = {}
-        for u, (root, q) in enumerate(found):
-            b = index.get(root)
-            if b is not None:
-                where[u] = (b, q)
-                sizes[b] += 1
-        g = math.gcd(self.order, *(q for _, q in where.values()))
-        if g > 1:
-            where = {u: (b, q // g) for u, (b, q) in where.items()}
-        return PatternBasis(self.n, self.order // g, where, tuple(sizes))
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        """A packed potential's fields, the constant reduced mod order."""
+        half, mask = self._half, (self._half << 1) - 1
+        biased = packed + self._bias
+        out = [(biased >> shift & mask) - half for shift in self._shifts]
+        out[0] %= self.order
+        return tuple(out)
 
 
-def _chase(uf: _RatioUnionFind, pattern, c: int) -> None:
-    """Impose X a = zeta_N^c a X on the union-find over the positions
-    i * n + j of X, for a given by its unit pattern, n = uf.n and
-    N = uf.order.
+def _forced_zeros(n: int, row_masks, col_masks):
+    """The positions where X a = c a X forces X to vanish, for partial
+    monomials a given by their row and column masks: X[k, j] for k a
+    column of a and j not one, and X[i, p] for p a row of a and i not
+    one.  Each position once, row by row."""
+    full = (1 << n) - 1
+    zero_cols = [0] * n
+    for cols in col_masks:
+        for k in range(n):
+            if cols >> k & 1:
+                zero_cols[k] |= full & ~cols
+    for rows in row_masks:
+        for i in range(n):
+            if not rows >> i & 1:
+                zero_cols[i] |= rows
+    return [i * n + j for i in range(n) for j in range(n) if zero_cols[i] >> j & 1]
 
-    With a[p_k, k] = zeta^e_k: X[p_k, p_j] = zeta^(c + e_k - e_j) X[k, j]
-    for every two cells; a row outside the image or a column outside the
-    domain of a forces X to vanish on the matching positions."""
-    n = uf.n
-    order_a, cells = pattern
-    lift = uf.order // order_a
-    rows = {p for p, _, _ in cells}
-    cols = {j for _, j, _ in cells}
-    for p_k, k, e_k in cells:
-        ck = c + e_k * lift
-        for p_j, j, e_j in cells:
-            uf.relate(k * n + j, p_k * n + p_j, ck - e_j * lift)
-        for j in range(n):
-            if j not in cols:
-                uf.set_zero(k * n + j)
-    for i in range(n):
-        if i not in rows:
-            for p_j, _, _ in cells:
-                uf.set_zero(i * n + p_j)
+
+def _chase_cells(op, pattern: PatternBasis):
+    """A unit pattern's cells in the order they are chased: a Monomial's
+    by column, as it stores them, and any other's row-major.  The order
+    of the unions fixes each class's root, and so the class order."""
+    if isinstance(op, Monomial):
+        return [(p, j, e) for j, (p, e) in enumerate(zip(op.perm, op.exps))]
+    return pattern.classes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,35 +284,54 @@ class CommutantEngine:
 
     The algebra is the target's matrep.Algebra, and n its size.  gens are
     operators, each a Monomial or a CycMatrix, and each scalar
-    c_i = zeta_d^k is given as the integer pair (d, k).  Every solve runs
-    the same two steps.  A constraint X a = c a X with a a partial
-    monomial with root-of-unity entries relates the n^2 entries of X one
-    or two at a time, so it goes into a ratio union-find over those
-    positions, on integer exponents; the algebra's constraints are chased
-    once, here, and each scalar tuple adds the generators' to a copy.
-    The algebra's elements are read off the classes of its PatternBasis
-    (Algebra.unit_patterns), so a block spec builds no matrix unit.
-    The union-find's classes come back as a PatternBasis, whose CycMatrix
-    cells are built only when it is iterated.  Every other constraint (a
-    dense or non-unit algebra element, a dense generator) then cuts that
-    basis with the dense kernel, and the solve returns the cut basis as a
-    list of CycMatrix.
+    c_i = zeta_d^k is given as the integer pair (d, k).  A constraint
+    X a = c a X with a a partial monomial with root-of-unity entries ties
+    the n^2 entries of X together one or two at a time, and which entries
+    it ties does not depend on c: only the root of unity on each tie
+    does.  So the engine chases every such constraint once, here: the
+    algebra's elements in basis order (read off the classes of its
+    PatternBasis, so a block spec builds no matrix unit), then the
+    generators', into a union-find whose potentials carry one integer
+    coefficient per generator (union-find with group-valued potentials;
+    Galil and Italiano, ACM Computing Surveys 23, 1991).  The positions
+    such a constraint forces to zero depend only on a's row and column
+    masks, and are forced once.  A class keeps its cycle conditions,
+    const (N / N0) + sum_i c_i t_i (N / d_i) = 0 mod N for scalars
+    zeta_(d_i)^(t_i), N0 the order of the chased patterns and N the lcm
+    of N0 and the d_i, deduplicated.
+
+    A solve checks those conditions for its tuple and reads each live
+    position's exponent off its potential; the live classes, in root
+    order, come back as a PatternBasis over the least order carrying
+    them.  Every other constraint (a dense or non-unit algebra element, a
+    dense generator) then cuts that basis with the dense kernel, and the
+    solve returns the cut basis as a list of CycMatrix.
     """
 
     def __init__(self, algebra: Algebra, gens):
         n = self.n = algebra.n
         self.gens = list(gens)
-        self._gen_patterns = [unit_pattern(h) for h in self.gens]
+        gen_patterns = [unit_pattern(h) for h in self.gens]
         unit_patterns = algebra.unit_patterns()
-        patterns = [p for p in unit_patterns if p is not None]
         self._dense_algebra = [algebra.basis[b] for b, p in enumerate(unit_patterns)
                                if p is None]
-        self._algebra = _RatioUnionFind(n, math.lcm(*(p[0] for p in patterns)))
-        for pattern in patterns:
-            _chase(self._algebra, pattern, 0)
-        # flatten every path once, so that each solve copies a flat forest
-        for u in range(n * n):
-            self._algebra.find(u)
+        self._dense_gens = [i for i, p in enumerate(gen_patterns) if p is None]
+        self._chased = [i for i, p in enumerate(gen_patterns) if p is not None]
+        # (cells, order, coefficient field) in chase order: the algebra, then the generators
+        chases = [(p.classes[0], p.order, 0) for p in unit_patterns if p is not None]
+        chases += [(_chase_cells(self.gens[i], gen_patterns[i]), gen_patterns[i].order, f)
+                   for f, i in enumerate(self._chased, 1)]
+        order = self._order = math.lcm(*(d for _, d, _ in chases))
+        uf = _PotentialUnionFind(n, order, len(self._chased) + 1)
+        row_masks, col_masks = set(), set()
+        for cells, d, f in chases:
+            uf.chase(cells, order // d, uf.coefficient(f) if f else 0)
+            if len(cells) < n:
+                # only a pattern that misses a row and a column forces zeros
+                row_masks.add(sum(1 << p for p, _, _ in cells))
+                col_masks.add(sum(1 << k for _, k, _ in cells))
+        self._potentials, self._condition_sets, self._classes = uf.live_classes(
+            _forced_zeros(n, row_masks, col_masks))
 
     @staticmethod
     def from_spec(target: GroupSpec):
@@ -273,20 +346,28 @@ class CommutantEngine:
         if len(scalars) != len(self.gens):
             raise ValueError("need one scalar per generator")
         roots = [lowest_terms(d, k) for d, k in scalars]
-        chased = [(pattern, root) for pattern, root in zip(self._gen_patterns, roots)
-                  if pattern is not None]
-        order = math.lcm(self._algebra.order, *(p[0] for p, _ in chased),
-                         *(d for _, (d, _) in chased))
-        uf = self._algebra.lifted(order)
-        for pattern, (d, k) in chased:
-            _chase(uf, pattern, k * (order // d))
-        basis = uf.pattern()
+        chased = [roots[i] for i in self._chased]
+        order = math.lcm(self._order, *(d for d, _ in chased))
+        weights = (order // self._order, *(k * (order // d) for d, k in chased))
+
+        def exponent(fields):
+            return sum(map(mul, fields, weights)) % order
+
+        holds = [not any(exponent(c) for c in conditions) for conditions in self._condition_sets]
+        live = [cells for k, cells in self._classes if holds[k]]
+        values = [exponent(p) for p in self._potentials]
+        # the least order is the one the live classes' exponents need
+        used = values if len(live) == len(self._classes) else [
+            values[p] for cells in live for _, p in cells]
+        g = math.gcd(order, *used)
+        if g > 1:
+            values = [v // g for v in values]
+        where = {u: (b, values[p]) for b, cells in enumerate(live) for u, p in cells}
+        basis = PatternBasis(self.n, order // g, where, tuple(len(cells) for cells in live))
         if basis:
             check_conductor(basis.order)
         cuts = [(a, ONE) for a in self._dense_algebra]
-        cuts += [(h, CycNum.root_of_unity(d, k))
-                 for h, pattern, (d, k) in zip(self.gens, self._gen_patterns, roots)
-                 if pattern is None]
+        cuts += [(self.gens[i], CycNum.root_of_unity(*roots[i])) for i in self._dense_gens]
         if not cuts or not basis:
             return basis
         basis = basis.matrices()

@@ -470,7 +470,8 @@ def _dense_kron(a, b):
 
 
 def _dense_unit_pattern(grid):
-    """The row scan of a dense matrix that unit_pattern replaces."""
+    """The row scan of a dense matrix that unit_pattern replaces, as
+    (order, cells)."""
     roots, used = [], set()
     for i, row in enumerate(grid):
         hits = [j for j, v in enumerate(row) if v]
@@ -558,7 +559,18 @@ def _pattern_candidates(draw):
 @settings(max_examples=150, deadline=None)
 @given(_pattern_candidates())
 def test_unit_pattern_matches_row_scan(mat):
-    assert unit_pattern(mat) == _dense_unit_pattern(mat.data)
+    """unit_pattern turns down what the row scan turns down, and writes
+    what it accepts as one class: the scan's order and its cells in row
+    order, each at position i * n + j."""
+    pattern, scan = unit_pattern(mat), _dense_unit_pattern(mat.data)
+    if scan is None:
+        assert pattern is None
+        return
+    order, cells = scan
+    n = mat.rows
+    assert (pattern.n, pattern.order, pattern.classes) == (n, order, [cells])
+    assert pattern.where == {i * n + j: (0, k) for i, j, k in cells}
+    assert pattern.sizes == (len(cells),)
 
 
 def test_cells_outside_the_shape_are_refused():

@@ -45,6 +45,7 @@ from projpair.matrep import (
     as_dense,
     character_monomial,
     commutator_scalar,
+    lowest_terms,
     translation_monomial,
     unit_pattern,
 )
@@ -296,19 +297,25 @@ def shuffled_bases(draw):
 @given(shuffled_bases())
 def test_unit_patterns_match_the_scan_of_each_element(problem):
     """Algebra.unit_patterns reads each element off the root pattern when
-    there is one: the element's unit_pattern, cells in row-major order,
-    with exponents lifted to the pattern's order; and exactly the scans
-    when there is none."""
+    there is one: the element's unit_pattern, one class with its cells in
+    row-major order, with exponents lifted to the pattern's order; and
+    exactly the scans when there is none."""
     n, basis = problem
     algebra = Algebra(n, basis)
     scans = [unit_pattern(a) for a in basis]
-    if algebra.pattern is None:
-        assert algebra.unit_patterns() == scans
-        return
-    order = algebra.pattern.order
-    lifted = [None if p is None else (order, [(i, j, k * (order // p[0])) for i, j, k in p[1]])
-              for p in scans]
-    assert algebra.unit_patterns() == lifted
+    found = algebra.unit_patterns()
+    assert [p is None for p in found] == [p is None for p in scans]
+    order = algebra.pattern.order if algebra.pattern is not None else None
+    for p, scan in zip(found, scans):
+        if scan is None:
+            continue
+        assert len(p) == 1 and p.classes[0] == sorted(p.classes[0])
+        if order is None:
+            assert p == scan and p.classes == scan.classes
+            continue
+        lift = order // scan.order
+        lifted = [(i, j, k * lift) for i, j, k in scan.classes[0]]
+        assert p == PatternBasis.one_class(n, order, lifted) and p.classes == [lifted]
 
 
 @pytest.mark.parametrize("target", [
@@ -366,6 +373,287 @@ def test_solve_checks_its_order_against_the_conductor_cap(problem):
                 engine.solve(scalars)
     finally:
         set_conductor_cap(old)
+
+# -- the per-tuple chase, kept as an oracle ------------------------------------
+
+
+class _RatioUnionFind:
+    """The union-find that each solve once copied from the algebra's and
+    chased the generators into, one scalar tuple at a time: value[u] =
+    zeta_N^ratio[u] * value[root], inconsistent relations collapsing a
+    class to zero."""
+
+    def __init__(self, n, order):
+        self.n = n
+        self.order = order
+        self.parent = list(range(n * n))
+        self.ratio = [0] * (n * n)
+        self.dead = [False] * (n * n)
+
+    def lifted(self, order):
+        out = _RatioUnionFind.__new__(_RatioUnionFind)
+        lift = order // self.order
+        out.n = self.n
+        out.order = order
+        out.parent = list(self.parent)
+        out.ratio = [r * lift for r in self.ratio]
+        out.dead = list(self.dead)
+        return out
+
+    def find(self, u):
+        parent = self.parent
+        root = parent[u]
+        if parent[root] == root:
+            return root
+        chain = []
+        while self.parent[u] != u:
+            chain.append(u)
+            u = self.parent[u]
+        acc = 0
+        for v in reversed(chain):
+            acc = (acc + self.ratio[v]) % self.order
+            self.parent[v] = u
+            self.ratio[v] = acc
+        return u
+
+    def _root_and_ratio(self, u):
+        root = self.find(u)
+        return (root, 0) if root == u else (root, self.ratio[u])
+
+    def set_zero(self, u):
+        root, _ = self._root_and_ratio(u)
+        self.dead[root] = True
+
+    def relate(self, u, v, mult):
+        ru, qu = self._root_and_ratio(u)
+        rv, qv = self._root_and_ratio(v)
+        if ru == rv:
+            if (qv - mult - qu) % self.order:
+                self.dead[ru] = True
+            return
+        self.parent[rv] = ru
+        self.ratio[rv] = (mult + qu - qv) % self.order
+        self.dead[ru] = self.dead[ru] or self.dead[rv]
+
+    def pattern(self):
+        found = [self._root_and_ratio(u) for u in range(len(self.parent))]
+        index = {root: b for b, root in enumerate(sorted(
+            {root for root, _ in found if not self.dead[root]}))}
+        sizes = [0] * len(index)
+        where = {}
+        for u, (root, q) in enumerate(found):
+            b = index.get(root)
+            if b is not None:
+                where[u] = (b, q)
+                sizes[b] += 1
+        g = math.gcd(self.order, *(q for _, q in where.values()))
+        if g > 1:
+            where = {u: (b, q // g) for u, (b, q) in where.items()}
+        return PatternBasis(self.n, self.order // g, where, tuple(sizes))
+
+
+def _oracle_chase(uf, pattern, c):
+    """X a = zeta_N^c a X on the union-find, a given as (order, cells)."""
+    n = uf.n
+    order_a, cells = pattern
+    lift = uf.order // order_a
+    rows = {p for p, _, _ in cells}
+    cols = {j for _, j, _ in cells}
+    for p_k, k, e_k in cells:
+        ck = c + e_k * lift
+        for p_j, j, e_j in cells:
+            uf.relate(k * n + j, p_k * n + p_j, ck - e_j * lift)
+        for j in range(n):
+            if j not in cols:
+                uf.set_zero(k * n + j)
+    for i in range(n):
+        if i not in rows:
+            for p_j, _, _ in cells:
+                uf.set_zero(i * n + p_j)
+
+
+def _oracle_unit_pattern(op):
+    """(order, cells): a Monomial's cells by column, a CycMatrix's in
+    row-major order; None for a CycMatrix that is not a partial monomial
+    with root-of-unity entries."""
+    if isinstance(op, Monomial):
+        return op.order, [(p, j, e) for j, (p, e) in enumerate(zip(op.perm, op.exps))]
+    cells = sorted(op.cells.items())
+    if not len({i for (i, _), _ in cells}) == len({j for (_, j), _ in cells}) == len(cells):
+        return None
+    roots = [(i, j, v.as_root_of_unity()) for (i, j), v in cells]
+    if any(root is None for _, _, root in roots):
+        return None
+    order = math.lcm(*(d for _, _, (d, _) in roots))
+    return order, [(i, j, k * (order // d)) for i, j, (d, k) in roots]
+
+
+class _OracleEngine:
+    """The engine as it was: the algebra chased once, and for each tuple a
+    lifted copy with every generator chased again."""
+
+    def __init__(self, algebra, gens):
+        n = self.n = algebra.n
+        self.gens = list(gens)
+        self.gen_patterns = [_oracle_unit_pattern(h) for h in self.gens]
+        pattern = algebra.pattern
+        if pattern is None:
+            units = [_oracle_unit_pattern(a) for a in algebra.basis]
+        else:
+            units = [(pattern.order, c)
+                     if len({i for i, _, _ in c}) == len({j for _, j, _ in c}) == len(c) else None
+                     for c in pattern.classes]
+        self.dense_algebra = [algebra.basis[b] for b, p in enumerate(units) if p is None]
+        units = [p for p in units if p is not None]
+        self.algebra = _RatioUnionFind(n, math.lcm(*(p[0] for p in units)))
+        for unit in units:
+            _oracle_chase(self.algebra, unit, 0)
+
+    def solve(self, scalars):
+        roots = [lowest_terms(d, k) for d, k in scalars]
+        chased = [(p, root) for p, root in zip(self.gen_patterns, roots) if p is not None]
+        order = math.lcm(self.algebra.order, *(p[0] for p, _ in chased),
+                         *(d for _, (d, _) in chased))
+        uf = self.algebra.lifted(order)
+        for pattern, (d, k) in chased:
+            _oracle_chase(uf, pattern, k * (order // d))
+        basis = uf.pattern()
+        cuts = [(a, ONE) for a in self.dense_algebra]
+        cuts += [(h, CycNum.root_of_unity(d, k))
+                 for h, p, (d, k) in zip(self.gens, self.gen_patterns, roots) if p is None]
+        if not cuts or not basis:
+            return basis
+        basis = basis.matrices()
+        for h, c in cuts:
+            if not basis:
+                break
+            basis = _apply_twist_constraint(basis, h, c)
+        return basis
+
+
+def _assert_same_solve(got, want):
+    """The same basis: a PatternBasis equal field for field, or the same
+    CycMatrix list, cell for cell."""
+    assert type(got) is type(want)
+    if isinstance(want, PatternBasis):
+        assert got == want
+    assert _solved_cells(got) == _solved_cells(want)
+
+
+@st.composite
+def pattern_algebras(draw, n):
+    """An Algebra given by a PatternBasis: disjoint supports with
+    root-of-unity cells, some elements with two cells in a row or a
+    column, so that they are not partial monomials."""
+    positions = draw(st.permutations(range(n * n)))[:draw(st.integers(1, n * n))]
+    cuts = sorted(draw(st.sets(st.integers(1, len(positions) - 1), max_size=4))
+                  if len(positions) > 1 else [])
+    mats = [CycMatrix.from_entries(n, n, {divmod(u, n): draw(unit_roots()) for u in part})
+            for part in (positions[a:b] for a, b in
+                         zip([0] + cuts, cuts + [len(positions)]))]
+    return Algebra(n, PatternBasis.from_matrices(n, mats))
+
+
+@st.composite
+def oracle_problems(draw):
+    """A pattern algebra, or partial monomials (with a dense element at
+    times); generators that are unit monomials as a Monomial or a
+    CycMatrix, partial monomials, or not monomial at all; and several
+    scalar tuples, solved on one engine."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        algebra = draw(pattern_algebras(n))
+    else:
+        basis = draw(st.lists(partial_monomials(n), max_size=3))
+        if draw(st.booleans()):
+            basis.append(CycMatrix.from_entries(n, n, {(0, 0): ONE, (0, n - 1): ONE})
+                         if n > 1 else CycMatrix([[2]]))
+        algebra = Algebra(n, basis)
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["monomial", "matrix", "partial", "dense"]))
+        h = draw(partial_monomials(n, full=kind != "partial"))
+        if kind == "monomial":
+            h = Monomial.from_matrix(h)
+        elif kind == "dense":
+            h = h.scale(2) if n == 1 else h + CycMatrix.from_entries(
+                n, n, {(0, next(j for j in range(n) if h.entry(0, j).is_zero())): ONE})
+        gens.append(h)
+    tuples = draw(st.lists(st.tuples(*[root_tuples() for _ in gens]), min_size=1, max_size=4))
+    return algebra, gens, [list(t) for t in tuples]
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_problems())
+def test_engine_matches_the_per_tuple_chase(problem):
+    """One engine, chased once, solves each tuple exactly as the per-tuple
+    chase did: the same PatternBasis (classes in root order, the same
+    where, sizes and least order), or after a dense cut the same
+    matrices."""
+    algebra, gens, tuples = problem
+    engine, oracle = CommutantEngine(algebra, gens), _OracleEngine(algebra, gens)
+    for scalars in tuples:
+        _assert_same_solve(engine.solve(scalars), oracle.solve(scalars))
+
+
+def _oracle_targets():
+    """Targets whose tuples kill classes, a generator of order 4 over
+    order-2 scalars, GL blocks, and Z((1 2)) in PGL(3), whose algebra
+    takes a dense cut."""
+    g4, h4 = xx_hat_pair(FinAbGroup.cyclic(4))
+    g22, _ = xx_hat_pair(FinAbGroup((2, 2)))
+    so, so_h = single_orbit_pair(SingleOrbitIngredients(2, 1, TRIV, Z2, TRIV))
+    return [cycle_spec(3, (0, 1)), cycle_spec(6, (0, 1, 2)), cycle_spec(4, (0, 1, 2, 3)),
+            g4, h4, g22, so, so_h, swap_spec(), _dense_involution_spec(),
+            compute_centralizer(cycle_spec(3, (0, 1))), *(spec for _, spec in _battery())]
+
+
+def test_engine_matches_the_per_tuple_chase_on_every_tuple_of_targets():
+    """Every tuple of each target's own moduli, on one engine per target:
+    the same solve as the per-tuple chase.  Some tuples kill classes that
+    the untwisted solve keeps, and Z((1 2)) takes a dense cut."""
+    killed = cut = 0
+    for target in _oracle_targets():
+        algebra = target.algebra()
+        gens = [target.operator(c) for c in target.generating_cosets()]
+        engine, oracle = CommutantEngine(algebra, gens), _OracleEngine(algebra, gens)
+        moduli = list(target.component_group.invariant_factors)
+        identity = engine.solve([(1, 0)] * len(moduli))
+        for t in itertools.product(*(range(m) for m in moduli)):
+            scalars = list(zip(moduli, t))
+            got = engine.solve(scalars)
+            _assert_same_solve(got, oracle.solve(scalars))
+            killed += isinstance(got, PatternBasis) and len(got) < len(identity)
+            cut += not isinstance(got, PatternBasis)
+    assert killed and cut
+
+
+def test_one_chase_per_target(monkeypatch):
+    """compute_centralizer chases the algebra and the generators once, in
+    its one engine: as many relations as building that engine takes, how
+    many tuples it solves, and zero forcing runs once."""
+    relations, forced, solves = [], _counting(monkeypatch, verify, "_forced_zeros"), []
+    chase, solve = verify._PotentialUnionFind.chase, CommutantEngine.solve
+
+    def counted_chase(uf, cells, lift, coefficient):
+        relations.append(len(cells) ** 2)
+        return chase(uf, cells, lift, coefficient)
+
+    def counted_solve(engine, scalars):
+        solves.append(1)
+        return solve(engine, scalars)
+
+    monkeypatch.setattr(verify._PotentialUnionFind, "chase", counted_chase)
+    monkeypatch.setattr(CommutantEngine, "solve", counted_solve)
+    target, _ = single_orbit_pair(SingleOrbitIngredients(2, 1, TRIV, Z2, Z2))
+    CommutantEngine.from_spec(target)
+    one_engine = sum(relations)
+    assert len(forced) == 1
+    relations.clear()
+    compute_centralizer(target)
+    assert len(solves) >= 3
+    assert sum(relations) == one_engine
+    assert len(forced) == 2
 
 
 @settings(max_examples=80, deadline=None)
