@@ -67,6 +67,17 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _read_input(path: str, decode, noun: str):
+    """decode of the JSON in the file at path, or None after one
+    'error: malformed <noun>' line on stderr when the file cannot be read
+    or decoded."""
+    try:
+        return decode(_load_json(path))
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        print(f"error: malformed {noun}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_construct(args) -> int:
     try:
         if args.glue is not None:
@@ -109,13 +120,10 @@ def _report_lines(report) -> str:
 
 
 def cmd_verify(args) -> int:
-    try:
-        data = _load_json(args.pair_file)
-        g, h = serialize.pair_from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        print(f"error: malformed pair file: {exc}", file=sys.stderr)
+    pair = _read_input(args.pair_file, serialize.pair_from_json, "pair file")
+    if pair is None:
         return 2
-    report = verify_dual_pair(g, h)
+    report = verify_dual_pair(*pair)
     if args.format == "json":
         _write_output(serialize.report_text(report), args.output)
     else:
@@ -218,14 +226,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_pairing(args) -> int:
-    try:
-        data = _load_json(args.pair_file)
-        g, h = serialize.pair_from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        print(f"error: malformed pair file: {exc}", file=sys.stderr)
+    pair = _read_input(args.pair_file, serialize.pair_from_json, "pair file")
+    if pair is None:
         return 2
     try:
-        table = pairing_table(g, h)
+        table = pairing_table(*pair)
     except NotProjectivelyCommuting as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -244,11 +249,8 @@ def cmd_pairing(args) -> int:
 def cmd_symplectic(args) -> int:
     from .abelian import symplectic_decompose
 
-    try:
-        data = _load_json(args.pairing_file)
-        pairing = serialize.pairing_from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        print(f"error: malformed pairing file: {exc}", file=sys.stderr)
+    pairing = _read_input(args.pairing_file, serialize.pairing_from_json, "pairing file")
+    if pairing is None:
         return 2
     try:
         dec = symplectic_decompose(pairing)

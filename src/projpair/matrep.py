@@ -15,16 +15,17 @@ is returned as the integer root of unity (order, exponent) whichever
 form its arguments take.  CycNum appears only where a Monomial meets a
 CycMatrix, in its scales and entries, and in the dense commutator.  One
 scan, unit_pattern, reads a CycMatrix's cells as a partial monomial with
-root-of-unity entries, written as a one-class PatternBasis, the form a
-Monomial's pattern takes too; Monomial.from_matrix is that scan at full
-coverage, so the conversion to and from CycMatrix is lossless.  Which
-form a stored generator takes is decided by GroupSpec.operator.
+root-of-unity entries, written as a PatternBasis of one element, the
+form a Monomial's pattern takes too; Monomial.from_matrix is that scan
+at full coverage, so the conversion to and from CycMatrix is lossless.
+Which form a stored generator takes is decided by GroupSpec.operator.
 A PatternBasis is the one value that holds a root pattern, the integer
 form of a span of matrices on disjoint supports with root-of-unity
 cells: it is read off matrices or off the index grids of GL blocks, or
 written by the commutant solve, and it builds its CycMatrix cells only
-when asked.  Its cells are split per element once, and every reader of
-an element's cells takes that split.  Algebra is an identity
+when asked.  It stores each element's cells and nothing else; every
+reader takes them as they stand, and a position index is built only
+where a membership test looks positions up.  Algebra is an identity
 component's algebra, given by a PatternBasis or by matrices and nothing
 else, and the one place that chooses between integer exponents and the
 VectorSpan for it.  On exponents, one routine, _pattern_in_pattern,
@@ -255,16 +256,14 @@ class Monomial:
 
 
 def unit_pattern(op) -> "PatternBasis | None":
-    """The one-class PatternBasis of an n x n operator, a Monomial or a
-    CycMatrix, that is a partial monomial whose nonzero entries are roots
-    of unity: op[i][j] = zeta_order^k for each (i, j, k) in its one class,
-    at most one cell per row and per column, zero elsewhere, and order the
-    least one carrying them (the zero matrix is the class with no cell).
-    None for any other CycMatrix."""
+    """The PatternBasis of one element for an n x n operator, a Monomial or
+    a CycMatrix, that is a partial monomial whose nonzero entries are
+    roots of unity: op[i][j] = zeta_order^k for each (i, j, k) in its one
+    class, at most one cell per row and per column, zero elsewhere, and
+    order the least one carrying them (the zero matrix is the class with
+    no cell).  None for any other CycMatrix."""
     if isinstance(op, Monomial):
-        n = op.n
-        return PatternBasis(n, op.order, {p * n + j: (0, e) for j, (p, e)
-                                          in enumerate(zip(op.perm, op.exps))}, (n,))
+        return PatternBasis(op.n, op.order, [sorted(zip(op.perm, range(op.n), op.exps))])
     n = op.rows
     # in row-major order, so that a matrix that is not a pattern is turned
     # down after the same root-of-unity tests as a scan of its rows makes
@@ -280,89 +279,73 @@ def unit_pattern(op) -> "PatternBasis | None":
         used_cols.add(j)
         roots.append((i, j, root))
     order = math.lcm(*(d for _, _, (d, _) in roots))
-    return PatternBasis.one_class(n, order, [(i, j, k * (order // d)) for i, j, (d, k) in roots])
+    return PatternBasis(n, order, [[(i, j, k * (order // d)) for i, j, (d, k) in roots]])
 
 
 @dataclass
 class PatternBasis:
     """A root pattern: n x n matrices on disjoint nonempty supports, every
-    cell a root of unity, the one value that holds one.  Matrix b holds
-    zeta_order^k at each position i * n + j with where[i * n + j] == (b, k),
-    and sizes[b] is its cell count.  classes splits where into each
-    matrix's (i, j, k) cells in row-major order, once; matrices() builds
-    the CycMatrix basis from it, and len is the number of matrices.
+    cell a root of unity, the one value that holds one.  classes[b] holds
+    matrix b's cells (i, j, k), zeta_order^k at (i, j), in row-major
+    order; sizes are the class lengths, and len is the number of
+    matrices.  where, the position index i * n + j -> (b, k), is built
+    on first read, for the membership tests that look positions up;
+    matrices() builds the CycMatrix basis.
 
     The constructors read one off the matrices of a basis (from_matrices)
-    or off the index grids of GL blocks (from_grids), or take one
-    element's cells (one_class: a partial monomial, as unit_pattern
-    writes it, which may have no cell); the commutant solve writes its
-    live classes as one (verify.CommutantEngine.solve)."""
+    or off the index grids of GL blocks (from_grids); unit_pattern,
+    Algebra.unit_patterns and the commutant solve
+    (verify.CommutantEngine.solve) write their classes directly."""
 
     n: int
     order: int
-    where: dict
-    sizes: tuple
+    classes: list
 
     @staticmethod
     def from_matrices(n: int, basis) -> "PatternBasis | None":
         """The pattern of n x n matrices, or None when one of them is zero, a
         cell is not a root of unity or two matrices share a position; the
         order is the least one carrying every cell."""
-        roots = {}
-        sizes = []
-        for b, mat in enumerate(basis):
+        seen = set()
+        classes = []
+        for mat in basis:
             if not mat.cells:
                 return None
+            cells = []
             for (i, j), v in mat.cells.items():
                 root = v.as_root_of_unity()
-                pos = i * n + j
-                if root is None or pos in roots:
+                if root is None or (i, j) in seen:
                     return None
-                roots[pos] = (b, root)
-            sizes.append(len(mat.cells))
-        order = math.lcm(*(d for _, (d, _) in roots.values()))
-        return PatternBasis(n, order, {pos: (b, k * (order // d))
-                                       for pos, (b, (d, k)) in roots.items()}, tuple(sizes))
+                seen.add((i, j))
+                cells.append((i, j, root))
+            cells.sort()
+            classes.append(cells)
+        order = math.lcm(*(d for cells in classes for _, _, (d, _) in cells))
+        return PatternBasis(n, order, [[(i, j, k * (order // d)) for i, j, (d, k) in cells]
+                                       for cells in classes])
 
     @staticmethod
     def from_grids(n: int, grids) -> "PatternBasis":
         """The matrix units E_rs (x) I of GL blocks given by index grids
         that partition range(n), block by block with r slowest: the unit
-        sits at grid[r][c] * n + grid[s][c] for each copy c, each cell 1."""
-        where = {}
-        sizes = []
-        for grid in grids:
-            for row_r in grid:
-                for row_s in grid:
-                    b = len(sizes)
-                    for i, j in zip(row_r, row_s):
-                        where[i * n + j] = (b, 0)
-                    sizes.append(len(row_r))
-        return PatternBasis(n, 1, where, tuple(sizes))
+        has a cell 1 at (grid[r][c], grid[s][c]) for each copy c."""
+        return PatternBasis(n, 1, [sorted((i, j, 0) for i, j in zip(row_r, row_s))
+                                   for grid in grids for row_r in grid for row_s in grid])
 
-    @staticmethod
-    def one_class(n: int, order: int, cells) -> "PatternBasis":
-        """The pattern of one matrix given by its (i, j, k) cells in
-        row-major order, which are its classes as they stand."""
-        out = PatternBasis(n, order, {i * n + j: (0, k) for i, j, k in cells}, (len(cells),))
-        out.classes = [cells]
-        return out
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(map(len, self.classes))
+
+    @cached_property
+    def where(self) -> dict[int, tuple[int, int]]:
+        n = self.n
+        return {i * n + j: (b, k) for b, cells in enumerate(self.classes) for i, j, k in cells}
 
     def __len__(self) -> int:
-        return len(self.sizes)
+        return len(self.classes)
 
     def __iter__(self):
         return iter(self.matrices())
-
-    @cached_property
-    def classes(self) -> list[list[tuple[int, int, int]]]:
-        n, where = self.n, self.where
-        cells = [[] for _ in self.sizes]
-        for pos in sorted(where):
-            b, k = where[pos]
-            i, j = divmod(pos, n)
-            cells[b].append((i, j, k))
-        return cells
 
     def matrices(self) -> list[CycMatrix]:
         n, order = self.n, self.order
@@ -417,15 +400,16 @@ class Algebra:
         return len(pattern) if pattern is not None else self.span.dim
 
     def unit_patterns(self) -> list:
-        """unit_pattern of each basis element, in basis order: a one-class
-        PatternBasis, or None for an element that is not a partial
-        monomial with root-of-unity entries.  With a root pattern each is
-        one of its classes, over its order, and the basis is not built."""
+        """unit_pattern of each basis element, in basis order: a
+        PatternBasis of one element, or None for an element that is not a
+        partial monomial with root-of-unity entries.  With a root pattern
+        each is one of its classes as it stands, over its order, and the
+        basis is not built."""
         pattern = self.pattern
         if pattern is None:
             return [unit_pattern(a) for a in self.basis]
         n, order = self.n, pattern.order
-        return [PatternBasis.one_class(n, order, c)
+        return [PatternBasis(n, order, [c])
                 if len({i for i, _, _ in c}) == len({j for _, j, _ in c}) == len(c) else None
                 for c in pattern.classes]
 
@@ -454,12 +438,10 @@ class Algebra:
             return self.contains_algebra(Algebra(self.n, [op @ b @ inv for b in self.basis]))
         lcm = math.lcm(pattern.order, op.order)
         lift, lift_op = lcm // pattern.order, lcm // op.order
-        n, perm, exps = self.n, op.perm, op.exps
-        moved = {}
-        for pos, (b, k) in pattern.where.items():
-            i, j = divmod(pos, n)
-            moved[perm[i] * n + perm[j]] = (b, (k * lift + (exps[i] - exps[j]) * lift_op) % lcm)
-        return _pattern_in_pattern(pattern, PatternBasis(n, lcm, moved, pattern.sizes))
+        perm, exps = op.perm, op.exps
+        moved = [sorted((perm[i], perm[j], (k * lift + (exps[i] - exps[j]) * lift_op) % lcm)
+                        for i, j, k in cells) for cells in pattern.classes]
+        return _pattern_in_pattern(pattern, PatternBasis(self.n, lcm, moved))
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
@@ -486,24 +468,27 @@ def _pattern_in_pattern(outer: PatternBasis, inner: PatternBasis) -> bool:
     differs from each outer matrix b it touches by one exponent shift, and
     a covers each such b whole.  Every cell of a lies in exactly one b, so
     the last holds iff the sizes of the b it touches sum to a's own size."""
-    where_o, sizes_o = outer.where, outer.sizes
+    n, where_o, sizes_o = outer.n, outer.where, outer.sizes
     lcm = math.lcm(outer.order, inner.order)
     lift_o, lift_i = lcm // outer.order, lcm // inner.order
-    shifts = {}
-    covered = [0] * len(inner)
-    for pos, (a, k) in inner.where.items():
-        hit = where_o.get(pos)
-        if hit is None:
+    for cells in inner.classes:
+        shifts = {}
+        covered = 0
+        for i, j, k in cells:
+            hit = where_o.get(i * n + j)
+            if hit is None:
+                return False
+            b, l = hit
+            shift = (k * lift_i - l * lift_o) % lcm
+            seen = shifts.get(b)
+            if seen is None:
+                shifts[b] = shift
+                covered += sizes_o[b]
+            elif seen != shift:
+                return False
+        if covered != len(cells):
             return False
-        b, l = hit
-        shift = (k * lift_i - l * lift_o) % lcm
-        seen = shifts.get((a, b))
-        if seen is None:
-            shifts[a, b] = shift
-            covered[a] += sizes_o[b]
-        elif seen != shift:
-            return False
-    return tuple(covered) == inner.sizes
+    return True
 
 
 def _partner_sums_nonzero(pattern: PatternBasis):
@@ -521,20 +506,22 @@ def _partner_sums_nonzero(pattern: PatternBasis):
     distinct exponent is a nonzero multiple of a root of unity; only the
     others are summed in CycNum."""
     n, order, where = pattern.n, pattern.order, pattern.where
-    partner = [None] * len(pattern)
-    exps = [{} for _ in pattern.sizes]
-    for pos, (a, k) in where.items():
-        i, j = divmod(pos, n)
-        mirror = where.get(j * n + i)
-        if mirror is None:
-            return None
-        b, l = mirror
-        if partner[a] is None:
-            partner[a] = b
-        elif partner[a] != b:
-            return None
-        e = (k + l) % order
-        exps[a][e] = exps[a].get(e, 0) + 1
+    exps = []
+    for cells in pattern.classes:
+        partner = None
+        counts = {}
+        for i, j, k in cells:
+            mirror = where.get(j * n + i)
+            if mirror is None:
+                return None
+            b, l = mirror
+            if partner is None:
+                partner = b
+            elif partner != b:
+                return None
+            e = (k + l) % order
+            counts[e] = counts.get(e, 0) + 1
+        exps.append(counts)
     return all(len(counts) == 1
                or not sum(CycNum.root_of_unity(order, e) * c for e, c in counts.items()).is_zero()
                for counts in exps)

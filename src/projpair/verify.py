@@ -32,23 +32,23 @@ scalars: a constant plus one coefficient per generator.  The
 translation and character operators of the constructions, the matrix
 units of their block algebras and the pattern matrices of computed
 centralizers are all of this kind, and the engine reads each of them as
-a one-class matrep.PatternBasis (the algebra's elements off the classes
-of its own pattern, so a block spec builds no matrix unit).  A solve
-checks each class's cycle conditions for its tuple and reads the
+a matrep.PatternBasis of one element (the algebra's elements off the
+classes of its own pattern, so a block spec builds no matrix unit).  A
+solve checks each class's cycle conditions for its tuple and reads the
 exponents off the potentials; the live classes come back as a
 PatternBasis, and a computed centralizer keeps its identity basis in
 that form.  Whatever is not a partial monomial (a dense algebra element
 or generator) then cuts the pattern basis with the dense kernel.
 CycNum appears only at that boundary, in a witness candidate and when
-something reads a basis as matrices.  The witness
-search reads a candidate's row and column cover off the classes'
-supports, turns down one with an empty row or column without building
-it, and writes each cell of the rest as one root of unity times its
-coefficient.  A witness that is a unit monomial comes back as a
-Monomial and is normalized on its exponents, so a computed centralizer
-stores it as one.  The scalar tuples of the solves and the commutator
-scalars of the pairing table are integer pairs (order, exponent)
-throughout.
+something reads a basis as matrices.  The witness search has one
+candidate builder for either kind of basis: it reads each element once
+as its cells and its row and column masks, turns down a candidate whose
+elements leave a row or a column empty without building it, and sums
+the cells of the rest, each times its coefficient.  A witness that is a
+unit monomial comes back as a Monomial and is normalized on its
+exponents, so a computed centralizer stores it as one.  The scalar
+tuples of the solves and the commutator scalars of the pairing table
+are integer pairs (order, exponent) throughout.
 
 Work is done on generators where the group structure allows it.  The
 surviving scalar tuples form a subgroup, so compute_centralizer solves
@@ -89,7 +89,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from operator import matmul, mul
 
 from .abelian import FinAbGroup, generator_coefficients, subgroup_from_elements
@@ -214,17 +214,17 @@ class _PotentialUnionFind:
         condition_sets, classes): potentials holds each distinct potential
         once, unpacked, condition_sets each distinct set of unpacked cycle
         conditions once, and classes each class in root order as (its
-        condition set's index, its members (u, potential index) in
-        position order).  Classes share few condition sets, so each set of
+        condition set's index, its members (i, j, potential index) in
+        row-major order).  Classes share few condition sets, so each set of
         packed cycles is unpacked once."""
-        parent, find, potential = self.parent, self.find, self.potential
+        n, parent, find, potential = self.n, self.parent, self.find, self.potential
         roots = [r if parent[r] == r else find(u) for u, r in enumerate(parent)]
         dead = self.dead | {roots[u] for u in forced}
         index, members = {}, {}
         for u, root in enumerate(roots):
             if root not in dead:
                 members.setdefault(root, []).append(
-                    (u, index.setdefault(potential[u], len(index))))
+                    (*divmod(u, n), index.setdefault(potential[u], len(index))))
         sets, seen, classes = {}, {}, []
         for root, cells in sorted(members.items()):
             packed = frozenset(self.cycles.get(root, ()))
@@ -302,10 +302,11 @@ class CommutantEngine:
 
     A solve checks those conditions for its tuple and reads each live
     position's exponent off its potential; the live classes, in root
-    order, come back as a PatternBasis over the least order carrying
-    them.  Every other constraint (a dense or non-unit algebra element, a
-    dense generator) then cuts that basis with the dense kernel, and the
-    solve returns the cut basis as a list of CycMatrix.
+    order and each in row-major order as it stands, come back as a
+    PatternBasis over the least order carrying them.  Every other
+    constraint (a dense or non-unit algebra element, a dense generator)
+    then cuts that basis with the dense kernel, and the solve returns the
+    cut basis as a list of CycMatrix.
     """
 
     def __init__(self, algebra: Algebra, gens):
@@ -358,12 +359,12 @@ class CommutantEngine:
         values = [exponent(p) for p in self._potentials]
         # the least order is the one the live classes' exponents need
         used = values if len(live) == len(self._classes) else [
-            values[p] for cells in live for _, p in cells]
+            values[p] for cells in live for _, _, p in cells]
         g = math.gcd(order, *used)
         if g > 1:
             values = [v // g for v in values]
-        where = {u: (b, values[p]) for b, cells in enumerate(live) for u, p in cells}
-        basis = PatternBasis(self.n, order // g, where, tuple(len(cells) for cells in live))
+        basis = PatternBasis(self.n, order // g,
+                             [[(i, j, values[p]) for i, j, p in cells] for cells in live])
         if basis:
             check_conductor(basis.order)
         cuts = [(a, ONE) for a in self._dense_algebra]
@@ -427,37 +428,26 @@ def _det_nonzero(mat: CycMatrix) -> bool:
     return mat.rank() == n
 
 
-def _combine(cells, coeffs, n: int) -> CycMatrix | None:
-    """The n x n sum of c * x over the nonzero coefficients, each x given
-    by its nonzero cells; None when no coefficient is nonzero."""
-    acc = {}
-    for x, c in zip(cells, coeffs):
-        if c == 0:
-            continue
-        c = CycNum.from_rational(c)
-        for cell, v in x.items():
-            w = acc.get(cell)
-            acc[cell] = c * v if w is None else w + c * v
-    if not acc:
-        return None
-    return CycMatrix.from_entries(n, n, acc)
-
-
-def _pattern_combiner(basis: PatternBasis):
-    """The candidate builder of the witness search on a PatternBasis:
-    coeffs -> the n x n sum of c * x over the nonzero coefficients, or None
-    when those matrices leave a row or a column empty (so the sum is
-    singular).  The supports are disjoint, so the cover is read off the
-    classes as bit masks and each cell is one root of unity, times c when
-    c is not 1, with no sum."""
-    n, order = basis.n, basis.order
-    cells, row_masks, col_masks = [], [], []
-    for members in basis.classes:
+def _combiner(basis, n: int):
+    """The candidate builder of the witness search, for a PatternBasis or
+    a list of CycMatrix: coeffs -> the n x n sum of c * x over the nonzero
+    coefficients, or None when those matrices leave a row or a column
+    empty (so the sum is singular).  Each element is read once, as its
+    ((i, j), value) cells (a pattern's are roots of unity) and its row
+    and column bit masks.  A coefficient 1 takes the cells as they are,
+    and cells that overlap add."""
+    if isinstance(basis, PatternBasis):
+        order = basis.order
+        elements = [[((i, j), CycNum.root_of_unity(order, k)) for i, j, k in cells]
+                    for cells in basis.classes]
+    else:
+        elements = [list(x.cells.items()) for x in basis]
+    row_masks, col_masks = [], []
+    for cells in elements:
         rows = cols = 0
-        for i, j, _ in members:
+        for (i, j), _ in cells:
             rows |= 1 << i
             cols |= 1 << j
-        cells.append([((i, j), CycNum.root_of_unity(order, k)) for i, j, k in members])
         row_masks.append(rows)
         col_masks.append(cols)
     full = (1 << n) - 1
@@ -471,13 +461,15 @@ def _pattern_combiner(basis: PatternBasis):
         if rows != full or cols != full:
             return None
         acc = {}
-        for x, c in zip(cells, coeffs):
-            if c == 1:
-                acc.update(x)
-            elif c:
+        for cells, c in zip(elements, coeffs):
+            if not c:
+                continue
+            if c != 1:
                 c = CycNum.from_rational(c)
-                for cell, v in x:
-                    acc[cell] = c * v
+                cells = [(cell, c * v) for cell, v in cells]
+            for cell, v in cells:
+                w = acc.get(cell)
+                acc[cell] = v if w is None else w + v
         return CycMatrix.from_entries(n, n, acc)
 
     return combine
@@ -520,10 +512,12 @@ def _invertible_in_span(basis, n: int) -> Monomial | CycMatrix | None:
     """Exact search for an invertible element of a matrix span, returned
     as a Monomial when it is a unit monomial.
 
-    Deterministic samples first.  If they all fail, a product grid of size
-    n+1 per coordinate decides existence exactly (the determinant has
-    degree at most n in each coordinate, so it cannot vanish on the whole
-    grid unless it is identically zero); a grid over the bound raises
+    The basis is a PatternBasis or a list of CycMatrix, and _combiner
+    builds every candidate from either.  Deterministic samples first.  If
+    they all fail, a product grid of size n+1 per coordinate decides
+    existence exactly (the determinant has degree at most n in each
+    coordinate, so it cannot vanish on the whole grid unless it is
+    identically zero); a grid over the bound raises
     WitnessSearchUndecided.
 
     compute_centralizer asks only about a twisted commutant B whose
@@ -537,11 +531,7 @@ def _invertible_in_span(basis, n: int) -> Monomial | CycMatrix | None:
     hits its bound.
     """
     dim = len(basis)
-    if isinstance(basis, PatternBasis):
-        combine = _pattern_combiner(basis)
-    else:
-        cells = [x.cells for x in basis]
-        combine = partial(_combine, cells, n=n)
+    combine = _combiner(basis, n)
     for coeffs in _sample_vectors(dim, n):
         cand = combine(coeffs)
         if cand is not None and _det_nonzero(cand):

@@ -398,6 +398,31 @@ def block_units(blocks, n):
             for b in blocks for row_r in b.grid for row_s in b.grid]
 
 
+def assert_one_stored_form(p, least=True):
+    """A PatternBasis keeps each element's cells in row-major order, and
+    where and sizes agree with them.  Scanning its matrices gives it back:
+    itself when its order is the least one (least), else the same cells
+    over a divisor of its order.  A class with no cell is not a matrix of
+    a basis, so such a pattern is not scanned."""
+    n = p.n
+    for cells in p.classes:
+        positions = [(i, j) for i, j, _ in cells]
+        assert positions == sorted(set(positions))
+    assert p.sizes == tuple(len(cells) for cells in p.classes)
+    assert len(p.where) == sum(p.sizes)
+    for pos, (b, k) in p.where.items():
+        assert (*divmod(pos, n), k) in p.classes[b]
+    if not all(p.classes):
+        return
+    scan = PatternBasis.from_matrices(n, p.matrices())
+    if least:
+        assert scan == p
+    else:
+        lift = p.order // scan.order
+        assert scan.order * lift == p.order
+        assert [[(i, j, k * lift) for i, j, k in cells] for cells in scan.classes] == p.classes
+
+
 def _block_spec(n, blocks):
     ambient = Ambient.single(TensorShape((("A", n),)))
     return GroupSpec(ambient, blocks, TRIV, {(): Monomial.identity(n)})
@@ -436,11 +461,15 @@ def block_layouts(draw):
 def test_block_pattern_matches_the_scan_of_its_matrix_units(layout):
     """The root pattern read off partitioning grids is the scan of the
     matrix units E_rs (x) I: order 1, one class per unit with one cell per
-    copy, in block order with r slowest."""
+    copy, in block order with r slowest.  Both are in the one stored
+    form."""
     n, blocks = layout
     expected = PatternBasis.from_matrices(n, block_units(blocks, n))
-    assert PatternBasis.from_grids(n, [b.grid for b in blocks]) == expected
+    from_grids = PatternBasis.from_grids(n, [b.grid for b in blocks])
+    assert from_grids == expected
     assert _block_spec(n, blocks).algebra().pattern == expected
+    assert_one_stored_form(expected)
+    assert_one_stored_form(from_grids)
 
 
 @pytest.mark.parametrize("n, blocks", [

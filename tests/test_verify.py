@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from projpair import verify
+from projpair import matrep, verify
 from projpair.abelian import FinAbGroup, subgroup_from_elements
 from projpair.classify import enumerate_multi_orbit, single_row
 from projpair.construct import (
@@ -71,7 +71,7 @@ from projpair.verify import (
 )
 
 from test_acceptance import _battery, bicharacter_oracle, builder_formulas, full_pairing_table
-from test_construct import block_layouts, block_units
+from test_construct import assert_one_stored_form, block_layouts, block_units
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
@@ -281,7 +281,8 @@ def test_engine_from_the_algebra_matches_engine_from_its_units(problem):
 def shuffled_bases(draw):
     """Partial monomials and matrices that are not, each built from its
     cells in a drawn order, so that a root pattern read off them lists
-    positions out of row-major order."""
+    positions out of row-major order; a unit Monomial and a scalar for
+    it."""
     n = draw(st.integers(1, 4))
     basis = []
     for _ in range(draw(st.integers(1, 3))):
@@ -290,7 +291,8 @@ def shuffled_bases(draw):
             cells.append(((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))),
                           draw(unit_roots())))
         basis.append(CycMatrix.from_entries(n, n, dict(draw(st.permutations(cells)))))
-    return n, basis
+    op = Monomial.from_matrix(draw(partial_monomials(n, full=True)))
+    return n, basis, op, draw(root_tuples())
 
 
 @settings(max_examples=120, deadline=None)
@@ -299,8 +301,11 @@ def test_unit_patterns_match_the_scan_of_each_element(problem):
     """Algebra.unit_patterns reads each element off the root pattern when
     there is one: the element's unit_pattern, one class with its cells in
     row-major order, with exponents lifted to the pattern's order; and
-    exactly the scans when there is none."""
-    n, basis = problem
+    exactly the scans when there is none.  Every pattern on the way is in
+    the one stored form: the algebra's, each scan (unit_pattern of a
+    CycMatrix) and unit_pattern of a Monomial, a solve on the algebra
+    and the pattern that normalized_by moves by the Monomial."""
+    n, basis, op, scalar = problem
     algebra = Algebra(n, basis)
     scans = [unit_pattern(a) for a in basis]
     found = algebra.unit_patterns()
@@ -309,13 +314,30 @@ def test_unit_patterns_match_the_scan_of_each_element(problem):
     for p, scan in zip(found, scans):
         if scan is None:
             continue
-        assert len(p) == 1 and p.classes[0] == sorted(p.classes[0])
+        assert_one_stored_form(scan)
+        assert_one_stored_form(p, least=False)
+        assert len(p) == 1
         if order is None:
-            assert p == scan and p.classes == scan.classes
+            assert p == scan
             continue
         lift = order // scan.order
-        lifted = [(i, j, k * lift) for i, j, k in scan.classes[0]]
-        assert p == PatternBasis.one_class(n, order, lifted) and p.classes == [lifted]
+        assert p == PatternBasis(n, order, [[(i, j, k * lift) for i, j, k in scan.classes[0]]])
+    assert_one_stored_form(unit_pattern(op))
+    solved = CommutantEngine(algebra, [op]).solve([scalar])
+    if isinstance(solved, PatternBasis):
+        assert_one_stored_form(solved)
+    if order is None:
+        return
+    assert_one_stored_form(algebra.pattern)
+    inclusion, moved, inv = matrep._pattern_in_pattern, [], op.inverse()
+    matrep._pattern_in_pattern = lambda outer, inner: moved.append(inner) or inclusion(outer, inner)
+    try:
+        algebra.normalized_by(op, inv)
+    finally:
+        matrep._pattern_in_pattern = inclusion
+    [moved] = moved
+    assert_one_stored_form(moved, least=False)
+    assert moved.matrices() == [op @ b @ inv for b in algebra.basis]
 
 
 @pytest.mark.parametrize("target", [
@@ -439,17 +461,15 @@ class _RatioUnionFind:
         found = [self._root_and_ratio(u) for u in range(len(self.parent))]
         index = {root: b for b, root in enumerate(sorted(
             {root for root, _ in found if not self.dead[root]}))}
-        sizes = [0] * len(index)
-        where = {}
+        classes = [[] for _ in index]
         for u, (root, q) in enumerate(found):
             b = index.get(root)
             if b is not None:
-                where[u] = (b, q)
-                sizes[b] += 1
-        g = math.gcd(self.order, *(q for _, q in where.values()))
+                classes[b].append((*divmod(u, self.n), q))
+        g = math.gcd(self.order, *(q for cells in classes for _, _, q in cells))
         if g > 1:
-            where = {u: (b, q // g) for u, (b, q) in where.items()}
-        return PatternBasis(self.n, self.order // g, where, tuple(sizes))
+            classes = [[(i, j, q // g) for i, j, q in cells] for cells in classes]
+        return PatternBasis(self.n, self.order // g, classes)
 
 
 def _oracle_chase(uf, pattern, c):
@@ -588,8 +608,7 @@ def oracle_problems(draw):
 def test_engine_matches_the_per_tuple_chase(problem):
     """One engine, chased once, solves each tuple exactly as the per-tuple
     chase did: the same PatternBasis (classes in root order, the same
-    where, sizes and least order), or after a dense cut the same
-    matrices."""
+    cells and least order), or after a dense cut the same matrices."""
     algebra, gens, tuples = problem
     engine, oracle = CommutantEngine(algebra, gens), _OracleEngine(algebra, gens)
     for scalars in tuples:
@@ -925,6 +944,69 @@ def test_witness_search_says_no_only_when_the_grid_has_no_witness(problem):
     else:
         for coeffs in itertools.product(range(n + 1), repeat=len(basis)):
             assert _span_sum(basis, coeffs, n).rank() < n, coeffs
+
+
+@st.composite
+def overlapping_bases(draw):
+    """A list basis of at most 4 matrices in M_n, n <= 4, on drawn and
+    overlapping supports, with cells 1, -1, 2 or a root of unity, and
+    coefficient vectors with entries in -2..3, so that some sums cancel a
+    cell."""
+    n = draw(st.integers(1, 4))
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    values = st.one_of(st.sampled_from([ONE, -ONE, CycNum.from_rational(2)]), unit_roots())
+    basis = [CycMatrix.from_entries(n, n, {cell: draw(values) for cell in draw(
+        st.sets(st.sampled_from(cells), min_size=1))}) for _ in range(draw(st.integers(1, 4)))]
+    coeffs = st.lists(st.integers(-2, 3), min_size=len(basis), max_size=len(basis))
+    return n, basis, draw(st.lists(coeffs, min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlapping_bases())
+@example((2, [CycMatrix([[1, 0], [0, 1]]), CycMatrix([[-1, 1], [1, 0]])], [[1, 1], [2, 1], [0, 1]]))
+def test_the_witness_builder_sums_each_covered_candidate(problem):
+    """_combiner turns down exactly the candidates whose matrices leave a
+    row or a column empty, each of which is singular, and builds each
+    other one as the plain sum of c * x, cancelled cells included."""
+    n, basis, samples = problem
+    combine = verify._combiner(basis, n)
+    for coeffs in samples:
+        plain = _span_sum(basis, coeffs, n)
+        used = [x for x, c in zip(basis, coeffs) if c]
+        covered = ({i for x in used for i, _ in x.cells} == set(range(n))
+                   and {j for x in used for _, j in x.cells} == set(range(n)))
+        cand = combine(coeffs)
+        assert (cand is None) == (not covered)
+        if cand is None:
+            assert plain.rank() < n
+        else:
+            assert cand == plain
+
+
+def _plain_witness(basis, n):
+    """The witness search with every candidate a dense sum: the first
+    sample, then the first point of the grid {0..n}^dim, whose sum is
+    invertible."""
+    mats, dim = basis.matrices(), len(basis)
+    grid = itertools.product(range(n + 1), repeat=dim)
+    for coeffs in itertools.chain(verify._sample_vectors(dim, n), grid):
+        cand = _span_sum(mats, coeffs, n)
+        if _det_nonzero(cand):
+            return Monomial.from_matrix(cand) or cand
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(pattern_algebras))
+def test_the_witness_search_on_a_pattern_takes_the_plain_witness(algebra):
+    """On a PatternBasis the search tries the samples, then the grid, in
+    the same order as a search that sums every candidate densely, and
+    returns the same witness; so does the search on its matrices.  With
+    n <= 3 and at most 5 elements every grid is within the bound."""
+    pattern, n = algebra.pattern, algebra.n
+    want = _plain_witness(pattern, n)
+    assert _invertible_in_span(pattern, n) == want
+    assert _invertible_in_span(pattern.matrices(), n) == want
 
 
 # -- centralizers ---------------------------------------------------------------
