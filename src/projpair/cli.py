@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import serialize
 from .abelian import FinAbGroup
@@ -188,6 +187,9 @@ def cmd_enumerate(args) -> int:
         # all cores by default; an explicit --workers 0 or 1 stays serial
         workers = args.workers if args.workers is not None else os.cpu_count() or 1
         if workers > 1 and len(rows) > 1:
+            # imported here: no other command starts a pool
+            from concurrent.futures import ProcessPoolExecutor
+
             # a forked pool starts all its workers at the first submit
             with ProcessPoolExecutor(max_workers=min(workers, len(rows)),
                                      initializer=set_conductor_cap,

@@ -142,6 +142,23 @@ def _check_shape(op, n: int):
     return op
 
 
+def _scanned(op):
+    """op, scanned into a Monomial when it is one: the one form a coset's
+    operator or inverse is stored in."""
+    if isinstance(op, CycMatrix):
+        return Monomial.from_matrix(op) or op
+    return op
+
+
+def _inverted(coords, op):
+    """The inverse of the operator op given at coords, a Monomial exactly
+    when op is one; ValueError when op is singular."""
+    try:
+        return _scanned(op).inverse()
+    except SingularMatrix:
+        raise ValueError(f"generator at {coords} is singular") from None
+
+
 class GroupSpec:
     """A reductive subgroup of GL(U) up to scalars: its identity component
     and one generator per generating coset (a unit coordinate vector).
@@ -171,7 +188,10 @@ class GroupSpec:
     (PatternBasis.from_grids), so its dimension is sum d^2 and its matrix
     units are built only when something reads its basis.
     coset_contains(coords, op) tests op against one coset, through the
-    coset operator's inverse, built once per coset.
+    coset operator's inverse, cached per coset: each generating coset's
+    generator is inverted once (a Monomial on its exponents), and every
+    other coset's inverse is its word's inverse, multiplied out as the
+    word is, so no coset operator but a generator is ever eliminated.
     """
 
     def __init__(self, ambient, blocks, component_group, generators, algebra_basis=None):
@@ -196,7 +216,6 @@ class GroupSpec:
             if not basis:
                 raise ValueError("the algebra basis is empty")
             self._algebra = Algebra(n, basis)
-        self._inverses: dict = {}
         self._cosets = tuple(itertools.product(
             *(range(d) for d in component_group.invariant_factors)))
         self._index = frozenset(self._cosets)
@@ -211,14 +230,15 @@ class GroupSpec:
         if not given.pop(ident).is_identity():
             raise ValueError("identity-coset generator must be the identity matrix")
         self._operators = {ident: Monomial.identity(n)}
+        self._inverses = {ident: self._operators[ident]}
         for coords in self._gens:
-            self._store(coords, given.pop(coords))
+            self._operators[coords] = _scanned(given.pop(coords))
         for coords, op in given.items():
-            if not self.coset_contains(coords, op):
+            # op is in word A exactly when op^-1 word is in A, as an algebra
+            # holds the inverse of each of its invertible elements
+            if not self.algebra().contains(_inverted(coords, op) @ self.operator(coords)):
                 raise ValueError(
                     f"generator at {coords} is not its word in the generating cosets")
-            if isinstance(op, CycMatrix) and op.rank() < n:
-                raise ValueError(f"generator at {coords} is singular")
 
     # -- identity component ------------------------------------------------
 
@@ -257,29 +277,38 @@ class GroupSpec:
             coords = coords[:a] + (coords[a] - 1,) + coords[a + 1:]
         op = self._operators[coords]
         for coords, a in reversed(steps):
-            op = self._store(coords, op @ self._operators[self._gens[a]])
-        return op
-
-    def _store(self, coords, op):
-        if isinstance(op, CycMatrix):
-            op = Monomial.from_matrix(op) or op
-        self._operators[coords] = op
+            op = self._operators[coords] = _scanned(op @ self._operators[self._gens[a]])
         return op
 
     def _inverse(self, coords):
+        """The inverse of operator(coords), cached per coset and stored as
+        an operator is.  A generating coset's generator is inverted once;
+        any other coset's inverse is read off its word, lowered as
+        operator() lowers it: op(c) = op(c - e_a) @ g_a, so
+        inv(c) = inv(g_a) @ inv(c - e_a).  This holds for every spec,
+        whether or not its relations do, so validate() can rely on it."""
+        inv = self._inverses.get(coords)
+        if inv is not None:
+            return inv
+        if coords not in self._index:
+            raise KeyError(coords)
+        steps = []
+        while coords not in self._inverses and coords not in self._gens:
+            a = max(i for i, c in enumerate(coords) if c)
+            steps.append((coords, a))
+            coords = coords[:a] + (coords[a] - 1,) + coords[a + 1:]
         inv = self._inverses.get(coords)
         if inv is None:
-            try:
-                inv = self._inverses[coords] = self.operator(coords).inverse()
-            except SingularMatrix:
-                raise ValueError(f"generator at {coords} is singular") from None
+            inv = self._inverses[coords] = _inverted(coords, self._operators[coords])
+        for coords, a in reversed(steps):
+            inv = self._inverses[coords] = _scanned(self._inverse(self._gens[a]) @ inv)
         return inv
 
     def coset_contains(self, coords, op) -> bool:
         """Does the coset at coords hold the operator op, that is, is op in
         operator(coords) times the identity-component algebra?  The coset's
-        operator is inverted once per spec, a Monomial pair multiplies in
-        integers, and the algebra tests the product."""
+        inverse is built once per spec (_inverse), a Monomial pair
+        multiplies in integers, and the algebra tests the product."""
         return self.algebra().contains(self._inverse(coords) @ op)
 
     def generating_cosets(self) -> list[tuple[int, ...]]:

@@ -637,32 +637,36 @@ class CycMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
         m = math.lcm(self.m, other.m)
-        # lift only cells that meet: a product in which none meet is on
-        # conductor 1, and the lcm must not trip the conductor cap
-        meet = {k for _, k in self.cells}
-        by_row: dict[int, list] = {}
-        for (k, j), b in other.cells.items():
-            if k in meet:
-                by_row.setdefault(k, []).append((j, _coords(b.lift(m))))
-        acc: dict[tuple, list] = {}
-        for (i, k), a in self.cells.items():
-            row = by_row.get(k)
-            if row is not None:
-                ca = _coords(a.lift(m))
-                for j, cb in row:
-                    terms = acc.get((i, j))
-                    if terms is None:
-                        acc[i, j] = [(ca, cb)]
-                    else:
-                        terms.append((ca, cb))
-        cells = {}
-        for key, terms in acc.items():
-            v = _dot(m, terms)
-            if v is not None:
-                cells[key] = v
+        acc = _product_terms({}, self, other, m)
+        cells = {key: v for key, terms in acc.items() if (v := _dot(m, terms)) is not None}
         return CycMatrix._of(self.rows, other.cols, cells, m if acc else 1)
 
     __mul__ = __matmul__
+
+    def twisted_commutator(self, h: "CycMatrix", c) -> "CycMatrix":
+        """self @ h - c (h @ self) for n x n matrices, with the cells and
+        the conductor of (self @ h) - (h @ self).scale(c), in one pass:
+        each output cell is one _dot over the terms of both products, with
+        -c folded into this matrix's cells."""
+        n = self.rows
+        if not self.cols == h.rows == h.cols == n:
+            raise DimensionMismatch(f"cannot twist {self.shape} by {h.shape}")
+        c = as_cyc(c)
+        m = math.lcm(self.m, h.m)
+        twisted = _meets(h, self)
+        if not twisted and not _meets(self, h):
+            m = 1
+        elif twisted and m % c.m:
+            # c's conductor joins only when h @ self is not zero
+            twisted = any(_dot(m, terms) is not None
+                          for terms in _product_terms({}, h, self, m).values())
+            if twisted:
+                m = math.lcm(m, c.m)
+        acc = _product_terms({}, self, h, m)
+        if twisted:
+            _product_terms(acc, h, self, m, -c.lift(m))
+        cells = {key: v for key, terms in acc.items() if (v := _dot(m, terms)) is not None}
+        return CycMatrix._of(n, n, cells, m)
 
     def __pow__(self, e: int) -> "CycMatrix":
         if not self.is_square():
@@ -909,6 +913,36 @@ def _dot(m: int, pairs, base: CycNum | None = None) -> CycNum | None:
     out.m = m
     out.num, out.den = _normalize(m, num, den)
     return out
+
+
+def _meets(a: CycMatrix, b: CycMatrix) -> bool:
+    """Does some column of a's cells meet a row of b's, so that a @ b
+    has a term?"""
+    return not {k for _, k in a.cells}.isdisjoint({k for k, _ in b.cells})
+
+
+def _product_terms(acc: dict, a: CycMatrix, b: CycMatrix, m: int, f: CycNum | None = None):
+    """Add to acc, by output cell, the term pairs of a @ b as _dot takes
+    them, on conductor m, each cell of b first multiplied by f (a value on
+    m) when f is given; returns acc.  Only cells that meet are lifted, so
+    a product in which none meet does not trip the conductor cap."""
+    meet = {k for _, k in a.cells}
+    by_row: dict[int, list] = {}
+    for (k, j), v in b.cells.items():
+        if k in meet:
+            v = v.lift(m)
+            by_row.setdefault(k, []).append((j, _coords(v if f is None else f * v)))
+    for (i, k), u in a.cells.items():
+        row = by_row.get(k)
+        if row is not None:
+            cu = _coords(u.lift(m))
+            for j, cv in row:
+                terms = acc.get((i, j))
+                if terms is None:
+                    acc[i, j] = [(cu, cv)]
+                else:
+                    terms.append((cu, cv))
+    return acc
 
 
 def _subtract_multiple(vec: dict, c: CycNum, row: dict, pivot: int) -> None:

@@ -38,7 +38,8 @@ solve checks each class's cycle conditions for its tuple and reads the
 exponents off the potentials; the live classes come back as a
 PatternBasis, and a computed centralizer keeps its identity basis in
 that form.  Whatever is not a partial monomial (a dense algebra element
-or generator) then cuts the pattern basis with the dense kernel.
+or generator) then cuts the pattern basis with the dense kernel of the
+images X h - c h X, each built in one pass (CycMatrix.twisted_commutator).
 CycNum appears only at that boundary, in a witness candidate and when
 something reads a basis as matrices.  The witness search has one
 candidate builder for either kind of basis: it reads each element once
@@ -264,13 +265,16 @@ def _forced_zeros(n: int, row_masks, col_masks):
     return [i * n + j for i in range(n) for j in range(n) if zero_cols[i] >> j & 1]
 
 
-def _chase_cells(op, pattern: PatternBasis):
-    """A unit pattern's cells in the order they are chased: a Monomial's
-    by column, as it stores them, and any other's row-major.  The order
-    of the unions fixes each class's root, and so the class order."""
+def _chase_form(op):
+    """A generator's unit-pattern cells in the order they are chased, with
+    their least order, or None when it is no unit pattern: a Monomial's by
+    column, as it stores them, and a CycMatrix's row-major, as unit_pattern
+    scans them.  The order of the unions fixes each class's root, and so
+    the class order."""
     if isinstance(op, Monomial):
-        return [(p, j, e) for j, (p, e) in enumerate(zip(op.perm, op.exps))]
-    return pattern.classes[0]
+        return [(p, j, e) for j, (p, e) in enumerate(zip(op.perm, op.exps))], op.order
+    pattern = unit_pattern(op)
+    return None if pattern is None else (pattern.classes[0], pattern.order)
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +316,15 @@ class CommutantEngine:
     def __init__(self, algebra: Algebra, gens):
         n = self.n = algebra.n
         self.gens = list(gens)
-        gen_patterns = [unit_pattern(h) for h in self.gens]
+        gen_forms = [_chase_form(h) for h in self.gens]
         unit_patterns = algebra.unit_patterns()
         self._dense_algebra = [algebra.basis[b] for b, p in enumerate(unit_patterns)
                                if p is None]
-        self._dense_gens = [i for i, p in enumerate(gen_patterns) if p is None]
-        self._chased = [i for i, p in enumerate(gen_patterns) if p is not None]
+        self._dense_gens = [i for i, form in enumerate(gen_forms) if form is None]
+        self._chased = [i for i, form in enumerate(gen_forms) if form is not None]
         # (cells, order, coefficient field) in chase order: the algebra, then the generators
         chases = [(p.classes[0], p.order, 0) for p in unit_patterns if p is not None]
-        chases += [(_chase_cells(self.gens[i], gen_patterns[i]), gen_patterns[i].order, f)
-                   for f, i in enumerate(self._chased, 1)]
+        chases += [(*gen_forms[i], f) for f, i in enumerate(self._chased, 1)]
         order = self._order = math.lcm(*(d for _, d, _ in chases))
         uf = _PotentialUnionFind(n, order, len(self._chased) + 1)
         row_masks, col_masks = set(), set()
@@ -392,7 +395,7 @@ class CommutantEngine:
 
 def _apply_twist_constraint(basis, h: CycMatrix, c: CycNum) -> list[CycMatrix]:
     """Cut a solution basis down by X h = c h X."""
-    images = [(x @ h) - (h @ x).scale(c) for x in basis]
+    images = [x.twisted_commutator(h, c) for x in basis]
     rows = sorted({cell for img in images for cell in img.cells})
     if not rows:
         return list(basis)

@@ -425,6 +425,33 @@ def test_criterion_7_triple_centralizer_idempotence():
     assert ok
 
 
+def test_triple_centralizer_inverts_each_dense_generating_coset_once(monkeypatch):
+    """Over the chains S, Z1, Z2, Z3 of the criterion-7 battery and
+    specs_equal(Z1, Z3), CycMatrix.inverse runs only on the dense
+    operator of a generating coset, and at most once on each: every other
+    coset's inverse is read off its word."""
+    battery = _battery()
+    inverted = []
+    real = CycMatrix.inverse
+
+    def counting(self):
+        inverted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CycMatrix, "inverse", counting)
+    generating = set()
+    for name, spec in battery:
+        chain = [spec]
+        for _ in range(3):
+            chain.append(projective_centralizer(chain[-1]))
+        assert specs_equal(chain[1], chain[3]), name
+        generating |= {id(op) for s in chain for op in map(s.operator, s.generating_cosets())
+                       if not isinstance(op, Monomial)}
+    ids = [id(m) for m in inverted]
+    assert inverted and len(set(ids)) == len(ids)
+    assert set(ids) <= generating
+
+
 def test_criterion_8_negative_control_failure_code():
     """The pair (swap image, swap image) in PGL(2) fails verification and
     the mismatch is reported as a strictly larger centralizer."""

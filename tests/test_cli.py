@@ -1,5 +1,6 @@
 """CLI commands, exit codes, and JSON round-trips."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from projpair import cli, serialize
+from projpair import serialize
 from projpair.abelian import FinAbGroup
 from projpair.cli import main
 from projpair.construct import (
@@ -749,8 +750,9 @@ def test_verify_negative_workers_is_bad_input(tmp_path, capsys):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replace the process pool of cli by one that records max_workers and
-    maps in this process, so no worker is started."""
+    """Replace the process pool that cli imports when it starts one by a
+    pool that records max_workers and maps in this process, so no worker
+    is started."""
     sizes = []
 
     class SerialPool:
@@ -767,7 +769,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 

@@ -779,3 +779,76 @@ def test_dense_product_builds_one_value_per_cell(monkeypatch):
     calls.clear()
     prod = a @ c
     assert prod.m == 24 and len(calls) <= 64 + 128
+
+
+_TWIST_CONDUCTORS = [1, 2, 3, 4, 8, 12]
+_TWIST_CASES = ("random", "commuting", "clock", "killed")
+
+
+def _sparse_grid(draw, n, m):
+    """An n x n grid on conductor m with about five of every eight cells
+    zero."""
+    return [[draw(_kernel_values(m)) if draw(st.booleans()) else ZERO for _ in range(n)]
+            for _ in range(n)]
+
+
+@st.composite
+def _twist_operands(draw):
+    """Sparse n x n matrices x and h on conductors drawn apart, a scalar c
+    and the case they were built for.  c is a root of unity of any order
+    up to 12, so often not one of the conductors, zero, or a sum of roots.
+    Three cases cancel: x a combination of h and I with c = 1 (zero); x
+    a shift and h a clock, scaled, with c the inverse of the scalar by
+    which they commute (zero); and h @ x = 0 while the two meet, so c's
+    conductor must not join."""
+    n = draw(st.integers(1, 5))
+    case = draw(st.sampled_from(_TWIST_CASES))
+    mx, mh = draw(st.sampled_from(_TWIST_CONDUCTORS)), draw(st.sampled_from(_TWIST_CONDUCTORS))
+    x, h = _sparse_grid(draw, n, mx), _sparse_grid(draw, n, mh)
+    c = draw(st.one_of(
+        st.builds(CycNum.root_of_unity, st.integers(1, 12), st.integers(0, 11)),
+        st.just(ZERO),
+        _kernel_values(draw(st.sampled_from(_TWIST_CONDUCTORS)))))
+    if case == "commuting":
+        a, b = draw(_kernel_values(mx)), draw(_kernel_values(mh))
+        x = CycMatrix(h).scale(a) + CycMatrix.identity(n).scale(b)
+        return x, CycMatrix(h), ONE, case
+    if case == "clock":
+        omega = CycNum.root_of_unity(n)
+        a, b = draw(_kernel_values(mx)), draw(_kernel_values(mh))
+        shift = CycMatrix.from_entries(n, n, {((i + 1) % n, i): a for i in range(n)})
+        clock = CycMatrix.diagonal([omega ** i * b for i in range(n)])
+        # clock @ shift = omega shift @ clock
+        return shift, clock, omega.inverse(), case
+    if case == "killed" and n > 1:
+        # rows 0 and n-1 of x equal, no other row; column n-1 of h is minus column 0
+        x = [x[0]] + [[ZERO] * n for _ in range(n - 2)] + [x[0]]
+        for row in h:
+            row[-1] = -row[0]
+    return CycMatrix(x), CycMatrix(h), c, case
+
+
+@settings(max_examples=300, deadline=None)
+@given(_twist_operands())
+def test_twisted_commutator_matches_the_three_step_form(operands):
+    """x.twisted_commutator(h, c) is x h - c h x as the two products, the
+    scaling and the difference give it: the same conductor and the same
+    cells, each value on the same conductor in the same reduced form.
+    Cell order is not compared: the dense cut sorts the cells."""
+    x, h, c, case = operands
+    got = x.twisted_commutator(h, c)
+    want = (x @ h) - (h @ x).scale(c)
+    assert got.shape == want.shape and got.m == want.m
+    assert got.cells.keys() == want.cells.keys()
+    for key, v in got.cells.items():
+        w = want.cells[key]
+        assert (v.m, v.num, v.den) == (w.m, w.num, w.den)
+    if case in ("commuting", "clock"):
+        assert got.is_zero()
+
+
+def test_twisted_commutator_needs_square_matrices_of_one_size():
+    with pytest.raises(DimensionMismatch):
+        CycMatrix.identity(2).twisted_commutator(CycMatrix.identity(3), ONE)
+    with pytest.raises(DimensionMismatch):
+        CycMatrix([[1, 2]]).twisted_commutator(CycMatrix.identity(2), ONE)

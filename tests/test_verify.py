@@ -745,6 +745,68 @@ def test_membership_of_monomials_matches_dense(problem):
             assert spec.coset_contains((1,), mono) == expected
 
 
+@st.composite
+def word_coset_problems(draw):
+    """A span of partial monomials, a component group Z4 or Z2 x Z2, one
+    generator per generating coset, the first of them dense (a unit
+    monomial times I + c E_0,n-1, for a root of unity c), and a unit
+    monomial a that the span holds about half of the time.  The spec
+    need not satisfy its relations: coset_contains must not assume them."""
+    n = draw(st.integers(2, 4))
+    algebra = draw(st.lists(partial_monomials(n), max_size=3))
+    a = draw(partial_monomials(n, full=True))
+    if draw(st.booleans()):
+        algebra.append(a)
+    group = draw(st.sampled_from((FinAbGroup.cyclic(4), FinAbGroup((2, 2)))))
+    gens = [draw(partial_monomials(n, full=True)) for _ in group.invariant_factors]
+    gens[0] = gens[0] @ (CycMatrix.identity(n)
+                         + CycMatrix.from_entries(n, n, {(0, n - 1): draw(unit_roots())}))
+    return algebra or [CycMatrix.identity(n)], a, group, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_coset_problems())
+def test_membership_on_word_cosets_matches_dense(problem):
+    """On every coset, word cosets included, coset_contains gives the dense
+    answer op(c)^-1 x in the span, for candidates x = op(c') @ a from every
+    coset c', so most of them lie in another coset, given dense and, when
+    they are one, as a Monomial.  Each dense generating coset is inverted
+    once, and no other coset operator is."""
+    algebra, a, group, gens = problem
+    n = a.rows
+    span = span_of_matrices(algebra)
+    spec = GroupSpec(Ambient.single(TensorShape((("L", n),))), None, group,
+                     {(0,) * len(gens): CycMatrix.identity(n),
+                      **{g.coords: op for g, op in zip(group.generators(), gens)}},
+                     algebra_basis=algebra)
+    assert not isinstance(spec.operator(spec.generating_cosets()[0]), Monomial)
+    dense = {c: as_dense(spec.operator(c)) for c in spec.cosets()}
+    inverses = {c: op.inverse() for c, op in dense.items()}
+    inverted = []
+    real = CycMatrix.inverse
+
+    def counting(self):
+        inverted.append(self)
+        return real(self)
+
+    CycMatrix.inverse = counting
+    try:
+        for other in spec.cosets():
+            candidate = dense[other] @ a
+            mono = Monomial.from_matrix(candidate)
+            for c in spec.cosets():
+                expected = span.contains((inverses[c] @ candidate).flat_cells())
+                assert spec.coset_contains(c, candidate) == expected
+                if mono is not None:
+                    assert spec.coset_contains(c, mono) == expected
+    finally:
+        CycMatrix.inverse = real
+    generating = [spec.operator(c) for c in spec.generating_cosets()]
+    assert len({id(m) for m in inverted}) == len(inverted)
+    assert {id(m) for m in inverted} == {
+        id(op) for op in generating if not isinstance(op, Monomial)}
+
+
 PATTERN_CASES = ("member", "wrong_exponent", "partly_covered", "outside",
                  "overlap", "not_root")
 
