@@ -9,11 +9,20 @@ plus permutation of identical summands), and such rows are flagged as
 gluing-class representatives rather than asserted to be pairwise
 non-conjugate.
 
-A mirrored row needs each summand's pairing identification, which
-depends only on (L, J, K): it is read once per (L, J, K) from the pair at
-b = e = 1 (construct.pairing_identification).  Gluing maps are integer
-matrices on the shared group; their products are memoized and their
-inverses come from abelian's inverse memo.
+A multi-orbit row takes the orientation, direct or mirrored, whose normal
+form has the least sequence of (ingredient key, gluing map) pairs.  Every
+normal form has the identity map in slots 0 and 1, and in every slot when
+the row has two summands or Gamma is trivial, so the sorted ingredient
+keys decide whenever they differ: in any slot in that case, and in one of
+the three smallest otherwise.  Only on a tie are both normal forms built.
+
+The mirror's gluing maps need each summand's pairing identification,
+which depends only on (L, J, K): it is read once per (L, J, K) from the
+pair at b = e = 1 (construct.pairing_identification), and only for a row
+of three or more parts over a nontrivial Gamma whose mirror wins or ties
+on keys.
+Gluing maps are integer matrices on the shared group; their products are
+memoized and their inverses come from abelian's inverse memo.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from .abelian import (
     enumerate_abelian_groups,
     identity_matrix,
     invert_isomorphism,
+    is_isomorphism_matrix,
     partitions,
 )
 from .construct import (
@@ -39,6 +49,7 @@ from .construct import (
     pairing_identification,
     single_orbit_pair,
 )
+from .errors import NotIsomorphism
 
 GLUING_CLASS_FLAG = "gluing-class-representative"
 
@@ -170,10 +181,16 @@ def _canonical_gluing(summand_keys, qs, gamma: FinAbGroup):
     """
     r = len(qs)
     ident = tuple(tuple(row) for row in identity_matrix(gamma))
-    if gamma.is_trivial() or r == 1:
+    if gamma.is_trivial():
         return tuple([ident] * r)
     fs = gamma.invariant_factors
     qs = [_reduce_matrix(q, gamma) for q in qs]
+    # pinning inverts only the first two maps of a permutation, so every map
+    # is checked against abelian's inverse memo first
+    if not all(is_isomorphism_matrix(q, gamma, gamma) for q in qs):
+        raise NotIsomorphism("gluing map is not an automorphism")
+    if r == 1:
+        return (ident,)
     blocks = []
     start = 0
     for i in range(1, r + 1):
@@ -187,7 +204,7 @@ def _canonical_gluing(summand_keys, qs, gamma: FinAbGroup):
         permuted = [qs[p] for p in perm]
         # pinning sends the first map to q0 q0^-1 and the second to
         # alpha q1 q0^-1, both the identity; only later slots are multiplied
-        # out.  The two inversions still check that q0 and q1 are isomorphisms.
+        # out.
         pin = _aut_inverse(permuted[0], gamma)
         alpha = _aut_inverse(_mat_mod(permuted[1], pin, fs), gamma)
         cand = (ident, ident) + tuple(
@@ -197,8 +214,25 @@ def _canonical_gluing(summand_keys, qs, gamma: FinAbGroup):
     return best
 
 
+def _mirror_key(key):
+    """The sort key of the swapped ingredient tuple, read off the key
+    (dim, b, e, L, J, K) as (dim, e, b, L, K, J)."""
+    dim, b, e, L, J, K = key
+    return (dim, e, b, L, K, J)
+
+
 def canonicalize_row(row: ClassificationRow) -> ClassificationRow:
     """Normal form of a row: orientation, summand order, gluing maps.
+
+    The orientation is the one whose normal form has the least data key,
+    the sequence of (ingredient key, gluing map) pairs.  Every normal form
+    has the identity map in slots 0 and 1, and in every slot when there
+    are two summands or Gamma is trivial; so the sorted ingredient keys
+    decide whenever they differ, in any slot in that case and in one of
+    the first three otherwise.  Only the winning orientation is built:
+    the dual gluing maps only when the mirror wins on keys or ties, and
+    both normal forms only on a tie.  A singular map raises NotIsomorphism
+    on every path.
 
     Not idempotent on every multi-orbit row: re-canonicalizing some rows
     with Gamma = Z2 x Z2 gives another enumerated row, because left
@@ -213,6 +247,7 @@ def canonicalize_row(row: ClassificationRow) -> ClassificationRow:
 
     flags = tuple(sorted(set(row.flags) | {GLUING_CLASS_FLAG}))
     gamma = row.multi.gamma
+    summands = row.multi.summands
 
     def normal_form(summands):
         order = sorted(range(len(summands)), key=lambda i: summands[i][0].sort_key())
@@ -222,16 +257,29 @@ def canonicalize_row(row: ClassificationRow) -> ClassificationRow:
         canon_qs = _canonical_gluing(keys, qs, gamma)
         return tuple(zip(ings, canon_qs))
 
-    direct = normal_form(row.multi.summands)
-    mirrored = normal_form(tuple(
-        (ing.swapped(), _dual_gluing_matrix(ing, q, gamma))
-        for ing, q in row.multi.summands
-    ))
+    maps_fixed = len(summands) <= 2 or gamma.is_trivial()
 
-    def data_key(summands):
-        return tuple((ing.sort_key(), q) for ing, q in summands)
+    def mirrored():
+        # with the identity in every slot no map is transported; the
+        # canonical gluing still checks the row's own maps
+        return normal_form(tuple(
+            (ing.swapped(), q if maps_fixed else _dual_gluing_matrix(ing, q, gamma))
+            for ing, q in summands
+        ))
 
-    chosen = min([direct, mirrored], key=data_key)
+    keys = [ing.sort_key() for ing, _ in summands]
+    direct_keys = sorted(keys)
+    mirror_keys = sorted(map(_mirror_key, keys))
+    if not maps_fixed:
+        direct_keys, mirror_keys = direct_keys[:3], mirror_keys[:3]
+    if mirror_keys < direct_keys:
+        chosen = mirrored()
+    elif mirror_keys > direct_keys or maps_fixed:
+        # a tie with fixed maps leaves both normal forms equal
+        chosen = normal_form(summands)
+    else:
+        chosen = min(normal_form(summands), mirrored(),
+                     key=lambda form: tuple((ing.sort_key(), q) for ing, q in form))
     return multi_row(MultiOrbitSpec(gamma, chosen), flags)
 
 

@@ -321,9 +321,10 @@ class GroupSpec:
 
     def validate(self) -> None:
         """Check that the spec is a reductive group with one coset per
-        label: a raw algebra basis has a nondegenerate trace form (a block
-        spec's grids partition the indices, checked at construction, so
-        its algebra is semisimple), the algebra holds the identity, and each
+        label: a raw algebra basis spans an algebra (closed under products)
+        with a nondegenerate trace form (a block spec's grids partition the
+        indices, checked at construction, so its algebra is semisimple and
+        neither is checked), the algebra holds the identity, and each
         generator is invertible, normalizes the identity component and has
         its power by its invariant factor in it.  The generators must
         commute modulo the identity component, so the labels map onto the
@@ -332,8 +333,11 @@ class GroupSpec:
         nontrivial kernel holds an element of prime order)."""
         n = self.ambient.dim
         algebra = self.algebra()
-        if self.blocks is None and not algebra.is_semisimple():
-            raise ValueError("the identity-component algebra is not semisimple")
+        if self.blocks is None:
+            if not algebra.is_closed():
+                raise ValueError("the identity-component basis is not closed under products")
+            if not algebra.is_semisimple():
+                raise ValueError("the identity-component algebra is not semisimple")
         if not algebra.contains(Monomial.identity(n)):
             raise ValueError("the identity-component algebra does not hold the identity")
         for coords, d in zip(self._gens, self.component_group.invariant_factors):

@@ -450,6 +450,11 @@ class Algebra:
 
     __hash__ = None
 
+    def is_closed(self) -> bool:
+        """Is the span closed under products, that is, an algebra?  Each of
+        the dim^2 products of two basis elements must lie in it."""
+        return all(self.contains(a @ b) for a in self.basis for b in self.basis)
+
     def is_semisimple(self) -> bool:
         """Is the trace form tr(a b) nondegenerate?  That is the exact
         criterion for a direct sum of full matrix algebras over an

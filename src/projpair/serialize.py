@@ -284,7 +284,8 @@ def pair_to_json(g: GroupSpec, h: GroupSpec, meta=None) -> dict:
 def pair_from_json(data: dict):
     """Decode a pair file and validate both sides (GroupSpec.validate): a
     side that is no reductive group with one coset per label (a raw
-    algebra basis with a degenerate trace form, a singular generator, a
+    algebra basis that is not closed under products or has a degenerate
+    trace form, a singular generator, a
     generator that does not normalize the identity component, two that do
     not commute modulo it, two labels of one coset, or an extra coset off
     its word, among them) or two sides in different ambient spaces raise

@@ -1,9 +1,13 @@
 """Classification enumeration and canonical labeling."""
 
+import hashlib
 import itertools
+import json
+import math
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +23,7 @@ from projpair.classify import (
     _canonical_gluing,
     _mat_mod,
     _reduce_matrix,
+    _row_key,
     canonicalize_row,
     component_group_of,
     enumerate_multi_orbit,
@@ -27,6 +32,7 @@ from projpair.classify import (
     single_row,
 )
 from projpair.construct import MultiOrbitSpec, SingleOrbitIngredients
+from projpair.errors import NotIsomorphism
 
 from sampling import random_automorphism
 
@@ -216,11 +222,11 @@ def test_canonical_gluing_matches_oracle(gamma, r, data):
     assert _canonical_gluing(keys, qs, gamma) == _oracle_canonical_gluing(keys, qs, gamma)
 
 
-def test_enumeration_shares_its_integer_work(monkeypatch):
-    """Count guard on the shared work of the enumeration, from cold caches:
-    one single-orbit pair is built per distinct (L, J, K), whatever b and e
-    the summands carry, and one Smith-form inverse runs per distinct
-    (matrix, source, target)."""
+@pytest.fixture
+def cold_counts(monkeypatch):
+    """Cold caches, and counters of the single-orbit pairs built per
+    (L, J, K) and of the Smith-form inverses run per (matrix, source,
+    target)."""
     construct.pairing_identification.cache_clear()
     construct.summand_pair.cache_clear()
     classify._PHI_INV_CACHE.clear()
@@ -240,7 +246,147 @@ def test_enumeration_shares_its_integer_work(monkeypatch):
 
     monkeypatch.setattr(construct, "single_orbit_pair", counting_build)
     monkeypatch.setattr(abelian, "_smith_inverse", counting_smith)
-    rows = enumerate_multi_orbit(9, 3) + enumerate_multi_orbit(10, 3)
-    assert len(rows) == 68 + 137
+    return builds, smiths
+
+
+def test_enumeration_shares_its_integer_work(cold_counts):
+    """Count guard on the shared work of the enumeration, from cold caches:
+    one single-orbit pair is built per distinct (L, J, K), whatever b and e
+    the summands carry, and one Smith-form inverse runs per distinct
+    (matrix, source, target).  A row decided on its ingredient keys builds
+    no pair, so (14, 3) and (15, 3) join the input to keep more than ten
+    distinct (L, J, K) in play."""
+    builds, smiths = cold_counts
+    rows = [row for n in (9, 10, 14, 15) for row in enumerate_multi_orbit(n, 3)]
+    assert len(rows) == 68 + 137 + 400 + 327
     assert len(builds) > 10 and max(builds.values()) == 1
     assert len(smiths) > 10 and max(smiths.values()) == 1
+
+
+def test_two_part_rows_build_no_pair(cold_counts):
+    """A two-part row has the identity in both slots in either orientation,
+    so its ingredient keys pick the orientation and no dual gluing map, nor
+    the pair behind one, is built."""
+    builds, _ = cold_counts
+    assert len(enumerate_multi_orbit(20, 2)) == 373
+    assert not builds and not classify._PHI_INV_CACHE
+
+
+# sha256 over (n, max_parts, _row_key, flags) of every row of
+# enumerate_multi_orbit(n, max_parts), n <= 10 and max_parts <= min(n, 5),
+# one JSON line per row; recorded before the orientation was read off the
+# ingredient keys, which must not move a row
+ROW_KEYS_DIGEST = "4c147a65428e66a956e54fd14b6d4a0d7493ed617462fa427931b4d19128a5fb"
+
+
+def test_row_keys_keep_their_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 11):
+        for max_parts in range(1, min(n, 5) + 1):
+            for row in enumerate_multi_orbit(n, max_parts):
+                line = json.dumps([n, max_parts, _row_key(row), row.flags],
+                                  separators=(",", ":"))
+                digest.update(line.encode() + b"\n")
+                count += 1
+    assert count == 2055
+    assert digest.hexdigest() == ROW_KEYS_DIGEST
+
+
+def _oracle_canonicalize_row(row):
+    """Independent oracle for a multi-orbit row: build the normal form of
+    both orientations, the mirror through every summand's dual gluing map,
+    and keep the one with the least sequence of (key, map) pairs."""
+    gamma = row.multi.gamma
+
+    def normal_form(summands):
+        ordered = sorted(summands, key=lambda s: s[0].sort_key())
+        keys = [ing.sort_key() for ing, _ in ordered]
+        qs = _canonical_gluing(keys, [q for _, q in ordered], gamma)
+        return tuple(zip([ing for ing, _ in ordered], qs))
+
+    direct = normal_form(row.multi.summands)
+    mirrored = normal_form(tuple(
+        (ing.swapped(), classify._dual_gluing_matrix(ing, q, gamma))
+        for ing, q in row.multi.summands))
+    chosen = min([direct, mirrored],
+                 key=lambda form: tuple((ing.sort_key(), q) for ing, q in form))
+    flags = tuple(sorted(set(row.flags) | {GLUING_CLASS_FLAG}))
+    return multi_row(MultiOrbitSpec(gamma, chosen), flags)
+
+
+def _ingredients_by_gamma(max_dim):
+    pools = {}
+    for d in range(1, max_dim + 1):
+        for srow in enumerate_single_orbit(d):
+            pools.setdefault(srow.gamma, []).append(srow.single)
+    return pools
+
+
+_POOLS = _ingredients_by_gamma(18)
+_ROW_GROUPS = [FinAbGroup(fs) for fs in [(), (2,), (3,), (2, 2), (2, 4), (3, 3)]]
+
+
+def _random_row(gamma, ings, rng):
+    return multi_row(MultiOrbitSpec(
+        gamma, tuple((ing, random_automorphism(gamma, rng)) for ing in ings)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_ROW_GROUPS), st.integers(2, 5), st.data())
+def test_canonicalize_row_matches_both_orientations(gamma, r, data):
+    """Random rows, their summands drawn from a few ingredient tuples and
+    their mirrors so that keys repeat and orientations tie."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    few = rng.sample(_POOLS[gamma], min(3, len(_POOLS[gamma])))
+    few += [ing.swapped() for ing in few]
+    row = _random_row(gamma, [rng.choice(few) for _ in range(r)], rng)
+    assert canonicalize_row(row) == _oracle_canonicalize_row(row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([FinAbGroup((2, 2)), FinAbGroup((3, 3))]), st.data())
+def test_canonicalize_row_decides_a_three_key_tie_on_the_third_map(gamma, data):
+    """Four-part rows whose three smallest keys agree in both orientations
+    and whose fourth keys differ: the third map picks the orientation."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    pool = _POOLS[gamma]
+    low_dim = min(ing.ambient_dim for ing in pool)
+    low = [ing for ing in pool if ing.ambient_dim == low_dim]
+    self_mirror = [ing for ing in low if ing.swapped() == ing]
+    a = rng.choice(low)
+    low_three = [a, a.swapped(), rng.choice(self_mirror)]
+    high = rng.choice([ing for ing in pool
+                       if ing.ambient_dim > low_dim and ing.swapped() != ing])
+    ings = low_three + [high]
+    rng.shuffle(ings)
+    keys = [ing.sort_key() for ing in ings]
+    mirror_keys = [ing.swapped().sort_key() for ing in ings]
+    assert sorted(keys)[:3] == sorted(mirror_keys)[:3]
+    assert sorted(keys) != sorted(mirror_keys)
+    row = _random_row(gamma, ings, rng)
+    assert canonicalize_row(row) == _oracle_canonicalize_row(row)
+
+
+def _random_singular_map(gamma, rng):
+    """A random homomorphism of gamma that is not an automorphism."""
+    fs = gamma.invariant_factors
+    while True:
+        q = [[rng.randrange(math.gcd(a, b)) * (a // math.gcd(a, b)) for b in fs]
+             for a in fs]
+        if not abelian.is_isomorphism_matrix(q, gamma, gamma):
+            return q
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_ROW_GROUPS[1:]), st.integers(2, 5), st.data())
+def test_canonicalize_row_rejects_a_singular_map(gamma, r, data):
+    """Whichever orientation wins, and whichever slot holds it, a gluing
+    map that is not an automorphism raises NotIsomorphism."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    row = _random_row(gamma, [rng.choice(_POOLS[gamma]) for _ in range(r)], rng)
+    summands = list(row.multi.summands)
+    slot = rng.randrange(r)
+    summands[slot] = (summands[slot][0], _random_singular_map(gamma, rng))
+    with pytest.raises(NotIsomorphism):
+        canonicalize_row(multi_row(MultiOrbitSpec(gamma, tuple(summands))))

@@ -518,6 +518,39 @@ def test_malformed_raw_algebra_basis_is_bad_input(tmp_path, capsys, basis, messa
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("side, closed_exit", [("g", 0), ("h", 1)])
+@pytest.mark.parametrize("scale", [1, 2], ids=["pattern", "dense"])
+def test_raw_algebra_basis_not_closed_under_products_is_bad_input(tmp_path, capsys,
+                                                                    scale, side, closed_exit):
+    """span{I, E01, E10} in PGL(2) holds the identity and has a
+    nondegenerate trace form, but E01 E10 = E00 lies outside it, so it is
+    no algebra: bad input (2) for verify and for pairing on either side of
+    connected_pair([(2, 1)]), whose g is GL(2) and h the scalars; so is
+    span{I, 2 E01, 2 E10}, which is no root pattern.  Unchecked, verify
+    read CENTRALIZER_SMALLER or CENTRALIZER_LARGER (exit 1).  With E00
+    added the span is all of M(2): verify answers 0 on the g side and 1 on
+    the h side."""
+    g, h = connected_pair([(2, 1)])
+    data = serialize.pair_to_json(g, h)
+    basis = [[[1, 0], [0, 1]], [[0, scale], [0, 0]], [[0, 0], [scale, 0]]]
+    pair_file = tmp_path / "pair.json"
+    for extra, expected in (([], 2), ([[[1, 0], [0, 0]]], closed_exit)):
+        data[side]["blocks"] = None
+        data[side]["algebra_basis"] = [serialize.cyc_matrix_to_json(CycMatrix(rows))
+                                       for rows in basis + extra]
+        pair_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["verify", str(pair_file)]) == expected
+        err = capsys.readouterr().err
+        if expected == 2:
+            assert run(["pairing", str(pair_file)]) == 2
+            err += capsys.readouterr().err
+            assert err.count("not closed under products") == 2
+            assert err.startswith("error: malformed pair file") and err.count("\n") == 2
+        else:
+            assert not err
+
+
 def test_blocks_and_raw_algebra_basis_together_is_bad_input(tmp_path, capsys):
     """A side that gives both blocks and a raw algebra basis is bad input
     (2) for verify and for pairing.  At the parent commit, adding
