@@ -414,14 +414,21 @@ _INVERSES: dict = {}
 
 def _inverse(q, source: FinAbGroup, target: FinAbGroup):
     """_smith_inverse of q as a tuple of rows (or None), once per distinct
-    matrix and pair of groups."""
-    key = (tuple(map(tuple, q)), source.invariant_factors, target.invariant_factors)
+    matrix and pair of groups.  A q given as a tuple of tuple rows is its
+    own key; any other is copied into one."""
+    fs = (source.invariant_factors, target.invariant_factors)
     try:
-        return _INVERSES[key]
+        return _INVERSES[(q, *fs)]
     except KeyError:
-        p = _smith_inverse(q, source, target)
-        p = _INVERSES[key] = None if p is None else tuple(map(tuple, p))
-        return p
+        key = (q, *fs)
+    except TypeError:
+        q = tuple(map(tuple, q))
+        key = (q, *fs)
+        if key in _INVERSES:
+            return _INVERSES[key]
+    p = _smith_inverse(q, source, target)
+    p = _INVERSES[key] = None if p is None else tuple(map(tuple, p))
+    return p
 
 
 def is_isomorphism_matrix(q, source: FinAbGroup, target: FinAbGroup) -> bool:
@@ -429,13 +436,29 @@ def is_isomorphism_matrix(q, source: FinAbGroup, target: FinAbGroup) -> bool:
     return _inverse(q, source, target) is not None
 
 
-def invert_isomorphism(q, source: FinAbGroup, target: FinAbGroup) -> list[list[int]]:
-    """The inverse of q as fresh lists; the Smith form runs once per
-    distinct q, source and target."""
-    p = _inverse(q, source, target)
+def inverse_rows(q, source: FinAbGroup, target: FinAbGroup) -> tuple[tuple[int, ...], ...]:
+    """The inverse of q as the memo's tuple of rows, not a copy.
+
+    A q the memo already holds is read as it is, with no second check.  Any
+    other is first reduced modulo the target's factors, so that the memo
+    keys one form of each map, and then decided by its Smith form.  Raises
+    NotIsomorphism when q is not an isomorphism."""
+    try:
+        p = _INVERSES[q, source.invariant_factors, target.invariant_factors]
+    except (KeyError, TypeError):
+        es = target.invariant_factors
+        if len(q) == len(es):
+            q = tuple(tuple(x % e for x in row) for row, e in zip(q, es))
+        p = _inverse(q, source, target)
     if p is None:
         raise NotIsomorphism("matrix is not an isomorphism")
-    return [list(row) for row in p]
+    return p
+
+
+def invert_isomorphism(q, source: FinAbGroup, target: FinAbGroup) -> list[list[int]]:
+    """The inverse of q as fresh lists, read through inverse_rows; the Smith
+    form runs once per distinct map, source and target."""
+    return [list(row) for row in inverse_rows(q, source, target)]
 
 
 @lru_cache(maxsize=None)

@@ -10,11 +10,16 @@ gluing-class representatives rather than asserted to be pairwise
 non-conjugate.
 
 A multi-orbit row takes the orientation, direct or mirrored, whose normal
-form has the least sequence of (ingredient key, gluing map) pairs.  Every
-normal form has the identity map in slots 0 and 1, and in every slot when
-the row has two summands or Gamma is trivial, so the sorted ingredient
-keys decide whenever they differ: in any slot in that case, and in one of
-the three smallest otherwise.  Only on a tie are both normal forms built.
+form has the least sequence of (ingredient key, gluing map) pairs.  The
+normal form is a plan applied to the row's maps.  The plan depends only on
+Gamma and the ingredient keys, so it is worked out once per (invariant
+factors, ingredient keys): which orientations can win, each one's
+ingredients in summand order, and the orders of the summands whose gluing
+maps are compared.  Every normal form has the identity map in slots 0 and
+1, and in every slot when the row has two summands or Gamma is trivial, so
+the sorted ingredient keys decide whenever they differ: in any slot in
+that case, and in one of the three smallest otherwise.  Only on a tie does
+the plan hold both orientations.
 
 The mirror's gluing maps need each summand's pairing identification,
 which depends only on (L, J, K): it is read once per (L, J, K) from the
@@ -22,7 +27,9 @@ pair at b = e = 1 (construct.pairing_identification), and only for a row
 of three or more parts over a nontrivial Gamma whose mirror wins or ties
 on keys.
 Gluing maps are integer matrices on the shared group; their products are
-memoized and their inverses come from abelian's inverse memo.
+memoized and their inverses are the tuples abelian's inverse memo stores.
+The group lists per order and the component group per (L, J, K) are
+memoized too.
 """
 
 from __future__ import annotations
@@ -38,8 +45,7 @@ from .abelian import (
     dual_isomorphism_transport,
     enumerate_abelian_groups,
     identity_matrix,
-    invert_isomorphism,
-    is_isomorphism_matrix,
+    inverse_rows,
     partitions,
 )
 from .construct import (
@@ -49,19 +55,19 @@ from .construct import (
     pairing_identification,
     single_orbit_pair,
 )
-from .errors import NotIsomorphism
 
 GLUING_CLASS_FLAG = "gluing-class-representative"
 
 
 def component_group_of(ing: SingleOrbitIngredients) -> FinAbGroup:
     """The canonical component group L x L-hat x J-hat x K."""
-    fs = (
-        list(ing.L_group.invariant_factors) * 2
-        + list(ing.J_group.invariant_factors)
-        + list(ing.K_group.invariant_factors)
-    )
-    return FinAbGroup.from_factors(fs)
+    return _component_group(ing.L_group, ing.J_group, ing.K_group)
+
+
+@lru_cache(maxsize=None)
+def _component_group(L: FinAbGroup, J: FinAbGroup, K: FinAbGroup) -> FinAbGroup:
+    return FinAbGroup.from_factors(
+        L.invariant_factors * 2 + J.invariant_factors + K.invariant_factors)
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,12 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+@lru_cache(maxsize=None)
+def _groups(order: int) -> tuple[FinAbGroup, ...]:
+    """enumerate_abelian_groups(order), listed once per order."""
+    return tuple(enumerate_abelian_groups(order))
+
+
 def enumerate_single_orbit(n: int) -> list[ClassificationRow]:
     """All ordered ingredient tuples with product n, in lexicographic order.
 
@@ -137,9 +149,9 @@ def enumerate_single_orbit(n: int) -> list[ClassificationRow]:
                 rest_l = rest_e // l_ord
                 for j_ord in _divisors(rest_l):
                     k_ord = rest_l // j_ord
-                    for L in enumerate_abelian_groups(l_ord):
-                        for J in enumerate_abelian_groups(j_ord):
-                            for K in enumerate_abelian_groups(k_ord):
+                    for L in _groups(l_ord):
+                        for J in _groups(j_ord):
+                            for K in _groups(k_ord):
                                 rows.append(
                                     single_row(SingleOrbitIngredients(b, e, L, J, K))
                                 )
@@ -158,57 +170,57 @@ def _mat_mod(a, b, factors):
                  for row, d in zip(a, factors))
 
 
-def _reduce_matrix(mat, gamma: FinAbGroup):
-    return tuple(
-        tuple(x % gamma.invariant_factors[i] for x in row)
-        for i, row in enumerate(mat)
-    )
+@lru_cache(maxsize=None)
+def _identity(gamma: FinAbGroup):
+    return tuple(map(tuple, identity_matrix(gamma)))
 
 
 def _aut_inverse(mat, gamma: FinAbGroup):
-    """The inverse of an automorphism, as a tuple of rows, from abelian's
-    inverse memo."""
-    return tuple(map(tuple, invert_isomorphism(mat, gamma, gamma)))
+    """The inverse of an automorphism, as the tuple of rows abelian's
+    inverse memo stores (abelian.inverse_rows): a map the memo holds is
+    read as it is, any other is reduced and checked, and a singular one
+    raises NotIsomorphism."""
+    return inverse_rows(mat, gamma, gamma)
 
 
-def _canonical_gluing(summand_keys, qs, gamma: FinAbGroup):
+def _orders(keys):
+    """Every order of the summands that a normal form compares, as tuples
+    of indices into keys: the sort by key, then each permutation of the
+    summands with equal keys.  The first order is the sort itself."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    blocks = [tuple(block) for _, block in itertools.groupby(order, key=keys.__getitem__)]
+    return tuple(tuple(i for block in combo for i in block)
+                 for combo in itertools.product(*map(itertools.permutations, blocks)))
+
+
+def _canonical_gluing(qs, orders, gamma: FinAbGroup):
     """Lexicographically least representative of a gluing tuple.
 
     Equivalences applied: reparameterization of the shared group (pins the
     first map to the identity), simultaneous composition of the remaining
     maps with one automorphism (pins the second map too), and permutation
-    of summands with equal ingredient keys.
+    of summands with equal ingredient keys, given as the orders of qs to
+    compare (_orders).  Every map is checked: a singular one raises
+    NotIsomorphism.
     """
     r = len(qs)
-    ident = tuple(tuple(row) for row in identity_matrix(gamma))
+    ident = _identity(gamma)
     if gamma.is_trivial():
-        return tuple([ident] * r)
+        return (ident,) * r
+    # the inverses check every map, and pinning reads each order's first
+    inverses = [_aut_inverse(q, gamma) for q in qs]
+    if r <= 2:
+        return (ident,) * r
     fs = gamma.invariant_factors
-    qs = [_reduce_matrix(q, gamma) for q in qs]
-    # pinning inverts only the first two maps of a permutation, so every map
-    # is checked against abelian's inverse memo first
-    if not all(is_isomorphism_matrix(q, gamma, gamma) for q in qs):
-        raise NotIsomorphism("gluing map is not an automorphism")
-    if r == 1:
-        return (ident,)
-    blocks = []
-    start = 0
-    for i in range(1, r + 1):
-        if i == r or summand_keys[i] != summand_keys[start]:
-            blocks.append(list(range(start, i)))
-            start = i
-    perms_per_block = [list(itertools.permutations(b)) for b in blocks]
     best = None
-    for combo in itertools.product(*perms_per_block):
-        perm = [i for block in combo for i in block]
-        permuted = [qs[p] for p in perm]
+    for order in orders:
         # pinning sends the first map to q0 q0^-1 and the second to
         # alpha q1 q0^-1, both the identity; only later slots are multiplied
         # out.
-        pin = _aut_inverse(permuted[0], gamma)
-        alpha = _aut_inverse(_mat_mod(permuted[1], pin, fs), gamma)
+        pin = inverses[order[0]]
+        alpha = _aut_inverse(_mat_mod(qs[order[1]], pin, fs), gamma)
         cand = (ident, ident) + tuple(
-            _mat_mod(alpha, _mat_mod(q, pin, fs), fs) for q in permuted[2:])
+            _mat_mod(alpha, _mat_mod(qs[i], pin, fs), fs) for i in order[2:])
         if best is None or cand < best:
             best = cand
     return best
@@ -221,18 +233,61 @@ def _mirror_key(key):
     return (dim, e, b, L, K, J)
 
 
+# normal-form plans per (invariant factors of Gamma, ingredient keys in the
+# order a row lists its summands)
+_PLANS: dict = {}
+
+
+def _plan(gamma: FinAbGroup, ings):
+    """The normal-form plan of a multi-orbit row, which depends only on
+    Gamma and the ingredient keys: one (dual, ingredients, orders) per
+    orientation that can win.  The ingredients are that orientation's, in
+    the normal form's summand order; orders index the row's summands
+    (_orders); dual is set when the orientation is the mirror and its maps
+    are transported.  Which orientations can win is read off the sorted
+    keys, as the module docstring sets out.
+    """
+    keys = tuple(ing.sort_key() for ing in ings)
+    memo_key = (gamma.invariant_factors, keys)
+    try:
+        return _PLANS[memo_key]
+    except KeyError:
+        pass
+    maps_fixed = len(keys) <= 2 or gamma.is_trivial()
+    direct_keys = sorted(keys)
+    mirror_keys = sorted(map(_mirror_key, keys))
+    if not maps_fixed:
+        direct_keys, mirror_keys = direct_keys[:3], mirror_keys[:3]
+    if mirror_keys < direct_keys:
+        sides = (True,)
+    elif mirror_keys > direct_keys or maps_fixed:
+        # a tie with fixed maps leaves both normal forms equal
+        sides = (False,)
+    else:
+        sides = (False, True)
+    plan = []
+    for mirrored in sides:
+        side = [ing.swapped() for ing in ings] if mirrored else list(ings)
+        orders = _orders([ing.sort_key() for ing in side])
+        # with the identity in every slot no map is transported; the
+        # canonical gluing still checks the row's own maps
+        plan.append((mirrored and not maps_fixed,
+                     tuple(side[i] for i in orders[0]), orders))
+    plan = _PLANS[memo_key] = tuple(plan)
+    return plan
+
+
 def canonicalize_row(row: ClassificationRow) -> ClassificationRow:
     """Normal form of a row: orientation, summand order, gluing maps.
 
     The orientation is the one whose normal form has the least data key,
-    the sequence of (ingredient key, gluing map) pairs.  Every normal form
-    has the identity map in slots 0 and 1, and in every slot when there
-    are two summands or Gamma is trivial; so the sorted ingredient keys
-    decide whenever they differ, in any slot in that case and in one of
-    the first three otherwise.  Only the winning orientation is built:
-    the dual gluing maps only when the mirror wins on keys or ties, and
-    both normal forms only on a tie.  A singular map raises NotIsomorphism
-    on every path.
+    the sequence of (ingredient key, gluing map) pairs.  A multi-orbit row
+    reads its plan (_plan), memoized per Gamma and ingredient keys: which
+    orientations can win, each one's ingredients in summand order and the
+    orders of the summands its gluing maps are compared in.  Only the
+    maps are worked per row: through the dual gluing maps when the plan
+    says so, then pinned and minimized by _canonical_gluing, which checks
+    every map, so a singular one raises NotIsomorphism on every path.
 
     Not idempotent on every multi-orbit row: re-canonicalizing some rows
     with Gamma = Z2 x Z2 gives another enumerated row, because left
@@ -247,39 +302,14 @@ def canonicalize_row(row: ClassificationRow) -> ClassificationRow:
 
     flags = tuple(sorted(set(row.flags) | {GLUING_CLASS_FLAG}))
     gamma = row.multi.gamma
-    summands = row.multi.summands
-
-    def normal_form(summands):
-        order = sorted(range(len(summands)), key=lambda i: summands[i][0].sort_key())
-        ings = [summands[i][0] for i in order]
-        qs = [summands[i][1] for i in order]
-        keys = [ing.sort_key() for ing in ings]
-        canon_qs = _canonical_gluing(keys, qs, gamma)
-        return tuple(zip(ings, canon_qs))
-
-    maps_fixed = len(summands) <= 2 or gamma.is_trivial()
-
-    def mirrored():
-        # with the identity in every slot no map is transported; the
-        # canonical gluing still checks the row's own maps
-        return normal_form(tuple(
-            (ing.swapped(), q if maps_fixed else _dual_gluing_matrix(ing, q, gamma))
-            for ing, q in summands
-        ))
-
-    keys = [ing.sort_key() for ing, _ in summands]
-    direct_keys = sorted(keys)
-    mirror_keys = sorted(map(_mirror_key, keys))
-    if not maps_fixed:
-        direct_keys, mirror_keys = direct_keys[:3], mirror_keys[:3]
-    if mirror_keys < direct_keys:
-        chosen = mirrored()
-    elif mirror_keys > direct_keys or maps_fixed:
-        # a tie with fixed maps leaves both normal forms equal
-        chosen = normal_form(summands)
-    else:
-        chosen = min(normal_form(summands), mirrored(),
-                     key=lambda form: tuple((ing.sort_key(), q) for ing, q in form))
+    ings, qs = zip(*row.multi.summands)
+    forms = []
+    for dual, normal_ings, orders in _plan(gamma, ings):
+        maps = ([_dual_gluing_matrix(ing, q, gamma) for ing, q in zip(ings, qs)]
+                if dual else qs)
+        forms.append(tuple(zip(normal_ings, _canonical_gluing(maps, orders, gamma))))
+    chosen = forms[0] if len(forms) == 1 else min(
+        forms, key=lambda form: tuple((ing.sort_key(), q) for ing, q in form))
     return multi_row(MultiOrbitSpec(gamma, chosen), flags)
 
 
@@ -314,51 +344,35 @@ def enumerate_multi_orbit(n: int, max_parts: int | None = None) -> list[Classifi
         max_parts = n
     if max_parts < 1:
         raise ValueError("max_parts must be positive")
-    rows = list(enumerate_single_orbit(n))
-    singles_by_dim = {d: enumerate_single_orbit(d) for d in range(1, n)}
+    # the candidate summands of each dimension, by component group
+    by_dim: dict[int, dict[tuple, list[SingleOrbitIngredients]]] = {}
+    for d in range(1, n):
+        for srow in enumerate_single_orbit(d):
+            by_dim.setdefault(d, {}).setdefault(
+                srow.gamma.invariant_factors, []).append(srow.single)
     seen = set()
-    out = list(rows)
+    out = enumerate_single_orbit(n)
     for partition in partitions(n):
-        if not 2 <= len(partition) <= max_parts:
+        r = len(partition)
+        if not 2 <= r <= max_parts:
             continue
-        # group candidate summands by their component group
-        by_gamma: dict[tuple, dict[int, list[SingleOrbitIngredients]]] = {}
-        for d in set(partition):
-            for srow in singles_by_dim[d]:
-                key = srow.gamma.invariant_factors
-                by_gamma.setdefault(key, {}).setdefault(d, []).append(srow.single)
-        counts: dict[int, int] = {}
-        for d in partition:
-            counts[d] = counts.get(d, 0) + 1
-        for gamma_key, per_dim in by_gamma.items():
-            if any(d not in per_dim for d in counts):
+        counts = {d: partition.count(d) for d in sorted(set(partition), reverse=True)}
+        for gamma_key in by_dim[partition[0]]:
+            if any(gamma_key not in by_dim[d] for d in counts):
                 continue
             gamma = FinAbGroup(gamma_key)
-            ident = tuple(tuple(r) for r in identity_matrix(gamma))
-            r = len(partition)
             # common reparameterization pins the first map; simultaneous
             # composition with one automorphism pins the second, so orbit
             # representatives have identity maps in the first two slots
-            if r <= 2:
-                tails = [()]
-            else:
-                autos = [tuple(tuple(int(x) for x in row) for row in a)
-                         for a in automorphisms(gamma)]
-                tails = list(itertools.product(autos, repeat=r - 2))
-            choices = []
-            for d in sorted(counts, reverse=True):
-                choices.append(
-                    list(
-                        itertools.combinations_with_replacement(per_dim[d], counts[d])
-                    )
-                )
+            head = (_identity(gamma),) * 2
+            # a two-part row has one tail, the empty one, and lists no Aut(Gamma)
+            autos = automorphisms(gamma) if r > 2 else ()
+            choices = [list(itertools.combinations_with_replacement(by_dim[d][gamma_key], c))
+                       for d, c in counts.items()]
             for combo in itertools.product(*choices):
                 ings = [ing for block in combo for ing in block]
-                for tail in tails:
-                    q_tuple = (ident,) * min(2, r) + tail
-                    if len(q_tuple) != r:
-                        raise AssertionError("gluing tuple length mismatch")
-                    spec = MultiOrbitSpec(gamma, tuple(zip(ings, q_tuple)))
+                for tail in itertools.product(autos, repeat=r - 2):
+                    spec = MultiOrbitSpec(gamma, tuple(zip(ings, head + tail)))
                     canon = canonicalize_row(multi_row(spec))
                     key = _row_key(canon)
                     if key not in seen:

@@ -421,7 +421,7 @@ class MultiOrbitSpec:
 
     def __post_init__(self):
         summands = tuple(
-            (ing, tuple(tuple(int(x) for x in row) for row in q))
+            (ing, tuple(tuple(map(int, row)) for row in q))
             for ing, q in self.summands
         )
         object.__setattr__(self, "summands", summands)

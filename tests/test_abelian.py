@@ -475,6 +475,34 @@ def test_automorphisms_keep_the_smith_inverse(fs):
     assert abelian._INVERSES == kept
 
 
+def test_inverse_rows_reads_the_stored_tuple():
+    """inverse_rows hands out the memo's own tuple, with no Smith form for a
+    map the memo holds.  A map it does not hold is reduced before it is
+    keyed, so lists, an unreduced map and its reduced tuple share one entry.
+    A singular map raises, whether the memo holds it or not."""
+    group = FinAbGroup((2, 4))
+    fs = group.invariant_factors
+    automorphisms.cache_clear()
+    abelian._INVERSES.clear()
+    autos = automorphisms(group)
+    kept = dict(abelian._INVERSES)
+    for a in autos:
+        assert abelian.inverse_rows(a, group, group) is kept[a, fs, fs]
+    assert abelian._INVERSES == kept
+    abelian._INVERSES.clear()
+    q = ((1, 0), (2, 1))
+    p = abelian.inverse_rows(((3, 2), (6, 5)), group, group)
+    assert list(abelian._INVERSES) == [(q, fs, fs)]
+    assert abelian.inverse_rows([list(row) for row in q], group, group) is p
+    assert invert_isomorphism(q, group, group) == [list(row) for row in p]
+    assert p == tuple(map(tuple, _oracle_invert(q, group, group)))
+    for _ in range(2):
+        with pytest.raises(NotIsomorphism):
+            abelian.inverse_rows(((1, 0), (0, 2)), group, group)
+    assert abelian._INVERSES[((1, 0), (0, 2)), fs, fs] is None
+    automorphisms.cache_clear()
+
+
 def test_automorphism_counts():
     assert len(automorphisms(FinAbGroup((2, 2)))) == 6
     assert len(automorphisms(FinAbGroup.cyclic(4))) == 2

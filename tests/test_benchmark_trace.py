@@ -26,4 +26,8 @@ def test_traced_run_exits_zero_and_correct(workload):
         timeout=600, check=False,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    if workload == "enumerate":
+        # the enumeration canonicalizes every candidate, once
+        assert result["metrics"]["classify.canonicalize.calls"]["value"] == 2768

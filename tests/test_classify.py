@@ -22,7 +22,7 @@ from projpair.classify import (
     _aut_inverse,
     _canonical_gluing,
     _mat_mod,
-    _reduce_matrix,
+    _orders,
     _row_key,
     canonicalize_row,
     component_group_of,
@@ -175,6 +175,10 @@ def test_multi_rows_build_and_roundtrip():
         assert g.component_group.order == row.gamma.order
 
 
+def _reduce_matrix(mat, gamma):
+    return tuple(tuple(x % d for x in row) for row, d in zip(mat, gamma.invariant_factors))
+
+
 def _oracle_canonical_gluing(summand_keys, qs, gamma):
     """_canonical_gluing as it multiplied out every slot: pin the first
     map, then compose all but the first with the inverse of the second."""
@@ -219,7 +223,7 @@ def test_canonical_gluing_matches_oracle(gamma, r, data):
         # lift each entry by a multiple of its row's invariant factor
         qs.append(tuple(tuple(x + rng.randrange(3) * d for x in row)
                         for row, d in zip(q, gamma.invariant_factors)))
-    assert _canonical_gluing(keys, qs, gamma) == _oracle_canonical_gluing(keys, qs, gamma)
+    assert _canonical_gluing(qs, _orders(keys), gamma) == _oracle_canonical_gluing(keys, qs, gamma)
 
 
 @pytest.fixture
@@ -302,7 +306,7 @@ def _oracle_canonicalize_row(row):
     def normal_form(summands):
         ordered = sorted(summands, key=lambda s: s[0].sort_key())
         keys = [ing.sort_key() for ing, _ in ordered]
-        qs = _canonical_gluing(keys, [q for _, q in ordered], gamma)
+        qs = _canonical_gluing([q for _, q in ordered], _orders(keys), gamma)
         return tuple(zip([ing for ing, _ in ordered], qs))
 
     direct = normal_form(row.multi.summands)
@@ -390,3 +394,101 @@ def test_canonicalize_row_rejects_a_singular_map(gamma, r, data):
     summands[slot] = (summands[slot][0], _random_singular_map(gamma, rng))
     with pytest.raises(NotIsomorphism):
         canonicalize_row(multi_row(MultiOrbitSpec(gamma, tuple(summands))))
+
+
+def _candidates(monkeypatch, calls):
+    """Every row enumerate_multi_orbit(n, p) hands canonicalize_row, over
+    the given (n, p)."""
+    seen = []
+    real = classify.canonicalize_row
+
+    def recording(row):
+        seen.append(row)
+        return real(row)
+
+    monkeypatch.setattr(classify, "canonicalize_row", recording)
+    for n, p in calls:
+        enumerate_multi_orbit(n, p)
+    monkeypatch.setattr(classify, "canonicalize_row", real)
+    return seen
+
+
+def test_plan_memo_gives_the_cold_normal_form(monkeypatch):
+    """Each candidate of the n <= 8 enumerations gives one row, the
+    oracle's, whether the plan memo is warm, cold, or holds only the plan of
+    its mirror (the same maps on the swapped ingredients) or of its summands
+    listed in reverse, which have the same normal form."""
+    calls = [(n, p) for n in range(2, 9) for p in range(2, min(n, 4) + 1)]
+    candidates = [row for row in _candidates(monkeypatch, calls) if row.kind == "multi"]
+    assert len(candidates) > 500
+    assert any(row.parts >= 3 and not row.gamma.is_trivial() for row in candidates)
+    for row in candidates:
+        warm = canonicalize_row(row)
+        assert warm == _oracle_canonicalize_row(row)
+        classify._PLANS.clear()
+        assert canonicalize_row(row) == warm
+        summands = row.multi.summands
+        mirror = multi_row(MultiOrbitSpec(
+            row.gamma, tuple((ing.swapped(), q) for ing, q in summands)))
+        reverse = multi_row(MultiOrbitSpec(row.gamma, summands[::-1]))
+        for first in (mirror, reverse):
+            classify._PLANS.clear()
+            canonicalize_row(first)
+            assert canonicalize_row(row) == warm
+        assert canonicalize_row(reverse) == warm
+
+
+class _CountingDict(dict):
+    def __init__(self):
+        super().__init__()
+        self.stores = Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_one_plan_per_gamma_and_key_tuple(monkeypatch):
+    """enumerate_multi_orbit(15, 3) canonicalizes 1277 candidates and builds
+    one plan per (Gamma, ingredient keys), far fewer than candidates."""
+    plans = _CountingDict()
+    monkeypatch.setattr(classify, "_PLANS", plans)
+    candidates = _candidates(monkeypatch, [(15, 3)])
+    assert len(candidates) == 1277
+    assert max(plans.stores.values()) == 1
+    assert set(plans) == {
+        (row.gamma.invariant_factors, tuple(ing.sort_key() for ing, _ in row.multi.summands))
+        for row in candidates}
+    assert len(plans) < len(candidates) / 3
+
+
+Z5_SQ = FinAbGroup((5, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_inverse_memo_shortcut_skips_no_check(r, data):
+    """With Aut(Z5^2) listed, every automorphism's inverse is in abelian's
+    memo.  A singular map still raises NotIsomorphism in any slot, and an
+    automorphism given unreduced or as lists gives the normal form of its
+    reduced tuple."""
+    autos = abelian.automorphisms(Z5_SQ)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    ings = [rng.choice(_POOLS[Z5_SQ]) for _ in range(r)]
+    maps = [rng.choice(autos) for _ in range(r)]
+    canon = canonicalize_row(multi_row(MultiOrbitSpec(Z5_SQ, tuple(zip(ings, maps)))))
+    slot = rng.randrange(r)
+    lifted = tuple(tuple(x + rng.randrange(1, 3) * 5 for x in row) for row in maps[slot])
+    listed = [list(row) for row in maps[slot]]
+    for q in (lifted, listed):
+        changed = maps[:slot] + [q] + maps[slot + 1:]
+        row = multi_row(MultiOrbitSpec(Z5_SQ, tuple(zip(ings, changed))))
+        assert canonicalize_row(row) == canon
+        assert _aut_inverse(q, Z5_SQ) == _aut_inverse(maps[slot], Z5_SQ)
+    singular = _random_singular_map(Z5_SQ, rng)
+    for q in (singular, [list(row) for row in singular]):
+        changed = maps[:slot] + [q] + maps[slot + 1:]
+        with pytest.raises(NotIsomorphism):
+            canonicalize_row(multi_row(MultiOrbitSpec(Z5_SQ, tuple(zip(ings, changed)))))
+        with pytest.raises(NotIsomorphism):
+            _aut_inverse(q, Z5_SQ)
