@@ -414,21 +414,14 @@ _INVERSES: dict = {}
 
 def _inverse(q, source: FinAbGroup, target: FinAbGroup):
     """_smith_inverse of q as a tuple of rows (or None), once per distinct
-    matrix and pair of groups.  A q given as a tuple of tuple rows is its
-    own key; any other is copied into one."""
-    fs = (source.invariant_factors, target.invariant_factors)
+    matrix and pair of groups."""
+    key = (tuple(map(tuple, q)), source.invariant_factors, target.invariant_factors)
     try:
-        return _INVERSES[(q, *fs)]
+        return _INVERSES[key]
     except KeyError:
-        key = (q, *fs)
-    except TypeError:
-        q = tuple(map(tuple, q))
-        key = (q, *fs)
-        if key in _INVERSES:
-            return _INVERSES[key]
-    p = _smith_inverse(q, source, target)
-    p = _INVERSES[key] = None if p is None else tuple(map(tuple, p))
-    return p
+        p = _smith_inverse(q, source, target)
+        p = _INVERSES[key] = None if p is None else tuple(map(tuple, p))
+        return p
 
 
 def is_isomorphism_matrix(q, source: FinAbGroup, target: FinAbGroup) -> bool:

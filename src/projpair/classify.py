@@ -233,11 +233,7 @@ def _mirror_key(key):
     return (dim, e, b, L, K, J)
 
 
-# normal-form plans per (invariant factors of Gamma, ingredient keys in the
-# order a row lists its summands)
-_PLANS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _plan(gamma: FinAbGroup, ings):
     """The normal-form plan of a multi-orbit row, which depends only on
     Gamma and the ingredient keys: one (dual, ingredients, orders) per
@@ -245,14 +241,11 @@ def _plan(gamma: FinAbGroup, ings):
     the normal form's summand order; orders index the row's summands
     (_orders); dual is set when the orientation is the mirror and its maps
     are transported.  Which orientations can win is read off the sorted
-    keys, as the module docstring sets out.
+    keys, as the module docstring sets out.  Memoized per (gamma, ings):
+    groups compare by their invariant factors and ingredients by their
+    keys, so each plan is built once per Gamma and key tuple.
     """
-    keys = tuple(ing.sort_key() for ing in ings)
-    memo_key = (gamma.invariant_factors, keys)
-    try:
-        return _PLANS[memo_key]
-    except KeyError:
-        pass
+    keys = [ing.sort_key() for ing in ings]
     maps_fixed = len(keys) <= 2 or gamma.is_trivial()
     direct_keys = sorted(keys)
     mirror_keys = sorted(map(_mirror_key, keys))
@@ -273,8 +266,7 @@ def _plan(gamma: FinAbGroup, ings):
         # canonical gluing still checks the row's own maps
         plan.append((mirrored and not maps_fixed,
                      tuple(side[i] for i in orders[0]), orders))
-    plan = _PLANS[memo_key] = tuple(plan)
-    return plan
+    return tuple(plan)
 
 
 def canonicalize_row(row: ClassificationRow) -> ClassificationRow:

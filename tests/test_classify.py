@@ -425,41 +425,32 @@ def test_plan_memo_gives_the_cold_normal_form(monkeypatch):
     for row in candidates:
         warm = canonicalize_row(row)
         assert warm == _oracle_canonicalize_row(row)
-        classify._PLANS.clear()
+        classify._plan.cache_clear()
         assert canonicalize_row(row) == warm
         summands = row.multi.summands
         mirror = multi_row(MultiOrbitSpec(
             row.gamma, tuple((ing.swapped(), q) for ing, q in summands)))
         reverse = multi_row(MultiOrbitSpec(row.gamma, summands[::-1]))
         for first in (mirror, reverse):
-            classify._PLANS.clear()
+            classify._plan.cache_clear()
             canonicalize_row(first)
             assert canonicalize_row(row) == warm
         assert canonicalize_row(reverse) == warm
 
 
-class _CountingDict(dict):
-    def __init__(self):
-        super().__init__()
-        self.stores = Counter()
-
-    def __setitem__(self, key, value):
-        self.stores[key] += 1
-        super().__setitem__(key, value)
-
-
 def test_one_plan_per_gamma_and_key_tuple(monkeypatch):
     """enumerate_multi_orbit(15, 3) canonicalizes 1277 candidates and builds
     one plan per (Gamma, ingredient keys), far fewer than candidates."""
-    plans = _CountingDict()
-    monkeypatch.setattr(classify, "_PLANS", plans)
+    classify._plan.cache_clear()
     candidates = _candidates(monkeypatch, [(15, 3)])
     assert len(candidates) == 1277
-    assert max(plans.stores.values()) == 1
-    assert set(plans) == {
+    keyed = {
         (row.gamma.invariant_factors, tuple(ing.sort_key() for ing, _ in row.multi.summands))
         for row in candidates}
-    assert len(plans) < len(candidates) / 3
+    info = classify._plan.cache_info()
+    assert info.misses == info.currsize == len(keyed)
+    assert info.hits == len(candidates) - len(keyed)
+    assert len(keyed) < len(candidates) / 3
 
 
 Z5_SQ = FinAbGroup((5, 5))
