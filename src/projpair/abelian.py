@@ -7,18 +7,28 @@ coordinate vectors against the canonical generators; element enumeration
 is lexicographic on coordinates, which fixes the basis order of every
 matrix built on a group.  Pairing values are kept as exponents in Q/Z so
 that group-theoretic computations stay conductor-free.
+
+A homomorphism is an integer matrix on coordinates, handed out in one
+form, a tuple of int tuples (Matrix).  Inverses are memoized once per map
+and pair of groups, and invert_isomorphism returns the memo's own tuple:
+it cannot be mutated, so no caller can change the memo.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycNum, prime_factors
 from .errors import DegeneratePairing, GroupMismatch, NotAlternating, NotIsomorphism
+
+# a homomorphism between groups: the integer matrix on coordinates, one
+# tuple of ints per target coordinate
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -300,7 +310,7 @@ def direct_product(groups) -> tuple[FinAbGroup, list[list[list[int]]]]:
     return FinAbGroup(invariant), embeds
 
 
-def apply_matrix(matrix: list[list[int]], coords, target: FinAbGroup) -> GroupElement:
+def apply_matrix(matrix: Sequence[Sequence[int]], coords, target: FinAbGroup) -> GroupElement:
     """Apply an integer matrix to coordinates, landing in the target group."""
     out = []
     for i in range(target.rank):
@@ -375,8 +385,8 @@ def is_homomorphism_matrix(q, source: FinAbGroup, target: FinAbGroup) -> bool:
 
 
 def _smith_inverse(q, source: FinAbGroup, target: FinAbGroup):
-    """The inverse of q: source -> target as an integer matrix, rows reduced
-    modulo the source factors, or None when q is not an isomorphism.
+    """The inverse of q: source -> target as a tuple of rows reduced modulo
+    the source factors, or None when q is not an isomorphism.
 
     One Smith form U [q | diag(e)] V = D decides it.  With equal orders and
     q a homomorphism matrix, q is bijective iff it is onto, iff every
@@ -393,8 +403,8 @@ def _smith_inverse(q, source: FinAbGroup, target: FinAbGroup):
     d_mat, u, v = smith_normal_form(mat)
     if any(d_mat[k][k] != 1 for k in range(s)):
         return None
-    p = [[sum(v[i][k] * u[k][j] for k in range(s)) % ds[i] for j in range(s)]
-         for i in range(r)]
+    p = tuple(tuple(sum(v[i][k] * u[k][j] for k in range(s)) % ds[i] for j in range(s))
+              for i in range(r))
     ok = is_homomorphism_matrix(p, target, source) and all(
         (sum(p[i][k] * q[k][j] for k in range(s)) - (i == j)) % ds[i] == 0
         for i in range(r) for j in range(r)
@@ -413,14 +423,13 @@ _INVERSES: dict = {}
 
 
 def _inverse(q, source: FinAbGroup, target: FinAbGroup):
-    """_smith_inverse of q as a tuple of rows (or None), once per distinct
-    matrix and pair of groups."""
+    """_smith_inverse of q (or None), once per distinct matrix and pair of
+    groups."""
     key = (tuple(map(tuple, q)), source.invariant_factors, target.invariant_factors)
     try:
         return _INVERSES[key]
     except KeyError:
-        p = _smith_inverse(q, source, target)
-        p = _INVERSES[key] = None if p is None else tuple(map(tuple, p))
+        p = _INVERSES[key] = _smith_inverse(q, source, target)
         return p
 
 
@@ -429,13 +438,14 @@ def is_isomorphism_matrix(q, source: FinAbGroup, target: FinAbGroup) -> bool:
     return _inverse(q, source, target) is not None
 
 
-def inverse_rows(q, source: FinAbGroup, target: FinAbGroup) -> tuple[tuple[int, ...], ...]:
-    """The inverse of q as the memo's tuple of rows, not a copy.
+def invert_isomorphism(q, source: FinAbGroup, target: FinAbGroup) -> Matrix:
+    """The inverse of q as the memo's own tuple of rows.
 
     A q the memo already holds is read as it is, with no second check.  Any
     other is first reduced modulo the target's factors, so that the memo
-    keys one form of each map, and then decided by its Smith form.  Raises
-    NotIsomorphism when q is not an isomorphism."""
+    keys one form of each map, and then decided by its Smith form, once per
+    distinct map, source and target.  Raises NotIsomorphism when q is not
+    an isomorphism."""
     try:
         p = _INVERSES[q, source.invariant_factors, target.invariant_factors]
     except (KeyError, TypeError):
@@ -448,14 +458,8 @@ def inverse_rows(q, source: FinAbGroup, target: FinAbGroup) -> tuple[tuple[int, 
     return p
 
 
-def invert_isomorphism(q, source: FinAbGroup, target: FinAbGroup) -> list[list[int]]:
-    """The inverse of q as fresh lists, read through inverse_rows; the Smith
-    form runs once per distinct map, source and target."""
-    return [list(row) for row in inverse_rows(q, source, target)]
-
-
 @lru_cache(maxsize=None)
-def automorphisms(group: FinAbGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def automorphisms(group: FinAbGroup) -> tuple[Matrix, ...]:
     """All automorphisms as integer matrices (cached; desk-scale groups only).
 
     The Smith form that accepts a candidate also gives its inverse, which
@@ -474,16 +478,17 @@ def automorphisms(group: FinAbGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
         key = (q, fs, fs)
         p = _INVERSES[key] if key in _INVERSES else _smith_inverse(q, group, group)
         if p is not None:
-            _INVERSES[key] = tuple(map(tuple, p))
+            _INVERSES[key] = p
             out.append(q)
     return tuple(out)
 
 
-def identity_matrix(group: FinAbGroup) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(group.rank)] for i in range(group.rank)]
+@lru_cache(maxsize=None)
+def identity_matrix(group: FinAbGroup) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(group.rank)) for i in range(group.rank))
 
 
-def transport_character(u, delta: Character, target: FinAbGroup) -> Character:
+def transport_character(u: Matrix, delta: Character, target: FinAbGroup) -> Character:
     """Apply a character-space matrix to a character's coordinates."""
     coords = tuple(
         sum(u[i][j] * delta.coords[j] for j in range(len(delta.coords)))
@@ -492,7 +497,7 @@ def transport_character(u, delta: Character, target: FinAbGroup) -> Character:
     return Character(target, coords)
 
 
-def dual_isomorphism_transport(q, source: FinAbGroup, target: FinAbGroup) -> list[list[int]]:
+def dual_isomorphism_transport(q, source: FinAbGroup, target: FinAbGroup) -> Matrix:
     """Given an isomorphism q: source -> target, return the character-space
     isomorphism u with u(delta)(q(gamma)) = delta(gamma) for all gamma, delta.
 
@@ -503,14 +508,10 @@ def dual_isomorphism_transport(q, source: FinAbGroup, target: FinAbGroup) -> lis
     """
     p = invert_isomorphism(q, source, target)
     ds, es = source.invariant_factors, target.invariant_factors
-    u = [[0] * len(ds) for _ in es]
-    for j, e in enumerate(es):
-        for k, d in enumerate(ds):
-            # delta_k(q^{-1} f_j) = p[k][j] / d_k must be a multiple of 1/e_j
-            num = p[k][j] * e
-            if num % d:
-                raise NotIsomorphism("transport does not land in the character lattice")
-            u[j][k] = num // d % e
+    # delta_k(q^{-1} f_j) = p[k][j] / d_k must be a multiple of 1/e_j
+    if any(p[k][j] * e % d for j, e in enumerate(es) for k, d in enumerate(ds)):
+        raise NotIsomorphism("transport does not land in the character lattice")
+    u = tuple(tuple(p[k][j] * e // d % e for k, d in enumerate(ds)) for j, e in enumerate(es))
     # u(delta_k)(q(g_i)) = delta_k(g_i), as exponents times big = lcm(d, e)
     big = math.lcm(*ds, *es)
     for k, d in enumerate(ds):

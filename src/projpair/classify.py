@@ -26,10 +26,11 @@ which depends only on (L, J, K): it is read once per (L, J, K) from the
 pair at b = e = 1 (construct.pairing_identification), and only for a row
 of three or more parts over a nontrivial Gamma whose mirror wins or ties
 on keys.
-Gluing maps are integer matrices on the shared group; their products are
-memoized and their inverses are the tuples abelian's inverse memo stores.
-The group lists per order and the component group per (L, J, K) are
-memoized too.
+Gluing maps are integer matrices on the shared group, in abelian's one
+form (tuples of int tuples); their products are memoized, and the identity
+map and the inverses are read straight from abelian (identity_matrix,
+invert_isomorphism), with no copy.  The group lists per order and the
+component group per (L, J, K) are memoized too.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .abelian import (
     dual_isomorphism_transport,
     enumerate_abelian_groups,
     identity_matrix,
-    inverse_rows,
+    invert_isomorphism,
     partitions,
 )
 from .construct import (
@@ -170,19 +171,6 @@ def _mat_mod(a, b, factors):
                  for row, d in zip(a, factors))
 
 
-@lru_cache(maxsize=None)
-def _identity(gamma: FinAbGroup):
-    return tuple(map(tuple, identity_matrix(gamma)))
-
-
-def _aut_inverse(mat, gamma: FinAbGroup):
-    """The inverse of an automorphism, as the tuple of rows abelian's
-    inverse memo stores (abelian.inverse_rows): a map the memo holds is
-    read as it is, any other is reduced and checked, and a singular one
-    raises NotIsomorphism."""
-    return inverse_rows(mat, gamma, gamma)
-
-
 def _orders(keys):
     """Every order of the summands that a normal form compares, as tuples
     of indices into keys: the sort by key, then each permutation of the
@@ -204,11 +192,11 @@ def _canonical_gluing(qs, orders, gamma: FinAbGroup):
     NotIsomorphism.
     """
     r = len(qs)
-    ident = _identity(gamma)
+    ident = identity_matrix(gamma)
     if gamma.is_trivial():
         return (ident,) * r
     # the inverses check every map, and pinning reads each order's first
-    inverses = [_aut_inverse(q, gamma) for q in qs]
+    inverses = [invert_isomorphism(q, gamma, gamma) for q in qs]
     if r <= 2:
         return (ident,) * r
     fs = gamma.invariant_factors
@@ -218,19 +206,12 @@ def _canonical_gluing(qs, orders, gamma: FinAbGroup):
         # alpha q1 q0^-1, both the identity; only later slots are multiplied
         # out.
         pin = inverses[order[0]]
-        alpha = _aut_inverse(_mat_mod(qs[order[1]], pin, fs), gamma)
+        alpha = invert_isomorphism(_mat_mod(qs[order[1]], pin, fs), gamma, gamma)
         cand = (ident, ident) + tuple(
             _mat_mod(alpha, _mat_mod(qs[i], pin, fs), fs) for i in order[2:])
         if best is None or cand < best:
             best = cand
     return best
-
-
-def _mirror_key(key):
-    """The sort key of the swapped ingredient tuple, read off the key
-    (dim, b, e, L, J, K) as (dim, e, b, L, K, J)."""
-    dim, b, e, L, J, K = key
-    return (dim, e, b, L, K, J)
 
 
 @lru_cache(maxsize=None)
@@ -245,10 +226,10 @@ def _plan(gamma: FinAbGroup, ings):
     groups compare by their invariant factors and ingredients by their
     keys, so each plan is built once per Gamma and key tuple.
     """
-    keys = [ing.sort_key() for ing in ings]
-    maps_fixed = len(keys) <= 2 or gamma.is_trivial()
-    direct_keys = sorted(keys)
-    mirror_keys = sorted(map(_mirror_key, keys))
+    swapped = [ing.swapped() for ing in ings]
+    maps_fixed = len(ings) <= 2 or gamma.is_trivial()
+    direct_keys = sorted(ing.sort_key() for ing in ings)
+    mirror_keys = sorted(ing.sort_key() for ing in swapped)
     if not maps_fixed:
         direct_keys, mirror_keys = direct_keys[:3], mirror_keys[:3]
     if mirror_keys < direct_keys:
@@ -260,7 +241,7 @@ def _plan(gamma: FinAbGroup, ings):
         sides = (False, True)
     plan = []
     for mirrored in sides:
-        side = [ing.swapped() for ing in ings] if mirrored else list(ings)
+        side = swapped if mirrored else ings
         orders = _orders([ing.sort_key() for ing in side])
         # with the identity in every slot no map is transported; the
         # canonical gluing still checks the row's own maps
@@ -297,31 +278,26 @@ def canonicalize_row(row: ClassificationRow) -> ClassificationRow:
     ings, qs = zip(*row.multi.summands)
     forms = []
     for dual, normal_ings, orders in _plan(gamma, ings):
-        maps = ([_dual_gluing_matrix(ing, q, gamma) for ing, q in zip(ings, qs)]
-                if dual else qs)
+        maps = ([_dual_gluing_matrix(ing.L_group, ing.J_group, ing.K_group, q, gamma)
+                 for ing, q in zip(ings, qs)] if dual else qs)
         forms.append(tuple(zip(normal_ings, _canonical_gluing(maps, orders, gamma))))
     chosen = forms[0] if len(forms) == 1 else min(
         forms, key=lambda form: tuple((ing.sort_key(), q) for ing, q in form))
     return multi_row(MultiOrbitSpec(gamma, chosen), flags)
 
 
-_PHI_INV_CACHE: dict = {}
-
-
-def _dual_gluing_matrix(ing: SingleOrbitIngredients, q, gamma: FinAbGroup):
-    """The gluing map of the mirrored row: transport q to character space
-    and identify the mirrored summand's component group through the
-    commutator pairing.  The identification is the one gluing shares
-    (construct.pairing_identification), read at b = e = 1 because the
-    commutator scalars of I_b (x) I_e (x) X do not depend on b and e; so
-    the result is memoized per (L, J, K) and q."""
-    key = (ing.sort_key()[3:], q)
-    if key not in _PHI_INV_CACHE:
-        g_i, _, phi_inv = pairing_identification(ing.L_group, ing.J_group, ing.K_group)
-        u = dual_isomorphism_transport(q, gamma, g_i.component_group)
-        _PHI_INV_CACHE[key] = _mat_mod(phi_inv, tuple(map(tuple, u)),
-                                       gamma.invariant_factors)
-    return _PHI_INV_CACHE[key]
+@lru_cache(maxsize=None)
+def _dual_gluing_matrix(L: FinAbGroup, J: FinAbGroup, K: FinAbGroup, q, gamma: FinAbGroup):
+    """The gluing map q of a summand (b, e, L, J, K) in the mirrored row:
+    transport q to character space and identify the mirrored summand's
+    component group through the commutator pairing.  The identification is
+    the one gluing shares (construct.pairing_identification), read at
+    b = e = 1 because the commutator scalars of I_b (x) I_e (x) X do not
+    depend on b and e; so the result is memoized per (L, J, K) and q
+    (Gamma is fixed by L, J and K)."""
+    g_i, _, phi_inv = pairing_identification(L, J, K)
+    u = dual_isomorphism_transport(q, gamma, g_i.component_group)
+    return _mat_mod(phi_inv, u, gamma.invariant_factors)
 
 
 def enumerate_multi_orbit(n: int, max_parts: int | None = None) -> list[ClassificationRow]:
@@ -356,7 +332,7 @@ def enumerate_multi_orbit(n: int, max_parts: int | None = None) -> list[Classifi
             # common reparameterization pins the first map; simultaneous
             # composition with one automorphism pins the second, so orbit
             # representatives have identity maps in the first two slots
-            head = (_identity(gamma),) * 2
+            head = (identity_matrix(gamma),) * 2
             # a two-part row has one tail, the empty one, and lists no Aut(Gamma)
             autos = automorphisms(gamma) if r > 2 else ()
             choices = [list(itertools.combinations_with_replacement(by_dim[d][gamma_key], c))

@@ -24,6 +24,7 @@ from functools import lru_cache, partial
 from .abelian import (
     Character,
     FinAbGroup,
+    Matrix,
     apply_matrix,
     dual_isomorphism_transport,
     invert_isomorphism,
@@ -417,11 +418,11 @@ class MultiOrbitSpec:
     """
 
     gamma: FinAbGroup
-    summands: tuple[tuple[SingleOrbitIngredients, tuple[tuple[int, ...], ...]], ...]
+    summands: tuple[tuple[SingleOrbitIngredients, Matrix], ...]
 
     def __post_init__(self):
         summands = tuple(
-            (ing, tuple(tuple(map(int, row)) for row in q))
+            (ing, tuple(map(tuple, q)))
             for ing, q in self.summands
         )
         object.__setattr__(self, "summands", summands)
@@ -693,7 +694,7 @@ def pairing_character(g_spec: GroupSpec, h_op) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def pairing_coset_matrix(g: GroupSpec, h: GroupSpec) -> list[list[int]]:
+def pairing_coset_matrix(g: GroupSpec, h: GroupSpec) -> Matrix:
     """Inverse of the pairing identification of h's component group with
     the characters of g's: the integer matrix sending a character (self-dual
     coordinates) to the coset of h that pairs with g through it.  Read off
@@ -711,7 +712,7 @@ def pairing_coset_matrix(g: GroupSpec, h: GroupSpec) -> list[list[int]]:
 @lru_cache(maxsize=None)
 def pairing_identification(L: FinAbGroup, J: FinAbGroup, K: FinAbGroup):
     """(g, h, coset_of_char) for the single-orbit pair (1, 1, L, J, K): the
-    pair and its pairing_coset_matrix as a tuple of rows.
+    pair and its pairing_coset_matrix.
 
     The matrix serves every b and e.  The generators of the pair (b, e, L,
     J, K) are I_b (x) I_e (x) X, with X the generators at b = e = 1, and the
@@ -719,7 +720,7 @@ def pairing_identification(L: FinAbGroup, J: FinAbGroup, K: FinAbGroup):
     pairing characters, and the matrix read off them, do not depend on b
     and e.  Built once per (L, J, K)."""
     g, h = single_orbit_pair(SingleOrbitIngredients(1, 1, L, J, K))
-    return g, h, tuple(tuple(row) for row in pairing_coset_matrix(g, h))
+    return g, h, pairing_coset_matrix(g, h)
 
 
 @lru_cache(maxsize=None)
@@ -771,7 +772,6 @@ def multi_orbit_glue(spec: MultiOrbitSpec) -> tuple[GroupSpec, GroupSpec]:
     sides = []
     for ing, q in spec.summands:
         g_i, h_i, coset_of_char = summand_pair(ing)
-        q = list(map(list, q))
         gamma_i = g_i.component_group
         try:
             u = dual_isomorphism_transport(q, gamma, gamma_i)

@@ -21,6 +21,7 @@ from projpair.abelian import (
     direct_product,
     dual_isomorphism_transport,
     enumerate_abelian_groups,
+    identity_matrix,
     invert_isomorphism,
     is_homomorphism_matrix,
     is_isomorphism_matrix,
@@ -279,10 +280,10 @@ def test_canonical_factors_matches_oracle(factors):
 
 def test_dual_transport_examples():
     z4 = FinAbGroup.cyclic(4)
-    assert dual_isomorphism_transport([[1]], z4, z4) == [[1]]
-    assert dual_isomorphism_transport([[3]], z4, z4) == [[3]]
+    assert dual_isomorphism_transport([[1]], z4, z4) == ((1,),)
+    assert dual_isomorphism_transport([[3]], z4, z4) == ((3,),)
     k4 = FinAbGroup((2, 2))
-    assert dual_isomorphism_transport([[0, 1], [1, 0]], k4, k4) == [[0, 1], [1, 0]]
+    assert dual_isomorphism_transport([[0, 1], [1, 0]], k4, k4) == ((0, 1), (1, 0))
     with pytest.raises(NotIsomorphism):
         dual_isomorphism_transport([[2]], z4, z4)
 
@@ -319,7 +320,7 @@ def _oracle_invert(q, source, target):
         raise NotIsomorphism("matrix is not an isomorphism")
     lookup = {apply_matrix(q, x.coords, target).coords: x.coords for x in source.elements()}
     cols = [lookup[g.coords] for g in target.generators()]
-    return [[cols[j][i] for j in range(target.rank)] for i in range(source.rank)]
+    return tuple(tuple(cols[j][i] for j in range(target.rank)) for i in range(source.rank))
 
 
 def _oracle_transport(q, source, target):
@@ -343,7 +344,7 @@ def _oracle_transport(q, source, target):
         for g in source.generators():
             if u_delta.exponent_at(apply_matrix(q, g.coords, target)) != delta.exponent_at(g):
                 raise NotIsomorphism("transported map fails the defining relation")
-    return u
+    return tuple(map(tuple, u))
 
 
 def _oracle_is_nondegenerate(pairing):
@@ -438,23 +439,24 @@ def test_transport_refuses_a_non_integral_inverse(monkeypatch):
         dual_isomorphism_transport([[1, 0], [0, 1]], g, g)
 
 
-def test_inverse_memo_hands_out_fresh_lists():
-    """Mutating what invert_isomorphism or dual_isomorphism_transport
-    returns, or the matrix passed in, leaves the next call's answer as it
-    was."""
+def test_inverse_memo_hands_out_immutable_rows():
+    """What invert_isomorphism or dual_isomorphism_transport returns
+    refuses mutation, so no caller can change the memo; mutating the matrix
+    passed in leaves the next call's answer as it was."""
     g = FinAbGroup((2, 4))
     q = [[1, 0], [2, 1]]
     p = invert_isomorphism(q, g, g)
     u = dual_isomorphism_transport(q, g, g)
-    want_p, want_u = [list(r) for r in p], [list(r) for r in u]
-    assert want_p == _oracle_invert(q, g, g) and want_u == _oracle_transport(q, g, g)
-    p[0][0] += 1
-    p.append([7, 7])
-    u[1][0] += 3
+    assert p == _oracle_invert(q, g, g) and u == _oracle_transport(q, g, g)
+    for mat in (p, u):
+        with pytest.raises(TypeError):
+            mat[0][0] += 1
+        with pytest.raises(AttributeError):
+            mat.append((7, 7))
     q[1][0] = 0
-    assert invert_isomorphism([[1, 0], [2, 1]], g, g) == want_p
-    assert dual_isomorphism_transport([[1, 0], [2, 1]], g, g) == want_u
-    assert invert_isomorphism(q, g, g) == [[1, 0], [0, 1]]
+    assert invert_isomorphism([[1, 0], [2, 1]], g, g) == p
+    assert dual_isomorphism_transport([[1, 0], [2, 1]], g, g) == u
+    assert invert_isomorphism(q, g, g) == ((1, 0), (0, 1))
 
 
 @pytest.mark.parametrize("fs", [(2, 2), (4,), (2, 4), (2, 2, 2), (6,), (2, 6), (3, 3)])
@@ -469,17 +471,17 @@ def test_automorphisms_keep_the_smith_inverse(fs):
     kept = dict(abelian._INVERSES)
     assert len(kept) == len(autos)
     for a in autos:
-        want = [list(r) for r in abelian._smith_inverse(a, group, group)]
-        assert [list(r) for r in kept[(a, fs, fs)]] == want
+        want = abelian._smith_inverse(a, group, group)
+        assert kept[(a, fs, fs)] == want
         assert invert_isomorphism(a, group, group) == want
     assert abelian._INVERSES == kept
 
 
-def test_inverse_rows_reads_the_stored_tuple():
-    """inverse_rows hands out the memo's own tuple, with no Smith form for a
-    map the memo holds.  A map it does not hold is reduced before it is
-    keyed, so lists, an unreduced map and its reduced tuple share one entry.
-    A singular map raises, whether the memo holds it or not."""
+def test_invert_isomorphism_reads_the_stored_tuple():
+    """invert_isomorphism hands out the memo's own tuple, with no Smith
+    form for a map the memo holds.  A map it does not hold is reduced before
+    it is keyed, so lists, an unreduced map and its reduced tuple share one
+    entry.  A singular map raises, whether the memo holds it or not."""
     group = FinAbGroup((2, 4))
     fs = group.invariant_factors
     automorphisms.cache_clear()
@@ -487,20 +489,52 @@ def test_inverse_rows_reads_the_stored_tuple():
     autos = automorphisms(group)
     kept = dict(abelian._INVERSES)
     for a in autos:
-        assert abelian.inverse_rows(a, group, group) is kept[a, fs, fs]
+        assert invert_isomorphism(a, group, group) is kept[a, fs, fs]
     assert abelian._INVERSES == kept
     abelian._INVERSES.clear()
     q = ((1, 0), (2, 1))
-    p = abelian.inverse_rows(((3, 2), (6, 5)), group, group)
+    p = invert_isomorphism(((3, 2), (6, 5)), group, group)
     assert list(abelian._INVERSES) == [(q, fs, fs)]
-    assert abelian.inverse_rows([list(row) for row in q], group, group) is p
-    assert invert_isomorphism(q, group, group) == [list(row) for row in p]
-    assert p == tuple(map(tuple, _oracle_invert(q, group, group)))
+    assert invert_isomorphism([list(row) for row in q], group, group) is p
+    assert invert_isomorphism(q, group, group) is p
+    assert p == _oracle_invert(q, group, group)
     for _ in range(2):
         with pytest.raises(NotIsomorphism):
-            abelian.inverse_rows(((1, 0), (0, 2)), group, group)
+            invert_isomorphism(((1, 0), (0, 2)), group, group)
     assert abelian._INVERSES[((1, 0), (0, 2)), fs, fs] is None
     automorphisms.cache_clear()
+
+
+def _is_int_tuple_matrix(mat):
+    return type(mat) is tuple and all(
+        type(row) is tuple and all(type(x) is int for x in row) for row in mat)
+
+
+@pytest.mark.parametrize("fs", [(), (4,), (2, 4), (2, 2, 2), (3, 3)])
+def test_homomorphism_matrices_are_int_tuple_rows(fs):
+    """identity_matrix, automorphisms, invert_isomorphism and
+    dual_isomorphism_transport hand out a homomorphism matrix in one form,
+    a tuple of int tuples.  invert_isomorphism hands out the memo's own
+    tuple, whether the map comes as the tuple the memo holds, as lists or
+    unreduced."""
+    group = FinAbGroup(fs)
+    assert _is_int_tuple_matrix(identity_matrix(group))
+    for a in automorphisms(group):
+        p = invert_isomorphism(a, group, group)
+        assert _is_int_tuple_matrix(a) and _is_int_tuple_matrix(p)
+        assert p is abelian._INVERSES[a, fs, fs]
+        assert invert_isomorphism([list(row) for row in a], group, group) is p
+        lifted = tuple(tuple(x + 2 * d for x in row) for row, d in zip(a, fs))
+        assert invert_isomorphism(lifted, group, group) is p
+        assert _is_int_tuple_matrix(dual_isomorphism_transport(a, group, group))
+
+
+def test_pairing_coset_matrix_is_int_tuple_rows():
+    from projpair.construct import SingleOrbitIngredients, pairing_coset_matrix, single_orbit_pair
+
+    z2, z3 = FinAbGroup.cyclic(2), FinAbGroup.cyclic(3)
+    g, h = single_orbit_pair(SingleOrbitIngredients(1, 1, z2, FinAbGroup.trivial(), z3))
+    assert _is_int_tuple_matrix(pairing_coset_matrix(g, h))
 
 
 def test_automorphism_counts():

@@ -16,10 +16,10 @@ from projpair.abelian import (
     FinAbGroup,
     enumerate_abelian_groups,
     identity_matrix,
+    invert_isomorphism,
 )
 from projpair.classify import (
     GLUING_CLASS_FLAG,
-    _aut_inverse,
     _canonical_gluing,
     _mat_mod,
     _orders,
@@ -197,9 +197,9 @@ def _oracle_canonical_gluing(summand_keys, qs, gamma):
     best = None
     for combo in itertools.product(*[list(itertools.permutations(b)) for b in blocks]):
         permuted = [qs[p] for block in combo for p in block]
-        pin = _aut_inverse(permuted[0], gamma)
+        pin = invert_isomorphism(permuted[0], gamma, gamma)
         pinned = [_mat_mod(q, pin, fs) for q in permuted]
-        alpha = _aut_inverse(pinned[1], gamma)
+        alpha = invert_isomorphism(pinned[1], gamma, gamma)
         cand = tuple([pinned[0]] + [_mat_mod(alpha, q, fs) for q in pinned[1:]])
         if best is None or cand < best:
             best = cand
@@ -233,7 +233,7 @@ def cold_counts(monkeypatch):
     target)."""
     construct.pairing_identification.cache_clear()
     construct.summand_pair.cache_clear()
-    classify._PHI_INV_CACHE.clear()
+    classify._dual_gluing_matrix.cache_clear()
     classify._mat_mod.cache_clear()
     abelian.automorphisms.cache_clear()
     abelian._INVERSES.clear()
@@ -273,7 +273,7 @@ def test_two_part_rows_build_no_pair(cold_counts):
     the pair behind one, is built."""
     builds, _ = cold_counts
     assert len(enumerate_multi_orbit(20, 2)) == 373
-    assert not builds and not classify._PHI_INV_CACHE
+    assert not builds and not classify._dual_gluing_matrix.cache_info().currsize
 
 
 # sha256 over (n, max_parts, _row_key, flags) of every row of
@@ -311,7 +311,8 @@ def _oracle_canonicalize_row(row):
 
     direct = normal_form(row.multi.summands)
     mirrored = normal_form(tuple(
-        (ing.swapped(), classify._dual_gluing_matrix(ing, q, gamma))
+        (ing.swapped(),
+         classify._dual_gluing_matrix(ing.L_group, ing.J_group, ing.K_group, q, gamma))
         for ing, q in row.multi.summands))
     chosen = min([direct, mirrored],
                  key=lambda form: tuple((ing.sort_key(), q) for ing, q in form))
@@ -475,11 +476,11 @@ def test_inverse_memo_shortcut_skips_no_check(r, data):
         changed = maps[:slot] + [q] + maps[slot + 1:]
         row = multi_row(MultiOrbitSpec(Z5_SQ, tuple(zip(ings, changed))))
         assert canonicalize_row(row) == canon
-        assert _aut_inverse(q, Z5_SQ) == _aut_inverse(maps[slot], Z5_SQ)
+        assert invert_isomorphism(q, Z5_SQ, Z5_SQ) == invert_isomorphism(maps[slot], Z5_SQ, Z5_SQ)
     singular = _random_singular_map(Z5_SQ, rng)
     for q in (singular, [list(row) for row in singular]):
         changed = maps[:slot] + [q] + maps[slot + 1:]
         with pytest.raises(NotIsomorphism):
             canonicalize_row(multi_row(MultiOrbitSpec(Z5_SQ, tuple(zip(ings, changed)))))
         with pytest.raises(NotIsomorphism):
-            _aut_inverse(q, Z5_SQ)
+            invert_isomorphism(q, Z5_SQ, Z5_SQ)

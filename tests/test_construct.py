@@ -317,7 +317,7 @@ def test_degenerate_pairing_raises_incompatible_gluing():
     g, _ = xx_hat_pair(Z2)
     flat = GroupSpec(g.ambient, g.blocks, g.component_group,
                      dict.fromkeys(g.cosets(), CycMatrix.identity(2)))
-    assert pairing_coset_matrix(g, g) == [[0, 1], [1, 0]]
+    assert pairing_coset_matrix(g, g) == ((0, 1), (1, 0))
     with pytest.raises(IncompatibleGluing, match="degenerate"):
         pairing_coset_matrix(g, flat)
 
@@ -374,7 +374,7 @@ def test_pairing_identification_does_not_depend_on_b_and_e():
             g, h = single_orbit_pair(ing)
             g1, h1, coset_of_char = construct.pairing_identification(
                 ing.L_group, ing.J_group, ing.K_group)
-            assert pairing_coset_matrix(g, h) == [list(r) for r in coset_of_char], ing
+            assert pairing_coset_matrix(g, h) == coset_of_char, ing
             outcome = _pairing_outcome(g, g)
             assert outcome == _pairing_outcome(g1, g1), ing
             degenerate += outcome is IncompatibleGluing
