@@ -11,14 +11,15 @@ that group-theoretic computations stay conductor-free.
 A homomorphism is an integer matrix on coordinates, handed out in one
 form, a tuple of int tuples (Matrix).  Inverses are memoized once per map
 and pair of groups, and invert_isomorphism returns the memo's own tuple:
-it cannot be mutated, so no caller can change the memo.
+it cannot be mutated, so no caller can change the memo.  The subgroup
+lattices of subgroup_from_elements and generator_coefficients are
+memoized the same way, per integer key, as tuples and a pure function.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -286,7 +287,7 @@ def enumerate_abelian_groups(n: int) -> list[FinAbGroup]:
 # ---------------------------------------------------------------------------
 
 
-def direct_product(groups) -> tuple[FinAbGroup, list[list[list[int]]]]:
+def direct_product(groups) -> tuple[FinAbGroup, tuple[Matrix, ...]]:
     """Canonical form of a direct product, with one embedding matrix per factor.
 
     The j-th matrix has a column per canonical generator of the j-th factor;
@@ -306,11 +307,11 @@ def direct_product(groups) -> tuple[FinAbGroup, list[list[list[int]]]]:
     for g in groups:
         own = cols[start:start + g.rank]
         start += g.rank
-        embeds.append([[col[i] for col in own] for i in range(len(invariant))])
-    return FinAbGroup(invariant), embeds
+        embeds.append(tuple(tuple(col[i] for col in own) for i in range(len(invariant))))
+    return FinAbGroup(invariant), tuple(embeds)
 
 
-def apply_matrix(matrix: Sequence[Sequence[int]], coords, target: FinAbGroup) -> GroupElement:
+def apply_matrix(matrix: Matrix, coords, target: FinAbGroup) -> GroupElement:
     """Apply an integer matrix to coordinates, landing in the target group."""
     out = []
     for i in range(target.rank):
@@ -347,11 +348,11 @@ def _product_embedding(groups):
             unit = pow(invariant[slot] // pe, -1, pe)
             crt = f // pe * pow(f // pe, -1, pe)
             row[slot] = (row[slot] + unit * crt) % f
-        split_rows.append(row)
+        split_rows.append(tuple(row))
     split_mats = []
     start = 0
     for g in groups:
-        split_mats.append(split_rows[start:start + g.rank])
+        split_mats.append(tuple(split_rows[start:start + g.rank]))
         start += g.rank
 
     def combine(parts):
@@ -792,25 +793,32 @@ def smith_normal_form(mat: list[list[int]]):
     return a, u, v
 
 
-def generator_coefficients(elements, group: FinAbGroup) -> list[list[int]]:
+def generator_coefficients(elements, group: FinAbGroup) -> Matrix:
     """For each generator e_k of group, integers a with sum_i a_i
     elements[i] = e_k, for coordinate tuples that generate the group.
 
     The columns of M = [elements | diag(invariant factors)] then span
     Z^rank, so the Smith form is U M V = [I | 0], and M V' U = I for V'
     the first rank columns of V: column k of V' U, cut to its first
-    len(elements) entries, is a."""
+    len(elements) entries, is a.  Memoized per element tuple and group
+    (_coefficients); the answer is a tuple of tuples, so a caller cannot
+    change the memo."""
+    return _coefficients(tuple(map(tuple, elements)), group)
+
+
+@lru_cache(maxsize=None)
+def _coefficients(elements: tuple[tuple[int, ...], ...], group: FinAbGroup) -> Matrix:
     r = group.rank
     mat = [[e[k] for e in elements] + [d if j == k else 0 for j in range(r)]
            for k, d in enumerate(group.invariant_factors)]
     d_mat, u, v = smith_normal_form(mat)
     if any(d_mat[k][k] != 1 for k in range(r)):
         raise ValueError("the elements do not generate the group")
-    return [[sum(v[i][t] * u[t][k] for t in range(r)) for i in range(len(elements))]
-            for k in range(r)]
+    return tuple(tuple(sum(v[i][t] * u[t][k] for t in range(r)) for i in range(len(elements)))
+                 for k in range(r))
 
 
-def subgroup_from_elements(moduli: list[int], elements):
+def subgroup_from_elements(moduli, elements):
     """Identify the subgroup of prod Z/moduli generated by a list of
     elements: any generating list works, the whole subgroup or a few
     generators.
@@ -821,8 +829,16 @@ def subgroup_from_elements(moduli: list[int], elements):
     coordinates.  The group does not depend on the list, but the labels
     can: with moduli [12, 2], (1, 0) is labelled (1, 1) from the
     generators (1, 1), (11, 0) and (0, 1) from the subgroup's element list.
+
+    Memoized per moduli and element tuple (_subgroup): verify asks for the
+    same survivor lattices row after row.  to_canonical reads only tuples
+    and ints, so one function serves every caller.
     """
-    elements = [tuple(e) for e in elements]
+    return _subgroup(tuple(moduli), tuple(map(tuple, elements)))
+
+
+@lru_cache(maxsize=None)
+def _subgroup(moduli: tuple[int, ...], elements: tuple[tuple[int, ...], ...]):
     r = len(moduli)
     if r == 0 or all(all(c == 0 for c in e) for e in elements):
         return FinAbGroup.trivial(), lambda coords: ()
@@ -832,7 +848,8 @@ def subgroup_from_elements(moduli: list[int], elements):
     mat = [[e[i] for e in elements] + [moduli[i] if j == i else 0 for j in range(r)]
            for i in range(r)]
     d_mat, u, _ = smith_normal_form(mat)
-    divisors = [d_mat[k][k] for k in range(r)]
+    u = tuple(map(tuple, u))
+    divisors = tuple(d_mat[k][k] for k in range(r))
     if any(dk == 0 for dk in divisors):
         raise AssertionError("lattice is not full rank")
 
@@ -851,10 +868,11 @@ def subgroup_from_elements(moduli: list[int], elements):
                 for i in range(r)]
     rel_mat = [[rel_cols[j][i] for j in range(r)] for i in range(r)]
     diag_mat, u_left, _ = smith_normal_form(rel_mat)
-    diag = [diag_mat[i][i] for i in range(r)]
+    u_left = tuple(map(tuple, u_left))
+    diag = tuple(diag_mat[i][i] for i in range(r))
     if any(d == 0 for d in diag):
         raise AssertionError("relation lattice should have full rank")
-    keep = [i for i in range(r) if diag[i] > 1]
+    keep = tuple(i for i in range(r) if diag[i] > 1)
     group = FinAbGroup(tuple(diag[i] for i in keep))
 
     def to_canonical(coords):

@@ -6,8 +6,10 @@ component (a product of GL blocks, each given by an explicit index grid,
 or a raw spanning set for computed centralizers), a finite abelian
 component group, and one generator per generating coset, a Monomial or a
 CycMatrix.  Each construction here builds those generators when it is
-called (_built_spec); every one but the single-orbit construction
-builds the Monomial it stores.
+called (_built_spec): the identity coset is stored as the identity
+Monomial and a builder runs only on the generating cosets; every one but
+the single-orbit construction builds the Monomial it stores, and that
+one builds its b = e = 1 core once per (L, J, K, side, coset).
 
 The canonical generator section multiplies per-factor operators with
 translations before characters, slots in shape order, so every spec is
@@ -166,14 +168,16 @@ class GroupSpec:
 
     generators is a dict from coset coordinates to generators, each a
     CycMatrix or a Monomial.  It must hold the identity and the generating
-    cosets, and each is shape-checked here; any other coset it holds, as
-    old pair files do, must be an invertible operator in the coset of its
-    word, is checked once here and is then dropped.  The identity component
-    is given by blocks or by a raw algebra basis of one n x n matrix or
-    more (or its matrep.Algebra), never both, since the two could describe
-    different algebras.  Block grids must partition the indices 0..n-1,
-    checked here (ValueError otherwise), so their matrix units lie on
-    disjoint supports.
+    cosets (the constructions give the identity coset as
+    Monomial.identity(n) and build only the generating ones, see
+    _built_spec), and each is shape-checked here; any other coset it
+    holds, as old pair files do, must be an invertible operator in the
+    coset of its word, is checked once here and is then dropped.  The
+    identity component is given by blocks or by a raw algebra basis of
+    one n x n matrix or more (or its matrep.Algebra), never both, since the
+    two could describe different algebras.  Block grids must partition
+    the indices 0..n-1, checked here (ValueError otherwise), so their
+    matrix units lie on disjoint supports.
 
     operator(coords) is the one way to read a coset.  The identity coset is
     stored as Monomial.identity(n) and each generating coset as its
@@ -428,10 +432,12 @@ class MultiOrbitSpec:
         object.__setattr__(self, "summands", summands)
         if not summands:
             raise EmptyDecomposition("need at least one summand")
+        # read for every candidate row, so it is summed once
+        object.__setattr__(self, "_dim", sum(ing.ambient_dim for ing, _ in summands))
 
     @property
     def ambient_dim(self) -> int:
-        return sum(ing.ambient_dim for ing, _ in self.summands)
+        return self._dim
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +471,12 @@ def connected_pair(decomposition) -> tuple[GroupSpec, GroupSpec]:
 
 
 def _built_spec(ambient, blocks, group: FinAbGroup, build) -> GroupSpec:
-    """The spec whose identity and generating cosets hold build(coords),
-    the operators a GroupSpec stores."""
-    stored = (group.identity(), *group.generators())
-    return GroupSpec(ambient, blocks, group, {x.coords: build(x.coords) for x in stored})
+    """The spec whose generating cosets hold build(coords) and whose
+    identity coset holds Monomial.identity(n), the operators a GroupSpec
+    stores: build never sees the identity coset."""
+    generators = {x.coords: build(x.coords) for x in group.generators()}
+    generators[group.identity().coords] = Monomial.identity(ambient.dim)
+    return GroupSpec(ambient, blocks, group, generators)
 
 
 def _split_coset(parts, coords):
@@ -477,9 +485,12 @@ def _split_coset(parts, coords):
     return split(product.element(coords))
 
 
-def _single_orbit_generator(b, e, L, J, K, side, coords):
-    """The generator of one side of a single-orbit pair at the product
-    coordinates (lambda, xi, eta-or-j, k-or-chi)."""
+@lru_cache(maxsize=None)
+def _single_orbit_core(L: FinAbGroup, J: FinAbGroup, K: FinAbGroup, side: str, coords):
+    """X = l_op (x) j_op (x) k_op, the generator of one side of the pair
+    (1, 1, L, J, K) at the product coordinates (lambda, xi, eta-or-j,
+    k-or-chi).  It serves every b and e, so it is built, and its coset
+    split and checked, once per (L, J, K, side, coords)."""
     lam, xi, third, fourth = _split_coset((L, L, J, K), coords)
     l_op = heisenberg_monomial(L, lam, Character(L, xi.coords))
     if side == "g":
@@ -488,7 +499,13 @@ def _single_orbit_generator(b, e, L, J, K, side, coords):
     else:
         j_op = translation_monomial(J, third)
         k_op = character_monomial(K, Character(K, fourth.coords))
-    mono = Monomial.identity(b).kron(Monomial.identity(e)).kron(l_op).kron(j_op).kron(k_op)
+    return l_op.kron(j_op).kron(k_op)
+
+
+def _single_orbit_generator(b, e, L, J, K, side, coords):
+    """The generator of one side of a single-orbit pair at coords:
+    I_(b e) (x) X, X the single-orbit core (_single_orbit_core)."""
+    mono = Monomial.identity(b * e).kron(_single_orbit_core(L, J, K, side, coords))
     # kept dense: this is the one matrep.to_matrix span the enumerate benchmark requires
     return mono.to_matrix()
 

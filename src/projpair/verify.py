@@ -621,7 +621,10 @@ def compute_centralizer(target: GroupSpec, workers: int = 1) -> GroupSpec:
     an integer combination of the survivors (generator_coefficients on
     their canonical coordinates), so no other tuple is mapped, and only
     those words are multiplied out (witness powers in survivor order) and
-    normalized.
+    normalized.  Both lattice computations are memoized in abelian per
+    integer key, (moduli, survivors) and (images, group), since the same
+    survivor lattices come up row after row; their Smith forms run once
+    per key.
 
     The returned spec's algebra is the identity solve's basis, a
     PatternBasis unless a dense cut made it a list, so the trace form is

@@ -261,13 +261,16 @@ def test_product_split_matches_full_table(groups):
 
 def test_direct_product_matches_oracle():
     """Ordered pairs over every group of order <= 32 and triples over every
-    group of order <= 12 (7,938 products), trivial group included."""
+    group of order <= 12 (7,938 products), trivial group included.  The
+    embeddings are tuple rows (abelian.Matrix), one per factor."""
     upto32 = [g for n in range(1, 33) for g in enumerate_abelian_groups(n)]
     upto12 = [g for g in upto32 if g.order <= 12]
     count = 0
     for groups in itertools.chain(itertools.product(upto32, repeat=2),
                                   itertools.product(upto12, repeat=3)):
-        assert direct_product(groups) == _oracle_direct_product(groups), groups
+        product, embeds = _oracle_direct_product(groups)
+        expected = (product, tuple(tuple(map(tuple, emb)) for emb in embeds))
+        assert direct_product(groups) == expected, groups
         count += 1
     assert count == 7938
 
@@ -695,6 +698,49 @@ def test_subgroup_from_generators_matches_the_element_list(case):
                 s = tuple((a + b) % d for a, b, d in zip(x, g, moduli))
                 assert conv(s) == tuple(
                     (a + b) % d for a, b, d in zip(conv(x), conv(g), factors))
+
+
+def _immutable(obj) -> bool:
+    """obj is an int, a tuple of immutable objects, or a function whose
+    closure holds only immutable objects."""
+    if isinstance(obj, int):
+        return True
+    if isinstance(obj, tuple):
+        return all(_immutable(x) for x in obj)
+    if callable(obj) and hasattr(obj, "__closure__"):
+        return all(_immutable(c.cell_contents) for c in obj.__closure__ or ())
+    return isinstance(obj, FinAbGroup)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generated_subgroups())
+@example(([12, 2], [(1, 1), (11, 0)]))
+@example(([4, 4], [(0, 0)]))
+def test_lattice_memo_matches_the_unmemoized_computation(case):
+    """subgroup_from_elements and generator_coefficients answer from a memo
+    keyed by integer tuples.  Each answer equals the unmemoized computation
+    (the memo's __wrapped__): the group, to_canonical on every element of
+    the subgroup, and the coefficients.  Asking again with lists reads the
+    same entry, and every entry is built of ints and tuples only."""
+    moduli, gens = case
+    group, conv = subgroup_from_elements(moduli, gens)
+    fresh_group, fresh_conv = abelian._subgroup.__wrapped__(
+        tuple(moduli), tuple(map(tuple, gens)))
+    assert group == fresh_group
+    for x in _closure(moduli, gens):
+        assert conv(x) == fresh_conv(x)
+    assert subgroup_from_elements(list(moduli), [list(g) for g in gens]) == (group, conv)
+    assert _immutable((group, conv))
+
+    images = [conv(g) for g in gens]
+    coeffs = abelian.generator_coefficients(images, group)
+    assert coeffs == abelian._coefficients.__wrapped__(tuple(images), group)
+    assert abelian.generator_coefficients([list(y) for y in images], group) is coeffs
+    assert _immutable(coeffs)
+    for k, row in enumerate(coeffs):
+        total = tuple(sum(a * y[i] for a, y in zip(row, images)) % d
+                      for i, d in enumerate(group.invariant_factors))
+        assert total == tuple(int(i == k) for i in range(group.rank))
 
 
 def test_subgroup_map_is_homomorphism():

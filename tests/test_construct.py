@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from projpair.abelian import FinAbGroup, identity_matrix
+from projpair.abelian import FinAbGroup, identity_matrix, product_embedding
 from projpair import construct, serialize
-from projpair.classify import enumerate_single_orbit
+from projpair.classify import component_group_of, enumerate_single_orbit
 from projpair.construct import (
     Ambient,
     Block,
@@ -32,7 +32,16 @@ from projpair.errors import (
     NotIsomorphism,
     PreconditionViolated,
 )
-from projpair.matrep import Monomial, PatternBasis, TensorShape, as_dense, projective_equal
+from projpair.matrep import (
+    Monomial,
+    PatternBasis,
+    TensorShape,
+    as_dense,
+    character_monomial,
+    heisenberg_monomial,
+    projective_equal,
+    translation_monomial,
+)
 
 TRIV = FinAbGroup.trivial()
 Z2 = FinAbGroup.cyclic(2)
@@ -498,8 +507,9 @@ def test_scalar_blocks_span():
 
 
 def test_enumeration_reads_build_only_generating_cosets(monkeypatch):
-    """A construction builds each side's identity and generating cosets,
-    which the mirrored gluing matrix reads, and no other coset."""
+    """A construction builds each side's generating cosets, which the
+    mirrored gluing matrix reads, and no other coset: the identity coset is
+    stored as the identity Monomial, never built."""
     built = []
     real = construct._single_orbit_generator
 
@@ -511,9 +521,45 @@ def test_enumeration_reads_build_only_generating_cosets(monkeypatch):
     g, h = single_orbit_pair(SingleOrbitIngredients(1, 2, Z2, Z2, Z3))
     assert g.component_group.order == 24
     pairing_coset_matrix(g, h)
-    ident = g.component_group.identity().coords
-    expected = {(side, c) for side in "gh" for c in [ident] + g.generating_cosets()}
+    expected = {(side, c) for side in "gh" for c in g.generating_cosets()}
     assert sorted(built) == sorted(expected)
+
+
+def _kron_chain_generator(ing, side, coords):
+    """The generator of one side of the pair ing at coords, as the dense
+    Kronecker chain I_b (x) I_e (x) L (x) J (x) K of matrep's builders."""
+    L, J, K = ing.L_group, ing.J_group, ing.K_group
+    _, _, split = product_embedding((L, L, J, K))
+    lam, xi, third, fourth = split(component_group_of(ing).element(coords))
+    ops = [heisenberg_monomial(L, lam, L.character(xi.coords))]
+    if side == "g":
+        ops += [character_monomial(J, J.character(third.coords)),
+                translation_monomial(K, fourth)]
+    else:
+        ops += [translation_monomial(J, third),
+                character_monomial(K, K.character(fourth.coords))]
+    out = CycMatrix.identity(ing.b).kron(CycMatrix.identity(ing.e))
+    for op in ops:
+        out = out.kron(op.to_matrix())
+    return out
+
+
+def test_single_orbit_generators_match_the_kron_chain():
+    """Every ingredient tuple with n <= 8, both sides, each generating
+    coset: I_(b e) times the memoized single-orbit core is the full dense
+    Kronecker chain, whichever (b, e) asked for the core first."""
+    count = 0
+    for n in range(1, 9):
+        for row in enumerate_single_orbit(n):
+            ing = row.single
+            gamma = component_group_of(ing)
+            for side in "gh":
+                for x in gamma.generators():
+                    built = construct._single_orbit_generator(
+                        ing.b, ing.e, ing.L_group, ing.J_group, ing.K_group, side, x.coords)
+                    assert built == _kron_chain_generator(ing, side, x.coords), (ing, side, x)
+                    count += 1
+    assert count > 0
 
 
 def test_generator_of_wrong_shape_raises_at_construction():
@@ -627,9 +673,9 @@ def test_builders_keep_monomials(monkeypatch, inputs, build):
 def test_builder_runs_once_per_coset_whatever_reads_it(monkeypatch):
     """Reading every coset through operator(), serializing, validating,
     the pairing table and a full verify run the builder of each side once
-    for the identity coset and once for each generating coset, all at
-    construction, and for no other coset: every other one is its word.
-    The identity coset is stored as the identity Monomial."""
+    for each generating coset, all at construction, and for no other
+    coset: every other one is its word.  The identity coset is stored as
+    the identity Monomial, with no builder call."""
     from projpair.verify import pairing_table, verify_dual_pair
 
     built = []
@@ -652,9 +698,9 @@ def test_builder_runs_once_per_coset_whatever_reads_it(monkeypatch):
     pairing_table(g, h)
     assert verify_dual_pair(g, h).is_dual_pair
     expected = [(side, c) for side, spec in (("g", g), ("h", h))
-                for c in [spec.cosets()[0]] + spec.generating_cosets()]
+                for c in spec.generating_cosets()]
     assert sorted(built) == sorted(expected)
-    assert len(built) == 2 * (1 + 3) < 2 * g.component_count()
+    assert len(built) == 2 * 3 < 2 * g.component_count()
 
 
 def test_block_matrix_units_built_once_per_block(monkeypatch):
