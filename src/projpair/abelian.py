@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .cyclo import CycNum, prime_factors
 from .errors import DegeneratePairing, GroupMismatch, NotAlternating, NotIsomorphism
@@ -385,6 +386,14 @@ def is_homomorphism_matrix(q, source: FinAbGroup, target: FinAbGroup) -> bool:
     return True
 
 
+def matrix_product(a, b, moduli) -> Matrix:
+    """The product a b of homomorphism matrices, row i reduced modulo
+    moduli[i], the invariant factors of a's target."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % d for col in cols)
+                 for row, d in zip(a, moduli))
+
+
 def _smith_inverse(q, source: FinAbGroup, target: FinAbGroup):
     """The inverse of q: source -> target as a tuple of rows reduced modulo
     the source factors, or None when q is not an isomorphism.
@@ -404,16 +413,10 @@ def _smith_inverse(q, source: FinAbGroup, target: FinAbGroup):
     d_mat, u, v = smith_normal_form(mat)
     if any(d_mat[k][k] != 1 for k in range(s)):
         return None
-    p = tuple(tuple(sum(v[i][k] * u[k][j] for k in range(s)) % ds[i] for j in range(s))
-              for i in range(r))
-    ok = is_homomorphism_matrix(p, target, source) and all(
-        (sum(p[i][k] * q[k][j] for k in range(s)) - (i == j)) % ds[i] == 0
-        for i in range(r) for j in range(r)
-    ) and all(
-        (sum(q[i][k] * p[k][j] for k in range(r)) - (i == j)) % es[i] == 0
-        for i in range(s) for j in range(s)
-    )
-    if not ok:
+    p = matrix_product([row[:s] for row in v[:r]], u, ds)
+    if not (is_homomorphism_matrix(p, target, source)
+            and matrix_product(p, q, ds) == identity_matrix(source)
+            and matrix_product(q, p, es) == identity_matrix(target)):
         raise AssertionError("Smith-form inverse is not a two-sided inverse")
     return p
 

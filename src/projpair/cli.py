@@ -197,6 +197,10 @@ def cmd_enumerate(args) -> int:
                 check_results = list(pool.map(_check_one, rows))
         else:
             check_results = [_check_one(row) for row in rows]
+        passed = sum(1 for ok, _, _ in check_results if ok)
+        errors = sum(1 for _, _, error in check_results if error is not None)
+        # a row that raised is never verified, so the three counts are disjoint
+        failed = len(check_results) - passed - errors
     if args.format == "json":
         if check_results is not None:
             for rj, (ok, codes, error) in zip(payload["rows"], check_results):
@@ -204,15 +208,11 @@ def cmd_enumerate(args) -> int:
                 rj["failure_codes"] = codes
                 if error is not None:
                     rj["error"] = error
-            payload["passed"] = sum(1 for ok, _, _ in check_results if ok)
-            payload["failed"] = sum(1 for ok, _, error in check_results
-                                    if not ok and error is None)
-            payload["errors"] = sum(1 for _, _, error in check_results if error is not None)
+            payload.update(passed=passed, failed=failed, errors=errors)
         _write_output(serialize.dumps_canonical(payload), args.output)
     else:
         text = _format_table(rows)
         if check_results is not None:
-            passed = sum(1 for ok, _, _ in check_results if ok)
             text += f"verified: {passed}/{len(rows)} pairs pass\n"
             for row, (ok, codes, error) in zip(rows, check_results):
                 if error is not None:
@@ -222,9 +222,9 @@ def cmd_enumerate(args) -> int:
         _write_output(text, args.output)
     if check_results is None:
         return 0
-    if any(error is not None for _, _, error in check_results):
+    if errors:
         return 3
-    return 1 if any(not ok for ok, _, _ in check_results) else 0
+    return 1 if failed else 0
 
 
 def cmd_pairing(args) -> int:

@@ -162,6 +162,18 @@ def _inverted(coords, op):
         raise ValueError(f"generator at {coords} is singular") from None
 
 
+def _lowered(coords, known):
+    """Lower the last nonzero coordinate a of coords by one until
+    known(coords); the coords reached and the steps (coords, a), in the
+    order a caller climbs back up them."""
+    steps = []
+    while not known(coords):
+        a = max(i for i, c in enumerate(coords) if c)
+        steps.append((coords, a))
+        coords = coords[:a] + (coords[a] - 1,) + coords[a + 1:]
+    return coords, steps[::-1]
+
+
 class GroupSpec:
     """A reductive subgroup of GL(U) up to scalars: its identity component
     and one generator per generating coset (a unit coordinate vector).
@@ -274,14 +286,9 @@ class GroupSpec:
             return op
         if coords not in self._index:
             raise KeyError(coords)
-        # lower the last nonzero coordinate down to a stored coset
-        steps = []
-        while coords not in self._operators:
-            a = max(i for i, c in enumerate(coords) if c)
-            steps.append((coords, a))
-            coords = coords[:a] + (coords[a] - 1,) + coords[a + 1:]
+        coords, steps = _lowered(coords, self._operators.__contains__)
         op = self._operators[coords]
-        for coords, a in reversed(steps):
+        for coords, a in steps:
             op = self._operators[coords] = _scanned(op @ self._operators[self._gens[a]])
         return op
 
@@ -297,15 +304,11 @@ class GroupSpec:
             return inv
         if coords not in self._index:
             raise KeyError(coords)
-        steps = []
-        while coords not in self._inverses and coords not in self._gens:
-            a = max(i for i, c in enumerate(coords) if c)
-            steps.append((coords, a))
-            coords = coords[:a] + (coords[a] - 1,) + coords[a + 1:]
+        coords, steps = _lowered(coords, lambda c: c in self._inverses or c in self._gens)
         inv = self._inverses.get(coords)
         if inv is None:
             inv = self._inverses[coords] = _inverted(coords, self._operators[coords])
-        for coords, a in reversed(steps):
+        for coords, a in steps:
             inv = self._inverses[coords] = _scanned(self._inverse(self._gens[a]) @ inv)
         return inv
 

@@ -14,10 +14,12 @@ moves and scales the matrix's cells in linear time.  A commutator scalar
 is returned as the integer root of unity (order, exponent) whichever
 form its arguments take.  CycNum appears only where a Monomial meets a
 CycMatrix, in its scales and entries, and in the dense commutator.  One
-scan, unit_pattern, reads a CycMatrix's cells as a partial monomial with
-root-of-unity entries, written as a PatternBasis of one element, the
-form a Monomial's pattern takes too; Monomial.from_matrix is that scan
-at full coverage, so the conversion to and from CycMatrix is lossless.
+step, _root_exponents, reads roots of unity as a least order and integer
+exponents, for Monomial, unit_pattern and PatternBasis.from_matrices.
+unit_pattern reads a CycMatrix with at most one cell per row and column
+by that step, as a PatternBasis of one element, the form a Monomial's
+pattern takes too; Monomial.from_matrix is that scan at full coverage,
+so the conversion to and from CycMatrix is lossless.
 Which form a stored generator takes is decided by GroupSpec.operator.
 A PatternBasis is the one value that holds a root pattern, the integer
 form of a span of matrices on disjoint supports with root-of-unity
@@ -105,15 +107,14 @@ class Monomial:
         n = len(perm)
         if sorted(perm) != list(range(n)):
             raise ValueError("perm is not a permutation")
-        roots = [as_cyc(s).as_root_of_unity() for s in scales]
-        if len(roots) != n:
+        scales = list(scales)
+        if len(scales) != n:
             raise ValueError("need one scale per column")
-        if None in roots:
+        lifted = _root_exponents(map(as_cyc, scales))
+        if lifted is None:
             raise ValueError("monomial scales must be roots of unity")
-        # the roots are reduced, so the lcm of their orders is the least
         self.perm = perm
-        self.order = math.lcm(*(d for d, _ in roots))
-        self.exps = tuple(k * (self.order // d) for d, k in roots)
+        self.order, self.exps = lifted
 
     @staticmethod
     def from_exponents(perm, order: int, exps) -> "Monomial":
@@ -255,6 +256,21 @@ class Monomial:
         return f"Monomial(perm={self.perm}, order={self.order}, exps={self.exps})"
 
 
+def _root_exponents(values) -> tuple[int, tuple[int, ...]] | None:
+    """Roots of unity as zeta_order^k: the least order carrying them all and
+    each one's exponent k, in order; None at the first value that is not
+    a root of unity."""
+    roots = []
+    for v in values:
+        root = v.as_root_of_unity()
+        if root is None:
+            return None
+        roots.append(root)
+    # the roots are reduced, so the lcm of their orders is the least
+    order = math.lcm(*(d for d, _ in roots))
+    return order, tuple(k * (order // d) for d, k in roots)
+
+
 def unit_pattern(op) -> "PatternBasis | None":
     """The PatternBasis of one element for an n x n operator, a Monomial or
     a CycMatrix, that is a partial monomial whose nonzero entries are
@@ -264,22 +280,14 @@ def unit_pattern(op) -> "PatternBasis | None":
     no cell).  None for any other CycMatrix."""
     if isinstance(op, Monomial):
         return PatternBasis(op.n, op.order, [sorted(zip(op.perm, range(op.n), op.exps))])
-    n = op.rows
-    # in row-major order, so that a matrix that is not a pattern is turned
-    # down after the same root-of-unity tests as a scan of its rows makes
     cells = sorted(op.cells.items())
-    roots = []
-    used_cols = set()
-    for k, ((i, j), v) in enumerate(cells):
-        if (k + 1 < len(cells) and cells[k + 1][0][0] == i) or j in used_cols:
-            return None
-        root = v.as_root_of_unity()
-        if root is None:
-            return None
-        used_cols.add(j)
-        roots.append((i, j, root))
-    order = math.lcm(*(d for _, _, (d, _) in roots))
-    return PatternBasis(n, order, [[(i, j, k * (order // d)) for i, j, (d, k) in roots]])
+    if not len(cells) == len({i for (i, _), _ in cells}) == len({j for (_, j), _ in cells}):
+        return None
+    lifted = _root_exponents(v for _, v in cells)
+    if lifted is None:
+        return None
+    order, exps = lifted
+    return PatternBasis(op.rows, order, [[(i, j, k) for ((i, j), _), k in zip(cells, exps)]])
 
 
 @dataclass
@@ -306,22 +314,16 @@ class PatternBasis:
         """The pattern of n x n matrices, or None when one of them is zero, a
         cell is not a root of unity or two matrices share a position; the
         order is the least one carrying every cell."""
-        seen = set()
-        classes = []
-        for mat in basis:
-            if not mat.cells:
-                return None
-            cells = []
-            for (i, j), v in mat.cells.items():
-                root = v.as_root_of_unity()
-                if root is None or (i, j) in seen:
-                    return None
-                seen.add((i, j))
-                cells.append((i, j, root))
-            cells.sort()
-            classes.append(cells)
-        order = math.lcm(*(d for cells in classes for _, _, (d, _) in cells))
-        return PatternBasis(n, order, [[(i, j, k * (order // d)) for i, j, (d, k) in cells]
+        classes = [sorted(mat.cells.items()) for mat in basis]
+        positions = [p for cells in classes for p, _ in cells]
+        if not all(classes) or len(set(positions)) < len(positions):
+            return None
+        lifted = _root_exponents(v for cells in classes for _, v in cells)
+        if lifted is None:
+            return None
+        order, exps = lifted
+        exps = iter(exps)
+        return PatternBasis(n, order, [[(i, j, next(exps)) for (i, j), _ in cells]
                                        for cells in classes])
 
     @staticmethod
@@ -628,8 +630,8 @@ def commutator_scalar(g, h) -> tuple[int, int]:
     pos = hg.first_nonzero()
     if pos is None:
         raise NotProjectivelyCommuting("singular product")
-    c = gh.entry(*pos) / hg.entry(*pos)
-    if gh != hg.scale(c):
+    c = _ratio_at(gh, hg, pos)
+    if c is None:
         raise NotProjectivelyCommuting("commutator is not scalar")
     root = c.as_root_of_unity()
     if root is None or n % root[0]:
@@ -637,15 +639,19 @@ def commutator_scalar(g, h) -> tuple[int, int]:
     return root
 
 
+def _ratio_at(g: CycMatrix, h: CycMatrix, pos):
+    """The scalar c with g = c h, read off the cell pos where h is nonzero,
+    or None when g is no multiple of h."""
+    c = g.entry(*pos) / h.entry(*pos)
+    return c if g == h.scale(c) else None
+
+
 def projective_equal(g: CycMatrix, h: CycMatrix) -> bool:
-    """True iff g = c h for some scalar c (exact, zero tolerance)."""
+    """True iff g = c h for some nonzero scalar c (exact, zero tolerance)."""
     if g.shape != h.shape:
         return False
     pos = h.first_nonzero()
     pos_g = g.first_nonzero()
     if pos is None or pos_g is None:
         return pos == pos_g
-    if g.entry(*pos).is_zero():
-        return False
-    c = g.entry(*pos) / h.entry(*pos)
-    return g == h.scale(c)
+    return _ratio_at(g, h, pos) is not None

@@ -14,6 +14,8 @@ as its permutation, least order and exponents ({"monomial": ...}), read
 from the cached GroupSpec.operator, so writing it expands nothing; any
 other is a dense matrix ({"matrix": ...}).  Both forms are read, so a
 file that writes unit monomials dense decodes to the same operators.
+report_text and pairing_table_text are the one JSON writer of a verify
+report and a pairing table, field by field; neither has a dict form.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 from .abelian import FinAbGroup, SymplecticPairing
@@ -155,10 +156,10 @@ def _root_exponent(order, expo) -> Fraction:
 
 
 def _pairing_text(table) -> str:
-    """_text(table.to_json_dict()), written from the table's row sums
-    (PairingTable.row_sums) without building its values: the text of each
-    exponent's reduced root of unity, such as "[12,5]", is built once and
-    each row is joined from those."""
+    """A PairingTable's JSON text, its values written from its row sums
+    without building them: the text of each exponent's reduced root of
+    unity, such as "[12,5]", is built once and each row is joined from
+    those."""
     roots = [_text(lowest_terms(table.order, k)) for k in range(table.order)]
     rows = ",".join(["[" + ",".join([roots[k] for k in sums]) + "]"
                      for sums in table.row_sums()])
@@ -170,17 +171,22 @@ def _pairing_text(table) -> str:
 
 
 def pairing_table_text(table) -> str:
-    """dumps_canonical(table.to_json_dict()), by _pairing_text."""
+    """A PairingTable as a canonical JSON document, by _pairing_text."""
     return _pairing_text(table) + "\n"
 
 
 def report_text(report) -> str:
-    """dumps_canonical(report.to_json_dict()) for a VerificationReport,
-    its pairing table written by _pairing_text."""
-    fields = {k: _text(v) for k, v in replace(report, pairing=None).to_json_dict().items()}
-    if report.pairing is not None:
-        fields["pairing"] = _pairing_text(report.pairing)
-    return _object_text(fields) + "\n"
+    """A VerificationReport as a canonical JSON document, every field
+    written here and its pairing table (or null) by _pairing_text."""
+    return _object_text({
+        "is_dual_pair": _text(report.is_dual_pair),
+        "g_dim": _text(report.g_dim),
+        "h_dim": _text(report.h_dim),
+        "g_components": _text(report.g_components),
+        "h_components": _text(report.h_components),
+        "pairing": "null" if report.pairing is None else _pairing_text(report.pairing),
+        "failures": _text([{"code": f.code, "detail": f.detail} for f in report.failures]),
+    }) + "\n"
 
 
 # -- specs ------------------------------------------------------------------

@@ -82,7 +82,8 @@ second time only when the cosets it finds do not generate the other
 spec's component group.  Every question about an identity-component
 algebra (membership, inclusion, dimension, the trace form) goes to its
 matrep.Algebra.  The tests cross-check the engine against a purely dense
-solve.
+solve.  A VerificationReport and its PairingTable are plain values; their
+JSON is written by serialize.report_text and nowhere else.
 """
 
 from __future__ import annotations
@@ -533,22 +534,24 @@ def _invertible_in_span(basis, n: int) -> Monomial | CycMatrix | None:
     construction makes one), B may hold none; then the grid says "no", or
     hits its bound.
     """
-    dim = len(basis)
     combine = _combiner(basis, n)
-    for coeffs in _sample_vectors(dim, n):
+    for coeffs in _search_vectors(len(basis), n):
         cand = combine(coeffs)
         if cand is not None and _det_nonzero(cand):
             return Monomial.from_matrix(cand) or cand
+    return None
+
+
+def _search_vectors(dim: int, n: int):
+    """The samples, then the grid range(n + 1)^dim; once the samples are
+    spent, WitnessSearchUndecided when the grid has over 2,000,000 points."""
+    yield from _sample_vectors(dim, n)
     if (n + 1) ** dim > 2_000_000:
         raise WitnessSearchUndecided(
             "invertibility undecided by sampling and the grid bound is "
             f"impractical (dim {dim}, ambient {n})"
         )
-    for coeffs in itertools.product(range(n + 1), repeat=dim):
-        cand = combine(coeffs)
-        if cand is not None and _det_nonzero(cand):
-            return Monomial.from_matrix(cand) or cand
-    return None
+    yield from itertools.product(range(n + 1), repeat=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -775,14 +778,6 @@ class PairingTable:
         reduced = [lowest_terms(self.order, k) for k in range(self.order)]
         return tuple(tuple([reduced[v] for v in sums]) for sums in self.row_sums())
 
-    def to_json_dict(self):
-        return {
-            "gamma": {"invariant_factors": list(self.gamma.invariant_factors)},
-            "delta": {"invariant_factors": list(self.delta.invariant_factors)},
-            # json writes the (order, exponent) tuples as arrays
-            "values": self.values,
-        }
-
 
 def pairing_table(g: GroupSpec, h: GroupSpec) -> PairingTable:
     """The commutator pairing of g's and h's component groups, from the
@@ -815,9 +810,6 @@ class VerificationFailure:
     code: str
     detail: str
 
-    def to_json_dict(self):
-        return {"code": self.code, "detail": self.detail}
-
 
 @dataclass
 class VerificationReport:
@@ -831,17 +823,6 @@ class VerificationReport:
 
     def failure_codes(self):
         return [f.code for f in self.failures]
-
-    def to_json_dict(self):
-        return {
-            "is_dual_pair": self.is_dual_pair,
-            "g_dim": self.g_dim,
-            "h_dim": self.h_dim,
-            "g_components": self.g_components,
-            "h_components": self.h_components,
-            "pairing": self.pairing.to_json_dict() if self.pairing else None,
-            "failures": [f.to_json_dict() for f in self.failures],
-        }
 
 
 def _places(outer: GroupSpec, inner: GroupSpec):

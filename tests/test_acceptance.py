@@ -228,7 +228,7 @@ def test_pipeline_reports_keep_their_digest(pipeline):
     results, _ = pipeline
     digest = hashlib.sha256()
     for _, _, _, report in results:
-        digest.update(serialize.dumps_canonical(report.to_json_dict()).encode())
+        digest.update(serialize.report_text(report).encode())
     assert (len(results), digest.hexdigest()) == (
         280, "898234985ad77825e119240601d8fa62d7c683aa1342eb388aceff62a843bca3")
 
