@@ -12,7 +12,8 @@ adding and multiplying matrices costs work in proportion to their
 nonzeros.  Rank, kernels, determinants and inverses all come from one
 Gauss-Jordan step: inserting a row into a VectorSpan kept in reduced
 echelon form, whose rows keep only their nonzero entries, so the step
-costs work in proportion to the nonzeros it touches.
+costs work in proportion to the nonzeros it touches.  A kernel vector
+comes back in that row form too, {column: value} over its nonzeros.
 
 Matrix products and the row updates of that step share one kernel, _dot:
 the products of a cell (or of an update w - c*v) accumulate as one
@@ -770,27 +771,20 @@ class CycMatrix:
         return CycMatrix.from_entries(n, n, {
             (i, j - n): v for i, row in enumerate(span.rows) for j, v in row.items() if j >= n})
 
-    def kernel(self) -> list["CycMatrix"]:
-        """Exact basis of the right null space, as n x 1 column matrices.
-
-        Each basis vector is normalized so its first nonzero coordinate is 1;
-        the basis is ordered by free column.
-        """
+    def kernel(self) -> list[dict[int, CycNum]]:
+        """Exact basis of the right null space, each vector the dict of its
+        nonzero coordinates by column, keys ascending, read off the echelon
+        rows and scaled so its first one is 1; ordered by free column."""
         span = self._echelon()
         pivot_set = set(span.pivots)
         basis = []
         for fc in range(self.cols):
             if fc in pivot_set:
                 continue
-            vec = [ZERO] * self.cols
+            vec = {p: -row[fc] for row, p in zip(span.rows, span.pivots) if fc in row}
             vec[fc] = ONE
-            for row, p in zip(span.rows, span.pivots):
-                # zero entries stay the conductor-1 ZERO, so a unit vector keeps conductor 1
-                v = row.get(fc)
-                if v is not None:
-                    vec[p] = -v
-            lead_inv = next(v for v in vec if not v.is_zero()).inverse()
-            basis.append(CycMatrix([[lead_inv * v] for v in vec]))
+            lead_inv = vec[min(vec)].inverse()
+            basis.append({k: lead_inv * vec[k] for k in sorted(vec)})
         return basis
 
 

@@ -15,7 +15,8 @@ is returned as the integer root of unity (order, exponent) whichever
 form its arguments take.  CycNum appears only where a Monomial meets a
 CycMatrix, in its scales and entries, and in the dense commutator.  One
 step, _root_exponents, reads roots of unity as a least order and integer
-exponents, for Monomial, unit_pattern and PatternBasis.from_matrices.
+exponents, for Monomial, unit_pattern and PatternBasis.from_matrices;
+its last step, common_order, also lifts verify's (order, exponent) pairs.
 unit_pattern reads a CycMatrix with at most one cell per row and column
 by that step, as a PatternBasis of one element, the form a Monomial's
 pattern takes too; Monomial.from_matrix is that scan at full coverage,
@@ -262,11 +263,16 @@ def _root_exponents(values) -> tuple[int, tuple[int, ...]] | None:
     a root of unity."""
     roots = []
     for v in values:
-        root = v.as_root_of_unity()
-        if root is None:
+        if (root := v.as_root_of_unity()) is None:
             return None
         roots.append(root)
-    # the roots are reduced, so the lcm of their orders is the least
+    return common_order(roots)
+
+
+def common_order(roots) -> tuple[int, tuple[int, ...]]:
+    """Reduced roots of unity (order, exponent) as their least common order,
+    the lcm of theirs, and each one's exponent over it, in order."""
+    roots = list(roots)
     order = math.lcm(*(d for d, _ in roots))
     return order, tuple(k * (order // d) for d, k in roots)
 
@@ -537,10 +543,10 @@ def _partner_sums_nonzero(pattern: PatternBasis):
 def _gram_nondegenerate(basis) -> bool:
     """Is the Gram matrix tr(a b) of the basis of full rank?"""
     cells = [a.cells for a in basis]
-    # tr(a b) = sum over a's cells of a[i, j] * b[j, i]
-    gram = [[sum((va * b[j, i] for (i, j), va in a.items() if (j, i) in b), ZERO)
-             for b in cells] for a in cells]
-    return CycMatrix(gram).rank() == len(basis)
+    # tr(a b) = sum over a's cells of a[i, j] * b[j, i]; from_entries keeps the nonzero ones
+    gram = {(r, s): sum((va * b[j, i] for (i, j), va in a.items() if (j, i) in b), ZERO)
+            for r, a in enumerate(cells) for s, b in enumerate(cells)}
+    return CycMatrix.from_entries(len(cells), len(cells), gram).rank() == len(cells)
 
 
 def translation_monomial(group: FinAbGroup, x: GroupElement) -> Monomial:

@@ -39,7 +39,9 @@ exponents off the potentials; the live classes come back as a
 PatternBasis, and a computed centralizer keeps its identity basis in
 that form.  Whatever is not a partial monomial (a dense algebra element
 or generator) then cuts the pattern basis with the dense kernel of the
-images X h - c h X, each built in one pass (CycMatrix.twisted_commutator).
+images X h - c h X, each built in one pass (CycMatrix.twisted_commutator),
+whose cells are the constraint rows; each kernel vector, a dict of its
+nonzero coefficients, recombines the basis over its own keys.
 CycNum appears only at that boundary, in a witness candidate and when
 something reads a basis as matrices.  The witness search has one
 candidate builder for either kind of basis: it reads each element once
@@ -92,7 +94,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import matmul, mul
+from operator import add, matmul, mul
 
 from .abelian import FinAbGroup, generator_coefficients, subgroup_from_elements
 from .construct import GroupSpec
@@ -108,6 +110,7 @@ from .matrep import (
     Monomial,
     PatternBasis,
     commutator_scalar,
+    common_order,
     lowest_terms,
     unit_pattern,
 )
@@ -352,8 +355,8 @@ class CommutantEngine:
             raise ValueError("need one scalar per generator")
         roots = [lowest_terms(d, k) for d, k in scalars]
         chased = [roots[i] for i in self._chased]
-        order = math.lcm(self._order, *(d for d, _ in chased))
-        weights = (order // self._order, *(k * (order // d) for d, k in chased))
+        # the constant field is zeta_(N0)^1
+        order, weights = common_order([(self._order, 1), *chased])
 
         def exponent(fields):
             return sum(map(mul, fields, weights)) % order
@@ -397,25 +400,15 @@ class CommutantEngine:
 def _apply_twist_constraint(basis, h: CycMatrix, c: CycNum) -> list[CycMatrix]:
     """Cut a solution basis down by X h = c h X."""
     images = [x.twisted_commutator(h, c) for x in basis]
-    rows = sorted({cell for img in images for cell in img.cells})
-    if not rows:
+    # one constraint row per cell that some image fills, in row-major order
+    row_of = {cell: r for r, cell in enumerate(sorted({cell for img in images
+                                                        for cell in img.cells}))}
+    if not row_of:
         return list(basis)
-    mat = CycMatrix(
-        [[img.entry(i, j) for img in images] for (i, j) in rows]
-    )
-    kern = mat.kernel()
-    out = []
-    for vec in kern:
-        acc = None
-        for k, x in enumerate(basis):
-            coeff = vec.entry(k, 0)
-            if coeff.is_zero():
-                continue
-            term = x.scale(coeff)
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out.append(acc)
-    return out
+    mat = CycMatrix.from_entries(len(row_of), len(images), {
+        (row_of[cell], k): v for k, img in enumerate(images) for cell, v in img.cells.items()})
+    return [reduce(add, (basis[k].scale(coeff) for k, coeff in vec.items()))
+            for vec in mat.kernel()]
 
 
 # -- invertible-element search ------------------------------------------------
@@ -792,10 +785,11 @@ def pairing_table(g: GroupSpec, h: GroupSpec) -> PairingTable:
     divides the ambient dimension.  The table keeps T and N; PairingTable
     says what it builds from them, and when.
     """
-    gen_rows = [[commutator_scalar(g.operator(a), h.operator(b))
-                 for b in h.generating_cosets()] for a in g.generating_cosets()]
-    order = math.lcm(*(d for row in gen_rows for d, _ in row))
-    generators = tuple(tuple(k * (order // d) for d, k in row) for row in gen_rows)
+    g_gens, h_gens = g.generating_cosets(), h.generating_cosets()
+    order, flat = common_order(commutator_scalar(g.operator(a), h.operator(b))
+                               for a in g_gens for b in h_gens)
+    r = len(h_gens)
+    generators = tuple(flat[i * r:(i + 1) * r] for i in range(len(g_gens)))
     return PairingTable(g.component_group, h.component_group, order, generators)
 
 

@@ -153,7 +153,22 @@ def test_kernel_examples():
     assert a.det().is_zero()
     ker = a.kernel()
     assert len(ker) == 1
-    assert (a @ ker[0]).is_zero()
+    assert (a @ _as_column(ker[0], 2)).is_zero()
+    # (-z4, 1) off free column 1, scaled so its first coordinate is 1
+    assert ker[0] == {0: ONE, 1: z4}
+
+
+def _as_column(vec, n):
+    """A kernel vector, the dict of its nonzero coordinates with keys
+    ascending, checked for that form and read as an n x 1 matrix."""
+    assert list(vec) == sorted(vec) and all(0 <= k < n for k in vec)
+    assert not any(v.is_zero() for v in vec.values())
+    return CycMatrix.from_entries(n, 1, {(k, 0): v for k, v in vec.items()})
+
+
+def _column(vec, n):
+    """A kernel vector's n coordinates, zeros included."""
+    return [vec.get(i, ZERO) for i in range(n)]
 
 
 def _random_matrix(rng, rows, cols):
@@ -189,8 +204,8 @@ def test_kernel_rank_random():
         free = _free_columns(mat)
         assert len(ker) == len(free)
         for v, fc in zip(ker, free):
-            assert (mat @ v).is_zero()
-            entries = [v.entry(i, 0) for i in range(mat.cols)]
+            assert (mat @ _as_column(v, mat.cols)).is_zero()
+            entries = _column(v, mat.cols)
             assert next(x for x in entries if not x.is_zero()) == ONE
             # on the free columns, the vector is a multiple of its own unit vector
             assert not entries[fc].is_zero()
@@ -378,10 +393,6 @@ def _dense_gauss_jordan(rows, ncols):
     return a[:r], pivots, det
 
 
-def _column(vec):
-    return [vec.entry(i, 0) for i in range(vec.rows)]
-
-
 @settings(max_examples=150, deadline=None)
 @given(_oracle_matrices())
 def test_sparse_elimination_matches_dense_oracle(mat):
@@ -397,7 +408,10 @@ def test_sparse_elimination_matches_dense_oracle(mat):
             vec[p] = -row[fc]
         lead = next(v for v in vec if not v.is_zero())
         expected.append([v / lead for v in vec])
-    assert [_column(v) for v in mat.kernel()] == expected
+    kernel = mat.kernel()
+    assert [_column(v, mat.cols) for v in kernel] == expected
+    for vec in kernel:
+        _as_column(vec, mat.cols)
 
     span = VectorSpan(mat.cols)
     for row in rows:
@@ -523,7 +537,8 @@ def test_sparse_storage_matches_dense_oracle(operands):
     _assert_matches(a @ d, _dense_matmul(ga, gd))
     # each kernel vector's product with a cancels to zero on every row
     for vec in a.kernel():
-        _assert_matches(a @ vec, _dense_matmul(ga, [list(r) for r in vec.data]))
+        col = _as_column(vec, a.cols)
+        _assert_matches(a @ col, _dense_matmul(ga, [list(r) for r in col.data]))
     _assert_matches(a.kron(d), _dense_kron(ga, gd))
     _assert_matches(a.transpose(), [list(col) for col in zip(*ga)])
     scales = mono.scales
@@ -680,9 +695,14 @@ def test_product_matches_per_term_oracle(operands):
     _assert_same_cells(a @ b, _oracle_matmul(a, b))
 
 
+def _vector_cells(vec):
+    """An echelon row's or a kernel vector's keys in order, each with its
+    value's conductor and coordinates."""
+    return [(k, v.m, v.num, v.den) for k, v in vec.items()]
+
+
 def _span_rows(span):
-    return [(p, [(j, v.m, v.num, v.den) for j, v in row.items()])
-            for p, row in zip(span.pivots, span.rows)]
+    return [(p, _vector_cells(row)) for p, row in zip(span.pivots, span.rows)]
 
 
 @st.composite
@@ -714,9 +734,7 @@ def test_elimination_matches_per_term_oracle(mat):
     with _oracle_row_updates():
         o_rank, o_kern, o_det, o_inv, o_rows = run()
     assert rank == o_rank and rows == o_rows
-    assert len(kern) == len(o_kern)
-    for v, w in zip(kern, o_kern):
-        _assert_same_cells(v, w)
+    assert [_vector_cells(v) for v in kern] == [_vector_cells(w) for w in o_kern]
     assert (det.m, det.num, det.den) == (o_det.m, o_det.num, o_det.den)
     assert (inv is None) == (o_inv is None)
     if inv is not None:

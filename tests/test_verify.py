@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -70,6 +71,7 @@ from projpair.verify import (
     verify_dual_pair,
 )
 
+from sampling import conjugated, random_shear, random_unit_monomial
 from test_acceptance import _battery, bicharacter_oracle, builder_formulas, full_pairing_table
 from test_construct import assert_one_stored_form, block_layouts, block_units
 
@@ -1806,10 +1808,73 @@ def test_is_nondegenerate_matches_elementwise_oracle(table):
 def _conjugated_klein(shear):
     """The translation-character group of Z2 conjugated by a 2 x 2 shear:
     every non-identity coset generator is dense and not monomial."""
-    klein, _ = xx_hat_pair(Z2)
-    inv = shear.inverse()
-    gens = {c: shear @ as_dense(klein.operator(c)) @ inv for c in klein.cosets()}
-    return GroupSpec(klein.ambient, klein.blocks, klein.component_group, gens)
+    return conjugated(xx_hat_pair(Z2)[0], shear)
+
+
+def _report_answers(report):
+    """What conjugating a pair keeps: the verdict, the failure codes, both
+    identity dimensions and component counts, and the pairing table's
+    generator matrix, since every coset keeps its label."""
+    pairing = report.pairing
+    return (report.is_dual_pair, report.failure_codes(), report.g_dim, report.h_dim,
+            report.g_components, report.h_components,
+            None if pairing is None else (pairing.order, pairing.generators))
+
+
+def _conjugated_listed_pairs(sample):
+    """The 54 listed rows with n <= 5, each as its pair and that pair
+    conjugated by P = sample(n, rng), the RNG seeded by the row's place."""
+    rows = [row for n in range(1, 6) for row in enumerate_multi_orbit(n)]
+    assert len(rows) == 54
+    out = []
+    for seed, row in enumerate(rows):
+        g, h = row.build()
+        p = sample(g.ambient.dim, random.Random(seed))
+        out.append(((g, h), (conjugated(g, p), conjugated(h, p))))
+    return out
+
+
+@pytest.mark.parametrize("sample", [random_shear, random_unit_monomial])
+def test_conjugated_pairs_keep_every_answer(monkeypatch, sample):
+    """P g P^-1, P h P^-1 is the pair (g, h) in another basis, so verifying
+    it gives the same answers, on every listed row with n <= 5.  Under a
+    product of integer shears the pair is dense and the solves take dense
+    cuts; under a unit monomial it keeps the monomial path, with no cut."""
+    pairs = _conjugated_listed_pairs(sample)
+    expected = [_report_answers(verify_dual_pair(*pair)) for pair, _ in pairs]
+    cuts = _counting(monkeypatch, verify, "_apply_twist_constraint")
+    assert [_report_answers(verify_dual_pair(*pair)) for _, pair in pairs] == expected
+    assert (len(cuts) > 0) == (sample is random_shear)
+
+
+def test_dense_cuts_read_cells_and_build_no_grid(monkeypatch):
+    """Verifying the shear-conjugated listed pairs builds no matrix from a
+    dense grid, and no dense cut reads a cell through CycMatrix.entry: the
+    constraint rows come from the images' cells, and the kernel comes back
+    as coefficient dicts."""
+    pairs = [pair for _, pair in _conjugated_listed_pairs(random_shear)]
+    grids = _counting(monkeypatch, CycMatrix, "__init__")
+    cuts, in_cut, cut_reads = [], [], []
+    cut, entry = verify._apply_twist_constraint, CycMatrix.entry
+
+    def counted_cut(*args):
+        cuts.append(1)
+        in_cut.append(1)
+        try:
+            return cut(*args)
+        finally:
+            in_cut.pop()
+
+    def counted_entry(self, i, j):
+        if in_cut:
+            cut_reads.append((i, j))
+        return entry(self, i, j)
+
+    monkeypatch.setattr(verify, "_apply_twist_constraint", counted_cut)
+    monkeypatch.setattr(CycMatrix, "entry", counted_entry)
+    for pair in pairs:
+        verify_dual_pair(*pair)
+    assert (len(cuts) > 0, grids, cut_reads) == (True, [], [])
 
 
 def test_specs_equal_inverts_each_dense_coset_once(monkeypatch):
